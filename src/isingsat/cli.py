@@ -171,8 +171,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(f"pure python : {args.samples} anneals of {n} spins x {args.sweeps} sweeps "
           f"in {pure_t:.3f}s")
     if compiled is None:
-        print("compiled extension not built (pip install -e . rebuilds it); "
-              "benchmark ran the fallback only")
+        print(f"compiled kernels unavailable ({kernels.FALLBACK_REASON}); "
+              "benchmark ran the pure oracle only")
         return 0
     comp_out, comp_t = run(compiled)
     print(f"compiled    : same workload in {comp_t:.3f}s")

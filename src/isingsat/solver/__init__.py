@@ -15,6 +15,12 @@ interface:
 Both draw randomness from a seeded xorshift64* generator; per-sample seeds
 are derived with splitmix64, so a request's outcome depends only on
 (model, seed, parameters).
+
+The inner loops live in :mod:`.kernels`: a C kernel compiled on first import
+and cached in ``__pycache__``, or, without a C compiler, the pure-Python
+oracle it is tested against bit for bit.  ``COMPILED_KERNELS`` says which
+one runs.  The C kernel releases the GIL, so :func:`batch_solve` threads
+can overlap.
 """
 from __future__ import annotations
 

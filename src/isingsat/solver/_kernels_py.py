@@ -1,9 +1,11 @@
 """Pure-Python solver kernels: Metropolis annealing and tabu descent.
 
-Fallback mirror of the compiled module ``_kernels``.  The two must stay
-operation-for-operation identical — same RNG (xorshift64*), same float
-operation order, same tie-breaks — so that results never depend on which
-implementation the import selected.
+The oracle for the compiled kernels in ``_kernels.c``, which ``kernels``
+builds on first import, and what runs when they cannot be built.  The two
+must stay operation-for-operation identical — same seeding (splitmix64) and
+RNG (xorshift64*), same float operation order, same tie-breaks, libm
+``exp``/``pow`` — so that results never depend on which implementation the
+import selected; the tests compare them bit for bit.
 
 The couplings arrive as a dense row-major n*n list with a zero diagonal and
 symmetric entries; ``energy = 0.5 * s·(J s) + h·s`` is tracked incrementally

@@ -1,18 +1,98 @@
-"""Kernel selector: the compiled extension when built, else the pure mirror.
+"""Kernel selector: the C kernel, compiled on first import, else the pure oracle.
 
-``COMPILED_KERNELS`` records which one was picked so benchmarks and bug
-reports can say so.
+``_kernels.c`` is compiled the first time this module is imported, with the
+interpreter's C compiler and ``-O2 -shared -fPIC -ffp-contract=off``.  The
+shared object is cached as
+``__pycache__/_kernels.<source hash>.<extension suffix>``, keyed on the
+source and flags, so later imports only load it.  It is written under a
+temporary name and moved into place, so concurrent first imports never load
+a half-written file.  The loaded module is registered as
+``isingsat.solver._kernels``.
+
+Without a compiler on PATH, or when the build fails (one warning is logged),
+the pure-Python oracle ``_kernels_py`` runs instead; it gives bit-identical
+results, only slower.  ``COMPILED_KERNELS`` records which one was picked, so
+benchmarks and bug reports can say so, and ``FALLBACK_REASON`` says why the
+compiled one was not.
 """
 from __future__ import annotations
 
-try:
-    from . import _kernels as _impl  # type: ignore[attr-defined]
+import importlib.machinery
+import importlib.util
+import logging
+import os
+import sys
+from types import ModuleType
 
-    COMPILED_KERNELS = True
-except ImportError:  # extension not built — pure fallback
-    from . import _kernels_py as _impl  # type: ignore[no-redef]
+from . import _kernels_py
 
-    COMPILED_KERNELS = False
+log = logging.getLogger(__name__)
+
+_NAME = __name__.rpartition(".")[0] + "._kernels"
+_SOURCE = os.path.join(os.path.dirname(__file__), "_kernels.c")
+_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+
+
+def _build(target: str) -> str | None:
+    """Compile ``_kernels.c`` to ``target``; the reason it could not, or None."""
+    import shlex
+    import shutil
+    import subprocess
+    import sysconfig
+
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    if shutil.which(cc[0]) is None:
+        log.info("no C compiler (%s) on PATH, using pure Python kernels", cc[0])
+        return f"no C compiler ({cc[0]}) on PATH"
+    tmp = f"{target}.{os.getpid()}.tmp"
+    cmd = [*cc, *_FLAGS, "-I", sysconfig.get_paths()["include"],
+           _SOURCE, "-o", tmp, "-lm"]
+    try:
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        if proc.returncode == 0:
+            os.replace(tmp, target)
+            return None
+        reason = f"{' '.join(cmd)} exited with {proc.returncode}: {proc.stderr.strip()}"
+    except OSError as exc:
+        reason = f"building {target} failed: {exc}"
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    log.warning("compiled kernels unavailable, using pure Python: %s", reason)
+    return reason
+
+
+def _load() -> tuple[ModuleType | None, str | None]:
+    """The compiled module, building it on a cache miss, or why there is none."""
+    try:
+        with open(_SOURCE, "rb") as fh:
+            source = fh.read()
+    except OSError as exc:
+        log.warning("compiled kernels unavailable, using pure Python: %s", exc)
+        return None, f"kernel source missing: {exc}"
+    key = importlib.util.source_hash(source + " ".join(_FLAGS).encode()).hex()
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    path = os.path.join(os.path.dirname(_SOURCE), "__pycache__", f"_kernels.{key}{suffix}")
+    if not os.path.exists(path):
+        reason = _build(path)
+        if reason is not None:
+            return None, reason
+    loader = importlib.machinery.ExtensionFileLoader(_NAME, path)
+    spec = importlib.util.spec_from_file_location(_NAME, path, loader=loader)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        loader.exec_module(module)
+    except ImportError as exc:
+        log.warning("compiled kernels unavailable, using pure Python: %s", exc)
+        return None, f"loading {path} failed: {exc}"
+    sys.modules[_NAME] = module
+    return module, None
+
+
+_compiled, FALLBACK_REASON = _load()
+COMPILED_KERNELS = _compiled is not None
+_impl = _compiled or _kernels_py
 
 mix_seed = _impl.mix_seed
 anneal = _impl.anneal

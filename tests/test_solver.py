@@ -1,12 +1,18 @@
 """Annealing/tabu emulator: determinism, optimality on small models, guards."""
 from __future__ import annotations
 
-import itertools
-import math
+import os
 import random
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
 
+import numpy as np
 import pytest
 
+import isingsat
 from isingsat.qubo import ChipProfile, IsingModel, cnf_to_qubo, qubo_to_ising, scale_to_chip
 from isingsat.solver import (
     DEFAULT_SCHEDULE,
@@ -26,18 +32,40 @@ from conftest import random_3sat
 
 
 def _random_model(n: int, rng: random.Random) -> IsingModel:
+    """Integer couplings and fields over the chip's programmable range."""
+    lo, hi = ChipProfile.coeff_min, ChipProfile.coeff_max
     m = IsingModel(num_spins=n, spin_map={i: i for i in range(n)})
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < 0.6:
-                m.j[(i, j)] = float(rng.randint(-14, 14))
+                m.j[(i, j)] = float(rng.randint(lo, hi))
         if rng.random() < 0.7:
-            m.h[i] = float(rng.randint(-14, 14))
+            m.h[i] = float(rng.randint(lo, hi))
     return m
 
 
+def _dense(m: IsingModel) -> tuple[list[float], list[float]]:
+    n = m.num_spins
+    jd = [0.0] * (n * n)
+    for (i, j), v in m.j.items():
+        jd[i * n + j] = v
+        jd[j * n + i] = v
+    return jd, [m.h.get(i, 0.0) for i in range(n)]
+
+
 def _exact_min(m: IsingModel) -> float:
-    return min(m.energy(s) for s in itertools.product((-1, 1), repeat=m.num_spins))
+    """Minimum of ``m.energy`` over all 2^n spin states, enumerated at once.
+
+    The coefficients are small integers, so every sum is exact.
+    """
+    n = m.num_spins
+    states = 1 - 2 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
+    upper = np.zeros((n, n))
+    for (i, j), v in m.j.items():
+        upper[i, j] = v
+    h = np.array([m.h.get(i, 0.0) for i in range(n)])
+    energies = m.offset + states @ h + ((states @ upper) * states).sum(axis=1)
+    return float(energies.min())
 
 
 def test_schedule_validation():
@@ -131,9 +159,10 @@ def test_tabu_finds_optimum_on_most_models():
     for k in range(10):
         m = _random_model(16, rng)
         res = solve_tabu(SolveRequest(model=m, seed=k))
+        exact = _exact_min(m)
         assert res.best_energy == pytest.approx(m.energy(res.best_spins))
-        assert res.best_energy >= _exact_min(m) - 1e-9
-        hits += abs(res.best_energy - _exact_min(m)) < 1e-9
+        assert res.best_energy >= exact - 1e-9
+        hits += abs(res.best_energy - exact) < 1e-9
     assert hits >= 7
 
 
@@ -153,13 +182,15 @@ def test_solve_dispatch():
 
 
 def test_batch_solve_preserves_order():
+    # the compiled kernels release the GIL: threads must not change results
     rng = random.Random(6)
-    models = [_random_model(6, rng) for _ in range(8)]
-    reqs = [SolveRequest(model=m, seed=i) for i, m in enumerate(models)]
-    results = batch_solve(reqs)
-    singles = [solve_emulator(r) for r in reqs]
-    assert [r.best_energy for r in results] == [s.best_energy for s in singles]
-    assert [r.best_spins for r in results] == [s.best_spins for s in singles]
+    for n, workers in ((6, None), (6, 2), (45, 2)):
+        models = [_random_model(n, rng) for _ in range(8)]
+        reqs = [SolveRequest(model=m, seed=i) for i, m in enumerate(models)]
+        results = batch_solve(reqs, max_workers=workers)
+        singles = [solve_emulator(r) for r in reqs]
+        assert [r.best_energy for r in results] == [s.best_energy for s in singles]
+        assert [r.best_spins for r in results] == [s.best_spins for s in singles]
 
 
 def test_batch_solve_aggregates_failures():
@@ -202,16 +233,28 @@ def test_mix_seed_never_zero_and_distinct():
 
 def test_pure_anneal_energy_bookkeeping():
     rng = random.Random(31)
-    m = _random_model(7, rng)
-    jd = [0.0] * 49
-    for (i, j), v in m.j.items():
-        jd[i * 7 + j] = v
-        jd[j * 7 + i] = v
-    h = [m.h.get(i, 0.0) for i in range(7)]
+    jd, h = _dense(_random_model(7, rng))
     spins, best, trace = py_anneal(7, jd, h, 60, 10.0, 0.05, py_mix_seed(1, 0), False)
     check = sum(jd[i * 7 + j] * spins[i] * spins[j] for i in range(7) for j in range(i + 1, 7))
     check += sum(h[i] * spins[i] for i in range(7))
     assert best == pytest.approx(check)
+
+
+def test_kernels_compiled_when_a_compiler_exists():
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
+    assert kernels.COMPILED_KERNELS or shutil.which(cc) is None, kernels.FALLBACK_REASON
+
+
+@pytest.mark.skipif(not kernels.COMPILED_KERNELS, reason="compiled kernels unavailable")
+def test_cached_kernel_import_loads_no_build_modules():
+    # the kernel is cached by now: a fresh interpreter only loads it
+    code = ("import sys; from isingsat.solver import kernels; "
+            "print(kernels.COMPILED_KERNELS, "
+            "sorted({'hashlib', 'subprocess', 'sysconfig'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(isingsat.__file__))}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.split() == ["True", "[]"]
 
 
 @pytest.mark.skipif(not kernels.COMPILED_KERNELS, reason="compiled kernels unavailable")
@@ -219,17 +262,13 @@ def test_compiled_matches_pure_bitwise():
     from isingsat.solver import _kernels as c_impl
 
     rng = random.Random(17)
-    for trial in range(12):
-        n = rng.randint(2, 18)
-        m = _random_model(n, rng)
-        jd = [0.0] * (n * n)
-        for (i, j), v in m.j.items():
-            jd[i * n + j] = v
-            jd[j * n + i] = v
-        h = [m.h.get(i, 0.0) for i in range(n)]
+    sizes = [rng.randint(2, 18) for _ in range(12)] + [45, 45, 45]
+    for trial, n in enumerate(sizes):
+        jd, h = _dense(_random_model(n, rng))
         seed = py_mix_seed(trial, 5)
-        pa = py_anneal(n, jd, h, 80, 8.0, 0.1, seed, True)
-        ca = c_impl.anneal(n, jd, h, 80, 8.0, 0.1, seed, True)
+        collect = trial % 2 == 0
+        pa = py_anneal(n, jd, h, 80, 8.0, 0.1, seed, collect)
+        ca = c_impl.anneal(n, jd, h, 80, 8.0, 0.1, seed, collect)
         assert list(pa[0]) == list(ca[0])
         assert pa[1] == ca[1]  # bitwise-equal energies
         assert list(pa[2]) == list(ca[2])

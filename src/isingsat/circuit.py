@@ -67,13 +67,6 @@ class GateNetlist:
     gates: tuple[Gate, ...]
     num_vars: int
 
-    def gate_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for g in self.gates:
-            counts[g.kind] = counts.get(g.kind, 0) + 1
-        counts["total"] = len(self.gates)
-        return counts
-
 
 def build_multiplier(bits_a: int, bits_b: int,
                      uniform_rows: bool = True) -> GateNetlist:
@@ -322,19 +315,3 @@ def generate_instance(
     tag = f"semiprime-{bit_width:02d}bit-{inst.semiprime}-{option.value}"
     cnf = encode_netlist(netlist, inst.semiprime, option, provenance=tag)
     return cnf, netlist, inst
-
-
-def instance_comments(netlist: GateNetlist, inst: SemiprimeInstance,
-                      option: EncodingOption) -> list[str]:
-    """DIMACS header comments recording the wire layout."""
-    counts = netlist.gate_counts()
-    return [
-        f"factoring instance: {inst.p} * {inst.q} = {inst.semiprime} "
-        f"({inst.bit_width} product bits)",
-        f"encoding: {option.value}",
-        f"factor a bits (LSB first): {' '.join(map(str, netlist.input_bits_a))}",
-        f"factor b bits (LSB first): {' '.join(map(str, netlist.input_bits_b))}",
-        f"product bits (LSB first): {' '.join(map(str, netlist.output_bits))}",
-        f"constant-zero wire: {netlist.const_zero}",
-        "gates: " + " ".join(f"{k}={v}" for k, v in sorted(counts.items())),
-    ]

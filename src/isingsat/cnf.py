@@ -89,7 +89,6 @@ def parse_dimacs(text: str | bytes, provenance: str = "") -> Cnf:
     declared_clauses = -1
     clauses: list[Clause] = []
     pending: list[int] = []
-    header_line = -1
 
     lines = text.splitlines()
     line_no = 0
@@ -110,7 +109,6 @@ def parse_dimacs(text: str | bytes, provenance: str = "") -> Cnf:
                 declared_clauses = int(parts[3])
             except ValueError:
                 raise DimacsError(f"malformed problem header {line!r}", line_no) from None
-            header_line = line_no
             continue
         if num_vars < 0:
             raise DimacsError("clause data before 'p cnf' header", line_no)
@@ -135,13 +133,8 @@ def parse_dimacs(text: str | bytes, provenance: str = "") -> Cnf:
     if pending:
         raise DimacsError("unterminated clause at end of input", line_no)
 
-    mismatch = declared_clauses != len(clauses)
-    if mismatch:
-        # Tolerated: the parsed clauses win, the flag records the discrepancy.
-        pass
-    cnf = Cnf(num_vars, tuple(clauses), provenance=provenance, header_mismatch=mismatch)
-    del header_line
-    return cnf
+    return Cnf(num_vars, tuple(clauses), provenance=provenance,
+               header_mismatch=declared_clauses != len(clauses))
 
 
 def write_dimacs(cnf: Cnf, comments: Sequence[str] = ()) -> str:

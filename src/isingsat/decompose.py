@@ -14,6 +14,17 @@ cannot).
 A repetition filter keeps the walk from orbiting one region: any variable
 selected ``window`` times in a row sits out (pushed behind every other
 candidate) for the next ``window`` iterations.
+
+Per-iteration work scales with the slice, not the formula.  Each formula is
+indexed once: ``build_vig`` records, next to the adjacency, the 3-literal
+clauses the projected spin cost counts, and ``GlobalState.start`` lists the
+clauses of every variable and keeps a true-literal count per clause (the
+make/break bookkeeping of WalkSAT-style local search).  The unsatisfied set
+falls out of those counts, so picking a start variable reads only the
+unsatisfied clauses; freezing visits only the clauses touching the selection
+plus the unsatisfied ones; and a merge moves the counts of only the clauses
+of the variables it flips, committing them only when it is accepted.
+One full rescan at the end of the loop checks the final count.
 """
 from __future__ import annotations
 
@@ -43,13 +54,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Vig:
-    """Variable interaction graph: adjacency is sorted for deterministic walks."""
+    """Variable interaction graph plus the per-formula index the walks read.
+
+    ``adjacency`` is sorted for deterministic walks and ``nodes`` lists its
+    keys in order.  ``triangles[v]`` has one entry per 3-literal clause over
+    three distinct variables that contains ``v``: the other two variables.
+    Such a clause costs an ancilla spin once all three are selected.
+    """
 
     adjacency: dict[int, tuple[int, ...]]
-
-    @property
-    def nodes(self) -> list[int]:
-        return sorted(self.adjacency)
+    nodes: list[int]
+    triangles: dict[int, tuple[tuple[int, int], ...]]
 
     def degree(self, var: int) -> int:
         return len(self.adjacency.get(var, ()))
@@ -61,13 +76,20 @@ class Vig:
 def build_vig(cnf: Cnf) -> Vig:
     """Connect every pair of variables sharing a clause; no self-loops."""
     nbrs: dict[int, set[int]] = {}
+    triangles: dict[int, list[tuple[int, int]]] = {}
     for clause in cnf.clauses:
         vs = sorted({abs(lit) for lit in clause})
         for v in vs:
             nbrs.setdefault(v, set()).update(vs)
+        if len(clause) == 3 and len(vs) == 3:
+            a, b, c = vs
+            triangles.setdefault(a, []).append((b, c))
+            triangles.setdefault(b, []).append((a, c))
+            triangles.setdefault(c, []).append((a, b))
     for v, ns in nbrs.items():
         ns.discard(v)
-    return Vig({v: tuple(sorted(ns)) for v, ns in nbrs.items()})
+    return Vig({v: tuple(sorted(ns)) for v, ns in nbrs.items()}, sorted(nbrs),
+               {v: tuple(ts) for v, ts in triangles.items()})
 
 
 @dataclass
@@ -106,12 +128,36 @@ class FilterState:
 
 @dataclass
 class GlobalState:
-    """Best-known full assignment and its satisfied-clause count."""
+    """Best-known full assignment with its satisfied-clause bookkeeping.
+
+    ``true_count[c]`` is the number of true literals in clause ``c``,
+    ``unsat`` the clauses at zero and ``best_count`` the satisfied total.
+    ``occurrences[v]`` lists the clauses containing ``v`` in clause order.
+    ``update_global`` keeps all of it in step with ``assignment``.
+    """
 
     assignment: Assignment
     best_count: int
-    iteration: int = 0
-    rng: random.Random = field(default_factory=random.Random)
+    true_count: list[int]
+    unsat: set[int]
+    occurrences: dict[int, tuple[int, ...]]
+
+    @classmethod
+    def start(cls, cnf: Cnf, assignment: Assignment) -> GlobalState:
+        """Index ``cnf`` once and count its true literals under ``assignment``,
+        which takes ownership of ``assignment`` and sets each formula variable
+        it lacks to False."""
+        occurrences: dict[int, list[int]] = {}
+        for ci, clause in enumerate(cnf.clauses):
+            for v in {abs(lit) for lit in clause}:
+                occurrences.setdefault(v, []).append(ci)
+        for v in occurrences:
+            assignment.setdefault(v, False)
+        true_count = [sum(1 for lit in c if (lit > 0) == assignment[abs(lit)])
+                      for c in cnf.clauses]
+        unsat = {ci for ci, n in enumerate(true_count) if n == 0}
+        return cls(assignment, cnf.num_clauses - len(unsat), true_count, unsat,
+                   {v: tuple(cs) for v, cs in occurrences.items()})
 
 
 @dataclass(frozen=True)
@@ -119,57 +165,29 @@ class Subproblem:
     """One frozen slice: the kept clauses verbatim plus their QUBO."""
 
     selected: frozenset[int]
-    frozen: dict[int, bool]
     sub_cnf: Cnf
     qubo: QuboModel
     spin_cost: int
     satisfied_baseline: int
 
 
-class _CostTracker:
-    """Incremental projected spin cost: |selection| + induced 3-clause ancillas."""
-
-    def __init__(self, cnf: Cnf) -> None:
-        self.by_var: dict[int, list[tuple[int, ...]]] = {}
-        for clause in cnf.clauses:
-            if len(clause) == 3:
-                vs = tuple(sorted({abs(lit) for lit in clause}))
-                if len(vs) == 3:
-                    for v in vs:
-                        self.by_var.setdefault(v, []).append(vs)
-        self.selected: set[int] = set()
-        self.ancillas = 0
-
-    def cost_with(self, var: int) -> int:
-        extra = 0
-        for vs in self.by_var.get(var, ()):
-            if all(u == var or u in self.selected for u in vs):
-                extra += 1
-        return len(self.selected) + 1 + self.ancillas + extra
-
-    def add(self, var: int) -> None:
-        for vs in self.by_var.get(var, ()):
-            if all(u == var or u in self.selected for u in vs):
-                self.ancillas += 1
-        self.selected.add(var)
-
-
-def _walk_select(vig: Vig, cnf: Cnf, budget: int, start: int,
+def _walk_select(vig: Vig, budget: int, start: int,
                  filt: FilterState | None, depth_first: bool) -> set[int]:
     filt = filt or FilterState()
-    cost = _CostTracker(cnf)
+    selected: set[int] = set()
+    ancillas = 0  # one per selected 3-clause over three distinct variables
     active: deque[int] = deque()
     parked: deque[int] = deque()  # cooling vars wait here until nothing else is left
     queued: set[int] = set()
 
     def push(v: int) -> None:
-        if v in queued or v in cost.selected:
+        if v in queued or v in selected:
             return
         queued.add(v)
         (parked if filt.is_cooling(v) else active).append(v)
 
     push(start)
-    pending = sorted(vig.adjacency.keys() | {start})
+    pending = vig.nodes
     pend_pos = 0
     while True:
         if active:
@@ -180,16 +198,19 @@ def _walk_select(vig: Vig, cnf: Cnf, budget: int, start: int,
             # component exhausted with budget to spare: restart at the lowest
             # untouched variable so a big enough budget selects everything
             while pend_pos < len(pending) and (
-                    pending[pend_pos] in queued or pending[pend_pos] in cost.selected):
+                    pending[pend_pos] in queued or pending[pend_pos] in selected):
                 pend_pos += 1
             if pend_pos == len(pending):
                 break
             push(pending[pend_pos])
             continue
         queued.discard(v)
-        if cost.cost_with(v) > budget:
+        extra = sum(1 for a, b in vig.triangles.get(v, ())
+                    if a in selected and b in selected)
+        if len(selected) + 1 + ancillas + extra > budget:
             break
-        cost.add(v)
+        ancillas += extra
+        selected.add(v)
         nbrs = vig.neighbors(v)
         if depth_first:
             # stack: push high-degree first so the lowest-degree neighbor pops
@@ -199,19 +220,19 @@ def _walk_select(vig: Vig, cnf: Cnf, budget: int, start: int,
         else:
             for u in nbrs:
                 push(u)
-    return cost.selected
+    return selected
 
 
-def select_bfs(vig: Vig, cnf: Cnf, budget: int, start: int,
+def select_bfs(vig: Vig, budget: int, start: int,
                filt: FilterState | None = None) -> set[int]:
     """Breadth-first ball around ``start`` that fits the spin budget."""
-    return _walk_select(vig, cnf, budget, start, filt, depth_first=False)
+    return _walk_select(vig, budget, start, filt, depth_first=False)
 
 
-def select_dfs(vig: Vig, cnf: Cnf, budget: int, start: int,
+def select_dfs(vig: Vig, budget: int, start: int,
                filt: FilterState | None = None) -> set[int]:
     """Depth-first chain from ``start``, preferring low-degree neighbors."""
-    return _walk_select(vig, cnf, budget, start, filt, depth_first=True)
+    return _walk_select(vig, budget, start, filt, depth_first=True)
 
 
 def freeze_and_extract(cnf: Cnf, selected: set[int],
@@ -222,27 +243,24 @@ def freeze_and_extract(cnf: Cnf, selected: set[int],
     baseline); a false one is removed.  Kept clauses are NOT simplified
     further — conflicting units and duplicates stay, and a clause emptied by
     freezing becomes a constant +1 in the QUBO offset.
+
+    Only the clauses touching the selection and the unsatisfied ones are
+    visited: every other clause has a true frozen literal and is dropped.
     """
     if not selected:
         raise ValueError("selection is empty")
+    visit = set(state.unsat)
+    for v in selected:
+        visit.update(state.occurrences.get(v, ()))
     kept: list[tuple[int, ...]] = []
-    baseline = 0
-    frozen: dict[int, bool] = {}
-    for clause in cnf.clauses:
+    for ci in sorted(visit):
         lits: list[int] = []
-        satisfied = False
-        for lit in clause:
+        for lit in cnf.clauses[ci]:
             v = abs(lit)
             if v in selected:
                 lits.append(lit)
-                continue
-            val = state.assignment.get(v, False)
-            frozen[v] = val
-            if (lit > 0) == val:
-                satisfied = True
+            elif (lit > 0) == state.assignment[v]:
                 break
-        if satisfied:
-            baseline += 1
         else:
             kept.append(tuple(lits))
     sub_cnf = Cnf(num_vars=cnf.num_vars, clauses=tuple(kept))
@@ -250,11 +268,10 @@ def freeze_and_extract(cnf: Cnf, selected: set[int],
     spin_cost = len(selected) + sum(1 for c in kept if len(c) == 3)
     return Subproblem(
         selected=frozenset(selected),
-        frozen=frozen,
         sub_cnf=sub_cnf,
         qubo=qubo,
         spin_cost=spin_cost,
-        satisfied_baseline=baseline,
+        satisfied_baseline=cnf.num_clauses - len(kept),
     )
 
 
@@ -264,14 +281,29 @@ def update_global(state: GlobalState, sub_solution: Assignment,
     """Merge a subproblem solution if the full satisfied count does not drop.
 
     Equal counts are accepted (plateau moves).  Returns True when merged.
+    Only the clauses of the variables that flip are touched: their
+    true-literal counts move by the flipped literals (make/break).
     """
-    candidate = dict(state.assignment)
-    candidate.update(sub_solution)
-    count = count_satisfied(cnf.clauses, candidate)
-    accepted = count >= state.best_count
+    old, count = state.assignment, state.true_count
+    delta: dict[int, int] = {}
+    for v, val in sub_solution.items():
+        if old.get(v) == val:
+            continue
+        for ci in state.occurrences.get(v, ()):
+            # each literal of v in the clause turns true (+1) or false (-1)
+            delta[ci] = delta.get(ci, 0) + sum(
+                1 if (lit > 0) == val else -1 for lit in cnf.clauses[ci] if abs(lit) == v)
+    gain = sum((count[ci] + d > 0) - (count[ci] > 0) for ci, d in delta.items())
+    accepted = gain >= 0
     if accepted:
-        state.assignment = candidate
-        state.best_count = count
+        old.update(sub_solution)
+        state.best_count += gain
+        for ci, d in delta.items():
+            count[ci] += d
+            if count[ci]:
+                state.unsat.discard(ci)
+            else:
+                state.unsat.add(ci)
     if filt is not None:
         filt.note_selection(selected)
     return accepted
@@ -323,9 +355,7 @@ def iterate(cnf: Cnf, condition: ConditionList, original: Cnf, *,
     rng = random.Random(seed)
     occurring = cnf.occurring_vars()
     assignment: Assignment = {v: bool(rng.getrandbits(1)) for v in occurring}
-    state = GlobalState(assignment=assignment,
-                        best_count=count_satisfied(cnf.clauses, assignment),
-                        rng=rng)
+    state = GlobalState.start(cnf, assignment)
     filt = FilterState()
     vig = build_vig(cnf)
     select = select_dfs if strategy == "dfs" else select_bfs
@@ -337,16 +367,10 @@ def iterate(cnf: Cnf, condition: ConditionList, original: Cnf, *,
     reason = "cap"
     while state.best_count < m and iterations < cap:
         iterations += 1
-        state.iteration = iterations
-        unsat_vars = sorted({
-            abs(lit)
-            for clause in cnf.clauses
-            for lit in clause
-            if not any((l > 0) == state.assignment[abs(l)] for l in clause)
-        })
+        unsat_vars = sorted({abs(lit) for ci in state.unsat for lit in cnf.clauses[ci]})
         pool = unsat_vars or occurring
         start = pool[rng.randrange(len(pool))]
-        selected = select(vig, cnf, spin_budget, start, filt)
+        selected = select(vig, spin_budget, start, filt)
         if not selected:
             reason = "budget-too-small"
             break
@@ -376,6 +400,8 @@ def iterate(cnf: Cnf, condition: ConditionList, original: Cnf, *,
         if keep_history:
             history.append(state.best_count)
 
+    if count_satisfied(cnf.clauses, state.assignment) != state.best_count:
+        raise RuntimeError("incremental satisfied count drifted from a full rescan")
     solved = state.best_count == m
     if not solved:
         return DecompositionRun(False, False, iterations, solver_calls,

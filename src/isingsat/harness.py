@@ -351,12 +351,26 @@ class SweepConfig:
 
 
 def _existing_keys(runs_path: Path) -> set[str]:
-    keys: set[str] = set()
-    if runs_path.exists():
-        for line in runs_path.read_text().splitlines():
-            if line.strip():
-                keys.add(RunRecord.from_json(line).key)
-    return keys
+    """Keys of the records already written.
+
+    An interrupted append leaves a last line without its newline.  If that
+    line parses it gets its newline back; if not, it is cut off so that its
+    cell runs again.  A malformed line anywhere else still raises.
+    """
+    if not runs_path.exists():
+        return set()
+    data = runs_path.read_bytes()
+    if data and not data.endswith(b"\n"):
+        tail = data.rfind(b"\n") + 1
+        try:
+            json.loads(data[tail:])
+        except ValueError:
+            with runs_path.open("r+b") as fh:
+                fh.truncate(tail)
+        else:
+            with runs_path.open("ab") as fh:
+                fh.write(b"\n")
+    return {rec.key for rec in load_records(runs_path)}
 
 
 def _append_timing(timings_path: Path, rec: RunRecord) -> None:

@@ -5,8 +5,9 @@ assignment that satisfies the clause, at least one otherwise.  Width-3
 clauses need one ancilla variable each, so a formula with n occurring
 variables and m3 three-literal clauses costs n + m3 QUBO variables; 1- and
 2-literal clauses need no ancilla.  Negated literals are handled by the
-substitution v -> 1 - v expanded into the polynomial, never by extra
-variables.
+substitution v -> 1 - v, never by extra variables.  The substituted
+coefficients are a constant table keyed by clause width and sign pattern
+(14 entries); building a QUBO only looks them up.
 
 The width-3 gadget coefficients were frozen from an exhaustive 16-row
 enumeration (min over the ancilla: 0 on the seven satisfying rows, exactly 1
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .cnf import Clause, Cnf
 
@@ -110,7 +111,6 @@ class ChipProfile:
     spin_budget: int = 45
     coeff_min: int = -14
     coeff_max: int = 14
-    all_to_all: bool = True
 
     def __post_init__(self):
         if self.spin_budget <= 0:
@@ -128,50 +128,60 @@ class DistortionReport:
     collapsed: bool  # distinct coefficient values merged (or vanished) by rounding
 
 
-class _Poly:
-    """Accumulates a multilinear polynomial over binary variables."""
+@dataclass(frozen=True)
+class ClauseGadget:
+    """One clause's penalty polynomial: offset + linear + quadratic terms."""
 
-    def __init__(self):
-        self.linear: dict[int, float] = {}
-        self.quadratic: dict[Pair, float] = {}
-        self.offset = 0.0
-
-    def add(self, coeff: float, vs: tuple[int, ...]) -> None:
-        vs = tuple(sorted(set(vs)))  # x*x = x
-        if coeff == 0:
-            return
-        if len(vs) == 0:
-            self.offset += coeff
-        elif len(vs) == 1:
-            self.linear[vs[0]] = self.linear.get(vs[0], 0.0) + coeff
-        elif len(vs) == 2:
-            self.quadratic[vs] = self.quadratic.get(vs, 0.0) + coeff
-        else:
-            raise ValueError("polynomial degree exceeds 2")
-
-    def mul(self, coeff: float, factors: Iterable[tuple[float, float, int]]) -> None:
-        """Add coeff * prod(s0 + s1*x_v) for factors (s0, s1, v)."""
-        terms: list[tuple[float, tuple[int, ...]]] = [(coeff, ())]
-        for s0, s1, v in factors:
-            nxt: list[tuple[float, tuple[int, ...]]] = []
-            for c, vs in terms:
-                if s0:
-                    nxt.append((c * s0, vs))
-                if s1:
-                    nxt.append((c * s1, vs + (v,)))
-            terms = nxt
-        for c, vs in terms:
-            self.add(c, vs)
+    offset: float
+    linear: dict[int, float]
+    quadratic: dict[Pair, float]
 
 
-def _lit_factor(lit: int, index_of: Mapping[int, int]) -> tuple[float, float, int]:
-    """Literal value as an affine factor s0 + s1*x over the mapped index."""
-    q = index_of[abs(lit)]
-    return (0.0, 1.0, q) if lit > 0 else (1.0, -1.0, q)
+# The penalties 1 - a, (1 - a)(1 - b) and P(a, b, c, w), with a -> 1 - x for
+# each negative literal, expanded once.  Keyed by the literal signs (True =
+# positive, so the width is the key's length), each entry holds the offset, a
+# linear coefficient per slot and a quadratic coefficient per pair of
+# _PAIRS.  Slots 0..width-1 are the literals' variables in clause order, slot
+# 3 the width-3 ancilla.
+_PAIRS = {1: (), 2: ((0, 1),), 3: ((0, 1), (0, 3), (1, 3), (2, 3))}
+_GADGETS = {
+    (True,): (1, (-1,), ()),
+    (False,): (0, (1,), ()),
+    (True, True): (1, (-1, -1), (1,)),
+    (True, False): (0, (0, 1), (-1,)),
+    (False, True): (0, (1, 0), (-1,)),
+    (False, False): (0, (0, 0), (1,)),
+    (True, True, True): (1, (1, 1, -1, 0), (1, -2, -2, 1)),
+    (True, True, False): (0, (1, 1, 1, 1), (1, -2, -2, -1)),
+    (True, False, True): (2, (2, -1, -1, -2), (-1, -2, 2, 1)),
+    (True, False, False): (1, (2, -1, 1, -1), (-1, -2, 2, -1)),
+    (False, True, True): (2, (-1, 2, -1, -2), (-1, 2, -2, 1)),
+    (False, True, False): (1, (-1, 2, 1, -1), (-1, 2, -2, -1)),
+    (False, False, True): (4, (-2, -2, -1, -4), (1, 2, 2, 1)),
+    (False, False, False): (3, (-2, -2, 1, -3), (1, 2, 2, -1)),
+}
+
+
+def _add_clause(model: QuboModel, clause: Clause, ancilla: int | None,
+                index_of: Mapping[int, int]) -> None:
+    """Add the tabled gadget of a width 1-3 ``clause`` to ``model``."""
+    slots = [index_of[abs(lit)] for lit in clause]
+    if len(clause) == 3:
+        if ancilla is None:
+            raise ValueError("width-3 clause needs an ancilla index")
+        slots.append(ancilla)
+    offset, linear, quadratic = _GADGETS[tuple(lit > 0 for lit in clause)]
+    model.offset += offset
+    for slot, coeff in zip(slots, linear):
+        if coeff:
+            model.add_linear(slot, coeff)
+    for (s, t), coeff in zip(_PAIRS[len(clause)], quadratic):
+        if coeff:
+            model.add_quadratic(slots[s], slots[t], coeff)  # a repeated variable: x*x = x
 
 
 def clause_gadget(clause: Clause, ancilla: int | None = None,
-                  index_of: Mapping[int, int] | None = None) -> _Poly:
+                  index_of: Mapping[int, int] | None = None) -> ClauseGadget:
     """Penalty polynomial for one clause of width 1-3.
 
     Variables are addressed through ``index_of`` (defaults to identity on the
@@ -185,33 +195,9 @@ def clause_gadget(clause: Clause, ancilla: int | None = None,
         raise ValueError(f"clause width {len(clause)} exceeds 3")
     if index_of is None:
         index_of = {abs(l): abs(l) for l in clause}
-    poly = _Poly()
-    fs = [_lit_factor(l, index_of) for l in clause]
-    if len(clause) == 1:
-        # 1 - a
-        poly.add(1.0, ())
-        poly.mul(-1.0, [fs[0]])
-    elif len(clause) == 2:
-        # (1 - a)(1 - b) = 1 - a - b + ab
-        poly.add(1.0, ())
-        poly.mul(-1.0, [fs[0]])
-        poly.mul(-1.0, [fs[1]])
-        poly.mul(1.0, [fs[0], fs[1]])
-    else:
-        if ancilla is None:
-            raise ValueError("width-3 clause needs an ancilla index")
-        w = (0.0, 1.0, ancilla)
-        a, b, c = fs
-        # ab + a + b - 2aw - 2bw + cw + 1 - c
-        poly.mul(1.0, [a, b])
-        poly.mul(1.0, [a])
-        poly.mul(1.0, [b])
-        poly.mul(-2.0, [a, w])
-        poly.mul(-2.0, [b, w])
-        poly.mul(1.0, [c, w])
-        poly.add(1.0, ())
-        poly.mul(-1.0, [c])
-    return poly
+    model = QuboModel(num_vars=0)  # accumulator only; never range-checked
+    _add_clause(model, clause, ancilla, index_of)
+    return ClauseGadget(model.offset, model.linear, model.quadratic)
 
 
 def cnf_to_qubo(cnf: Cnf) -> QuboModel:
@@ -241,12 +227,7 @@ def cnf_to_qubo(cnf: Cnf) -> QuboModel:
             ancilla = next_ancilla
             model.ancilla_map[ci] = ancilla
             next_ancilla += 1
-        poly = clause_gadget(clause, ancilla, index_of)
-        model.offset += poly.offset
-        for i, coeff in poly.linear.items():
-            model.add_linear(i, coeff)
-        for (i, j), coeff in poly.quadratic.items():
-            model.add_quadratic(i, j, coeff)
+        _add_clause(model, clause, ancilla, index_of)
     return model
 
 

@@ -4,8 +4,15 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from isingsat.cnf import brute_force_solutions, evaluate, make_cnf
+from isingsat.cnf import (
+    brute_force_solutions,
+    clause_satisfied,
+    count_satisfied,
+    evaluate,
+    make_cnf,
+)
 from isingsat.circuit import generate_instance
 from isingsat.decompose import (
     DecompositionRun,
@@ -23,9 +30,8 @@ from isingsat.preprocess import ConditionList, run_ladder
 from conftest import random_3sat
 
 
-def _gs(assignment, best=0, seed=0):
-    return GlobalState(assignment=dict(assignment), best_count=best,
-                       rng=random.Random(seed))
+def _gs(cnf, assignment):
+    return GlobalState.start(cnf, dict(assignment))
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +64,7 @@ def _chain_cnf(n):
 def test_bfs_select_is_ball():
     cnf = make_cnf(7, [(1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (6, 7)])
     vig = build_vig(cnf)
-    sel = select_bfs(vig, cnf, budget=4, start=1)
+    sel = select_bfs(vig, budget=4, start=1)
     # BFS from 1 visits 1, then neighbors 2, 3, then 2's children
     assert sel == {1, 2, 3, 4}
 
@@ -66,7 +72,7 @@ def test_bfs_select_is_ball():
 def test_dfs_select_extends_chains():
     cnf = _chain_cnf(10)
     vig = build_vig(cnf)
-    sel = select_dfs(vig, cnf, budget=5, start=1)
+    sel = select_dfs(vig, budget=5, start=1)
     assert sel == {1, 2, 3, 4, 5}  # one unbroken chain
 
 
@@ -74,16 +80,16 @@ def test_selection_respects_ancilla_cost():
     # a 3-wide clause over three selected vars costs one extra spin
     cnf = make_cnf(3, [(1, 2, 3)])
     vig = build_vig(cnf)
-    assert select_dfs(vig, cnf, budget=3, start=1) != {1, 2, 3}
-    assert select_dfs(vig, cnf, budget=4, start=1) == {1, 2, 3}
+    assert select_dfs(vig, budget=3, start=1) != {1, 2, 3}
+    assert select_dfs(vig, budget=4, start=1) == {1, 2, 3}
 
 
 def test_selection_restarts_across_components():
     # disconnected graph: big budget selects everything
     cnf = make_cnf(6, [(1, 2), (3, 4), (5, 6)])
     vig = build_vig(cnf)
-    assert select_bfs(vig, cnf, budget=6, start=1) == {1, 2, 3, 4, 5, 6}
-    assert select_dfs(vig, cnf, budget=6, start=5) == {1, 2, 3, 4, 5, 6}
+    assert select_bfs(vig, budget=6, start=1) == {1, 2, 3, 4, 5, 6}
+    assert select_dfs(vig, budget=6, start=5) == {1, 2, 3, 4, 5, 6}
 
 
 def test_filter_parks_cooling_vars():
@@ -93,7 +99,7 @@ def test_filter_parks_cooling_vars():
     filt.note_selection({1, 2})
     filt.note_selection({1, 2})  # streak reaches the window: cooldown starts
     assert filt.is_cooling(1) and filt.is_cooling(2)
-    sel = select_bfs(vig, cnf, budget=2, start=3, filt=filt)
+    sel = select_bfs(vig, budget=2, start=3, filt=filt)
     assert sel == {3, 4}  # cooling vars parked behind fresh ones
 
 
@@ -114,16 +120,15 @@ def test_filter_cooldown_expires():
 def test_freeze_worked_example():
     # (a v b)(a v ~b)(~a v b)(a v ~b v c) with a frozen false
     cnf = make_cnf(3, [(1, 2), (1, -2), (-1, 2), (1, -2, 3)])
-    sub = freeze_and_extract(cnf, {2, 3}, _gs({1: False}))
+    sub = freeze_and_extract(cnf, {2, 3}, _gs(cnf, {1: False}))
     assert sub.sub_cnf.clauses == ((2,), (-2,), (-2, 3))
     assert sub.satisfied_baseline == 1
-    assert sub.frozen == {1: False}
 
 
 def test_freeze_conflicting_units_maxsat():
     # the (b)(~b) conflict: minimum energy 1 at either value
     cnf = make_cnf(2, [(1, 2), (1, -2)])
-    sub = freeze_and_extract(cnf, {2}, _gs({1: False}))
+    sub = freeze_and_extract(cnf, {2}, _gs(cnf, {1: False}))
     q = sub.qubo
     energies = {x: q.energy({0: x}) for x in (0, 1)}
     assert energies == {0: 1.0, 1: 1.0}
@@ -131,28 +136,28 @@ def test_freeze_conflicting_units_maxsat():
 
 def test_freeze_emptied_clause_is_offset():
     cnf = make_cnf(2, [(1,), (2,)])
-    sub = freeze_and_extract(cnf, {2}, _gs({1: False}))
+    sub = freeze_and_extract(cnf, {2}, _gs(cnf, {1: False}))
     assert () in sub.sub_cnf.clauses
     assert sub.qubo.offset >= 1.0
 
 
 def test_freeze_counts_ancillas_in_spin_cost():
     cnf = make_cnf(4, [(1, 2, 3), (1, 2, 4)])
-    sub = freeze_and_extract(cnf, {1, 2, 3}, _gs({4: True}))
+    sub = freeze_and_extract(cnf, {1, 2, 3}, _gs(cnf, {4: True}))
     # clause (1,2,4) satisfied by the frozen true 4; one 3-wide clause kept
     assert sub.satisfied_baseline == 1
     assert sub.spin_cost == 4
 
 
 def test_freeze_rejects_empty_selection():
+    cnf = make_cnf(1, [(1,)])
     with pytest.raises(ValueError):
-        freeze_and_extract(make_cnf(1, [(1,)]), set(), _gs({}))
+        freeze_and_extract(cnf, set(), _gs(cnf, {}))
 
 
 def test_freeze_default_false_for_unassigned():
     cnf = make_cnf(2, [(2, 1)])
-    sub = freeze_and_extract(cnf, {2}, _gs({}))
-    assert sub.frozen == {1: False}
+    sub = freeze_and_extract(cnf, {2}, _gs(cnf, {}))
     assert sub.sub_cnf.clauses == ((2,),)
 
 
@@ -162,13 +167,15 @@ def test_freeze_default_false_for_unassigned():
 
 def test_update_global_accepts_plateau_and_better():
     cnf = make_cnf(2, [(1,), (2,)])
-    state = _gs({1: False, 2: True}, best=1)
+    state = _gs(cnf, {1: False, 2: True})
+    assert state.best_count == 1
     assert update_global(state, {1: True}, {1}, cnf)
     assert state.best_count == 2
     assert state.assignment[1] is True
     # plateau: conflicting units (1)(~1) score 1 either way; flip accepted
     conflict = make_cnf(1, [(1,), (-1,)])
-    state2 = _gs({1: True}, best=1)
+    state2 = _gs(conflict, {1: True})
+    assert state2.best_count == 1
     assert update_global(state2, {1: False}, {1}, conflict)
     assert state2.best_count == 1
     assert state2.assignment[1] is False
@@ -176,7 +183,8 @@ def test_update_global_accepts_plateau_and_better():
 
 def test_update_global_rejects_worse():
     cnf = make_cnf(2, [(1,), (2,)])
-    state = _gs({1: True, 2: True}, best=2)
+    state = _gs(cnf, {1: True, 2: True})
+    assert state.best_count == 2
     assert not update_global(state, {1: False}, {1}, cnf)
     assert state.assignment[1] is True  # rolled back
     assert state.best_count == 2
@@ -185,9 +193,60 @@ def test_update_global_rejects_worse():
 def test_update_global_notes_filter():
     cnf = make_cnf(1, [(1,)])
     filt = FilterState(window=1)
-    state = _gs({1: False}, best=0)
+    state = _gs(cnf, {1: False})
     update_global(state, {1: True}, {1}, cnf, filt=filt)
     assert filt.is_cooling(1)
+
+
+# ---------------------------------------------------------------------------
+# incremental bookkeeping against full rescans
+
+
+def _naive_freeze(cnf, selected, assignment):
+    """Walk every clause: drop those a true frozen literal satisfies, strip
+    the false frozen literals from the rest."""
+    kept = []
+    for clause in cnf.clauses:
+        if not any(abs(lit) not in selected and (lit > 0) == assignment[abs(lit)]
+                   for lit in clause):
+            kept.append(tuple(lit for lit in clause if abs(lit) in selected))
+    spin_cost = len(selected) + sum(1 for c in kept if len(c) == 3)
+    return tuple(kept), spin_cost, cnf.num_clauses - len(kept)
+
+
+@st.composite
+def _merge_walks(draw):
+    """Random 3SAT (small n, so clauses often repeat a variable), a starting
+    assignment, and a sequence of (selection, values) merges."""
+    n = draw(st.integers(3, 8))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(st.tuples(lit, lit, lit), min_size=1, max_size=30))
+    values = st.lists(st.booleans(), min_size=n, max_size=n)
+    start = draw(values)
+    steps = draw(st.lists(st.tuples(st.sets(st.integers(1, n), min_size=1), values),
+                          min_size=1, max_size=8))
+    return make_cnf(n, clauses), start, steps
+
+
+@given(_merge_walks())
+@settings(max_examples=100, deadline=None)
+def test_incremental_counts_match_full_rescan(walk):
+    cnf, start, steps = walk
+    state = _gs(cnf, {v: start[v - 1] for v in range(1, cnf.num_vars + 1)})
+    for selected, bits in steps:
+        before = dict(state.assignment)
+        sub = freeze_and_extract(cnf, selected, state)
+        assert (sub.sub_cnf.clauses, sub.spin_cost, sub.satisfied_baseline) == \
+            _naive_freeze(cnf, selected, before)
+        proposal = {v: bits[v - 1] for v in selected}
+        accepted = update_global(state, proposal, selected, cnf)
+        candidate = {**before, **proposal}
+        assert accepted == (count_satisfied(cnf.clauses, candidate)
+                            >= count_satisfied(cnf.clauses, before))
+        assert state.assignment == (candidate if accepted else before)
+        assert state.best_count == count_satisfied(cnf.clauses, state.assignment)
+        assert state.unsat == {ci for ci, c in enumerate(cnf.clauses)
+                               if not clause_satisfied(c, state.assignment)}
 
 
 # ---------------------------------------------------------------------------

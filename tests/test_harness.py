@@ -212,6 +212,42 @@ def test_run_repeat_solves_small_semiprime():
     assert rec.preprocess_time > 0.0 and rec.wall_time >= rec.preprocess_time
 
 
+# Records written by the decomposition before its per-formula index and
+# incremental counts existed.  Any drift in selection, freezing, QUBO
+# assembly or merging changes at least one of them.
+_GOLDEN_CELLS = [
+    ("semiprime:10:551",
+     dict(level=7, strategy="dfs", backend="emulator", seed=1, cap=20,
+          budget=45, num_samples=2),
+     '{"backend":"emulator","best_satisfied":217,"cap":20,'
+     '"instance":"semiprime-10-551","iterations_used":20,"level":7,'
+     '"num_clauses":221,"reason":"cap","seed":1,"solved":false,'
+     '"solver_calls":20,"solver_time":0.02,"strategy":"dfs","verified":false}'),
+    ("semiprime:8:143",
+     dict(level=0, strategy="dfs", backend="emulator", seed=1, cap=25,
+          budget=20, num_samples=1),
+     '{"backend":"emulator","best_satisfied":382,"cap":25,'
+     '"instance":"semiprime-08-143","iterations_used":25,"level":0,'
+     '"num_clauses":391,"reason":"cap","seed":1,"solved":false,'
+     '"solver_calls":25,"solver_time":0.025,"strategy":"dfs","verified":false}'),
+    ("backbone:60:255:50",
+     dict(level=7, strategy="bfs", backend="tabu", seed=6, cap=25,
+          budget=45, num_samples=1),
+     '{"backend":"tabu","best_satisfied":236,"cap":25,'
+     '"instance":"backbone-n60-m255-b50-s0","iterations_used":9,"level":7,'
+     '"num_clauses":236,"reason":"solved","seed":6,"solved":true,'
+     '"solver_calls":9,"solver_time":0.009000000000000001,"strategy":"bfs",'
+     '"verified":true}'),
+]
+
+
+@pytest.mark.parametrize("spec,cell,golden", _GOLDEN_CELLS,
+                         ids=["L7-dfs-emulator", "L0-budget20", "bfs-tabu"])
+def test_run_repeat_records_are_pinned(spec, cell, golden):
+    instance_id, cnf = expand_instances(spec)[0]
+    assert run_repeat(instance_id, cnf, **cell).to_json() == golden
+
+
 def _tiny_config(**over):
     base = dict(instances=["semiprime:4"], levels=[7], strategies=["dfs"],
                 backends=["emulator"], repeats=2, seed=1, cap=200, budget=45)
@@ -238,6 +274,26 @@ def test_sweep_resume_skips_completed_cells(tmp_path):
     # widening the sweep appends only the new cells
     more = run_experiment(_tiny_config(repeats=3), out_dir=tmp_path)
     assert len(more) == 1 and more[0].seed == 3
+
+
+def test_sweep_resume_mends_a_torn_last_line(tmp_path):
+    run_experiment(_tiny_config(), out_dir=tmp_path)
+    runs = tmp_path / "runs.jsonl"
+    whole = runs.read_bytes()
+    # an append cut short: the torn record is dropped and its cell runs again
+    runs.write_bytes(whole[:-20])
+    again = run_experiment(_tiny_config(), out_dir=tmp_path)
+    assert [r.seed for r in again] == [2]
+    assert runs.read_bytes() == whole
+    # a whole last record that lost only its newline is kept
+    runs.write_bytes(whole[:-1])
+    assert run_experiment(_tiny_config(), out_dir=tmp_path) == []
+    assert runs.read_bytes() == whole
+    # damage before the last line is not a torn append
+    first, second = whole.splitlines(keepends=True)
+    runs.write_bytes(first[:-20] + b"\n" + second)
+    with pytest.raises(json.JSONDecodeError):
+        run_experiment(_tiny_config(), out_dir=tmp_path)
 
 
 def test_sweep_runs_file_is_deterministic(tmp_path):

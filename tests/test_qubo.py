@@ -43,13 +43,20 @@ def _gadget_min(clause, x_vars):
     return min(vals)
 
 
+# clauses that repeat a variable: their gadget terms fold together (x*x = x)
+_REPEATED_VAR_CLAUSES = [(1, -1), (1, 1, 2), (1, -1, 2)]
+
+
 @pytest.mark.parametrize("width", [1, 2, 3])
 def test_gadget_penalty_indicator(width):
     """min-over-ancilla penalty is 0 on satisfying rows, 1 on falsifying ones."""
-    for signs in itertools.product((1, -1), repeat=width):
-        clause = tuple(s * (i + 1) for i, s in enumerate(signs))
-        for bits in itertools.product((0, 1), repeat=width):
-            x = {i + 1: bits[i] for i in range(width)}
+    clauses = [tuple(s * (i + 1) for i, s in enumerate(signs))
+               for signs in itertools.product((1, -1), repeat=width)]
+    clauses += [c for c in _REPEATED_VAR_CLAUSES if len(c) == width]
+    for clause in clauses:
+        vs = sorted({abs(lit) for lit in clause})
+        for bits in itertools.product((0, 1), repeat=len(vs)):
+            x = dict(zip(vs, bits))
             a = {v: bool(b) for v, b in x.items()}
             expect = 0 if clause_satisfied(clause, a) else 1
             assert _gadget_min(clause, x) == expect, (clause, bits)
@@ -81,9 +88,11 @@ def _qubo_min(q: QuboModel):
 
 def test_qubo_minimum_counts_unsatisfied_clauses():
     rng = random.Random(11)
-    for _ in range(25):
-        n = rng.randint(2, 5)
-        cnf = mixed_random_cnf(n, rng.randint(1, 6), rng)
+    cnfs = [mixed_random_cnf(rng.randint(2, 5), rng.randint(1, 6), rng)
+            for _ in range(25)]
+    cnfs += [make_cnf(cnf.num_vars, cnf.clauses + (extra,))
+             for cnf, extra in zip(cnfs, _REPEATED_VAR_CLAUSES)]
+    for cnf in cnfs:
         q = cnf_to_qubo(cnf)
         # brute-force MaxSAT optimum over the occurring variables
         occ = cnf.occurring_vars()

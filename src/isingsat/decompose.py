@@ -2,14 +2,14 @@
 
 The variable interaction graph (variables as nodes, co-occurrence as edges)
 is walked breadth- or depth-first from a randomized start until the projected
-spin cost — selected variables plus one ancilla per fully-selected 3-literal
-clause — would exceed the budget.  Everything outside the selection is frozen
-to its best-known value; freezing may shorten or satisfy clauses but never
-triggers further simplification, so conflicting residues like (b)(~b) survive
-verbatim and the subproblem becomes MaxSAT.  A solved subproblem is merged
-back only if the full-formula satisfied count does not drop (plateau moves
-are allowed; they escape conflicting-unit stalemates that strict improvement
-cannot).
+spin cost — selected variables plus one ancilla per 3-literal clause whose
+variables are all selected — would exceed the budget.  Everything outside
+the selection is frozen to its best-known value; freezing may shorten or
+satisfy clauses but never triggers further simplification, so conflicting
+residues like (b)(~b) survive verbatim and the subproblem becomes MaxSAT.
+A solved subproblem is merged back only if the full-formula satisfied count
+does not drop (plateau moves are allowed; they escape conflicting-unit
+stalemates that strict improvement cannot).
 
 A repetition filter keeps the walk from orbiting one region: any variable
 selected ``window`` times in a row sits out (pushed behind every other
@@ -57,9 +57,12 @@ class Vig:
     """Variable interaction graph plus the per-formula index the walks read.
 
     ``adjacency`` is sorted for deterministic walks and ``nodes`` lists its
-    keys in order.  ``triangles[v]`` has one entry per 3-literal clause over
-    three distinct variables that contains ``v``: the other two variables.
-    Such a clause costs an ancilla spin once all three are selected.
+    keys in order.  A 3-literal clause costs an ancilla spin once all of its
+    distinct variables are selected, whether it has three of them or repeats
+    one, as in ``(v, v, u)`` or ``(v, -v, u)``.  ``triangles[v]`` has one
+    entry per such clause containing ``v``: its other two distinct
+    variables, with ``v`` standing in for any it lacks, so the entry holds
+    once ``v`` itself is selected.
     """
 
     adjacency: dict[int, tuple[int, ...]]
@@ -86,6 +89,10 @@ def build_vig(cnf: Cnf) -> Vig:
             triangles.setdefault(a, []).append((b, c))
             triangles.setdefault(b, []).append((a, c))
             triangles.setdefault(c, []).append((a, b))
+        elif len(clause) == 3:
+            for v in vs:  # u is the other variable, or v again in (v, v, v)
+                u = vs[0] + vs[-1] - v
+                triangles.setdefault(v, []).append((u, v))
     for v, ns in nbrs.items():
         ns.discard(v)
     return Vig({v: tuple(sorted(ns)) for v, ns in nbrs.items()}, sorted(nbrs),
@@ -175,7 +182,7 @@ def _walk_select(vig: Vig, budget: int, start: int,
                  filt: FilterState | None, depth_first: bool) -> set[int]:
     filt = filt or FilterState()
     selected: set[int] = set()
-    ancillas = 0  # one per selected 3-clause over three distinct variables
+    ancillas = 0  # one per 3-literal clause whose variables are all selected
     active: deque[int] = deque()
     parked: deque[int] = deque()  # cooling vars wait here until nothing else is left
     queued: set[int] = set()
@@ -205,12 +212,13 @@ def _walk_select(vig: Vig, budget: int, start: int,
             push(pending[pend_pos])
             continue
         queued.discard(v)
+        selected.add(v)
         extra = sum(1 for a, b in vig.triangles.get(v, ())
                     if a in selected and b in selected)
-        if len(selected) + 1 + ancillas + extra > budget:
+        if len(selected) + ancillas + extra > budget:
+            selected.discard(v)
             break
         ancillas += extra
-        selected.add(v)
         nbrs = vig.neighbors(v)
         if depth_first:
             # stack: push high-degree first so the lowest-degree neighbor pops
@@ -381,10 +389,11 @@ def iterate(cnf: Cnf, condition: ConditionList, original: Cnf, *,
         if sub.qubo.num_vars == 0:
             sub_solution: Assignment = {}
         else:
-            ising = qubo_to_ising(sub.qubo)
-            scaled, _distortion = scale_to_chip(ising, prof)
+            model = qubo_to_ising(sub.qubo)
+            if backend == "emulator":  # tabu solves the unscaled model
+                model, _distortion = scale_to_chip(model, prof)
             request = SolveRequest(
-                model=scaled if backend == "emulator" else ising,
+                model=model,
                 seed=rng.getrandbits(63),
                 num_samples=num_samples,
                 backend=backend,

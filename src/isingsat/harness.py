@@ -350,15 +350,15 @@ class SweepConfig:
         return SweepConfig(**data)
 
 
-def _existing_keys(runs_path: Path) -> set[str]:
-    """Keys of the records already written.
+def _existing_keys(runs_path: Path) -> dict[str, bool]:
+    """Keys of the records already written, each with whether it solved.
 
     An interrupted append leaves a last line without its newline.  If that
     line parses it gets its newline back; if not, it is cut off so that its
     cell runs again.  A malformed line anywhere else still raises.
     """
     if not runs_path.exists():
-        return set()
+        return {}
     data = runs_path.read_bytes()
     if data and not data.endswith(b"\n"):
         tail = data.rfind(b"\n") + 1
@@ -370,7 +370,7 @@ def _existing_keys(runs_path: Path) -> set[str]:
         else:
             with runs_path.open("ab") as fh:
                 fh.write(b"\n")
-    return {rec.key for rec in load_records(runs_path)}
+    return {rec.key: rec.solved for rec in load_records(runs_path)}
 
 
 def _append_timing(timings_path: Path, rec: RunRecord) -> None:
@@ -390,7 +390,9 @@ def run_experiment(config: SweepConfig, out_dir: str | Path | None = None,
                    runs_filename: str = "runs.jsonl",
                    progress=None) -> list[RunRecord]:
     """Run the factorial sweep, appending to runs.jsonl; completed cells are
-    skipped so interrupted sweeps resume without duplicating records."""
+    skipped so interrupted sweeps resume without duplicating records, and
+    with ``stop_on_solve`` a resumed cell runs no seed after one that
+    already solved."""
     out = results_dir(str(out_dir) if out_dir else None)
     out.mkdir(parents=True, exist_ok=True)
     runs_path = out / runs_filename
@@ -408,6 +410,8 @@ def run_experiment(config: SweepConfig, out_dir: str | Path | None = None,
                             key = (f"{instance_id}|{level}|{strategy}|"
                                    f"{backend}|{seed}")
                             if key in done:
+                                # a resumed cell stops where the whole run would
+                                solved_here = solved_here or done[key]
                                 continue
                             if config.stop_on_solve and solved_here:
                                 break
@@ -422,7 +426,7 @@ def run_experiment(config: SweepConfig, out_dir: str | Path | None = None,
                             with runs_path.open("a") as fh:
                                 fh.write(rec.to_json() + "\n")
                             _append_timing(timings_path, rec)
-                            done.add(key)
+                            done[key] = rec.solved
                             records.append(rec)
                             if progress:
                                 progress(rec)

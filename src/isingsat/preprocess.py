@@ -28,6 +28,14 @@ Any pass that leaves unit clauses behind is followed by a unit-propagation
 run (at ladder levels >= 2), and value propagation through the condition
 list re-fires after each such run (at levels >= 4).
 
+Costs, for L literals: ``reencode_option2`` groups clauses in one sweep
+and labels each 3-variable group by one lookup in a gate table built at
+import; ``propagate_1sat`` builds occurrence lists once per call, then each
+fix touches only its variable's clauses; ``subsume_clauses`` compares a
+clause only with kept clauses filed under its own literals; the other
+passes are one sweep (per cascade round).  The boundary checks share one
+:meth:`PrepState.census` per clause list.
+
 Nothing renumbers variables: the residual keeps the original ``num_vars`` and
 a :class:`ConditionList` records how to lift a residual model back to the
 full variable set.  The per-pass "variable count" is the number of variables
@@ -36,10 +44,12 @@ once they leave the CNF.
 """
 from __future__ import annotations
 
+import heapq
 import random
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .circuit import _OPTION2, EncodingOption, gate_clauses
 from .cnf import Clause, Cnf
@@ -152,25 +162,51 @@ class PassReport:
     details: dict[str, object] = field(default_factory=dict)
 
 
+class Census:
+    """What the pass boundaries check about one clause list."""
+
+    def __init__(self, clauses: list[Clause]) -> None:
+        self.clauses = clauses
+        self.size = len(clauses)
+        widths = set(map(len, clauses))
+        self.has_empty = 0 in widths
+        self.has_unit = 1 in widths
+
+    @cached_property
+    def occurring(self) -> int:
+        return len({abs(l) for c in self.clauses for l in c})
+
+
 @dataclass
 class PrepState:
+    """Passes replace ``clauses`` rather than edit it in place, so one
+    census per clause list serves every check at the pass boundaries."""
+
     num_vars: int
     clauses: list[Clause]
     condition: ConditionList
     rng: random.Random
     branch_override: deque[bool] | None = None
     branch_decisions: list[BranchDecision] = field(default_factory=list)
+    _census: Census | None = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def census(self) -> Census:
+        c = self._census
+        if c is None or c.clauses is not self.clauses or c.size != len(self.clauses):
+            c = self._census = Census(self.clauses)
+        return c
 
     @property
     def unsat(self) -> bool:
-        return any(len(c) == 0 for c in self.clauses)
+        return self.census().has_empty
 
     def occurring(self) -> set[int]:
         return {abs(l) for c in self.clauses for l in c}
 
     def remaining(self) -> int:
         """Variables still occurring in the clause list."""
-        return len(self.occurring())
+        return self.census().occurring
 
 
 class _Timer:
@@ -219,6 +255,25 @@ class GateGroup:
 _DETECT_ORDER = ("AND", "OR", "NAND", "NOR", "XOR", "XNOR")
 
 
+def _build_gate_table() -> dict[frozenset[tuple[bool, bool, bool]], tuple[str, int]]:
+    """Each gate's row encoding over variables 1 < 2 < 3, keyed by which
+    variables each clause holds positively, mapped to (kind, output
+    position).  Entries go in by output position, then ``_DETECT_ORDER``,
+    and the first wins a tie: XOR/XNOR keep the lowest output."""
+    table: dict[frozenset[tuple[bool, bool, bool]], tuple[str, int]] = {}
+    for pos in range(3):
+        ins = [v for v in (1, 2, 3) if v != pos + 1]
+        for kind in _DETECT_ORDER:
+            rows = gate_clauses(kind, ins[0], ins[1], pos + 1,
+                                EncodingOption.OPTION1)
+            key = frozenset((1 in r, 2 in r, 3 in r) for r in rows)
+            table.setdefault(key, (kind, pos))
+    return table
+
+
+_GATE_TABLE = _build_gate_table()
+
+
 def _classify_pair_group(distinct: set[frozenset[int]],
                          u: int, v: int) -> str | None:
     if distinct == {frozenset((u, v)), frozenset((-u, -v))}:
@@ -233,45 +288,38 @@ def detect_gate_groups(clauses: list[Clause] | tuple[Clause, ...]) -> list[GateG
 
     The signature is the sorted tuple of per-clause negative-literal counts.
     Groups matching a known gate encoding are labeled: 4-clause groups over 3
-    variables against each gate's invalid-row clause set, 2-clause groups
-    over 2 variables as NOT ((0,2)) or BUFFER ((1,1)) pairs.
+    variables by a table lookup of their sign patterns, 2-clause groups over
+    2 variables as NOT ((0,2)) or BUFFER ((1,1)) pairs.
     """
-    by_vars: dict[frozenset[int], list[int]] = {}
+    by_vars: dict[tuple[int, ...], list[int]] = {}
     for idx, c in enumerate(clauses):
-        vs = frozenset(abs(l) for l in c)
-        if len(vs) in (2, 3) and len(vs) == len(c):
-            by_vars.setdefault(vs, []).append(idx)
+        if len(c) in (2, 3):
+            vs = tuple(sorted(map(abs, c)))
+            if vs[0] != vs[1] and vs[-2] != vs[-1]:
+                by_vars.setdefault(vs, []).append(idx)
     groups: list[GateGroup] = []
-    for vs in sorted(by_vars, key=sorted):
-        indices = by_vars[vs]
+    for variables in sorted(by_vars):
+        indices = by_vars[variables]
         if len(indices) < 2:
             continue
-        distinct = {frozenset(clauses[i]) for i in indices}
+        sets = [frozenset(clauses[i]) for i in indices]
+        # the positive literals of a clause are the variables it holds as-is
         signature = tuple(sorted(
-            sum(1 for l in clauses[i] if l < 0) for i in indices
-        ))
+            len(variables) - len(s.intersection(variables)) for s in sets))
         kind: str | None = None
         output: int | None = None
-        if len(vs) == 2 and len(distinct) == 2:
-            u, v = sorted(vs)
-            kind = _classify_pair_group(distinct, u, v)
-        elif len(vs) == 3 and len(distinct) == 4:
-            for out_var in sorted(vs):
-                ins = sorted(vs - {out_var})
-                for cand in _DETECT_ORDER:
-                    expected = {
-                        frozenset(c)
-                        for c in gate_clauses(cand, ins[0], ins[1], out_var,
-                                              EncodingOption.OPTION1)
-                    }
-                    if distinct == expected:
-                        kind, output = cand, out_var
-                        break
-                if kind:
-                    break
+        if len(variables) == 2:
+            distinct = set(sets)
+            if len(distinct) == 2:
+                kind = _classify_pair_group(distinct, *variables)
+        else:
+            a, b, c = variables
+            hit = _GATE_TABLE.get(frozenset((a in s, b in s, c in s) for s in sets))
+            if hit is not None:
+                kind, output = hit[0], variables[hit[1]]
         groups.append(GateGroup(
-            variables=tuple(sorted(vs)),
-            clause_indices=tuple(sorted(indices)),
+            variables=variables,
+            clause_indices=tuple(indices),
             signature=signature,
             kind=kind,
             output=output,
@@ -326,28 +374,45 @@ def reencode_option2(st: PrepState) -> PassReport:
 def _unit_fixpoint(clauses: list[Clause]) -> tuple[list[Clause], list[tuple[int, bool]], bool]:
     """Propagate unit clauses to fixpoint.  Pure function; returns the new
     clause list, the fixes applied in order, and whether an empty clause
-    appeared."""
-    work = list(clauses)
+    appeared.
+
+    Each step fixes the earliest unit in clause order (a min-heap of
+    positions) and visits only the clauses of its literal and its negation;
+    a step that empties a clause is finished, then propagation stops.
+    """
+    work: list[Clause | None] = list(clauses)
+    widths = list(map(len, work))
+    if 0 in widths:
+        return work, [], True
+    units = [i for i, w in enumerate(widths) if w == 1]
+    if not units:
+        return work, [], False
+    occurrences: dict[int, list[int]] = {}
+    for i, c in enumerate(work):
+        for l in set(c):
+            occurrences.setdefault(l, []).append(i)
     fixes: list[tuple[int, bool]] = []
-    while True:
-        if any(len(c) == 0 for c in work):
-            return work, fixes, True
-        unit = next((c for c in work if len(c) == 1), None)
-        if unit is None:
-            return work, fixes, False
-        lit = unit[0]
-        var, val = abs(lit), lit > 0
-        fixes.append((var, val))
-        sat_lit = var if val else -var
-        new: list[Clause] = []
-        for c in work:
-            if sat_lit in c:
+    empty = False
+    while units and not empty:
+        i = heapq.heappop(units)
+        c = work[i]
+        if c is None or len(c) != 1:
+            continue  # satisfied since it was queued
+        lit = c[0]
+        fixes.append((abs(lit), lit > 0))
+        for j in occurrences.get(lit, ()):
+            work[j] = None
+        for j in occurrences.get(-lit, ()):
+            c = work[j]
+            if c is None:
                 continue
-            if -sat_lit in c:
-                new.append(tuple(l for l in c if l != -sat_lit))
-            else:
-                new.append(c)
-        work = new
+            c = tuple(l for l in c if l != -lit)
+            work[j] = c
+            if len(c) == 1:
+                heapq.heappush(units, j)
+            elif not c:
+                empty = True
+    return [c for c in work if c is not None], fixes, empty
 
 
 def propagate_1sat(st: PrepState, trigger: str | None = None) -> PassReport:
@@ -570,7 +635,7 @@ def condition_2sat(st: PrepState) -> PassReport:
     unit_pairs = 0 if cond.unsat else cond.finish_groups()
 
     if cond.unsat:
-        st.clauses.append(())
+        st.clauses = [*st.clauses, ()]
         tm.__exit__()
         return _report(st, "condition_2sat", before, wall=tm.elapsed,
                        traversals=traversals, contradiction=True)
@@ -699,22 +764,26 @@ def clean_clauses(st: PrepState) -> PassReport:
 
 def subsume_clauses(st: PrepState) -> PassReport:
     """Drop any clause whose literal set contains another kept clause
-    (duplicates count: the first occurrence survives)."""
+    (duplicates count: the first occurrence survives).  Shortest first; a
+    kept clause is filed under its rarest literal, so any kept subset of a
+    clause is filed under one of that clause's literals."""
     before = _snapshot(st)
     if st.unsat:
         return _report(st, "subsume_clauses", before, skipped="unsat")
     with _Timer() as tm:
-        order = sorted(range(len(st.clauses)),
-                       key=lambda i: (len(st.clauses[i]), i))
-        kept_sets: list[frozenset[int]] = []
+        clauses = st.clauses
+        order = sorted(range(len(clauses)), key=lambda i: (len(clauses[i]), i))
+        frequency = Counter(l for c in clauses for l in c)
+        filed: dict[int, list[frozenset[int]]] = {}
         removed: set[int] = set()
         for i in order:
-            s = frozenset(st.clauses[i])
-            if any(k <= s for k in kept_sets):
+            s = frozenset(clauses[i])
+            if any(k <= s for l in s for k in filed.get(l, ())):
                 removed.add(i)
             else:
-                kept_sets.append(s)
-        st.clauses = [c for i, c in enumerate(st.clauses) if i not in removed]
+                filed.setdefault(min(s, key=lambda l: (frequency[l], l)),
+                                 []).append(s)
+        st.clauses = [c for i, c in enumerate(clauses) if i not in removed]
     return _report(st, "subsume_clauses", before, wall=tm.elapsed,
                    removed=len(removed))
 
@@ -803,15 +872,14 @@ def branch_probe(st: PrepState, ratio: float = 1.5, max_guesses: int = 1,
                 scripted = False
             guessed += 1
             this_flipped = False
-            saved_clauses = list(st.clauses)
-            st.clauses.append((v if value else -v,))
-            new, fixes, bad = _unit_fixpoint(st.clauses)
+            new, fixes, bad = _unit_fixpoint(
+                [*st.clauses, (v if value else -v,)])
             if bad and not scripted and flip_on_conflict:
                 value = not value
                 this_flipped = True
                 flipped_count += 1
-                st.clauses = saved_clauses + [(v if value else -v,)]
-                new, fixes, bad = _unit_fixpoint(st.clauses)
+                new, fixes, bad = _unit_fixpoint(
+                    [*st.clauses, (v if value else -v,)])
             st.clauses = new
             for var, val in fixes:
                 st.condition.add_fix(var, val)
@@ -859,7 +927,7 @@ def _stabilize(st: PrepState, level: int, trigger: str,
     list (levels >= 4), until neither has work left."""
     while not st.unsat:
         did = False
-        if level >= 2 and any(len(c) == 1 for c in st.clauses):
+        if level >= 2 and st.census().has_unit:
             reports.append(propagate_1sat(st, trigger=trigger))
             did = True
         if level >= 4:

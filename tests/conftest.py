@@ -5,10 +5,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import settings
 
 from isingsat.circuit import generate_instance, semiprime_catalog
 from isingsat.cnf import Cnf, brute_force_solutions, evaluate, make_cnf
 from isingsat.preprocess import reconstruct, run_ladder
+
+# Every run draws the same examples and keeps no example database, so a
+# checkout's results do not depend on what earlier runs found.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def random_3sat(num_vars: int, num_clauses: int, rng: random.Random) -> Cnf:

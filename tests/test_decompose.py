@@ -13,6 +13,7 @@ from isingsat.cnf import (
     evaluate,
     make_cnf,
 )
+from isingsat import decompose
 from isingsat.circuit import generate_instance
 from isingsat.decompose import (
     DecompositionRun,
@@ -27,7 +28,7 @@ from isingsat.decompose import (
 )
 from isingsat.preprocess import ConditionList, run_ladder
 
-from conftest import random_3sat
+from conftest import mixed_random_cnf, random_3sat
 
 
 def _gs(cnf, assignment):
@@ -251,6 +252,43 @@ def test_incremental_counts_match_full_rescan(walk):
 
 # ---------------------------------------------------------------------------
 # the iterate loop
+
+
+def test_spin_cost_counts_repeated_variable_3_clauses():
+    """(v, v, u), (v, -v, u) and (v, v, v) keep their ancilla in the QUBO, so
+    the walks count them: no selection overshoots the budget."""
+    rng = random.Random(11)
+    for trial in range(30):
+        base = mixed_random_cnf(8, 18, rng)
+        extra = []
+        for _ in range(rng.randint(1, 4)):
+            v, u = rng.sample(range(1, 9), 2)
+            extra.append(rng.choice(((v, v, u), (v, -v, u), (-v, u, v), (v, v, v))))
+        cnf = make_cnf(8, list(base.clauses) + extra)
+        vig = build_vig(cnf)
+        state = GlobalState.start(cnf, {v: rng.random() < 0.5 for v in range(1, 9)})
+        for budget in (2, 3, 5, 8):
+            for start in vig.nodes:
+                for select in (select_bfs, select_dfs):
+                    selected = select(vig, budget, start)
+                    if selected:
+                        sub = freeze_and_extract(cnf, selected, state)
+                        assert sub.spin_cost <= budget
+                        assert sub.qubo.num_vars <= budget
+        # iterate raises when a slice's spin cost overshoots the budget
+        iterate(cnf, ConditionList(), cnf, backend="tabu", budget=5, cap=20,
+                seed=trial)
+
+
+def test_tabu_skips_chip_scaling(monkeypatch):
+    """Tabu solves the unscaled model, so no slice is scaled for it."""
+    def no_scaling(*args, **kwargs):
+        raise AssertionError("scale_to_chip called for the tabu backend")
+
+    monkeypatch.setattr(decompose, "scale_to_chip", no_scaling)
+    cnf = random_3sat(12, 40, random.Random(5))
+    run = iterate(cnf, ConditionList(), cnf, backend="tabu", cap=5, seed=1)
+    assert run.solver_calls > 0
 
 
 def test_iterate_solves_small_random_instances():

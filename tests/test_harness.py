@@ -310,6 +310,27 @@ def test_sweep_stop_on_solve(tmp_path):
     assert len(recs) == solved_at + 1
 
 
+def test_sweep_stop_on_solve_holds_on_resume(tmp_path):
+    class Interrupted(Exception):
+        pass
+
+    def interrupt_after_solve(rec):
+        if rec.solved:
+            raise Interrupted
+
+    config = _tiny_config(repeats=4, stop_on_solve=True)
+    with pytest.raises(Interrupted):
+        run_experiment(config, out_dir=tmp_path / "cut",
+                       progress=interrupt_after_solve)
+    cut = load_records(tmp_path / "cut" / "runs.jsonl")
+    resumed = run_experiment(config, out_dir=tmp_path / "cut")
+    # the interrupted cell already solved: resuming runs none of its seeds
+    assert not {r.instance for r in resumed} & {r.instance for r in cut}
+    run_experiment(config, out_dir=tmp_path / "whole")
+    assert (tmp_path / "cut" / "runs.jsonl").read_bytes() == \
+        (tmp_path / "whole" / "runs.jsonl").read_bytes()
+
+
 def test_sweep_config_file_validation(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"instances": ["semiprime:4"], "repeats": 3}))

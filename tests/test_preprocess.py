@@ -1,16 +1,30 @@
 """The preprocessing ladder: pass-level contracts and reconstruction soundness."""
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import itertools
+import json
 import random
+import types
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from isingsat import preprocess
 from isingsat.cnf import Cnf, brute_force_solutions, evaluate, make_cnf
-from isingsat.circuit import EncodingOption, gate_clauses
+from isingsat.circuit import EncodingOption, generate_instance, gate_clauses
 from isingsat.preprocess import (
+    _DETECT_ORDER,
     MAX_LEVEL,
     ConditionList,
+    GateGroup,
     PrepState,
+    _classify_pair_group,
+    _report,
+    _snapshot,
+    _Timer,
+    _unit_fixpoint,
     branch_probe,
     clean_clauses,
     condition_2sat,
@@ -588,3 +602,224 @@ def test_semiprime_ladder_full_reduction_and_reconstruction(catalog45):
         a = sum((1 << i) for i, v in enumerate(nl.input_bits_a) if full[v])
         b = sum((1 << i) for i, v in enumerate(nl.input_bits_b) if full[v])
         assert a * b == semiprime
+
+
+# ---------------------------------------------------------------------------
+# naive reference oracles: the whole-formula rescans the indexed passes
+# replaced.  Each must give exactly the same output.
+
+
+def _naive_unit_fixpoint(clauses):
+    """Rewrite the whole clause list once per unit, earliest unit first."""
+    work = list(clauses)
+    fixes = []
+    while True:
+        if any(len(c) == 0 for c in work):
+            return work, fixes, True
+        unit = next((c for c in work if len(c) == 1), None)
+        if unit is None:
+            return work, fixes, False
+        lit = unit[0]
+        var, val = abs(lit), lit > 0
+        fixes.append((var, val))
+        sat_lit = var if val else -var
+        new = []
+        for c in work:
+            if sat_lit in c:
+                continue
+            if -sat_lit in c:
+                new.append(tuple(l for l in c if l != -sat_lit))
+            else:
+                new.append(c)
+        work = new
+
+
+def _naive_subsume_clauses(st: PrepState):
+    """Check every clause against every kept clause, shortest first."""
+    before = _snapshot(st)
+    if st.unsat:
+        return _report(st, "subsume_clauses", before, skipped="unsat")
+    with _Timer() as tm:
+        order = sorted(range(len(st.clauses)),
+                       key=lambda i: (len(st.clauses[i]), i))
+        kept_sets = []
+        removed = set()
+        for i in order:
+            s = frozenset(st.clauses[i])
+            if any(k <= s for k in kept_sets):
+                removed.add(i)
+            else:
+                kept_sets.append(s)
+        st.clauses = [c for i, c in enumerate(st.clauses) if i not in removed]
+    return _report(st, "subsume_clauses", before, wall=tm.elapsed,
+                   removed=len(removed))
+
+
+_naive_subsume_clauses.__name__ = "subsume_clauses"
+
+
+def _naive_detect_gate_groups(clauses):
+    """Try every output variable and every gate kind's row encoding."""
+    by_vars = {}
+    for idx, c in enumerate(clauses):
+        vs = frozenset(abs(l) for l in c)
+        if len(vs) in (2, 3) and len(vs) == len(c):
+            by_vars.setdefault(vs, []).append(idx)
+    groups = []
+    for vs in sorted(by_vars, key=sorted):
+        indices = by_vars[vs]
+        if len(indices) < 2:
+            continue
+        distinct = {frozenset(clauses[i]) for i in indices}
+        signature = tuple(sorted(
+            sum(1 for l in clauses[i] if l < 0) for i in indices
+        ))
+        kind = None
+        output = None
+        if len(vs) == 2 and len(distinct) == 2:
+            u, v = sorted(vs)
+            kind = _classify_pair_group(distinct, u, v)
+        elif len(vs) == 3 and len(distinct) == 4:
+            for out_var in sorted(vs):
+                ins = sorted(vs - {out_var})
+                for cand in _DETECT_ORDER:
+                    expected = {
+                        frozenset(c)
+                        for c in gate_clauses(cand, ins[0], ins[1], out_var,
+                                              EncodingOption.OPTION1)
+                    }
+                    if distinct == expected:
+                        kind, output = cand, out_var
+                        break
+                if kind:
+                    break
+        groups.append(GateGroup(
+            variables=tuple(sorted(vs)),
+            clause_indices=tuple(sorted(indices)),
+            signature=signature,
+            kind=kind,
+            output=output,
+        ))
+    return groups
+
+
+def _naive_census(self):
+    return types.SimpleNamespace(
+        occurring=len(self.occurring()),
+        has_empty=any(len(c) == 0 for c in self.clauses),
+        has_unit=any(len(c) == 1 for c in self.clauses))
+
+
+def _ladder_outcome(res):
+    """Everything a ladder run decides: residual clauses in order, condition
+    records, reports without their wall times, and branch decisions."""
+    return (
+        [list(c) for c in res.cnf.clauses],
+        [dataclasses.astuple(r) for r in res.condition.records],
+        [[r.name, r.vars_before, r.vars_after, r.clauses_before, r.clauses_after,
+          r.new_unit_clauses, r.conditions_added, sorted(r.details.items())]
+         for r in res.reports],
+        [dataclasses.astuple(b) for b in res.branch_decisions],
+        res.unsat,
+    )
+
+
+@st.composite
+def _messy_cnfs(draw):
+    """Small CNFs with duplicate literals, tautologies, repeated units, empty
+    clauses, and whole gate row encodings (clauses and literals shuffled)."""
+    n = draw(st.integers(1, 7))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    kinds = [st.lists(lit, min_size=1, max_size=4).map(tuple),
+             lit.map(lambda l: (l,)),
+             lit.map(lambda l: (l, l)),
+             lit.map(lambda l: (l, l, -l))]
+    if draw(st.integers(0, 9)) == 0:  # an empty clause stops every pass
+        kinds.append(st.just(()))
+    clauses = draw(st.lists(st.one_of(kinds), max_size=24))
+    if n >= 3:
+        for kind in draw(st.lists(st.sampled_from(_DETECT_ORDER), max_size=3)):
+            a, b, c = draw(st.permutations(range(1, n + 1)))[:3]
+            for row in gate_clauses(kind, a, b, c, EncodingOption.OPTION1):
+                row = tuple(draw(st.permutations(row)))
+                clauses.insert(draw(st.integers(0, len(clauses))), row)
+    return make_cnf(n, clauses)
+
+
+@given(_messy_cnfs(), st.integers(0, 3), st.integers(1, 3), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_indexed_passes_match_naive_oracles(cnf, seed, max_guesses, flip):
+    clauses = list(cnf.clauses)
+    assert _unit_fixpoint(clauses) == _naive_unit_fixpoint(clauses)
+    assert detect_gate_groups(clauses) == _naive_detect_gate_groups(clauses)
+    st_new, st_old = _state(cnf), _state(cnf)
+    rep_new, rep_old = subsume_clauses(st_new), _naive_subsume_clauses(st_old)
+    assert st_new.clauses == st_old.clauses
+    assert dataclasses.replace(rep_new, wall_time=0.0) == \
+        dataclasses.replace(rep_old, wall_time=0.0)
+
+    passes = dict(preprocess.LADDER_PASSES)
+    passes[6] = (_naive_subsume_clauses, preprocess.eliminate_pure_literals)
+    kwargs = dict(seed=seed, max_guesses=max_guesses, flip_on_conflict=flip)
+    new = [_ladder_outcome(run_ladder(cnf, lvl, **kwargs))
+           for lvl in range(MAX_LEVEL + 1)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(preprocess, "_unit_fixpoint", _naive_unit_fixpoint)
+        mp.setattr(preprocess, "detect_gate_groups", _naive_detect_gate_groups)
+        mp.setattr(preprocess, "LADDER_PASSES", passes)
+        mp.setattr(PrepState, "census", _naive_census)
+        old = [_ladder_outcome(run_ladder(cnf, lvl, **kwargs))
+               for lvl in range(MAX_LEVEL + 1)]
+    assert new == old
+
+
+def test_gate_table_recognizes_every_kind_output_and_order():
+    for kind in _DETECT_ORDER:
+        for a, b, c in itertools.permutations((3, 7, 12)):
+            rows = gate_clauses(kind, a, b, c, EncodingOption.OPTION1)
+            (group,) = detect_gate_groups(rows[::-1])
+            assert group.variables == (3, 7, 12) and group.kind == kind
+            if kind in ("XOR", "XNOR"):
+                # parity gates read the same from every output: lowest wins
+                assert group.output == 3
+                ins = [v for v in (3, 7, 12) if v != 3]
+                same = gate_clauses(kind, *ins, 3, EncodingOption.OPTION1)
+                assert set(map(frozenset, same)) == set(map(frozenset, rows))
+            else:
+                assert group.output == c
+
+
+def test_gate_table_matches_naive_search_on_every_row_set():
+    signs = list(itertools.product((1, -1), repeat=3))
+    for rows in itertools.combinations(signs, 4):
+        for order in itertools.permutations((3, 7, 12)):
+            clauses = [tuple(s * v for s, v in zip(row, order)) for row in rows]
+            assert detect_gate_groups(clauses) == _naive_detect_gate_groups(clauses)
+
+
+# run_ladder output for semiprime 3127 (12 bits) at level 7, max_guesses=3:
+# (seed, flip_on_conflict) -> (residual clauses, variables remaining,
+# branch decisions, sha256 prefix of the whole outcome)
+_PINNED_3127 = {
+    (1, False): (183, 69, [(2, True, False), (11, False, False), (10, False, False)], "51c1a6b5d8345ba4"),
+    (2, False): (154, 60, [(2, False, False), (4, False, False), (3, True, False)], "24fc70a1b83d44b5"),
+    (3, False): (322, 113, [(2, True, False), (11, False, False), (10, True, False)], "83990661dc13a004"),
+    (4, False): (334, 116, [(2, True, False), (11, True, False), (10, True, False)], "fb8c9241f4023350"),
+    (5, False): (98, 38, [(2, False, False), (4, False, False), (3, False, False)], "dc0c2669ff6c7f8d"),
+    (1, True): (183, 69, [(2, True, False), (11, False, False), (10, False, False)], "51c1a6b5d8345ba4"),
+    (2, True): (154, 60, [(2, False, False), (4, False, False), (3, True, False)], "24fc70a1b83d44b5"),
+    (3, True): (322, 113, [(2, True, False), (11, False, False), (10, True, False)], "83990661dc13a004"),
+    (4, True): (334, 116, [(2, True, False), (11, True, False), (10, True, False)], "fb8c9241f4023350"),
+    (5, True): (154, 60, [(2, False, False), (4, False, False), (3, True, True)], "876bbdbecb926aa9"),
+}
+
+
+def test_run_ladder_output_is_pinned():
+    cnf, _, _ = generate_instance(12, 3127)
+    for (seed, flip), expected in _PINNED_3127.items():
+        res = run_ladder(cnf, 7, seed=seed, max_guesses=3, flip_on_conflict=flip)
+        digest = hashlib.sha256(
+            json.dumps(_ladder_outcome(res)).encode()).hexdigest()[:16]
+        decisions = [dataclasses.astuple(b) for b in res.branch_decisions]
+        assert (len(res.cnf.clauses), res.vars_remaining, decisions, digest) \
+            == expected

@@ -68,18 +68,15 @@ class GateNetlist:
     num_vars: int
 
 
-def build_multiplier(bits_a: int, bits_b: int,
-                     uniform_rows: bool = True) -> GateNetlist:
+def build_multiplier(bits_a: int, bits_b: int) -> GateNetlist:
     """Build a row-ripple schoolbook multiplier.
 
     Partial products are AND gates; each accumulation row ripples full
     adders whose carry-in starts at a shared constant-zero wire (fixed
-    later by a unit clause), the uniform-cell array layout.  With
-    ``uniform_rows=False`` each row instead opens with a half adder and
-    drops the zero wire from the chain.  Full adders compute the sum via
-    two chained XORs and the carry as the OR-majority of the three
-    pairwise ANDs; chain-extending cells past the addend width are half
-    adders (XOR + AND).
+    later by a unit clause), the uniform-cell array layout.  Full adders
+    compute the sum via two chained XORs and the carry as the OR-majority of
+    the three pairwise ANDs; chain-extending cells past the addend width are
+    half adders (XOR + AND).
     """
     if bits_a < 1 or bits_b < 1:
         raise ValueError("factor widths must be at least 1")
@@ -123,10 +120,7 @@ def build_multiplier(bits_a: int, bits_b: int,
         carry = zero
         for j in range(bits_b):
             if j < len(working):
-                if carry == zero and not uniform_rows:
-                    s, carry = half_adder(working[j], pp[i][j])
-                else:
-                    s, carry = full_adder(working[j], pp[i][j], carry)
+                s, carry = full_adder(working[j], pp[i][j], carry)
             else:
                 s, carry = half_adder(pp[i][j], carry)
             sums.append(s)

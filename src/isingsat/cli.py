@@ -1,9 +1,8 @@
 """Command-line entry point.
 
 Subcommands: generate (semiprime or backbone CNFs), preprocess (simplification
-ladder), solve (decompose + anneal, single cell or config-file sweep), bench
-(compiled vs pure kernels), tts (time-to-solution from runs.jsonl), report
-(aggregates + runtime plot data).
+ladder), solve (decompose + anneal, single cell or config-file sweep), tts
+(time-to-solution from runs.jsonl), report (aggregates + runtime plot data).
 """
 from __future__ import annotations
 
@@ -18,7 +17,7 @@ from .circuit import EncodingOption, generate_instance, semiprime_catalog
 from .cnf import parse_dimacs, write_dimacs
 from .preprocess import ConditionList, MAX_LEVEL, run_ladder
 from . import harness
-from .harness import (BackboneSpec, SweepConfig, compute_tts,
+from .harness import (BackboneSpec, SweepConfig, aggregate_records,
                       generate_backbone_instance, load_records, load_timings,
                       results_dir, run_experiment, timings_path_for,
                       write_aggregates, write_runtime_report)
@@ -35,13 +34,16 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if args.bits is None:
         print("generate needs --bits or --backbone", file=sys.stderr)
         return 2
+    if args.all and not args.dir:
+        print("generate --all needs --dir: every instance would overwrite -o",
+              file=sys.stderr)
+        return 2
     option = EncodingOption.OPTION2 if args.option == 2 else EncodingOption.OPTION1
-    catalog = semiprime_catalog(args.bits)
-    targets = [args.semiprime] if args.semiprime else [c.semiprime for c in catalog]
-    if args.all:
-        targets = [c.semiprime for c in catalog]
+    # None picks the smallest semiprime of the catalog
+    targets = ([c.semiprime for c in semiprime_catalog(args.bits)] if args.all
+               else [args.semiprime])
     outdir = Path(args.dir) if args.dir else None
-    for number in targets if (args.all or args.semiprime) else targets[:1]:
+    for number in targets:
         cnf, _nl, inst = generate_instance(args.bits, number, option)
         if outdir:
             outdir.mkdir(parents=True, exist_ok=True)
@@ -137,68 +139,17 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    import random
-    import time as _time
-
-    from .solver import kernels
-    from .solver import _kernels_py as pure
-
-    try:
-        from .solver import _kernels as compiled
-    except ImportError:
-        compiled = None
-
-    n = args.spins
-    rng = random.Random(args.seed)
-    jd = [0.0] * (n * n)
-    for i in range(n):
-        for q in range(i + 1, n):
-            v = float(rng.randint(-7, 7))
-            jd[i * n + q] = v
-            jd[q * n + i] = v
-    h = [float(rng.randint(-5, 5)) for _ in range(n)]
-
-    def run(mod):
-        t0 = _time.perf_counter()
-        outs = []
-        for k in range(args.samples):
-            seed = pure.mix_seed(args.seed, k)
-            outs.append(mod.anneal(n, jd, h, args.sweeps, 10.0, 0.05, seed, False))
-        return outs, _time.perf_counter() - t0
-
-    pure_out, pure_t = run(pure)
-    print(f"pure python : {args.samples} anneals of {n} spins x {args.sweeps} sweeps "
-          f"in {pure_t:.3f}s")
-    if compiled is None:
-        print(f"compiled kernels unavailable ({kernels.FALLBACK_REASON}); "
-              "benchmark ran the pure oracle only")
-        return 0
-    comp_out, comp_t = run(compiled)
-    print(f"compiled    : same workload in {comp_t:.3f}s")
-    agree = all(pe == ce and list(ps) == list(cs)
-                for (ps, pe, _), (cs, ce, _) in zip(pure_out, comp_out))
-    print(f"identical results: {agree}")
-    print(f"speedup: {pure_t / comp_t:.1f}x")
-    print(f"import selected: {'compiled' if kernels.COMPILED_KERNELS else 'pure'}")
-    return 0 if agree else 1
-
-
 def _cmd_tts(args: argparse.Namespace) -> int:
     records = load_records(args.input)
     if not records:
         print("no records", file=sys.stderr)
         return 1
-    cells: dict[tuple, list] = {}
-    for r in records:
-        cells.setdefault((r.instance, r.level, r.strategy, r.backend), []).append(r)
     print(f"{'instance':32} {'lvl':>3} {'strategy':8} {'backend':8} "
           f"{'p':>6} {'t':>9} {'tts':>12}")
-    for key, recs in sorted(cells.items()):
-        est = compute_tts(recs)
-        tts = "inf" if est.tts == float("inf") else f"{est.tts:12.1f}"
-        print(f"{key[0]:32} {key[1]:>3} {key[2]:8} {key[3]:8} "
-              f"{est.p:6.2f} {est.t:9.1f} {tts:>12}")
+    for row in aggregate_records(records):
+        print(f"{row['instance']:32} {row['level']:>3} {row['strategy']:8} "
+              f"{row['backend']:8} {row['solved'] / row['repeats']:6.2f} "
+              f"{row['mean_iterations_solved']:9.2f} {float(row['tts']):12.2f}")
     return 0
 
 
@@ -270,13 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--results-dir", help=f"default dir (or ${harness.RESULTS_ENV})")
     s.add_argument("--trace", help="CSV dump of one anneal trace")
     s.set_defaults(func=_cmd_solve)
-
-    b = sub.add_parser("bench", help="compare compiled and pure kernels")
-    b.add_argument("--spins", type=int, default=45)
-    b.add_argument("--sweeps", type=int, default=500)
-    b.add_argument("--samples", type=int, default=20)
-    b.add_argument("--seed", type=int, default=3)
-    b.set_defaults(func=_cmd_bench)
 
     t = sub.add_parser("tts", help="time-to-solution table from runs.jsonl")
     t.add_argument("-i", "--input", required=True)

@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 
 from .cnf import Assignment, Cnf, count_satisfied, evaluate
 from .preprocess import ConditionList, reconstruct
-from .qubo import ChipProfile, QuboModel, cnf_to_qubo, qubo_to_ising, scale_to_chip
-from .solver import AnnealSchedule, SolveRequest, solve
+from .qubo import CHIP, QuboModel, cnf_to_qubo, qubo_to_ising, scale_to_chip
+from .solver import SolveRequest, solve
 
 __all__ = [
     "Vig",
@@ -329,7 +329,6 @@ class DecompositionRun:
     num_clauses: int
     assignment: Assignment | None
     reason: str = ""
-    satisfied_history: tuple[int, ...] = ()
     trace: tuple[tuple[int, float, float], ...] = ()
 
 
@@ -339,11 +338,8 @@ def _decode(qubo: QuboModel, spins: tuple[int, ...]) -> Assignment:
 
 def iterate(cnf: Cnf, condition: ConditionList, original: Cnf, *,
             strategy: str = "dfs", backend: str = "emulator",
-            profile: ChipProfile | None = None, budget: int | None = None,
-            cap: int = 5000, seed: int = 0, num_samples: int = 1,
-            schedule: AnnealSchedule | None = None,
-            keep_history: bool = False,
-            collect_trace: bool = False) -> DecompositionRun:
+            budget: int | None = None, cap: int = 5000, seed: int = 0,
+            num_samples: int = 1, collect_trace: bool = False) -> DecompositionRun:
     """Select → freeze → solve → merge until every clause holds or the cap hits.
 
     ``cnf`` is the (possibly preprocessed) formula to decompose; ``condition``
@@ -353,8 +349,7 @@ def iterate(cnf: Cnf, condition: ConditionList, original: Cnf, *,
     """
     if strategy not in ("bfs", "dfs"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    prof = profile or ChipProfile()
-    spin_budget = prof.spin_budget if budget is None else min(budget, prof.spin_budget)
+    spin_budget = CHIP.spin_budget if budget is None else min(budget, CHIP.spin_budget)
     m = cnf.num_clauses
 
     if cnf.is_unsat_marked():
@@ -370,7 +365,6 @@ def iterate(cnf: Cnf, condition: ConditionList, original: Cnf, *,
 
     iterations = 0
     solver_calls = 0
-    history: list[int] = []
     first_trace: tuple[tuple[int, float, float], ...] = ()
     reason = "cap"
     while state.best_count < m and iterations < cap:
@@ -391,7 +385,7 @@ def iterate(cnf: Cnf, condition: ConditionList, original: Cnf, *,
         else:
             model = qubo_to_ising(sub.qubo)
             if backend == "emulator":  # tabu solves the unscaled model
-                model, _distortion = scale_to_chip(model, prof)
+                model, _distortion = scale_to_chip(model, CHIP)
             request = SolveRequest(
                 model=model,
                 seed=rng.getrandbits(63),
@@ -400,14 +394,12 @@ def iterate(cnf: Cnf, condition: ConditionList, original: Cnf, *,
                 budget=spin_budget,
                 collect_trace=collect_trace and solver_calls == 0,
             )
-            result = solve(request, schedule, prof)
+            result = solve(request)
             if solver_calls == 0 and collect_trace:
                 first_trace = result.trace
             solver_calls += 1
             sub_solution = _decode(sub.qubo, result.best_spins)
         update_global(state, sub_solution, set(selected), cnf, filt)
-        if keep_history:
-            history.append(state.best_count)
 
     if count_satisfied(cnf.clauses, state.assignment) != state.best_count:
         raise RuntimeError("incremental satisfied count drifted from a full rescan")
@@ -415,7 +407,6 @@ def iterate(cnf: Cnf, condition: ConditionList, original: Cnf, *,
     if not solved:
         return DecompositionRun(False, False, iterations, solver_calls,
                                 state.best_count, m, None, reason=reason,
-                                satisfied_history=tuple(history),
                                 trace=first_trace)
     full = reconstruct(condition, state.assignment, original.num_vars)
     verified = evaluate(original, full).all_satisfied
@@ -423,5 +414,4 @@ def iterate(cnf: Cnf, condition: ConditionList, original: Cnf, *,
         raise RuntimeError("solved subproblem failed verification on the input CNF")
     return DecompositionRun(True, True, iterations, solver_calls,
                             state.best_count, m, full, reason="solved",
-                            satisfied_history=tuple(history),
                             trace=first_trace)

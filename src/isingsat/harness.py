@@ -27,7 +27,6 @@ from .circuit import generate_instance, semiprime_catalog
 from .cnf import Cnf, brute_force_solutions, make_cnf, parse_dimacs
 from .decompose import DecompositionRun, iterate
 from .preprocess import MAX_LEVEL, run_ladder
-from .qubo import ChipProfile
 
 __all__ = [
     "RunRecord",
@@ -67,6 +66,12 @@ def results_dir(override: str | None = None) -> Path:
 _VOLATILE_FIELDS = ("preprocess_time", "wall_time")  # measured, not derived
 
 
+def cell_key(instance: str, level: int, strategy: str, backend: str,
+             seed: int) -> str:
+    """Identity of one repeat: the key of ``runs.jsonl`` resume and timings."""
+    return f"{instance}|{level}|{strategy}|{backend}|{seed}"
+
+
 @dataclass(frozen=True)
 class RunRecord:
     """One repeat of the preprocess→decompose→solve flow."""
@@ -96,7 +101,8 @@ class RunRecord:
 
     @property
     def key(self) -> str:
-        return f"{self.instance}|{self.level}|{self.strategy}|{self.backend}|{self.seed}"
+        return cell_key(self.instance, self.level, self.strategy, self.backend,
+                        self.seed)
 
     def to_json(self) -> str:
         """Canonical serialization: deterministic fields only, sorted keys."""
@@ -150,6 +156,8 @@ def compute_tts(records: list[RunRecord]) -> TtsEstimate:
 
 BACKBONE_M_GRID = (403, 411, 418, 423, 429, 435, 441, 449)
 BACKBONE_B_GRID = (0.10, 0.30, 0.50, 0.70, 0.90)
+BACKBONE_TRIES = 60  # re-plants before giving up on a verified backbone
+PINS_PER_VAR = 3  # implication pins per planted variable, the last all-true
 
 
 @dataclass(frozen=True)
@@ -174,8 +182,7 @@ def _true_lit(v: int, target: dict[int, bool]) -> int:
 
 
 def generate_backbone_instance(spec: BackboneSpec, seed: int,
-                               force: bool = False, max_tries: int = 60,
-                               pins_per_var: int = 3) -> Cnf:
+                               force: bool = False) -> Cnf:
     """Random 3SAT satisfied by a hidden target with ~b*n backbone variables.
 
     Planted variables are pinned along a shuffled chain: each gets implication
@@ -201,7 +208,7 @@ def generate_backbone_instance(spec: BackboneSpec, seed: int,
     rng = random.Random(seed)
     all_vars = list(range(1, spec.n + 1))
     k = round(spec.b * spec.n)
-    for _attempt in range(max_tries):
+    for _attempt in range(BACKBONE_TRIES):
         target = {v: bool(rng.getrandbits(1)) for v in all_vars}
         planted = sorted(rng.sample(all_vars, k))
         order = planted[:]
@@ -210,10 +217,10 @@ def generate_backbone_instance(spec: BackboneSpec, seed: int,
         pool = planted if len(planted) >= 3 else all_vars
         for idx, v in enumerate(order):
             others = [u for u in pool if u != v]
-            for pin_no in range(pins_per_var):
+            for pin_no in range(PINS_PER_VAR):
                 if len(clauses) >= spec.m:
                     break
-                all_true = pins_per_var >= 2 and pin_no == pins_per_var - 1
+                all_true = pin_no == PINS_PER_VAR - 1
                 if not all_true and k >= 3:
                     a = order[(idx + 1 + pin_no) % k]
                     b2 = order[(idx + 2 + pin_no) % k]
@@ -244,7 +251,8 @@ def generate_backbone_instance(spec: BackboneSpec, seed: int,
         sols = brute_force_solutions(cnf)
         if sols and all(s[v] == target[v] for s in sols for v in planted):
             return cnf
-    raise RuntimeError(f"could not plant a verified backbone after {max_tries} tries")
+    raise RuntimeError(
+        f"could not plant a verified backbone after {BACKBONE_TRIES} tries")
 
 
 # ---------------------------------------------------------------------------
@@ -289,18 +297,14 @@ def expand_instances(spec: str) -> list[tuple[str, Cnf]]:
 def run_repeat(instance_id: str, cnf: Cnf, *, level: int, strategy: str,
                backend: str, seed: int, cap: int = 5000, budget: int = 45,
                num_samples: int = 10, max_guesses: int = 1,
-               flip_on_conflict: bool = False,
-               per_call_time: float = DEFAULT_PER_CALL_TIME,
-               profile: ChipProfile | None = None) -> RunRecord:
+               per_call_time: float = DEFAULT_PER_CALL_TIME) -> RunRecord:
     """One full repeat: ladder at ``level`` with this seed, then decompose."""
     t0 = time.perf_counter()
-    res = run_ladder(cnf, level=level, seed=seed, max_guesses=max_guesses,
-                     flip_on_conflict=flip_on_conflict)
+    res = run_ladder(cnf, level=level, seed=seed, max_guesses=max_guesses)
     pre_time = time.perf_counter() - t0
     run: DecompositionRun = iterate(
         res.cnf, res.condition, cnf, strategy=strategy, backend=backend,
-        profile=profile, budget=budget, cap=cap, seed=seed,
-        num_samples=num_samples)
+        budget=budget, cap=cap, seed=seed, num_samples=num_samples)
     wall = time.perf_counter() - t0
     return RunRecord(
         instance=instance_id,
@@ -407,8 +411,8 @@ def run_experiment(config: SweepConfig, out_dir: str | Path | None = None,
                         solved_here = False
                         for rep in range(config.repeats):
                             seed = config.seed + rep
-                            key = (f"{instance_id}|{level}|{strategy}|"
-                                   f"{backend}|{seed}")
+                            key = cell_key(instance_id, level, strategy,
+                                           backend, seed)
                             if key in done:
                                 # a resumed cell stops where the whole run would
                                 solved_here = solved_here or done[key]
@@ -474,19 +478,23 @@ def write_aggregates(records: list[RunRecord], path: str | Path) -> None:
 
 
 def runtime_report(records: list[RunRecord],
-                   timings: dict[str, tuple[float, float]] | None = None) -> list[dict]:
-    """Per-level preprocessing vs solver time (stacked-bar plot data)."""
+                   timings: dict[str, tuple[float, float]]) -> list[dict]:
+    """Per-level preprocessing vs solver time (stacked-bar plot data).
+
+    Preprocessing time is measured, so it comes from the ``timings`` sidecar
+    only: the mean is over the records it times, and the cell is empty when
+    it times none of a level's records.
+    """
     by_level: dict[int, list[RunRecord]] = {}
     for r in records:
         by_level.setdefault(r.level, []).append(r)
     rows = []
     for level, recs in sorted(by_level.items()):
-        pre = [timings[r.key][0] if timings and r.key in timings else r.preprocess_time
-               for r in recs]
+        pre = [timings[r.key][0] for r in recs if r.key in timings]
         rows.append({
             "level": level,
             "records": len(recs),
-            "mean_preprocess_time": round(sum(pre) / len(recs), 6),
+            "mean_preprocess_time": round(sum(pre) / len(pre), 6) if pre else "",
             "mean_solver_time": round(sum(r.solver_time for r in recs) / len(recs), 6),
             "mean_solver_calls": round(sum(r.solver_calls for r in recs) / len(recs), 2),
             "solved_pct": round(100.0 * sum(r.solved for r in recs) / len(recs), 2),
@@ -506,7 +514,7 @@ def load_timings(timings_path: str | Path) -> dict[str, tuple[float, float]]:
 
 
 def write_runtime_report(records: list[RunRecord], out_dir: Path,
-                         timings: dict[str, tuple[float, float]] | None = None) -> Path:
+                         timings: dict[str, tuple[float, float]]) -> Path:
     plotdata = out_dir / "plotdata"
     plotdata.mkdir(parents=True, exist_ok=True)
     rows = runtime_report(records, timings)

@@ -48,7 +48,7 @@ import heapq
 import random
 import time
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .circuit import _OPTION2, EncodingOption, gate_clauses
@@ -113,13 +113,12 @@ def reconstruct(
     condition: ConditionList,
     residual_model: dict[int, bool],
     num_vars: int,
-    default: bool = False,
 ) -> dict[int, bool]:
     """Lift a model of the residual formula to all ``num_vars`` variables.
 
     Fixed and pure variables take their recorded values, residual variables
     keep theirs, substituted variables copy (or negate) their root, and
-    variables constrained by nothing take ``default``.
+    variables constrained by nothing are False.
     """
     out: dict[int, bool] = {}
     sub_targets = {r.var for r in condition.records if r.kind == "sub"}
@@ -130,7 +129,7 @@ def reconstruct(
         out.setdefault(var, bool(val))
     for v in range(1, num_vars + 1):
         if v not in out and v not in sub_targets:
-            out[v] = default
+            out[v] = False
     # Reverse order resolves chains where a later pass replaced an earlier root.
     for rec in reversed(condition.records):
         if rec.kind == "sub" and rec.var not in out:
@@ -415,7 +414,7 @@ def _unit_fixpoint(clauses: list[Clause]) -> tuple[list[Clause], list[tuple[int,
     return [c for c in work if c is not None], fixes, empty
 
 
-def propagate_1sat(st: PrepState, trigger: str | None = None) -> PassReport:
+def propagate_1sat(st: PrepState) -> PassReport:
     """Unit propagation to fixpoint, recording each fix for reconstruction."""
     before = _snapshot(st)
     if st.unsat:
@@ -425,11 +424,8 @@ def propagate_1sat(st: PrepState, trigger: str | None = None) -> PassReport:
         st.clauses = new
         for var, val in fixes:
             st.condition.add_fix(var, val)
-    details: dict[str, object] = {}
-    if trigger:
-        details["trigger"] = trigger
     return _report(st, "propagate_1sat", before, conditions=len(fixes),
-                   wall=tm.elapsed, fixes=len(fixes), **details)
+                   wall=tm.elapsed, fixes=len(fixes))
 
 
 # ---------------------------------------------------------------------------
@@ -832,18 +828,21 @@ def eliminate_pure_literals(st: PrepState) -> PassReport:
 # level 7: degree-guided branching
 
 
-def branch_probe(st: PrepState, ratio: float = 1.5, max_guesses: int = 1,
+BRANCH_RATIO = 1.5  # degree over the mean degree that makes a variable a guess
+
+
+def branch_probe(st: PrepState, max_guesses: int = 1,
                  flip_on_conflict: bool = False) -> PassReport:
     """Guess the most-constrained variables.
 
-    While some variable's interaction-graph degree is at least ``ratio``
-    times the mean degree (and the guess budget lasts), assign the
-    maximum-degree variable a seeded-random value and unit-propagate.  A
-    guess that closes the branch (empty clause under propagation) stays
-    closed by default — the caller sees the UNSAT residual and re-rolls
-    with a fresh seed on the next repeat.  With ``flip_on_conflict`` the
-    guess is undone and the other value tried once instead; scripted
-    override values are always taken as-is.
+    While some variable's interaction-graph degree is at least
+    ``BRANCH_RATIO`` times the mean degree (and the guess budget lasts),
+    assign the maximum-degree variable a seeded-random value and
+    unit-propagate.  A guess that closes the branch (empty clause under
+    propagation) stays closed by default — the caller sees the UNSAT
+    residual and re-rolls with a fresh seed on the next repeat.  With
+    ``flip_on_conflict`` the guess is undone and the other value tried once
+    instead; scripted override values are always taken as-is.
     """
     before = _snapshot(st)
     if st.unsat:
@@ -862,7 +861,7 @@ def branch_probe(st: PrepState, ratio: float = 1.5, max_guesses: int = 1,
             degree = {v: len(ns) - 1 for v, ns in neighbours.items()}
             mean = sum(degree.values()) / len(degree)
             v = min(degree, key=lambda x: (-degree[x], x))
-            if degree[v] < ratio * mean:
+            if degree[v] < BRANCH_RATIO * mean:
                 break
             if st.branch_override:
                 value = st.branch_override.popleft()
@@ -926,10 +925,9 @@ def _stabilize(st: PrepState, level: int, trigger: str,
     clauses (levels >= 2), then push new master values through the condition
     list (levels >= 4), until neither has work left."""
     while not st.unsat:
-        did = False
+        ran = []
         if level >= 2 and st.census().has_unit:
-            reports.append(propagate_1sat(st, trigger=trigger))
-            did = True
+            ran.append(propagate_1sat(st))
         if level >= 4:
             values = st.condition.values()
             has_pending = any(
@@ -937,20 +935,11 @@ def _stabilize(st: PrepState, level: int, trigger: str,
                 for r in st.condition.records
             )
             if has_pending:
-                rep = propagate_replaced_values(st)
-                reports.append(PassReport(
-                    name=rep.name, vars_before=rep.vars_before,
-                    vars_after=rep.vars_after,
-                    clauses_before=rep.clauses_before,
-                    clauses_after=rep.clauses_after,
-                    new_unit_clauses=rep.new_unit_clauses,
-                    conditions_added=rep.conditions_added,
-                    wall_time=rep.wall_time,
-                    details={**rep.details, "trigger": trigger},
-                ))
-                did = True
-        if not did:
+                ran.append(propagate_replaced_values(st))
+        if not ran:
             break
+        reports.extend(replace(rep, details={**rep.details, "trigger": trigger})
+                       for rep in ran)
 
 
 def run_ladder(
@@ -958,7 +947,6 @@ def run_ladder(
     level: int,
     seed: int = 0,
     branch_override: list[bool] | None = None,
-    branch_ratio: float = 1.5,
     max_guesses: int = 1,
     flip_on_conflict: bool = False,
 ) -> LadderResult:
@@ -978,8 +966,7 @@ def run_ladder(
             if st.unsat:
                 break
             if fn is branch_probe:
-                reports.append(branch_probe(st, ratio=branch_ratio,
-                                            max_guesses=max_guesses,
+                reports.append(branch_probe(st, max_guesses=max_guesses,
                                             flip_on_conflict=flip_on_conflict))
             else:
                 reports.append(fn(st))
@@ -1001,21 +988,3 @@ def run_ladder(
         unsat=st.unsat,
         branch_decisions=tuple(st.branch_decisions),
     )
-
-
-def ladder_profile(
-    cnf: Cnf,
-    max_level: int = MAX_LEVEL,
-    seed: int = 0,
-    branch_ratio: float = 1.5,
-    max_guesses: int = 1,
-    flip_on_conflict: bool = False,
-) -> list[int]:
-    """Occurring-variable count after each cumulative level 0..max_level."""
-    profile = [len(cnf.occurring_vars())]
-    for lvl in range(1, max_level + 1):
-        res = run_ladder(cnf, lvl, seed=seed, branch_ratio=branch_ratio,
-                         max_guesses=max_guesses,
-                         flip_on_conflict=flip_on_conflict)
-        profile.append(res.vars_remaining)
-    return profile

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .cnf import Clause, Cnf
+from .cnf import Cnf
 
 Pair = tuple[int, int]
 
@@ -57,11 +57,6 @@ class QuboModel:
             if not 0 <= i < j < self.num_vars:
                 raise ValueError(f"quadratic key ({i},{j}) is not an ordered pair in range")
 
-    @property
-    def var_index(self) -> dict[int, int]:
-        """CNF variable -> QUBO index (inverse of source_var_map)."""
-        return {v: q for q, v in self.source_var_map.items()}
-
     def add_linear(self, i: int, coeff: float) -> None:
         self.linear[i] = self.linear.get(i, 0.0) + coeff
 
@@ -89,7 +84,6 @@ class IsingModel:
     j: dict[Pair, float] = field(default_factory=dict)
     h: dict[int, float] = field(default_factory=dict)
     offset: float = 0.0
-    spin_map: dict[int, int] = field(default_factory=dict)
 
     def energy(self, s: Sequence[int] | Mapping[int, int]) -> float:
         e = self.offset
@@ -119,6 +113,9 @@ class ChipProfile:
             raise ValueError("coefficient range must straddle zero")
 
 
+CHIP = ChipProfile()  # the one device every slice is annealed on
+
+
 @dataclass(frozen=True)
 class DistortionReport:
     """What integer rounding did to a scaled model."""
@@ -126,15 +123,6 @@ class DistortionReport:
     scale: float
     max_rel_error: float
     collapsed: bool  # distinct coefficient values merged (or vanished) by rounding
-
-
-@dataclass(frozen=True)
-class ClauseGadget:
-    """One clause's penalty polynomial: offset + linear + quadratic terms."""
-
-    offset: float
-    linear: dict[int, float]
-    quadratic: dict[Pair, float]
 
 
 # The penalties 1 - a, (1 - a)(1 - b) and P(a, b, c, w), with a -> 1 - x for
@@ -162,44 +150,6 @@ _GADGETS = {
 }
 
 
-def _add_clause(model: QuboModel, clause: Clause, ancilla: int | None,
-                index_of: Mapping[int, int]) -> None:
-    """Add the tabled gadget of a width 1-3 ``clause`` to ``model``."""
-    slots = [index_of[abs(lit)] for lit in clause]
-    if len(clause) == 3:
-        if ancilla is None:
-            raise ValueError("width-3 clause needs an ancilla index")
-        slots.append(ancilla)
-    offset, linear, quadratic = _GADGETS[tuple(lit > 0 for lit in clause)]
-    model.offset += offset
-    for slot, coeff in zip(slots, linear):
-        if coeff:
-            model.add_linear(slot, coeff)
-    for (s, t), coeff in zip(_PAIRS[len(clause)], quadratic):
-        if coeff:
-            model.add_quadratic(slots[s], slots[t], coeff)  # a repeated variable: x*x = x
-
-
-def clause_gadget(clause: Clause, ancilla: int | None = None,
-                  index_of: Mapping[int, int] | None = None) -> ClauseGadget:
-    """Penalty polynomial for one clause of width 1-3.
-
-    Variables are addressed through ``index_of`` (defaults to identity on the
-    clause's own variable indices).  Width-3 clauses require ``ancilla``, the
-    index of a fresh variable; the penalty, minimized over that ancilla, is 0
-    exactly on satisfying assignments and 1 on the falsifying one.
-    """
-    if len(clause) == 0:
-        raise ValueError("empty clause has no gadget (it is the UNSAT marker)")
-    if len(clause) > 3:
-        raise ValueError(f"clause width {len(clause)} exceeds 3")
-    if index_of is None:
-        index_of = {abs(l): abs(l) for l in clause}
-    model = QuboModel(num_vars=0)  # accumulator only; never range-checked
-    _add_clause(model, clause, ancilla, index_of)
-    return ClauseGadget(model.offset, model.linear, model.quadratic)
-
-
 def cnf_to_qubo(cnf: Cnf) -> QuboModel:
     """Sum of clause gadgets over the occurring variables.
 
@@ -222,19 +172,25 @@ def cnf_to_qubo(cnf: Cnf) -> QuboModel:
         if len(clause) == 0:
             model.offset += 1.0
             continue
-        ancilla = None
+        slots = [index_of[abs(lit)] for lit in clause]
         if len(clause) == 3:
-            ancilla = next_ancilla
-            model.ancilla_map[ci] = ancilla
+            model.ancilla_map[ci] = next_ancilla
+            slots.append(next_ancilla)
             next_ancilla += 1
-        _add_clause(model, clause, ancilla, index_of)
+        offset, linear, quadratic = _GADGETS[tuple(lit > 0 for lit in clause)]
+        model.offset += offset
+        for slot, coeff in zip(slots, linear):
+            if coeff:
+                model.add_linear(slot, coeff)
+        for (s, t), coeff in zip(_PAIRS[len(clause)], quadratic):
+            if coeff:  # a repeated variable folds in as x*x = x
+                model.add_quadratic(slots[s], slots[t], coeff)
     return model
 
 
 def qubo_to_ising(q: QuboModel) -> IsingModel:
     """Exact change of variables x_i = (1 + s_i)/2; energies match assignment-wise."""
-    m = IsingModel(num_spins=q.num_vars,
-                   spin_map={i: i for i in range(q.num_vars)})
+    m = IsingModel(num_spins=q.num_vars)
     m.offset = q.offset
     for i, a in q.linear.items():
         m.h[i] = m.h.get(i, 0.0) + a / 2.0
@@ -285,7 +241,6 @@ def scale_to_chip(m: IsingModel, profile: ChipProfile) -> tuple[IsingModel, Dist
         j={k: float(fit(v)) for k, v in m.j.items()},
         h={i: float(fit(v)) for i, v in m.h.items()},
         offset=m.offset * scale,
-        spin_map=dict(m.spin_map),
     )
     max_rel = 0.0
     for before, after in zip(coeffs, list(scaled.j.values()) + list(scaled.h.values())):
@@ -298,11 +253,3 @@ def scale_to_chip(m: IsingModel, profile: ChipProfile) -> tuple[IsingModel, Dist
         len(distinct_after) < len(distinct_before)
     return scaled, DistortionReport(scale=scale, max_rel_error=max_rel,
                                     collapsed=collapsed)
-
-
-def export_triplets(q: QuboModel) -> str:
-    """Sparse ``i j value`` text, diagonal entries carrying the linear terms."""
-    lines = [f"{i} {i} {q.linear[i]:.12g}" for i in sorted(q.linear)]
-    lines += [f"{i} {j} {q.quadratic[i, j]:.12g}"
-              for i, j in sorted(q.quadratic)]
-    return "\n".join(lines) + "\n"

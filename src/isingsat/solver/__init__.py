@@ -19,64 +19,45 @@ are derived with splitmix64, so a request's outcome depends only on
 The inner loops live in :mod:`.kernels`: a C kernel compiled on first import
 and cached in ``__pycache__``, or, without a C compiler, the pure-Python
 oracle it is tested against bit for bit.  ``COMPILED_KERNELS`` says which
-one runs.  The C kernel releases the GIL, so :func:`batch_solve` threads
-can overlap.
+one runs.
 """
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from ..qubo import ChipProfile, IsingModel
+from ..qubo import CHIP, IsingModel
 from .kernels import COMPILED_KERNELS, anneal, mix_seed, tabu
 
 __all__ = [
     "COMPILED_KERNELS",
-    "AnnealSchedule",
     "SolveRequest",
     "SolveResult",
-    "DEFAULT_SCHEDULE",
+    "INITIAL_TEMP",
+    "FINAL_TEMP",
+    "SWEEPS",
     "DEFAULT_TABU_MOVES",
     "TABU_TENURE",
     "solve_emulator",
     "solve_tabu",
     "solve",
-    "batch_solve",
 ]
+
+# Geometric cooling from INITIAL_TEMP to FINAL_TEMP over SWEEPS sweeps, tuned
+# so 20-spin random instances hit their exact optimum in at least half the runs.
+INITIAL_TEMP = 10.0
+FINAL_TEMP = 0.05
+SWEEPS = 500
 
 DEFAULT_TABU_MOVES = 2000
 TABU_TENURE = 10
 
 
 @dataclass(frozen=True)
-class AnnealSchedule:
-    """Geometric cooling: temperature decays from initial to final over sweeps.
-
-    Defaults are tuned so 20-spin random instances hit their exact optimum in
-    at least half the runs.
-    """
-
-    initial_temp: float = 10.0
-    final_temp: float = 0.05
-    sweeps: int = 500
-
-    def __post_init__(self) -> None:
-        if not self.initial_temp > self.final_temp > 0.0:
-            raise ValueError("schedule must cool: initial > final > 0")
-        if self.sweeps < 1:
-            raise ValueError("need at least one sweep")
-
-
-DEFAULT_SCHEDULE = AnnealSchedule()
-
-
-@dataclass(frozen=True)
 class SolveRequest:
     """One solver call: a model plus everything that determines its outcome.
 
-    ``budget`` overrides the emulator's spin budget (None: chip default);
-    ``max_moves`` overrides the tabu move budget (None: DEFAULT_TABU_MOVES).
+    ``budget`` overrides the emulator's spin budget (None: chip default).
     """
 
     model: IsingModel
@@ -84,7 +65,6 @@ class SolveRequest:
     num_samples: int = 1
     backend: str = "emulator"
     budget: int | None = None
-    max_moves: int | None = None
     collect_trace: bool = False
 
     def __post_init__(self) -> None:
@@ -126,8 +106,8 @@ def _empty_result(model: IsingModel, backend: str, started: float) -> SolveResul
     return SolveResult((), e, (((), e),), time.perf_counter() - started, backend)
 
 
-def _check_chip(model: IsingModel, profile: ChipProfile, budget: int | None) -> None:
-    cap = profile.spin_budget if budget is None else budget
+def _check_chip(model: IsingModel, budget: int | None) -> None:
+    cap = CHIP.spin_budget if budget is None else budget
     if model.num_spins > cap:
         raise ValueError(
             f"model needs {model.num_spins} spins but the chip has {cap}"
@@ -138,10 +118,10 @@ def _check_chip(model: IsingModel, profile: ChipProfile, budget: int | None) -> 
                 raise ValueError(
                     f"{kind} {where} = {v} is not an integer; scale_to_chip first"
                 )
-            if not profile.coeff_min <= v <= profile.coeff_max:
+            if not CHIP.coeff_min <= v <= CHIP.coeff_max:
                 raise ValueError(
                     f"{kind} {where} = {v} outside programmable range "
-                    f"[{profile.coeff_min}, {profile.coeff_max}]"
+                    f"[{CHIP.coeff_min}, {CHIP.coeff_max}]"
                 )
 
 
@@ -166,15 +146,11 @@ def _finish(model: IsingModel, backend: str, picks: list[tuple[list[int], float]
     )
 
 
-def solve_emulator(request: SolveRequest,
-                   schedule: AnnealSchedule | None = None,
-                   profile: ChipProfile | None = None) -> SolveResult:
+def solve_emulator(request: SolveRequest) -> SolveResult:
     """Anneal on the emulated chip; rejects models the device could not hold."""
     started = time.perf_counter()
-    sched = schedule or DEFAULT_SCHEDULE
-    prof = profile or ChipProfile()
     model = request.model
-    _check_chip(model, prof, request.budget)
+    _check_chip(model, request.budget)
     if model.num_spins == 0:
         return _empty_result(model, "emulator", started)
     jd, h = _dense(model)
@@ -182,8 +158,7 @@ def solve_emulator(request: SolveRequest,
     traces: list[tuple[tuple[int, float, float], ...]] = []
     for k in range(request.num_samples):
         spins, raw, tr = anneal(
-            model.num_spins, jd, h, sched.sweeps,
-            sched.initial_temp, sched.final_temp,
+            model.num_spins, jd, h, SWEEPS, INITIAL_TEMP, FINAL_TEMP,
             mix_seed(request.seed, k), request.collect_trace,
         )
         picks.append((spins, raw))
@@ -201,42 +176,18 @@ def solve_tabu(request: SolveRequest) -> SolveResult:
     if model.num_spins == 0:
         return _empty_result(model, "tabu", started)
     jd, h = _dense(model)
-    budget = DEFAULT_TABU_MOVES if request.max_moves is None else request.max_moves
     picks: list[tuple[list[int], float]] = []
     for k in range(request.num_samples):
-        spins, raw, _moves = tabu(
-            model.num_spins, jd, h, budget, TABU_TENURE, mix_seed(request.seed, k)
-        )
+        spins, raw, _moves = tabu(model.num_spins, jd, h, DEFAULT_TABU_MOVES,
+                                  TABU_TENURE, mix_seed(request.seed, k))
         picks.append((spins, raw))
     return _finish(model, "tabu", picks, started, ())
 
 
-def solve(request: SolveRequest,
-          schedule: AnnealSchedule | None = None,
-          profile: ChipProfile | None = None) -> SolveResult:
+def solve(request: SolveRequest) -> SolveResult:
     """Route a request to its backend."""
     if request.backend == "emulator":
-        return solve_emulator(request, schedule, profile)
+        return solve_emulator(request)
     if request.backend == "tabu":
         return solve_tabu(request)
     raise ValueError(f"unknown backend {request.backend!r}")
-
-
-def batch_solve(requests: list[SolveRequest],
-                schedule: AnnealSchedule | None = None,
-                max_workers: int | None = None) -> list[SolveResult]:
-    """Solve many requests concurrently; results keep the request order."""
-    if not requests:
-        return []
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = [pool.submit(solve, r, schedule) for r in requests]
-        results: list[SolveResult] = []
-        errors: list[str] = []
-        for idx, fut in enumerate(futures):
-            try:
-                results.append(fut.result())
-            except Exception as exc:  # noqa: BLE001 - aggregated below
-                errors.append(f"request {idx}: {exc}")
-        if errors:
-            raise RuntimeError("batch_solve failures: " + "; ".join(errors))
-    return results

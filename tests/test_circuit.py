@@ -32,15 +32,6 @@ def test_multiplier_simulates_products(wa, wb):
             assert product == a * b, (wa, wb, a, b)
 
 
-def test_multiplier_nonuniform_rows_same_function():
-    uni = build_multiplier(3, 3)
-    ha = build_multiplier(3, 3, uniform_rows=False)
-    assert len(ha.gates) < len(uni.gates)  # half-adder openings save gates
-    for a in range(8):
-        for b in range(8):
-            assert simulate(ha, a, b)[1] == a * b
-
-
 def test_simulate_bounds():
     nl = build_multiplier(2, 2)
     with pytest.raises(ValueError):

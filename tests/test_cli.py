@@ -25,6 +25,14 @@ def test_generate_whole_catalog(tmp_path):
     assert files and all(f.startswith("semiprime-07-") for f in files)
 
 
+def test_generate_whole_catalog_needs_a_dir(tmp_path, capsys):
+    # every instance would overwrite the one -o path
+    out = tmp_path / "one.cnf"
+    assert main(["generate", "--bits", "8", "--all", "-o", str(out)]) == 2
+    assert "--dir" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_backbone(tmp_path):
     out = tmp_path / "bb.cnf"
     assert main(["generate", "--backbone", "14", "56", "50", "--force",
@@ -77,6 +85,26 @@ def test_solve_and_tts_and_report(tmp_path, capsys):
     assert (tmp_path / "plotdata" / "runtime_by_level.csv").exists()
 
 
+def test_report_leaves_preprocess_time_empty_without_timings(tmp_path):
+    runs = tmp_path / "runs.jsonl"
+    assert main(["solve", "--instance", "semiprime:4", "--level", "7",
+                 "--repeats", "2", "--cap", "200", "-o", str(runs)]) == 0
+    timings = tmp_path / "runs.timings.csv"
+    lines = timings.read_text().splitlines()
+    timings.write_text("\n".join(lines[:2]) + "\n")  # header + the first record
+    agg = tmp_path / "aggregates.csv"
+    plot = tmp_path / "plotdata" / "runtime_by_level.csv"
+    assert main(["report", "-i", str(runs), "-o", str(agg)]) == 0
+    first = float(lines[1].split(",")[1])
+    row = plot.read_text().splitlines()[1].split(",")
+    assert row[:2] == ["7", "2"] and float(row[2]) == pytest.approx(first, abs=1e-6)
+
+    timings.unlink()
+    assert main(["report", "-i", str(runs), "-o", str(agg)]) == 0
+    row = plot.read_text().splitlines()[1].split(",")
+    assert row[:3] == ["7", "2", ""]  # no measured time, no mean
+
+
 def test_solve_from_dimacs_file_with_trace(tmp_path):
     src = tmp_path / "in.cnf"
     main(["generate", "--bits", "4", "-o", str(src)])
@@ -110,13 +138,6 @@ def test_tts_empty_file(tmp_path, capsys):
     empty.write_text("")
     assert main(["tts", "-i", str(empty)]) == 1
     assert main(["report", "-i", str(empty)]) == 1
-
-
-def test_bench_reports_both_kernels(capsys):
-    assert main(["bench", "--spins", "20", "--sweeps", "60",
-                 "--samples", "4"]) == 0
-    out = capsys.readouterr().out
-    assert "pure" in out and ("compiled" in out or "unavailable" in out)
 
 
 def test_unknown_command_exits():

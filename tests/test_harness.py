@@ -373,13 +373,13 @@ def test_aggregate_rows(tmp_path):
 
 def test_runtime_report_prefers_sidecar_timings(tmp_path):
     recs = [_rec(seed=0), _rec(seed=1)]
-    rows = runtime_report(recs)
-    assert rows[0]["mean_preprocess_time"] == pytest.approx(0.125)
+    rows = runtime_report(recs, {})
+    assert rows[0]["mean_preprocess_time"] == ""  # in-memory times are not read
     sidecar = {r.key: (0.5, 1.0) for r in recs}
     rows2 = runtime_report(recs, sidecar)
     assert rows2[0]["mean_preprocess_time"] == pytest.approx(0.5)
     assert rows2[0]["mean_solver_calls"] == 10.0
 
-    path = write_runtime_report(recs, tmp_path)
+    path = write_runtime_report(recs, tmp_path, sidecar)
     assert path.name == "runtime_by_level.csv"
     assert "level,records,mean_preprocess_time" in path.read_text().splitlines()[0]

@@ -30,7 +30,6 @@ from isingsat.preprocess import (
     condition_2sat,
     detect_gate_groups,
     eliminate_pure_literals,
-    ladder_profile,
     propagate_1sat,
     propagate_replaced_values,
     reconstruct,
@@ -103,8 +102,6 @@ def test_reconstruct_defaults_unconstrained():
     cond.add_fix(1, True)
     out = reconstruct(cond, {}, 3)
     assert out == {1: True, 2: False, 3: False}
-    out = reconstruct(cond, {}, 3, default=True)
-    assert out[2] is True and out[3] is True
 
 
 # ---------------------------------------------------------------------------
@@ -531,9 +528,10 @@ def test_ladder_no_subsumed_or_pure_after_level6():
 
 def test_ladder_vars_monotone_over_levels():
     cnf = random_3sat(14, 55, random.Random(17))
-    profile = ladder_profile(cnf, seed=3)
+    profile = [run_ladder(cnf, lvl, seed=3).vars_remaining
+               for lvl in range(MAX_LEVEL + 1)]
+    assert profile[0] == len(cnf.occurring_vars())
     assert profile == sorted(profile, reverse=True)
-    assert len(profile) == MAX_LEVEL + 1
 
 
 def test_ladder_unsat_input_flows_through():
@@ -592,7 +590,8 @@ def test_reconstruction_branching_union_covers_multiple_guesses():
 
 def test_semiprime_ladder_full_reduction_and_reconstruction(catalog45):
     for bits, semiprime, cnf, nl in catalog45:
-        profile = ladder_profile(cnf)
+        profile = [run_ladder(cnf, lvl).vars_remaining
+                   for lvl in range(MAX_LEVEL + 1)]
         assert profile[0] == profile[1] == (18 if bits == 4 else 28)
         for lvl in range(4, MAX_LEVEL + 1):
             assert profile[lvl] == 0  # fully conditioned at replaced-value prop

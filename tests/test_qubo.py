@@ -11,9 +11,7 @@ from isingsat.qubo import (
     ChipProfile,
     IsingModel,
     QuboModel,
-    clause_gadget,
     cnf_to_qubo,
-    export_triplets,
     qubo_to_ising,
     scale_to_chip,
 )
@@ -21,26 +19,12 @@ from isingsat.qubo import (
 from conftest import mixed_random_cnf
 
 
-def _poly_energy(poly, x):
-    e = poly.offset
-    for i, a in poly.linear.items():
-        e += a * x[i]
-    for (i, j), b in poly.quadratic.items():
-        e += b * x[i] * x[j]
-    return e
-
-
 def _gadget_min(clause, x_vars):
-    """Penalty minimized over the ancilla (index -1 by convention here)."""
-    poly = clause_gadget(clause, ancilla=-1) if len(clause) == 3 else clause_gadget(clause)
-    if len(clause) < 3:
-        return _poly_energy(poly, x_vars)
-    vals = []
-    for w in (0, 1):
-        x = dict(x_vars)
-        x[-1] = w
-        vals.append(_poly_energy(poly, x))
-    return min(vals)
+    """Penalty of the one-clause formula, minimized over its ancilla if any."""
+    q = cnf_to_qubo(make_cnf(max(abs(lit) for lit in clause), [clause]))
+    x = [x_vars[q.source_var_map[i]] for i in range(len(q.source_var_map))]
+    return min(q.energy(x + list(w))
+               for w in itertools.product((0, 1), repeat=len(q.ancilla_map)))
 
 
 # clauses that repeat a variable: their gadget terms fold together (x*x = x)
@@ -63,19 +47,17 @@ def test_gadget_penalty_indicator(width):
 
 
 def test_gadget_width3_integer_coefficients():
-    poly = clause_gadget((1, 2, 3), ancilla=4)
-    assert poly.linear == {1: 1.0, 2: 1.0, 3: -1.0}
-    assert poly.quadratic == {(1, 2): 1.0, (1, 4): -2.0, (2, 4): -2.0, (3, 4): 1.0}
-    assert poly.offset == 1.0
+    q = cnf_to_qubo(make_cnf(3, [(1, 2, 3)]))  # ancilla at index 3
+    assert q.linear == {0: 1.0, 1: 1.0, 2: -1.0}
+    assert q.quadratic == {(0, 1): 1.0, (0, 3): -2.0, (1, 3): -2.0, (2, 3): 1.0}
+    assert q.offset == 1.0
 
 
 def test_gadget_rejects_bad_widths():
+    q = cnf_to_qubo(make_cnf(1, [()]))  # no gadget, only its constant penalty
+    assert (q.num_vars, q.linear, q.quadratic, q.offset) == (0, {}, {}, 1.0)
     with pytest.raises(ValueError):
-        clause_gadget(())
-    with pytest.raises(ValueError):
-        clause_gadget((1, 2, 3, 4))
-    with pytest.raises(ValueError):
-        clause_gadget((1, 2, 3))  # no ancilla supplied
+        cnf_to_qubo(make_cnf(4, [(1, 2, 3, 4)]))
 
 
 def _qubo_min(q: QuboModel):
@@ -110,7 +92,6 @@ def test_qubo_index_layout():
     assert q.source_var_map == {0: 2, 1: 5, 2: 7, 3: 9}
     assert q.ancilla_map == {0: 4}
     assert q.num_vars == 5
-    assert q.var_index == {2: 0, 5: 1, 7: 2, 9: 3}
 
 
 def test_qubo_empty_clause_is_constant_penalty():
@@ -187,9 +168,3 @@ def test_scale_budget_guard():
     m = IsingModel(num_spins=46)
     with pytest.raises(ValueError):
         scale_to_chip(m, ChipProfile())
-
-
-def test_export_triplets_format():
-    q = QuboModel(num_vars=3, linear={0: 1.0, 2: -2.0}, quadratic={(0, 2): 3.0})
-    text = export_triplets(q)
-    assert text == "0 0 1\n2 2 -2\n0 2 3\n"

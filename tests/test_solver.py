@@ -15,10 +15,10 @@ import pytest
 import isingsat
 from isingsat.qubo import ChipProfile, IsingModel, cnf_to_qubo, qubo_to_ising, scale_to_chip
 from isingsat.solver import (
-    DEFAULT_SCHEDULE,
-    AnnealSchedule,
+    FINAL_TEMP,
+    INITIAL_TEMP,
+    SWEEPS,
     SolveRequest,
-    batch_solve,
     solve,
     solve_emulator,
     solve_tabu,
@@ -34,7 +34,7 @@ from conftest import random_3sat
 def _random_model(n: int, rng: random.Random) -> IsingModel:
     """Integer couplings and fields over the chip's programmable range."""
     lo, hi = ChipProfile.coeff_min, ChipProfile.coeff_max
-    m = IsingModel(num_spins=n, spin_map={i: i for i in range(n)})
+    m = IsingModel(num_spins=n)
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < 0.6:
@@ -66,16 +66,6 @@ def _exact_min(m: IsingModel) -> float:
     h = np.array([m.h.get(i, 0.0) for i in range(n)])
     energies = m.offset + states @ h + ((states @ upper) * states).sum(axis=1)
     return float(energies.min())
-
-
-def test_schedule_validation():
-    with pytest.raises(ValueError):
-        AnnealSchedule(initial_temp=0.1, final_temp=1.0)
-    with pytest.raises(ValueError):
-        AnnealSchedule(final_temp=0.0)
-    with pytest.raises(ValueError):
-        AnnealSchedule(sweeps=0)
-    assert DEFAULT_SCHEDULE.sweeps == 500
 
 
 def test_request_validation():
@@ -119,12 +109,12 @@ def test_emulator_sample_count_and_best_pick():
 def test_emulator_trace_monotone():
     m = _random_model(10, random.Random(9))
     res = solve_emulator(SolveRequest(model=m, seed=1, collect_trace=True))
-    assert len(res.trace) == DEFAULT_SCHEDULE.sweeps
+    assert len(res.trace) == SWEEPS
     bests = [row[2] for row in res.trace]
     assert bests == sorted(bests, reverse=True)
     temps = [row[1] for row in res.trace]
-    assert temps[0] == pytest.approx(DEFAULT_SCHEDULE.initial_temp)
-    assert temps[-1] == pytest.approx(DEFAULT_SCHEDULE.final_temp)
+    assert temps[0] == pytest.approx(INITIAL_TEMP)
+    assert temps[-1] == pytest.approx(FINAL_TEMP)
 
 
 def test_empty_model_shortcut():
@@ -168,8 +158,8 @@ def test_tabu_finds_optimum_on_most_models():
 
 def test_tabu_determinism():
     m = _random_model(11, random.Random(2))
-    a = solve_tabu(SolveRequest(model=m, seed=4, max_moves=500))
-    b = solve_tabu(SolveRequest(model=m, seed=4, max_moves=500))
+    a = solve_tabu(SolveRequest(model=m, seed=4))
+    b = solve_tabu(SolveRequest(model=m, seed=4))
     assert a.best_spins == b.best_spins and a.best_energy == b.best_energy
 
 
@@ -179,25 +169,6 @@ def test_solve_dispatch():
     r2 = solve(SolveRequest(model=m, backend="tabu"))
     assert r1.backend == "emulator" and r2.backend == "tabu"
     assert r1.best_energy == r2.best_energy == -1.0
-
-
-def test_batch_solve_preserves_order():
-    # the compiled kernels release the GIL: threads must not change results
-    rng = random.Random(6)
-    for n, workers in ((6, None), (6, 2), (45, 2)):
-        models = [_random_model(n, rng) for _ in range(8)]
-        reqs = [SolveRequest(model=m, seed=i) for i, m in enumerate(models)]
-        results = batch_solve(reqs, max_workers=workers)
-        singles = [solve_emulator(r) for r in reqs]
-        assert [r.best_energy for r in results] == [s.best_energy for s in singles]
-        assert [r.best_spins for r in results] == [s.best_spins for s in singles]
-
-
-def test_batch_solve_aggregates_failures():
-    good = SolveRequest(model=IsingModel(num_spins=1, h={0: 1.0}), seed=0)
-    bad = SolveRequest(model=IsingModel(num_spins=50), seed=0, budget=45)
-    with pytest.raises(RuntimeError, match="batch_solve failures"):
-        batch_solve([good, bad])
 
 
 def test_offset_carried_through():

@@ -3,6 +3,8 @@
 Subcommands: generate (semiprime or backbone CNFs), preprocess (simplification
 ladder), solve (decompose + anneal, single cell or config-file sweep), tts
 (time-to-solution from runs.jsonl), report (aggregates + runtime plot data).
+Bad input (a malformed file or spec, an out-of-range value, a file that
+cannot be read) ends in one ``isingsat: error: ...`` line and exit status 2.
 """
 from __future__ import annotations
 
@@ -15,12 +17,13 @@ from pathlib import Path
 
 from .circuit import EncodingOption, generate_instance, semiprime_catalog
 from .cnf import parse_dimacs, write_dimacs
+from .decompose import iterate
 from .preprocess import ConditionList, MAX_LEVEL, run_ladder
 from . import harness
 from .harness import (BackboneSpec, SweepConfig, aggregate_records,
-                      generate_backbone_instance, load_records, load_timings,
-                      results_dir, run_experiment, timings_path_for,
-                      write_aggregates, write_runtime_report)
+                      expand_instances, generate_backbone_instance,
+                      load_records, load_timings, results_dir, run_experiment,
+                      timings_path_for, write_aggregates, write_runtime_report)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -121,16 +124,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     print(f"{solved}/{len(records)} repeats solved -> "
           f"{Path(out_dir) / runs_filename}")
 
-    if args.trace and records:
-        from .decompose import iterate as _iterate
-        from .harness import expand_instances
-        instance_id, cnf = expand_instances(config.instances[0])[0]
+    if args.trace:
+        # replays the first repeat up to its first solver call
+        _instance_id, cnf = expand_instances(config.instances[0])[0]
         res = run_ladder(cnf, level=config.levels[0], seed=config.seed,
                          max_guesses=config.max_guesses)
-        run = _iterate(res.cnf, res.condition, cnf,
-                       strategy=config.strategies[0],
-                       backend=config.backends[0], cap=1, seed=config.seed,
-                       num_samples=1, collect_trace=True)
+        run = iterate(res.cnf, res.condition, cnf,
+                      strategy=config.strategies[0],
+                      backend=config.backends[0], budget=config.budget,
+                      cap=1, seed=config.seed,
+                      num_samples=config.num_samples, collect_trace=True)
         with Path(args.trace).open("w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["sweep", "temperature", "best_energy"])
@@ -235,7 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # DimacsError is a ValueError
+        print(f"isingsat: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -34,7 +34,6 @@ class Cnf:
     num_vars: int
     clauses: tuple[Clause, ...]
     provenance: str = field(default="", compare=False)
-    header_mismatch: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if self.num_vars < 0:
@@ -78,15 +77,13 @@ def parse_dimacs(text: str | bytes, provenance: str = "") -> Cnf:
 
     Clauses may span lines; a ``%`` line ends the clause section (some public
     benchmark archives terminate files that way). A clause count that
-    disagrees with the header is tolerated and reported via
-    ``Cnf.header_mismatch``; structural problems raise DimacsError with the
-    line number.
+    disagrees with the header is tolerated; structural problems raise
+    DimacsError with the line number.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
 
     num_vars = -1
-    declared_clauses = -1
     clauses: list[Clause] = []
     pending: list[int] = []
 
@@ -106,7 +103,7 @@ def parse_dimacs(text: str | bytes, provenance: str = "") -> Cnf:
                 raise DimacsError(f"malformed problem header {line!r}", line_no)
             try:
                 num_vars = int(parts[2])
-                declared_clauses = int(parts[3])
+                int(parts[3])  # the clause count must be a number, of any value
             except ValueError:
                 raise DimacsError(f"malformed problem header {line!r}", line_no) from None
             continue
@@ -133,8 +130,7 @@ def parse_dimacs(text: str | bytes, provenance: str = "") -> Cnf:
     if pending:
         raise DimacsError("unterminated clause at end of input", line_no)
 
-    return Cnf(num_vars, tuple(clauses), provenance=provenance,
-               header_mismatch=declared_clauses != len(clauses))
+    return Cnf(num_vars, tuple(clauses), provenance=provenance)
 
 
 def write_dimacs(cnf: Cnf, comments: Sequence[str] = ()) -> str:
@@ -152,12 +148,6 @@ def write_dimacs(cnf: Cnf, comments: Sequence[str] = ()) -> str:
     return "\n".join(out) + "\n"
 
 
-@dataclass(frozen=True)
-class EvalResult:
-    satisfied_count: int
-    all_satisfied: bool
-
-
 def literal_true(lit: int, assignment: Mapping[int, bool]) -> bool:
     return assignment[abs(lit)] == (lit > 0)
 
@@ -166,8 +156,8 @@ def clause_satisfied(clause: Clause, assignment: Mapping[int, bool]) -> bool:
     return any(literal_true(lit, assignment) for lit in clause)
 
 
-def evaluate(cnf: Cnf, assignment: Mapping[int, bool]) -> EvalResult:
-    """Count satisfied clauses under a complete assignment.
+def evaluate(cnf: Cnf, assignment: Mapping[int, bool]) -> bool:
+    """Whether a complete assignment satisfies every clause.
 
     The assignment must cover every variable 1..num_vars; anything less
     raises ValueError so partial evaluations can never masquerade as full
@@ -176,11 +166,7 @@ def evaluate(cnf: Cnf, assignment: Mapping[int, bool]) -> EvalResult:
     missing = [v for v in range(1, cnf.num_vars + 1) if v not in assignment]
     if missing:
         raise ValueError(f"incomplete assignment, missing variables {missing[:8]}")
-    count = 0
-    for clause in cnf.clauses:
-        if clause_satisfied(clause, assignment):
-            count += 1
-    return EvalResult(count, count == cnf.num_clauses)
+    return all(clause_satisfied(clause, assignment) for clause in cnf.clauses)
 
 
 def count_satisfied(clauses: Sequence[Clause], assignment: Mapping[int, bool]) -> int:

@@ -12,8 +12,8 @@ does not drop (plateau moves are allowed; they escape conflicting-unit
 stalemates that strict improvement cannot).
 
 A repetition filter keeps the walk from orbiting one region: any variable
-selected ``window`` times in a row sits out (pushed behind every other
-candidate) for the next ``window`` iterations.
+selected ``FILTER_WINDOW`` times in a row sits out (pushed behind every
+other candidate) for the next ``FILTER_WINDOW`` iterations.
 
 Per-iteration work scales with the slice, not the formula.  Each formula is
 indexed once: ``build_vig`` records, next to the adjacency, the 3-literal
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from .cnf import Assignment, Cnf, count_satisfied, evaluate
 from .preprocess import ConditionList, reconstruct
-from .qubo import CHIP, QuboModel, cnf_to_qubo, qubo_to_ising, scale_to_chip
+from .qubo import SPIN_BUDGET, QuboModel, cnf_to_qubo, qubo_to_ising, scale_to_chip
 from .solver import SolveRequest, solve
 
 __all__ = [
@@ -99,16 +99,18 @@ def build_vig(cnf: Cnf) -> Vig:
                {v: tuple(ts) for v, ts in triangles.items()})
 
 
+FILTER_WINDOW = 5
+
+
 @dataclass
 class FilterState:
     """Tracks consecutive selections; over-used variables cool down.
 
-    A variable selected ``window`` iterations in a row is excluded from
-    selection for the next ``window`` iterations unless nothing else is
-    reachable.
+    A variable selected ``FILTER_WINDOW`` iterations in a row is excluded
+    from selection for the next ``FILTER_WINDOW`` iterations unless nothing
+    else is reachable.
     """
 
-    window: int = 5
     consecutive: dict[int, int] = field(default_factory=dict)
     cooldown: dict[int, int] = field(default_factory=dict)
 
@@ -126,8 +128,8 @@ class FilterState:
                 del self.consecutive[v]
         for v in selected:
             streak = self.consecutive.get(v, 0) + 1
-            if streak >= self.window:
-                self.cooldown[v] = self.window
+            if streak >= FILTER_WINDOW:
+                self.cooldown[v] = FILTER_WINDOW
                 self.consecutive.pop(v, None)
             else:
                 self.consecutive[v] = streak
@@ -169,18 +171,14 @@ class GlobalState:
 
 @dataclass(frozen=True)
 class Subproblem:
-    """One frozen slice: the kept clauses verbatim plus their QUBO."""
+    """One frozen slice: the QUBO of its kept clauses and its spin count."""
 
-    selected: frozenset[int]
-    sub_cnf: Cnf
     qubo: QuboModel
     spin_cost: int
-    satisfied_baseline: int
 
 
 def _walk_select(vig: Vig, budget: int, start: int,
-                 filt: FilterState | None, depth_first: bool) -> set[int]:
-    filt = filt or FilterState()
+                 filt: FilterState, depth_first: bool) -> set[int]:
     selected: set[int] = set()
     ancillas = 0  # one per 3-literal clause whose variables are all selected
     active: deque[int] = deque()
@@ -232,13 +230,13 @@ def _walk_select(vig: Vig, budget: int, start: int,
 
 
 def select_bfs(vig: Vig, budget: int, start: int,
-               filt: FilterState | None = None) -> set[int]:
+               filt: FilterState) -> set[int]:
     """Breadth-first ball around ``start`` that fits the spin budget."""
     return _walk_select(vig, budget, start, filt, depth_first=False)
 
 
 def select_dfs(vig: Vig, budget: int, start: int,
-               filt: FilterState | None = None) -> set[int]:
+               filt: FilterState) -> set[int]:
     """Depth-first chain from ``start``, preferring low-degree neighbors."""
     return _walk_select(vig, budget, start, filt, depth_first=True)
 
@@ -247,8 +245,8 @@ def freeze_and_extract(cnf: Cnf, selected: set[int],
                        state: GlobalState) -> Subproblem:
     """Substitute best-known values for everything outside the selection.
 
-    A true frozen literal satisfies its clause (dropped, counted in the
-    baseline); a false one is removed.  Kept clauses are NOT simplified
+    A true frozen literal satisfies its clause (dropped); a false one is
+    removed.  Kept clauses are NOT simplified
     further — conflicting units and duplicates stay, and a clause emptied by
     freezing becomes a constant +1 in the QUBO offset.
 
@@ -271,16 +269,8 @@ def freeze_and_extract(cnf: Cnf, selected: set[int],
                 break
         else:
             kept.append(tuple(lits))
-    sub_cnf = Cnf(num_vars=cnf.num_vars, clauses=tuple(kept))
-    qubo = cnf_to_qubo(sub_cnf)
-    spin_cost = len(selected) + sum(1 for c in kept if len(c) == 3)
-    return Subproblem(
-        selected=frozenset(selected),
-        sub_cnf=sub_cnf,
-        qubo=qubo,
-        spin_cost=spin_cost,
-        satisfied_baseline=cnf.num_clauses - len(kept),
-    )
+    qubo = cnf_to_qubo(Cnf(num_vars=cnf.num_vars, clauses=tuple(kept)))
+    return Subproblem(qubo, len(selected) + sum(1 for c in kept if len(c) == 3))
 
 
 def update_global(state: GlobalState, sub_solution: Assignment,
@@ -349,7 +339,7 @@ def iterate(cnf: Cnf, condition: ConditionList, original: Cnf, *,
     """
     if strategy not in ("bfs", "dfs"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    spin_budget = CHIP.spin_budget if budget is None else min(budget, CHIP.spin_budget)
+    spin_budget = SPIN_BUDGET if budget is None else min(budget, SPIN_BUDGET)
     m = cnf.num_clauses
 
     if cnf.is_unsat_marked():
@@ -385,7 +375,7 @@ def iterate(cnf: Cnf, condition: ConditionList, original: Cnf, *,
         else:
             model = qubo_to_ising(sub.qubo)
             if backend == "emulator":  # tabu solves the unscaled model
-                model, _distortion = scale_to_chip(model, CHIP)
+                model, _distortion = scale_to_chip(model)
             request = SolveRequest(
                 model=model,
                 seed=rng.getrandbits(63),
@@ -409,7 +399,7 @@ def iterate(cnf: Cnf, condition: ConditionList, original: Cnf, *,
                                 state.best_count, m, None, reason=reason,
                                 trace=first_trace)
     full = reconstruct(condition, state.assignment, original.num_vars)
-    verified = evaluate(original, full).all_satisfied
+    verified = evaluate(original, full)
     if not verified:
         raise RuntimeError("solved subproblem failed verification on the input CNF")
     return DecompositionRun(True, True, iterations, solver_calls,

@@ -10,8 +10,8 @@ Records land in an append-only ``runs.jsonl``.  The serialized record
 contains only fields that are pure functions of (instance, seed, config) —
 re-running a cell reproduces it byte for byte; measured wall-clock times go
 to a ``timings.csv`` sidecar keyed by record id instead.  ``solver_time``
-stays in the record because it is defined as #solver calls × a configured
-per-call time constant, not a measurement.
+stays in the record because it is defined as #solver calls ×
+``PER_CALL_TIME``, not a measurement.
 """
 from __future__ import annotations
 
@@ -46,8 +46,8 @@ __all__ = [
 ]
 
 # chip annealing time per solver call is not public; this constant makes
-# solver_time a relative, deterministic quantity (configurable in sweeps)
-DEFAULT_PER_CALL_TIME = 0.001
+# solver_time a relative, deterministic quantity
+PER_CALL_TIME = 0.001
 
 RESULTS_ENV = "ISINGSAT_RESULTS"
 
@@ -296,8 +296,7 @@ def expand_instances(spec: str) -> list[tuple[str, Cnf]]:
 
 def run_repeat(instance_id: str, cnf: Cnf, *, level: int, strategy: str,
                backend: str, seed: int, cap: int = 5000, budget: int = 45,
-               num_samples: int = 10, max_guesses: int = 1,
-               per_call_time: float = DEFAULT_PER_CALL_TIME) -> RunRecord:
+               num_samples: int = 10, max_guesses: int = 1) -> RunRecord:
     """One full repeat: ladder at ``level`` with this seed, then decompose."""
     t0 = time.perf_counter()
     res = run_ladder(cnf, level=level, seed=seed, max_guesses=max_guesses)
@@ -319,7 +318,7 @@ def run_repeat(instance_id: str, cnf: Cnf, *, level: int, strategy: str,
         solver_calls=run.solver_calls,
         best_satisfied=run.best_satisfied,
         num_clauses=run.num_clauses,
-        solver_time=run.solver_calls * per_call_time,
+        solver_time=run.solver_calls * PER_CALL_TIME,
         reason=run.reason,
         preprocess_time=pre_time,
         wall_time=wall,
@@ -340,7 +339,6 @@ class SweepConfig:
     budget: int = 45
     num_samples: int = 10
     max_guesses: int = 1
-    per_call_time: float = DEFAULT_PER_CALL_TIME
     stop_on_solve: bool = False
 
     @staticmethod
@@ -424,8 +422,7 @@ def run_experiment(config: SweepConfig, out_dir: str | Path | None = None,
                                 strategy=strategy, backend=backend, seed=seed,
                                 cap=config.cap, budget=config.budget,
                                 num_samples=config.num_samples,
-                                max_guesses=config.max_guesses,
-                                per_call_time=config.per_call_time)
+                                max_guesses=config.max_guesses)
                             solved_here = solved_here or rec.solved
                             with runs_path.open("a") as fh:
                                 fh.write(rec.to_json() + "\n")

@@ -49,7 +49,7 @@ import random
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, wraps
 
 from .circuit import _OPTION2, EncodingOption, gate_clauses
 from .cnf import Clause, Cnf
@@ -84,18 +84,6 @@ class ConditionList:
 
     def add_pure(self, var: int, value: bool) -> None:
         self.records.append(ConditionRecord("pure", var, value=value))
-
-    @property
-    def fixed(self) -> dict[int, bool]:
-        return {r.var: r.value for r in self.records if r.kind == "fix"}
-
-    @property
-    def pure(self) -> dict[int, bool]:
-        return {r.var: r.value for r in self.records if r.kind == "pure"}
-
-    @property
-    def substituted(self) -> dict[int, tuple[int, int]]:
-        return {r.var: (r.root, r.sign) for r in self.records if r.kind == "sub"}
 
     def values(self) -> dict[int, bool]:
         """All variables with a determined value (fixed or pure)."""
@@ -145,20 +133,18 @@ def reconstruct(
 class BranchDecision:
     var: int
     value: bool
-    flipped: bool  # first value closed the branch; the opposite was taken
 
 
 @dataclass(frozen=True)
 class PassReport:
+    """What one pass left: occurring variables and clauses after it, its
+    time, and its own counts."""
+
     name: str
-    vars_before: int
     vars_after: int
-    clauses_before: int
     clauses_after: int
-    new_unit_clauses: int = 0
-    conditions_added: int = 0
-    wall_time: float = 0.0
-    details: dict[str, object] = field(default_factory=dict)
+    wall_time: float
+    details: dict[str, object]
 
 
 class Census:
@@ -208,34 +194,25 @@ class PrepState:
         return self.census().occurring
 
 
-class _Timer:
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
+def _ladder_pass(fn):
+    """Wrap a pass body in the guard, timer and report every pass shares.
 
-    def __exit__(self, *exc):
-        self.elapsed = time.perf_counter() - self.t0
-        return False
+    The body edits the state and returns its counts.  A state that already
+    holds an empty clause is left as it is and reported as skipped; the
+    timer covers the body only, not the report's census.
+    """
+    @wraps(fn)
+    def run(st: PrepState, *args, **kwargs) -> PassReport:
+        if st.unsat:
+            wall, details = 0.0, {"skipped": "unsat"}
+        else:
+            t0 = time.perf_counter()
+            details = fn(st, *args, **kwargs)
+            wall = time.perf_counter() - t0
+        return PassReport(fn.__name__, st.remaining(), len(st.clauses), wall,
+                          details)
 
-
-def _report(st: PrepState, name: str, before: tuple[int, int], *,
-            new_units: int = 0, conditions: int = 0, wall: float = 0.0,
-            **details: object) -> PassReport:
-    return PassReport(
-        name=name,
-        vars_before=before[0],
-        vars_after=st.remaining(),
-        clauses_before=before[1],
-        clauses_after=len(st.clauses),
-        new_unit_clauses=new_units,
-        conditions_added=conditions,
-        wall_time=wall,
-        details=dict(details),
-    )
-
-
-def _snapshot(st: PrepState) -> tuple[int, int]:
-    return st.remaining(), len(st.clauses)
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +223,6 @@ def _snapshot(st: PrepState) -> tuple[int, int]:
 class GateGroup:
     variables: tuple[int, ...]
     clause_indices: tuple[int, ...]
-    signature: tuple[int, ...]
     kind: str | None  # recognized gate, or None
     output: int | None  # defined only for recognized 3-variable gates
 
@@ -283,12 +259,12 @@ def _classify_pair_group(distinct: set[frozenset[int]],
 
 
 def detect_gate_groups(clauses: list[Clause] | tuple[Clause, ...]) -> list[GateGroup]:
-    """Group clauses sharing one variable set and fingerprint each group.
+    """Group clauses sharing one variable set and label the known gates.
 
-    The signature is the sorted tuple of per-clause negative-literal counts.
     Groups matching a known gate encoding are labeled: 4-clause groups over 3
     variables by a table lookup of their sign patterns, 2-clause groups over
-    2 variables as NOT ((0,2)) or BUFFER ((1,1)) pairs.
+    2 variables as NOT ((a v b)(~a v ~b)) or BUFFER ((a v ~b)(~a v b))
+    pairs.
     """
     by_vars: dict[tuple[int, ...], list[int]] = {}
     for idx, c in enumerate(clauses):
@@ -302,9 +278,6 @@ def detect_gate_groups(clauses: list[Clause] | tuple[Clause, ...]) -> list[GateG
         if len(indices) < 2:
             continue
         sets = [frozenset(clauses[i]) for i in indices]
-        # the positive literals of a clause are the variables it holds as-is
-        signature = tuple(sorted(
-            len(variables) - len(s.intersection(variables)) for s in sets))
         kind: str | None = None
         output: int | None = None
         if len(variables) == 2:
@@ -319,7 +292,6 @@ def detect_gate_groups(clauses: list[Clause] | tuple[Clause, ...]) -> list[GateG
         groups.append(GateGroup(
             variables=variables,
             clause_indices=tuple(indices),
-            signature=signature,
             kind=kind,
             output=output,
         ))
@@ -330,40 +302,36 @@ def detect_gate_groups(clauses: list[Clause] | tuple[Clause, ...]) -> list[GateG
 # level 1: re-encode gate groups to implication form
 
 
-def reencode_option2(st: PrepState) -> PassReport:
+@_ladder_pass
+def reencode_option2(st: PrepState) -> dict[str, object]:
     """Rewrite recognized AND/OR/NAND/NOR groups in implication form; gates
     without one (XOR/XNOR) are left as-is and counted."""
-    before = _snapshot(st)
-    if st.unsat:
-        return _report(st, "reencode_option2", before, skipped="unsat")
-    with _Timer() as tm:
-        groups = [g for g in detect_gate_groups(st.clauses)
-                  if g.kind is not None and g.output is not None]
-        replaced = 0
-        kept = 0
-        drop: set[int] = set()
-        insert_at: dict[int, list[Clause]] = {}
-        for g in groups:
-            if g.kind not in _OPTION2:
-                kept += 1
-                continue
-            ins = [v for v in g.variables if v != g.output]
-            new = gate_clauses(g.kind, ins[0], ins[1], g.output,
-                               EncodingOption.OPTION2)
-            drop.update(g.clause_indices)
-            insert_at[g.clause_indices[0]] = new
-            replaced += 1
-        if replaced:
-            rebuilt: list[Clause] = []
-            for idx, c in enumerate(st.clauses):
-                if idx in insert_at:
-                    rebuilt.extend(insert_at[idx])
-                if idx not in drop:
-                    rebuilt.append(c)
-            st.clauses = rebuilt
-    return _report(st, "reencode_option2", before, wall=tm.elapsed,
-                   gate_groups=len(groups), rewritten=replaced,
-                   kept_row_form=kept)
+    groups = [g for g in detect_gate_groups(st.clauses)
+              if g.kind is not None and g.output is not None]
+    replaced = 0
+    kept = 0
+    drop: set[int] = set()
+    insert_at: dict[int, list[Clause]] = {}
+    for g in groups:
+        if g.kind not in _OPTION2:
+            kept += 1
+            continue
+        ins = [v for v in g.variables if v != g.output]
+        new = gate_clauses(g.kind, ins[0], ins[1], g.output,
+                           EncodingOption.OPTION2)
+        drop.update(g.clause_indices)
+        insert_at[g.clause_indices[0]] = new
+        replaced += 1
+    if replaced:
+        rebuilt: list[Clause] = []
+        for idx, c in enumerate(st.clauses):
+            if idx in insert_at:
+                rebuilt.extend(insert_at[idx])
+            if idx not in drop:
+                rebuilt.append(c)
+        st.clauses = rebuilt
+    return {"gate_groups": len(groups), "rewritten": replaced,
+            "kept_row_form": kept}
 
 
 # ---------------------------------------------------------------------------
@@ -414,18 +382,14 @@ def _unit_fixpoint(clauses: list[Clause]) -> tuple[list[Clause], list[tuple[int,
     return [c for c in work if c is not None], fixes, empty
 
 
-def propagate_1sat(st: PrepState) -> PassReport:
+@_ladder_pass
+def propagate_1sat(st: PrepState) -> dict[str, object]:
     """Unit propagation to fixpoint, recording each fix for reconstruction."""
-    before = _snapshot(st)
-    if st.unsat:
-        return _report(st, "propagate_1sat", before, skipped="unsat")
-    with _Timer() as tm:
-        new, fixes, _ = _unit_fixpoint(st.clauses)
-        st.clauses = new
-        for var, val in fixes:
-            st.condition.add_fix(var, val)
-    return _report(st, "propagate_1sat", before, conditions=len(fixes),
-                   wall=tm.elapsed, fixes=len(fixes))
+    new, fixes, _ = _unit_fixpoint(st.clauses)
+    st.clauses = new
+    for var, val in fixes:
+        st.condition.add_fix(var, val)
+    return {"fixes": len(fixes)}
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +566,8 @@ class _PairConditioner:
         return forced
 
 
-def condition_2sat(st: PrepState) -> PassReport:
+@_ladder_pass
+def condition_2sat(st: PrepState) -> dict[str, object]:
     """Pair analysis over width-2 clauses, in exactly two CNF traversals.
 
     Traversal 1 streams the 2-clauses through a live union-find: completed
@@ -613,11 +578,6 @@ def condition_2sat(st: PrepState) -> PassReport:
     by its class root, drops clauses the substitution made tautological,
     and appends the queued units for the follow-up unit propagation.
     """
-    before = _snapshot(st)
-    if st.unsat:
-        return _report(st, "condition_2sat", before, skipped="unsat")
-    tm = _Timer().__enter__()
-
     traversals = 0
     cond = _PairConditioner()
 
@@ -632,9 +592,7 @@ def condition_2sat(st: PrepState) -> PassReport:
 
     if cond.unsat:
         st.clauses = [*st.clauses, ()]
-        tm.__exit__()
-        return _report(st, "condition_2sat", before, wall=tm.elapsed,
-                       traversals=traversals, contradiction=True)
+        return {"traversals": traversals, "contradiction": True}
 
     # snapshot the fully resolved substitution map before touching clauses
     submap: dict[int, tuple[int, int]] = {}
@@ -670,47 +628,39 @@ def condition_2sat(st: PrepState) -> PassReport:
             seen_units.add(u)
             new_clauses.append((u,))
     st.clauses = new_clauses
-    tm.__exit__()
-
-    return _report(st, "condition_2sat", before, wall=tm.elapsed,
-                   new_units=len(seen_units), conditions=len(submap),
-                   traversals=traversals, equivalences=len(submap),
-                   equivalence_pairs=cond.equivalence_pairs,
-                   triple_groups=cond.triple_groups, unit_pairs=unit_pairs,
-                   dropped_tautologies=dropped_taut)
+    return {"traversals": traversals, "equivalences": len(submap),
+            "equivalence_pairs": cond.equivalence_pairs,
+            "triple_groups": cond.triple_groups, "unit_pairs": unit_pairs,
+            "dropped_tautologies": dropped_taut}
 
 
 # ---------------------------------------------------------------------------
 # level 4: replaced-value propagation (condition list only)
 
 
-def propagate_replaced_values(st: PrepState) -> PassReport:
+@_ladder_pass
+def propagate_replaced_values(st: PrepState) -> dict[str, object]:
     """Give replaced variables their values: whenever a substitution's master
     has a known value, the replaced variable's value follows from the sign.
     Cascades through chains; never touches the clause list."""
-    before = _snapshot(st)
-    if st.unsat:
-        return _report(st, "propagate_replaced_values", before, skipped="unsat")
-    with _Timer() as tm:
-        valued = 0
-        while True:
-            values = st.condition.values()
-            progress = False
-            for rec in st.condition.records:
-                if rec.kind != "sub" or rec.var in values:
-                    continue
-                if rec.root in values:
-                    root_val = values[rec.root]
-                    st.condition.add_fix(
-                        rec.var, root_val if rec.sign > 0 else not root_val
-                    )
-                    values[rec.var] = root_val if rec.sign > 0 else not root_val
-                    valued += 1
-                    progress = True
-            if not progress:
-                break
-    return _report(st, "propagate_replaced_values", before, conditions=valued,
-                   wall=tm.elapsed, valued=valued)
+    valued = 0
+    while True:
+        values = st.condition.values()
+        progress = False
+        for rec in st.condition.records:
+            if rec.kind != "sub" or rec.var in values:
+                continue
+            if rec.root in values:
+                root_val = values[rec.root]
+                st.condition.add_fix(
+                    rec.var, root_val if rec.sign > 0 else not root_val
+                )
+                values[rec.var] = root_val if rec.sign > 0 else not root_val
+                valued += 1
+                progress = True
+        if not progress:
+            break
+    return {"valued": valued}
 
 
 # ---------------------------------------------------------------------------
@@ -740,51 +690,42 @@ def _clean_sweep(clauses: list[Clause]) -> tuple[list[Clause], int, int]:
     return out, shrunk, dropped
 
 
-def clean_clauses(st: PrepState) -> PassReport:
+@_ladder_pass
+def clean_clauses(st: PrepState) -> dict[str, object]:
     """Hygiene sweep: duplicate literals collapsed, tautologies dropped.
     Shrinking can expose hidden units; the ladder propagates them after."""
-    before = _snapshot(st)
-    if st.unsat:
-        return _report(st, "clean_clauses", before, skipped="unsat")
-    with _Timer() as tm:
-        cleaned, shrunk, dropped = _clean_sweep(st.clauses)
-        st.clauses = cleaned
-        exposed = sum(1 for c in st.clauses if len(c) == 1)
-    return _report(st, "clean_clauses", before, new_units=exposed,
-                   wall=tm.elapsed, shrunk=shrunk, dropped=dropped)
+    st.clauses, shrunk, dropped = _clean_sweep(st.clauses)
+    return {"shrunk": shrunk, "dropped": dropped}
 
 
 # ---------------------------------------------------------------------------
 # level 6: subsumption, then pure literals
 
 
-def subsume_clauses(st: PrepState) -> PassReport:
+@_ladder_pass
+def subsume_clauses(st: PrepState) -> dict[str, object]:
     """Drop any clause whose literal set contains another kept clause
     (duplicates count: the first occurrence survives).  Shortest first; a
     kept clause is filed under its rarest literal, so any kept subset of a
     clause is filed under one of that clause's literals."""
-    before = _snapshot(st)
-    if st.unsat:
-        return _report(st, "subsume_clauses", before, skipped="unsat")
-    with _Timer() as tm:
-        clauses = st.clauses
-        order = sorted(range(len(clauses)), key=lambda i: (len(clauses[i]), i))
-        frequency = Counter(l for c in clauses for l in c)
-        filed: dict[int, list[frozenset[int]]] = {}
-        removed: set[int] = set()
-        for i in order:
-            s = frozenset(clauses[i])
-            if any(k <= s for l in s for k in filed.get(l, ())):
-                removed.add(i)
-            else:
-                filed.setdefault(min(s, key=lambda l: (frequency[l], l)),
-                                 []).append(s)
-        st.clauses = [c for i, c in enumerate(clauses) if i not in removed]
-    return _report(st, "subsume_clauses", before, wall=tm.elapsed,
-                   removed=len(removed))
+    clauses = st.clauses
+    order = sorted(range(len(clauses)), key=lambda i: (len(clauses[i]), i))
+    frequency = Counter(l for c in clauses for l in c)
+    filed: dict[int, list[frozenset[int]]] = {}
+    removed: set[int] = set()
+    for i in order:
+        s = frozenset(clauses[i])
+        if any(k <= s for l in s for k in filed.get(l, ())):
+            removed.add(i)
+        else:
+            filed.setdefault(min(s, key=lambda l: (frequency[l], l)),
+                             []).append(s)
+    st.clauses = [c for i, c in enumerate(clauses) if i not in removed]
+    return {"removed": len(removed)}
 
 
-def eliminate_pure_literals(st: PrepState) -> PassReport:
+@_ladder_pass
+def eliminate_pure_literals(st: PrepState) -> dict[str, object]:
     """Remove variables that occur with a single polarity, satisfying (and
     dropping) every clause that contains them; cascades to fixpoint.
 
@@ -793,35 +734,29 @@ def eliminate_pure_literals(st: PrepState) -> PassReport:
     ``True``) so the pass leaves no variable of its input dangling without
     a value.
     """
-    before = _snapshot(st)
-    if st.unsat:
-        return _report(st, "eliminate_pure_literals", before, skipped="unsat")
-    with _Timer() as tm:
-        started_occurring = st.occurring()
-        eliminated = 0
-        while True:
-            pos: set[int] = set()
-            neg: set[int] = set()
-            for c in st.clauses:
-                for l in c:
-                    (pos if l > 0 else neg).add(abs(l))
-            pure = sorted((pos - neg) | (neg - pos))
-            if not pure:
-                break
-            for v in pure:
-                st.condition.add_pure(v, v in pos)
-            pure_set = set(pure)
-            st.clauses = [
-                c for c in st.clauses if not any(abs(l) in pure_set for l in c)
-            ]
-            eliminated += len(pure)
-        vanished = sorted(started_occurring - st.occurring()
-                          - set(st.condition.values()))
-        for v in vanished:
-            st.condition.add_pure(v, True)
-    return _report(st, "eliminate_pure_literals", before,
-                   conditions=eliminated + len(vanished), wall=tm.elapsed,
-                   eliminated=eliminated, vanished=len(vanished))
+    started_occurring = st.occurring()
+    eliminated = 0
+    while True:
+        pos: set[int] = set()
+        neg: set[int] = set()
+        for c in st.clauses:
+            for l in c:
+                (pos if l > 0 else neg).add(abs(l))
+        pure = sorted((pos - neg) | (neg - pos))
+        if not pure:
+            break
+        for v in pure:
+            st.condition.add_pure(v, v in pos)
+        pure_set = set(pure)
+        st.clauses = [
+            c for c in st.clauses if not any(abs(l) in pure_set for l in c)
+        ]
+        eliminated += len(pure)
+    vanished = sorted(started_occurring - st.occurring()
+                      - set(st.condition.values()))
+    for v in vanished:
+        st.condition.add_pure(v, True)
+    return {"eliminated": eliminated, "vanished": len(vanished)}
 
 
 # ---------------------------------------------------------------------------
@@ -831,8 +766,9 @@ def eliminate_pure_literals(st: PrepState) -> PassReport:
 BRANCH_RATIO = 1.5  # degree over the mean degree that makes a variable a guess
 
 
+@_ladder_pass
 def branch_probe(st: PrepState, max_guesses: int = 1,
-                 flip_on_conflict: bool = False) -> PassReport:
+                 flip_on_conflict: bool = False) -> dict[str, object]:
     """Guess the most-constrained variables.
 
     While some variable's interaction-graph degree is at least
@@ -844,47 +780,40 @@ def branch_probe(st: PrepState, max_guesses: int = 1,
     ``flip_on_conflict`` the guess is undone and the other value tried once
     instead; scripted override values are always taken as-is.
     """
-    before = _snapshot(st)
-    if st.unsat:
-        return _report(st, "branch_probe", before, skipped="unsat")
-    with _Timer() as tm:
-        guessed = 0
-        flipped_count = 0
-        while not st.unsat and guessed < max_guesses:
-            neighbours: dict[int, set[int]] = {}
-            for c in st.clauses:
-                vs = {abs(l) for l in c}
-                for v in vs:
-                    neighbours.setdefault(v, set()).update(vs)
-            if not neighbours:
-                break
-            degree = {v: len(ns) - 1 for v, ns in neighbours.items()}
-            mean = sum(degree.values()) / len(degree)
-            v = min(degree, key=lambda x: (-degree[x], x))
-            if degree[v] < BRANCH_RATIO * mean:
-                break
-            if st.branch_override:
-                value = st.branch_override.popleft()
-                scripted = True
-            else:
-                value = st.rng.random() < 0.5
-                scripted = False
-            guessed += 1
-            this_flipped = False
+    guessed = 0
+    flipped = 0
+    while not st.unsat and guessed < max_guesses:
+        neighbours: dict[int, set[int]] = {}
+        for c in st.clauses:
+            vs = {abs(l) for l in c}
+            for v in vs:
+                neighbours.setdefault(v, set()).update(vs)
+        if not neighbours:
+            break
+        degree = {v: len(ns) - 1 for v, ns in neighbours.items()}
+        mean = sum(degree.values()) / len(degree)
+        v = min(degree, key=lambda x: (-degree[x], x))
+        if degree[v] < BRANCH_RATIO * mean:
+            break
+        if st.branch_override:
+            value = st.branch_override.popleft()
+            scripted = True
+        else:
+            value = st.rng.random() < 0.5
+            scripted = False
+        guessed += 1
+        new, fixes, bad = _unit_fixpoint(
+            [*st.clauses, (v if value else -v,)])
+        if bad and not scripted and flip_on_conflict:
+            value = not value
+            flipped += 1
             new, fixes, bad = _unit_fixpoint(
                 [*st.clauses, (v if value else -v,)])
-            if bad and not scripted and flip_on_conflict:
-                value = not value
-                this_flipped = True
-                flipped_count += 1
-                new, fixes, bad = _unit_fixpoint(
-                    [*st.clauses, (v if value else -v,)])
-            st.clauses = new
-            for var, val in fixes:
-                st.condition.add_fix(var, val)
-            st.branch_decisions.append(BranchDecision(v, value, this_flipped))
-    return _report(st, "branch_probe", before, wall=tm.elapsed,
-                   guessed=guessed, flipped=flipped_count)
+        st.clauses = new
+        for var, val in fixes:
+            st.condition.add_fix(var, val)
+        st.branch_decisions.append(BranchDecision(v, value))
+    return {"guessed": guessed, "flipped": flipped}
 
 
 # ---------------------------------------------------------------------------
@@ -909,8 +838,6 @@ class LadderResult:
     cnf: Cnf
     condition: ConditionList
     reports: tuple[PassReport, ...]
-    level: int
-    seed: int
     unsat: bool
     branch_decisions: tuple[BranchDecision, ...]
 
@@ -983,8 +910,6 @@ def run_ladder(
         cnf=out,
         condition=st.condition,
         reports=tuple(reports),
-        level=level,
-        seed=seed,
         unsat=st.unsat,
         branch_decisions=tuple(st.branch_decisions),
     )

@@ -41,15 +41,13 @@ class QuboModel:
     energy(x) = offset + sum_i linear[i]*x_i + sum_{i<j} quadratic[i,j]*x_i*x_j
 
     ``source_var_map`` maps a QUBO index back to the CNF variable it encodes;
-    ancilla indices are absent from it and listed in ``ancilla_map`` keyed by
-    the clause position that required them.
+    ancilla indices are absent from it.
     """
 
     num_vars: int
     linear: dict[int, float] = field(default_factory=dict)
     quadratic: dict[Pair, float] = field(default_factory=dict)
     offset: float = 0.0
-    ancilla_map: dict[int, int] = field(default_factory=dict)
     source_var_map: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -98,31 +96,18 @@ class IsingModel:
         return max(coeffs, default=0.0)
 
 
-@dataclass(frozen=True)
-class ChipProfile:
-    """Capacity and coefficient limits of the emulated annealer board."""
-
-    spin_budget: int = 45
-    coeff_min: int = -14
-    coeff_max: int = 14
-
-    def __post_init__(self):
-        if self.spin_budget <= 0:
-            raise ValueError("spin_budget must be positive")
-        if not self.coeff_min < 0 < self.coeff_max:
-            raise ValueError("coefficient range must straddle zero")
-
-
-CHIP = ChipProfile()  # the one device every slice is annealed on
+# Capacity and integer coefficient range of the emulated annealer board,
+# the one device every slice is annealed on.
+SPIN_BUDGET = 45
+COEFF_MIN = -14
+COEFF_MAX = 14
 
 
 @dataclass(frozen=True)
 class DistortionReport:
     """What integer rounding did to a scaled model."""
 
-    scale: float
     max_rel_error: float
-    collapsed: bool  # distinct coefficient values merged (or vanished) by rounding
 
 
 # The penalties 1 - a, (1 - a)(1 - b) and P(a, b, c, w), with a -> 1 - x for
@@ -168,13 +153,12 @@ def cnf_to_qubo(cnf: Cnf) -> QuboModel:
         source_var_map={i: v for v, i in index_of.items()},
     )
     next_ancilla = len(occurring)
-    for ci, clause in enumerate(cnf.clauses):
+    for clause in cnf.clauses:
         if len(clause) == 0:
             model.offset += 1.0
             continue
         slots = [index_of[abs(lit)] for lit in clause]
         if len(clause) == 3:
-            model.ancilla_map[ci] = next_ancilla
             slots.append(next_ancilla)
             next_ancilla += 1
         offset, linear, quadratic = _GADGETS[tuple(lit > 0 for lit in clause)]
@@ -209,32 +193,30 @@ def _round_away(v: float) -> int:
     return math.floor(v + 0.5) if v >= 0 else math.ceil(v - 0.5)
 
 
-def scale_to_chip(m: IsingModel, profile: ChipProfile) -> tuple[IsingModel, DistortionReport]:
+def scale_to_chip(m: IsingModel) -> tuple[IsingModel, DistortionReport]:
     """Fit coefficients into the chip's integer range.
 
     Already-integral models inside the range pass through untouched.
     Otherwise every coefficient (and the offset) is scaled so the largest
-    magnitude lands on ``coeff_max``, then J/h are rounded to integers (ties
+    magnitude lands on ``COEFF_MAX``, then J/h are rounded to integers (ties
     away from zero) and clamped.  Positive scaling preserves the energy
     ordering exactly; only the rounding step can distort, which the report
     quantifies.
     """
-    if m.num_spins > profile.spin_budget:
+    if m.num_spins > SPIN_BUDGET:
         raise ValueError(
-            f"{m.num_spins} spins exceed the chip budget {profile.spin_budget}")
+            f"{m.num_spins} spins exceed the chip budget {SPIN_BUDGET}")
     coeffs = list(m.j.values()) + list(m.h.values())
     in_range = all(
-        float(v).is_integer() and profile.coeff_min <= v <= profile.coeff_max
-        for v in coeffs
-    )
+        float(v).is_integer() and COEFF_MIN <= v <= COEFF_MAX for v in coeffs)
     if in_range:
-        return m, DistortionReport(scale=1.0, max_rel_error=0.0, collapsed=False)
+        return m, DistortionReport(max_rel_error=0.0)
     maxabs = m.max_abs_coeff()
-    scale = profile.coeff_max / maxabs if maxabs else 1.0
+    scale = COEFF_MAX / maxabs if maxabs else 1.0
 
     def fit(v: float) -> int:
         r = _round_away(v * scale)
-        return max(profile.coeff_min, min(profile.coeff_max, r))
+        return max(COEFF_MIN, min(COEFF_MAX, r))
 
     scaled = IsingModel(
         num_spins=m.num_spins,
@@ -247,9 +229,4 @@ def scale_to_chip(m: IsingModel, profile: ChipProfile) -> tuple[IsingModel, Dist
         target = before * scale
         if target != 0.0:
             max_rel = max(max_rel, abs(after - target) / abs(target))
-    distinct_before = {round(v * scale, 12) for v in coeffs if v != 0.0}
-    distinct_after = {fit(v) for v in coeffs if v != 0.0}
-    collapsed = (0 in distinct_after and 0 not in distinct_before) or \
-        len(distinct_after) < len(distinct_before)
-    return scaled, DistortionReport(scale=scale, max_rel_error=max_rel,
-                                    collapsed=collapsed)
+    return scaled, DistortionReport(max_rel_error=max_rel)

@@ -12,9 +12,10 @@ interface:
   budget rather than wall-clock time so identical requests give identical
   results on any machine.
 
-Both draw randomness from a seeded xorshift64* generator; per-sample seeds
+Both draw randomness from a seeded xorshift64* generator; per-read seeds
 are derived with splitmix64, so a request's outcome depends only on
-(model, seed, parameters).
+(model, seed, parameters).  Of a request's reads, the result keeps the
+first one with the lowest model energy.
 
 The inner loops live in :mod:`.kernels`: a C kernel compiled on first import
 and cached in ``__pycache__``, or, without a C compiler, the pure-Python
@@ -23,10 +24,9 @@ one runs.
 """
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..qubo import CHIP, IsingModel
+from ..qubo import COEFF_MAX, COEFF_MIN, SPIN_BUDGET, IsingModel
 from .kernels import COMPILED_KERNELS, anneal, mix_seed, tabu
 
 __all__ = [
@@ -74,19 +74,16 @@ class SolveRequest:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Best configuration found, every sample, and where they came from.
+    """The spins of the best read, and that read's anneal trace.
 
-    ``best_energy`` is recomputed from ``best_spins`` through the model — it
-    is never the solver's own bookkeeping.  ``wall_time`` is informational
-    and excluded from the deterministic record.
+    The best read is the first with the lowest energy under the model, not
+    under the kernel's own bookkeeping.  ``trace`` holds (sweep,
+    temperature, best energy so far) rows when the request collected them,
+    else it is empty.
     """
 
     best_spins: tuple[int, ...]
-    best_energy: float
-    samples: tuple[tuple[tuple[int, ...], float], ...]
-    wall_time: float
-    backend: str
-    trace: tuple[tuple[int, float, float], ...] = field(default=())
+    trace: tuple[tuple[int, float, float], ...]
 
 
 def _dense(model: IsingModel) -> tuple[list[float], list[float]]:
@@ -101,13 +98,8 @@ def _dense(model: IsingModel) -> tuple[list[float], list[float]]:
     return jd, h
 
 
-def _empty_result(model: IsingModel, backend: str, started: float) -> SolveResult:
-    e = model.energy(())
-    return SolveResult((), e, (((), e),), time.perf_counter() - started, backend)
-
-
 def _check_chip(model: IsingModel, budget: int | None) -> None:
-    cap = CHIP.spin_budget if budget is None else budget
+    cap = SPIN_BUDGET if budget is None else budget
     if model.num_spins > cap:
         raise ValueError(
             f"model needs {model.num_spins} spins but the chip has {cap}"
@@ -118,70 +110,51 @@ def _check_chip(model: IsingModel, budget: int | None) -> None:
                 raise ValueError(
                     f"{kind} {where} = {v} is not an integer; scale_to_chip first"
                 )
-            if not CHIP.coeff_min <= v <= CHIP.coeff_max:
+            if not COEFF_MIN <= v <= COEFF_MAX:
                 raise ValueError(
                     f"{kind} {where} = {v} outside programmable range "
-                    f"[{CHIP.coeff_min}, {CHIP.coeff_max}]"
+                    f"[{COEFF_MIN}, {COEFF_MAX}]"
                 )
 
 
-def _finish(model: IsingModel, backend: str, picks: list[tuple[list[int], float]],
-            started: float,
-            trace: tuple[tuple[int, float, float], ...]) -> SolveResult:
-    samples: list[tuple[tuple[int, ...], float]] = []
-    best_idx = 0
-    for k, (spins, _raw) in enumerate(picks):
-        e = model.energy(spins)
-        samples.append((tuple(spins), e))
-        if e < samples[best_idx][1]:
-            best_idx = k
-    best_spins, best_energy = samples[best_idx]
-    return SolveResult(
-        best_spins=best_spins,
-        best_energy=best_energy,
-        samples=tuple(samples),
-        wall_time=time.perf_counter() - started,
-        backend=backend,
-        trace=trace,
-    )
+def _finish(model: IsingModel, reads: list[list[int]],
+            traces: list[tuple[tuple[int, float, float], ...]]) -> SolveResult:
+    """Keep the first read with the lowest model energy, with its trace."""
+    energies = [model.energy(spins) for spins in reads]
+    best = energies.index(min(energies))
+    return SolveResult(tuple(reads[best]), traces[best] if traces else ())
 
 
 def solve_emulator(request: SolveRequest) -> SolveResult:
     """Anneal on the emulated chip; rejects models the device could not hold."""
-    started = time.perf_counter()
     model = request.model
     _check_chip(model, request.budget)
     if model.num_spins == 0:
-        return _empty_result(model, "emulator", started)
+        return SolveResult((), ())
     jd, h = _dense(model)
-    picks: list[tuple[list[int], float]] = []
+    reads: list[list[int]] = []
     traces: list[tuple[tuple[int, float, float], ...]] = []
     for k in range(request.num_samples):
-        spins, raw, tr = anneal(
+        spins, _raw, tr = anneal(
             model.num_spins, jd, h, SWEEPS, INITIAL_TEMP, FINAL_TEMP,
             mix_seed(request.seed, k), request.collect_trace,
         )
-        picks.append((spins, raw))
+        reads.append(spins)
         if request.collect_trace:
             traces.append(tuple((s, t, e + model.offset) for s, t, e in tr))
-    best_k = min(range(len(picks)), key=lambda k: picks[k][1])
-    trace = traces[best_k] if traces else ()
-    return _finish(model, "emulator", picks, started, trace)
+    return _finish(model, reads, traces)
 
 
 def solve_tabu(request: SolveRequest) -> SolveResult:
     """Tabu-search baseline: no spin cap, fixed move budget, tenure 10."""
-    started = time.perf_counter()
     model = request.model
     if model.num_spins == 0:
-        return _empty_result(model, "tabu", started)
+        return SolveResult((), ())
     jd, h = _dense(model)
-    picks: list[tuple[list[int], float]] = []
-    for k in range(request.num_samples):
-        spins, raw, _moves = tabu(model.num_spins, jd, h, DEFAULT_TABU_MOVES,
-                                  TABU_TENURE, mix_seed(request.seed, k))
-        picks.append((spins, raw))
-    return _finish(model, "tabu", picks, started, ())
+    reads = [tabu(model.num_spins, jd, h, DEFAULT_TABU_MOVES, TABU_TENURE,
+                  mix_seed(request.seed, k))[0]
+             for k in range(request.num_samples)]
+    return _finish(model, reads, [])
 
 
 def solve(request: SolveRequest) -> SolveResult:

@@ -36,6 +36,18 @@ def mixed_random_cnf(num_vars: int, num_clauses: int, rng: random.Random) -> Cnf
     return make_cnf(num_vars, clauses)
 
 
+def fixed(condition) -> dict[int, bool]:
+    return {r.var: r.value for r in condition.records if r.kind == "fix"}
+
+
+def pure(condition) -> dict[int, bool]:
+    return {r.var: r.value for r in condition.records if r.kind == "pure"}
+
+
+def substituted(condition) -> dict[int, tuple[int, int]]:
+    return {r.var: (r.root, r.sign) for r in condition.records if r.kind == "sub"}
+
+
 def proj(sol, keys):
     return frozenset((v, sol[v]) for v in keys)
 
@@ -60,14 +72,14 @@ def check_reconstruction(cnf: Cnf, level: int, seed: int, max_guesses: int = 1):
                          branch_override=list(combo) if combo else None)
         if res.unsat or res.cnf.is_unsat_marked():
             continue
-        determined = set(res.condition.values()) | set(res.condition.substituted)
+        determined = set(res.condition.values()) | set(substituted(res.condition))
         free = [v for v in occ if v not in determined]
         sub = make_cnf(cnf.num_vars, res.cnf.clauses)
         for r in brute_force_solutions(sub, variables=free, var_cap=28):
             full = reconstruct(res.condition, r, cnf.num_vars)
-            assert evaluate(cnf, full).all_satisfied  # soundness, always
+            assert evaluate(cnf, full)  # soundness, always
             image.add(proj(full, occ))
-        for var, val in res.condition.pure.items():
+        for var, val in pure(res.condition).items():
             if any(dict(s).get(var) == (not val) for s in O):
                 lossy_pure = True
     return image, O, lossy_pure

@@ -1,10 +1,13 @@
 """Command-line smoke tests driving main(argv) end to end."""
 from __future__ import annotations
 
+import csv
+import dataclasses
 import json
 
 import pytest
 
+from isingsat import decompose
 from isingsat.cli import main
 from isingsat.cnf import parse_dimacs
 from isingsat.harness import load_records
@@ -117,6 +120,26 @@ def test_solve_from_dimacs_file_with_trace(tmp_path):
     assert len(lines) > 1
 
 
+def test_solve_trace_is_the_sweeps_first_solver_call(tmp_path, monkeypatch):
+    requests = []
+    solve = decompose.solve
+    monkeypatch.setattr(decompose, "solve",
+                        lambda request: requests.append(request) or solve(request))
+    argv = ["solve", "--instance", "semiprime:10:551", "--level", "0",
+            "--seed", "1", "--repeats", "1", "--cap", "1", "--budget", "20",
+            "--num-samples", "3", "-o", str(tmp_path / "runs.jsonl")]
+    trace = tmp_path / "trace.csv"
+    assert main([*argv, "--trace", str(trace)]) == 0
+    first = solve(dataclasses.replace(requests[0], collect_trace=True))
+    with trace.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1:] == [[str(x) for x in row] for row in first.trace]
+    # a resumed sweep runs no repeat, and still writes the same trace
+    again = tmp_path / "again.csv"
+    assert main([*argv, "--trace", str(again)]) == 0
+    assert again.read_text() == trace.read_text()
+
+
 def test_solve_sweep_config(tmp_path):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({
@@ -138,6 +161,32 @@ def test_tts_empty_file(tmp_path, capsys):
     empty.write_text("")
     assert main(["tts", "-i", str(empty)]) == 1
     assert main(["report", "-i", str(empty)]) == 1
+
+
+@pytest.mark.parametrize("case, says", [
+    ("misspelt sweep key", "levles"),
+    ("literal above the declared count", "exceeds declared variable count"),
+    ("missing input file", "absent.cnf"),
+    ("level out of range", "level must be between 0 and 7"),
+    ("semiprime not in the catalog", "999"),
+])
+def test_bad_input_is_one_error_line(tmp_path, capsys, case, says):
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"instances": ["semiprime:4"], "levles": [7]}))
+    bad = tmp_path / "bad.cnf"
+    bad.write_text("p cnf 2 1\n1 3 0\n")
+    runs = ["-o", str(tmp_path / "runs.jsonl"), "--repeats", "1"]
+    argv = {
+        "misspelt sweep key": ["solve", "--sweep", str(sweep), "-o", str(tmp_path / "r")],
+        "literal above the declared count": ["solve", "-i", str(bad), *runs],
+        "missing input file": ["solve", "-i", str(tmp_path / "absent.cnf"), *runs],
+        "level out of range": ["solve", "--instance", "semiprime:4", "--level", "9", *runs],
+        "semiprime not in the catalog": ["solve", "--instance", "semiprime:8:999", *runs],
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("isingsat: error: ") and err.count("\n") == 1
+    assert says in err
 
 
 def test_unknown_command_exits():

@@ -16,6 +16,7 @@ from isingsat.cnf import (
 from isingsat import decompose
 from isingsat.circuit import generate_instance
 from isingsat.decompose import (
+    FILTER_WINDOW,
     DecompositionRun,
     FilterState,
     GlobalState,
@@ -27,6 +28,7 @@ from isingsat.decompose import (
     update_global,
 )
 from isingsat.preprocess import ConditionList, run_ladder
+from isingsat.qubo import cnf_to_qubo
 
 from conftest import mixed_random_cnf, random_3sat
 
@@ -65,7 +67,7 @@ def _chain_cnf(n):
 def test_bfs_select_is_ball():
     cnf = make_cnf(7, [(1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (6, 7)])
     vig = build_vig(cnf)
-    sel = select_bfs(vig, budget=4, start=1)
+    sel = select_bfs(vig, budget=4, start=1, filt=FilterState())
     # BFS from 1 visits 1, then neighbors 2, 3, then 2's children
     assert sel == {1, 2, 3, 4}
 
@@ -73,7 +75,7 @@ def test_bfs_select_is_ball():
 def test_dfs_select_extends_chains():
     cnf = _chain_cnf(10)
     vig = build_vig(cnf)
-    sel = select_dfs(vig, budget=5, start=1)
+    sel = select_dfs(vig, budget=5, start=1, filt=FilterState())
     assert sel == {1, 2, 3, 4, 5}  # one unbroken chain
 
 
@@ -81,23 +83,25 @@ def test_selection_respects_ancilla_cost():
     # a 3-wide clause over three selected vars costs one extra spin
     cnf = make_cnf(3, [(1, 2, 3)])
     vig = build_vig(cnf)
-    assert select_dfs(vig, budget=3, start=1) != {1, 2, 3}
-    assert select_dfs(vig, budget=4, start=1) == {1, 2, 3}
+    assert select_dfs(vig, budget=3, start=1, filt=FilterState()) != {1, 2, 3}
+    assert select_dfs(vig, budget=4, start=1, filt=FilterState()) == {1, 2, 3}
 
 
 def test_selection_restarts_across_components():
     # disconnected graph: big budget selects everything
     cnf = make_cnf(6, [(1, 2), (3, 4), (5, 6)])
     vig = build_vig(cnf)
-    assert select_bfs(vig, budget=6, start=1) == {1, 2, 3, 4, 5, 6}
-    assert select_dfs(vig, budget=6, start=5) == {1, 2, 3, 4, 5, 6}
+    assert select_bfs(vig, budget=6, start=1, filt=FilterState()) == {1, 2, 3, 4, 5, 6}
+    assert select_dfs(vig, budget=6, start=5, filt=FilterState()) == {1, 2, 3, 4, 5, 6}
 
 
 def test_filter_parks_cooling_vars():
     cnf = _chain_cnf(4)
     vig = build_vig(cnf)
-    filt = FilterState(window=2)
-    filt.note_selection({1, 2})
+    filt = FilterState()
+    for _ in range(FILTER_WINDOW - 1):
+        filt.note_selection({1, 2})
+    assert not filt.is_cooling(1)
     filt.note_selection({1, 2})  # streak reaches the window: cooldown starts
     assert filt.is_cooling(1) and filt.is_cooling(2)
     sel = select_bfs(vig, budget=2, start=3, filt=filt)
@@ -105,11 +109,12 @@ def test_filter_parks_cooling_vars():
 
 
 def test_filter_cooldown_expires():
-    filt = FilterState(window=2)
-    filt.note_selection({1})
-    filt.note_selection({1})
-    assert filt.is_cooling(1)
-    filt.note_selection(set())
+    filt = FilterState()
+    for _ in range(FILTER_WINDOW):
+        filt.note_selection({1})
+    for _ in range(FILTER_WINDOW - 1):
+        filt.note_selection(set())
+        assert filt.is_cooling(1)
     filt.note_selection(set())
     assert not filt.is_cooling(1)
 
@@ -122,8 +127,8 @@ def test_freeze_worked_example():
     # (a v b)(a v ~b)(~a v b)(a v ~b v c) with a frozen false
     cnf = make_cnf(3, [(1, 2), (1, -2), (-1, 2), (1, -2, 3)])
     sub = freeze_and_extract(cnf, {2, 3}, _gs(cnf, {1: False}))
-    assert sub.sub_cnf.clauses == ((2,), (-2,), (-2, 3))
-    assert sub.satisfied_baseline == 1
+    assert sub.qubo == cnf_to_qubo(make_cnf(3, [(2,), (-2,), (-2, 3)]))
+    assert sub.spin_cost == 2
 
 
 def test_freeze_conflicting_units_maxsat():
@@ -138,7 +143,7 @@ def test_freeze_conflicting_units_maxsat():
 def test_freeze_emptied_clause_is_offset():
     cnf = make_cnf(2, [(1,), (2,)])
     sub = freeze_and_extract(cnf, {2}, _gs(cnf, {1: False}))
-    assert () in sub.sub_cnf.clauses
+    assert sub.qubo == cnf_to_qubo(make_cnf(2, [(), (2,)]))
     assert sub.qubo.offset >= 1.0
 
 
@@ -146,7 +151,7 @@ def test_freeze_counts_ancillas_in_spin_cost():
     cnf = make_cnf(4, [(1, 2, 3), (1, 2, 4)])
     sub = freeze_and_extract(cnf, {1, 2, 3}, _gs(cnf, {4: True}))
     # clause (1,2,4) satisfied by the frozen true 4; one 3-wide clause kept
-    assert sub.satisfied_baseline == 1
+    assert sub.qubo == cnf_to_qubo(make_cnf(4, [(1, 2, 3)]))
     assert sub.spin_cost == 4
 
 
@@ -159,7 +164,7 @@ def test_freeze_rejects_empty_selection():
 def test_freeze_default_false_for_unassigned():
     cnf = make_cnf(2, [(2, 1)])
     sub = freeze_and_extract(cnf, {2}, _gs(cnf, {}))
-    assert sub.sub_cnf.clauses == ((2,),)
+    assert sub.qubo == cnf_to_qubo(make_cnf(2, [(2,)]))
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +198,11 @@ def test_update_global_rejects_worse():
 
 def test_update_global_notes_filter():
     cnf = make_cnf(1, [(1,)])
-    filt = FilterState(window=1)
+    filt = FilterState()
+    for _ in range(FILTER_WINDOW - 1):
+        filt.note_selection({1})
     state = _gs(cnf, {1: False})
+    assert not filt.is_cooling(1)
     update_global(state, {1: True}, {1}, cnf, filt=filt)
     assert filt.is_cooling(1)
 
@@ -212,7 +220,7 @@ def _naive_freeze(cnf, selected, assignment):
                    for lit in clause):
             kept.append(tuple(lit for lit in clause if abs(lit) in selected))
     spin_cost = len(selected) + sum(1 for c in kept if len(c) == 3)
-    return tuple(kept), spin_cost, cnf.num_clauses - len(kept)
+    return cnf_to_qubo(make_cnf(cnf.num_vars, kept)), spin_cost
 
 
 @st.composite
@@ -237,8 +245,7 @@ def test_incremental_counts_match_full_rescan(walk):
     for selected, bits in steps:
         before = dict(state.assignment)
         sub = freeze_and_extract(cnf, selected, state)
-        assert (sub.sub_cnf.clauses, sub.spin_cost, sub.satisfied_baseline) == \
-            _naive_freeze(cnf, selected, before)
+        assert (sub.qubo, sub.spin_cost) == _naive_freeze(cnf, selected, before)
         proposal = {v: bits[v - 1] for v in selected}
         accepted = update_global(state, proposal, selected, cnf)
         assert state.best_count >= count_satisfied(cnf.clauses, before)  # never drops
@@ -271,7 +278,7 @@ def test_spin_cost_counts_repeated_variable_3_clauses():
         for budget in (2, 3, 5, 8):
             for start in vig.nodes:
                 for select in (select_bfs, select_dfs):
-                    selected = select(vig, budget, start)
+                    selected = select(vig, budget, start, FilterState())
                     if selected:
                         sub = freeze_and_extract(cnf, selected, state)
                         assert sub.spin_cost <= budget

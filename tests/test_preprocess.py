@@ -21,9 +21,7 @@ from isingsat.preprocess import (
     GateGroup,
     PrepState,
     _classify_pair_group,
-    _report,
-    _snapshot,
-    _Timer,
+    _ladder_pass,
     _unit_fixpoint,
     branch_probe,
     clean_clauses,
@@ -38,7 +36,7 @@ from isingsat.preprocess import (
     subsume_clauses,
 )
 
-from conftest import check_reconstruction, random_3sat
+from conftest import check_reconstruction, fixed, pure, random_3sat, substituted
 
 
 def _state(cnf: Cnf, seed: int = 0) -> PrepState:
@@ -55,9 +53,9 @@ def test_condition_list_views():
     cond.add_fix(1, True)
     cond.add_sub(2, 1, -1)
     cond.add_pure(3, False)
-    assert cond.fixed == {1: True}
-    assert cond.substituted == {2: (1, -1)}
-    assert cond.pure == {3: False}
+    assert fixed(cond) == {1: True}
+    assert substituted(cond) == {2: (1, -1)}
+    assert pure(cond) == {3: False}
     assert cond.values() == {1: True, 3: False}
     assert len(cond) == 3
     with pytest.raises(ValueError):
@@ -117,7 +115,7 @@ def test_detect_gate_groups_signatures():
     groups = detect_gate_groups([(1, -2), (-1, 2)])
     kinds = {g.kind for g in groups}
     assert "BUFFER" in kinds
-    # (a v b)(~a v ~b): signature (0, 2) -> NOT
+    # (a v b)(~a v ~b): zero, then two negative literals -> NOT
     groups = detect_gate_groups([(1, 2), (-1, -2)])
     assert {g.kind for g in groups} == {"NOT"}
 
@@ -159,14 +157,14 @@ def test_propagate_1sat_or_gate_backward():
     clauses = gate_clauses("OR", 1, 2, 3, EncodingOption.OPTION2) + [(-3,)]
     st = _state(make_cnf(3, clauses))
     propagate_1sat(st)
-    assert st.condition.fixed == {3: False, 1: False, 2: False}
+    assert fixed(st.condition) == {3: False, 1: False, 2: False}
     assert st.clauses == []
 
 
 def test_propagate_1sat_satisfied_clause_removed():
     st = _state(make_cnf(3, [(1,), (1, 2, 3)]))
     propagate_1sat(st)
-    assert st.condition.fixed == {1: True}
+    assert fixed(st.condition) == {1: True}
     assert st.clauses == []
 
 
@@ -190,7 +188,7 @@ def test_condition_2sat_not_pair():
     # XOR with c fixed true collapses to (a v b)(~a v ~b): a NOT pair
     st = _state(make_cnf(2, [(1, 2), (-1, -2)]))
     rep = condition_2sat(st)
-    assert st.condition.substituted == {2: (1, -1)}
+    assert substituted(st.condition) == {2: (1, -1)}
     assert st.clauses == []  # both clauses became tautologies under b -> ~a
     assert rep.details["traversals"] == 2
 
@@ -198,7 +196,7 @@ def test_condition_2sat_not_pair():
 def test_condition_2sat_buffer_pair():
     st = _state(make_cnf(2, [(1, -2), (-1, 2)]))
     condition_2sat(st)
-    assert st.condition.substituted == {2: (1, 1)}
+    assert substituted(st.condition) == {2: (1, 1)}
 
 
 def test_condition_2sat_triple_group_queues_units():
@@ -221,7 +219,7 @@ def test_condition_2sat_chain_composes_to_lowest_master():
     clauses = [(1, -2), (-1, 2), (2, -3), (-2, 3)]
     st = _state(make_cnf(3, clauses))
     condition_2sat(st)
-    assert st.condition.substituted == {2: (1, 1), 3: (1, 1)}
+    assert substituted(st.condition) == {2: (1, 1), 3: (1, 1)}
     assert st.clauses == []
 
 
@@ -230,7 +228,7 @@ def test_condition_2sat_chain_with_negation():
     clauses = [(1, 2), (-1, -2), (2, 3), (-2, -3)]
     st = _state(make_cnf(3, clauses))
     condition_2sat(st)
-    assert st.condition.substituted == {2: (1, -1), 3: (1, 1)}
+    assert substituted(st.condition) == {2: (1, -1), 3: (1, 1)}
 
 
 def test_condition_2sat_contradiction_is_unsat():
@@ -259,7 +257,7 @@ def test_condition_2sat_substitution_leaves_no_replaced_vars():
         assert rep.details["traversals"] == 2
         if st.unsat:
             continue
-        replaced = set(st.condition.substituted)
+        replaced = set(substituted(st.condition))
         for c in st.clauses:
             assert not replaced & {abs(l) for l in c}
 
@@ -348,13 +346,13 @@ def test_pure_literal_cascade():
     st = _state(make_cnf(2, [(1, 2), (1, -2)]))
     eliminate_pure_literals(st)
     assert st.clauses == []
-    assert st.condition.pure == {1: True, 2: True}
+    assert pure(st.condition) == {1: True, 2: True}
 
 
 def test_pure_literal_negative_polarity():
     st = _state(make_cnf(2, [(-1, 2), (-1, -2)]))
     eliminate_pure_literals(st)
-    assert st.condition.pure[1] is False
+    assert pure(st.condition)[1] is False
 
 
 def test_pure_literal_mixed_polarity_untouched():
@@ -372,7 +370,7 @@ def test_pure_literal_loses_only_nonrecorded_polarity():
     st = _state(cnf)
     eliminate_pure_literals(st)
     full = reconstruct(st.condition, {}, 3)
-    assert evaluate(cnf, full).all_satisfied
+    assert evaluate(cnf, full)
     assert full == {1: True, 2: True, 3: True}
 
 
@@ -397,7 +395,7 @@ def test_branch_probe_override_and_propagation():
     st.branch_override = __import__("collections").deque([True])
     branch_probe(st)
     assert st.branch_decisions[0].value is True
-    assert st.condition.fixed[1] is True
+    assert fixed(st.condition)[1] is True
     # clauses containing +1 satisfied, -1 shortened
     for c in st.clauses:
         assert 1 not in {abs(l) for l in c}
@@ -431,9 +429,11 @@ def test_branch_probe_flip_on_conflict_retries():
         assert rep.details["guessed"] == 1
         assert st.branch_decisions[0].var == 1
         assert not st.unsat
-        assert st.condition.fixed[1] is False
-        if st.branch_decisions[0].flipped:
-            assert rep.details["flipped"] == 1
+        assert fixed(st.condition)[1] is False
+        assert st.branch_decisions[0].value is False
+        # a first guess of True closes the branch and is flipped
+        first_guess = random.Random(seed).random() < 0.5
+        assert rep.details["flipped"] == int(first_guess)
 
 
 def test_branch_probe_max_guesses_budget():
@@ -441,6 +441,40 @@ def test_branch_probe_max_guesses_budget():
     rep = branch_probe(st, max_guesses=3)
     assert rep.details["guessed"] <= 3
     assert len(st.branch_decisions) == rep.details["guessed"]
+
+
+# ---------------------------------------------------------------------------
+# the guard every pass shares
+
+# every pass changes the clauses or the condition list of this state
+_BUSY = (gate_clauses("OR", 1, 2, 3, EncodingOption.OPTION1)
+         + [(3,), (4, 5), (-4, -5), (4, 4, 6), (4, 6), (1, 7), (1, -7, 8),
+            (1, 8, 9), (1, -9, 2)])
+
+
+@pytest.mark.parametrize(
+    "ladder_pass", [fn for lvl in sorted(preprocess.LADDER_PASSES)
+                    for fn in preprocess.LADDER_PASSES[lvl]],
+    ids=lambda fn: fn.__name__)
+def test_pass_leaves_an_unsat_state_alone(ladder_pass):
+    def busy_state(clauses):
+        st = _state(make_cnf(9, clauses))
+        st.condition.add_fix(1, True)
+        st.condition.add_sub(2, 1, -1)
+        return st
+
+    live = busy_state(_BUSY)
+    ladder_pass(live)
+    assert (live.clauses, live.condition.records) != \
+        (list(_BUSY), busy_state(_BUSY).condition.records)
+
+    clauses = [*_BUSY[:5], (), *_BUSY[5:]]
+    st = busy_state(clauses)
+    records = list(st.condition.records)
+    rep = ladder_pass(st)
+    assert rep.name == ladder_pass.__name__
+    assert rep.details == {"skipped": "unsat"}
+    assert st.clauses == clauses and st.condition.records == records
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +500,8 @@ def test_ladder_level0_identity():
 def test_ladder_report_chain_is_consistent():
     cnf = random_3sat(12, 40, random.Random(8))
     res = run_ladder(cnf, 6)
-    for prev, nxt in zip(res.reports, res.reports[1:]):
-        assert prev.vars_after == nxt.vars_before
-        assert prev.clauses_after == nxt.clauses_before
+    assert res.reports[-1].vars_after == res.vars_remaining
+    assert res.reports[-1].clauses_after == res.cnf.num_clauses
 
 
 def test_ladder_no_units_after_level2():
@@ -597,7 +630,7 @@ def test_semiprime_ladder_full_reduction_and_reconstruction(catalog45):
             assert profile[lvl] == 0  # fully conditioned at replaced-value prop
         res = run_ladder(cnf, 4)
         full = reconstruct(res.condition, {}, cnf.num_vars)
-        assert evaluate(cnf, full).all_satisfied
+        assert evaluate(cnf, full)
         a = sum((1 << i) for i, v in enumerate(nl.input_bits_a) if full[v])
         b = sum((1 << i) for i, v in enumerate(nl.input_bits_b) if full[v])
         assert a * b == semiprime
@@ -633,28 +666,24 @@ def _naive_unit_fixpoint(clauses):
         work = new
 
 
-def _naive_subsume_clauses(st: PrepState):
+def _naive_subsume(st: PrepState):
     """Check every clause against every kept clause, shortest first."""
-    before = _snapshot(st)
-    if st.unsat:
-        return _report(st, "subsume_clauses", before, skipped="unsat")
-    with _Timer() as tm:
-        order = sorted(range(len(st.clauses)),
-                       key=lambda i: (len(st.clauses[i]), i))
-        kept_sets = []
-        removed = set()
-        for i in order:
-            s = frozenset(st.clauses[i])
-            if any(k <= s for k in kept_sets):
-                removed.add(i)
-            else:
-                kept_sets.append(s)
-        st.clauses = [c for i, c in enumerate(st.clauses) if i not in removed]
-    return _report(st, "subsume_clauses", before, wall=tm.elapsed,
-                   removed=len(removed))
+    order = sorted(range(len(st.clauses)),
+                   key=lambda i: (len(st.clauses[i]), i))
+    kept_sets = []
+    removed = set()
+    for i in order:
+        s = frozenset(st.clauses[i])
+        if any(k <= s for k in kept_sets):
+            removed.add(i)
+        else:
+            kept_sets.append(s)
+    st.clauses = [c for i, c in enumerate(st.clauses) if i not in removed]
+    return {"removed": len(removed)}
 
 
-_naive_subsume_clauses.__name__ = "subsume_clauses"
+_naive_subsume.__name__ = "subsume_clauses"
+_naive_subsume_clauses = _ladder_pass(_naive_subsume)
 
 
 def _naive_detect_gate_groups(clauses):
@@ -670,9 +699,6 @@ def _naive_detect_gate_groups(clauses):
         if len(indices) < 2:
             continue
         distinct = {frozenset(clauses[i]) for i in indices}
-        signature = tuple(sorted(
-            sum(1 for l in clauses[i] if l < 0) for i in indices
-        ))
         kind = None
         output = None
         if len(vs) == 2 and len(distinct) == 2:
@@ -695,7 +721,6 @@ def _naive_detect_gate_groups(clauses):
         groups.append(GateGroup(
             variables=tuple(sorted(vs)),
             clause_indices=tuple(sorted(indices)),
-            signature=signature,
             kind=kind,
             output=output,
         ))
@@ -715,8 +740,7 @@ def _ladder_outcome(res):
     return (
         [list(c) for c in res.cnf.clauses],
         [dataclasses.astuple(r) for r in res.condition.records],
-        [[r.name, r.vars_before, r.vars_after, r.clauses_before, r.clauses_after,
-          r.new_unit_clauses, r.conditions_added, sorted(r.details.items())]
+        [[r.name, r.vars_after, r.clauses_after, sorted(r.details.items())]
          for r in res.reports],
         [dataclasses.astuple(b) for b in res.branch_decisions],
         res.unsat,
@@ -800,16 +824,16 @@ def test_gate_table_matches_naive_search_on_every_row_set():
 # (seed, flip_on_conflict) -> (residual clauses, variables remaining,
 # branch decisions, sha256 prefix of the whole outcome)
 _PINNED_3127 = {
-    (1, False): (183, 69, [(2, True, False), (11, False, False), (10, False, False)], "51c1a6b5d8345ba4"),
-    (2, False): (154, 60, [(2, False, False), (4, False, False), (3, True, False)], "24fc70a1b83d44b5"),
-    (3, False): (322, 113, [(2, True, False), (11, False, False), (10, True, False)], "83990661dc13a004"),
-    (4, False): (334, 116, [(2, True, False), (11, True, False), (10, True, False)], "fb8c9241f4023350"),
-    (5, False): (98, 38, [(2, False, False), (4, False, False), (3, False, False)], "dc0c2669ff6c7f8d"),
-    (1, True): (183, 69, [(2, True, False), (11, False, False), (10, False, False)], "51c1a6b5d8345ba4"),
-    (2, True): (154, 60, [(2, False, False), (4, False, False), (3, True, False)], "24fc70a1b83d44b5"),
-    (3, True): (322, 113, [(2, True, False), (11, False, False), (10, True, False)], "83990661dc13a004"),
-    (4, True): (334, 116, [(2, True, False), (11, True, False), (10, True, False)], "fb8c9241f4023350"),
-    (5, True): (154, 60, [(2, False, False), (4, False, False), (3, True, True)], "876bbdbecb926aa9"),
+    (1, False): (183, 69, [(2, True), (11, False), (10, False)], "632baf98dd6d2a1a"),
+    (2, False): (154, 60, [(2, False), (4, False), (3, True)], "74a69c158689106f"),
+    (3, False): (322, 113, [(2, True), (11, False), (10, True)], "5585d63ba325b3b4"),
+    (4, False): (334, 116, [(2, True), (11, True), (10, True)], "86d5c2e9b4d03dc5"),
+    (5, False): (98, 38, [(2, False), (4, False), (3, False)], "114cdbca3c47f45b"),
+    (1, True): (183, 69, [(2, True), (11, False), (10, False)], "632baf98dd6d2a1a"),
+    (2, True): (154, 60, [(2, False), (4, False), (3, True)], "74a69c158689106f"),
+    (3, True): (322, 113, [(2, True), (11, False), (10, True)], "5585d63ba325b3b4"),
+    (4, True): (334, 116, [(2, True), (11, True), (10, True)], "86d5c2e9b4d03dc5"),
+    (5, True): (154, 60, [(2, False), (4, False), (3, True)], "99f5a31fb0c4b38a"),
 }
 
 

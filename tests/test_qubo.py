@@ -8,7 +8,6 @@ import pytest
 
 from isingsat.cnf import clause_satisfied, make_cnf
 from isingsat.qubo import (
-    ChipProfile,
     IsingModel,
     QuboModel,
     cnf_to_qubo,
@@ -23,8 +22,9 @@ def _gadget_min(clause, x_vars):
     """Penalty of the one-clause formula, minimized over its ancilla if any."""
     q = cnf_to_qubo(make_cnf(max(abs(lit) for lit in clause), [clause]))
     x = [x_vars[q.source_var_map[i]] for i in range(len(q.source_var_map))]
+    ancillas = q.num_vars - len(q.source_var_map)
     return min(q.energy(x + list(w))
-               for w in itertools.product((0, 1), repeat=len(q.ancilla_map)))
+               for w in itertools.product((0, 1), repeat=ancillas))
 
 
 # clauses that repeat a variable: their gadget terms fold together (x*x = x)
@@ -90,7 +90,6 @@ def test_qubo_index_layout():
     q = cnf_to_qubo(cnf)
     # occurring vars sorted first, then one ancilla per width-3 clause
     assert q.source_var_map == {0: 2, 1: 5, 2: 7, 3: 9}
-    assert q.ancilla_map == {0: 4}
     assert q.num_vars == 5
 
 
@@ -122,26 +121,16 @@ def test_ising_matches_qubo_assignmentwise():
             assert m.energy(spins) == pytest.approx(q.energy(bits))
 
 
-def test_chip_profile_validation():
-    with pytest.raises(ValueError):
-        ChipProfile(spin_budget=0)
-    with pytest.raises(ValueError):
-        ChipProfile(coeff_min=1, coeff_max=14)
-    p = ChipProfile()
-    assert p.spin_budget == 45 and p.coeff_min == -14 and p.coeff_max == 14
-
-
 def test_scale_passthrough_for_integral_models():
     m = IsingModel(num_spins=2, j={(0, 1): 3.0}, h={0: -2.0}, offset=1.5)
-    scaled, rep = scale_to_chip(m, ChipProfile())
+    scaled, rep = scale_to_chip(m)
     assert scaled is m
-    assert rep.scale == 1.0 and rep.max_rel_error == 0.0 and not rep.collapsed
+    assert rep.max_rel_error == 0.0
 
 
 def test_scale_maps_largest_to_coeff_max():
     m = IsingModel(num_spins=2, j={(0, 1): 28.0}, h={0: 7.0, 1: -3.5})
-    scaled, rep = scale_to_chip(m, ChipProfile())
-    assert rep.scale == pytest.approx(0.5)
+    scaled, rep = scale_to_chip(m)
     assert scaled.j[(0, 1)] == 14.0
     assert scaled.h[0] == 4.0 and scaled.h[1] == -2.0
     assert rep.max_rel_error == pytest.approx(abs(4.0 - 3.5) / 3.5)
@@ -150,7 +139,7 @@ def test_scale_maps_largest_to_coeff_max():
 def test_scale_preserves_ordering_when_exact():
     # coefficients already proportional to integers: ordering survives exactly
     m = IsingModel(num_spins=3, j={(0, 1): 0.5, (1, 2): -0.25}, h={0: 0.25})
-    scaled, rep = scale_to_chip(m, ChipProfile())
+    scaled, rep = scale_to_chip(m)
     assert rep.max_rel_error == 0.0
     spins_sets = list(itertools.product((-1, 1), repeat=3))
     order_before = sorted(spins_sets, key=m.energy)
@@ -158,13 +147,7 @@ def test_scale_preserves_ordering_when_exact():
     assert order_before == order_after
 
 
-def test_scale_reports_collapse():
-    m = IsingModel(num_spins=2, j={(0, 1): 1000.0}, h={0: 0.01})
-    _, rep = scale_to_chip(m, ChipProfile())
-    assert rep.collapsed  # the tiny field rounds to zero
-
-
 def test_scale_budget_guard():
     m = IsingModel(num_spins=46)
     with pytest.raises(ValueError):
-        scale_to_chip(m, ChipProfile())
+        scale_to_chip(m)

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import isingsat
-from isingsat.qubo import ChipProfile, IsingModel, cnf_to_qubo, qubo_to_ising, scale_to_chip
+from isingsat.qubo import (COEFF_MAX, COEFF_MIN, IsingModel, cnf_to_qubo,
+                           qubo_to_ising, scale_to_chip)
 from isingsat.solver import (
     FINAL_TEMP,
     INITIAL_TEMP,
@@ -33,7 +34,7 @@ from conftest import random_3sat
 
 def _random_model(n: int, rng: random.Random) -> IsingModel:
     """Integer couplings and fields over the chip's programmable range."""
-    lo, hi = ChipProfile.coeff_min, ChipProfile.coeff_max
+    lo, hi = COEFF_MIN, COEFF_MAX
     m = IsingModel(num_spins=n)
     for i in range(n):
         for j in range(i + 1, n):
@@ -78,13 +79,12 @@ def test_request_validation():
 
 def test_emulator_determinism():
     m = _random_model(12, random.Random(3))
-    a = solve_emulator(SolveRequest(model=m, seed=7, num_samples=4))
-    b = solve_emulator(SolveRequest(model=m, seed=7, num_samples=4))
+    a = solve_emulator(SolveRequest(model=m, seed=7, num_samples=4, collect_trace=True))
+    b = solve_emulator(SolveRequest(model=m, seed=7, num_samples=4, collect_trace=True))
     assert a.best_spins == b.best_spins
-    assert a.best_energy == b.best_energy
-    assert a.samples == b.samples
-    c = solve_emulator(SolveRequest(model=m, seed=8, num_samples=4))
-    assert c.samples != a.samples  # different stream
+    assert a.trace == b.trace
+    c = solve_emulator(SolveRequest(model=m, seed=8, num_samples=4, collect_trace=True))
+    assert c.trace != a.trace  # different stream
 
 
 def test_emulator_reaches_ground_state_usually():
@@ -93,17 +93,24 @@ def test_emulator_reaches_ground_state_usually():
     for k in range(20):
         m = _random_model(10, rng)
         res = solve_emulator(SolveRequest(model=m, seed=k, num_samples=4))
-        assert res.best_energy == pytest.approx(m.energy(res.best_spins))
-        if abs(res.best_energy - _exact_min(m)) < 1e-9:
+        if abs(m.energy(res.best_spins) - _exact_min(m)) < 1e-9:
             hits += 1
     assert hits >= 10  # annealer finds the optimum on most 10-spin instances
 
 
 def test_emulator_sample_count_and_best_pick():
+    # the spins and the trace are both those of the first read with the
+    # lowest model energy among the request's num_samples reads
     m = _random_model(8, random.Random(5))
-    res = solve_emulator(SolveRequest(model=m, seed=2, num_samples=6))
-    assert len(res.samples) == 6
-    assert res.best_energy == pytest.approx(min(e for _, e in res.samples))
+    res = solve_emulator(SolveRequest(model=m, seed=2, num_samples=6,
+                                      collect_trace=True))
+    jd, h = _dense(m)
+    reads = [kernels.anneal(8, jd, h, SWEEPS, INITIAL_TEMP, FINAL_TEMP,
+                            kernels.mix_seed(2, k), True) for k in range(6)]
+    energies = [m.energy(spins) for spins, _, _ in reads]
+    best = energies.index(min(energies))
+    assert res.best_spins == tuple(reads[best][0])
+    assert res.trace == tuple((s, t, e + m.offset) for s, t, e in reads[best][2])
 
 
 def test_emulator_trace_monotone():
@@ -120,8 +127,8 @@ def test_emulator_trace_monotone():
 def test_empty_model_shortcut():
     m = IsingModel(num_spins=0, offset=2.5)
     res = solve(SolveRequest(model=m))
-    assert res.best_spins == ()
-    assert res.best_energy == 2.5
+    assert res.best_spins == () and res.trace == ()
+    assert m.energy(res.best_spins) == 2.5
 
 
 def test_chip_guard_budget():
@@ -150,9 +157,9 @@ def test_tabu_finds_optimum_on_most_models():
         m = _random_model(16, rng)
         res = solve_tabu(SolveRequest(model=m, seed=k))
         exact = _exact_min(m)
-        assert res.best_energy == pytest.approx(m.energy(res.best_spins))
-        assert res.best_energy >= exact - 1e-9
-        hits += abs(res.best_energy - exact) < 1e-9
+        energy = m.energy(res.best_spins)
+        assert energy >= exact - 1e-9
+        hits += abs(energy - exact) < 1e-9
     assert hits >= 7
 
 
@@ -160,21 +167,24 @@ def test_tabu_determinism():
     m = _random_model(11, random.Random(2))
     a = solve_tabu(SolveRequest(model=m, seed=4))
     b = solve_tabu(SolveRequest(model=m, seed=4))
-    assert a.best_spins == b.best_spins and a.best_energy == b.best_energy
+    assert a.best_spins == b.best_spins
 
 
 def test_solve_dispatch():
     m = IsingModel(num_spins=2, j={(0, 1): 1.0})
-    r1 = solve(SolveRequest(model=m, backend="emulator"))
-    r2 = solve(SolveRequest(model=m, backend="tabu"))
-    assert r1.backend == "emulator" and r2.backend == "tabu"
-    assert r1.best_energy == r2.best_energy == -1.0
+    emulator = SolveRequest(model=m, backend="emulator", seed=3, collect_trace=True)
+    tabu = SolveRequest(model=m, backend="tabu", seed=3, collect_trace=True)
+    r1, r2 = solve(emulator), solve(tabu)
+    assert r1 == solve_emulator(emulator) and r1.trace  # only the emulator traces
+    assert r2 == solve_tabu(tabu) and r2.trace == ()
+    assert m.energy(r1.best_spins) == m.energy(r2.best_spins) == -1.0
 
 
 def test_offset_carried_through():
     m = IsingModel(num_spins=1, h={0: 2.0}, offset=10.0)
-    res = solve_emulator(SolveRequest(model=m))
-    assert res.best_energy == pytest.approx(8.0)  # spin -1 plus offset
+    res = solve_emulator(SolveRequest(model=m, collect_trace=True))
+    assert res.best_spins == (-1,)
+    assert res.trace[-1][2] == pytest.approx(8.0)  # spin -1 plus offset
 
 
 def test_sat_instance_decodes_to_model():
@@ -184,10 +194,10 @@ def test_sat_instance_decodes_to_model():
 
     cnf = random_3sat(8, 20, random.Random(42))
     q = cnf_to_qubo(cnf)
-    scaled, _ = scale_to_chip(qubo_to_ising(q), ChipProfile())
+    scaled, _ = scale_to_chip(qubo_to_ising(q))
     res = solve_emulator(SolveRequest(model=scaled, seed=3, num_samples=8))
     assignment = {var: res.best_spins[idx] > 0 for idx, var in q.source_var_map.items()}
-    assert evaluate(cnf, assignment).all_satisfied
+    assert evaluate(cnf, assignment)
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,15 @@ from pathlib import Path
 
 from .circuit import EncodingOption, generate_instance, semiprime_catalog
 from .cnf import parse_dimacs, write_dimacs
-from .decompose import iterate
+from .decompose import STRATEGIES
 from .preprocess import ConditionList, MAX_LEVEL, run_ladder
 from . import harness
 from .harness import (BackboneSpec, SweepConfig, aggregate_records,
                       expand_instances, generate_backbone_instance,
-                      load_records, load_timings, results_dir, run_experiment,
-                      timings_path_for, write_aggregates, write_runtime_report)
+                      load_records, load_timings, preprocess_and_decompose,
+                      results_dir, run_experiment, timings_path_for,
+                      write_aggregates, write_runtime_report)
+from .solver import BACKENDS
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -97,17 +99,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             return 2
         config = SweepConfig(
             instances=[args.instance or args.input],
-            levels=[args.level],
-            strategies=[args.strategy],
-            backends=[args.backend],
-            repeats=args.repeats,
-            seed=args.seed,
-            cap=args.cap,
-            budget=args.budget,
-            num_samples=args.num_samples,
-            max_guesses=args.max_guesses,
-            stop_on_solve=args.stop_on_solve,
-        )
+            **{k: v for k, v in vars(args).items()
+               if k in SweepConfig.__dataclass_fields__})
     if args.output:
         out_path = Path(args.output)
         out_dir, runs_filename = out_path.parent, out_path.name
@@ -127,13 +120,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.trace:
         # replays the first repeat up to its first solver call
         _instance_id, cnf = expand_instances(config.instances[0])[0]
-        res = run_ladder(cnf, level=config.levels[0], seed=config.seed,
-                         max_guesses=config.max_guesses)
-        run = iterate(res.cnf, res.condition, cnf,
-                      strategy=config.strategies[0],
-                      backend=config.backends[0], budget=config.budget,
-                      cap=1, seed=config.seed,
-                      num_samples=config.num_samples, collect_trace=True)
+        run, _pre_time = preprocess_and_decompose(
+            cnf, config, level=config.levels[0], strategy=config.strategies[0],
+            backend=config.backends[0], seed=config.seed, cap=1,
+            collect_trace=True)
         with Path(args.trace).open("w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["sweep", "temperature", "best_energy"])
@@ -204,26 +194,32 @@ def build_parser() -> argparse.ArgumentParser:
     pre.add_argument("--report", help="write per-pass statistics as JSON")
     pre.set_defaults(func=_cmd_preprocess)
 
+    # a setting's dest is its SweepConfig field, whose default set_defaults
+    # gives it; a list field takes one value (nargs=1)
     s = sub.add_parser("solve", help="preprocess + decompose + solve repeats")
     s.add_argument("-i", "--input", help="DIMACS file")
     s.add_argument("--instance", help="instance spec, e.g. semiprime:8:143")
     s.add_argument("--sweep", help="JSON sweep config (full factorial)")
-    s.add_argument("--strategy", choices=("bfs", "dfs"), default="dfs")
-    s.add_argument("--backend", choices=("emulator", "tabu"), default="emulator")
-    s.add_argument("--level", type=int, default=MAX_LEVEL)
-    s.add_argument("--budget", type=int, default=45)
-    s.add_argument("--cap", type=int, default=5000)
-    s.add_argument("--repeats", type=int, default=20)
-    s.add_argument("--seed", type=int, default=1)
-    s.add_argument("--num-samples", type=int, default=10,
-                   help="chip reads per solver call")
-    s.add_argument("--max-guesses", type=int, default=1)
+    d = "default: %(default)s"
+    s.add_argument("--strategy", dest="strategies", nargs=1, choices=STRATEGIES, help=d)
+    s.add_argument("--backend", dest="backends", nargs=1, choices=BACKENDS, help=d)
+    s.add_argument("--level", dest="levels", nargs=1, type=int, metavar="LEVEL",
+                   help=f"0..{MAX_LEVEL}, {d}")
+    s.add_argument("--budget", type=int, help=f"spins per slice, {d}")
+    s.add_argument("--cap", type=int, help=f"iterations per repeat, {d}")
+    s.add_argument("--repeats", type=int, help=d)
+    s.add_argument("--seed", type=int, help=d)
+    s.add_argument("--num-samples", type=int, help=f"chip reads per solver call, {d}")
+    s.add_argument("--max-guesses", type=int, help=d)
     s.add_argument("--stop-on-solve", action="store_true",
                    help="stop a cell's repeats after the first success")
     s.add_argument("-o", "--output", help="runs.jsonl path")
     s.add_argument("--results-dir", help=f"default dir (or ${harness.RESULTS_ENV})")
     s.add_argument("--trace", help="CSV dump of one anneal trace")
-    s.set_defaults(func=_cmd_solve)
+    s.set_defaults(func=_cmd_solve, **{
+        f.name: f.default_factory() if f.default is dataclasses.MISSING
+        else f.default
+        for f in dataclasses.fields(SweepConfig) if f.name != "instances"})
 
     t = sub.add_parser("tts", help="time-to-solution table from runs.jsonl")
     t.add_argument("-i", "--input", required=True)

@@ -34,10 +34,11 @@ from dataclasses import dataclass, field
 
 from .cnf import Assignment, Cnf, count_satisfied, evaluate
 from .preprocess import ConditionList, reconstruct
-from .qubo import SPIN_BUDGET, QuboModel, cnf_to_qubo, qubo_to_ising, scale_to_chip
-from .solver import SolveRequest, solve
+from .qubo import QuboModel, cnf_to_qubo, qubo_to_ising, scale_to_chip
+from .solver import solve
 
 __all__ = [
+    "STRATEGIES",
     "Vig",
     "Subproblem",
     "FilterState",
@@ -50,6 +51,8 @@ __all__ = [
     "update_global",
     "iterate",
 ]
+
+STRATEGIES = ("bfs", "dfs")
 
 
 @dataclass(frozen=True)
@@ -274,8 +277,7 @@ def freeze_and_extract(cnf: Cnf, selected: set[int],
 
 
 def update_global(state: GlobalState, sub_solution: Assignment,
-                  selected: set[int], cnf: Cnf,
-                  filt: FilterState | None = None) -> bool:
+                  cnf: Cnf) -> bool:
     """Merge a subproblem solution if the full satisfied count does not drop.
 
     Equal counts are accepted (plateau moves).  Returns True when merged.
@@ -302,8 +304,6 @@ def update_global(state: GlobalState, sub_solution: Assignment,
                 state.unsat.discard(ci)
             else:
                 state.unsat.add(ci)
-    if filt is not None:
-        filt.note_selection(selected)
     return accepted
 
 
@@ -312,13 +312,12 @@ class DecompositionRun:
     """Outcome of one decomposition loop on one preprocessed instance."""
 
     solved: bool
-    verified: bool
     iterations_used: int
     solver_calls: int
     best_satisfied: int
     num_clauses: int
     assignment: Assignment | None
-    reason: str = ""
+    reason: str
     trace: tuple[tuple[int, float, float], ...] = ()
 
 
@@ -327,23 +326,22 @@ def _decode(qubo: QuboModel, spins: tuple[int, ...]) -> Assignment:
 
 
 def iterate(cnf: Cnf, condition: ConditionList, original: Cnf, *,
-            strategy: str = "dfs", backend: str = "emulator",
-            budget: int | None = None, cap: int = 5000, seed: int = 0,
-            num_samples: int = 1, collect_trace: bool = False) -> DecompositionRun:
+            strategy: str, backend: str, budget: int, cap: int, seed: int,
+            num_samples: int, collect_trace: bool = False) -> DecompositionRun:
     """Select → freeze → solve → merge until every clause holds or the cap hits.
 
     ``cnf`` is the (possibly preprocessed) formula to decompose; ``condition``
     and ``original`` lift and check the final assignment, so every success is
-    verified against the untouched input.  A formula carrying the empty-clause
-    marker can never be fully satisfied and fails immediately.
+    verified against the untouched input (a failed check raises).  A formula
+    carrying the empty-clause marker can never be fully satisfied and fails
+    immediately.
     """
-    if strategy not in ("bfs", "dfs"):
+    if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    spin_budget = SPIN_BUDGET if budget is None else min(budget, SPIN_BUDGET)
     m = cnf.num_clauses
 
     if cnf.is_unsat_marked():
-        return DecompositionRun(False, False, 0, 0, 0, m, None, reason="unsat-marker")
+        return DecompositionRun(False, 0, 0, 0, m, None, reason="unsat-marker")
 
     rng = random.Random(seed)
     occurring = cnf.occurring_vars()
@@ -362,46 +360,39 @@ def iterate(cnf: Cnf, condition: ConditionList, original: Cnf, *,
         unsat_vars = sorted({abs(lit) for ci in state.unsat for lit in cnf.clauses[ci]})
         pool = unsat_vars or occurring
         start = pool[rng.randrange(len(pool))]
-        selected = select(vig, spin_budget, start, filt)
+        selected = select(vig, budget, start, filt)
         if not selected:
             reason = "budget-too-small"
             break
         sub = freeze_and_extract(cnf, selected, state)
-        if sub.spin_cost > spin_budget:
+        if sub.spin_cost > budget:
             raise RuntimeError(
-                f"selection produced spin cost {sub.spin_cost} > {spin_budget}")
+                f"selection produced spin cost {sub.spin_cost} > {budget}")
         if sub.qubo.num_vars == 0:
             sub_solution: Assignment = {}
         else:
             model = qubo_to_ising(sub.qubo)
             if backend == "emulator":  # tabu solves the unscaled model
                 model, _distortion = scale_to_chip(model)
-            request = SolveRequest(
-                model=model,
-                seed=rng.getrandbits(63),
-                num_samples=num_samples,
-                backend=backend,
-                budget=spin_budget,
-                collect_trace=collect_trace and solver_calls == 0,
-            )
-            result = solve(request)
+            result = solve(model, backend=backend, seed=rng.getrandbits(63),
+                           num_samples=num_samples,
+                           collect_trace=collect_trace and solver_calls == 0)
             if solver_calls == 0 and collect_trace:
                 first_trace = result.trace
             solver_calls += 1
             sub_solution = _decode(sub.qubo, result.best_spins)
-        update_global(state, sub_solution, set(selected), cnf, filt)
+        update_global(state, sub_solution, cnf)
+        filt.note_selection(selected)
 
     if count_satisfied(cnf.clauses, state.assignment) != state.best_count:
         raise RuntimeError("incremental satisfied count drifted from a full rescan")
-    solved = state.best_count == m
-    if not solved:
-        return DecompositionRun(False, False, iterations, solver_calls,
+    if state.best_count < m:
+        return DecompositionRun(False, iterations, solver_calls,
                                 state.best_count, m, None, reason=reason,
                                 trace=first_trace)
     full = reconstruct(condition, state.assignment, original.num_vars)
-    verified = evaluate(original, full)
-    if not verified:
+    if not evaluate(original, full):
         raise RuntimeError("solved subproblem failed verification on the input CNF")
-    return DecompositionRun(True, True, iterations, solver_calls,
+    return DecompositionRun(True, iterations, solver_calls,
                             state.best_count, m, full, reason="solved",
                             trace=first_trace)

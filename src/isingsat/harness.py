@@ -20,30 +20,16 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from itertools import product
 from pathlib import Path
 
 from .circuit import generate_instance, semiprime_catalog
 from .cnf import Cnf, brute_force_solutions, make_cnf, parse_dimacs
-from .decompose import DecompositionRun, iterate
+from .decompose import STRATEGIES, DecompositionRun, iterate
 from .preprocess import MAX_LEVEL, run_ladder
-
-__all__ = [
-    "RunRecord",
-    "TtsEstimate",
-    "BackboneSpec",
-    "BACKBONE_M_GRID",
-    "BACKBONE_B_GRID",
-    "compute_tts",
-    "generate_backbone_instance",
-    "expand_instances",
-    "run_repeat",
-    "run_experiment",
-    "load_records",
-    "aggregate_records",
-    "runtime_report",
-    "results_dir",
-]
+from .qubo import SPIN_BUDGET
+from .solver import BACKENDS
 
 # chip annealing time per solver call is not public; this constant makes
 # solver_time a relative, deterministic quantity
@@ -113,7 +99,10 @@ class RunRecord:
 
     @staticmethod
     def from_json(line: str) -> "RunRecord":
-        return RunRecord(**json.loads(line))
+        try:
+            return RunRecord(**json.loads(line))
+        except TypeError:  # not an object, or keys that are not the fields
+            raise ValueError(f"not a run record: {line.strip()}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +248,17 @@ def generate_backbone_instance(spec: BackboneSpec, seed: int,
 # instance specs
 
 
-def expand_instances(spec: str) -> list[tuple[str, Cnf]]:
-    """Expand one instance spec into (id, cnf) pairs.
+SPEC_FORMS = ("semiprime:BITS (whole catalog), semiprime:BITS:N, "
+              "backbone:N:M:B[:SEED] (B in percent), file:PATH or a bare path")
 
-    Forms: ``semiprime:BITS`` (whole catalog), ``semiprime:BITS:N``,
-    ``backbone:N:M:B[:SEED]`` (B in percent), ``file:PATH`` or a bare path.
-    """
+
+def expand_instances(spec: str) -> list[tuple[str, Cnf]]:
+    """Expand one instance spec into (id, cnf) pairs; the forms are
+    ``SPEC_FORMS``."""
     parts = spec.split(":")
+    if (parts[0] == "semiprime" and len(parts) not in (2, 3)
+            or parts[0] == "backbone" and len(parts) not in (4, 5)):
+        raise ValueError(f"bad instance spec {spec!r}; the forms are {SPEC_FORMS}")
     if parts[0] == "semiprime":
         bits = int(parts[1])
         targets = [int(parts[2])] if len(parts) > 2 else None
@@ -285,7 +278,7 @@ def expand_instances(spec: str) -> list[tuple[str, Cnf]]:
         bs = BackboneSpec(n=n, m=m, b=b)
         cnf = generate_backbone_instance(bs, seed, force=not bs.on_grid())
         return [(f"backbone-n{n}-m{m}-b{int(round(b * 100))}-s{seed}", cnf)]
-    path = Path(parts[1] if parts[0] == "file" else spec)
+    path = Path(spec.removeprefix("file:"))
     cnf = parse_dimacs(path.read_text(), provenance=str(path))
     return [(path.stem, cnf)]
 
@@ -294,40 +287,29 @@ def expand_instances(spec: str) -> list[tuple[str, Cnf]]:
 # repeats and sweeps
 
 
-def run_repeat(instance_id: str, cnf: Cnf, *, level: int, strategy: str,
-               backend: str, seed: int, cap: int = 5000, budget: int = 45,
-               num_samples: int = 10, max_guesses: int = 1) -> RunRecord:
-    """One full repeat: ladder at ``level`` with this seed, then decompose."""
-    t0 = time.perf_counter()
-    res = run_ladder(cnf, level=level, seed=seed, max_guesses=max_guesses)
-    pre_time = time.perf_counter() - t0
-    run: DecompositionRun = iterate(
-        res.cnf, res.condition, cnf, strategy=strategy, backend=backend,
-        budget=budget, cap=cap, seed=seed, num_samples=num_samples)
-    wall = time.perf_counter() - t0
-    return RunRecord(
-        instance=instance_id,
-        strategy=strategy,
-        level=level,
-        backend=backend,
-        seed=seed,
-        cap=cap,
-        solved=run.solved,
-        verified=run.verified,
-        iterations_used=run.iterations_used,
-        solver_calls=run.solver_calls,
-        best_satisfied=run.best_satisfied,
-        num_clauses=run.num_clauses,
-        solver_time=run.solver_calls * PER_CALL_TIME,
-        reason=run.reason,
-        preprocess_time=pre_time,
-        wall_time=wall,
-    )
-
-
 @dataclass
 class SweepConfig:
-    """Full-factorial sweep description (the documented config schema)."""
+    """Full-factorial sweep description (the documented config schema).
+
+    The one place that declares, defaults and checks a sweep's settings;
+    ``isingsat solve`` takes its flag defaults from here.  Each field, with
+    its default and allowed values (lists are non-empty, counts are ints):
+
+    * ``instances`` (required): specs, see ``SPEC_FORMS``
+    * ``levels`` (``[MAX_LEVEL]``): each 0..``MAX_LEVEL``
+    * ``strategies`` (``["dfs"]``): each one of ``STRATEGIES``
+    * ``backends`` (``["emulator"]``): each one of ``BACKENDS``
+    * ``repeats`` (20): per cell, >= 0; repeat k runs seed ``seed + k``
+    * ``seed`` (1): >= 0
+    * ``cap`` (5000): decomposition iterations per repeat, >= 0
+    * ``budget`` (45): spins per slice, 0..``SPIN_BUDGET``
+    * ``num_samples`` (10): chip reads per solver call, >= 1
+    * ``max_guesses`` (1): level-7 branch guesses, >= 0
+    * ``stop_on_solve`` (False): run no repeat of a cell after one solved
+
+    Any other value raises ``ValueError`` from the constructor, ``replace``
+    and ``from_file``.
+    """
 
     instances: list[str]
     levels: list[int] = field(default_factory=lambda: [MAX_LEVEL])
@@ -341,15 +323,84 @@ class SweepConfig:
     max_guesses: int = 1
     stop_on_solve: bool = False
 
+    def __post_init__(self) -> None:
+        for name, kind, allowed in (("instances", str, ()), ("levels", int, ()),
+                                    ("strategies", str, STRATEGIES),
+                                    ("backends", str, BACKENDS)):
+            values = getattr(self, name)
+            if not (isinstance(values, list) and values
+                    and all(type(v) is kind for v in values)):
+                raise ValueError(f"{name} must be a non-empty list of {kind.__name__}")
+            for v in values:
+                if allowed and v not in allowed:
+                    raise ValueError(f"{v!r} is not one of the {name}: {', '.join(allowed)}")
+        ranges = [("level", v, 0, MAX_LEVEL) for v in self.levels] + [
+            ("repeats", self.repeats, 0, None), ("seed", self.seed, 0, None),
+            ("cap", self.cap, 0, None), ("budget", self.budget, 0, SPIN_BUDGET),
+            ("num_samples", self.num_samples, 1, None),
+            ("max_guesses", self.max_guesses, 0, None)]
+        for name, value, low, high in ranges:
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
+            if value < low or high is not None and value > high:
+                bound = f">= {low}" if high is None else f"between {low} and {high}"
+                raise ValueError(f"{name} must be {bound}, got {value}")
+        if type(self.stop_on_solve) is not bool:
+            raise ValueError(f"stop_on_solve must be a bool, got {self.stop_on_solve!r}")
+
     @staticmethod
     def from_file(path: str | Path) -> "SweepConfig":
         data = json.loads(Path(path).read_text())
-        unknown = set(data) - {f for f in SweepConfig.__dataclass_fields__}
+        if not isinstance(data, dict):
+            raise ValueError("a sweep config is a JSON object")
+        unknown = set(data) - {f.name for f in fields(SweepConfig)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if not data.get("instances"):
+        if "instances" not in data:
             raise ValueError("config must name at least one instance")
         return SweepConfig(**data)
+
+
+def preprocess_and_decompose(cnf: Cnf, config: SweepConfig, *, level: int,
+                             strategy: str, backend: str, seed: int, cap: int,
+                             collect_trace: bool) -> tuple[DecompositionRun, float]:
+    """Ladder, then decomposition, of one repeat or of its trace replay;
+    returns the run and the ladder's wall time."""
+    t0 = time.perf_counter()
+    res = run_ladder(cnf, level=level, seed=seed, max_guesses=config.max_guesses)
+    pre_time = time.perf_counter() - t0
+    run = iterate(res.cnf, res.condition, cnf, strategy=strategy, backend=backend,
+                  budget=config.budget, cap=cap, seed=seed,
+                  num_samples=config.num_samples, collect_trace=collect_trace)
+    return run, pre_time
+
+
+def run_repeat(instance_id: str, cnf: Cnf, config: SweepConfig, *, level: int,
+               strategy: str, backend: str, seed: int) -> RunRecord:
+    """One full repeat of a cell, up to the config's cap."""
+    t0 = time.perf_counter()
+    run, pre_time = preprocess_and_decompose(
+        cnf, config, level=level, strategy=strategy, backend=backend, seed=seed,
+        cap=config.cap, collect_trace=False)
+    wall = time.perf_counter() - t0
+    return RunRecord(
+        instance=instance_id,
+        strategy=strategy,
+        level=level,
+        backend=backend,
+        seed=seed,
+        cap=config.cap,
+        solved=run.solved,
+        verified=run.solved,
+        iterations_used=run.iterations_used,
+        solver_calls=run.solver_calls,
+        best_satisfied=run.best_satisfied,
+        num_clauses=run.num_clauses,
+        solver_time=run.solver_calls * PER_CALL_TIME,
+        reason=run.reason,
+        preprocess_time=pre_time,
+        wall_time=wall,
+    )
 
 
 def _existing_keys(runs_path: Path) -> dict[str, bool]:
@@ -401,36 +452,30 @@ def run_experiment(config: SweepConfig, out_dir: str | Path | None = None,
     timings_path = timings_path_for(runs_path)
     done = _existing_keys(runs_path)
     records: list[RunRecord] = []
+    cells = list(product(config.levels, config.strategies, config.backends))
     for spec in config.instances:
         for instance_id, cnf in expand_instances(spec):
-            for level in config.levels:
-                for strategy in config.strategies:
-                    for backend in config.backends:
-                        solved_here = False
-                        for rep in range(config.repeats):
-                            seed = config.seed + rep
-                            key = cell_key(instance_id, level, strategy,
-                                           backend, seed)
-                            if key in done:
-                                # a resumed cell stops where the whole run would
-                                solved_here = solved_here or done[key]
-                                continue
-                            if config.stop_on_solve and solved_here:
-                                break
-                            rec = run_repeat(
-                                instance_id, cnf, level=level,
-                                strategy=strategy, backend=backend, seed=seed,
-                                cap=config.cap, budget=config.budget,
-                                num_samples=config.num_samples,
-                                max_guesses=config.max_guesses)
-                            solved_here = solved_here or rec.solved
-                            with runs_path.open("a") as fh:
-                                fh.write(rec.to_json() + "\n")
-                            _append_timing(timings_path, rec)
-                            done[key] = rec.solved
-                            records.append(rec)
-                            if progress:
-                                progress(rec)
+            for level, strategy, backend in cells:
+                solved_here = False
+                for rep in range(config.repeats):
+                    seed = config.seed + rep
+                    key = cell_key(instance_id, level, strategy, backend, seed)
+                    if key in done:
+                        # a resumed cell stops where the whole run would
+                        solved_here = solved_here or done[key]
+                        continue
+                    if config.stop_on_solve and solved_here:
+                        break
+                    rec = run_repeat(instance_id, cnf, config, level=level,
+                                     strategy=strategy, backend=backend, seed=seed)
+                    solved_here = solved_here or rec.solved
+                    with runs_path.open("a") as fh:
+                        fh.write(rec.to_json() + "\n")
+                    _append_timing(timings_path, rec)
+                    done[key] = rec.solved
+                    records.append(rec)
+                    if progress:
+                        progress(rec)
     return records
 
 

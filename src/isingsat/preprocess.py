@@ -223,8 +223,8 @@ def _ladder_pass(fn):
 class GateGroup:
     variables: tuple[int, ...]
     clause_indices: tuple[int, ...]
-    kind: str | None  # recognized gate, or None
-    output: int | None  # defined only for recognized 3-variable gates
+    kind: str
+    output: int
 
 
 _DETECT_ORDER = ("AND", "OR", "NAND", "NOR", "XOR", "XNOR")
@@ -249,52 +249,28 @@ def _build_gate_table() -> dict[frozenset[tuple[bool, bool, bool]], tuple[str, i
 _GATE_TABLE = _build_gate_table()
 
 
-def _classify_pair_group(distinct: set[frozenset[int]],
-                         u: int, v: int) -> str | None:
-    if distinct == {frozenset((u, v)), frozenset((-u, -v))}:
-        return "NOT"
-    if distinct == {frozenset((u, -v)), frozenset((-u, v))}:
-        return "BUFFER"
-    return None
-
-
 def detect_gate_groups(clauses: list[Clause] | tuple[Clause, ...]) -> list[GateGroup]:
-    """Group clauses sharing one variable set and label the known gates.
+    """The gates among the 3-variable clauses, in variable order.
 
-    Groups matching a known gate encoding are labeled: 4-clause groups over 3
-    variables by a table lookup of their sign patterns, 2-clause groups over
-    2 variables as NOT ((a v b)(~a v ~b)) or BUFFER ((a v ~b)(~a v b))
-    pairs.
+    Clauses over the same three distinct variables form a group, and a group
+    whose sign patterns match a gate's row encoding (a table lookup) is
+    returned with its kind and output variable.
     """
     by_vars: dict[tuple[int, ...], list[int]] = {}
     for idx, c in enumerate(clauses):
-        if len(c) in (2, 3):
+        if len(c) == 3:
             vs = tuple(sorted(map(abs, c)))
-            if vs[0] != vs[1] and vs[-2] != vs[-1]:
+            if vs[0] != vs[1] != vs[2]:
                 by_vars.setdefault(vs, []).append(idx)
     groups: list[GateGroup] = []
     for variables in sorted(by_vars):
         indices = by_vars[variables]
-        if len(indices) < 2:
-            continue
-        sets = [frozenset(clauses[i]) for i in indices]
-        kind: str | None = None
-        output: int | None = None
-        if len(variables) == 2:
-            distinct = set(sets)
-            if len(distinct) == 2:
-                kind = _classify_pair_group(distinct, *variables)
-        else:
-            a, b, c = variables
-            hit = _GATE_TABLE.get(frozenset((a in s, b in s, c in s) for s in sets))
-            if hit is not None:
-                kind, output = hit[0], variables[hit[1]]
-        groups.append(GateGroup(
-            variables=variables,
-            clause_indices=tuple(indices),
-            kind=kind,
-            output=output,
-        ))
+        a, b, c = variables
+        hit = _GATE_TABLE.get(frozenset(
+            (a in clauses[i], b in clauses[i], c in clauses[i]) for i in indices))
+        if hit is not None:
+            groups.append(GateGroup(variables, tuple(indices), hit[0],
+                                    variables[hit[1]]))
     return groups
 
 
@@ -306,8 +282,7 @@ def detect_gate_groups(clauses: list[Clause] | tuple[Clause, ...]) -> list[GateG
 def reencode_option2(st: PrepState) -> dict[str, object]:
     """Rewrite recognized AND/OR/NAND/NOR groups in implication form; gates
     without one (XOR/XNOR) are left as-is and counted."""
-    groups = [g for g in detect_gate_groups(st.clauses)
-              if g.kind is not None and g.output is not None]
+    groups = detect_gate_groups(st.clauses)
     replaced = 0
     kept = 0
     drop: set[int] = set()

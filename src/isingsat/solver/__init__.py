@@ -5,17 +5,18 @@ interface:
 
 * :func:`solve_emulator` — a simulated annealer standing in for the 45-spin
   all-to-all chip.  It refuses models that would not fit the device: more
-  spins than the budget, fractional coefficients, or coefficients outside the
-  programmable range (run :func:`isingsat.qubo.scale_to_chip` first).
+  than ``SPIN_BUDGET`` spins, fractional coefficients, or coefficients outside
+  the programmable range (run :func:`isingsat.qubo.scale_to_chip` first).
 * :func:`solve_tabu` — a single-flip tabu search with no size or coefficient
   restrictions, used as the software baseline.  Its effort is a fixed move
-  budget rather than wall-clock time so identical requests give identical
+  budget rather than wall-clock time so identical calls give identical
   results on any machine.
 
-Both draw randomness from a seeded xorshift64* generator; per-read seeds
-are derived with splitmix64, so a request's outcome depends only on
-(model, seed, parameters).  Of a request's reads, the result keeps the
-first one with the lowest model energy.
+:func:`solve` routes a call to the backend it names.  Every backend draws
+randomness from a seeded xorshift64* generator; per-read seeds are derived
+with splitmix64, so a call's outcome depends only on (model, seed, number of
+reads).  Of a call's reads, the result keeps the first one with the lowest
+model energy.
 
 The inner loops live in :mod:`.kernels`: a C kernel compiled on first import
 and cached in ``__pycache__``, or, without a C compiler, the pure-Python
@@ -30,8 +31,8 @@ from ..qubo import COEFF_MAX, COEFF_MIN, SPIN_BUDGET, IsingModel
 from .kernels import COMPILED_KERNELS, anneal, mix_seed, tabu
 
 __all__ = [
+    "BACKENDS",
     "COMPILED_KERNELS",
-    "SolveRequest",
     "SolveResult",
     "INITIAL_TEMP",
     "FINAL_TEMP",
@@ -52,24 +53,7 @@ SWEEPS = 500
 DEFAULT_TABU_MOVES = 2000
 TABU_TENURE = 10
 
-
-@dataclass(frozen=True)
-class SolveRequest:
-    """One solver call: a model plus everything that determines its outcome.
-
-    ``budget`` overrides the emulator's spin budget (None: chip default).
-    """
-
-    model: IsingModel
-    seed: int = 0
-    num_samples: int = 1
-    backend: str = "emulator"
-    budget: int | None = None
-    collect_trace: bool = False
-
-    def __post_init__(self) -> None:
-        if self.num_samples < 1:
-            raise ValueError("num_samples must be >= 1")
+BACKENDS = ("emulator", "tabu")
 
 
 @dataclass(frozen=True)
@@ -78,7 +62,7 @@ class SolveResult:
 
     The best read is the first with the lowest energy under the model, not
     under the kernel's own bookkeeping.  ``trace`` holds (sweep,
-    temperature, best energy so far) rows when the request collected them,
+    temperature, best energy so far) rows when the call collected them,
     else it is empty.
     """
 
@@ -98,11 +82,10 @@ def _dense(model: IsingModel) -> tuple[list[float], list[float]]:
     return jd, h
 
 
-def _check_chip(model: IsingModel, budget: int | None) -> None:
-    cap = SPIN_BUDGET if budget is None else budget
-    if model.num_spins > cap:
+def _check_chip(model: IsingModel) -> None:
+    if model.num_spins > SPIN_BUDGET:
         raise ValueError(
-            f"model needs {model.num_spins} spins but the chip has {cap}"
+            f"model needs {model.num_spins} spins but the chip has {SPIN_BUDGET}"
         )
     for kind, coeffs in (("coupling", model.j), ("field", model.h)):
         for where, v in coeffs.items():
@@ -125,42 +108,45 @@ def _finish(model: IsingModel, reads: list[list[int]],
     return SolveResult(tuple(reads[best]), traces[best] if traces else ())
 
 
-def solve_emulator(request: SolveRequest) -> SolveResult:
+def solve_emulator(model: IsingModel, *, seed: int, num_samples: int,
+                   collect_trace: bool) -> SolveResult:
     """Anneal on the emulated chip; rejects models the device could not hold."""
-    model = request.model
-    _check_chip(model, request.budget)
+    _check_chip(model)
     if model.num_spins == 0:
         return SolveResult((), ())
     jd, h = _dense(model)
     reads: list[list[int]] = []
     traces: list[tuple[tuple[int, float, float], ...]] = []
-    for k in range(request.num_samples):
+    for k in range(num_samples):
         spins, _raw, tr = anneal(
             model.num_spins, jd, h, SWEEPS, INITIAL_TEMP, FINAL_TEMP,
-            mix_seed(request.seed, k), request.collect_trace,
+            mix_seed(seed, k), collect_trace,
         )
         reads.append(spins)
-        if request.collect_trace:
+        if collect_trace:
             traces.append(tuple((s, t, e + model.offset) for s, t, e in tr))
     return _finish(model, reads, traces)
 
 
-def solve_tabu(request: SolveRequest) -> SolveResult:
+def solve_tabu(model: IsingModel, *, seed: int, num_samples: int) -> SolveResult:
     """Tabu-search baseline: no spin cap, fixed move budget, tenure 10."""
-    model = request.model
     if model.num_spins == 0:
         return SolveResult((), ())
     jd, h = _dense(model)
     reads = [tabu(model.num_spins, jd, h, DEFAULT_TABU_MOVES, TABU_TENURE,
-                  mix_seed(request.seed, k))[0]
-             for k in range(request.num_samples)]
+                  mix_seed(seed, k))[0]
+             for k in range(num_samples)]
     return _finish(model, reads, [])
 
 
-def solve(request: SolveRequest) -> SolveResult:
-    """Route a request to its backend."""
-    if request.backend == "emulator":
-        return solve_emulator(request)
-    if request.backend == "tabu":
-        return solve_tabu(request)
-    raise ValueError(f"unknown backend {request.backend!r}")
+def solve(model: IsingModel, *, backend: str, seed: int, num_samples: int,
+          collect_trace: bool) -> SolveResult:
+    """Route a call to its backend; only the emulator collects a trace."""
+    if num_samples < 1:
+        raise ValueError("num_samples must be >= 1")
+    if backend == "emulator":
+        return solve_emulator(model, seed=seed, num_samples=num_samples,
+                              collect_trace=collect_trace)
+    if backend == "tabu":
+        return solve_tabu(model, seed=seed, num_samples=num_samples)
+    raise ValueError(f"unknown backend {backend!r}")

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 
 import pytest
@@ -121,16 +120,17 @@ def test_solve_from_dimacs_file_with_trace(tmp_path):
 
 
 def test_solve_trace_is_the_sweeps_first_solver_call(tmp_path, monkeypatch):
-    requests = []
+    calls = []
     solve = decompose.solve
-    monkeypatch.setattr(decompose, "solve",
-                        lambda request: requests.append(request) or solve(request))
+    monkeypatch.setattr(decompose, "solve", lambda model, **kwargs:
+                        calls.append((model, kwargs)) or solve(model, **kwargs))
     argv = ["solve", "--instance", "semiprime:10:551", "--level", "0",
             "--seed", "1", "--repeats", "1", "--cap", "1", "--budget", "20",
             "--num-samples", "3", "-o", str(tmp_path / "runs.jsonl")]
     trace = tmp_path / "trace.csv"
     assert main([*argv, "--trace", str(trace)]) == 0
-    first = solve(dataclasses.replace(requests[0], collect_trace=True))
+    model, kwargs = calls[0]
+    first = solve(model, **{**kwargs, "collect_trace": True})
     with trace.open(newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[1:] == [[str(x) for x in row] for row in first.trace]
@@ -169,12 +169,17 @@ def test_tts_empty_file(tmp_path, capsys):
     ("missing input file", "absent.cnf"),
     ("level out of range", "level must be between 0 and 7"),
     ("semiprime not in the catalog", "999"),
+    ("spec without its bit width", "semiprime:BITS:N"),
+    ("backbone spec without M and B", "backbone:N:M:B[:SEED]"),
+    ("records file with a foreign key", 'not a run record: {"a": 1}'),
 ])
 def test_bad_input_is_one_error_line(tmp_path, capsys, case, says):
     sweep = tmp_path / "sweep.json"
     sweep.write_text(json.dumps({"instances": ["semiprime:4"], "levles": [7]}))
     bad = tmp_path / "bad.cnf"
     bad.write_text("p cnf 2 1\n1 3 0\n")
+    foreign = tmp_path / "foreign.jsonl"
+    foreign.write_text('{"a": 1}\n')
     runs = ["-o", str(tmp_path / "runs.jsonl"), "--repeats", "1"]
     argv = {
         "misspelt sweep key": ["solve", "--sweep", str(sweep), "-o", str(tmp_path / "r")],
@@ -182,11 +187,54 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, case, says):
         "missing input file": ["solve", "-i", str(tmp_path / "absent.cnf"), *runs],
         "level out of range": ["solve", "--instance", "semiprime:4", "--level", "9", *runs],
         "semiprime not in the catalog": ["solve", "--instance", "semiprime:8:999", *runs],
+        "spec without its bit width": ["solve", "--instance", "semiprime", *runs],
+        "backbone spec without M and B": ["solve", "--instance", "backbone:100", *runs],
+        "records file with a foreign key": ["tts", "-i", str(foreign)],
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("isingsat: error: ") and err.count("\n") == 1
     assert says in err
+
+
+@pytest.mark.parametrize("case, says", [
+    ("unknown backend in a sweep", "'quantum' is not one of the backends"),
+    ("unknown strategy in a sweep", "'random' is not one of the strategies"),
+    ("no reads per solver call", "num_samples must be >= 1, got 0"),
+    ("budget above the chip", "budget must be between 0 and 45, got 60"),
+    ("repeats given as a string", "repeats must be an int, got '2'"),
+])
+def test_bad_setting_writes_no_record(tmp_path, capsys, case, says):
+    # level 7 solves semiprime:8:143 without a solver call, so no layer
+    # below the config would see these settings
+    cell = {"instances": ["semiprime:8:143"], "levels": [7], "repeats": 2}
+    sweep = {
+        "unknown backend in a sweep": {**cell, "backends": ["quantum"]},
+        "unknown strategy in a sweep": {**cell, "strategies": ["dfs", "random"]},
+        "repeats given as a string": {**cell, "repeats": "2"},
+    }.get(case)
+    runs = tmp_path / "runs.jsonl"
+    if sweep:
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(sweep))
+        argv = ["solve", "--sweep", str(path), "-o", str(runs)]
+    else:
+        flag = {"no reads per solver call": ["--num-samples", "0"],
+                "budget above the chip": ["--budget", "60"]}[case]
+        argv = ["solve", "--instance", "semiprime:8:143", "--repeats", "2",
+                "--cap", "3", *flag, "-o", str(runs)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("isingsat: error: ") and err.count("\n") == 1
+    assert says in err
+    assert not runs.exists()
+
+
+def test_solve_help_shows_the_sweep_config_defaults(capsys):
+    with pytest.raises(SystemExit):
+        main(["solve", "--help"])
+    out = capsys.readouterr().out
+    assert "default: ['dfs']" in out and "spins per slice, default: 45" in out
 
 
 def test_unknown_command_exits():

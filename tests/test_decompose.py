@@ -37,6 +37,10 @@ def _gs(cnf, assignment):
     return GlobalState.start(cnf, dict(assignment))
 
 
+# one read per solver call on the emulator, DFS unless a test says otherwise
+ONE_READ = dict(strategy="dfs", backend="emulator", num_samples=1)
+
+
 # ---------------------------------------------------------------------------
 # interaction graph
 
@@ -175,14 +179,14 @@ def test_update_global_accepts_plateau_and_better():
     cnf = make_cnf(2, [(1,), (2,)])
     state = _gs(cnf, {1: False, 2: True})
     assert state.best_count == 1
-    assert update_global(state, {1: True}, {1}, cnf)
+    assert update_global(state, {1: True}, cnf)
     assert state.best_count == 2
     assert state.assignment[1] is True
     # plateau: conflicting units (1)(~1) score 1 either way; flip accepted
     conflict = make_cnf(1, [(1,), (-1,)])
     state2 = _gs(conflict, {1: True})
     assert state2.best_count == 1
-    assert update_global(state2, {1: False}, {1}, conflict)
+    assert update_global(state2, {1: False}, conflict)
     assert state2.best_count == 1
     assert state2.assignment[1] is False
 
@@ -191,20 +195,26 @@ def test_update_global_rejects_worse():
     cnf = make_cnf(2, [(1,), (2,)])
     state = _gs(cnf, {1: True, 2: True})
     assert state.best_count == 2
-    assert not update_global(state, {1: False}, {1}, cnf)
+    assert not update_global(state, {1: False}, cnf)
     assert state.assignment[1] is True  # rolled back
     assert state.best_count == 2
 
 
-def test_update_global_notes_filter():
-    cnf = make_cnf(1, [(1,)])
-    filt = FilterState()
-    for _ in range(FILTER_WINDOW - 1):
-        filt.note_selection({1})
-    state = _gs(cnf, {1: False})
-    assert not filt.is_cooling(1)
-    update_global(state, {1: True}, {1}, cnf, filt=filt)
-    assert filt.is_cooling(1)
+def test_iterate_notes_every_selection_in_the_filter(monkeypatch):
+    noted, picked = [], []
+
+    class Recording(FilterState):
+        def note_selection(self, selected):
+            noted.append(set(selected))
+            super().note_selection(selected)
+
+    select = decompose.select_dfs
+    monkeypatch.setattr(decompose, "FilterState", Recording)
+    monkeypatch.setattr(decompose, "select_dfs",
+                        lambda *args: picked.append(select(*args)) or picked[-1])
+    cnf = random_3sat(10, 60, random.Random(5))  # too dense to solve in 4
+    run = iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=6, cap=4, seed=1)
+    assert noted == picked and len(noted) == run.iterations_used == 4
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +257,7 @@ def test_incremental_counts_match_full_rescan(walk):
         sub = freeze_and_extract(cnf, selected, state)
         assert (sub.qubo, sub.spin_cost) == _naive_freeze(cnf, selected, before)
         proposal = {v: bits[v - 1] for v in selected}
-        accepted = update_global(state, proposal, selected, cnf)
+        accepted = update_global(state, proposal, cnf)
         assert state.best_count >= count_satisfied(cnf.clauses, before)  # never drops
         candidate = {**before, **proposal}
         assert accepted == (count_satisfied(cnf.clauses, candidate)
@@ -284,8 +294,8 @@ def test_spin_cost_counts_repeated_variable_3_clauses():
                         assert sub.spin_cost <= budget
                         assert sub.qubo.num_vars <= budget
         # iterate raises when a slice's spin cost overshoots the budget
-        iterate(cnf, ConditionList(), cnf, backend="tabu", budget=5, cap=20,
-                seed=trial)
+        iterate(cnf, ConditionList(), cnf, strategy="dfs", backend="tabu",
+                budget=5, cap=20, seed=trial, num_samples=1)
 
 
 def test_tabu_skips_chip_scaling(monkeypatch):
@@ -295,7 +305,8 @@ def test_tabu_skips_chip_scaling(monkeypatch):
 
     monkeypatch.setattr(decompose, "scale_to_chip", no_scaling)
     cnf = random_3sat(12, 40, random.Random(5))
-    run = iterate(cnf, ConditionList(), cnf, backend="tabu", cap=5, seed=1)
+    run = iterate(cnf, ConditionList(), cnf, strategy="dfs", backend="tabu",
+                  budget=45, cap=5, seed=1, num_samples=1)
     assert run.solver_calls > 0
 
 
@@ -306,15 +317,16 @@ def test_iterate_solves_small_random_instances():
         cnf = random_3sat(12, 30, rng)
         if not brute_force_solutions(cnf):
             continue
-        run = iterate(cnf, ConditionList(), cnf, budget=14, cap=400, seed=i)
-        assert run.solved and run.verified, i
+        run = iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=14, cap=400,
+                      seed=i)
+        assert run.solved and evaluate(cnf, run.assignment), i
         solved += 1
     assert solved >= 4
 
 
 def test_iterate_returns_run_metadata():
     cnf = random_3sat(10, 24, random.Random(5))
-    run = iterate(cnf, ConditionList(), cnf, budget=12, cap=300, seed=2)
+    run = iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=12, cap=300, seed=2)
     assert isinstance(run, DecompositionRun)
     assert run.iterations_used <= 300
     assert run.solver_calls >= run.iterations_used
@@ -326,8 +338,8 @@ def test_iterate_returns_run_metadata():
 
 def test_iterate_deterministic():
     cnf = random_3sat(12, 34, random.Random(8))
-    a = iterate(cnf, ConditionList(), cnf, budget=12, cap=150, seed=9)
-    b = iterate(cnf, ConditionList(), cnf, budget=12, cap=150, seed=9)
+    a = iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=12, cap=150, seed=9)
+    b = iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=12, cap=150, seed=9)
     assert (a.solved, a.iterations_used, a.solver_calls, a.best_satisfied) == \
         (b.solved, b.iterations_used, b.solver_calls, b.best_satisfied)
     assert a.assignment == b.assignment
@@ -335,23 +347,26 @@ def test_iterate_deterministic():
 
 def test_iterate_bfs_strategy_and_unknown_strategy():
     cnf = random_3sat(10, 25, random.Random(4))
-    run = iterate(cnf, ConditionList(), cnf, strategy="bfs", budget=12, cap=300, seed=1)
+    run = iterate(cnf, ConditionList(), cnf, strategy="bfs", backend="emulator",
+                  budget=12, cap=300, seed=1, num_samples=1)
     assert run.iterations_used >= 0
     with pytest.raises(ValueError):
-        iterate(cnf, ConditionList(), cnf, strategy="random", budget=12)
+        iterate(cnf, ConditionList(), cnf, strategy="random", backend="emulator",
+                budget=12, cap=300, seed=1, num_samples=1)
 
 
 def test_iterate_empty_residual_needs_no_solver():
     cnf, _, _ = generate_instance(4)
     res = run_ladder(cnf, 7, seed=1)
-    run = iterate(res.cnf, res.condition, cnf, budget=45, cap=100, seed=0)
-    assert run.solved and run.verified
+    run = iterate(res.cnf, res.condition, cnf, **ONE_READ, budget=45, cap=100,
+                  seed=0)
+    assert run.solved and evaluate(cnf, run.assignment)
     assert run.solver_calls == 0 and run.iterations_used == 0
 
 
 def test_iterate_unsat_marker_short_circuits():
     cnf = make_cnf(2, [(), (1, 2)])
-    run = iterate(cnf, ConditionList(), cnf, budget=10, cap=50, seed=0)
+    run = iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=10, cap=50, seed=0)
     assert not run.solved
     assert run.reason == "unsat-marker"
     assert run.solver_calls == 0
@@ -361,7 +376,7 @@ def test_iterate_budget_too_small():
     # conflicting units can never be fully satisfied, so the loop must
     # attempt a selection — which a zero budget cannot afford
     cnf = make_cnf(1, [(1,), (-1,)])
-    run = iterate(cnf, ConditionList(), cnf, budget=0, cap=10, seed=0)
+    run = iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=0, cap=10, seed=0)
     assert not run.solved
     assert run.reason == "budget-too-small"
 
@@ -372,7 +387,7 @@ def test_iterate_keeps_history_when_asked():
     cnf = random_3sat(10, 25, random.Random(6))
     history = []
     for cap in range(1, 16):
-        run = iterate(cnf, ConditionList(), cnf, budget=12, cap=cap, seed=3)
+        run = iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=12, cap=cap, seed=3)
         assert run.iterations_used == cap or run.solved
         assert run.best_satisfied <= cnf.num_clauses
         history.append(run.best_satisfied)
@@ -384,8 +399,8 @@ def test_iterate_keeps_history_when_asked():
 
 def test_iterate_trace_capture():
     cnf = random_3sat(10, 25, random.Random(7))
-    run = iterate(cnf, ConditionList(), cnf, budget=12, cap=50, seed=1,
-                  collect_trace=True)
+    run = iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=12, cap=50,
+                  seed=1, collect_trace=True)
     if run.solver_calls:
         assert len(run.trace) > 0
         assert len(run.trace[0]) == 3
@@ -394,9 +409,9 @@ def test_iterate_trace_capture():
 def test_factor_recovery_through_full_pipeline():
     cnf, nl, inst = generate_instance(8, 143)
     res = run_ladder(cnf, 7, seed=4, max_guesses=2)
-    run = iterate(res.cnf, res.condition, cnf, budget=45, cap=1000,
-                  seed=4, num_samples=8)
-    assert run.solved and run.verified
+    run = iterate(res.cnf, res.condition, cnf, strategy="dfs",
+                  backend="emulator", budget=45, cap=1000, seed=4, num_samples=8)
+    assert run.solved and evaluate(cnf, run.assignment)
     a = sum((1 << i) for i, v in enumerate(nl.input_bits_a) if run.assignment[v])
     b = sum((1 << i) for i, v in enumerate(nl.input_bits_b) if run.assignment[v])
     assert a * b == 143

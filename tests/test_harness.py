@@ -1,9 +1,11 @@
 """Run records, TTS math, backbone instances, sweeps, and reports."""
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -205,8 +207,9 @@ def test_expand_file(tmp_path):
 
 def test_run_repeat_solves_small_semiprime():
     cnf = expand_instances("semiprime:4")[0][1]
-    rec = run_repeat("semiprime-04-9", cnf, level=7, strategy="dfs",
-                     backend="emulator", seed=1, cap=200)
+    rec = run_repeat("semiprime-04-9", cnf,
+                     SweepConfig(instances=["semiprime:4"], cap=200), level=7,
+                     strategy="dfs", backend="emulator", seed=1)
     assert rec.solved and rec.verified
     assert rec.solver_time == pytest.approx(rec.solver_calls * 0.001)
     assert rec.preprocess_time > 0.0 and rec.wall_time >= rec.preprocess_time
@@ -217,22 +220,22 @@ def test_run_repeat_solves_small_semiprime():
 # assembly or merging changes at least one of them.
 _GOLDEN_CELLS = [
     ("semiprime:10:551",
-     dict(level=7, strategy="dfs", backend="emulator", seed=1, cap=20,
-          budget=45, num_samples=2),
+     dict(level=7, strategy="dfs", backend="emulator", seed=1),
+     dict(cap=20, budget=45, num_samples=2),
      '{"backend":"emulator","best_satisfied":217,"cap":20,'
      '"instance":"semiprime-10-551","iterations_used":20,"level":7,'
      '"num_clauses":221,"reason":"cap","seed":1,"solved":false,'
      '"solver_calls":20,"solver_time":0.02,"strategy":"dfs","verified":false}'),
     ("semiprime:8:143",
-     dict(level=0, strategy="dfs", backend="emulator", seed=1, cap=25,
-          budget=20, num_samples=1),
+     dict(level=0, strategy="dfs", backend="emulator", seed=1),
+     dict(cap=25, budget=20, num_samples=1),
      '{"backend":"emulator","best_satisfied":382,"cap":25,'
      '"instance":"semiprime-08-143","iterations_used":25,"level":0,'
      '"num_clauses":391,"reason":"cap","seed":1,"solved":false,'
      '"solver_calls":25,"solver_time":0.025,"strategy":"dfs","verified":false}'),
     ("backbone:60:255:50",
-     dict(level=7, strategy="bfs", backend="tabu", seed=6, cap=25,
-          budget=45, num_samples=1),
+     dict(level=7, strategy="bfs", backend="tabu", seed=6),
+     dict(cap=25, budget=45, num_samples=1),
      '{"backend":"tabu","best_satisfied":236,"cap":25,'
      '"instance":"backbone-n60-m255-b50-s0","iterations_used":9,"level":7,'
      '"num_clauses":236,"reason":"solved","seed":6,"solved":true,'
@@ -241,11 +244,12 @@ _GOLDEN_CELLS = [
 ]
 
 
-@pytest.mark.parametrize("spec,cell,golden", _GOLDEN_CELLS,
+@pytest.mark.parametrize("spec,cell,settings,golden", _GOLDEN_CELLS,
                          ids=["L7-dfs-emulator", "L0-budget20", "bfs-tabu"])
-def test_run_repeat_records_are_pinned(spec, cell, golden):
+def test_run_repeat_records_are_pinned(spec, cell, settings, golden):
     instance_id, cnf = expand_instances(spec)[0]
-    assert run_repeat(instance_id, cnf, **cell).to_json() == golden
+    config = SweepConfig(instances=[spec], **settings)
+    assert run_repeat(instance_id, cnf, config, **cell).to_json() == golden
 
 
 def _tiny_config(**over):
@@ -263,6 +267,15 @@ def test_sweep_writes_parseable_records(tmp_path):
     timings = load_timings(timings_path_for(tmp_path / "runs.jsonl"))
     assert set(timings) == {r.key for r in recs}
     assert all(pre > 0 and wall >= pre for pre, wall in timings.values())
+
+
+def test_sweep_runs_every_cell_of_every_instance_in_order(tmp_path):
+    config = _tiny_config(instances=["semiprime:4", "semiprime:5"], levels=[0, 7],
+                          strategies=["dfs", "bfs"], repeats=1, cap=5)
+    ids = [i for spec in config.instances for i, _ in expand_instances(spec)]
+    recs = run_experiment(config, out_dir=tmp_path)
+    assert [(r.instance, r.level, r.strategy) for r in recs] == \
+        list(itertools.product(ids, [0, 7], ["dfs", "bfs"]))
 
 
 def test_sweep_resume_skips_completed_cells(tmp_path):
@@ -337,6 +350,8 @@ def test_sweep_config_file_validation(tmp_path):
     cfg = SweepConfig.from_file(good)
     assert cfg.instances == ["semiprime:4"] and cfg.repeats == 3
     assert cfg.levels == [7] and cfg.num_samples == 10
+    with pytest.raises(ValueError, match="budget must be between 0 and 45"):
+        replace(cfg, budget=60)  # replace checks like the constructor
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"instances": ["x"], "budgetz": 1}))
@@ -345,6 +360,9 @@ def test_sweep_config_file_validation(tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"repeats": 2}))
     with pytest.raises(ValueError, match="at least one instance"):
+        SweepConfig.from_file(empty)
+    empty.write_text("5")
+    with pytest.raises(ValueError, match="JSON object"):
         SweepConfig.from_file(empty)
 
 

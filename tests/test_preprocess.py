@@ -20,7 +20,6 @@ from isingsat.preprocess import (
     ConditionList,
     GateGroup,
     PrepState,
-    _classify_pair_group,
     _ladder_pass,
     _unit_fixpoint,
     branch_probe,
@@ -108,16 +107,6 @@ def test_reconstruct_defaults_unconstrained():
 
 def _or_gate(a, b, c):
     return gate_clauses("OR", a, b, c, EncodingOption.OPTION1)
-
-
-def test_detect_gate_groups_signatures():
-    # (a v ~b)(~a v b): one negative literal in each clause -> BUFFER
-    groups = detect_gate_groups([(1, -2), (-1, 2)])
-    kinds = {g.kind for g in groups}
-    assert "BUFFER" in kinds
-    # (a v b)(~a v ~b): zero, then two negative literals -> NOT
-    groups = detect_gate_groups([(1, 2), (-1, -2)])
-    assert {g.kind for g in groups} == {"NOT"}
 
 
 def test_reencode_option2_rewrites_or_group():
@@ -691,20 +680,15 @@ def _naive_detect_gate_groups(clauses):
     by_vars = {}
     for idx, c in enumerate(clauses):
         vs = frozenset(abs(l) for l in c)
-        if len(vs) in (2, 3) and len(vs) == len(c):
+        if len(vs) == len(c) == 3:
             by_vars.setdefault(vs, []).append(idx)
     groups = []
     for vs in sorted(by_vars, key=sorted):
         indices = by_vars[vs]
-        if len(indices) < 2:
-            continue
         distinct = {frozenset(clauses[i]) for i in indices}
         kind = None
         output = None
-        if len(vs) == 2 and len(distinct) == 2:
-            u, v = sorted(vs)
-            kind = _classify_pair_group(distinct, u, v)
-        elif len(vs) == 3 and len(distinct) == 4:
+        if len(distinct) == 4:
             for out_var in sorted(vs):
                 ins = sorted(vs - {out_var})
                 for cand in _DETECT_ORDER:
@@ -718,12 +702,13 @@ def _naive_detect_gate_groups(clauses):
                         break
                 if kind:
                     break
-        groups.append(GateGroup(
-            variables=tuple(sorted(vs)),
-            clause_indices=tuple(sorted(indices)),
-            kind=kind,
-            output=output,
-        ))
+        if kind:
+            groups.append(GateGroup(
+                variables=tuple(sorted(vs)),
+                clause_indices=tuple(sorted(indices)),
+                kind=kind,
+                output=output,
+            ))
     return groups
 
 

@@ -19,7 +19,6 @@ from isingsat.solver import (
     FINAL_TEMP,
     INITIAL_TEMP,
     SWEEPS,
-    SolveRequest,
     solve,
     solve_emulator,
     solve_tabu,
@@ -71,19 +70,19 @@ def _exact_min(m: IsingModel) -> float:
 
 def test_request_validation():
     m = IsingModel(num_spins=1, h={0: 1.0})
-    with pytest.raises(ValueError):
-        SolveRequest(model=m, num_samples=0)
-    with pytest.raises(ValueError):
-        solve(SolveRequest(model=m, backend="quantum"))
+    with pytest.raises(ValueError, match="num_samples"):
+        solve(m, backend="emulator", seed=0, num_samples=0, collect_trace=False)
+    with pytest.raises(ValueError, match="quantum"):
+        solve(m, backend="quantum", seed=0, num_samples=1, collect_trace=False)
 
 
 def test_emulator_determinism():
     m = _random_model(12, random.Random(3))
-    a = solve_emulator(SolveRequest(model=m, seed=7, num_samples=4, collect_trace=True))
-    b = solve_emulator(SolveRequest(model=m, seed=7, num_samples=4, collect_trace=True))
+    a = solve_emulator(m, seed=7, num_samples=4, collect_trace=True)
+    b = solve_emulator(m, seed=7, num_samples=4, collect_trace=True)
     assert a.best_spins == b.best_spins
     assert a.trace == b.trace
-    c = solve_emulator(SolveRequest(model=m, seed=8, num_samples=4, collect_trace=True))
+    c = solve_emulator(m, seed=8, num_samples=4, collect_trace=True)
     assert c.trace != a.trace  # different stream
 
 
@@ -92,7 +91,7 @@ def test_emulator_reaches_ground_state_usually():
     hits = 0
     for k in range(20):
         m = _random_model(10, rng)
-        res = solve_emulator(SolveRequest(model=m, seed=k, num_samples=4))
+        res = solve_emulator(m, seed=k, num_samples=4, collect_trace=False)
         if abs(m.energy(res.best_spins) - _exact_min(m)) < 1e-9:
             hits += 1
     assert hits >= 10  # annealer finds the optimum on most 10-spin instances
@@ -100,10 +99,9 @@ def test_emulator_reaches_ground_state_usually():
 
 def test_emulator_sample_count_and_best_pick():
     # the spins and the trace are both those of the first read with the
-    # lowest model energy among the request's num_samples reads
+    # lowest model energy among the call's num_samples reads
     m = _random_model(8, random.Random(5))
-    res = solve_emulator(SolveRequest(model=m, seed=2, num_samples=6,
-                                      collect_trace=True))
+    res = solve_emulator(m, seed=2, num_samples=6, collect_trace=True)
     jd, h = _dense(m)
     reads = [kernels.anneal(8, jd, h, SWEEPS, INITIAL_TEMP, FINAL_TEMP,
                             kernels.mix_seed(2, k), True) for k in range(6)]
@@ -115,7 +113,7 @@ def test_emulator_sample_count_and_best_pick():
 
 def test_emulator_trace_monotone():
     m = _random_model(10, random.Random(9))
-    res = solve_emulator(SolveRequest(model=m, seed=1, collect_trace=True))
+    res = solve_emulator(m, seed=1, num_samples=1, collect_trace=True)
     assert len(res.trace) == SWEEPS
     bests = [row[2] for row in res.trace]
     assert bests == sorted(bests, reverse=True)
@@ -126,7 +124,7 @@ def test_emulator_trace_monotone():
 
 def test_empty_model_shortcut():
     m = IsingModel(num_spins=0, offset=2.5)
-    res = solve(SolveRequest(model=m))
+    res = solve(m, backend="emulator", seed=0, num_samples=1, collect_trace=False)
     assert res.best_spins == () and res.trace == ()
     assert m.energy(res.best_spins) == 2.5
 
@@ -134,19 +132,19 @@ def test_empty_model_shortcut():
 def test_chip_guard_budget():
     m = IsingModel(num_spins=46)
     with pytest.raises(ValueError):
-        solve_emulator(SolveRequest(model=m, budget=45))
+        solve_emulator(m, seed=0, num_samples=1, collect_trace=False)
 
 
 def test_chip_guard_non_integer_coefficients():
     m = IsingModel(num_spins=2, j={(0, 1): 0.75})
     with pytest.raises(ValueError, match="scale_to_chip"):
-        solve_emulator(SolveRequest(model=m))
+        solve_emulator(m, seed=0, num_samples=1, collect_trace=False)
 
 
 def test_chip_guard_range():
     m = IsingModel(num_spins=2, j={(0, 1): 15.0})
     with pytest.raises(ValueError):
-        solve_emulator(SolveRequest(model=m))
+        solve_emulator(m, seed=0, num_samples=1, collect_trace=False)
 
 
 def test_tabu_finds_optimum_on_most_models():
@@ -155,7 +153,7 @@ def test_tabu_finds_optimum_on_most_models():
     hits = 0
     for k in range(10):
         m = _random_model(16, rng)
-        res = solve_tabu(SolveRequest(model=m, seed=k))
+        res = solve_tabu(m, seed=k, num_samples=1)
         exact = _exact_min(m)
         energy = m.energy(res.best_spins)
         assert energy >= exact - 1e-9
@@ -165,24 +163,24 @@ def test_tabu_finds_optimum_on_most_models():
 
 def test_tabu_determinism():
     m = _random_model(11, random.Random(2))
-    a = solve_tabu(SolveRequest(model=m, seed=4))
-    b = solve_tabu(SolveRequest(model=m, seed=4))
+    a = solve_tabu(m, seed=4, num_samples=1)
+    b = solve_tabu(m, seed=4, num_samples=1)
     assert a.best_spins == b.best_spins
 
 
 def test_solve_dispatch():
     m = IsingModel(num_spins=2, j={(0, 1): 1.0})
-    emulator = SolveRequest(model=m, backend="emulator", seed=3, collect_trace=True)
-    tabu = SolveRequest(model=m, backend="tabu", seed=3, collect_trace=True)
-    r1, r2 = solve(emulator), solve(tabu)
-    assert r1 == solve_emulator(emulator) and r1.trace  # only the emulator traces
-    assert r2 == solve_tabu(tabu) and r2.trace == ()
+    r1 = solve(m, backend="emulator", seed=3, num_samples=1, collect_trace=True)
+    r2 = solve(m, backend="tabu", seed=3, num_samples=1, collect_trace=True)
+    assert r1 == solve_emulator(m, seed=3, num_samples=1, collect_trace=True)
+    assert r1.trace  # only the emulator traces
+    assert r2 == solve_tabu(m, seed=3, num_samples=1) and r2.trace == ()
     assert m.energy(r1.best_spins) == m.energy(r2.best_spins) == -1.0
 
 
 def test_offset_carried_through():
     m = IsingModel(num_spins=1, h={0: 2.0}, offset=10.0)
-    res = solve_emulator(SolveRequest(model=m, collect_trace=True))
+    res = solve_emulator(m, seed=0, num_samples=1, collect_trace=True)
     assert res.best_spins == (-1,)
     assert res.trace[-1][2] == pytest.approx(8.0)  # spin -1 plus offset
 
@@ -195,7 +193,7 @@ def test_sat_instance_decodes_to_model():
     cnf = random_3sat(8, 20, random.Random(42))
     q = cnf_to_qubo(cnf)
     scaled, _ = scale_to_chip(qubo_to_ising(q))
-    res = solve_emulator(SolveRequest(model=scaled, seed=3, num_samples=8))
+    res = solve_emulator(scaled, seed=3, num_samples=8, collect_trace=False)
     assignment = {var: res.best_spins[idx] > 0 for idx, var in q.source_var_map.items()}
     assert evaluate(cnf, assignment)
 

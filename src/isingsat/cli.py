@@ -90,17 +90,27 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
     return 0
 
 
+_LIST_FLAGS = {"levels": "--level", "strategies": "--strategy",
+               "backends": "--backend"}
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
+    # a setting flag left out is None, so SweepConfig supplies its default
+    given = {k: v for k, v in vars(args).items()
+             if k in SweepConfig.__dataclass_fields__ and v is not None}
     if args.sweep:
+        clash = [*(["-i/--input"] if args.input else []),
+                 *(["--instance"] if args.instance else []),
+                 *(_LIST_FLAGS.get(k, "--" + k.replace("_", "-")) for k in given)]
+        if clash:
+            raise ValueError("--sweep takes the instances and every setting "
+                             f"from its file; drop {', '.join(clash)}")
         config = SweepConfig.from_file(args.sweep)
     else:
         if not args.input and not args.instance:
             print("solve needs -i/--input, --instance, or --sweep", file=sys.stderr)
             return 2
-        config = SweepConfig(
-            instances=[args.instance or args.input],
-            **{k: v for k, v in vars(args).items()
-               if k in SweepConfig.__dataclass_fields__})
+        config = SweepConfig(instances=[args.instance or args.input], **given)
     if args.output:
         out_path = Path(args.output)
         out_dir, runs_filename = out_path.parent, out_path.name
@@ -194,32 +204,36 @@ def build_parser() -> argparse.ArgumentParser:
     pre.add_argument("--report", help="write per-pass statistics as JSON")
     pre.set_defaults(func=_cmd_preprocess)
 
-    # a setting's dest is its SweepConfig field, whose default set_defaults
-    # gives it; a list field takes one value (nargs=1)
+    # a setting's dest is its SweepConfig field and its help shows that
+    # field's default; a list field takes one value (nargs=1)
     s = sub.add_parser("solve", help="preprocess + decompose + solve repeats")
     s.add_argument("-i", "--input", help="DIMACS file")
     s.add_argument("--instance", help="instance spec, e.g. semiprime:8:143")
-    s.add_argument("--sweep", help="JSON sweep config (full factorial)")
-    d = "default: %(default)s"
-    s.add_argument("--strategy", dest="strategies", nargs=1, choices=STRATEGIES, help=d)
-    s.add_argument("--backend", dest="backends", nargs=1, choices=BACKENDS, help=d)
+    s.add_argument("--sweep", help="JSON sweep config (full factorial); "
+                                   "takes no instance or setting flag")
+    dflt = {f.name: "default: " + str(f.default_factory()
+                                      if f.default is dataclasses.MISSING
+                                      else f.default)
+            for f in dataclasses.fields(SweepConfig) if f.name != "instances"}
+    s.add_argument("--strategy", dest="strategies", nargs=1, choices=STRATEGIES,
+                   help=dflt["strategies"])
+    s.add_argument("--backend", dest="backends", nargs=1, choices=BACKENDS,
+                   help=dflt["backends"])
     s.add_argument("--level", dest="levels", nargs=1, type=int, metavar="LEVEL",
-                   help=f"0..{MAX_LEVEL}, {d}")
-    s.add_argument("--budget", type=int, help=f"spins per slice, {d}")
-    s.add_argument("--cap", type=int, help=f"iterations per repeat, {d}")
-    s.add_argument("--repeats", type=int, help=d)
-    s.add_argument("--seed", type=int, help=d)
-    s.add_argument("--num-samples", type=int, help=f"chip reads per solver call, {d}")
-    s.add_argument("--max-guesses", type=int, help=d)
-    s.add_argument("--stop-on-solve", action="store_true",
+                   help=f"0..{MAX_LEVEL}, {dflt['levels']}")
+    s.add_argument("--budget", type=int, help=f"spins per slice, {dflt['budget']}")
+    s.add_argument("--cap", type=int, help=f"iterations per repeat, {dflt['cap']}")
+    s.add_argument("--repeats", type=int, help=dflt["repeats"])
+    s.add_argument("--seed", type=int, help=dflt["seed"])
+    s.add_argument("--num-samples", type=int,
+                   help=f"chip reads per solver call, {dflt['num_samples']}")
+    s.add_argument("--max-guesses", type=int, help=dflt["max_guesses"])
+    s.add_argument("--stop-on-solve", action="store_true", default=None,
                    help="stop a cell's repeats after the first success")
     s.add_argument("-o", "--output", help="runs.jsonl path")
     s.add_argument("--results-dir", help=f"default dir (or ${harness.RESULTS_ENV})")
     s.add_argument("--trace", help="CSV dump of one anneal trace")
-    s.set_defaults(func=_cmd_solve, **{
-        f.name: f.default_factory() if f.default is dataclasses.MISSING
-        else f.default
-        for f in dataclasses.fields(SweepConfig) if f.name != "instances"})
+    s.set_defaults(func=_cmd_solve)
 
     t = sub.add_parser("tts", help="time-to-solution table from runs.jsonl")
     t.add_argument("-i", "--input", required=True)

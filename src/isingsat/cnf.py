@@ -67,6 +67,21 @@ class Cnf:
         return max((len(c) for c in self.clauses), default=0)
 
 
+MEMO_ENTRIES = 8  # entries a memo keyed by formula value keeps
+
+
+def memoize(memo: dict, key: object, value: object) -> None:
+    """Store ``value`` under ``key``, first dropping the oldest entry of a
+    memo that already holds ``MEMO_ENTRIES``.
+
+    A ``Cnf`` key compares and hashes by ``num_vars`` and ``clauses``, not
+    by ``provenance``, so equal formulas built apart share an entry.
+    """
+    if len(memo) >= MEMO_ENTRIES:
+        del memo[next(iter(memo))]
+    memo[key] = value
+
+
 def make_cnf(num_vars: int, clauses: Iterable[Sequence[int]], provenance: str = "") -> Cnf:
     """Build a Cnf from any iterable of literal sequences."""
     return Cnf(num_vars, tuple(tuple(c) for c in clauses), provenance=provenance)

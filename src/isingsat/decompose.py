@@ -16,14 +16,18 @@ selected ``FILTER_WINDOW`` times in a row sits out (pushed behind every
 other candidate) for the next ``FILTER_WINDOW`` iterations.
 
 Per-iteration work scales with the slice, not the formula.  Each formula is
-indexed once: ``build_vig`` records, next to the adjacency, the 3-literal
-clauses the projected spin cost counts, and ``GlobalState.start`` lists the
-clauses of every variable and keeps a true-literal count per clause (the
-make/break bookkeeping of WalkSAT-style local search).  The unsatisfied set
-falls out of those counts, so picking a start variable reads only the
-unsatisfied clauses; freezing visits only the clauses touching the selection
-plus the unsatisfied ones; and a merge moves the counts of only the clauses
-of the variables it flips, committing them only when it is accepted.
+indexed once per value per process: :func:`formula_index` builds the graph
+(``build_vig`` records, next to the adjacency, the 3-literal clauses the
+projected spin cost counts) and lists the clauses of every variable, and
+keeps both in a memo of ``MEMO_ENTRIES`` entries keyed by the formula, so
+every decomposition of an equal formula shares them read-only.
+``GlobalState.start`` then only keeps a true-literal count per clause for
+its seed's assignment (the make/break bookkeeping of WalkSAT-style local
+search).  The unsatisfied set falls out of those counts, so picking a start
+variable reads only the unsatisfied clauses; freezing visits only the
+clauses touching the selection plus the unsatisfied ones; and a merge moves
+the counts of only the clauses of the variables it flips, committing them
+only when it is accepted.
 One full rescan at the end of the loop checks the final count.
 """
 from __future__ import annotations
@@ -31,8 +35,10 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
-from .cnf import Assignment, Cnf, count_satisfied, evaluate
+from .cnf import Assignment, Cnf, count_satisfied, evaluate, memoize
 from .preprocess import ConditionList, reconstruct
 from .qubo import QuboModel, cnf_to_qubo, qubo_to_ising, scale_to_chip
 from .solver import solve
@@ -45,6 +51,7 @@ __all__ = [
     "GlobalState",
     "DecompositionRun",
     "build_vig",
+    "formula_index",
     "select_bfs",
     "select_dfs",
     "freeze_and_extract",
@@ -152,24 +159,42 @@ class GlobalState:
     best_count: int
     true_count: list[int]
     unsat: set[int]
-    occurrences: dict[int, tuple[int, ...]]
+    occurrences: Mapping[int, tuple[int, ...]]
 
     @classmethod
-    def start(cls, cnf: Cnf, assignment: Assignment) -> GlobalState:
-        """Index ``cnf`` once and count its true literals under ``assignment``,
-        which takes ownership of ``assignment`` and sets each formula variable
-        it lacks to False."""
-        occurrences: dict[int, list[int]] = {}
-        for ci, clause in enumerate(cnf.clauses):
-            for v in {abs(lit) for lit in clause}:
-                occurrences.setdefault(v, []).append(ci)
+    def start(cls, cnf: Cnf, assignment: Assignment,
+              occurrences: Mapping[int, tuple[int, ...]]) -> GlobalState:
+        """Count the true literals of ``cnf``, whose occurrence lists
+        :func:`formula_index` gives, under ``assignment``; the state takes
+        ownership of ``assignment`` and sets each formula variable it lacks
+        to False."""
         for v in occurrences:
             assignment.setdefault(v, False)
         true_count = [sum(1 for lit in c if (lit > 0) == assignment[abs(lit)])
                       for c in cnf.clauses]
         unsat = {ci for ci, n in enumerate(true_count) if n == 0}
         return cls(assignment, cnf.num_clauses - len(unsat), true_count, unsat,
-                   {v: tuple(cs) for v, cs in occurrences.items()})
+                   occurrences)
+
+
+# ladder output -> its Vig and read-only occurrence lists
+_INDEX_MEMO: dict[Cnf, tuple[Vig, Mapping[int, tuple[int, ...]]]] = {}
+
+
+def formula_index(cnf: Cnf) -> tuple[Vig, Mapping[int, tuple[int, ...]]]:
+    """The interaction graph of ``cnf`` and, per variable, the clauses that
+    contain it in clause order: built once per formula value, then shared
+    read-only by every decomposition of an equal formula."""
+    index = _INDEX_MEMO.get(cnf)
+    if index is None:
+        occurrences: dict[int, list[int]] = {}
+        for ci, clause in enumerate(cnf.clauses):
+            for v in {abs(lit) for lit in clause}:
+                occurrences.setdefault(v, []).append(ci)
+        index = (build_vig(cnf), MappingProxyType(
+            {v: tuple(cs) for v, cs in occurrences.items()}))
+        memoize(_INDEX_MEMO, cnf, index)
+    return index
 
 
 @dataclass(frozen=True)
@@ -346,9 +371,9 @@ def iterate(cnf: Cnf, condition: ConditionList, original: Cnf, *,
     rng = random.Random(seed)
     occurring = cnf.occurring_vars()
     assignment: Assignment = {v: bool(rng.getrandbits(1)) for v in occurring}
-    state = GlobalState.start(cnf, assignment)
+    vig, occurrences = formula_index(cnf)
+    state = GlobalState.start(cnf, assignment, occurrences)
     filt = FilterState()
-    vig = build_vig(cnf)
     select = select_dfs if strategy == "dfs" else select_bfs
 
     iterations = 0

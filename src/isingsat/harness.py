@@ -184,8 +184,10 @@ def generate_backbone_instance(spec: BackboneSpec, seed: int,
     brute-forceable sizes (n <= 24) the instance is rejected until every
     solution agrees with the target on the planted set — the planted set is
     then a subset of the true backbone.  Larger sizes are emitted unchecked.
-    Off-grid specs need ``force``.
+    Off-grid specs need ``force``; the seed must be >= 0.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not force and not spec.on_grid():
         raise ValueError(
             f"spec (n={spec.n}, m={spec.m}, b={spec.b}) is outside the "

@@ -34,7 +34,13 @@ import; ``propagate_1sat`` builds occurrence lists once per call, then each
 fix touches only its variable's clauses; ``subsume_clauses`` compares a
 clause only with kept clauses filed under its own literals; the other
 passes are one sweep (per cascade round).  The boundary checks share one
-:meth:`PrepState.census` per clause list.
+:meth:`PrepState.census` per clause list.  Levels 1-6 draw nothing from the
+seed, so :func:`run_ladder` memoizes their outcome (clauses, condition
+records, reports) by ``(cnf, level)``, the formula compared by value, in a
+memo of ``MEMO_ENTRIES`` entries that drops its oldest first: every repeat
+on an equal formula after the first reuses it, and its level 1-6 reports
+then show 0 s.  The level-7 guess and the propagation after it still run
+on every call, from the seed.
 
 Nothing renumbers variables: the residual keeps the original ``num_vars`` and
 a :class:`ConditionList` records how to lift a residual model back to the
@@ -52,7 +58,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, wraps
 
 from .circuit import _OPTION2, EncodingOption, gate_clauses
-from .cnf import Clause, Cnf
+from .cnf import Clause, Cnf, memoize
 
 # ---------------------------------------------------------------------------
 # condition list: the record needed to undo the ladder
@@ -138,7 +144,8 @@ class BranchDecision:
 @dataclass(frozen=True)
 class PassReport:
     """What one pass left: occurring variables and clauses after it, its
-    time, and its own counts."""
+    time, and its own counts.  A level 1-6 pass reused from the ladder's
+    memo reports 0 s: it did not run."""
 
     name: str
     vars_after: int
@@ -805,7 +812,7 @@ LADDER_PASSES: dict[int, tuple] = {
     7: (branch_probe,),
 }
 
-MAX_LEVEL = 7
+MAX_LEVEL = 7  # the guess; no level below it draws from the seed
 
 
 @dataclass(frozen=True)
@@ -844,6 +851,13 @@ def _stabilize(st: PrepState, level: int, trigger: str,
                        for rep in ran)
 
 
+# (formula, level) -> clauses, condition records and reports after the
+# levels below MAX_LEVEL, the reports at 0 s
+_LADDER_MEMO: dict[tuple[Cnf, int], tuple[tuple[Clause, ...],
+                                          tuple[ConditionRecord, ...],
+                                          tuple[PassReport, ...]]] = {}
+
+
 def run_ladder(
     cnf: Cnf,
     level: int,
@@ -852,9 +866,18 @@ def run_ladder(
     max_guesses: int = 1,
     flip_on_conflict: bool = False,
 ) -> LadderResult:
-    """Apply every ladder pass up to ``level`` (cumulative, 0..7)."""
+    """Apply every ladder pass up to ``level`` (cumulative, 0..7).
+
+    Levels 1..6 run once per ``(cnf, level)`` value; see the module
+    docstring.  Every call gets its own clause list, condition list and
+    reports.
+    """
     if not 0 <= level <= MAX_LEVEL:
         raise ValueError(f"level must be between 0 and {MAX_LEVEL}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if max_guesses < 0:
+        raise ValueError(f"max_guesses must be >= 0, got {max_guesses}")
     st = PrepState(
         num_vars=cnf.num_vars,
         clauses=list(cnf.clauses),
@@ -863,19 +886,28 @@ def run_ladder(
         branch_override=deque(branch_override) if branch_override is not None else None,
     )
     reports: list[PassReport] = []
-    for lvl in range(1, level + 1):
-        for fn in LADDER_PASSES[lvl]:
-            if st.unsat:
-                break
-            if fn is branch_probe:
-                reports.append(branch_probe(st, max_guesses=max_guesses,
-                                            flip_on_conflict=flip_on_conflict))
-            else:
+    prefix = _LADDER_MEMO.get((cnf, level)) if level else None
+    if prefix is None:
+        for lvl in range(1, min(level + 1, MAX_LEVEL)):
+            for fn in LADDER_PASSES[lvl]:
+                if st.unsat:
+                    break
                 reports.append(fn(st))
-            if fn is not reencode_option2:
-                _stabilize(st, level, fn.__name__, reports)
-        if st.unsat:
-            break
+                if fn is not reencode_option2:
+                    _stabilize(st, level, fn.__name__, reports)
+        if level:
+            memoize(_LADDER_MEMO, (cnf, level), (
+                tuple(st.clauses), tuple(st.condition.records),
+                tuple(replace(r, wall_time=0.0, details=dict(r.details))
+                      for r in reports)))
+    else:
+        clauses, records, prefix_reports = prefix
+        st.clauses, st.condition.records = list(clauses), list(records)
+        reports = [replace(r, details=dict(r.details)) for r in prefix_reports]
+    if level == MAX_LEVEL and not st.unsat:
+        reports.append(branch_probe(st, max_guesses=max_guesses,
+                                    flip_on_conflict=flip_on_conflict))
+        _stabilize(st, level, "branch_probe", reports)
     out = Cnf(
         cnf.num_vars,
         tuple(st.clauses),

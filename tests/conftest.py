@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import settings
 
+from isingsat import decompose, preprocess
 from isingsat.circuit import generate_instance, semiprime_catalog
 from isingsat.cnf import Cnf, brute_force_solutions, evaluate, make_cnf
 from isingsat.preprocess import reconstruct, run_ladder
@@ -15,6 +16,18 @@ from isingsat.preprocess import reconstruct, run_ladder
 # checkout's results do not depend on what earlier runs found.
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+
+def empty_formula_memos() -> None:
+    """Forget every memoized ladder prefix and decomposition index."""
+    preprocess._LADDER_MEMO.clear()
+    decompose._INDEX_MEMO.clear()
+
+
+@pytest.fixture(autouse=True)
+def _cold_memos():
+    """Each test starts cold, so none reads what another computed."""
+    empty_formula_memos()
 
 
 def random_3sat(num_vars: int, num_clauses: int, rng: random.Random) -> Cnf:

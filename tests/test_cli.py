@@ -172,15 +172,21 @@ def test_tts_empty_file(tmp_path, capsys):
     ("spec without its bit width", "semiprime:BITS:N"),
     ("backbone spec without M and B", "backbone:N:M:B[:SEED]"),
     ("records file with a foreign key", 'not a run record: {"a": 1}'),
+    ("negative ladder seed", "seed must be >= 0, got -3"),
+    ("negative guess count", "max_guesses must be >= 0, got -1"),
+    ("negative backbone seed", "seed must be >= 0, got -3"),
 ])
 def test_bad_input_is_one_error_line(tmp_path, capsys, case, says):
     sweep = tmp_path / "sweep.json"
     sweep.write_text(json.dumps({"instances": ["semiprime:4"], "levles": [7]}))
     bad = tmp_path / "bad.cnf"
     bad.write_text("p cnf 2 1\n1 3 0\n")
+    good = tmp_path / "good.cnf"
+    good.write_text("p cnf 3 2\n1 2 0\n-1 3 0\n")
     foreign = tmp_path / "foreign.jsonl"
     foreign.write_text('{"a": 1}\n')
     runs = ["-o", str(tmp_path / "runs.jsonl"), "--repeats", "1"]
+    out = tmp_path / "out.cnf"
     argv = {
         "misspelt sweep key": ["solve", "--sweep", str(sweep), "-o", str(tmp_path / "r")],
         "literal above the declared count": ["solve", "-i", str(bad), *runs],
@@ -190,11 +196,18 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, case, says):
         "spec without its bit width": ["solve", "--instance", "semiprime", *runs],
         "backbone spec without M and B": ["solve", "--instance", "backbone:100", *runs],
         "records file with a foreign key": ["tts", "-i", str(foreign)],
+        "negative ladder seed": ["preprocess", "-i", str(good), "--seed", "-3",
+                                 "-o", str(out)],
+        "negative guess count": ["preprocess", "-i", str(good), "--max-guesses",
+                                 "-1", "-o", str(out)],
+        "negative backbone seed": ["generate", "--backbone", "14", "56", "50",
+                                   "--force", "--seed", "-3", "-o", str(out)],
     }[case]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("isingsat: error: ") and err.count("\n") == 1
     assert says in err
+    assert not out.exists() and not (tmp_path / "runs.jsonl").exists()
 
 
 @pytest.mark.parametrize("case, says", [
@@ -224,6 +237,26 @@ def test_bad_setting_writes_no_record(tmp_path, capsys, case, says):
         argv = ["solve", "--instance", "semiprime:8:143", "--repeats", "2",
                 "--cap", "3", *flag, "-o", str(runs)]
     assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("isingsat: error: ") and err.count("\n") == 1
+    assert says in err
+    assert not runs.exists()
+
+
+@pytest.mark.parametrize("flags, says", [
+    (["--cap", "1"], "drop --cap"),
+    (["--cap", "5000"], "drop --cap"),  # the default, given on purpose
+    (["--level", "7", "--num-samples", "10"], "drop --level, --num-samples"),
+    (["--stop-on-solve"], "drop --stop-on-solve"),
+    (["--instance", "semiprime:4"], "drop --instance"),
+    (["-i", "in.cnf"], "drop -i/--input"),
+])
+def test_sweep_takes_no_instance_or_setting_flag(tmp_path, capsys, flags, says):
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"instances": ["semiprime:4"], "cap": 7,
+                                 "repeats": 1}))
+    runs = tmp_path / "runs.jsonl"
+    assert main(["solve", "--sweep", str(sweep), *flags, "-o", str(runs)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("isingsat: error: ") and err.count("\n") == 1
     assert says in err

@@ -1,6 +1,7 @@
 """Run records, TTS math, backbone instances, sweeps, and reports."""
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -9,7 +10,8 @@ from dataclasses import replace
 
 import pytest
 
-from isingsat.cnf import brute_force_solutions, evaluate, write_dimacs
+from isingsat import decompose, preprocess
+from isingsat.cnf import MEMO_ENTRIES, brute_force_solutions, evaluate, write_dimacs
 from isingsat.harness import (
     BackboneSpec,
     RunRecord,
@@ -27,6 +29,8 @@ from isingsat.harness import (
     write_aggregates,
     write_runtime_report,
 )
+
+from conftest import empty_formula_memos, random_3sat
 
 
 def _rec(solved=True, iterations=10, seed=0, level=7, instance="x",
@@ -250,6 +254,58 @@ def test_run_repeat_records_are_pinned(spec, cell, settings, golden):
     instance_id, cnf = expand_instances(spec)[0]
     config = SweepConfig(instances=[spec], **settings)
     assert run_repeat(instance_id, cnf, config, **cell).to_json() == golden
+
+
+def test_a_repeat_on_an_equal_formula_reruns_only_the_guess(monkeypatch):
+    spec = "semiprime:10:551"
+    cnf = expand_instances(spec)[0][1]
+    decisions = {seed: preprocess.run_ladder(cnf, 7, seed=seed).branch_decisions
+                 for seed in range(1, 7)}
+    first, twin = next((a, b) for a, b in itertools.combinations(decisions, 2)
+                       if decisions[a] == decisions[b])
+    empty_formula_memos()
+    calls = []
+
+    def spy(fn):
+        @functools.wraps(fn)
+        def run(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return run
+
+    passes = {fn.__name__: spy(fn) for fns in preprocess.LADDER_PASSES.values()
+              for fn in fns}
+    for name, fn in passes.items():
+        monkeypatch.setattr(preprocess, name, fn)
+    monkeypatch.setattr(preprocess, "LADDER_PASSES", {
+        level: tuple(passes[fn.__name__] for fn in fns)
+        for level, fns in preprocess.LADDER_PASSES.items()})
+    monkeypatch.setattr(decompose, "build_vig", spy(decompose.build_vig))
+    config = SweepConfig(instances=[spec], cap=2)
+
+    def repeat(level, seed):
+        instance_id, cnf = expand_instances(spec)[0]  # a new, equal formula
+        calls.clear()
+        run_repeat(instance_id, cnf, config, level=level, strategy="dfs",
+                   backend="emulator", seed=seed)
+        return list(calls)
+
+    assert {"reencode_option2", "subsume_clauses", "build_vig"} <= set(repeat(6, 1))
+    assert repeat(6, 2) == []
+    assert "condition_2sat" in repeat(7, first)
+    guess, *settle = repeat(7, twin)
+    assert guess == "branch_probe"
+    assert set(settle) <= {"propagate_1sat", "propagate_replaced_values"}
+
+
+def test_formula_memos_keep_at_most_their_bound():
+    rng = random.Random(3)
+    for _ in range(20):
+        cnf = random_3sat(12, 30, rng)
+        preprocess.run_ladder(cnf, 6)
+        decompose.formula_index(cnf)
+    assert len(preprocess._LADDER_MEMO) == MEMO_ENTRIES
+    assert len(decompose._INDEX_MEMO) == MEMO_ENTRIES
 
 
 def _tiny_config(**over):

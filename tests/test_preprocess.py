@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from isingsat import preprocess
 from isingsat.cnf import Cnf, brute_force_solutions, evaluate, make_cnf
 from isingsat.circuit import EncodingOption, generate_instance, gate_clauses
+from isingsat.harness import BackboneSpec, generate_backbone_instance
 from isingsat.preprocess import (
     _DETECT_ORDER,
     MAX_LEVEL,
@@ -35,7 +36,8 @@ from isingsat.preprocess import (
     subsume_clauses,
 )
 
-from conftest import check_reconstruction, fixed, pure, random_3sat, substituted
+from conftest import (check_reconstruction, empty_formula_memos, fixed, pure,
+                      random_3sat, substituted)
 
 
 def _state(cnf: Cnf, seed: int = 0) -> PrepState:
@@ -769,6 +771,8 @@ def test_indexed_passes_match_naive_oracles(cnf, seed, max_guesses, flip):
     passes = dict(preprocess.LADDER_PASSES)
     passes[6] = (_naive_subsume_clauses, preprocess.eliminate_pure_literals)
     kwargs = dict(seed=seed, max_guesses=max_guesses, flip_on_conflict=flip)
+    # a memoized prefix would skip the passes under test: both sides run cold
+    empty_formula_memos()
     new = [_ladder_outcome(run_ladder(cnf, lvl, **kwargs))
            for lvl in range(MAX_LEVEL + 1)]
     with pytest.MonkeyPatch.context() as mp:
@@ -776,6 +780,7 @@ def test_indexed_passes_match_naive_oracles(cnf, seed, max_guesses, flip):
         mp.setattr(preprocess, "detect_gate_groups", _naive_detect_gate_groups)
         mp.setattr(preprocess, "LADDER_PASSES", passes)
         mp.setattr(PrepState, "census", _naive_census)
+        empty_formula_memos()
         old = [_ladder_outcome(run_ladder(cnf, lvl, **kwargs))
                for lvl in range(MAX_LEVEL + 1)]
     assert new == old
@@ -831,3 +836,59 @@ def test_run_ladder_output_is_pinned():
         decisions = [dataclasses.astuple(b) for b in res.branch_decisions]
         assert (len(res.cnf.clauses), res.vars_remaining, decisions, digest) \
             == expected
+
+
+# ---------------------------------------------------------------------------
+# the memoized seed-independent prefix (levels 1..6)
+
+
+# the formulas the memo tests ladder; each call builds one from scratch
+_BUILD = {
+    "143": lambda: generate_instance(8, 143)[0],
+    "551": lambda: generate_instance(10, 551)[0],
+    "3127": lambda: generate_instance(12, 3127)[0],
+    "backbone": lambda: generate_backbone_instance(
+        BackboneSpec(n=100, m=429, b=0.5), 0),
+}
+
+
+def _prefix_reports(res):
+    """The reports of levels 1..6: those before the level-7 guess."""
+    names = [r.name for r in res.reports]
+    return res.reports[:names.index("branch_probe")] if "branch_probe" in names \
+        else res.reports
+
+
+@pytest.mark.parametrize("name", sorted(_BUILD))
+def test_memoized_ladder_matches_a_cold_run(name):
+    build = _BUILD[name]
+    cnf = build()
+    apart = dataclasses.replace(build(), provenance="elsewhere")
+    assert apart == cnf and apart.clauses is not cnf.clauses
+    cells = [(level, seed) for level in range(MAX_LEVEL + 1) for seed in range(1, 5)]
+    cold = {}
+    for level, seed in cells:
+        empty_formula_memos()
+        cold[level, seed] = _ladder_outcome(run_ladder(cnf, level, seed=seed))
+    empty_formula_memos()
+    for level, seed in cells:  # the first seed of a level fills its entry
+        assert _ladder_outcome(run_ladder(cnf, level, seed=seed)) == cold[level, seed]
+    # every level's entry is in place now; another level's must never serve
+    for level, seed in cells:
+        res = run_ladder(apart, level, seed=seed)
+        assert _ladder_outcome(res) == cold[level, seed]
+        assert res.cnf.provenance == f"elsewhere|ladder{level}"
+        assert all(r.wall_time == 0.0 for r in _prefix_reports(res))
+
+
+def test_memoized_ladder_hands_out_copies():
+    cnf = _BUILD["551"]()
+    for _ in range(2):  # a filling call, then a reusing one
+        res = run_ladder(cnf, MAX_LEVEL, seed=1)
+        expected = _ladder_outcome(res)
+        res.condition.records.clear()
+        for r in res.reports:
+            r.details["trigger"] = "edited"
+        assert _ladder_outcome(run_ladder(cnf, MAX_LEVEL, seed=1)) == expected
+    cold = run_ladder(cnf, 6)
+    assert any(r.wall_time > 0.0 for r in cold.reports)  # only reuse reads 0 s

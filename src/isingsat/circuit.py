@@ -201,7 +201,6 @@ def encode_netlist(
     netlist: GateNetlist,
     product: int,
     option: EncodingOption = EncodingOption.OPTION1,
-    provenance: str = "",
 ) -> Cnf:
     """CNF for ``a * b = product`` over the netlist.
 
@@ -231,7 +230,7 @@ def encode_netlist(
     for k, var in enumerate(netlist.output_bits):
         bit = (product >> k) & 1
         clauses.append((var,) if bit else (-var,))
-    return Cnf(netlist.num_vars, tuple(clauses), provenance=provenance)
+    return Cnf(netlist.num_vars, tuple(clauses))
 
 
 @dataclass(frozen=True)
@@ -306,6 +305,5 @@ def generate_instance(
     wa, wb = factor_widths(bit_width)
     # orient the narrow factor along the rows: fewer, wider ripple chains
     netlist = build_multiplier(wb, wa)
-    tag = f"semiprime-{bit_width:02d}bit-{inst.semiprime}-{option.value}"
-    cnf = encode_netlist(netlist, inst.semiprime, option, provenance=tag)
+    cnf = encode_netlist(netlist, inst.semiprime, option)
     return cnf, netlist, inst

@@ -4,7 +4,9 @@ Subcommands: generate (semiprime or backbone CNFs), preprocess (simplification
 ladder), solve (decompose + anneal, single cell or config-file sweep), tts
 (time-to-solution from runs.jsonl), report (aggregates + runtime plot data).
 Bad input (a malformed file or spec, an out-of-range value, a file that
-cannot be read) ends in one ``isingsat: error: ...`` line and exit status 2.
+cannot be read, a flag that another one overrides or that does not apply)
+ends in one ``isingsat: error: ...`` line and exit status 2, before any
+file is written.
 """
 from __future__ import annotations
 
@@ -28,21 +30,33 @@ from .harness import (BackboneSpec, SweepConfig, aggregate_records,
 from .solver import BACKENDS
 
 
+DEFAULT_OUTPUT = "instance.cnf"  # what generate writes without -o or --dir
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.backbone:
+        clash = [f"--{dest}" for dest in ("bits", "semiprime", "all", "option", "dir")
+                 if getattr(args, dest) is not None]
+        if clash:
+            raise ValueError("--backbone writes one random 3SAT formula to -o; "
+                             f"drop {', '.join(clash)}")
         n, m, b = args.backbone
         spec = BackboneSpec(n=int(n), m=int(m), b=float(b) / 100.0)
-        cnf = generate_backbone_instance(spec, args.seed, force=args.force)
-        Path(args.output).write_text(write_dimacs(cnf))
-        print(f"wrote {args.output}: n={cnf.num_vars} m={cnf.num_clauses}")
+        cnf = generate_backbone_instance(spec, 0 if args.seed is None else args.seed)
+        output = args.output or DEFAULT_OUTPUT
+        Path(output).write_text(write_dimacs(cnf))
+        print(f"wrote {output}: n={cnf.num_vars} m={cnf.num_clauses}")
         return 0
     if args.bits is None:
-        print("generate needs --bits or --backbone", file=sys.stderr)
-        return 2
+        raise ValueError("generate needs --bits or --backbone")
+    if args.seed is not None:
+        raise ValueError("a semiprime formula is not random; drop --seed")
+    if args.all and args.semiprime is not None:
+        raise ValueError("--all writes every semiprime of the catalog; drop --semiprime")
+    if args.dir and args.output:
+        raise ValueError("--dir names every file it writes; drop -o/--output")
     if args.all and not args.dir:
-        print("generate --all needs --dir: every instance would overwrite -o",
-              file=sys.stderr)
-        return 2
+        raise ValueError("generate --all needs --dir: every instance would overwrite -o")
     option = EncodingOption.OPTION2 if args.option == 2 else EncodingOption.OPTION1
     # None picks the smallest semiprime of the catalog
     targets = ([c.semiprime for c in semiprime_catalog(args.bits)] if args.all
@@ -54,7 +68,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             outdir.mkdir(parents=True, exist_ok=True)
             path = outdir / f"semiprime-{args.bits:02d}-{number}.cnf"
         else:
-            path = Path(args.output)
+            path = Path(args.output or DEFAULT_OUTPUT)
         path.write_text(write_dimacs(cnf, comments=[
             f"product {inst.semiprime} = {inst.p} * {inst.q}",
             f"bits {inst.bit_width}",
@@ -70,7 +84,7 @@ def _condition_json(cond: ConditionList) -> str:
 
 
 def _cmd_preprocess(args: argparse.Namespace) -> int:
-    cnf = parse_dimacs(Path(args.input).read_text(), provenance=args.input)
+    cnf = parse_dimacs(Path(args.input).read_text())
     res = run_ladder(cnf, level=args.level, seed=args.seed,
                      max_guesses=args.max_guesses,
                      flip_on_conflict=args.flip_on_conflict)
@@ -95,6 +109,9 @@ _LIST_FLAGS = {"levels": "--level", "strategies": "--strategy",
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    if args.output and args.results_dir:
+        raise ValueError("-o/--output names the runs file and its directory; "
+                         "drop --results-dir")
     # a setting flag left out is None, so SweepConfig supplies its default
     given = {k: v for k, v in vars(args).items()
              if k in SweepConfig.__dataclass_fields__ and v is not None}
@@ -107,9 +124,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                              f"from its file; drop {', '.join(clash)}")
         config = SweepConfig.from_file(args.sweep)
     else:
+        if args.input and args.instance:
+            raise ValueError("-i/--input names the instance already; drop --instance")
         if not args.input and not args.instance:
-            print("solve needs -i/--input, --instance, or --sweep", file=sys.stderr)
-            return 2
+            raise ValueError("solve needs -i/--input, --instance, or --sweep")
         config = SweepConfig(instances=[args.instance or args.input], **given)
     if args.output:
         out_path = Path(args.output)
@@ -180,15 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="write semiprime or backbone CNFs")
     g.add_argument("--bits", type=int, help="semiprime bit width (4..16)")
     g.add_argument("--semiprime", type=int, help="specific product from the catalog")
-    g.add_argument("--all", action="store_true", help="whole catalog for --bits")
-    g.add_argument("--option", type=int, choices=(1, 2), default=1,
+    g.add_argument("--all", action="store_true", default=None,
+                   help="whole catalog for --bits")
+    g.add_argument("--option", type=int, choices=(1, 2),
                    help="OR-gate encoding option (default 1)")
     g.add_argument("--backbone", nargs=3, metavar=("N", "M", "B"),
                    help="random 3SAT with planted backbone; B in percent")
-    g.add_argument("--force", action="store_true",
-                   help="allow off-grid backbone specs")
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("-o", "--output", default="instance.cnf")
+    g.add_argument("--seed", type=int, help="--backbone seed (default 0)")
+    g.add_argument("-o", "--output", help=f"output file (default {DEFAULT_OUTPUT})")
     g.add_argument("--dir", help="directory for --all output")
     g.set_defaults(func=_cmd_generate)
 

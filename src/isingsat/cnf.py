@@ -7,7 +7,7 @@ duplicates carry weight when clauses are later converted to penalties.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 Literal = int
@@ -33,7 +33,6 @@ class Cnf:
 
     num_vars: int
     clauses: tuple[Clause, ...]
-    provenance: str = field(default="", compare=False)
 
     def __post_init__(self):
         if self.num_vars < 0:
@@ -74,20 +73,20 @@ def memoize(memo: dict, key: object, value: object) -> None:
     """Store ``value`` under ``key``, first dropping the oldest entry of a
     memo that already holds ``MEMO_ENTRIES``.
 
-    A ``Cnf`` key compares and hashes by ``num_vars`` and ``clauses``, not
-    by ``provenance``, so equal formulas built apart share an entry.
+    A ``Cnf`` key compares and hashes by ``num_vars`` and ``clauses``, so
+    equal formulas built apart share an entry.
     """
     if len(memo) >= MEMO_ENTRIES:
         del memo[next(iter(memo))]
     memo[key] = value
 
 
-def make_cnf(num_vars: int, clauses: Iterable[Sequence[int]], provenance: str = "") -> Cnf:
+def make_cnf(num_vars: int, clauses: Iterable[Sequence[int]]) -> Cnf:
     """Build a Cnf from any iterable of literal sequences."""
-    return Cnf(num_vars, tuple(tuple(c) for c in clauses), provenance=provenance)
+    return Cnf(num_vars, tuple(tuple(c) for c in clauses))
 
 
-def parse_dimacs(text: str | bytes, provenance: str = "") -> Cnf:
+def parse_dimacs(text: str | bytes) -> Cnf:
     """Parse DIMACS CNF text.
 
     Clauses may span lines; a ``%`` line ends the clause section (some public
@@ -145,7 +144,7 @@ def parse_dimacs(text: str | bytes, provenance: str = "") -> Cnf:
     if pending:
         raise DimacsError("unterminated clause at end of input", line_no)
 
-    return Cnf(num_vars, tuple(clauses), provenance=provenance)
+    return Cnf(num_vars, tuple(clauses))
 
 
 def write_dimacs(cnf: Cnf, comments: Sequence[str] = ()) -> str:

@@ -43,22 +43,6 @@ from .preprocess import ConditionList, reconstruct
 from .qubo import QuboModel, cnf_to_qubo, qubo_to_ising, scale_to_chip
 from .solver import solve
 
-__all__ = [
-    "STRATEGIES",
-    "Vig",
-    "Subproblem",
-    "FilterState",
-    "GlobalState",
-    "DecompositionRun",
-    "build_vig",
-    "formula_index",
-    "select_bfs",
-    "select_dfs",
-    "freeze_and_extract",
-    "update_global",
-    "iterate",
-]
-
 STRATEGIES = ("bfs", "dfs")
 
 

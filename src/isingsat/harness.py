@@ -143,23 +143,22 @@ def compute_tts(records: list[RunRecord]) -> TtsEstimate:
 # controlled-backbone instances
 
 
-BACKBONE_M_GRID = (403, 411, 418, 423, 429, 435, 441, 449)
-BACKBONE_B_GRID = (0.10, 0.30, 0.50, 0.70, 0.90)
 BACKBONE_TRIES = 60  # re-plants before giving up on a verified backbone
 PINS_PER_VAR = 3  # implication pins per planted variable, the last all-true
 
 
 @dataclass(frozen=True)
 class BackboneSpec:
-    """Random-3SAT family with a planted backbone fraction."""
+    """Random-3SAT family with a planted backbone fraction.
 
-    n: int = 100
-    m: int = 403
-    b: float = 0.10
+    The paper's reference grid is n = 100, m in {403, 411, 418, 423, 429,
+    435, 441, 449} and b in {0.10, 0.30, 0.50, 0.70, 0.90}; any other spec
+    is generated the same way.
+    """
 
-    def on_grid(self) -> bool:
-        return (self.n == 100 and self.m in BACKBONE_M_GRID
-                and any(abs(self.b - g) < 1e-9 for g in BACKBONE_B_GRID))
+    n: int
+    m: int
+    b: float
 
 
 def _false_lit(v: int, target: dict[int, bool]) -> int:
@@ -170,8 +169,7 @@ def _true_lit(v: int, target: dict[int, bool]) -> int:
     return v if target[v] else -v
 
 
-def generate_backbone_instance(spec: BackboneSpec, seed: int,
-                               force: bool = False) -> Cnf:
+def generate_backbone_instance(spec: BackboneSpec, seed: int) -> Cnf:
     """Random 3SAT satisfied by a hidden target with ~b*n backbone variables.
 
     Planted variables are pinned along a shuffled chain: each gets implication
@@ -184,14 +182,10 @@ def generate_backbone_instance(spec: BackboneSpec, seed: int,
     brute-forceable sizes (n <= 24) the instance is rejected until every
     solution agrees with the target on the planted set — the planted set is
     then a subset of the true backbone.  Larger sizes are emitted unchecked.
-    Off-grid specs need ``force``; the seed must be >= 0.
+    The seed must be >= 0.
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    if not force and not spec.on_grid():
-        raise ValueError(
-            f"spec (n={spec.n}, m={spec.m}, b={spec.b}) is outside the "
-            "reference grid; pass force to generate anyway")
     if spec.n < 3 or spec.m < 1 or not 0.0 <= spec.b <= 1.0:
         raise ValueError("need n >= 3, m >= 1, 0 <= b <= 1")
     import random
@@ -235,8 +229,7 @@ def generate_backbone_instance(spec: BackboneSpec, seed: int,
                 lits[pick] = _true_lit(abs(lits[pick]), target)
             clauses.append(tuple(lits))
         rng.shuffle(clauses)
-        cnf = make_cnf(spec.n, clauses[: spec.m],
-                       provenance=f"backbone n={spec.n} m={spec.m} b={spec.b} seed={seed}")
+        cnf = make_cnf(spec.n, clauses[: spec.m])
         if spec.n > 24 or not planted:
             return cnf
         sols = brute_force_solutions(cnf)
@@ -277,12 +270,10 @@ def expand_instances(spec: str) -> list[tuple[str, Cnf]]:
         n, m = int(parts[1]), int(parts[2])
         b = float(parts[3]) / 100.0
         seed = int(parts[4]) if len(parts) > 4 else 0
-        bs = BackboneSpec(n=n, m=m, b=b)
-        cnf = generate_backbone_instance(bs, seed, force=not bs.on_grid())
+        cnf = generate_backbone_instance(BackboneSpec(n=n, m=m, b=b), seed)
         return [(f"backbone-n{n}-m{m}-b{int(round(b * 100))}-s{seed}", cnf)]
     path = Path(spec.removeprefix("file:"))
-    cnf = parse_dimacs(path.read_text(), provenance=str(path))
-    return [(path.stem, cnf)]
+    return [(path.stem, parse_dimacs(path.read_text()))]
 
 
 # ---------------------------------------------------------------------------

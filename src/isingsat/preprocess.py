@@ -908,13 +908,8 @@ def run_ladder(
         reports.append(branch_probe(st, max_guesses=max_guesses,
                                     flip_on_conflict=flip_on_conflict))
         _stabilize(st, level, "branch_probe", reports)
-    out = Cnf(
-        cnf.num_vars,
-        tuple(st.clauses),
-        provenance=f"{cnf.provenance}|ladder{level}" if cnf.provenance else f"ladder{level}",
-    )
     return LadderResult(
-        cnf=out,
+        cnf=Cnf(cnf.num_vars, tuple(st.clauses)),
         condition=st.condition,
         reports=tuple(reports),
         unsat=st.unsat,

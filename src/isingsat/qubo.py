@@ -30,8 +30,17 @@ from .cnf import Cnf
 Pair = tuple[int, int]
 
 
-def _pair(i: int, j: int) -> Pair:
-    return (i, j) if i < j else (j, i)
+def _energy(offset: float, linear: Mapping[int, float],
+            pairs: Mapping[Pair, float],
+            x: Sequence[int] | Mapping[int, int]) -> float:
+    """offset + sum_i linear[i]*x_i + sum_{(i,j)} pairs[i,j]*x_i*x_j, in
+    that order, for either model kind."""
+    e = offset
+    for i, a in linear.items():
+        e += a * x[i]
+    for (i, j), b in pairs.items():
+        e += b * x[i] * x[j]
+    return e
 
 
 @dataclass
@@ -40,38 +49,20 @@ class QuboModel:
 
     energy(x) = offset + sum_i linear[i]*x_i + sum_{i<j} quadratic[i,j]*x_i*x_j
 
-    ``source_var_map`` maps a QUBO index back to the CNF variable it encodes;
-    ancilla indices are absent from it.
+    ``quadratic`` keys are ordered pairs ``i < j``; :func:`cnf_to_qubo`
+    builds every model, with each field, in one step.  ``source_var_map``
+    maps a QUBO index back to the CNF variable it encodes; ancilla indices
+    are absent from it.
     """
 
     num_vars: int
-    linear: dict[int, float] = field(default_factory=dict)
-    quadratic: dict[Pair, float] = field(default_factory=dict)
-    offset: float = 0.0
-    source_var_map: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for i, j in self.quadratic:
-            if not 0 <= i < j < self.num_vars:
-                raise ValueError(f"quadratic key ({i},{j}) is not an ordered pair in range")
-
-    def add_linear(self, i: int, coeff: float) -> None:
-        self.linear[i] = self.linear.get(i, 0.0) + coeff
-
-    def add_quadratic(self, i: int, j: int, coeff: float) -> None:
-        if i == j:
-            self.add_linear(i, coeff)  # x*x = x for binaries
-            return
-        key = _pair(i, j)
-        self.quadratic[key] = self.quadratic.get(key, 0.0) + coeff
+    linear: dict[int, float]
+    quadratic: dict[Pair, float]
+    offset: float
+    source_var_map: dict[int, int]
 
     def energy(self, x: Sequence[int] | Mapping[int, int]) -> float:
-        e = self.offset
-        for i, a in self.linear.items():
-            e += a * x[i]
-        for (i, j), b in self.quadratic.items():
-            e += b * x[i] * x[j]
-        return e
+        return _energy(self.offset, self.linear, self.quadratic, x)
 
 
 @dataclass
@@ -84,16 +75,7 @@ class IsingModel:
     offset: float = 0.0
 
     def energy(self, s: Sequence[int] | Mapping[int, int]) -> float:
-        e = self.offset
-        for i, a in self.h.items():
-            e += a * s[i]
-        for (i, k), b in self.j.items():
-            e += b * s[i] * s[k]
-        return e
-
-    def max_abs_coeff(self) -> float:
-        coeffs = [abs(v) for v in self.j.values()] + [abs(v) for v in self.h.values()]
-        return max(coeffs, default=0.0)
+        return _energy(self.offset, self.h, self.j, s)
 
 
 # Capacity and integer coefficient range of the emulated annealer board,
@@ -148,28 +130,35 @@ def cnf_to_qubo(cnf: Cnf) -> QuboModel:
         raise ValueError(f"clause width {width} exceeds 3; reduce the formula first")
     occurring = cnf.occurring_vars()
     index_of = {v: i for i, v in enumerate(occurring)}
-    model = QuboModel(
-        num_vars=len(occurring) + sum(1 for c in cnf.clauses if len(c) == 3),
-        source_var_map={i: v for v, i in index_of.items()},
-    )
+    linear: dict[int, float] = {}
+    quadratic: dict[Pair, float] = {}
+    offset = 0.0
     next_ancilla = len(occurring)
     for clause in cnf.clauses:
         if len(clause) == 0:
-            model.offset += 1.0
+            offset += 1.0
             continue
         slots = [index_of[abs(lit)] for lit in clause]
         if len(clause) == 3:
             slots.append(next_ancilla)
             next_ancilla += 1
-        offset, linear, quadratic = _GADGETS[tuple(lit > 0 for lit in clause)]
-        model.offset += offset
-        for slot, coeff in zip(slots, linear):
+        constant, lin, quad = _GADGETS[tuple(lit > 0 for lit in clause)]
+        offset += constant
+        for slot, coeff in zip(slots, lin):
             if coeff:
-                model.add_linear(slot, coeff)
-        for (s, t), coeff in zip(_PAIRS[len(clause)], quadratic):
-            if coeff:  # a repeated variable folds in as x*x = x
-                model.add_quadratic(slots[s], slots[t], coeff)
-    return model
+                linear[slot] = linear.get(slot, 0.0) + coeff
+        for (s, t), coeff in zip(_PAIRS[len(clause)], quad):
+            if not coeff:
+                continue
+            i, j = slots[s], slots[t]
+            if i == j:  # a repeated variable folds in as x*x = x
+                linear[i] = linear.get(i, 0.0) + coeff
+            else:
+                key = (i, j) if i < j else (j, i)
+                quadratic[key] = quadratic.get(key, 0.0) + coeff
+    return QuboModel(num_vars=next_ancilla,  # occurring variables + ancillas
+                     linear=linear, quadratic=quadratic, offset=offset,
+                     source_var_map={i: v for v, i in index_of.items()})
 
 
 def qubo_to_ising(q: QuboModel) -> IsingModel:
@@ -211,7 +200,7 @@ def scale_to_chip(m: IsingModel) -> tuple[IsingModel, DistortionReport]:
         float(v).is_integer() and COEFF_MIN <= v <= COEFF_MAX for v in coeffs)
     if in_range:
         return m, DistortionReport(max_rel_error=0.0)
-    maxabs = m.max_abs_coeff()
+    maxabs = max((abs(v) for v in coeffs), default=0.0)
     scale = COEFF_MAX / maxabs if maxabs else 1.0
 
     def fit(v: float) -> int:

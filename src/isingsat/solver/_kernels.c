@@ -7,8 +7,9 @@
  * multiply-add is fused.  The inputs are copied into C buffers and the
  * interpreter lock is released around the sweep and move loops.
  *
- * The couplings are stored column by column: col[i * n + q] = jd[q * n + i],
- * so the field update after flipping spin i reads one contiguous row.
+ * The couplings arrive as a dense row-major n*n matrix jd, symmetric with a
+ * zero diagonal, and are copied as given: row i equals column i, so the field
+ * update after flipping spin i reads one contiguous row.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -21,7 +22,7 @@
 typedef struct {
     int n;
     uint64_t state;
-    double *col, *h, *fields;  /* n*n, n, n */
+    double *jd, *h, *fields;  /* n*n, n, n */
     signed char *spins, *best_spins;
 } Chain;
 
@@ -55,9 +56,8 @@ static PyObject *mix_seed(PyObject *self, PyObject *args)
     return PyLong_FromUnsignedLongLong(z ? z : STAR);
 }
 
-/* Copies `count` floats from a sequence; with `by_column`, the n*n matrix
-   is stored transposed.  Returns -1 with an exception set. */
-static int load(PyObject *seq, Py_ssize_t count, double *out, int by_column, int n)
+/* Copies `count` floats from a sequence; returns -1 with an exception set. */
+static int load(PyObject *seq, Py_ssize_t count, double *out)
 {
     PyObject *fast = PySequence_Fast(seq, "couplings and fields must be sequences");
     if (fast == NULL)
@@ -75,13 +75,13 @@ static int load(PyObject *seq, Py_ssize_t count, double *out, int by_column, int
             Py_DECREF(fast);
             return -1;
         }
-        out[by_column ? (k % n) * n + k / n : k] = v;
+        out[k] = v;
     }
     Py_DECREF(fast);
     return 0;
 }
 
-/* Allocates the chain's buffers (plus `extra` doubles at col + n*n + 2n)
+/* Allocates the chain's buffers (plus `extra` doubles at jd + n*n + 2n)
    and copies the coefficients; returns -1 with an exception set. */
 static int chain_open(Chain *c, int n, PyObject *jd, PyObject *h, uint64_t seed,
                       Py_ssize_t extra)
@@ -93,23 +93,23 @@ static int chain_open(Chain *c, int n, PyObject *jd, PyObject *h, uint64_t seed,
     }
     c->n = n;
     c->state = seed;
-    c->col = PyMem_New(double, (size_t)n * n + 2 * (size_t)n + extra + 1);
+    c->jd = PyMem_New(double, (size_t)n * n + 2 * (size_t)n + extra + 1);
     c->spins = PyMem_New(signed char, 2 * (size_t)n + 1);
-    if (c->col == NULL || c->spins == NULL) {
+    if (c->jd == NULL || c->spins == NULL) {
         PyErr_NoMemory();
         return -1;
     }
-    c->h = c->col + (size_t)n * n;
+    c->h = c->jd + (size_t)n * n;
     c->fields = c->h + n;
     c->best_spins = c->spins + n;
-    if (load(jd, (Py_ssize_t)n * n, c->col, 1, n) < 0 || load(h, n, c->h, 0, n) < 0)
+    if (load(jd, (Py_ssize_t)n * n, c->jd) < 0 || load(h, n, c->h) < 0)
         return -1;
     return 0;
 }
 
 static void chain_close(Chain *c)
 {
-    PyMem_Free(c->col);
+    PyMem_Free(c->jd);
     PyMem_Free(c->spins);
 }
 
@@ -122,7 +122,7 @@ static double chain_init(Chain *c)
     for (int i = 0; i < n; i++) {
         double acc = c->h[i];
         for (int q = 0; q < n; q++)
-            acc += c->col[(size_t)q * n + i] * c->spins[q];
+            acc += c->jd[(size_t)i * n + q] * c->spins[q];
         c->fields[i] = acc;
     }
     double cur = 0.0;
@@ -137,7 +137,7 @@ static void chain_flip(Chain *c, int i)
     int n = c->n;
     c->spins[i] = -c->spins[i];
     signed char si = c->spins[i];
-    const double *row = c->col + (size_t)i * n;
+    const double *row = c->jd + (size_t)i * n;
     for (int q = 0; q < n; q++)
         c->fields[q] += 2.0 * row[q] * si;
 }
@@ -278,7 +278,7 @@ static PyMethodDef methods[] = {
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_kernels",
-    "Compiled solver kernels, bit-identical to the pure-Python oracle _kernels_py.",
+    "Compiled solver kernels, bit-identical to _kernels_py; jd must be symmetric.",
     -1, methods,
 };
 

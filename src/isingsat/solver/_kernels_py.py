@@ -7,8 +7,9 @@ RNG (xorshift64*), same float operation order, same tie-breaks, libm
 ``exp``/``pow`` — so that results never depend on which implementation the
 import selected; the tests compare them bit for bit.
 
-The couplings arrive as a dense row-major n*n list with a zero diagonal and
-symmetric entries; ``energy = 0.5 * s·(J s) + h·s`` is tracked incrementally
+The couplings arrive as a dense row-major n*n list ``jd``, symmetric with a
+zero diagonal, and are read as given: a flip of spin i reads row i where it
+means column i.  ``energy = 0.5 * s·(J s) + h·s`` is tracked incrementally
 through per-spin local fields ``f_i = h_i + sum_j J_ij s_j`` (a flip of spin
 i costs ``-2 s_i f_i`` and touches every field in O(n)).
 """
@@ -78,9 +79,9 @@ def anneal(n: int, jd: list[float], h: list[float], sweeps: int,
             spins[i] = -spins[i]
             cur += de
             si = spins[i]
-            row_i = i
+            row = i * n
             for q in range(n):
-                fields[q] += 2.0 * jd[q * n + row_i] * si
+                fields[q] += 2.0 * jd[row + q] * si
             if cur < best:
                 best = cur
                 best_spins = list(spins)
@@ -113,8 +114,9 @@ def tabu(n: int, jd: list[float], h: list[float], max_moves: int,
         spins[pick] = -spins[pick]
         cur += pick_de
         si = spins[pick]
+        row = pick * n
         for q in range(n):
-            fields[q] += 2.0 * jd[q * n + pick] * si
+            fields[q] += 2.0 * jd[row + q] * si
         tabu_until[pick] = move + tenure
         moves = move
         if cur < best:

@@ -31,13 +31,14 @@ def test_generate_whole_catalog_needs_a_dir(tmp_path, capsys):
     # every instance would overwrite the one -o path
     out = tmp_path / "one.cnf"
     assert main(["generate", "--bits", "8", "--all", "-o", str(out)]) == 2
-    assert "--dir" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("isingsat: error: ") and "--dir" in err
     assert not out.exists()
 
 
 def test_generate_backbone(tmp_path):
     out = tmp_path / "bb.cnf"
-    assert main(["generate", "--backbone", "14", "56", "50", "--force",
+    assert main(["generate", "--backbone", "14", "56", "50",
                  "--seed", "3", "-o", str(out)]) == 0
     cnf = parse_dimacs(out.read_text())
     assert (cnf.num_vars, cnf.num_clauses) == (14, 56)
@@ -45,7 +46,8 @@ def test_generate_backbone(tmp_path):
 
 def test_generate_needs_a_mode(capsys):
     assert main(["generate"]) == 2
-    assert "--bits or --backbone" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("isingsat: error: ") and "--bits or --backbone" in err
 
 
 def test_preprocess_writes_all_artifacts(tmp_path):
@@ -153,7 +155,8 @@ def test_solve_sweep_config(tmp_path):
 
 def test_solve_needs_an_input(capsys):
     assert main(["solve"]) == 2
-    assert "solve needs" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("isingsat: error: ") and "solve needs" in err
 
 
 def test_tts_empty_file(tmp_path, capsys):
@@ -175,6 +178,13 @@ def test_tts_empty_file(tmp_path, capsys):
     ("negative ladder seed", "seed must be >= 0, got -3"),
     ("negative guess count", "max_guesses must be >= 0, got -1"),
     ("negative backbone seed", "seed must be >= 0, got -3"),
+    ("input file and instance spec", "drop --instance"),
+    ("runs file and results dir", "drop --results-dir"),
+    ("backbone with semiprime flags", "drop --bits, --dir"),
+    ("backbone with an encoding option", "drop --option"),
+    ("semiprime with a seed", "drop --seed"),
+    ("whole catalog and one semiprime", "drop --semiprime"),
+    ("output file and output dir", "drop -o/--output"),
 ])
 def test_bad_input_is_one_error_line(tmp_path, capsys, case, says):
     sweep = tmp_path / "sweep.json"
@@ -201,13 +211,30 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, case, says):
         "negative guess count": ["preprocess", "-i", str(good), "--max-guesses",
                                  "-1", "-o", str(out)],
         "negative backbone seed": ["generate", "--backbone", "14", "56", "50",
-                                   "--force", "--seed", "-3", "-o", str(out)],
+                                   "--seed", "-3", "-o", str(out)],
+        "input file and instance spec": ["solve", "-i", str(good), "--instance",
+                                         "semiprime:8:143", *runs],
+        "runs file and results dir": ["solve", "--instance", "semiprime:8:143",
+                                      "--results-dir", str(tmp_path / "res"), *runs],
+        "backbone with semiprime flags": ["generate", "--backbone", "14", "56", "50",
+                                          "--dir", str(tmp_path / "d"), "--bits", "8",
+                                          "-o", str(out)],
+        "backbone with an encoding option": ["generate", "--backbone", "14", "56", "50",
+                                             "--option", "2", "-o", str(out)],
+        "semiprime with a seed": ["generate", "--bits", "8", "--seed", "5",
+                                  "-o", str(out)],
+        "whole catalog and one semiprime": ["generate", "--bits", "8", "--all",
+                                            "--semiprime", "143",
+                                            "--dir", str(tmp_path / "d")],
+        "output file and output dir": ["generate", "--bits", "8", "--all",
+                                       "--dir", str(tmp_path / "d"), "-o", str(out)],
     }[case]
+    before = set(tmp_path.iterdir())
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("isingsat: error: ") and err.count("\n") == 1
     assert says in err
-    assert not out.exists() and not (tmp_path / "runs.jsonl").exists()
+    assert set(tmp_path.iterdir()) == before  # no file written
 
 
 @pytest.mark.parametrize("case, says", [

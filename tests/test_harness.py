@@ -138,18 +138,11 @@ def test_tts_rejects_empty():
 # backbone instances
 
 
-def test_backbone_grid_gate():
-    assert BackboneSpec(n=100, m=403, b=0.10).on_grid()
-    assert not BackboneSpec(n=60, m=242, b=0.50).on_grid()
-    with pytest.raises(ValueError, match="grid"):
-        generate_backbone_instance(BackboneSpec(n=60, m=242, b=0.50), seed=0)
-
-
 def test_backbone_planted_fraction_is_lower_bound():
     # brute-forceable size: the verified planted set bounds the true backbone
     for b in (0.25, 0.50, 0.75):
         spec = BackboneSpec(n=16, m=64, b=b)
-        cnf = generate_backbone_instance(spec, seed=2, force=True)
+        cnf = generate_backbone_instance(spec, seed=2)
         sols = brute_force_solutions(cnf)
         assert sols
         backbone = [v for v in range(1, 17)
@@ -159,16 +152,16 @@ def test_backbone_planted_fraction_is_lower_bound():
 
 def test_backbone_deterministic_and_seed_sensitive():
     spec = BackboneSpec(n=14, m=56, b=0.5)
-    a = generate_backbone_instance(spec, seed=5, force=True)
-    b = generate_backbone_instance(spec, seed=5, force=True)
-    c = generate_backbone_instance(spec, seed=6, force=True)
+    a = generate_backbone_instance(spec, seed=5)
+    b = generate_backbone_instance(spec, seed=5)
+    c = generate_backbone_instance(spec, seed=6)
     assert a.clauses == b.clauses
     assert a.clauses != c.clauses
 
 
 def test_backbone_parameter_validation():
     with pytest.raises(ValueError, match="n >= 3"):
-        generate_backbone_instance(BackboneSpec(n=2, m=4, b=0.5), 0, force=True)
+        generate_backbone_instance(BackboneSpec(n=2, m=4, b=0.5), 0)
 
 
 # ---------------------------------------------------------------------------

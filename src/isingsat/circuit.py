@@ -6,7 +6,8 @@ clause encodings are supported for 2-input gates:
 
 * OPTION1 - one clause per invalid truth-table row (four 3-wide clauses);
 * OPTION2 - implication form (three clauses, one 3-wide), which exists only
-  for AND/OR/NAND/NOR.  XOR/XNOR gates silently keep OPTION1 under a notice.
+  for AND/OR/NAND/NOR.  XOR/XNOR gates keep OPTION1; ``encode_netlist``
+  warns once when a netlist has any.
 """
 from __future__ import annotations
 
@@ -164,7 +165,8 @@ def simulate(netlist: GateNetlist, a_value: int, b_value: int) -> tuple[dict[int
 
 
 def gate_clauses(kind: str, a: int, b: int, c: int, option: EncodingOption) -> list[Clause]:
-    """Clauses asserting c = kind(a, b)."""
+    """Clauses asserting c = kind(a, b); a gate without an implication form
+    gets its row encoding under either option."""
     if kind not in GATE_FN:
         raise ValueError(f"unknown gate kind {kind!r}")
     if option is EncodingOption.OPTION2 and kind in _OPTION2:
@@ -176,11 +178,6 @@ def gate_clauses(kind: str, a: int, b: int, c: int, option: EncodingOption) -> l
                     clause.append(sign * var)
             out.append(tuple(clause))
         return out
-    if option is EncodingOption.OPTION2:
-        warnings.warn(
-            f"no implication-form encoding for {kind}; keeping the full row encoding",
-            stacklevel=2,
-        )
     fn = GATE_FN[kind]
     out = []
     for va in (False, True):
@@ -200,7 +197,7 @@ def gate_clauses(kind: str, a: int, b: int, c: int, option: EncodingOption) -> l
 def encode_netlist(
     netlist: GateNetlist,
     product: int,
-    option: EncodingOption = EncodingOption.OPTION1,
+    option: EncodingOption,
 ) -> Cnf:
     """CNF for ``a * b = product`` over the netlist.
 
@@ -220,10 +217,8 @@ def encode_netlist(
                 "those gates keep the full row encoding",
                 stacklevel=2,
             )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for g in netlist.gates:
-            clauses.extend(gate_clauses(g.kind, g.inputs[0], g.inputs[1], g.output, option))
+    for g in netlist.gates:
+        clauses.extend(gate_clauses(g.kind, g.inputs[0], g.inputs[1], g.output, option))
     clauses.append((-netlist.const_zero,))
     clauses.append((netlist.input_bits_a[-1],))
     clauses.append((netlist.input_bits_b[-1],))
@@ -286,10 +281,11 @@ def semiprime_catalog(bit_width: int) -> list[SemiprimeInstance]:
 
 def generate_instance(
     bit_width: int,
-    semiprime: int | None = None,
+    semiprime: int | None,
     option: EncodingOption = EncodingOption.OPTION1,
 ) -> tuple[Cnf, GateNetlist, SemiprimeInstance]:
-    """Build the CNF for one semiprime of the family (default: smallest)."""
+    """Build the CNF for one semiprime of the family (``None``: the
+    smallest)."""
     catalog = semiprime_catalog(bit_width)
     if not catalog:
         raise ValueError(f"no semiprimes for bit width {bit_width}")

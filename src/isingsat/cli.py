@@ -86,8 +86,7 @@ def _condition_json(cond: ConditionList) -> str:
 def _cmd_preprocess(args: argparse.Namespace) -> int:
     cnf = parse_dimacs(Path(args.input).read_text())
     res = run_ladder(cnf, level=args.level, seed=args.seed,
-                     max_guesses=args.max_guesses,
-                     flip_on_conflict=args.flip_on_conflict)
+                     max_guesses=args.max_guesses)
     Path(args.output).write_text(write_dimacs(res.cnf))
     if args.cond:
         Path(args.cond).write_text(_condition_json(res.condition))
@@ -100,7 +99,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
         Path(args.report).write_text(json.dumps(rows, indent=1))
     print(f"level {args.level}: {cnf.num_vars} vars / {cnf.num_clauses} clauses "
           f"-> {res.vars_remaining} vars / {res.cnf.num_clauses} clauses"
-          + (" [UNSAT residual]" if res.unsat else ""))
+          + (" [UNSAT residual]" if res.cnf.is_unsat_marked() else ""))
     return 0
 
 
@@ -214,8 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     pre.add_argument("--level", type=int, default=MAX_LEVEL,
                     help=f"cumulative ladder level 0..{MAX_LEVEL}")
     pre.add_argument("--seed", type=int, default=0)
-    pre.add_argument("--max-guesses", type=int, default=1)
-    pre.add_argument("--flip-on-conflict", action="store_true")
+    pre.add_argument("--max-guesses", type=int, default=SweepConfig.max_guesses)
     pre.add_argument("-o", "--output", required=True)
     pre.add_argument("--cond", help="write the condition list as JSON")
     pre.add_argument("--report", help="write per-pass statistics as JSON")

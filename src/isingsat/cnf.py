@@ -119,7 +119,9 @@ def parse_dimacs(text: str | bytes) -> Cnf:
                 num_vars = int(parts[2])
                 int(parts[3])  # the clause count must be a number, of any value
             except ValueError:
-                raise DimacsError(f"malformed problem header {line!r}", line_no) from None
+                num_vars = -1
+            if num_vars < 0:
+                raise DimacsError(f"malformed problem header {line!r}", line_no)
             continue
         if num_vars < 0:
             raise DimacsError("clause data before 'p cnf' header", line_no)

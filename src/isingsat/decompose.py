@@ -336,7 +336,7 @@ def _decode(qubo: QuboModel, spins: tuple[int, ...]) -> Assignment:
 
 def iterate(cnf: Cnf, condition: ConditionList, original: Cnf, *,
             strategy: str, backend: str, budget: int, cap: int, seed: int,
-            num_samples: int, collect_trace: bool = False) -> DecompositionRun:
+            num_samples: int, collect_trace: bool) -> DecompositionRun:
     """Select → freeze → solve → merge until every clause holds or the cap hits.
 
     ``cnf`` is the (possibly preprocessed) formula to decompose; ``condition``

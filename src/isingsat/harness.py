@@ -16,6 +16,7 @@ stays in the record because it is defined as #solver calls ×
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from itertools import product
 from pathlib import Path
 
 from .circuit import generate_instance, semiprime_catalog
-from .cnf import Cnf, brute_force_solutions, make_cnf, parse_dimacs
+from .cnf import Cnf, brute_force_solutions, make_cnf, parse_dimacs, write_dimacs
 from .decompose import STRATEGIES, DecompositionRun, iterate
 from .preprocess import MAX_LEVEL, run_ladder
 from .qubo import SPIN_BUDGET
@@ -38,7 +39,7 @@ PER_CALL_TIME = 0.001
 RESULTS_ENV = "ISINGSAT_RESULTS"
 
 
-def results_dir(override: str | None = None) -> Path:
+def results_dir(override: str | None) -> Path:
     """Results directory: explicit argument, else $ISINGSAT_RESULTS, else ./results."""
     if override:
         return Path(override)
@@ -249,7 +250,10 @@ SPEC_FORMS = ("semiprime:BITS (whole catalog), semiprime:BITS:N, "
 
 def expand_instances(spec: str) -> list[tuple[str, Cnf]]:
     """Expand one instance spec into (id, cnf) pairs; the forms are
-    ``SPEC_FORMS``."""
+    ``SPEC_FORMS``.  A file's id is its stem plus the first 12 hex digits
+    of the sha256 of its formula in DIMACS: two formulas under one file
+    name keep apart in ``runs.jsonl``, and an equal formula under that name
+    shares their records."""
     parts = spec.split(":")
     if (parts[0] == "semiprime" and len(parts) not in (2, 3)
             or parts[0] == "backbone" and len(parts) not in (4, 5)):
@@ -273,7 +277,9 @@ def expand_instances(spec: str) -> list[tuple[str, Cnf]]:
         cnf = generate_backbone_instance(BackboneSpec(n=n, m=m, b=b), seed)
         return [(f"backbone-n{n}-m{m}-b{int(round(b * 100))}-s{seed}", cnf)]
     path = Path(spec.removeprefix("file:"))
-    return [(path.stem, parse_dimacs(path.read_text()))]
+    cnf = parse_dimacs(path.read_text())
+    digest = hashlib.sha256(write_dimacs(cnf).encode()).hexdigest()[:12]
+    return [(f"{path.stem}-{digest}", cnf)]
 
 
 # ---------------------------------------------------------------------------
@@ -432,16 +438,15 @@ def timings_path_for(runs_path: Path) -> Path:
     return runs_path.with_name(runs_path.stem + ".timings.csv")
 
 
-def run_experiment(config: SweepConfig, out_dir: str | Path | None = None,
+def run_experiment(config: SweepConfig, out_dir: Path,
                    runs_filename: str = "runs.jsonl",
                    progress=None) -> list[RunRecord]:
-    """Run the factorial sweep, appending to runs.jsonl; completed cells are
-    skipped so interrupted sweeps resume without duplicating records, and
-    with ``stop_on_solve`` a resumed cell runs no seed after one that
-    already solved."""
-    out = results_dir(str(out_dir) if out_dir else None)
-    out.mkdir(parents=True, exist_ok=True)
-    runs_path = out / runs_filename
+    """Run the factorial sweep, appending to ``out_dir / runs_filename``;
+    completed cells are skipped so interrupted sweeps resume without
+    duplicating records, and with ``stop_on_solve`` a resumed cell runs no
+    seed after one that already solved."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    runs_path = out_dir / runs_filename
     timings_path = timings_path_for(runs_path)
     done = _existing_keys(runs_path)
     records: list[RunRecord] = []

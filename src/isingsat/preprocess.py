@@ -19,14 +19,16 @@ level pass                        effect
 6     subsume_clauses +           superset clauses dropped, then pure
       eliminate_pure_literals     literals eliminated (one ladder level)
 7     branch_probe                the highest-degree variable is guessed at
-                                  random and propagated
+                                  random and propagated; a guess that closes
+                                  the branch stays closed
 ===== =========================== ==============================================
 
 Unsatisfiability is a *value*, not an exception: it shows up as an empty
 clause in the working formula and every pass refuses to run once one exists.
 Any pass that leaves unit clauses behind is followed by a unit-propagation
 run (at ladder levels >= 2), and value propagation through the condition
-list re-fires after each such run (at levels >= 4).
+list re-fires after each such run (at levels >= 4).  Each pass call returns
+one :class:`PassReport`: the variables and clauses after it, and its time.
 
 Costs, for L literals: ``reencode_option2`` groups clauses in one sweep
 and labels each 3-variable group by one lookup in a gate table built at
@@ -143,15 +145,14 @@ class BranchDecision:
 
 @dataclass(frozen=True)
 class PassReport:
-    """What one pass left: occurring variables and clauses after it, its
-    time, and its own counts.  A level 1-6 pass reused from the ladder's
-    memo reports 0 s: it did not run."""
+    """What one pass left: occurring variables and clauses after it, and its
+    time.  A pass skipped on an unsat state, or a level 1-6 pass reused from
+    the ladder's memo, reports 0 s: it did not run."""
 
     name: str
     vars_after: int
     clauses_after: int
     wall_time: float
-    details: dict[str, object]
 
 
 class Census:
@@ -174,7 +175,6 @@ class PrepState:
     """Passes replace ``clauses`` rather than edit it in place, so one
     census per clause list serves every check at the pass boundaries."""
 
-    num_vars: int
     clauses: list[Clause]
     condition: ConditionList
     rng: random.Random
@@ -204,20 +204,18 @@ class PrepState:
 def _ladder_pass(fn):
     """Wrap a pass body in the guard, timer and report every pass shares.
 
-    The body edits the state and returns its counts.  A state that already
-    holds an empty clause is left as it is and reported as skipped; the
-    timer covers the body only, not the report's census.
+    The body edits the state.  A state that already holds an empty clause
+    is left as it is and reported with 0 s; the timer covers the body only,
+    not the report's census.
     """
     @wraps(fn)
     def run(st: PrepState, *args, **kwargs) -> PassReport:
-        if st.unsat:
-            wall, details = 0.0, {"skipped": "unsat"}
-        else:
+        wall = 0.0
+        if not st.unsat:
             t0 = time.perf_counter()
-            details = fn(st, *args, **kwargs)
+            fn(st, *args, **kwargs)
             wall = time.perf_counter() - t0
-        return PassReport(fn.__name__, st.remaining(), len(st.clauses), wall,
-                          details)
+        return PassReport(fn.__name__, st.remaining(), len(st.clauses), wall)
 
     return run
 
@@ -286,25 +284,20 @@ def detect_gate_groups(clauses: list[Clause] | tuple[Clause, ...]) -> list[GateG
 
 
 @_ladder_pass
-def reencode_option2(st: PrepState) -> dict[str, object]:
+def reencode_option2(st: PrepState) -> None:
     """Rewrite recognized AND/OR/NAND/NOR groups in implication form; gates
-    without one (XOR/XNOR) are left as-is and counted."""
-    groups = detect_gate_groups(st.clauses)
-    replaced = 0
-    kept = 0
+    without one (XOR/XNOR) are left as-is."""
     drop: set[int] = set()
     insert_at: dict[int, list[Clause]] = {}
-    for g in groups:
+    for g in detect_gate_groups(st.clauses):
         if g.kind not in _OPTION2:
-            kept += 1
             continue
         ins = [v for v in g.variables if v != g.output]
         new = gate_clauses(g.kind, ins[0], ins[1], g.output,
                            EncodingOption.OPTION2)
         drop.update(g.clause_indices)
         insert_at[g.clause_indices[0]] = new
-        replaced += 1
-    if replaced:
+    if insert_at:
         rebuilt: list[Clause] = []
         for idx, c in enumerate(st.clauses):
             if idx in insert_at:
@@ -312,8 +305,6 @@ def reencode_option2(st: PrepState) -> dict[str, object]:
             if idx not in drop:
                 rebuilt.append(c)
         st.clauses = rebuilt
-    return {"gate_groups": len(groups), "rewritten": replaced,
-            "kept_row_form": kept}
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +356,12 @@ def _unit_fixpoint(clauses: list[Clause]) -> tuple[list[Clause], list[tuple[int,
 
 
 @_ladder_pass
-def propagate_1sat(st: PrepState) -> dict[str, object]:
+def propagate_1sat(st: PrepState) -> None:
     """Unit propagation to fixpoint, recording each fix for reconstruction."""
     new, fixes, _ = _unit_fixpoint(st.clauses)
     st.clauses = new
     for var, val in fixes:
         st.condition.add_fix(var, val)
-    return {"fixes": len(fixes)}
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +442,6 @@ class _PairConditioner:
         self.by_var: dict[int, set[tuple[int, int]]] = {}
         self.queued: list[int] = []
         self.unsat = False
-        self.equivalence_pairs = 0
-        self.triple_groups = 0
 
     def canon(self, lit: int) -> int:
         root, parity = self.dsu.find(abs(lit))
@@ -491,14 +479,9 @@ class _PairConditioner:
                 self._drop_group(key)
                 self._union(key[0], key[1], rel)
         elif len(pats) == 3:
-            excluded = {(su < 0, sv < 0) for su, sv in pats}
-            (a, b) = next(
-                (a, b) for a in (False, True) for b in (False, True)
-                if (a, b) not in excluded
-            )
+            ((a, b),) = _pair_survivors(pats)
             self.queued.append(key[0] if a else -key[0])
             self.queued.append(key[1] if b else -key[1])
-            self.triple_groups += 1
             self._drop_group(key)
 
     def _drop_group(self, key: tuple[int, int]) -> None:
@@ -512,27 +495,22 @@ class _PairConditioner:
         if not self.dsu.union(u, v, rel):
             self.unsat = True
             return
-        self.equivalence_pairs += 1
         # re-canonicalize every pattern that mentions either class; the
         # worklist keeps cascaded unions from recursing
         work = sorted(self.by_var.get(u, set()) | self.by_var.get(v, set()))
         for key in work:
-            pats = self.groups.pop(key, None)
+            pats = self.groups.get(key)
             if pats is None:
                 continue
-            for kv in key:
-                keys = self.by_var.get(kv)
-                if keys:
-                    keys.discard(key)
+            self._drop_group(key)
             for (su, sv) in sorted(pats):
                 if self.unsat:
                     return
                 self.add_clause(su * key[0], sv * key[1])
 
-    def finish_groups(self) -> int:
+    def finish_groups(self) -> None:
         """Resolve leftover two-pattern groups whose survivors share a
         coordinate: that coordinate is forced, one unit each."""
-        forced = 0
         for key in sorted(self.groups):
             pats = self.groups[key]
             if len(pats) != 2:
@@ -541,15 +519,12 @@ class _PairConditioner:
             (a1, b1), (a2, b2) = survivors[:2]
             if len(survivors) == 2 and a1 == a2:
                 self.queued.append(key[0] if a1 else -key[0])
-                forced += 1
             elif len(survivors) == 2 and b1 == b2:
                 self.queued.append(key[1] if b1 else -key[1])
-                forced += 1
-        return forced
 
 
 @_ladder_pass
-def condition_2sat(st: PrepState) -> dict[str, object]:
+def condition_2sat(st: PrepState) -> None:
     """Pair analysis over width-2 clauses, in exactly two CNF traversals.
 
     Traversal 1 streams the 2-clauses through a live union-find: completed
@@ -560,21 +535,16 @@ def condition_2sat(st: PrepState) -> dict[str, object]:
     by its class root, drops clauses the substitution made tautological,
     and appends the queued units for the follow-up unit propagation.
     """
-    traversals = 0
     cond = _PairConditioner()
 
     # traversal 1
-    traversals += 1
     for c in st.clauses:
         if len(c) == 2:
             cond.add_clause(c[0], c[1])
         if cond.unsat:
-            break
-    unit_pairs = 0 if cond.unsat else cond.finish_groups()
-
-    if cond.unsat:
-        st.clauses = [*st.clauses, ()]
-        return {"traversals": traversals, "contradiction": True}
+            st.clauses = [*st.clauses, ()]
+            return
+    cond.finish_groups()
 
     # snapshot the fully resolved substitution map before touching clauses
     submap: dict[int, tuple[int, int]] = {}
@@ -594,15 +564,11 @@ def condition_2sat(st: PrepState) -> dict[str, object]:
         return root * sign * (1 if lit > 0 else -1)
 
     # traversal 2: substitute everywhere, dropping newly tautological clauses
-    traversals += 1
     new_clauses: list[Clause] = []
-    dropped_taut = 0
     for c in st.clauses:
         rewritten = tuple(rewrite(l) for l in c)
-        if any(-l in rewritten for l in rewritten):
-            dropped_taut += 1
-            continue
-        new_clauses.append(rewritten)
+        if not any(-l in rewritten for l in rewritten):
+            new_clauses.append(rewritten)
     seen_units = set()
     for lit in cond.queued:
         u = rewrite(lit)
@@ -610,10 +576,6 @@ def condition_2sat(st: PrepState) -> dict[str, object]:
             seen_units.add(u)
             new_clauses.append((u,))
     st.clauses = new_clauses
-    return {"traversals": traversals, "equivalences": len(submap),
-            "equivalence_pairs": cond.equivalence_pairs,
-            "triple_groups": cond.triple_groups, "unit_pairs": unit_pairs,
-            "dropped_tautologies": dropped_taut}
 
 
 # ---------------------------------------------------------------------------
@@ -621,11 +583,10 @@ def condition_2sat(st: PrepState) -> dict[str, object]:
 
 
 @_ladder_pass
-def propagate_replaced_values(st: PrepState) -> dict[str, object]:
+def propagate_replaced_values(st: PrepState) -> None:
     """Give replaced variables their values: whenever a substitution's master
     has a known value, the replaced variable's value follows from the sign.
     Cascades through chains; never touches the clause list."""
-    valued = 0
     while True:
         values = st.condition.values()
         progress = False
@@ -638,23 +599,21 @@ def propagate_replaced_values(st: PrepState) -> dict[str, object]:
                     rec.var, root_val if rec.sign > 0 else not root_val
                 )
                 values[rec.var] = root_val if rec.sign > 0 else not root_val
-                valued += 1
                 progress = True
         if not progress:
             break
-    return {"valued": valued}
 
 
 # ---------------------------------------------------------------------------
 # level 5: clause cleaning
 
 
-def _clean_sweep(clauses: list[Clause]) -> tuple[list[Clause], int, int]:
-    """One pass of duplicate-literal removal and tautology dropping."""
+@_ladder_pass
+def clean_clauses(st: PrepState) -> None:
+    """Hygiene sweep: duplicate literals collapsed, tautologies dropped.
+    Shrinking can expose hidden units; the ladder propagates them after."""
     out: list[Clause] = []
-    shrunk = 0
-    dropped = 0
-    for c in clauses:
+    for c in st.clauses:
         seen: list[int] = []
         taut = False
         for l in c:
@@ -663,21 +622,9 @@ def _clean_sweep(clauses: list[Clause]) -> tuple[list[Clause], int, int]:
                 break
             if l not in seen:
                 seen.append(l)
-        if taut:
-            dropped += 1
-            continue
-        if len(seen) != len(c):
-            shrunk += 1
-        out.append(tuple(seen))
-    return out, shrunk, dropped
-
-
-@_ladder_pass
-def clean_clauses(st: PrepState) -> dict[str, object]:
-    """Hygiene sweep: duplicate literals collapsed, tautologies dropped.
-    Shrinking can expose hidden units; the ladder propagates them after."""
-    st.clauses, shrunk, dropped = _clean_sweep(st.clauses)
-    return {"shrunk": shrunk, "dropped": dropped}
+        if not taut:
+            out.append(tuple(seen))
+    st.clauses = out
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +632,7 @@ def clean_clauses(st: PrepState) -> dict[str, object]:
 
 
 @_ladder_pass
-def subsume_clauses(st: PrepState) -> dict[str, object]:
+def subsume_clauses(st: PrepState) -> None:
     """Drop any clause whose literal set contains another kept clause
     (duplicates count: the first occurrence survives).  Shortest first; a
     kept clause is filed under its rarest literal, so any kept subset of a
@@ -703,11 +650,10 @@ def subsume_clauses(st: PrepState) -> dict[str, object]:
             filed.setdefault(min(s, key=lambda l: (frequency[l], l)),
                              []).append(s)
     st.clauses = [c for i, c in enumerate(clauses) if i not in removed]
-    return {"removed": len(removed)}
 
 
 @_ladder_pass
-def eliminate_pure_literals(st: PrepState) -> dict[str, object]:
+def eliminate_pure_literals(st: PrepState) -> None:
     """Remove variables that occur with a single polarity, satisfying (and
     dropping) every clause that contains them; cascades to fixpoint.
 
@@ -717,7 +663,6 @@ def eliminate_pure_literals(st: PrepState) -> dict[str, object]:
     a value.
     """
     started_occurring = st.occurring()
-    eliminated = 0
     while True:
         pos: set[int] = set()
         neg: set[int] = set()
@@ -733,12 +678,9 @@ def eliminate_pure_literals(st: PrepState) -> dict[str, object]:
         st.clauses = [
             c for c in st.clauses if not any(abs(l) in pure_set for l in c)
         ]
-        eliminated += len(pure)
-    vanished = sorted(started_occurring - st.occurring()
-                      - set(st.condition.values()))
-    for v in vanished:
+    for v in sorted(started_occurring - st.occurring()
+                    - set(st.condition.values())):
         st.condition.add_pure(v, True)
-    return {"eliminated": eliminated, "vanished": len(vanished)}
 
 
 # ---------------------------------------------------------------------------
@@ -749,22 +691,20 @@ BRANCH_RATIO = 1.5  # degree over the mean degree that makes a variable a guess
 
 
 @_ladder_pass
-def branch_probe(st: PrepState, max_guesses: int = 1,
-                 flip_on_conflict: bool = False) -> dict[str, object]:
+def branch_probe(st: PrepState, max_guesses: int) -> None:
     """Guess the most-constrained variables.
 
     While some variable's interaction-graph degree is at least
-    ``BRANCH_RATIO`` times the mean degree (and the guess budget lasts),
-    assign the maximum-degree variable a seeded-random value and
-    unit-propagate.  A guess that closes the branch (empty clause under
-    propagation) stays closed by default — the caller sees the UNSAT
-    residual and re-rolls with a fresh seed on the next repeat.  With
-    ``flip_on_conflict`` the guess is undone and the other value tried once
-    instead; scripted override values are always taken as-is.
+    ``BRANCH_RATIO`` times the mean degree (and the ``max_guesses`` budget
+    lasts), assign the maximum-degree variable a value and unit-propagate.
+    The value is the next scripted ``branch_override`` value if any is
+    left, else a seeded-random one.  A guess that closes the branch (empty
+    clause under propagation) stays closed: the caller sees the UNSAT
+    residual and re-rolls with a fresh seed on the next repeat.
     """
-    guessed = 0
-    flipped = 0
-    while not st.unsat and guessed < max_guesses:
+    for _ in range(max_guesses):
+        if st.unsat:
+            break
         neighbours: dict[int, set[int]] = {}
         for c in st.clauses:
             vs = {abs(l) for l in c}
@@ -779,23 +719,13 @@ def branch_probe(st: PrepState, max_guesses: int = 1,
             break
         if st.branch_override:
             value = st.branch_override.popleft()
-            scripted = True
         else:
             value = st.rng.random() < 0.5
-            scripted = False
-        guessed += 1
-        new, fixes, bad = _unit_fixpoint(
-            [*st.clauses, (v if value else -v,)])
-        if bad and not scripted and flip_on_conflict:
-            value = not value
-            flipped += 1
-            new, fixes, bad = _unit_fixpoint(
-                [*st.clauses, (v if value else -v,)])
+        new, fixes, _ = _unit_fixpoint([*st.clauses, (v if value else -v,)])
         st.clauses = new
         for var, val in fixes:
             st.condition.add_fix(var, val)
         st.branch_decisions.append(BranchDecision(v, value))
-    return {"guessed": guessed, "flipped": flipped}
 
 
 # ---------------------------------------------------------------------------
@@ -820,7 +750,6 @@ class LadderResult:
     cnf: Cnf
     condition: ConditionList
     reports: tuple[PassReport, ...]
-    unsat: bool
     branch_decisions: tuple[BranchDecision, ...]
 
     @property
@@ -828,8 +757,7 @@ class LadderResult:
         return len(self.cnf.occurring_vars())
 
 
-def _stabilize(st: PrepState, level: int, trigger: str,
-               reports: list[PassReport]) -> None:
+def _stabilize(st: PrepState, level: int, reports: list[PassReport]) -> None:
     """Settle interleaved consequences of a pass: propagate fresh unit
     clauses (levels >= 2), then push new master values through the condition
     list (levels >= 4), until neither has work left."""
@@ -847,8 +775,7 @@ def _stabilize(st: PrepState, level: int, trigger: str,
                 ran.append(propagate_replaced_values(st))
         if not ran:
             break
-        reports.extend(replace(rep, details={**rep.details, "trigger": trigger})
-                       for rep in ran)
+        reports.extend(ran)
 
 
 # (formula, level) -> clauses, condition records and reports after the
@@ -861,16 +788,17 @@ _LADDER_MEMO: dict[tuple[Cnf, int], tuple[tuple[Clause, ...],
 def run_ladder(
     cnf: Cnf,
     level: int,
-    seed: int = 0,
+    *,
+    seed: int,
+    max_guesses: int,
     branch_override: list[bool] | None = None,
-    max_guesses: int = 1,
-    flip_on_conflict: bool = False,
 ) -> LadderResult:
     """Apply every ladder pass up to ``level`` (cumulative, 0..7).
 
-    Levels 1..6 run once per ``(cnf, level)`` value; see the module
-    docstring.  Every call gets its own clause list, condition list and
-    reports.
+    ``seed`` and ``max_guesses`` drive the level-7 guess;
+    ``branch_override`` scripts its values.  Levels 1..6 run once per
+    ``(cnf, level)`` value; see the module docstring.  Every call gets its
+    own clause list and condition list.
     """
     if not 0 <= level <= MAX_LEVEL:
         raise ValueError(f"level must be between 0 and {MAX_LEVEL}")
@@ -879,7 +807,6 @@ def run_ladder(
     if max_guesses < 0:
         raise ValueError(f"max_guesses must be >= 0, got {max_guesses}")
     st = PrepState(
-        num_vars=cnf.num_vars,
         clauses=list(cnf.clauses),
         condition=ConditionList(),
         rng=random.Random(seed),
@@ -894,24 +821,21 @@ def run_ladder(
                     break
                 reports.append(fn(st))
                 if fn is not reencode_option2:
-                    _stabilize(st, level, fn.__name__, reports)
+                    _stabilize(st, level, reports)
         if level:
             memoize(_LADDER_MEMO, (cnf, level), (
                 tuple(st.clauses), tuple(st.condition.records),
-                tuple(replace(r, wall_time=0.0, details=dict(r.details))
-                      for r in reports)))
+                tuple(replace(r, wall_time=0.0) for r in reports)))
     else:
         clauses, records, prefix_reports = prefix
         st.clauses, st.condition.records = list(clauses), list(records)
-        reports = [replace(r, details=dict(r.details)) for r in prefix_reports]
+        reports = list(prefix_reports)
     if level == MAX_LEVEL and not st.unsat:
-        reports.append(branch_probe(st, max_guesses=max_guesses,
-                                    flip_on_conflict=flip_on_conflict))
-        _stabilize(st, level, "branch_probe", reports)
+        reports.append(branch_probe(st, max_guesses))
+        _stabilize(st, level, reports)
     return LadderResult(
         cnf=Cnf(cnf.num_vars, tuple(st.clauses)),
         condition=st.condition,
         reports=tuple(reports),
-        unsat=st.unsat,
         branch_decisions=tuple(st.branch_decisions),
     )

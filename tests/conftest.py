@@ -83,7 +83,7 @@ def check_reconstruction(cnf: Cnf, level: int, seed: int, max_guesses: int = 1):
     for combo in combos:
         res = run_ladder(cnf, level, seed=seed, max_guesses=max_guesses,
                          branch_override=list(combo) if combo else None)
-        if res.unsat or res.cnf.is_unsat_marked():
+        if res.cnf.is_unsat_marked():
             continue
         determined = set(res.condition.values()) | set(substituted(res.condition))
         free = [v for v in occ if v not in determined]
@@ -100,13 +100,13 @@ def check_reconstruction(cnf: Cnf, level: int, seed: int, max_guesses: int = 1):
 
 @pytest.fixture(scope="session")
 def cnf4():
-    cnf, netlist, inst = generate_instance(4)
+    cnf, netlist, inst = generate_instance(4, None)
     return cnf
 
 
 @pytest.fixture(scope="session")
 def cnf5():
-    cnf, netlist, inst = generate_instance(5)
+    cnf, netlist, inst = generate_instance(5, None)
     return cnf
 
 

@@ -1,6 +1,6 @@
 """Every definition, member and default of the package has a non-test user.
 
-Walks ``src/isingsat/**/*.py`` with ``ast`` and checks three things against
+Walks ``src/isingsat/**/*.py`` with ``ast`` and checks four things against
 the program's own code, ``src/`` and ``perfbench/*.py`` without their test
 files.  The tests do not count: an entry point, member or setting that only
 tests reach is dead code.
@@ -19,6 +19,10 @@ tests reach is dead code.
   ``obj.f = v``, ``obj.f += v`` or ``obj.f[k] = v``, or filled by a
   container method such as ``obj.f.append(v)``.  ``field(init=False)``
   fields are not settable at all.
+* A parameter with a default is left out by some call: one that passes it
+  neither by keyword nor by position and has no ``*args``/``**kwargs``.
+  A default that every caller overrides is a second declaration of the
+  value.
 
 The rule goes by name alone, which is its blind spot: a read or a call of
 any member, function or keyword of the same name counts, whatever the
@@ -34,7 +38,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "isingsat"
 
-# Reached only from tests on purpose, each for the reason given.
+# Reached only from tests, or defaulted only for them, on purpose, each for
+# the reason given.
 TEST_SEAMS = {
     # an independent oracle: evaluates a multiplier netlist wire by wire
     "circuit.simulate",
@@ -50,6 +55,10 @@ TEST_SEAMS = {
     "preprocess.LadderResult.branch_decisions",
     # the console script calls main() with the process arguments
     "cli.main(argv)",
+    # the benchmark's own tests sweep into a directory with the default
+    # runs file, without a progress callback; the program passes both
+    "harness.run_experiment(runs_filename)",
+    "harness.run_experiment(progress)",
 }
 
 _MUTATORS = {"append", "extend", "add", "update", "setdefault", "discard",
@@ -129,22 +138,17 @@ class _Uses:
                     and isinstance(node.func.value, ast.Attribute):
                 self.stores.add(node.func.value.attr)
 
-    def passed(self, callee: str, param: str, position: int | None,
-               outside: tuple[Path, int, int]) -> bool:
-        """Whether a call of ``callee`` outside the callee's own body passes
-        ``param`` (``position`` counts positional arguments, None when the
-        parameter is keyword-only)."""
+    def passing(self, callee: str, param: str, position: int | None,
+                outside: tuple[Path, int, int]) -> list[bool]:
+        """For each call of ``callee`` outside the callee's own body, whether
+        it passes (or may pass) ``param``; ``position`` counts positional
+        arguments, None when the parameter is keyword-only."""
         path, lo, hi = outside
-        for p, line, call in self.calls.get(callee, ()):
-            if p == path and lo <= line <= hi:
-                continue
-            if any(k.arg in (param, None) for k in call.keywords):
-                return True
-            if any(isinstance(a, ast.Starred) for a in call.args):
-                return True
-            if position is not None and len(call.args) > position:
-                return True
-        return False
+        return [any(k.arg in (param, None) for k in call.keywords)
+                or any(isinstance(a, ast.Starred) for a in call.args)
+                or position is not None and len(call.args) > position
+                for p, line, call in self.calls.get(callee, ())
+                if not (p == path and lo <= line <= hi)]
 
     def used_outside(self, table: dict[str, list[tuple[Path, int]]], name: str,
                      path: Path, lo: int, hi: int) -> bool:
@@ -182,12 +186,20 @@ def _findings(trees: dict[Path, ast.AST], uses: _Uses) -> list[str]:
                 if not uses.used_outside(uses.refs, node.name, *span):
                     out.append(f"{module}.{node.name}")
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for param, pos in _defaulted_params(node, is_method=False):
-                    if not uses.passed(node.name, param, pos, span):
-                        out.append(f"{module}.{node.name}({param})")
+                out.extend(_default_findings(module, node, False, uses, span))
             if isinstance(node, ast.ClassDef):
                 out.extend(_class_findings(module, path, node, uses))
     return out
+
+
+def _default_findings(qual: str, fn: ast.FunctionDef, is_method: bool,
+                      uses: _Uses, span: tuple[Path, int, int]):
+    """Each defaulted parameter that no call passes, or that every call
+    passes (once each)."""
+    for param, pos in _defaulted_params(fn, is_method):
+        passing = uses.passing(fn.name, param, pos, span)
+        if not any(passing) or all(passing):
+            yield f"{qual}.{fn.name}({param})"
 
 
 def _class_findings(module: str, path: Path, cls: ast.ClassDef, uses: _Uses):
@@ -202,10 +214,8 @@ def _class_findings(module: str, path: Path, cls: ast.ClassDef, uses: _Uses):
             if not uses.used_outside(uses.reads, node.name, path,
                                      node.lineno, node.end_lineno):
                 yield f"{qual}.{node.name}"
-            for param, pos in _defaulted_params(node, is_method=True):
-                if not uses.passed(node.name, param, pos,
-                                   (path, node.lineno, node.end_lineno)):
-                    yield f"{qual}.{node.name}({param})"
+            yield from _default_findings(qual, node, True, uses,
+                                         (path, node.lineno, node.end_lineno))
             continue
         if not (is_dataclass and isinstance(node, ast.AnnAssign)
                 and isinstance(node.target, ast.Name)):
@@ -225,7 +235,7 @@ def _class_findings(module: str, path: Path, cls: ast.ClassDef, uses: _Uses):
             continue
         if name in uses.stores or name in uses.replaced:
             continue
-        if not uses.passed(cls.name, name, here, (path, 0, -1)):
+        if not any(uses.passing(cls.name, name, here, (path, 0, -1))):
             yield f"{qual}({name})"
 
 
@@ -233,4 +243,5 @@ def test_every_definition_has_a_caller():
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in _sources()}
     found = [f for f in _findings(trees, _Uses(trees)) if f not in TEST_SEAMS]
-    assert not found, f"reached only from tests: {', '.join(found)}"
+    assert not found, ("reached only from tests, or a default that every "
+                       f"call overrides: {', '.join(found)}")

@@ -83,7 +83,7 @@ def test_catalog_width_bounds():
 @pytest.mark.parametrize("bits,occ", [(4, 18), (5, 28), (7, 71), (8, 104), (10, 171), (11, 205)])
 def test_instance_occurring_variable_counts(bits, occ):
     # every wire of the multiplier occurs in some clause
-    cnf, _, _ = generate_instance(bits)
+    cnf, _, _ = generate_instance(bits, None)
     assert len(cnf.occurring_vars()) == occ
     assert cnf.num_vars == occ
 
@@ -108,7 +108,7 @@ def test_factor_assignment_satisfies_cnf(catalog45):
 
 
 def test_wrong_product_assignment_fails():
-    cnf, nl, inst = generate_instance(4)
+    cnf, nl, inst = generate_instance(4, None)
     wires, product = simulate(nl, 3, 2)  # 6 != 9
     assert product != inst.semiprime
     assert not evaluate(cnf, wires)
@@ -120,9 +120,9 @@ def test_unknown_semiprime_rejected():
 
 
 def test_option2_same_factor_solutions():
-    cnf1, nl, inst = generate_instance(5, option=EncodingOption.OPTION1)
+    cnf1, nl, inst = generate_instance(5, None, EncodingOption.OPTION1)
     with pytest.warns(UserWarning, match="XOR"):
-        cnf2, nl2, _ = generate_instance(5, option=EncodingOption.OPTION2)
+        cnf2, nl2, _ = generate_instance(5, None, EncodingOption.OPTION2)
     assert nl.input_bits_a == nl2.input_bits_a
     wires, _ = simulate(nl, inst.q, inst.p)
     assert evaluate(cnf2, wires)

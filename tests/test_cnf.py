@@ -50,6 +50,16 @@ def test_parse_errors():
         parse_dimacs("p cnf 2 1\n1 2\n")  # unterminated clause
 
 
+@pytest.mark.parametrize("text", [
+    "p cnf -3 1\n1 0\n",
+    "p cnf -3 1\n",
+    "p cnf -3 1\np cnf 2 1\n1 -2 0\n",  # not a header a second one may follow
+])
+def test_parse_negative_variable_count_is_a_malformed_header(text):
+    with pytest.raises(DimacsError, match="line 1: malformed problem header"):
+        parse_dimacs(text)
+
+
 def test_parse_count_mismatch_tolerated():
     cnf = parse_dimacs("p cnf 2 5\n1 0\n")
     assert cnf.clauses == ((1,),)

@@ -214,7 +214,8 @@ def test_iterate_notes_every_selection_in_the_filter(monkeypatch):
     monkeypatch.setattr(decompose, "select_dfs",
                         lambda *args: picked.append(select(*args)) or picked[-1])
     cnf = random_3sat(10, 60, random.Random(5))  # too dense to solve in 4
-    run = iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=6, cap=4, seed=1)
+    run = iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=6, cap=4, seed=1,
+                  collect_trace=False)
     assert noted == picked and len(noted) == run.iterations_used == 4
 
 
@@ -297,7 +298,7 @@ def test_spin_cost_counts_repeated_variable_3_clauses():
                         assert sub.qubo.num_vars <= budget
         # iterate raises when a slice's spin cost overshoots the budget
         iterate(cnf, ConditionList(), cnf, strategy="dfs", backend="tabu",
-                budget=5, cap=20, seed=trial, num_samples=1)
+                budget=5, cap=20, seed=trial, num_samples=1, collect_trace=False)
 
 
 def test_tabu_skips_chip_scaling(monkeypatch):
@@ -308,7 +309,7 @@ def test_tabu_skips_chip_scaling(monkeypatch):
     monkeypatch.setattr(decompose, "scale_to_chip", no_scaling)
     cnf = random_3sat(12, 40, random.Random(5))
     run = iterate(cnf, ConditionList(), cnf, strategy="dfs", backend="tabu",
-                  budget=45, cap=5, seed=1, num_samples=1)
+                  budget=45, cap=5, seed=1, num_samples=1, collect_trace=False)
     assert run.solver_calls > 0
 
 
@@ -320,7 +321,7 @@ def test_iterate_solves_small_random_instances():
         if not brute_force_solutions(cnf):
             continue
         run = iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=14, cap=400,
-                      seed=i)
+                      seed=i, collect_trace=False)
         assert run.solved and evaluate(cnf, run.assignment), i
         solved += 1
     assert solved >= 4
@@ -328,7 +329,8 @@ def test_iterate_solves_small_random_instances():
 
 def test_iterate_returns_run_metadata():
     cnf = random_3sat(10, 24, random.Random(5))
-    run = iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=12, cap=300, seed=2)
+    run = iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=12, cap=300, seed=2,
+                  collect_trace=False)
     assert isinstance(run, DecompositionRun)
     assert run.iterations_used <= 300
     assert run.solver_calls >= run.iterations_used
@@ -340,8 +342,10 @@ def test_iterate_returns_run_metadata():
 
 def test_iterate_deterministic():
     cnf = random_3sat(12, 34, random.Random(8))
-    a = iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=12, cap=150, seed=9)
-    b = iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=12, cap=150, seed=9)
+    a = iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=12, cap=150, seed=9,
+                collect_trace=False)
+    b = iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=12, cap=150, seed=9,
+                collect_trace=False)
     assert (a.solved, a.iterations_used, a.solver_calls, a.best_satisfied) == \
         (b.solved, b.iterations_used, b.solver_calls, b.best_satisfied)
     assert a.assignment == b.assignment
@@ -350,25 +354,26 @@ def test_iterate_deterministic():
 def test_iterate_bfs_strategy_and_unknown_strategy():
     cnf = random_3sat(10, 25, random.Random(4))
     run = iterate(cnf, ConditionList(), cnf, strategy="bfs", backend="emulator",
-                  budget=12, cap=300, seed=1, num_samples=1)
+                  budget=12, cap=300, seed=1, num_samples=1, collect_trace=False)
     assert run.iterations_used >= 0
     with pytest.raises(ValueError):
         iterate(cnf, ConditionList(), cnf, strategy="random", backend="emulator",
-                budget=12, cap=300, seed=1, num_samples=1)
+                budget=12, cap=300, seed=1, num_samples=1, collect_trace=False)
 
 
 def test_iterate_empty_residual_needs_no_solver():
-    cnf, _, _ = generate_instance(4)
-    res = run_ladder(cnf, 7, seed=1)
+    cnf, _, _ = generate_instance(4, None)
+    res = run_ladder(cnf, 7, seed=1, max_guesses=1)
     run = iterate(res.cnf, res.condition, cnf, **ONE_READ, budget=45, cap=100,
-                  seed=0)
+                  seed=0, collect_trace=False)
     assert run.solved and evaluate(cnf, run.assignment)
     assert run.solver_calls == 0 and run.iterations_used == 0
 
 
 def test_iterate_unsat_marker_short_circuits():
     cnf = make_cnf(2, [(), (1, 2)])
-    run = iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=10, cap=50, seed=0)
+    run = iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=10, cap=50, seed=0,
+                  collect_trace=False)
     assert not run.solved
     assert run.reason == "unsat-marker"
     assert run.solver_calls == 0
@@ -378,7 +383,8 @@ def test_iterate_budget_too_small():
     # conflicting units can never be fully satisfied, so the loop must
     # attempt a selection — which a zero budget cannot afford
     cnf = make_cnf(1, [(1,), (-1,)])
-    run = iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=0, cap=10, seed=0)
+    run = iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=0, cap=10, seed=0,
+                  collect_trace=False)
     assert not run.solved
     assert run.reason == "budget-too-small"
 
@@ -389,7 +395,8 @@ def test_iterate_keeps_history_when_asked():
     cnf = random_3sat(10, 25, random.Random(6))
     history = []
     for cap in range(1, 16):
-        run = iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=12, cap=cap, seed=3)
+        run = iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=12, cap=cap, seed=3,
+                      collect_trace=False)
         assert run.iterations_used == cap or run.solved
         assert run.best_satisfied <= cnf.num_clauses
         history.append(run.best_satisfied)
@@ -412,7 +419,8 @@ def test_factor_recovery_through_full_pipeline():
     cnf, nl, inst = generate_instance(8, 143)
     res = run_ladder(cnf, 7, seed=4, max_guesses=2)
     run = iterate(res.cnf, res.condition, cnf, strategy="dfs",
-                  backend="emulator", budget=45, cap=1000, seed=4, num_samples=8)
+                  backend="emulator", budget=45, cap=1000, seed=4, num_samples=8,
+                  collect_trace=False)
     assert run.solved and evaluate(cnf, run.assignment)
     a = sum((1 << i) for i, v in enumerate(nl.input_bits_a) if run.assignment[v])
     b = sum((1 << i) for i, v in enumerate(nl.input_bits_b) if run.assignment[v])

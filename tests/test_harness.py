@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -191,11 +192,30 @@ def test_expand_backbone_spec():
 def test_expand_file(tmp_path):
     cnf = expand_instances("semiprime:4")[0][1]
     p = tmp_path / "inst.cnf"
-    p.write_text(write_dimacs(cnf))
+    p.write_text(write_dimacs(cnf, comments=["product 9"]))
+    digest = hashlib.sha256(write_dimacs(cnf).encode()).hexdigest()[:12]
+    names = set()
     for spec in (f"file:{p}", str(p)):
         items = expand_instances(spec)
-        assert items[0][0] == "inst"
+        names.add(items[0][0])
         assert items[0][1].clauses == cnf.clauses
+    assert names == {f"inst-{digest}"}
+
+
+def test_file_instances_share_records_by_formula_not_by_stem(tmp_path):
+    first, other = (expand_instances(s)[0][1] for s in ("semiprime:4", "semiprime:5"))
+    paths = {}
+    for where, cnf in (("a", first), ("b", other), ("c", first)):
+        (tmp_path / where).mkdir()
+        paths[where] = tmp_path / where / "x.cnf"
+        paths[where].write_text(write_dimacs(cnf))
+    ran = {where: run_experiment(SweepConfig(instances=[str(path)], repeats=1,
+                                             cap=200), tmp_path / "r")
+           for where, path in paths.items()}
+    # a different formula under the same stem runs; the same one reached
+    # by another path is already done
+    assert [len(ran[w]) for w in "abc"] == [1, 1, 0]
+    assert ran["a"][0].instance != ran["b"][0].instance
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +272,8 @@ def test_run_repeat_records_are_pinned(spec, cell, settings, golden):
 def test_a_repeat_on_an_equal_formula_reruns_only_the_guess(monkeypatch):
     spec = "semiprime:10:551"
     cnf = expand_instances(spec)[0][1]
-    decisions = {seed: preprocess.run_ladder(cnf, 7, seed=seed).branch_decisions
+    decisions = {seed: preprocess.run_ladder(cnf, 7, seed=seed,
+                                             max_guesses=1).branch_decisions
                  for seed in range(1, 7)}
     first, twin = next((a, b) for a, b in itertools.combinations(decisions, 2)
                        if decisions[a] == decisions[b])
@@ -295,7 +316,7 @@ def test_formula_memos_keep_at_most_their_bound():
     rng = random.Random(3)
     for _ in range(20):
         cnf = random_3sat(12, 30, rng)
-        preprocess.run_ladder(cnf, 6)
+        preprocess.run_ladder(cnf, 6, seed=0, max_guesses=1)
         decompose.formula_index(cnf)
     assert len(preprocess._LADDER_MEMO) == MEMO_ENTRIES
     assert len(decompose._INDEX_MEMO) == MEMO_ENTRIES

@@ -19,6 +19,7 @@ from isingsat.preprocess import (
     _DETECT_ORDER,
     MAX_LEVEL,
     ConditionList,
+    ConditionRecord,
     GateGroup,
     PrepState,
     _ladder_pass,
@@ -41,8 +42,8 @@ from conftest import (check_reconstruction, empty_formula_memos, fixed, pure,
 
 
 def _state(cnf: Cnf, seed: int = 0) -> PrepState:
-    return PrepState(num_vars=cnf.num_vars, clauses=list(cnf.clauses),
-                     condition=ConditionList(), rng=random.Random(seed))
+    return PrepState(clauses=list(cnf.clauses), condition=ConditionList(),
+                     rng=random.Random(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +116,7 @@ def test_reencode_option2_rewrites_or_group():
     cnf = make_cnf(3, _or_gate(1, 2, 3))
     assert cnf.num_clauses == 4
     st = _state(cnf)
-    rep = reencode_option2(st)
-    assert rep.details["rewritten"] == 1
+    reencode_option2(st)
     assert len(st.clauses) == 3
     # projected solution set unchanged: c <-> (a or b)
     expect = {(a, b, a or b) for a in (False, True) for b in (False, True)}
@@ -127,8 +127,7 @@ def test_reencode_option2_rewrites_or_group():
 def test_reencode_option2_leaves_xor_alone():
     clauses = gate_clauses("XOR", 1, 2, 3, EncodingOption.OPTION1)
     st = _state(make_cnf(3, clauses))
-    rep = reencode_option2(st)
-    assert rep.details["rewritten"] == 0
+    reencode_option2(st)
     assert st.clauses == list(clauses)
 
 
@@ -178,10 +177,9 @@ def test_propagate_1sat_conflict_marks_unsat():
 def test_condition_2sat_not_pair():
     # XOR with c fixed true collapses to (a v b)(~a v ~b): a NOT pair
     st = _state(make_cnf(2, [(1, 2), (-1, -2)]))
-    rep = condition_2sat(st)
+    condition_2sat(st)
     assert substituted(st.condition) == {2: (1, -1)}
     assert st.clauses == []  # both clauses became tautologies under b -> ~a
-    assert rep.details["traversals"] == 2
 
 
 def test_condition_2sat_buffer_pair():
@@ -193,9 +191,8 @@ def test_condition_2sat_buffer_pair():
 def test_condition_2sat_triple_group_queues_units():
     # (a v b)(a v ~b)(~a v b): only a=1,b=1 survives -> two unit clauses
     st = _state(make_cnf(2, [(1, 2), (1, -2), (-1, 2)]))
-    rep = condition_2sat(st)
-    assert (1,) in st.clauses and (2,) in st.clauses
-    assert rep.details["triple_groups"] == 1
+    condition_2sat(st)
+    assert st.clauses == [(1, 2), (1, -2), (-1, 2), (1,), (2,)]
 
 
 def test_condition_2sat_two_pattern_shared_coordinate():
@@ -230,8 +227,8 @@ def test_condition_2sat_contradiction_is_unsat():
     st = _state(make_cnf(2, clauses))
     condition_2sat(st)
     assert (1,) in st.clauses and (-1,) in st.clauses
-    res = run_ladder(make_cnf(2, clauses), 3)
-    assert res.unsat
+    res = run_ladder(make_cnf(2, clauses), 3, seed=0, max_guesses=1)
+    assert res.cnf.is_unsat_marked()
 
 
 def test_condition_2sat_substitution_leaves_no_replaced_vars():
@@ -244,8 +241,7 @@ def test_condition_2sat_substitution_leaves_no_replaced_vars():
             vs = rng.sample(range(1, n + 1), min(w, n))
             clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
         st = _state(make_cnf(n, clauses))
-        rep = condition_2sat(st)
-        assert rep.details["traversals"] == 2
+        condition_2sat(st)
         if st.unsat:
             continue
         replaced = set(substituted(st.condition))
@@ -278,10 +274,9 @@ def test_rvp_cascades_chains():
     st.condition.add_sub(2, 3, -1)
     st.condition.add_sub(1, 2, -1)
     st.condition.add_fix(3, True)
-    rep = propagate_replaced_values(st)
-    vals = st.condition.values()
-    assert vals[2] is False and vals[1] is True
-    assert rep.details["valued"] == 2
+    propagate_replaced_values(st)
+    assert st.condition.records[3:] == [ConditionRecord("fix", 2, value=False),
+                                        ConditionRecord("fix", 1, value=True)]
 
 
 def test_rvp_never_touches_clauses():
@@ -376,15 +371,15 @@ def _hub_cnf():
 
 def test_branch_probe_picks_max_degree():
     st = _state(_hub_cnf(), seed=3)
-    rep = branch_probe(st)
-    assert rep.details["guessed"] == 1
+    branch_probe(st, 1)
+    assert len(st.branch_decisions) == 1
     assert st.branch_decisions[0].var == 1
 
 
 def test_branch_probe_override_and_propagation():
     st = _state(_hub_cnf())
     st.branch_override = __import__("collections").deque([True])
-    branch_probe(st)
+    branch_probe(st, 1)
     assert st.branch_decisions[0].value is True
     assert fixed(st.condition)[1] is True
     # clauses containing +1 satisfied, -1 shortened
@@ -395,8 +390,7 @@ def test_branch_probe_override_and_propagation():
 def test_branch_probe_below_threshold_no_guess():
     # regular structure: every variable has identical degree
     st = _state(make_cnf(4, [(1, 2), (2, 3), (3, 4), (4, 1)]))
-    rep = branch_probe(st)
-    assert rep.details["guessed"] == 0
+    branch_probe(st, 1)
     assert st.branch_decisions == []
 
 
@@ -408,30 +402,15 @@ _CLOSING = [(-1, 2), (-1, -2), (1, 3, 4), (1, -3, 4), (1, 3, -4)]
 def test_branch_probe_wrong_guess_closes_branch():
     st = _state(make_cnf(4, _CLOSING))
     st.branch_override = __import__("collections").deque([True])
-    branch_probe(st)
+    branch_probe(st, 1)
     assert st.branch_decisions[0].var == 1
-    assert st.unsat  # scripted guesses are never flipped
-
-
-def test_branch_probe_flip_on_conflict_retries():
-    for seed in range(20):
-        st = _state(make_cnf(4, _CLOSING), seed=seed)
-        rep = branch_probe(st, flip_on_conflict=True)
-        assert rep.details["guessed"] == 1
-        assert st.branch_decisions[0].var == 1
-        assert not st.unsat
-        assert fixed(st.condition)[1] is False
-        assert st.branch_decisions[0].value is False
-        # a first guess of True closes the branch and is flipped
-        first_guess = random.Random(seed).random() < 0.5
-        assert rep.details["flipped"] == int(first_guess)
+    assert st.unsat  # a closing guess is never flipped
 
 
 def test_branch_probe_max_guesses_budget():
     st = _state(_hub_cnf(), seed=1)
-    rep = branch_probe(st, max_guesses=3)
-    assert rep.details["guessed"] <= 3
-    assert len(st.branch_decisions) == rep.details["guessed"]
+    branch_probe(st, 3)
+    assert len(st.branch_decisions) <= 3
 
 
 # ---------------------------------------------------------------------------
@@ -454,17 +433,18 @@ def test_pass_leaves_an_unsat_state_alone(ladder_pass):
         st.condition.add_sub(2, 1, -1)
         return st
 
+    args = (1,) if ladder_pass is branch_probe else ()  # the guess budget
     live = busy_state(_BUSY)
-    ladder_pass(live)
+    ladder_pass(live, *args)
     assert (live.clauses, live.condition.records) != \
         (list(_BUSY), busy_state(_BUSY).condition.records)
 
     clauses = [*_BUSY[:5], (), *_BUSY[5:]]
     st = busy_state(clauses)
     records = list(st.condition.records)
-    rep = ladder_pass(st)
+    rep = ladder_pass(st, *args)
     assert rep.name == ladder_pass.__name__
-    assert rep.details == {"skipped": "unsat"}
+    assert rep.wall_time == 0.0
     assert st.clauses == clauses and st.condition.records == records
 
 
@@ -475,14 +455,14 @@ def test_pass_leaves_an_unsat_state_alone(ladder_pass):
 def test_ladder_level_bounds():
     cnf = make_cnf(2, [(1, 2)])
     with pytest.raises(ValueError):
-        run_ladder(cnf, -1)
+        run_ladder(cnf, -1, seed=0, max_guesses=1)
     with pytest.raises(ValueError):
-        run_ladder(cnf, MAX_LEVEL + 1)
+        run_ladder(cnf, MAX_LEVEL + 1, seed=0, max_guesses=1)
 
 
 def test_ladder_level0_identity():
     cnf = random_3sat(8, 20, random.Random(4))
-    res = run_ladder(cnf, 0)
+    res = run_ladder(cnf, 0, seed=0, max_guesses=1)
     assert res.cnf.clauses == cnf.clauses
     assert len(res.condition) == 0
     assert res.reports == ()
@@ -490,7 +470,7 @@ def test_ladder_level0_identity():
 
 def test_ladder_report_chain_is_consistent():
     cnf = random_3sat(12, 40, random.Random(8))
-    res = run_ladder(cnf, 6)
+    res = run_ladder(cnf, 6, seed=0, max_guesses=1)
     assert res.reports[-1].vars_after == res.vars_remaining
     assert res.reports[-1].clauses_after == res.cnf.num_clauses
 
@@ -499,8 +479,8 @@ def test_ladder_no_units_after_level2():
     rng = random.Random(13)
     for _ in range(15):
         cnf = random_3sat(rng.randint(5, 14), rng.randint(8, 45), rng)
-        res = run_ladder(cnf, 2)
-        if not res.unsat:
+        res = run_ladder(cnf, 2, seed=0, max_guesses=1)
+        if not res.cnf.is_unsat_marked():
             assert all(len(c) != 1 for c in res.cnf.clauses)
 
 
@@ -508,8 +488,8 @@ def test_ladder_no_pair_groups_after_level3():
     rng = random.Random(14)
     for _ in range(15):
         cnf = random_3sat(rng.randint(5, 14), rng.randint(8, 45), rng)
-        res = run_ladder(cnf, 3)
-        if res.unsat:
+        res = run_ladder(cnf, 3, seed=0, max_guesses=1)
+        if res.cnf.is_unsat_marked():
             continue
         patterns = {}
         for c in res.cnf.clauses:
@@ -525,8 +505,8 @@ def test_ladder_clean_after_level5():
     rng = random.Random(15)
     for _ in range(10):
         cnf = random_3sat(rng.randint(5, 12), rng.randint(8, 40), rng)
-        res = run_ladder(cnf, 5)
-        if res.unsat:
+        res = run_ladder(cnf, 5, seed=0, max_guesses=1)
+        if res.cnf.is_unsat_marked():
             continue
         for c in res.cnf.clauses:
             assert len(set(c)) == len(c)
@@ -537,8 +517,8 @@ def test_ladder_no_subsumed_or_pure_after_level6():
     rng = random.Random(16)
     for _ in range(10):
         cnf = random_3sat(rng.randint(5, 12), rng.randint(8, 40), rng)
-        res = run_ladder(cnf, 6)
-        if res.unsat:
+        res = run_ladder(cnf, 6, seed=0, max_guesses=1)
+        if res.cnf.is_unsat_marked():
             continue
         sets = [frozenset(c) for c in res.cnf.clauses]
         for i, s in enumerate(sets):
@@ -552,7 +532,7 @@ def test_ladder_no_subsumed_or_pure_after_level6():
 
 def test_ladder_vars_monotone_over_levels():
     cnf = random_3sat(14, 55, random.Random(17))
-    profile = [run_ladder(cnf, lvl, seed=3).vars_remaining
+    profile = [run_ladder(cnf, lvl, seed=3, max_guesses=1).vars_remaining
                for lvl in range(MAX_LEVEL + 1)]
     assert profile[0] == len(cnf.occurring_vars())
     assert profile == sorted(profile, reverse=True)
@@ -561,8 +541,8 @@ def test_ladder_vars_monotone_over_levels():
 def test_ladder_unsat_input_flows_through():
     cnf = make_cnf(1, [(1,), (-1,)])
     for level in range(2, MAX_LEVEL + 1):
-        res = run_ladder(cnf, level)
-        assert res.unsat
+        res = run_ladder(cnf, level, seed=0, max_guesses=1)
+        assert res.cnf.is_unsat_marked()
 
 
 # ---------------------------------------------------------------------------
@@ -614,12 +594,12 @@ def test_reconstruction_branching_union_covers_multiple_guesses():
 
 def test_semiprime_ladder_full_reduction_and_reconstruction(catalog45):
     for bits, semiprime, cnf, nl in catalog45:
-        profile = [run_ladder(cnf, lvl).vars_remaining
+        profile = [run_ladder(cnf, lvl, seed=0, max_guesses=1).vars_remaining
                    for lvl in range(MAX_LEVEL + 1)]
         assert profile[0] == profile[1] == (18 if bits == 4 else 28)
         for lvl in range(4, MAX_LEVEL + 1):
             assert profile[lvl] == 0  # fully conditioned at replaced-value prop
-        res = run_ladder(cnf, 4)
+        res = run_ladder(cnf, 4, seed=0, max_guesses=1)
         full = reconstruct(res.condition, {}, cnf.num_vars)
         assert evaluate(cnf, full)
         a = sum((1 << i) for i, v in enumerate(nl.input_bits_a) if full[v])
@@ -670,7 +650,6 @@ def _naive_subsume(st: PrepState):
         else:
             kept_sets.append(s)
     st.clauses = [c for i, c in enumerate(st.clauses) if i not in removed]
-    return {"removed": len(removed)}
 
 
 _naive_subsume.__name__ = "subsume_clauses"
@@ -727,10 +706,8 @@ def _ladder_outcome(res):
     return (
         [list(c) for c in res.cnf.clauses],
         [dataclasses.astuple(r) for r in res.condition.records],
-        [[r.name, r.vars_after, r.clauses_after, sorted(r.details.items())]
-         for r in res.reports],
+        [[r.name, r.vars_after, r.clauses_after] for r in res.reports],
         [dataclasses.astuple(b) for b in res.branch_decisions],
-        res.unsat,
     )
 
 
@@ -756,9 +733,9 @@ def _messy_cnfs(draw):
     return make_cnf(n, clauses)
 
 
-@given(_messy_cnfs(), st.integers(0, 3), st.integers(1, 3), st.booleans())
+@given(_messy_cnfs(), st.integers(0, 3), st.integers(1, 3))
 @settings(max_examples=100, deadline=None)
-def test_indexed_passes_match_naive_oracles(cnf, seed, max_guesses, flip):
+def test_indexed_passes_match_naive_oracles(cnf, seed, max_guesses):
     clauses = list(cnf.clauses)
     assert _unit_fixpoint(clauses) == _naive_unit_fixpoint(clauses)
     assert detect_gate_groups(clauses) == _naive_detect_gate_groups(clauses)
@@ -770,7 +747,7 @@ def test_indexed_passes_match_naive_oracles(cnf, seed, max_guesses, flip):
 
     passes = dict(preprocess.LADDER_PASSES)
     passes[6] = (_naive_subsume_clauses, preprocess.eliminate_pure_literals)
-    kwargs = dict(seed=seed, max_guesses=max_guesses, flip_on_conflict=flip)
+    kwargs = dict(seed=seed, max_guesses=max_guesses)
     # a memoized prefix would skip the passes under test: both sides run cold
     empty_formula_memos()
     new = [_ladder_outcome(run_ladder(cnf, lvl, **kwargs))
@@ -811,26 +788,21 @@ def test_gate_table_matches_naive_search_on_every_row_set():
 
 
 # run_ladder output for semiprime 3127 (12 bits) at level 7, max_guesses=3:
-# (seed, flip_on_conflict) -> (residual clauses, variables remaining,
-# branch decisions, sha256 prefix of the whole outcome)
+# seed -> (residual clauses, variables remaining, branch decisions, sha256
+# prefix of the whole outcome)
 _PINNED_3127 = {
-    (1, False): (183, 69, [(2, True), (11, False), (10, False)], "632baf98dd6d2a1a"),
-    (2, False): (154, 60, [(2, False), (4, False), (3, True)], "74a69c158689106f"),
-    (3, False): (322, 113, [(2, True), (11, False), (10, True)], "5585d63ba325b3b4"),
-    (4, False): (334, 116, [(2, True), (11, True), (10, True)], "86d5c2e9b4d03dc5"),
-    (5, False): (98, 38, [(2, False), (4, False), (3, False)], "114cdbca3c47f45b"),
-    (1, True): (183, 69, [(2, True), (11, False), (10, False)], "632baf98dd6d2a1a"),
-    (2, True): (154, 60, [(2, False), (4, False), (3, True)], "74a69c158689106f"),
-    (3, True): (322, 113, [(2, True), (11, False), (10, True)], "5585d63ba325b3b4"),
-    (4, True): (334, 116, [(2, True), (11, True), (10, True)], "86d5c2e9b4d03dc5"),
-    (5, True): (154, 60, [(2, False), (4, False), (3, True)], "99f5a31fb0c4b38a"),
+    1: (183, 69, [(2, True), (11, False), (10, False)], "d28ac05e08f00323"),
+    2: (154, 60, [(2, False), (4, False), (3, True)], "5f02d69a9abde611"),
+    3: (322, 113, [(2, True), (11, False), (10, True)], "6634520dd5a4dea4"),
+    4: (334, 116, [(2, True), (11, True), (10, True)], "995ad78c88f8e190"),
+    5: (98, 38, [(2, False), (4, False), (3, False)], "d0b551718844837d"),
 }
 
 
 def test_run_ladder_output_is_pinned():
     cnf, _, _ = generate_instance(12, 3127)
-    for (seed, flip), expected in _PINNED_3127.items():
-        res = run_ladder(cnf, 7, seed=seed, max_guesses=3, flip_on_conflict=flip)
+    for seed, expected in _PINNED_3127.items():
+        res = run_ladder(cnf, 7, seed=seed, max_guesses=3)
         digest = hashlib.sha256(
             json.dumps(_ladder_outcome(res)).encode()).hexdigest()[:16]
         decisions = [dataclasses.astuple(b) for b in res.branch_decisions]
@@ -869,13 +841,15 @@ def test_memoized_ladder_matches_a_cold_run(name):
     cold = {}
     for level, seed in cells:
         empty_formula_memos()
-        cold[level, seed] = _ladder_outcome(run_ladder(cnf, level, seed=seed))
+        cold[level, seed] = _ladder_outcome(
+            run_ladder(cnf, level, seed=seed, max_guesses=1))
     empty_formula_memos()
     for level, seed in cells:  # the first seed of a level fills its entry
-        assert _ladder_outcome(run_ladder(cnf, level, seed=seed)) == cold[level, seed]
+        res = run_ladder(cnf, level, seed=seed, max_guesses=1)
+        assert _ladder_outcome(res) == cold[level, seed]
     # every level's entry is in place now; another level's must never serve
     for level, seed in cells:
-        res = run_ladder(apart, level, seed=seed)
+        res = run_ladder(apart, level, seed=seed, max_guesses=1)
         assert _ladder_outcome(res) == cold[level, seed]
         assert all(r.wall_time == 0.0 for r in _prefix_reports(res))
 
@@ -883,11 +857,10 @@ def test_memoized_ladder_matches_a_cold_run(name):
 def test_memoized_ladder_hands_out_copies():
     cnf = _BUILD["551"]()
     for _ in range(2):  # a filling call, then a reusing one
-        res = run_ladder(cnf, MAX_LEVEL, seed=1)
+        res = run_ladder(cnf, MAX_LEVEL, seed=1, max_guesses=1)
         expected = _ladder_outcome(res)
         res.condition.records.clear()
-        for r in res.reports:
-            r.details["trigger"] = "edited"
-        assert _ladder_outcome(run_ladder(cnf, MAX_LEVEL, seed=1)) == expected
-    cold = run_ladder(cnf, 6)
+        again = run_ladder(cnf, MAX_LEVEL, seed=1, max_guesses=1)
+        assert _ladder_outcome(again) == expected
+    cold = run_ladder(cnf, 6, seed=0, max_guesses=1)
     assert any(r.wall_time > 0.0 for r in cold.reports)  # only reuse reads 0 s

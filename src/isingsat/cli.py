@@ -91,11 +91,9 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
     if args.cond:
         Path(args.cond).write_text(_condition_json(res.condition))
     if args.report:
-        rows = [{
-            "pass": r.name, "level": args.level,
-            "vars_remaining": r.vars_after, "clauses_remaining": r.clauses_after,
-            "wall_time": round(r.wall_time, 6),
-        } for r in res.reports]
+        rows = [{"pass": r.name, "vars_remaining": r.vars_after,
+                 "clauses_remaining": r.clauses_after,
+                 "wall_time": round(r.wall_time, 6)} for r in res.reports]
         Path(args.report).write_text(json.dumps(rows, indent=1))
     print(f"level {args.level}: {cnf.num_vars} vars / {cnf.num_clauses} clauses "
           f"-> {res.vars_remaining} vars / {res.cnf.num_clauses} clauses"
@@ -212,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     pre.add_argument("-i", "--input", required=True)
     pre.add_argument("--level", type=int, default=MAX_LEVEL,
                     help=f"cumulative ladder level 0..{MAX_LEVEL}")
-    pre.add_argument("--seed", type=int, default=0)
+    pre.add_argument("--seed", type=int, default=SweepConfig.seed)
     pre.add_argument("--max-guesses", type=int, default=SweepConfig.max_guesses)
     pre.add_argument("-o", "--output", required=True)
     pre.add_argument("--cond", help="write the condition list as JSON")

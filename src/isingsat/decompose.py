@@ -17,8 +17,9 @@ other candidate) for the next ``FILTER_WINDOW`` iterations.
 
 Per-iteration work scales with the slice, not the formula.  Each formula is
 indexed once per value per process: :func:`formula_index` builds the graph
-(``build_vig`` records, next to the adjacency, the 3-literal clauses the
-projected spin cost counts) and lists the clauses of every variable, and
+(``build_vig`` records each variable's neighbours in the order each walk
+pushes them, and the 3-literal clauses the projected spin cost counts, so a
+walk sorts nothing) and lists the clauses of every variable, and
 keeps both in a memo of ``MEMO_ENTRIES`` entries keyed by the formula, so
 every decomposition of an equal formula shares them read-only.
 ``GlobalState.start`` then only keeps a true-literal count per clause for
@@ -50,24 +51,22 @@ STRATEGIES = ("bfs", "dfs")
 class Vig:
     """Variable interaction graph plus the per-formula index the walks read.
 
-    ``adjacency`` is sorted for deterministic walks and ``nodes`` lists its
-    keys in order.  A 3-literal clause costs an ancilla spin once all of its
-    distinct variables are selected, whether it has three of them or repeats
-    one, as in ``(v, v, u)`` or ``(v, -v, u)``.  ``triangles[v]`` has one
-    entry per such clause containing ``v``: its other two distinct
-    variables, with ``v`` standing in for any it lacks, so the entry holds
-    once ``v`` itself is selected.
+    ``adjacency[v]`` lists the neighbours of ``v`` in ascending order, the
+    order a breadth-first walk pushes them; ``dfs_order[v]`` lists them by
+    descending degree, ties by descending variable, the order a depth-first
+    walk pushes them, so the lowest-degree neighbour pops next.  ``nodes``
+    lists the variables in order.  A 3-literal clause costs an ancilla spin
+    once all of its distinct variables are selected, whether it has three of
+    them or repeats one, as in ``(v, v, u)`` or ``(v, -v, u)``.
+    ``triangles[v]`` has one entry per such clause containing ``v``: its
+    other two distinct variables, with ``v`` standing in for any it lacks,
+    so the entry holds once ``v`` itself is selected.
     """
 
     adjacency: dict[int, tuple[int, ...]]
+    dfs_order: dict[int, tuple[int, ...]]
     nodes: list[int]
     triangles: dict[int, tuple[tuple[int, int], ...]]
-
-    def degree(self, var: int) -> int:
-        return len(self.adjacency.get(var, ()))
-
-    def neighbors(self, var: int) -> tuple[int, ...]:
-        return self.adjacency.get(var, ())
 
 
 def build_vig(cnf: Cnf) -> Vig:
@@ -89,7 +88,10 @@ def build_vig(cnf: Cnf) -> Vig:
                 triangles.setdefault(v, []).append((u, v))
     for v, ns in nbrs.items():
         ns.discard(v)
-    return Vig({v: tuple(sorted(ns)) for v, ns in nbrs.items()}, sorted(nbrs),
+    adjacency = {v: tuple(sorted(ns)) for v, ns in nbrs.items()}
+    dfs_order = {v: tuple(sorted(ns, key=lambda u: (-len(nbrs[u]), -u)))
+                 for v, ns in nbrs.items()}
+    return Vig(adjacency, dfs_order, sorted(nbrs),
                {v: tuple(ts) for v, ts in triangles.items()})
 
 
@@ -203,6 +205,7 @@ def _walk_select(vig: Vig, budget: int, start: int,
         queued.add(v)
         (parked if filt.is_cooling(v) else active).append(v)
 
+    pushes = vig.dfs_order if depth_first else vig.adjacency
     push(start)
     pending = vig.nodes
     pend_pos = 0
@@ -229,15 +232,8 @@ def _walk_select(vig: Vig, budget: int, start: int,
             selected.discard(v)
             break
         ancillas += extra
-        nbrs = vig.neighbors(v)
-        if depth_first:
-            # stack: push high-degree first so the lowest-degree neighbor pops
-            # next and the walk extends along chains
-            for u in sorted(nbrs, key=lambda u: (-vig.degree(u), -u)):
-                push(u)
-        else:
-            for u in nbrs:
-                push(u)
+        for u in pushes[v]:
+            push(u)
     return selected
 
 

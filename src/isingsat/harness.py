@@ -24,6 +24,7 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 from itertools import product
 from pathlib import Path
+from typing import Callable
 
 from .circuit import generate_instance, semiprime_catalog
 from .cnf import Cnf, brute_force_solutions, make_cnf, parse_dimacs, write_dimacs
@@ -402,34 +403,44 @@ def run_repeat(instance_id: str, cnf: Cnf, config: SweepConfig, *, level: int,
     )
 
 
-def _existing_keys(runs_path: Path) -> dict[str, bool]:
-    """Keys of the records already written, each with whether it solved.
+def _torn_tail(data: bytes, parse: Callable[[str], object]) -> int | None:
+    """Where a torn append starts at the end of ``data``, or None: an
+    interrupted append leaves a last line without its newline, torn when
+    ``parse`` rejects it with a ValueError (if not, it lost only that)."""
+    tail = data.rfind(b"\n") + 1
+    if tail == len(data):
+        return None
+    try:
+        parse(data[tail:].decode())
+    except ValueError:
+        return tail
+    return None
 
-    An interrupted append leaves a last line without its newline.  If that
-    line parses it gets its newline back; if not, it is cut off so that its
-    cell runs again.  A malformed line anywhere else still raises.
-    """
-    if not runs_path.exists():
-        return {}
-    data = runs_path.read_bytes()
-    if data and not data.endswith(b"\n"):
-        tail = data.rfind(b"\n") + 1
-        try:
-            json.loads(data[tail:])
-        except ValueError:
-            with runs_path.open("r+b") as fh:
-                fh.truncate(tail)
-        else:
-            with runs_path.open("ab") as fh:
-                fh.write(b"\n")
-    return {rec.key: rec.solved for rec in load_records(runs_path)}
+
+def _mend_tail(path: Path, parse: Callable[[str], object]) -> None:
+    """Cut a torn append (:func:`_torn_tail`) off ``path``, so that its cell
+    runs again, or give a last line that lost only its newline the newline
+    back.  A malformed line anywhere else is left for the reader to refuse."""
+    data = path.read_bytes() if path.exists() else b""
+    tail = _torn_tail(data, parse)
+    if tail is not None:
+        os.truncate(path, tail)
+    elif data and not data.endswith(b"\n"):
+        with path.open("ab") as fh:
+            fh.write(b"\n")
+
+
+def _timing_row(line: str) -> tuple[str, tuple[float, float]]:
+    """The key and measured times of one sidecar row; ValueError unless it
+    has three fields and both times parse."""
+    key, pre, wall = next(csv.reader([line]))
+    return key, (float(pre), float(wall))
 
 
 def _append_timing(timings_path: Path, rec: RunRecord) -> None:
-    new = not timings_path.exists()
     with timings_path.open("a", newline="") as fh:
         w = csv.writer(fh)
-        if new:
+        if fh.tell() == 0:
             w.writerow(["key", "preprocess_time", "wall_time"])
         w.writerow([rec.key, f"{rec.preprocess_time:.6f}", f"{rec.wall_time:.6f}"])
 
@@ -444,11 +455,15 @@ def run_experiment(config: SweepConfig, out_dir: Path,
     """Run the factorial sweep, appending to ``out_dir / runs_filename``;
     completed cells are skipped so interrupted sweeps resume without
     duplicating records, and with ``stop_on_solve`` a resumed cell runs no
-    seed after one that already solved."""
+    seed after one that already solved; a torn append to either file is
+    mended first."""
     out_dir.mkdir(parents=True, exist_ok=True)
     runs_path = out_dir / runs_filename
     timings_path = timings_path_for(runs_path)
-    done = _existing_keys(runs_path)
+    _mend_tail(runs_path, json.loads)
+    _mend_tail(timings_path, _timing_row)
+    done = ({rec.key: rec.solved for rec in load_records(runs_path)}
+            if runs_path.exists() else {})
     records: list[RunRecord] = []
     cells = list(product(config.levels, config.strategies, config.backends))
     for spec in config.instances:
@@ -543,13 +558,21 @@ def runtime_report(records: list[RunRecord],
 
 
 def load_timings(timings_path: str | Path) -> dict[str, tuple[float, float]]:
-    out: dict[str, tuple[float, float]] = {}
+    """Measured (preprocess, wall) times by record key from a sidecar.
+
+    A torn append at the end (:func:`_torn_tail`) is skipped; any other
+    malformed row raises ValueError.
+    """
     p = Path(timings_path)
-    if not p.exists():
-        return out
-    with p.open(newline="") as fh:
-        for row in csv.DictReader(fh):
-            out[row["key"]] = (float(row["preprocess_time"]), float(row["wall_time"]))
+    data = p.read_bytes() if p.exists() else b""
+    out: dict[str, tuple[float, float]] = {}
+    lines = data[:_torn_tail(data, _timing_row)].decode().splitlines()
+    for n, line in enumerate(lines[1:], start=2):  # line 1 is the header
+        try:
+            key, times = _timing_row(line)
+        except ValueError as exc:
+            raise ValueError(f"{p}: line {n} is malformed ({exc})") from None
+        out[key] = times
     return out
 
 

@@ -311,10 +311,9 @@ def reencode_option2(st: PrepState) -> None:
 # level 2: unit propagation
 
 
-def _unit_fixpoint(clauses: list[Clause]) -> tuple[list[Clause], list[tuple[int, bool]], bool]:
+def _unit_fixpoint(clauses: list[Clause]) -> tuple[list[Clause], list[tuple[int, bool]]]:
     """Propagate unit clauses to fixpoint.  Pure function; returns the new
-    clause list, the fixes applied in order, and whether an empty clause
-    appeared.
+    clause list, with any empty clause kept, and the fixes applied in order.
 
     Each step fixes the earliest unit in clause order (a min-heap of
     positions) and visits only the clauses of its literal and its negation;
@@ -322,11 +321,9 @@ def _unit_fixpoint(clauses: list[Clause]) -> tuple[list[Clause], list[tuple[int,
     """
     work: list[Clause | None] = list(clauses)
     widths = list(map(len, work))
-    if 0 in widths:
-        return work, [], True
     units = [i for i, w in enumerate(widths) if w == 1]
-    if not units:
-        return work, [], False
+    if 0 in widths or not units:
+        return work, []
     occurrences: dict[int, list[int]] = {}
     for i, c in enumerate(work):
         for l in set(c):
@@ -352,13 +349,13 @@ def _unit_fixpoint(clauses: list[Clause]) -> tuple[list[Clause], list[tuple[int,
                 heapq.heappush(units, j)
             elif not c:
                 empty = True
-    return [c for c in work if c is not None], fixes, empty
+    return [c for c in work if c is not None], fixes
 
 
 @_ladder_pass
 def propagate_1sat(st: PrepState) -> None:
     """Unit propagation to fixpoint, recording each fix for reconstruction."""
-    new, fixes, _ = _unit_fixpoint(st.clauses)
+    new, fixes = _unit_fixpoint(st.clauses)
     st.clauses = new
     for var, val in fixes:
         st.condition.add_fix(var, val)
@@ -721,7 +718,7 @@ def branch_probe(st: PrepState, max_guesses: int) -> None:
             value = st.branch_override.popleft()
         else:
             value = st.rng.random() < 0.5
-        new, fixes, _ = _unit_fixpoint([*st.clauses, (v if value else -v,)])
+        new, fixes = _unit_fixpoint([*st.clauses, (v if value else -v,)])
         st.clauses = new
         for var, val in fixes:
             st.condition.add_fix(var, val)

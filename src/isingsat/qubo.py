@@ -22,25 +22,12 @@ units are kept verbatim) price their unavoidable violations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .cnf import Cnf
 
 Pair = tuple[int, int]
-
-
-def _energy(offset: float, linear: Mapping[int, float],
-            pairs: Mapping[Pair, float],
-            x: Sequence[int] | Mapping[int, int]) -> float:
-    """offset + sum_i linear[i]*x_i + sum_{(i,j)} pairs[i,j]*x_i*x_j, in
-    that order, for either model kind."""
-    e = offset
-    for i, a in linear.items():
-        e += a * x[i]
-    for (i, j), b in pairs.items():
-        e += b * x[i] * x[j]
-    return e
 
 
 @dataclass
@@ -62,20 +49,27 @@ class QuboModel:
     source_var_map: dict[int, int]
 
     def energy(self, x: Sequence[int] | Mapping[int, int]) -> float:
-        return _energy(self.offset, self.linear, self.quadratic, x)
+        return self.offset + sum(a * x[i] for i, a in self.linear.items()) + sum(
+            b * x[i] * x[j] for (i, j), b in self.quadratic.items())
 
 
 @dataclass
 class IsingModel:
-    """Pairwise spin model: H(s) = sum_{i<j} J_ij s_i s_j + sum_i h_i s_i + offset."""
+    """Pairwise spin model: H(s) = sum_{i<k} J_ik s_i s_k + sum_i h_i s_i + offset.
+
+    Its layout is the kernels' own: ``j`` is the symmetric row-major n*n
+    coupling matrix with a zero diagonal, and ``h`` the n fields.
+    """
 
     num_spins: int
-    j: dict[Pair, float] = field(default_factory=dict)
-    h: dict[int, float] = field(default_factory=dict)
-    offset: float = 0.0
+    j: list[float]
+    h: list[float]
+    offset: float
 
-    def energy(self, s: Sequence[int] | Mapping[int, int]) -> float:
-        return _energy(self.offset, self.h, self.j, s)
+    def energy(self, s: Sequence[int]) -> float:
+        n = self.num_spins
+        return self.offset + sum(self.h[i] * s[i] + sum(
+            self.j[i * n + k] * s[i] * s[k] for k in range(i + 1, n)) for i in range(n))
 
 
 # Capacity and integer coefficient range of the emulated annealer board,
@@ -163,19 +157,29 @@ def cnf_to_qubo(cnf: Cnf) -> QuboModel:
 
 def qubo_to_ising(q: QuboModel) -> IsingModel:
     """Exact change of variables x_i = (1 + s_i)/2; energies match assignment-wise."""
-    m = IsingModel(num_spins=q.num_vars)
-    m.offset = q.offset
+    n = q.num_vars
+    j = [0.0] * (n * n)
+    h = [0.0] * n
+    offset = q.offset
     for i, a in q.linear.items():
-        m.h[i] = m.h.get(i, 0.0) + a / 2.0
-        m.offset += a / 2.0
-    for (i, j), b in q.quadratic.items():
-        m.j[(i, j)] = m.j.get((i, j), 0.0) + b / 4.0
-        m.h[i] = m.h.get(i, 0.0) + b / 4.0
-        m.h[j] = m.h.get(j, 0.0) + b / 4.0
-        m.offset += b / 4.0
-    m.h = {i: v for i, v in m.h.items() if v != 0.0}
-    m.j = {k: v for k, v in m.j.items() if v != 0.0}
-    return m
+        h[i] += a / 2.0
+        offset += a / 2.0
+    for (i, k), b in q.quadratic.items():
+        j[i * n + k] = j[k * n + i] = b / 4.0
+        h[i] += b / 4.0
+        h[k] += b / 4.0
+        offset += b / 4.0
+    return IsingModel(n, j, h, offset)
+
+
+def chip_misfit(v: float) -> str | None:
+    """Why the chip cannot hold the coefficient ``v``, or None when it can:
+    it holds integers in ``COEFF_MIN..COEFF_MAX``."""
+    if not float(v).is_integer():
+        return "is not an integer; scale_to_chip first"
+    if not COEFF_MIN <= v <= COEFF_MAX:
+        return f"outside programmable range [{COEFF_MIN}, {COEFF_MAX}]"
+    return None
 
 
 def _round_away(v: float) -> int:
@@ -185,37 +189,26 @@ def _round_away(v: float) -> int:
 def scale_to_chip(m: IsingModel) -> tuple[IsingModel, DistortionReport]:
     """Fit coefficients into the chip's integer range.
 
-    Already-integral models inside the range pass through untouched.
-    Otherwise every coefficient (and the offset) is scaled so the largest
-    magnitude lands on ``COEFF_MAX``, then J/h are rounded to integers (ties
-    away from zero) and clamped.  Positive scaling preserves the energy
-    ordering exactly; only the rounding step can distort, which the report
-    quantifies.
+    A model whose every coefficient the chip holds (:func:`chip_misfit`)
+    passes through untouched.  Otherwise every coefficient (and the offset)
+    is scaled so the largest magnitude lands on ``COEFF_MAX``, then J/h are
+    rounded to integers (ties away from zero) and clamped; the scaled model
+    keeps the dense layout, zeros included.  Positive scaling preserves the
+    energy ordering exactly; only the rounding step can distort, which the
+    report quantifies.  Each rule runs once per distinct coefficient value.
     """
     if m.num_spins > SPIN_BUDGET:
         raise ValueError(
             f"{m.num_spins} spins exceed the chip budget {SPIN_BUDGET}")
-    coeffs = list(m.j.values()) + list(m.h.values())
-    in_range = all(
-        float(v).is_integer() and COEFF_MIN <= v <= COEFF_MAX for v in coeffs)
-    if in_range:
+    values = {*m.j, *m.h}
+    if not any(map(chip_misfit, values)):
         return m, DistortionReport(max_rel_error=0.0)
-    maxabs = max((abs(v) for v in coeffs), default=0.0)
-    scale = COEFF_MAX / maxabs if maxabs else 1.0
-
-    def fit(v: float) -> int:
-        r = _round_away(v * scale)
-        return max(COEFF_MIN, min(COEFF_MAX, r))
-
-    scaled = IsingModel(
-        num_spins=m.num_spins,
-        j={k: float(fit(v)) for k, v in m.j.items()},
-        h={i: float(fit(v)) for i, v in m.h.items()},
-        offset=m.offset * scale,
-    )
-    max_rel = 0.0
-    for before, after in zip(coeffs, list(scaled.j.values()) + list(scaled.h.values())):
-        target = before * scale
-        if target != 0.0:
-            max_rel = max(max_rel, abs(after - target) / abs(target))
+    maxabs = max(map(abs, values))
+    scale = COEFF_MAX / maxabs
+    fit = {v: float(max(COEFF_MIN, min(COEFF_MAX, _round_away(v * scale))))
+           for v in values}
+    max_rel = max((abs(fit[v] - v * scale) / abs(v * scale)
+                   for v in values if v * scale != 0.0), default=0.0)
+    scaled = IsingModel(m.num_spins, [fit[v] for v in m.j], [fit[v] for v in m.h],
+                        m.offset * scale)
     return scaled, DistortionReport(max_rel_error=max_rel)

@@ -1,11 +1,12 @@
 """Ising ground-state search: :func:`solve` on one of two backends.
 
-Both backends take the same :class:`~isingsat.qubo.IsingModel`:
+Both backends take the same :class:`~isingsat.qubo.IsingModel`, whose dense
+coupling matrix and fields go to the kernels as they are:
 
 * ``"emulator"`` — a simulated annealer standing in for the 45-spin
   all-to-all chip.  It refuses models that would not fit the device: more
-  than ``SPIN_BUDGET`` spins, coefficients that are not integers, or
-  coefficients outside the programmable range (run
+  than ``SPIN_BUDGET`` spins, or a coefficient the chip cannot hold
+  (:func:`isingsat.qubo.chip_misfit`; run
   :func:`isingsat.qubo.scale_to_chip` first).
 * ``"tabu"`` — a single-flip tabu search with no size or coefficient
   restrictions, used as the software baseline.  Its effort is a fixed move
@@ -15,7 +16,8 @@ Both backends take the same :class:`~isingsat.qubo.IsingModel`:
 Every backend draws randomness from a seeded xorshift64* generator; per-read
 seeds are derived with splitmix64, so a call's outcome depends only on
 (model, seed, number of reads).  Of a call's reads, the result keeps the
-first one with the lowest model energy.
+first one with the lowest energy as the kernel tracked it, which is exact on
+the quarter-integer and integer models the pipeline builds.
 
 The inner loops live in :mod:`.kernels`: a C kernel compiled on first import
 and cached in ``__pycache__``, or, without a C compiler, the pure-Python
@@ -25,8 +27,9 @@ says which one runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from ..qubo import COEFF_MAX, COEFF_MIN, SPIN_BUDGET, IsingModel
+from ..qubo import SPIN_BUDGET, IsingModel, chip_misfit
 from .kernels import anneal, mix_seed, tabu
 
 # Geometric cooling from INITIAL_TEMP to FINAL_TEMP over SWEEPS sweeps, tuned
@@ -45,53 +48,39 @@ BACKENDS = ("emulator", "tabu")
 class SolveResult:
     """The spins of the best read, and that read's anneal trace.
 
-    The best read is the first with the lowest energy under the model, not
-    under the kernel's own bookkeeping.  ``trace`` holds (sweep,
-    temperature, best energy so far) rows when the call collected them,
-    else it is empty.
+    The best read is the first with the lowest energy the kernel itself
+    tracked.  ``trace`` holds (sweep, temperature, best energy so far) rows
+    when the call collected them, else it is empty.
     """
 
     best_spins: tuple[int, ...]
     trace: tuple[tuple[int, float, float], ...]
 
 
-def _dense(model: IsingModel) -> tuple[list[float], list[float]]:
-    """The kernels' inputs: a symmetric row-major n*n coupling matrix and
-    the fields."""
-    n = model.num_spins
-    jd = [0.0] * (n * n)
-    for (i, j), v in model.j.items():
-        jd[i * n + j] = float(v)
-        jd[j * n + i] = float(v)
-    h = [0.0] * n
-    for i, v in model.h.items():
-        h[i] = float(v)
-    return jd, h
-
-
 def _check_chip(model: IsingModel) -> None:
-    if model.num_spins > SPIN_BUDGET:
+    n = model.num_spins
+    if n > SPIN_BUDGET:
         raise ValueError(
-            f"model needs {model.num_spins} spins but the chip has {SPIN_BUDGET}"
-        )
-    for kind, coeffs in (("coupling", model.j), ("field", model.h)):
-        for where, v in coeffs.items():
-            if not float(v).is_integer():
-                raise ValueError(
-                    f"{kind} {where} = {v} is not an integer; scale_to_chip first"
-                )
-            if not COEFF_MIN <= v <= COEFF_MAX:
-                raise ValueError(
-                    f"{kind} {where} = {v} outside programmable range "
-                    f"[{COEFF_MIN}, {COEFF_MAX}]"
-                )
+            f"model needs {n} spins but the chip has {SPIN_BUDGET}")
+    if not any(map(chip_misfit, {*model.j, *model.h})):
+        return  # one check per distinct value; a misfit is then named
+    couplings = ((f"coupling {(i, k)}", model.j[i * n + k])
+                 for i in range(n) for k in range(i + 1, n))
+    fields = ((f"field {i}", v) for i, v in enumerate(model.h))
+    for name, v in chain(couplings, fields):
+        if why := chip_misfit(v):
+            raise ValueError(f"{name} = {v} {why}")
 
 
 def solve(model: IsingModel, *, backend: str, seed: int, num_samples: int,
           collect_trace: bool) -> SolveResult:
     """Run ``num_samples`` reads of ``backend``, read k seeded with
-    ``mix_seed(seed, k)``, and keep the first with the lowest model energy.
+    ``mix_seed(seed, k)``, and keep the first with the lowest kernel energy.
 
+    The kernels track a read's energy incrementally, without the offset.
+    When every coefficient is a small multiple of 1/4, as on the pipeline's
+    quarter-integer (tabu) and integer (emulator) models, that energy is
+    exact, so the pick equals the pick by ``model.energy``.
     The emulator first checks that the model fits the chip, and only it
     collects a trace, with the model's offset added to each energy.
     """
@@ -105,16 +94,16 @@ def solve(model: IsingModel, *, backend: str, seed: int, num_samples: int,
     n = model.num_spins
     if n == 0:
         return SolveResult((), ())
-    jd, h = _dense(model)
     if emulator:
-        reads = [anneal(n, jd, h, SWEEPS, INITIAL_TEMP, FINAL_TEMP,
+        reads = [anneal(n, model.j, model.h, SWEEPS, INITIAL_TEMP, FINAL_TEMP,
                         mix_seed(seed, k), collect_trace)
                  for k in range(num_samples)]
     else:
-        reads = [tabu(n, jd, h, DEFAULT_TABU_MOVES, TABU_TENURE, mix_seed(seed, k))
+        reads = [tabu(n, model.j, model.h, DEFAULT_TABU_MOVES, TABU_TENURE,
+                      mix_seed(seed, k))
                  for k in range(num_samples)]
     # a read is (spins, kernel energy, anneal trace rows or tabu move count)
-    energies = [model.energy(spins) for spins, _, _ in reads]
+    energies = [energy for _, energy, _ in reads]
     spins, _, extra = reads[energies.index(min(energies))]
     trace = (tuple((s, t, e + model.offset) for s, t, e in extra)
              if emulator and collect_trace else ())

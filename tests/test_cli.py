@@ -8,8 +8,9 @@ import pytest
 
 from isingsat import decompose
 from isingsat.cli import main
-from isingsat.cnf import parse_dimacs
-from isingsat.harness import load_records
+from isingsat.cnf import parse_dimacs, write_dimacs
+from isingsat.harness import SweepConfig, load_records
+from isingsat.preprocess import MAX_LEVEL, run_ladder
 
 
 def test_generate_semiprime(tmp_path, capsys):
@@ -66,7 +67,22 @@ def test_preprocess_writes_all_artifacts(tmp_path):
     assert any(r["kind"] == "fix" for r in rows)
     stats = json.loads(report.read_text())
     assert stats[-1]["vars_remaining"] == 0
-    assert all("wall_time" in row for row in stats)
+    # each pass name fixes its ladder level, so no row names a level
+    assert all(row.keys() == {"pass", "vars_remaining", "clauses_remaining",
+                              "wall_time"} for row in stats)
+
+
+def test_preprocess_default_seed_is_the_first_solve_repeats(tmp_path):
+    src = tmp_path / "in.cnf"
+    main(["generate", "--bits", "10", "--semiprime", "551", "-o", str(src)])
+    cnf = parse_dimacs(src.read_text())
+    out = tmp_path / "out.cnf"
+    assert main(["preprocess", "-i", str(src), "-o", str(out)]) == 0
+    first = run_ladder(cnf, MAX_LEVEL, seed=SweepConfig.seed,
+                       max_guesses=SweepConfig.max_guesses)
+    other = run_ladder(cnf, MAX_LEVEL, seed=0, max_guesses=SweepConfig.max_guesses)
+    assert first.branch_decisions != other.branch_decisions  # the seed shows
+    assert out.read_text() == write_dimacs(first.cnf)
 
 
 def test_solve_and_tts_and_report(tmp_path, capsys):
@@ -107,6 +123,48 @@ def test_report_leaves_preprocess_time_empty_without_timings(tmp_path):
     assert main(["report", "-i", str(runs), "-o", str(agg)]) == 0
     row = plot.read_text().splitlines()[1].split(",")
     assert row[:3] == ["7", "2", ""]  # no measured time, no mean
+
+
+def _torn_timing_row(runs):
+    """A sidecar row cut off after the key and the first time."""
+    key = load_records(runs)[-1].key
+    return f"{key.rpartition('|')[0]}|9,0.0"
+
+
+def test_report_skips_a_torn_timings_row(tmp_path, capsys):
+    runs = tmp_path / "runs.jsonl"
+    assert main(["solve", "--instance", "semiprime:4", "--level", "7",
+                 "--repeats", "2", "--cap", "200", "-o", str(runs)]) == 0
+    timings = tmp_path / "runs.timings.csv"
+    whole = timings.read_text()
+    timings.write_text(whole + _torn_timing_row(runs))
+    agg = tmp_path / "aggregates.csv"
+    assert main(["report", "-i", str(runs), "-o", str(agg)]) == 0
+    plot = tmp_path / "plotdata" / "runtime_by_level.csv"
+    row = plot.read_text().splitlines()[1].split(",")
+    assert row[:2] == ["7", "2"] and float(row[2]) > 0.0
+    # the same row before the last one is damage, not a torn append
+    lines = whole.splitlines(keepends=True)
+    timings.write_text(lines[0] + _torn_timing_row(runs) + "\n" + "".join(lines[1:]))
+    capsys.readouterr()
+    assert main(["report", "-i", str(runs), "-o", str(agg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("isingsat: error: ") and err.count("\n") == 1
+    assert "line 2 is malformed" in err
+
+
+def test_resume_after_a_torn_timings_row_then_report(tmp_path):
+    runs = tmp_path / "runs.jsonl"
+    solve = ["solve", "--instance", "semiprime:4", "--level", "7",
+             "--cap", "200", "-o", str(runs), "--repeats"]
+    assert main([*solve, "2"]) == 0
+    timings = tmp_path / "runs.timings.csv"
+    whole = timings.read_text()
+    timings.write_text(whole + _torn_timing_row(runs))
+    assert main([*solve, "3"]) == 0
+    lines = timings.read_text().splitlines()
+    assert lines[:3] == whole.splitlines() and len(lines) == 4
+    assert main(["report", "-i", str(runs), "-o", str(tmp_path / "agg.csv")]) == 0
 
 
 def test_solve_from_dimacs_file_with_trace(tmp_path):

@@ -49,15 +49,26 @@ ONE_READ = dict(strategy="dfs", backend="emulator", num_samples=1)
 def test_vig_cooccurrence():
     cnf = make_cnf(4, [(1, 2, 3), (2, -4)])
     vig = build_vig(cnf)
-    assert vig.neighbors(2) == (1, 3, 4)
-    assert vig.degree(2) == 3
-    assert vig.degree(4) == 1
+    assert vig.adjacency[2] == (1, 3, 4)
+    assert vig.dfs_order[2] == (3, 1, 4)  # degree 2, 2, 1; ties by -u
     assert vig.nodes == [1, 2, 3, 4]
 
 
 def test_vig_ignores_self_loops():
     vig = build_vig(make_cnf(2, [(1, -1), (1, 2)]))
-    assert vig.neighbors(1) == (2,)
+    assert vig.adjacency[1] == (2,)
+
+
+def test_vig_dfs_order_is_the_degree_sort():
+    """A DFS walk pushes the same neighbours as a BFS walk, by descending
+    degree, ties by descending variable."""
+    rng = random.Random(4)
+    for _ in range(20):
+        vig = build_vig(mixed_random_cnf(rng.randint(3, 12), rng.randint(1, 30), rng))
+        assert set(vig.dfs_order) == set(vig.adjacency) == set(vig.nodes)
+        for v, nbrs in vig.adjacency.items():
+            assert vig.dfs_order[v] == tuple(
+                sorted(nbrs, key=lambda u: (-len(vig.adjacency[u]), -u)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from isingsat import decompose, preprocess
+from isingsat import decompose, preprocess, solver
 from isingsat.cnf import MEMO_ENTRIES, brute_force_solutions, evaluate, write_dimacs
 from isingsat.harness import (
     BackboneSpec,
@@ -267,6 +267,62 @@ def test_run_repeat_records_are_pinned(spec, cell, settings, golden):
     instance_id, cnf = expand_instances(spec)[0]
     config = SweepConfig(instances=[spec], **settings)
     assert run_repeat(instance_id, cnf, config, **cell).to_json() == golden
+
+
+# Every solver call's best spins over a short repeat, hashed, on calls
+# with more reads than the golden cells take.  Nearly every such call has
+# several reads tied at its best energy, so these digests pin which read the
+# solver keeps (the first lowest), not only how good it is.
+_READ_CELLS = [
+    ("semiprime:10:551",
+     dict(level=7, strategy="dfs", backend="emulator", seed=1),
+     dict(cap=8, budget=45, num_samples=10), "4964f7a1f976af91"),
+    ("backbone:60:255:50",
+     dict(level=7, strategy="bfs", backend="tabu", seed=6),
+     dict(cap=8, budget=45, num_samples=3), "b53fb01c73f58c20"),
+]
+_READ_IDS = ["L7-dfs-emulator-10-reads", "bfs-tabu-3-reads"]
+
+
+def _repeat_with_spy(monkeypatch, spec, cell, settings):
+    """Run one repeat; return each solver call's (model, result)."""
+    calls = []
+    solve = decompose.solve
+
+    def spy(model, **kwargs):
+        calls.append((model, solve(model, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(decompose, "solve", spy)
+    instance_id, cnf = expand_instances(spec)[0]
+    run_repeat(instance_id, cnf, SweepConfig(instances=[spec], **settings), **cell)
+    return calls
+
+
+@pytest.mark.parametrize("spec,cell,settings,golden", _READ_CELLS, ids=_READ_IDS)
+def test_best_reads_are_pinned(monkeypatch, spec, cell, settings, golden):
+    calls = _repeat_with_spy(monkeypatch, spec, cell, settings)
+    assert len(calls) == settings["cap"]
+    spins = [result.best_spins for _model, result in calls]
+    assert hashlib.sha256(repr(spins).encode()).hexdigest()[:16] == golden
+
+
+@pytest.mark.parametrize("spec,cell,settings,golden", _READ_CELLS, ids=_READ_IDS)
+def test_kernel_energy_is_the_model_energy_on_every_slice(monkeypatch, spec, cell,
+                                                          settings, golden):
+    """The solver keeps the read with the lowest kernel energy; on the
+    slices the pipeline builds, that energy plus the offset is the model's."""
+    reads = []
+    for name in ("anneal", "tabu"):
+        def kept(*args, kernel=getattr(solver, name)):
+            reads.append(kernel(*args))
+            return reads[-1]
+        monkeypatch.setattr(solver, name, kept)
+    calls = _repeat_with_spy(monkeypatch, spec, cell, settings)
+    assert len(reads) == len(calls) * settings["num_samples"]
+    for k, (spins, energy, _extra) in enumerate(reads):
+        model = calls[k // settings["num_samples"]][0]
+        assert energy + model.offset == model.energy(spins)
 
 
 def test_a_repeat_on_an_equal_formula_reruns_only_the_guess(monkeypatch):

@@ -618,10 +618,10 @@ def _naive_unit_fixpoint(clauses):
     fixes = []
     while True:
         if any(len(c) == 0 for c in work):
-            return work, fixes, True
+            return work, fixes
         unit = next((c for c in work if len(c) == 1), None)
         if unit is None:
-            return work, fixes, False
+            return work, fixes
         lit = unit[0]
         var, val = abs(lit), lit > 0
         fixes.append((var, val))

@@ -111,30 +111,36 @@ def test_ising_matches_qubo_assignmentwise():
         cnf = mixed_random_cnf(rng.randint(2, 5), rng.randint(1, 6), rng)
         q = cnf_to_qubo(cnf)
         m = qubo_to_ising(q)
-        assert m.num_spins == q.num_vars
+        n = m.num_spins
+        assert n == q.num_vars and len(m.h) == n
+        assert all(m.j[i * n + k] == m.j[k * n + i] for i in range(n) for k in range(n))
+        assert all(m.j[i * n + i] == 0.0 for i in range(n))
         for bits in itertools.product((0, 1), repeat=q.num_vars):
             spins = tuple(2 * b - 1 for b in bits)
             assert m.energy(spins) == pytest.approx(q.energy(bits))
 
 
 def test_scale_passthrough_for_integral_models():
-    m = IsingModel(num_spins=2, j={(0, 1): 3.0}, h={0: -2.0}, offset=1.5)
+    m = IsingModel(2, [0.0, 3.0, 3.0, 0.0], [-2.0, 0.0], 1.5)
     scaled, rep = scale_to_chip(m)
     assert scaled is m
     assert rep.max_rel_error == 0.0
 
 
 def test_scale_maps_largest_to_coeff_max():
-    m = IsingModel(num_spins=2, j={(0, 1): 28.0}, h={0: 7.0, 1: -3.5})
+    m = IsingModel(2, [0.0, 28.0, 28.0, 0.0], [7.0, -3.5], 0.0)
     scaled, rep = scale_to_chip(m)
-    assert scaled.j[(0, 1)] == 14.0
-    assert scaled.h[0] == 4.0 and scaled.h[1] == -2.0
+    assert scaled.j == [0.0, 14.0, 14.0, 0.0]
+    assert scaled.h == [4.0, -2.0]
     assert rep.max_rel_error == pytest.approx(abs(4.0 - 3.5) / 3.5)
 
 
 def test_scale_preserves_ordering_when_exact():
     # coefficients already proportional to integers: ordering survives exactly
-    m = IsingModel(num_spins=3, j={(0, 1): 0.5, (1, 2): -0.25}, h={0: 0.25})
+    j = [0.0, 0.5, 0.0,
+         0.5, 0.0, -0.25,
+         0.0, -0.25, 0.0]
+    m = IsingModel(3, j, [0.25, 0.0, 0.0], 0.0)
     scaled, rep = scale_to_chip(m)
     assert rep.max_rel_error == 0.0
     spins_sets = list(itertools.product((-1, 1), repeat=3))
@@ -144,6 +150,6 @@ def test_scale_preserves_ordering_when_exact():
 
 
 def test_scale_budget_guard():
-    m = IsingModel(num_spins=46)
+    m = IsingModel(46, [0.0] * 46 * 46, [0.0] * 46, 0.0)
     with pytest.raises(ValueError):
         scale_to_chip(m)

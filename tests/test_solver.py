@@ -34,23 +34,20 @@ from conftest import random_3sat
 def _random_model(n: int, rng: random.Random) -> IsingModel:
     """Integer couplings and fields over the chip's programmable range."""
     lo, hi = COEFF_MIN, COEFF_MAX
-    m = IsingModel(num_spins=n)
+    j = [0.0] * (n * n)
+    h = [0.0] * n
     for i in range(n):
-        for j in range(i + 1, n):
+        for k in range(i + 1, n):
             if rng.random() < 0.6:
-                m.j[(i, j)] = float(rng.randint(lo, hi))
+                j[i * n + k] = j[k * n + i] = float(rng.randint(lo, hi))
         if rng.random() < 0.7:
-            m.h[i] = float(rng.randint(lo, hi))
-    return m
+            h[i] = float(rng.randint(lo, hi))
+    return IsingModel(n, j, h, 0.0)
 
 
-def _dense(m: IsingModel) -> tuple[list[float], list[float]]:
-    n = m.num_spins
-    jd = [0.0] * (n * n)
-    for (i, j), v in m.j.items():
-        jd[i * n + j] = v
-        jd[j * n + i] = v
-    return jd, [m.h.get(i, 0.0) for i in range(n)]
+def _pair(coupling: float) -> IsingModel:
+    """Two spins and one coupling between them."""
+    return IsingModel(2, [0.0, coupling, coupling, 0.0], [0.0, 0.0], 0.0)
 
 
 def _exact_min(m: IsingModel) -> float:
@@ -60,16 +57,13 @@ def _exact_min(m: IsingModel) -> float:
     """
     n = m.num_spins
     states = 1 - 2 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
-    upper = np.zeros((n, n))
-    for (i, j), v in m.j.items():
-        upper[i, j] = v
-    h = np.array([m.h.get(i, 0.0) for i in range(n)])
-    energies = m.offset + states @ h + ((states @ upper) * states).sum(axis=1)
+    upper = np.triu(np.array(m.j).reshape(n, n))
+    energies = m.offset + states @ np.array(m.h) + ((states @ upper) * states).sum(axis=1)
     return float(energies.min())
 
 
 def test_request_validation():
-    m = IsingModel(num_spins=1, h={0: 1.0})
+    m = IsingModel(1, [0.0], [1.0], 0.0)
     with pytest.raises(ValueError, match="num_samples"):
         solve(m, backend="emulator", seed=0, num_samples=0, collect_trace=False)
     with pytest.raises(ValueError, match="quantum"):
@@ -99,13 +93,15 @@ def test_emulator_reaches_ground_state_usually():
 
 def test_emulator_sample_count_and_best_pick():
     # the spins and the trace are both those of the first read with the
-    # lowest model energy among the call's num_samples reads
+    # lowest kernel energy among the call's num_samples reads, which on an
+    # integer model is its exact model energy less the offset
     m = _random_model(8, random.Random(5))
+    m.offset = 3.0
     res = solve(m, backend="emulator", seed=2, num_samples=6, collect_trace=True)
-    jd, h = _dense(m)
-    reads = [kernels.anneal(8, jd, h, SWEEPS, INITIAL_TEMP, FINAL_TEMP,
+    reads = [kernels.anneal(8, m.j, m.h, SWEEPS, INITIAL_TEMP, FINAL_TEMP,
                             kernels.mix_seed(2, k), True) for k in range(6)]
-    energies = [m.energy(spins) for spins, _, _ in reads]
+    energies = [energy for _, energy, _ in reads]
+    assert [e + m.offset for e in energies] == [m.energy(s) for s, _, _ in reads]
     best = energies.index(min(energies))
     assert res.best_spins == tuple(reads[best][0])
     assert res.trace == tuple((s, t, e + m.offset) for s, t, e in reads[best][2])
@@ -123,31 +119,39 @@ def test_emulator_trace_monotone():
 
 
 def test_empty_model_shortcut():
-    m = IsingModel(num_spins=0, offset=2.5)
+    m = IsingModel(0, [], [], 2.5)
     res = solve(m, backend="emulator", seed=0, num_samples=1, collect_trace=False)
     assert res.best_spins == () and res.trace == ()
     assert m.energy(res.best_spins) == 2.5
 
 
 def test_chip_guard_budget():
-    m = IsingModel(num_spins=46)
-    with pytest.raises(ValueError):
+    m = IsingModel(46, [0.0] * 46 * 46, [0.0] * 46, 0.0)
+    with pytest.raises(ValueError, match="46 spins"):
         solve(m, backend="emulator", seed=0, num_samples=1, collect_trace=False)
 
 
 def test_chip_guard_non_integer_coefficients():
     # within 1e-9 of an integer is still not an integer the chip can hold
-    for m in (IsingModel(num_spins=2, j={(0, 1): 0.75}),
-              IsingModel(num_spins=2, j={(0, 1): 1.0 + 1e-10}),
-              IsingModel(num_spins=1, h={0: -3.0 - 1e-12})):
-        with pytest.raises(ValueError, match="is not an integer; scale_to_chip"):
+    for m, name in ((_pair(0.75), r"coupling \(0, 1\)"),
+                    (_pair(1.0 + 1e-10), r"coupling \(0, 1\)"),
+                    (IsingModel(1, [0.0], [-3.0 - 1e-12], 0.0), "field 0")):
+        with pytest.raises(ValueError,
+                           match=f"{name} = .* is not an integer; scale_to_chip"):
             solve(m, backend="emulator", seed=0, num_samples=1, collect_trace=False)
 
 
 def test_chip_guard_range():
-    m = IsingModel(num_spins=2, j={(0, 1): 15.0})
-    with pytest.raises(ValueError):
-        solve(m, backend="emulator", seed=0, num_samples=1, collect_trace=False)
+    # the message names the first misfit, couplings (i, k) before fields
+    j = [0.0, 2.0, 0.0,
+         2.0, 0.0, -15.0,
+         0.0, -15.0, 0.0]
+    for m, misfit in ((_pair(15.0), r"coupling \(0, 1\) = 15.0"),
+                      (IsingModel(3, j, [0.0, 0.0, 20.0], 0.0), r"coupling \(1, 2\) = -15.0"),
+                      (IsingModel(3, [0.0] * 9, [0.0, 0.0, 20.0], 0.0), "field 2 = 20.0")):
+        with pytest.raises(ValueError,
+                           match=f"{misfit} outside programmable range"):
+            solve(m, backend="emulator", seed=0, num_samples=1, collect_trace=False)
 
 
 def test_tabu_finds_optimum_on_most_models():
@@ -173,23 +177,22 @@ def test_tabu_determinism():
 
 def test_solve_dispatch():
     # each backend runs its own kernel, read 0 seeded with mix_seed(seed, 0)
-    m = IsingModel(num_spins=2, j={(0, 1): 1.0})
+    m = _pair(1.0)
     r1 = solve(m, backend="emulator", seed=3, num_samples=1, collect_trace=True)
     r2 = solve(m, backend="tabu", seed=3, num_samples=1, collect_trace=True)
-    jd, h = _dense(m)
-    spins, _, trace = kernels.anneal(2, jd, h, SWEEPS, INITIAL_TEMP, FINAL_TEMP,
+    spins, _, trace = kernels.anneal(2, m.j, m.h, SWEEPS, INITIAL_TEMP, FINAL_TEMP,
                                      kernels.mix_seed(3, 0), True)
     assert (r1.best_spins, r1.trace) == (
         tuple(spins), tuple((s, t, e + m.offset) for s, t, e in trace))
     assert r1.trace  # only the emulator traces
-    spins, _, _ = kernels.tabu(2, jd, h, DEFAULT_TABU_MOVES, TABU_TENURE,
+    spins, _, _ = kernels.tabu(2, m.j, m.h, DEFAULT_TABU_MOVES, TABU_TENURE,
                                kernels.mix_seed(3, 0))
     assert r2.best_spins == tuple(spins) and r2.trace == ()
     assert m.energy(r1.best_spins) == m.energy(r2.best_spins) == -1.0
 
 
 def test_offset_carried_through():
-    m = IsingModel(num_spins=1, h={0: 2.0}, offset=10.0)
+    m = IsingModel(1, [0.0], [2.0], 10.0)
     res = solve(m, backend="emulator", seed=0, num_samples=1, collect_trace=True)
     assert res.best_spins == (-1,)
     assert res.trace[-1][2] == pytest.approx(8.0)  # spin -1 plus offset
@@ -222,7 +225,8 @@ def test_mix_seed_never_zero_and_distinct():
 
 def test_pure_anneal_energy_bookkeeping():
     rng = random.Random(31)
-    jd, h = _dense(_random_model(7, rng))
+    m = _random_model(7, rng)
+    jd, h = m.j, m.h
     spins, best, trace = py_anneal(7, jd, h, 60, 10.0, 0.05, py_mix_seed(1, 0), False)
     check = sum(jd[i * 7 + j] * spins[i] * spins[j] for i in range(7) for j in range(i + 1, 7))
     check += sum(h[i] * spins[i] for i in range(7))
@@ -253,7 +257,8 @@ def test_compiled_matches_pure_bitwise():
     rng = random.Random(17)
     sizes = [rng.randint(2, 18) for _ in range(12)] + [45, 45, 45]
     for trial, n in enumerate(sizes):
-        jd, h = _dense(_random_model(n, rng))
+        m = _random_model(n, rng)
+        jd, h = m.j, m.h
         seed = py_mix_seed(trial, 5)
         collect = trial % 2 == 0
         pa = py_anneal(n, jd, h, 80, 8.0, 0.1, seed, collect)

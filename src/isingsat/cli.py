@@ -126,6 +126,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if not args.input and not args.instance:
             raise ValueError("solve needs -i/--input, --instance, or --sweep")
         config = SweepConfig(instances=[args.instance or args.input], **given)
+    if args.trace and config.backends[0] == "tabu":
+        raise ValueError("--trace dumps an anneal trace, but the first backend "
+                         "is tabu, which records none; drop --trace")
     if args.output:
         out_path = Path(args.output)
         out_dir, runs_filename = out_path.parent, out_path.name

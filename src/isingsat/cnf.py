@@ -8,6 +8,7 @@ duplicates carry weight when clauses are later converted to penalties.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 Literal = int
@@ -37,14 +38,16 @@ class Cnf:
     def __post_init__(self):
         if self.num_vars < 0:
             raise ValueError("num_vars must be non-negative")
-        for clause in self.clauses:
-            for lit in clause:
-                if lit == 0:
-                    raise ValueError("literal 0 is not allowed inside a clause")
-                if abs(lit) > self.num_vars:
-                    raise ValueError(
-                        f"literal {lit} references a variable above num_vars={self.num_vars}"
-                    )
+        n = self.num_vars
+        lits = set(chain.from_iterable(self.clauses))
+        if lits and (0 in lits or min(lits) < -n or max(lits) > n):
+            # name the first offending literal in clause order
+            lit = next(x for x in chain.from_iterable(self.clauses)
+                       if x == 0 or abs(x) > n)
+            if lit == 0:
+                raise ValueError("literal 0 is not allowed inside a clause")
+            raise ValueError(
+                f"literal {lit} references a variable above num_vars={n}")
 
     @property
     def num_clauses(self) -> int:
@@ -52,18 +55,14 @@ class Cnf:
 
     def occurring_vars(self) -> list[int]:
         """Sorted variables that appear in at least one clause."""
-        seen: set[int] = set()
-        for clause in self.clauses:
-            for lit in clause:
-                seen.add(abs(lit))
-        return sorted(seen)
+        return sorted(set(map(abs, chain.from_iterable(self.clauses))))
 
     def is_unsat_marked(self) -> bool:
         """True when the formula contains the falsified-empty clause."""
         return any(len(clause) == 0 for clause in self.clauses)
 
     def max_clause_width(self) -> int:
-        return max((len(c) for c in self.clauses), default=0)
+        return max(map(len, self.clauses), default=0)
 
 
 MEMO_ENTRIES = 8  # entries a memo keyed by formula value keeps
@@ -186,9 +185,14 @@ def evaluate(cnf: Cnf, assignment: Mapping[int, bool]) -> bool:
 
 
 def count_satisfied(clauses: Sequence[Clause], assignment: Mapping[int, bool]) -> int:
-    """Satisfied-clause count over an arbitrary clause list (partial models allowed
-    as long as every referenced variable is present)."""
-    return sum(1 for c in clauses if clause_satisfied(c, assignment))
+    """Satisfied-clause count over an arbitrary clause list (partial models
+    allowed as long as every referenced variable is present: a missing one
+    raises KeyError)."""
+    missing = set(map(abs, chain.from_iterable(clauses))).difference(assignment)
+    if missing:
+        raise KeyError(min(missing))
+    true_lits = {v if val else -v for v, val in assignment.items()}
+    return len(clauses) - sum(map(true_lits.isdisjoint, clauses))
 
 
 def brute_force_solutions(

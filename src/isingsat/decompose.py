@@ -22,18 +22,25 @@ pushes them, and the 3-literal clauses the projected spin cost counts, so a
 walk sorts nothing) and lists the clauses of every variable, and
 keeps both in a memo of ``MEMO_ENTRIES`` entries keyed by the formula, so
 every decomposition of an equal formula shares them read-only.
-``GlobalState.start`` then only keeps a true-literal count per clause for
-its seed's assignment (the make/break bookkeeping of WalkSAT-style local
-search).  The unsatisfied set falls out of those counts, so picking a start
-variable reads only the unsatisfied clauses; freezing visits only the
-clauses touching the selection plus the unsatisfied ones; and a merge moves
-the counts of only the clauses of the variables it flips, committing them
-only when it is accepted.
+``GlobalState.start`` then counts, for its seed's assignment, the true
+literals of each clause (the make/break bookkeeping of WalkSAT-style local
+search) and, from the unsatisfied clauses, how many of them hold each
+variable and which variables hold any: the pool a walk starts from.
+An iteration then touches only the slice:
+
+* picking a start variable reads the kept pool;
+* freezing visits only the clauses of the selected variables; every other
+  unsatisfied clause freezes empty and is counted, not walked;
+* a merge moves the counts of only the clauses of the variables it flips,
+  and commits them only when it is accepted; the pool moves only for the
+  clauses whose satisfied status flips.
+
 One full rescan at the end of the loop checks the final count.
 """
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -137,14 +144,20 @@ class GlobalState:
 
     ``true_count[c]`` is the number of true literals in clause ``c``,
     ``unsat`` the clauses at zero and ``best_count`` the satisfied total.
-    ``occurrences[v]`` lists the clauses containing ``v`` in clause order.
-    ``update_global`` keeps all of it in step with ``assignment``.
+    ``unsat_degree[v]`` counts the unsatisfied clauses that contain ``v``,
+    and ``pool`` lists, ascending, the variables whose count is nonzero: the
+    variables a walk may start from.  ``occurrences[v]`` lists the clauses
+    containing ``v`` in clause order.  ``update_global`` keeps all of it in
+    step with ``assignment``, touching the pool only for the clauses whose
+    satisfied status flips.
     """
 
     assignment: Assignment
     best_count: int
     true_count: list[int]
     unsat: set[int]
+    unsat_degree: list[int]
+    pool: list[int]
     occurrences: Mapping[int, tuple[int, ...]]
 
     @classmethod
@@ -156,11 +169,16 @@ class GlobalState:
         to False."""
         for v in occurrences:
             assignment.setdefault(v, False)
-        true_count = [sum(1 for lit in c if (lit > 0) == assignment[abs(lit)])
-                      for c in cnf.clauses]
+        true_lits = {v if val else -v for v, val in assignment.items()}
+        # a repeated literal counts once per occurrence
+        true_count = [sum(map(true_lits.__contains__, c)) for c in cnf.clauses]
         unsat = {ci for ci, n in enumerate(true_count) if n == 0}
+        degree = [0] * (cnf.num_vars + 1)
+        for ci in unsat:
+            for v in set(map(abs, cnf.clauses[ci])):
+                degree[v] += 1
         return cls(assignment, cnf.num_clauses - len(unsat), true_count, unsat,
-                   occurrences)
+                   degree, [v for v, n in enumerate(degree) if n], occurrences)
 
 
 # ladder output -> its Vig and read-only occurrence lists
@@ -258,14 +276,17 @@ def freeze_and_extract(cnf: Cnf, selected: set[int],
     further — conflicting units and duplicates stay, and a clause emptied by
     freezing becomes a constant +1 in the QUBO offset.
 
-    Only the clauses touching the selection and the unsatisfied ones are
-    visited: every other clause has a true frozen literal and is dropped.
+    Only the clauses touching the selection are visited: every other
+    clause has only frozen literals, so a satisfied one is dropped and an
+    unsatisfied one freezes empty.  Those are counted, not walked, and
+    passed on after the kept clauses.
     """
     if not selected:
         raise ValueError("selection is empty")
-    visit = set(state.unsat)
+    visit: set[int] = set()
     for v in selected:
         visit.update(state.occurrences.get(v, ()))
+    assignment = state.assignment
     kept: list[tuple[int, ...]] = []
     for ci in sorted(visit):
         lits: list[int] = []
@@ -273,11 +294,12 @@ def freeze_and_extract(cnf: Cnf, selected: set[int],
             v = abs(lit)
             if v in selected:
                 lits.append(lit)
-            elif (lit > 0) == state.assignment[v]:
+            elif (lit > 0) == assignment[v]:
                 break
         else:
             kept.append(tuple(lits))
-    qubo = cnf_to_qubo(Cnf(num_vars=cnf.num_vars, clauses=tuple(kept)))
+    emptied = len(state.unsat) - len(state.unsat & visit)
+    qubo = cnf_to_qubo(Cnf(num_vars=cnf.num_vars, clauses=(*kept, *[()] * emptied)))
     return Subproblem(qubo, len(selected) + sum(1 for c in kept if len(c) == 3))
 
 
@@ -287,28 +309,38 @@ def update_global(state: GlobalState, sub_solution: Assignment,
 
     Equal counts are accepted (plateau moves).  Returns True when merged.
     Only the clauses of the variables that flip are touched: their
-    true-literal counts move by the flipped literals (make/break).
+    true-literal counts move by the flipped literals (make/break), and a
+    clause whose satisfied status flips moves its variables' unsatisfied
+    counts and, where one leaves or reaches zero, the start pool.
     """
     old, count = state.assignment, state.true_count
     delta: dict[int, int] = {}
     for v, val in sub_solution.items():
         if old.get(v) == val:
             continue
+        t = v if val else -v  # the literal of v that turns true
         for ci in state.occurrences.get(v, ()):
-            # each literal of v in the clause turns true (+1) or false (-1)
-            delta[ci] = delta.get(ci, 0) + sum(
-                1 if (lit > 0) == val else -1 for lit in cnf.clauses[ci] if abs(lit) == v)
+            clause = cnf.clauses[ci]
+            delta[ci] = delta.get(ci, 0) + clause.count(t) - clause.count(-t)
     gain = sum((count[ci] + d > 0) - (count[ci] > 0) for ci, d in delta.items())
     accepted = gain >= 0
     if accepted:
         old.update(sub_solution)
         state.best_count += gain
+        degree, pool = state.unsat_degree, state.pool
         for ci, d in delta.items():
-            count[ci] += d
-            if count[ci]:
-                state.unsat.discard(ci)
-            else:
-                state.unsat.add(ci)
+            was = count[ci]
+            count[ci] = was + d
+            if (was > 0) == (was + d > 0):
+                continue
+            step = -1 if was == 0 else 1  # now satisfied / now unsatisfied
+            (state.unsat.add if step > 0 else state.unsat.discard)(ci)
+            for v in set(map(abs, cnf.clauses[ci])):
+                degree[v] += step
+                if step > 0 and degree[v] == 1:
+                    insort(pool, v)
+                elif degree[v] == 0:
+                    del pool[bisect_left(pool, v)]
     return accepted
 
 
@@ -362,8 +394,7 @@ def iterate(cnf: Cnf, condition: ConditionList, original: Cnf, *,
     reason = "cap"
     while state.best_count < m and iterations < cap:
         iterations += 1
-        unsat_vars = sorted({abs(lit) for ci in state.unsat for lit in cnf.clauses[ci]})
-        pool = unsat_vars or occurring
+        pool = state.pool or occurring
         start = pool[rng.randrange(len(pool))]
         selected = select(vig, budget, start, filt)
         if not selected:

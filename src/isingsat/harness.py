@@ -256,12 +256,20 @@ def expand_instances(spec: str) -> list[tuple[str, Cnf]]:
     name keep apart in ``runs.jsonl``, and an equal formula under that name
     shares their records."""
     parts = spec.split(":")
+    bad = f"bad instance spec {spec!r}; the forms are {SPEC_FORMS}"
     if (parts[0] == "semiprime" and len(parts) not in (2, 3)
             or parts[0] == "backbone" and len(parts) not in (4, 5)):
-        raise ValueError(f"bad instance spec {spec!r}; the forms are {SPEC_FORMS}")
+        raise ValueError(bad)
+    try:
+        if parts[0] == "semiprime":
+            bits, *targets = map(int, parts[1:])
+        elif parts[0] == "backbone":
+            n, m = int(parts[1]), int(parts[2])
+            b = float(parts[3]) / 100.0
+            seed = int(parts[4]) if len(parts) > 4 else 0
+    except ValueError:
+        raise ValueError(bad) from None
     if parts[0] == "semiprime":
-        bits = int(parts[1])
-        targets = [int(parts[2])] if len(parts) > 2 else None
         out = []
         for inst in semiprime_catalog(bits):
             if targets and inst.semiprime not in targets:
@@ -272,9 +280,6 @@ def expand_instances(spec: str) -> list[tuple[str, Cnf]]:
             raise ValueError(f"{targets[0]} is not in the {bits}-bit catalog")
         return out
     if parts[0] == "backbone":
-        n, m = int(parts[1]), int(parts[2])
-        b = float(parts[3]) / 100.0
-        seed = int(parts[4]) if len(parts) > 4 else 0
         cnf = generate_backbone_instance(BackboneSpec(n=n, m=m, b=b), seed)
         return [(f"backbone-n{n}-m{m}-b{int(round(b * 100))}-s{seed}", cnf)]
     path = Path(spec.removeprefix("file:"))

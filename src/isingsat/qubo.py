@@ -111,6 +111,14 @@ _GADGETS = {
 }
 
 
+# _GADGETS with the zero terms dropped, keyed the same way: the offset, then
+# (slot, coefficient) per linear term and (slot, slot, coefficient) per pair.
+_TERMS = {signs: (constant,
+                  tuple((slot, c) for slot, c in enumerate(lin) if c),
+                  tuple((s, t, c) for (s, t), c in zip(_PAIRS[len(signs)], quad) if c))
+          for signs, (constant, lin, quad) in _GADGETS.items()}
+
+
 def cnf_to_qubo(cnf: Cnf) -> QuboModel:
     """Sum of clause gadgets over the occurring variables.
 
@@ -123,27 +131,27 @@ def cnf_to_qubo(cnf: Cnf) -> QuboModel:
     if width > 3:
         raise ValueError(f"clause width {width} exceeds 3; reduce the formula first")
     occurring = cnf.occurring_vars()
-    index_of = {v: i for i, v in enumerate(occurring)}
+    slot_of: dict[int, int] = {}  # either literal of a variable -> its index
+    for i, v in enumerate(occurring):
+        slot_of[v] = slot_of[-v] = i
     linear: dict[int, float] = {}
     quadratic: dict[Pair, float] = {}
     offset = 0.0
     next_ancilla = len(occurring)
     for clause in cnf.clauses:
-        if len(clause) == 0:
+        if not clause:
             offset += 1.0
             continue
-        slots = [index_of[abs(lit)] for lit in clause]
+        slots = list(map(slot_of.__getitem__, clause))
         if len(clause) == 3:
             slots.append(next_ancilla)
             next_ancilla += 1
-        constant, lin, quad = _GADGETS[tuple(lit > 0 for lit in clause)]
+        constant, lin, quad = _TERMS[tuple(map((0).__lt__, clause))]
         offset += constant
-        for slot, coeff in zip(slots, lin):
-            if coeff:
-                linear[slot] = linear.get(slot, 0.0) + coeff
-        for (s, t), coeff in zip(_PAIRS[len(clause)], quad):
-            if not coeff:
-                continue
+        for s, coeff in lin:
+            i = slots[s]
+            linear[i] = linear.get(i, 0.0) + coeff
+        for s, t, coeff in quad:
             i, j = slots[s], slots[t]
             if i == j:  # a repeated variable folds in as x*x = x
                 linear[i] = linear.get(i, 0.0) + coeff
@@ -152,7 +160,7 @@ def cnf_to_qubo(cnf: Cnf) -> QuboModel:
                 quadratic[key] = quadratic.get(key, 0.0) + coeff
     return QuboModel(num_vars=next_ancilla,  # occurring variables + ancillas
                      linear=linear, quadratic=quadratic, offset=offset,
-                     source_var_map={i: v for v, i in index_of.items()})
+                     source_var_map=dict(enumerate(occurring)))
 
 
 def qubo_to_ising(q: QuboModel) -> IsingModel:
@@ -209,6 +217,6 @@ def scale_to_chip(m: IsingModel) -> tuple[IsingModel, DistortionReport]:
            for v in values}
     max_rel = max((abs(fit[v] - v * scale) / abs(v * scale)
                    for v in values if v * scale != 0.0), default=0.0)
-    scaled = IsingModel(m.num_spins, [fit[v] for v in m.j], [fit[v] for v in m.h],
-                        m.offset * scale)
+    scaled = IsingModel(m.num_spins, list(map(fit.__getitem__, m.j)),
+                        list(map(fit.__getitem__, m.h)), m.offset * scale)
     return scaled, DistortionReport(max_rel_error=max_rel)

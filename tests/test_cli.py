@@ -232,6 +232,12 @@ def test_tts_empty_file(tmp_path, capsys):
     ("semiprime not in the catalog", "999"),
     ("spec without its bit width", "semiprime:BITS:N"),
     ("backbone spec without M and B", "backbone:N:M:B[:SEED]"),
+    ("non-numeric semiprime width", "bad instance spec 'semiprime:x'"),
+    ("non-numeric semiprime", "bad instance spec 'semiprime:8:x'"),
+    ("non-numeric backbone percentage", "bad instance spec 'backbone:10:40:x'"),
+    ("non-numeric backbone seed", "bad instance spec 'backbone:10:40:50:x'"),
+    ("trace of a tabu run", "drop --trace"),
+    ("trace of a sweep whose first backend is tabu", "drop --trace"),
     ("records file with a foreign key", 'not a run record: {"a": 1}'),
     ("negative ladder seed", "seed must be >= 0, got -3"),
     ("negative guess count", "max_guesses must be >= 0, got -1"),
@@ -253,6 +259,9 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, case, says):
     good.write_text("p cnf 3 2\n1 2 0\n-1 3 0\n")
     foreign = tmp_path / "foreign.jsonl"
     foreign.write_text('{"a": 1}\n')
+    tabu_sweep = tmp_path / "tabu.json"
+    tabu_sweep.write_text(json.dumps({"instances": ["semiprime:4"], "repeats": 1,
+                                      "backends": ["tabu", "emulator"]}))
     runs = ["-o", str(tmp_path / "runs.jsonl"), "--repeats", "1"]
     out = tmp_path / "out.cnf"
     argv = {
@@ -263,6 +272,18 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, case, says):
         "semiprime not in the catalog": ["solve", "--instance", "semiprime:8:999", *runs],
         "spec without its bit width": ["solve", "--instance", "semiprime", *runs],
         "backbone spec without M and B": ["solve", "--instance", "backbone:100", *runs],
+        "non-numeric semiprime width": ["solve", "--instance", "semiprime:x", *runs],
+        "non-numeric semiprime": ["solve", "--instance", "semiprime:8:x", *runs],
+        "non-numeric backbone percentage": ["solve", "--instance", "backbone:10:40:x",
+                                            *runs],
+        "non-numeric backbone seed": ["solve", "--instance", "backbone:10:40:50:x",
+                                      *runs],
+        "trace of a tabu run": ["solve", "-i", str(good), "--backend", "tabu",
+                                "--level", "0", "--cap", "3", *runs,
+                                "--trace", str(tmp_path / "t.csv")],
+        "trace of a sweep whose first backend is tabu": [
+            "solve", "--sweep", str(tabu_sweep), "-o", str(tmp_path / "r" / "runs.jsonl"),
+            "--trace", str(tmp_path / "t.csv")],
         "records file with a foreign key": ["tts", "-i", str(foreign)],
         "negative ladder seed": ["preprocess", "-i", str(good), "--seed", "-3",
                                  "-o", str(out)],

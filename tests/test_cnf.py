@@ -109,6 +109,33 @@ def test_count_satisfied_subset():
     assert count_satisfied(clauses, {1: True, 2: True}) == 2
 
 
+@pytest.mark.parametrize("assignment", [{1: False}, {1: True}, {2: True}])
+def test_count_satisfied_refuses_a_missing_variable(assignment):
+    """A clause variable the assignment lacks raises, even when another
+    literal already satisfies the clause."""
+    with pytest.raises(KeyError):
+        count_satisfied([(1, 2)], assignment)
+
+
+@pytest.mark.parametrize("clauses, says", [
+    (((1, 0),), "literal 0 is not allowed inside a clause"),
+    (((1,), (2, 3)), "literal 3 references a variable above num_vars=2"),
+    (((1, -3),), "literal -3 references a variable above num_vars=2"),
+    (((-3, 0),), "literal -3 references a variable above num_vars=2"),
+    (((2,), (0, 5)), "literal 0 is not allowed inside a clause"),
+])
+def test_cnf_refuses_a_bad_literal(clauses, says):
+    """The first offending literal in clause order is the one named."""
+    with pytest.raises(ValueError) as err:
+        Cnf(2, clauses)
+    assert str(err.value) == says
+
+
+def test_cnf_refuses_a_negative_variable_count():
+    with pytest.raises(ValueError, match="num_vars must be non-negative"):
+        Cnf(-1, ())
+
+
 def test_brute_force_tiny():
     cnf = make_cnf(2, [(1, 2), (-1, 2)])
     sols = brute_force_solutions(cnf)

@@ -265,6 +265,7 @@ def _merge_walks(draw):
 def test_incremental_counts_match_full_rescan(walk):
     cnf, start, steps = walk
     state = _gs(cnf, {v: start[v - 1] for v in range(1, cnf.num_vars + 1)})
+    _assert_pool_matches_rescan(cnf, state)
     for selected, bits in steps:
         before = dict(state.assignment)
         sub = freeze_and_extract(cnf, selected, state)
@@ -279,6 +280,32 @@ def test_incremental_counts_match_full_rescan(walk):
         assert state.best_count == count_satisfied(cnf.clauses, state.assignment)
         assert state.unsat == {ci for ci, c in enumerate(cnf.clauses)
                                if not clause_satisfied(c, state.assignment)}
+        _assert_pool_matches_rescan(cnf, state)
+
+
+def _assert_pool_matches_rescan(cnf, state):
+    unsat_vars = [{abs(lit) for lit in cnf.clauses[ci]} for ci in state.unsat]
+    assert state.pool == sorted(set().union(*unsat_vars))
+    assert state.unsat_degree == [sum(v in vs for vs in unsat_vars)
+                                  for v in range(cnf.num_vars + 1)]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_start_counts_every_true_literal(data):
+    """On few variables clauses often repeat a literal or hold both of a
+    variable's literals; each true occurrence counts, and a variable the
+    assignment lacks starts False."""
+    n = data.draw(st.integers(1, 4))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    cnf = make_cnf(n, data.draw(st.lists(st.lists(lit, max_size=4), max_size=12)))
+    given_values = data.draw(st.dictionaries(st.integers(1, n), st.booleans()))
+    state = _gs(cnf, given_values)
+    value = {v: given_values.get(v, False) for v in range(1, n + 1)}
+    assert state.true_count == [sum(1 for lit in c if (lit > 0) == value[abs(lit)])
+                                for c in cnf.clauses]
+    assert state.unsat == {ci for ci, k in enumerate(state.true_count) if k == 0}
+    _assert_pool_matches_rescan(cnf, state)
 
 
 # ---------------------------------------------------------------------------

@@ -126,9 +126,18 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if not args.input and not args.instance:
             raise ValueError("solve needs -i/--input, --instance, or --sweep")
         config = SweepConfig(instances=[args.instance or args.input], **given)
-    if args.trace and config.backends[0] == "tabu":
-        raise ValueError("--trace dumps an anneal trace, but the first backend "
-                         "is tabu, which records none; drop --trace")
+    if args.trace:
+        # replays the first repeat up to its first solver call
+        _instance_id, cnf = expand_instances(config.instances[0])[0]
+        run, _pre_time = preprocess_and_decompose(
+            cnf, config, level=config.levels[0], strategy=config.strategies[0],
+            backend=config.backends[0], seed=config.seed, cap=1,
+            collect_trace=True)
+        if not run.trace:
+            raise ValueError("--trace dumps the anneal trace of the first "
+                             "repeat's first solver call, but it records none "
+                             "(the backend is tabu, or the repeat makes no "
+                             "solver call); drop --trace")
     if args.output:
         out_path = Path(args.output)
         out_dir, runs_filename = out_path.parent, out_path.name
@@ -146,12 +155,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
           f"{Path(out_dir) / runs_filename}")
 
     if args.trace:
-        # replays the first repeat up to its first solver call
-        _instance_id, cnf = expand_instances(config.instances[0])[0]
-        run, _pre_time = preprocess_and_decompose(
-            cnf, config, level=config.levels[0], strategy=config.strategies[0],
-            backend=config.backends[0], seed=config.seed, cap=1,
-            collect_trace=True)
         with Path(args.trace).open("w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["sweep", "temperature", "best_energy"])
@@ -248,7 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop a cell's repeats after the first success")
     s.add_argument("-o", "--output", help="runs.jsonl path")
     s.add_argument("--results-dir", help=f"default dir (or ${harness.RESULTS_ENV})")
-    s.add_argument("--trace", help="CSV dump of one anneal trace")
+    s.add_argument("--trace", help="CSV dump of the anneal trace of the first "
+                   "repeat's first solver call; refused before the sweep "
+                   "when it makes none (tabu, or a ladder that solves it)")
     s.set_defaults(func=_cmd_solve)
 
     t = sub.add_parser("tts", help="time-to-solution table from runs.jsonl")

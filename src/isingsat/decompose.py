@@ -371,7 +371,8 @@ def iterate(cnf: Cnf, condition: ConditionList, original: Cnf, *,
     and ``original`` lift and check the final assignment, so every success is
     verified against the untouched input (a failed check raises).  A formula
     carrying the empty-clause marker can never be fully satisfied and fails
-    immediately.
+    immediately; one with a clause wider than 3 raises ``ValueError``, since
+    a slice's spin cost counts ancillas for 3-literal clauses only.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -379,11 +380,14 @@ def iterate(cnf: Cnf, condition: ConditionList, original: Cnf, *,
 
     if cnf.is_unsat_marked():
         return DecompositionRun(False, 0, 0, 0, m, None, reason="unsat-marker")
+    width = cnf.max_clause_width()
+    if width > 3:
+        raise ValueError(f"clause width {width} exceeds 3: the decomposition "
+                         "slices only 3-CNF")
 
     rng = random.Random(seed)
-    occurring = cnf.occurring_vars()
-    assignment: Assignment = {v: bool(rng.getrandbits(1)) for v in occurring}
     vig, occurrences = formula_index(cnf)
+    assignment: Assignment = {v: bool(rng.getrandbits(1)) for v in vig.nodes}
     state = GlobalState.start(cnf, assignment, occurrences)
     filt = FilterState()
     select = select_dfs if strategy == "dfs" else select_bfs
@@ -394,7 +398,7 @@ def iterate(cnf: Cnf, condition: ConditionList, original: Cnf, *,
     reason = "cap"
     while state.best_count < m and iterations < cap:
         iterations += 1
-        pool = state.pool or occurring
+        pool = state.pool  # non-empty: no unsatisfied clause is empty
         start = pool[rng.randrange(len(pool))]
         selected = select(vig, budget, start, filt)
         if not selected:

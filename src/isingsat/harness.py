@@ -422,6 +422,30 @@ def _torn_tail(data: bytes, parse: Callable[[str], object]) -> int | None:
     return None
 
 
+def _read_lines(path: Path, mend: Callable[[str], object],
+                parse: Callable[[str], object], skip: int) -> list:
+    """``parse`` of each non-blank line of ``path`` after the first ``skip``.
+
+    A torn append at the end (:func:`_torn_tail` with ``mend``, the parser
+    the file is mended with) is left out.  A line that ``parse`` rejects
+    anywhere else re-raises its ValueError with a message that names
+    ``path`` and the line number; the type is kept, so a caller that
+    catches ``json.JSONDecodeError`` still does.
+    """
+    data = path.read_bytes()
+    lines = data[:_torn_tail(data, mend)].decode().splitlines()
+    rows = []
+    for n, line in enumerate(lines[skip:], start=skip + 1):
+        if not line.strip():
+            continue
+        try:
+            rows.append(parse(line))
+        except ValueError as exc:
+            exc.args = (f"{path}: line {n} is malformed ({exc})",)
+            raise
+    return rows
+
+
 def _mend_tail(path: Path, parse: Callable[[str], object]) -> None:
     """Cut a torn append (:func:`_torn_tail`) off ``path``, so that its cell
     runs again, or give a last line that lost only its newline the newline
@@ -502,8 +526,8 @@ def run_experiment(config: SweepConfig, out_dir: Path,
 
 
 def load_records(runs_path: str | Path) -> list[RunRecord]:
-    lines = Path(runs_path).read_text().splitlines()
-    return [RunRecord.from_json(ln) for ln in lines if ln.strip()]
+    """The records of a runs file, skipping a torn append at its end."""
+    return _read_lines(Path(runs_path), json.loads, RunRecord.from_json, 0)
 
 
 def aggregate_records(records: list[RunRecord]) -> list[dict]:
@@ -563,22 +587,15 @@ def runtime_report(records: list[RunRecord],
 
 
 def load_timings(timings_path: str | Path) -> dict[str, tuple[float, float]]:
-    """Measured (preprocess, wall) times by record key from a sidecar.
-
-    A torn append at the end (:func:`_torn_tail`) is skipped; any other
-    malformed row raises ValueError.
+    """Measured (preprocess, wall) times by record key from a sidecar, if
+    there is one.  A torn append at the end is skipped; any other malformed
+    row raises ValueError (:func:`_read_lines`).
     """
     p = Path(timings_path)
-    data = p.read_bytes() if p.exists() else b""
-    out: dict[str, tuple[float, float]] = {}
-    lines = data[:_torn_tail(data, _timing_row)].decode().splitlines()
-    for n, line in enumerate(lines[1:], start=2):  # line 1 is the header
-        try:
-            key, times = _timing_row(line)
-        except ValueError as exc:
-            raise ValueError(f"{p}: line {n} is malformed ({exc})") from None
-        out[key] = times
-    return out
+    if not p.exists():
+        return {}
+    # line 1 is the header
+    return dict(_read_lines(p, _timing_row, _timing_row, 1))
 
 
 def write_runtime_report(records: list[RunRecord], out_dir: Path,

@@ -35,14 +35,16 @@ and labels each 3-variable group by one lookup in a gate table built at
 import; ``propagate_1sat`` builds occurrence lists once per call, then each
 fix touches only its variable's clauses; ``subsume_clauses`` compares a
 clause only with kept clauses filed under its own literals; the other
-passes are one sweep (per cascade round).  The boundary checks share one
-:meth:`PrepState.census` per clause list.  Levels 1-6 draw nothing from the
-seed, so :func:`run_ladder` memoizes their outcome (clauses, condition
-records, reports) by ``(cnf, level)``, the formula compared by value, in a
-memo of ``MEMO_ENTRIES`` entries that drops its oldest first: every repeat
-on an equal formula after the first reuses it, and its level 1-6 reports
-then show 0 s.  The level-7 guess and the propagation after it still run
-on every call, from the seed.
+passes are one sweep (per cascade round).  The checks between passes (an
+empty clause, a unit, a pending substitution, the occurring variables of a
+report) are one sweep of the clauses or the condition list each, made
+when they are read.  Levels 1-6 draw nothing from the seed, so
+:func:`run_ladder` memoizes their outcome (clauses, condition records,
+reports) by ``(cnf, level)``, the formula compared by value, in a memo of
+``MEMO_ENTRIES`` entries that drops its oldest first: every repeat on an
+equal formula after the first reuses it, and its level 1-6 reports then
+show 0 s.  So those checks run once per formula; only the level-7 guess
+and the propagation after it run on every call, from the seed.
 
 Nothing renumbers variables: the residual keeps the original ``num_vars`` and
 a :class:`ConditionList` records how to lift a residual model back to the
@@ -56,8 +58,9 @@ import heapq
 import random
 import time
 from collections import Counter, deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from functools import cached_property, wraps
+from functools import wraps
 
 from .circuit import _OPTION2, EncodingOption, gate_clauses
 from .cnf import Clause, Cnf, memoize
@@ -95,11 +98,7 @@ class ConditionList:
 
     def values(self) -> dict[int, bool]:
         """All variables with a determined value (fixed or pure)."""
-        out: dict[int, bool] = {}
-        for r in self.records:
-            if r.kind in ("fix", "pure"):
-                out[r.var] = r.value
-        return out
+        return {r.var: r.value for r in self.records if r.kind != "sub"}
 
     def __len__(self) -> int:
         return len(self.records)
@@ -116,11 +115,8 @@ def reconstruct(
     keep theirs, substituted variables copy (or negate) their root, and
     variables constrained by nothing are False.
     """
-    out: dict[int, bool] = {}
+    out = condition.values()
     sub_targets = {r.var for r in condition.records if r.kind == "sub"}
-    for rec in condition.records:
-        if rec.kind in ("fix", "pure"):
-            out[rec.var] = rec.value
     for var, val in residual_model.items():
         out.setdefault(var, bool(val))
     for v in range(1, num_vars + 1):
@@ -155,50 +151,24 @@ class PassReport:
     wall_time: float
 
 
-class Census:
-    """What the pass boundaries check about one clause list."""
-
-    def __init__(self, clauses: list[Clause]) -> None:
-        self.clauses = clauses
-        self.size = len(clauses)
-        widths = set(map(len, clauses))
-        self.has_empty = 0 in widths
-        self.has_unit = 1 in widths
-
-    @cached_property
-    def occurring(self) -> int:
-        return len({abs(l) for c in self.clauses for l in c})
-
-
 @dataclass
 class PrepState:
-    """Passes replace ``clauses`` rather than edit it in place, so one
-    census per clause list serves every check at the pass boundaries."""
+    """The working formula, the records that undo it, and what drives the
+    level-7 guess; anything else a pass boundary checks is computed from
+    these when it is read."""
 
     clauses: list[Clause]
     condition: ConditionList
     rng: random.Random
     branch_override: deque[bool] | None = None
     branch_decisions: list[BranchDecision] = field(default_factory=list)
-    _census: Census | None = field(
-        default=None, init=False, repr=False, compare=False)
-
-    def census(self) -> Census:
-        c = self._census
-        if c is None or c.clauses is not self.clauses or c.size != len(self.clauses):
-            c = self._census = Census(self.clauses)
-        return c
 
     @property
     def unsat(self) -> bool:
-        return self.census().has_empty
+        return not all(self.clauses)
 
     def occurring(self) -> set[int]:
         return {abs(l) for c in self.clauses for l in c}
-
-    def remaining(self) -> int:
-        """Variables still occurring in the clause list."""
-        return self.census().occurring
 
 
 def _ladder_pass(fn):
@@ -206,7 +176,7 @@ def _ladder_pass(fn):
 
     The body edits the state.  A state that already holds an empty clause
     is left as it is and reported with 0 s; the timer covers the body only,
-    not the report's census.
+    not the report's count of occurring variables.
     """
     @wraps(fn)
     def run(st: PrepState, *args, **kwargs) -> PassReport:
@@ -215,7 +185,7 @@ def _ladder_pass(fn):
             t0 = time.perf_counter()
             fn(st, *args, **kwargs)
             wall = time.perf_counter() - t0
-        return PassReport(fn.__name__, st.remaining(), len(st.clauses), wall)
+        return PassReport(fn.__name__, len(st.occurring()), len(st.clauses), wall)
 
     return run
 
@@ -352,13 +322,18 @@ def _unit_fixpoint(clauses: list[Clause]) -> tuple[list[Clause], list[tuple[int,
     return [c for c in work if c is not None], fixes
 
 
-@_ladder_pass
-def propagate_1sat(st: PrepState) -> None:
-    """Unit propagation to fixpoint, recording each fix for reconstruction."""
-    new, fixes = _unit_fixpoint(st.clauses)
-    st.clauses = new
+def _propagate(st: PrepState, clauses: list[Clause]) -> None:
+    """Make the fixpoint of ``clauses`` the working formula, recording each
+    fix for reconstruction."""
+    st.clauses, fixes = _unit_fixpoint(clauses)
     for var, val in fixes:
         st.condition.add_fix(var, val)
+
+
+@_ladder_pass
+def propagate_1sat(st: PrepState) -> None:
+    """Unit propagation to fixpoint."""
+    _propagate(st, st.clauses)
 
 
 # ---------------------------------------------------------------------------
@@ -579,26 +554,31 @@ def condition_2sat(st: PrepState) -> None:
 # level 4: replaced-value propagation (condition list only)
 
 
+def _pending_subs(records: list[ConditionRecord],
+                  values: dict[int, bool]) -> Iterator[tuple[int, bool]]:
+    """``(var, value)`` for each substitution, in record order, whose
+    variable has no value in ``values`` yet and whose root has one: the
+    value follows from the root's and the sign.  Lazy, so a value the
+    caller adds to ``values`` serves the records after it."""
+    for r in records:
+        if r.kind == "sub" and r.var not in values and r.root in values:
+            yield r.var, values[r.root] == (r.sign > 0)
+
+
 @_ladder_pass
 def propagate_replaced_values(st: PrepState) -> None:
     """Give replaced variables their values: whenever a substitution's master
     has a known value, the replaced variable's value follows from the sign.
-    Cascades through chains; never touches the clause list."""
-    while True:
-        values = st.condition.values()
+    Sweeps the records until one gives nothing, so it cascades through
+    chains; never touches the clause list."""
+    values = st.condition.values()
+    progress = True
+    while progress:
         progress = False
-        for rec in st.condition.records:
-            if rec.kind != "sub" or rec.var in values:
-                continue
-            if rec.root in values:
-                root_val = values[rec.root]
-                st.condition.add_fix(
-                    rec.var, root_val if rec.sign > 0 else not root_val
-                )
-                values[rec.var] = root_val if rec.sign > 0 else not root_val
-                progress = True
-        if not progress:
-            break
+        for var, value in _pending_subs(st.condition.records, values):
+            st.condition.add_fix(var, value)
+            values[var] = value
+            progress = True
 
 
 # ---------------------------------------------------------------------------
@@ -718,10 +698,7 @@ def branch_probe(st: PrepState, max_guesses: int) -> None:
             value = st.branch_override.popleft()
         else:
             value = st.rng.random() < 0.5
-        new, fixes = _unit_fixpoint([*st.clauses, (v if value else -v,)])
-        st.clauses = new
-        for var, val in fixes:
-            st.condition.add_fix(var, val)
+        _propagate(st, [*st.clauses, (v if value else -v,)])
         st.branch_decisions.append(BranchDecision(v, value))
 
 
@@ -760,16 +737,11 @@ def _stabilize(st: PrepState, level: int, reports: list[PassReport]) -> None:
     list (levels >= 4), until neither has work left."""
     while not st.unsat:
         ran = []
-        if level >= 2 and st.census().has_unit:
+        if level >= 2 and 1 in map(len, st.clauses):
             ran.append(propagate_1sat(st))
-        if level >= 4:
-            values = st.condition.values()
-            has_pending = any(
-                r.kind == "sub" and r.var not in values and r.root in values
-                for r in st.condition.records
-            )
-            if has_pending:
-                ran.append(propagate_replaced_values(st))
+        if level >= 4 and any(_pending_subs(st.condition.records,
+                                            st.condition.values())):
+            ran.append(propagate_replaced_values(st))
         if not ran:
             break
         reports.extend(ran)

@@ -153,6 +153,30 @@ def test_report_skips_a_torn_timings_row(tmp_path, capsys):
     assert "line 2 is malformed" in err
 
 
+def test_tts_and_report_skip_a_torn_record(tmp_path, capsys):
+    runs = tmp_path / "runs.jsonl"
+    assert main(["solve", "--instance", "semiprime:6", "--level", "7",
+                 "--repeats", "2", "--cap", "3", "-o", str(runs)]) == 0
+    whole = runs.read_text()
+    capsys.readouterr()
+    assert main(["tts", "-i", str(runs)]) == 0
+    table = capsys.readouterr().out
+    # an interrupted sweep's last append
+    runs.write_text(whole + '{"backend":"emu')
+    assert main(["tts", "-i", str(runs)]) == 0
+    assert capsys.readouterr().out == table
+    report = ["report", "-i", str(runs), "-o", str(tmp_path / "agg.csv")]
+    assert main(report) == 0
+    # the same line before the last one is damage, not a torn append
+    runs.write_text('{"backend":"emu\n' + whole)
+    capsys.readouterr()
+    for argv in (["tts", "-i", str(runs)], report):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("isingsat: error: ") and err.count("\n") == 1
+        assert f"{runs}: line 1 is malformed (Unterminated string" in err
+
+
 def test_resume_after_a_torn_timings_row_then_report(tmp_path):
     runs = tmp_path / "runs.jsonl"
     solve = ["solve", "--instance", "semiprime:4", "--level", "7",
@@ -238,6 +262,8 @@ def test_tts_empty_file(tmp_path, capsys):
     ("non-numeric backbone seed", "bad instance spec 'backbone:10:40:50:x'"),
     ("trace of a tabu run", "drop --trace"),
     ("trace of a sweep whose first backend is tabu", "drop --trace"),
+    ("trace of a repeat the ladder solves", "makes no solver call); drop --trace"),
+    ("clause wider than 3", "clause width 4 exceeds 3"),
     ("records file with a foreign key", 'not a run record: {"a": 1}'),
     ("negative ladder seed", "seed must be >= 0, got -3"),
     ("negative guess count", "max_guesses must be >= 0, got -1"),
@@ -257,6 +283,9 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, case, says):
     bad.write_text("p cnf 2 1\n1 3 0\n")
     good = tmp_path / "good.cnf"
     good.write_text("p cnf 3 2\n1 2 0\n-1 3 0\n")
+    wide = tmp_path / "wide.cnf"
+    wide.write_text("p cnf 4 4\n1 2 3 4 0\n-1 -2 -3 -4 0\n1 -2 3 -4 0\n"
+                    "-1 2 -3 4 0\n")
     foreign = tmp_path / "foreign.jsonl"
     foreign.write_text('{"a": 1}\n')
     tabu_sweep = tmp_path / "tabu.json"
@@ -284,6 +313,11 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, case, says):
         "trace of a sweep whose first backend is tabu": [
             "solve", "--sweep", str(tabu_sweep), "-o", str(tmp_path / "r" / "runs.jsonl"),
             "--trace", str(tmp_path / "t.csv")],
+        "trace of a repeat the ladder solves": [
+            "solve", "--instance", "semiprime:4", "--level", "7", "--cap", "3",
+            *runs, "--trace", str(tmp_path / "t.csv")],
+        "clause wider than 3": ["solve", "-i", str(wide), "--level", "0",
+                                "--cap", "50", *runs],
         "records file with a foreign key": ["tts", "-i", str(foreign)],
         "negative ladder seed": ["preprocess", "-i", str(good), "--seed", "-3",
                                  "-o", str(out)],

@@ -417,6 +417,16 @@ def test_iterate_unsat_marker_short_circuits():
     assert run.solver_calls == 0
 
 
+def test_iterate_refuses_a_clause_wider_than_3():
+    # freezing could shorten a 4-literal clause to a 3-literal one whose
+    # ancilla the walk never counted: refused before any draw, even at cap 0
+    cnf = make_cnf(4, [(1, 2, 3, 4), (-1, -2, -3, -4), (1, -2, 3, -4),
+                       (-1, 2, -3, 4)])
+    with pytest.raises(ValueError, match="clause width 4 exceeds 3"):
+        iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=45, cap=0, seed=0,
+                collect_trace=False)
+
+
 def test_iterate_budget_too_small():
     # conflicting units can never be fully satisfied, so the loop must
     # attempt a selection — which a zero budget cannot afford

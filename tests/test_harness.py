@@ -10,9 +10,11 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isingsat import decompose, preprocess, solver
-from isingsat.cnf import MEMO_ENTRIES, brute_force_solutions, evaluate, write_dimacs
+from isingsat.cnf import (MEMO_ENTRIES, brute_force_solutions, evaluate, make_cnf,
+                          write_dimacs)
 from isingsat.harness import (
     BackboneSpec,
     RunRecord,
@@ -376,6 +378,28 @@ def test_formula_memos_keep_at_most_their_bound():
         decompose.formula_index(cnf)
     assert len(preprocess._LADDER_MEMO) == MEMO_ENTRIES
     assert len(decompose._INDEX_MEMO) == MEMO_ENTRIES
+
+
+@given(st.data(), st.sampled_from((0, preprocess.MAX_LEVEL)), st.integers(1, 5))
+@settings(max_examples=60, deadline=None)
+def test_a_repeat_on_clauses_wider_than_3_raises_only_the_width_error(
+        data, level, seed):
+    n = data.draw(st.integers(1, 6))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = data.draw(st.lists(st.lists(lit, min_size=1, max_size=4).map(tuple),
+                                 min_size=1, max_size=12))
+    cnf = make_cnf(n, clauses)
+    config = SweepConfig(instances=["x"], cap=20, budget=data.draw(st.integers(0, 6)),
+                         num_samples=1)
+    residual = preprocess.run_ladder(cnf, level, seed=seed,
+                                     max_guesses=config.max_guesses).cnf
+    repeat = functools.partial(run_repeat, "x", cnf, config, level=level,
+                               strategy="dfs", backend="emulator", seed=seed)
+    if residual.max_clause_width() > 3 and not residual.is_unsat_marked():
+        with pytest.raises(ValueError, match="the decomposition slices only 3-CNF"):
+            repeat()
+    else:
+        assert repeat().iterations_used <= config.cap
 
 
 def _tiny_config(**over):

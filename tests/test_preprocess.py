@@ -6,7 +6,6 @@ import hashlib
 import itertools
 import json
 import random
-import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -693,13 +692,6 @@ def _naive_detect_gate_groups(clauses):
     return groups
 
 
-def _naive_census(self):
-    return types.SimpleNamespace(
-        occurring=len(self.occurring()),
-        has_empty=any(len(c) == 0 for c in self.clauses),
-        has_unit=any(len(c) == 1 for c in self.clauses))
-
-
 def _ladder_outcome(res):
     """Everything a ladder run decides: residual clauses in order, condition
     records, reports without their wall times, and branch decisions."""
@@ -756,7 +748,6 @@ def test_indexed_passes_match_naive_oracles(cnf, seed, max_guesses):
         mp.setattr(preprocess, "_unit_fixpoint", _naive_unit_fixpoint)
         mp.setattr(preprocess, "detect_gate_groups", _naive_detect_gate_groups)
         mp.setattr(preprocess, "LADDER_PASSES", passes)
-        mp.setattr(PrepState, "census", _naive_census)
         empty_formula_memos()
         old = [_ladder_outcome(run_ladder(cnf, lvl, **kwargs))
                for lvl in range(MAX_LEVEL + 1)]

@@ -85,8 +85,7 @@ def _condition_json(cond: ConditionList) -> str:
 
 def _cmd_preprocess(args: argparse.Namespace) -> int:
     cnf = parse_dimacs(Path(args.input).read_text())
-    res = run_ladder(cnf, level=args.level, seed=args.seed,
-                     max_guesses=args.max_guesses)
+    res = run_ladder(cnf, level=args.level, seed=args.seed)
     Path(args.output).write_text(write_dimacs(res.cnf))
     if args.cond:
         Path(args.cond).write_text(_condition_json(res.condition))
@@ -138,6 +137,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                              "repeat's first solver call, but it records none "
                              "(the backend is tabu, or the repeat makes no "
                              "solver call); drop --trace")
+        with Path(args.trace).open("w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["sweep", "temperature", "best_energy"])
+            w.writerows(run.trace)
+        print(f"anneal trace of the first solver call -> {args.trace}")
     if args.output:
         out_path = Path(args.output)
         out_dir, runs_filename = out_path.parent, out_path.name
@@ -153,13 +157,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     solved = sum(r.solved for r in records)
     print(f"{solved}/{len(records)} repeats solved -> "
           f"{Path(out_dir) / runs_filename}")
-
-    if args.trace:
-        with Path(args.trace).open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["sweep", "temperature", "best_energy"])
-            w.writerows(run.trace)
-        print(f"anneal trace of the first solver call -> {args.trace}")
     return 0
 
 
@@ -217,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     pre.add_argument("--level", type=int, default=MAX_LEVEL,
                     help=f"cumulative ladder level 0..{MAX_LEVEL}")
     pre.add_argument("--seed", type=int, default=SweepConfig.seed)
-    pre.add_argument("--max-guesses", type=int, default=SweepConfig.max_guesses)
     pre.add_argument("-o", "--output", required=True)
     pre.add_argument("--cond", help="write the condition list as JSON")
     pre.add_argument("--report", help="write per-pass statistics as JSON")
@@ -246,14 +242,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, help=dflt["seed"])
     s.add_argument("--num-samples", type=int,
                    help=f"chip reads per solver call, {dflt['num_samples']}")
-    s.add_argument("--max-guesses", type=int, help=dflt["max_guesses"])
     s.add_argument("--stop-on-solve", action="store_true", default=None,
                    help="stop a cell's repeats after the first success")
     s.add_argument("-o", "--output", help="runs.jsonl path")
     s.add_argument("--results-dir", help=f"default dir (or ${harness.RESULTS_ENV})")
     s.add_argument("--trace", help="CSV dump of the anneal trace of the first "
-                   "repeat's first solver call; refused before the sweep "
-                   "when it makes none (tabu, or a ladder that solves it)")
+                   "repeat's first solver call, written before the sweep; "
+                   "refused when it makes none (tabu, or a ladder that "
+                   "solves it)")
     s.set_defaults(func=_cmd_solve)
 
     t = sub.add_parser("tts", help="time-to-solution table from runs.jsonl")

@@ -65,7 +65,7 @@ class Cnf:
         return max(map(len, self.clauses), default=0)
 
 
-MEMO_ENTRIES = 8  # entries a memo keyed by formula value keeps
+MEMO_ENTRIES = 16  # entries a memo keyed by formula value keeps
 
 
 def memoize(memo: dict, key: object, value: object) -> None:

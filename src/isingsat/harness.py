@@ -309,7 +309,6 @@ class SweepConfig:
     * ``cap`` (5000): decomposition iterations per repeat, >= 0
     * ``budget`` (45): spins per slice, 0..``SPIN_BUDGET``
     * ``num_samples`` (10): chip reads per solver call, >= 1
-    * ``max_guesses`` (1): level-7 branch guesses, >= 0
     * ``stop_on_solve`` (False): run no repeat of a cell after one solved
 
     Any other value raises ``ValueError`` from the constructor, ``replace``
@@ -325,7 +324,6 @@ class SweepConfig:
     cap: int = 5000
     budget: int = 45
     num_samples: int = 10
-    max_guesses: int = 1
     stop_on_solve: bool = False
 
     def __post_init__(self) -> None:
@@ -342,8 +340,7 @@ class SweepConfig:
         ranges = [("level", v, 0, MAX_LEVEL) for v in self.levels] + [
             ("repeats", self.repeats, 0, None), ("seed", self.seed, 0, None),
             ("cap", self.cap, 0, None), ("budget", self.budget, 0, SPIN_BUDGET),
-            ("num_samples", self.num_samples, 1, None),
-            ("max_guesses", self.max_guesses, 0, None)]
+            ("num_samples", self.num_samples, 1, None)]
         for name, value, low, high in ranges:
             if type(value) is not int:
                 raise ValueError(f"{name} must be an int, got {value!r}")
@@ -372,7 +369,7 @@ def preprocess_and_decompose(cnf: Cnf, config: SweepConfig, *, level: int,
     """Ladder, then decomposition, of one repeat or of its trace replay;
     returns the run and the ladder's wall time."""
     t0 = time.perf_counter()
-    res = run_ladder(cnf, level=level, seed=seed, max_guesses=config.max_guesses)
+    res = run_ladder(cnf, level=level, seed=seed)
     pre_time = time.perf_counter() - t0
     run = iterate(res.cnf, res.condition, cnf, strategy=strategy, backend=backend,
                   budget=config.budget, cap=cap, seed=seed,
@@ -485,8 +482,7 @@ def run_experiment(config: SweepConfig, out_dir: Path,
     completed cells are skipped so interrupted sweeps resume without
     duplicating records, and with ``stop_on_solve`` a resumed cell runs no
     seed after one that already solved; a torn append to either file is
-    mended first."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    mended first.  ``out_dir`` is made when the first record is appended."""
     runs_path = out_dir / runs_filename
     timings_path = timings_path_for(runs_path)
     _mend_tail(runs_path, json.loads)
@@ -511,6 +507,8 @@ def run_experiment(config: SweepConfig, out_dir: Path,
                     rec = run_repeat(instance_id, cnf, config, level=level,
                                      strategy=strategy, backend=backend, seed=seed)
                     solved_here = solved_here or rec.solved
+                    if not records:
+                        out_dir.mkdir(parents=True, exist_ok=True)
                     with runs_path.open("a") as fh:
                         fh.write(rec.to_json() + "\n")
                     _append_timing(timings_path, rec)

@@ -38,13 +38,14 @@ clause only with kept clauses filed under its own literals; the other
 passes are one sweep (per cascade round).  The checks between passes (an
 empty clause, a unit, a pending substitution, the occurring variables of a
 report) are one sweep of the clauses or the condition list each, made
-when they are read.  Levels 1-6 draw nothing from the seed, so
-:func:`run_ladder` memoizes their outcome (clauses, condition records,
-reports) by ``(cnf, level)``, the formula compared by value, in a memo of
-``MEMO_ENTRIES`` entries that drops its oldest first: every repeat on an
-equal formula after the first reuses it, and its level 1-6 reports then
-show 0 s.  So those checks run once per formula; only the level-7 guess
-and the propagation after it run on every call, from the seed.
+when they are read.  The seed feeds only the value of the level-7 guess,
+drawn before any pass runs, so the outcome is a function of the formula,
+the level and that value.  :func:`run_ladder` memoizes it (residual,
+condition records, reports, decisions) by ``(cnf, level, guess)``, the
+formula compared by value, in a memo of ``MEMO_ENTRIES`` entries that drops
+its oldest first.  So every level runs once per formula, level 7 once per
+outcome of its guess, and a call that reuses an entry reports 0 s for each
+pass.
 
 Nothing renumbers variables: the residual keeps the original ``num_vars`` and
 a :class:`ConditionList` records how to lift a residual model back to the
@@ -57,7 +58,7 @@ from __future__ import annotations
 import heapq
 import random
 import time
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import wraps
@@ -142,8 +143,8 @@ class BranchDecision:
 @dataclass(frozen=True)
 class PassReport:
     """What one pass left: occurring variables and clauses after it, and its
-    time.  A pass skipped on an unsat state, or a level 1-6 pass reused from
-    the ladder's memo, reports 0 s: it did not run."""
+    time.  A pass skipped on an unsat state, or reused from the ladder's
+    memo, reports 0 s: it did not run."""
 
     name: str
     vars_after: int
@@ -153,14 +154,13 @@ class PassReport:
 
 @dataclass
 class PrepState:
-    """The working formula, the records that undo it, and what drives the
-    level-7 guess; anything else a pass boundary checks is computed from
-    these when it is read."""
+    """The working formula, the records that undo it, and the value of the
+    level-7 guess (None below level 7); anything else a pass boundary
+    checks is computed from these when it is read."""
 
     clauses: list[Clause]
     condition: ConditionList
-    rng: random.Random
-    branch_override: deque[bool] | None = None
+    guess: bool | None
     branch_decisions: list[BranchDecision] = field(default_factory=list)
 
     @property
@@ -179,11 +179,11 @@ def _ladder_pass(fn):
     not the report's count of occurring variables.
     """
     @wraps(fn)
-    def run(st: PrepState, *args, **kwargs) -> PassReport:
+    def run(st: PrepState) -> PassReport:
         wall = 0.0
         if not st.unsat:
             t0 = time.perf_counter()
-            fn(st, *args, **kwargs)
+            fn(st)
             wall = time.perf_counter() - t0
         return PassReport(fn.__name__, len(st.occurring()), len(st.clauses), wall)
 
@@ -668,38 +668,28 @@ BRANCH_RATIO = 1.5  # degree over the mean degree that makes a variable a guess
 
 
 @_ladder_pass
-def branch_probe(st: PrepState, max_guesses: int) -> None:
-    """Guess the most-constrained variables.
+def branch_probe(st: PrepState) -> None:
+    """Guess the most-constrained variable.
 
-    While some variable's interaction-graph degree is at least
-    ``BRANCH_RATIO`` times the mean degree (and the ``max_guesses`` budget
-    lasts), assign the maximum-degree variable a value and unit-propagate.
-    The value is the next scripted ``branch_override`` value if any is
-    left, else a seeded-random one.  A guess that closes the branch (empty
-    clause under propagation) stays closed: the caller sees the UNSAT
-    residual and re-rolls with a fresh seed on the next repeat.
+    When some variable's interaction-graph degree is at least
+    ``BRANCH_RATIO`` times the mean degree, give the maximum-degree one the
+    value ``st.guess`` and unit-propagate.  A guess that closes the branch
+    (empty clause under propagation) stays closed: the caller sees the
+    UNSAT residual, and the next repeat's seed draws its guess afresh.
     """
-    for _ in range(max_guesses):
-        if st.unsat:
-            break
-        neighbours: dict[int, set[int]] = {}
-        for c in st.clauses:
-            vs = {abs(l) for l in c}
-            for v in vs:
-                neighbours.setdefault(v, set()).update(vs)
-        if not neighbours:
-            break
-        degree = {v: len(ns) - 1 for v, ns in neighbours.items()}
-        mean = sum(degree.values()) / len(degree)
-        v = min(degree, key=lambda x: (-degree[x], x))
-        if degree[v] < BRANCH_RATIO * mean:
-            break
-        if st.branch_override:
-            value = st.branch_override.popleft()
-        else:
-            value = st.rng.random() < 0.5
-        _propagate(st, [*st.clauses, (v if value else -v,)])
-        st.branch_decisions.append(BranchDecision(v, value))
+    neighbours: dict[int, set[int]] = {}
+    for c in st.clauses:
+        vs = {abs(l) for l in c}
+        for v in vs:
+            neighbours.setdefault(v, set()).update(vs)
+    if not neighbours:
+        return
+    degree = {v: len(ns) - 1 for v, ns in neighbours.items()}
+    mean = sum(degree.values()) / len(degree)
+    v = min(degree, key=lambda x: (-degree[x], x))
+    if degree[v] >= BRANCH_RATIO * mean:
+        _propagate(st, [*st.clauses, (v if st.guess else -v,)])
+        st.branch_decisions.append(BranchDecision(v, st.guess))
 
 
 # ---------------------------------------------------------------------------
@@ -747,11 +737,11 @@ def _stabilize(st: PrepState, level: int, reports: list[PassReport]) -> None:
         reports.extend(ran)
 
 
-# (formula, level) -> clauses, condition records and reports after the
-# levels below MAX_LEVEL, the reports at 0 s
-_LADDER_MEMO: dict[tuple[Cnf, int], tuple[tuple[Clause, ...],
-                                          tuple[ConditionRecord, ...],
-                                          tuple[PassReport, ...]]] = {}
+# (formula, level, guess) -> residual, condition records, reports at 0 s
+# and branch decisions
+_LADDER_MEMO: dict[tuple[Cnf, int, bool | None],
+                   tuple[Cnf, tuple[ConditionRecord, ...], tuple[PassReport, ...],
+                         tuple[BranchDecision, ...]]] = {}
 
 
 def run_ladder(
@@ -759,52 +749,43 @@ def run_ladder(
     level: int,
     *,
     seed: int,
-    max_guesses: int,
-    branch_override: list[bool] | None = None,
+    branch_override: bool | None = None,
 ) -> LadderResult:
     """Apply every ladder pass up to ``level`` (cumulative, 0..7).
 
-    ``seed`` and ``max_guesses`` drive the level-7 guess;
-    ``branch_override`` scripts its values.  Levels 1..6 run once per
-    ``(cnf, level)`` value; see the module docstring.  Every call gets its
-    own clause list and condition list.
+    At level 7 ``seed`` draws the value of the one guess, unless
+    ``branch_override`` gives it; below level 7 nothing is drawn.  The
+    outcome runs once per ``(cnf, level, guess)`` value; see the module
+    docstring.  Every call gets its own condition list.
     """
     if not 0 <= level <= MAX_LEVEL:
         raise ValueError(f"level must be between 0 and {MAX_LEVEL}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    if max_guesses < 0:
-        raise ValueError(f"max_guesses must be >= 0, got {max_guesses}")
-    st = PrepState(
-        clauses=list(cnf.clauses),
-        condition=ConditionList(),
-        rng=random.Random(seed),
-        branch_override=deque(branch_override) if branch_override is not None else None,
-    )
-    reports: list[PassReport] = []
-    prefix = _LADDER_MEMO.get((cnf, level)) if level else None
-    if prefix is None:
-        for lvl in range(1, min(level + 1, MAX_LEVEL)):
+    guess = None
+    if level == MAX_LEVEL:
+        guess = (random.Random(seed).random() < 0.5 if branch_override is None
+                 else branch_override)
+    key = (cnf, level, guess)
+    hit = _LADDER_MEMO.get(key)
+    if hit is None:
+        st = PrepState(clauses=list(cnf.clauses), condition=ConditionList(),
+                       guess=guess)
+        reports: list[PassReport] = []
+        for lvl in range(1, level + 1):
             for fn in LADDER_PASSES[lvl]:
                 if st.unsat:
                     break
                 reports.append(fn(st))
                 if fn is not reencode_option2:
                     _stabilize(st, level, reports)
-        if level:
-            memoize(_LADDER_MEMO, (cnf, level), (
-                tuple(st.clauses), tuple(st.condition.records),
-                tuple(replace(r, wall_time=0.0) for r in reports)))
-    else:
-        clauses, records, prefix_reports = prefix
-        st.clauses, st.condition.records = list(clauses), list(records)
-        reports = list(prefix_reports)
-    if level == MAX_LEVEL and not st.unsat:
-        reports.append(branch_probe(st, max_guesses))
-        _stabilize(st, level, reports)
-    return LadderResult(
-        cnf=Cnf(cnf.num_vars, tuple(st.clauses)),
-        condition=st.condition,
-        reports=tuple(reports),
-        branch_decisions=tuple(st.branch_decisions),
-    )
+        residual = Cnf(cnf.num_vars, tuple(st.clauses))
+        decisions = tuple(st.branch_decisions)
+        memoize(_LADDER_MEMO, key, (
+            residual, tuple(st.condition.records),
+            tuple(replace(r, wall_time=0.0) for r in reports), decisions))
+        return LadderResult(residual, st.condition, tuple(reports), decisions)
+    residual, records, reports, decisions = hit
+    condition = ConditionList()
+    condition.records = list(records)
+    return LadderResult(residual, condition, reports, decisions)

@@ -1,7 +1,6 @@
 """Shared fixtures: deterministic random formulas and catalog instances."""
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import settings
 from isingsat import decompose, preprocess
 from isingsat.circuit import generate_instance, semiprime_catalog
 from isingsat.cnf import Cnf, brute_force_solutions, evaluate, make_cnf
-from isingsat.preprocess import reconstruct, run_ladder
+from isingsat.preprocess import MAX_LEVEL, reconstruct, run_ladder
 
 # Every run draws the same examples and keeps no example database, so a
 # checkout's results do not depend on what earlier runs found.
@@ -65,24 +64,21 @@ def proj(sol, keys):
     return frozenset((v, sol[v]) for v in keys)
 
 
-def check_reconstruction(cnf: Cnf, level: int, seed: int, max_guesses: int = 1):
+def check_reconstruction(cnf: Cnf, level: int, seed: int):
     """Solution-set comparison through the ladder at one level.
 
     Returns (image, O, lossy_pure): the reconstructed projected solution set
-    (union over scripted branch combinations), the original solution set, and
-    whether a non-backbone pure-literal elimination occurred (the one pass
-    that keeps satisfiability but not solution multiplicity).
+    (at level 7, the union over both values of the guess), the original
+    solution set, and whether a non-backbone pure-literal elimination
+    occurred (the one pass that keeps satisfiability but not solution
+    multiplicity).
     """
     occ = cnf.occurring_vars()
     O = {proj(s, occ) for s in brute_force_solutions(cnf, var_cap=28)}
-    probe = run_ladder(cnf, level, seed=seed, max_guesses=max_guesses)
-    k = len(probe.branch_decisions)
-    combos = list(itertools.product((False, True), repeat=k)) if k else [()]
     image = set()
     lossy_pure = False
-    for combo in combos:
-        res = run_ladder(cnf, level, seed=seed, max_guesses=max_guesses,
-                         branch_override=list(combo) if combo else None)
+    for guess in (False, True) if level == MAX_LEVEL else (None,):
+        res = run_ladder(cnf, level, seed=seed, branch_override=guess)
         if res.cnf.is_unsat_marked():
             continue
         determined = set(res.condition.values()) | set(substituted(res.condition))

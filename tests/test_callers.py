@@ -47,10 +47,11 @@ TEST_SEAMS = {
     # or allowed to enumerate further than the pipeline ever asks
     "cnf.brute_force_solutions(var_cap)",
     "cnf.brute_force_solutions(variables)",
-    # scripted level-7 guesses: check_reconstruction enumerates both
-    # outcomes of every guess the seeded run made.  The name rule does not
-    # report the result field, which PrepState.branch_decisions hides; it
-    # is named so that it is not taken for an oversight.
+    # a scripted level-7 guess: check_reconstruction gives the one guess
+    # each of its two values in turn, so both outcomes are covered.  The
+    # name rule does not report the result field, which
+    # PrepState.branch_decisions hides; it is named so that it is not taken
+    # for an oversight.
     "preprocess.run_ladder(branch_override)",
     "preprocess.LadderResult.branch_decisions",
     # energy oracles: the solver picks a read by the energy its kernel

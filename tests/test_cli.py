@@ -78,9 +78,8 @@ def test_preprocess_default_seed_is_the_first_solve_repeats(tmp_path):
     cnf = parse_dimacs(src.read_text())
     out = tmp_path / "out.cnf"
     assert main(["preprocess", "-i", str(src), "-o", str(out)]) == 0
-    first = run_ladder(cnf, MAX_LEVEL, seed=SweepConfig.seed,
-                       max_guesses=SweepConfig.max_guesses)
-    other = run_ladder(cnf, MAX_LEVEL, seed=0, max_guesses=SweepConfig.max_guesses)
+    first = run_ladder(cnf, MAX_LEVEL, seed=SweepConfig.seed)
+    other = run_ladder(cnf, MAX_LEVEL, seed=0)
     assert first.branch_decisions != other.branch_decisions  # the seed shows
     assert out.read_text() == write_dimacs(first.cnf)
 
@@ -250,6 +249,7 @@ def test_tts_empty_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("case, says", [
     ("misspelt sweep key", "levles"),
+    ("sweep key of a removed setting", "unknown config keys: ['max_guesses']"),
     ("literal above the declared count", "exceeds declared variable count"),
     ("missing input file", "absent.cnf"),
     ("level out of range", "level must be between 0 and 7"),
@@ -263,10 +263,11 @@ def test_tts_empty_file(tmp_path, capsys):
     ("trace of a tabu run", "drop --trace"),
     ("trace of a sweep whose first backend is tabu", "drop --trace"),
     ("trace of a repeat the ladder solves", "makes no solver call); drop --trace"),
+    ("trace into a missing directory", "No such file or directory"),
     ("clause wider than 3", "clause width 4 exceeds 3"),
+    ("clause wider than 3 into a new runs directory", "clause width 4 exceeds 3"),
     ("records file with a foreign key", 'not a run record: {"a": 1}'),
     ("negative ladder seed", "seed must be >= 0, got -3"),
-    ("negative guess count", "max_guesses must be >= 0, got -1"),
     ("negative backbone seed", "seed must be >= 0, got -3"),
     ("input file and instance spec", "drop --instance"),
     ("runs file and results dir", "drop --results-dir"),
@@ -279,6 +280,8 @@ def test_tts_empty_file(tmp_path, capsys):
 def test_bad_input_is_one_error_line(tmp_path, capsys, case, says):
     sweep = tmp_path / "sweep.json"
     sweep.write_text(json.dumps({"instances": ["semiprime:4"], "levles": [7]}))
+    guesses = tmp_path / "guesses.json"
+    guesses.write_text(json.dumps({"instances": ["semiprime:4"], "max_guesses": 1}))
     bad = tmp_path / "bad.cnf"
     bad.write_text("p cnf 2 1\n1 3 0\n")
     good = tmp_path / "good.cnf"
@@ -295,6 +298,7 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, case, says):
     out = tmp_path / "out.cnf"
     argv = {
         "misspelt sweep key": ["solve", "--sweep", str(sweep), "-o", str(tmp_path / "r")],
+        "sweep key of a removed setting": ["solve", "--sweep", str(guesses), *runs[:2]],
         "literal above the declared count": ["solve", "-i", str(bad), *runs],
         "missing input file": ["solve", "-i", str(tmp_path / "absent.cnf"), *runs],
         "level out of range": ["solve", "--instance", "semiprime:4", "--level", "9", *runs],
@@ -316,13 +320,17 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, case, says):
         "trace of a repeat the ladder solves": [
             "solve", "--instance", "semiprime:4", "--level", "7", "--cap", "3",
             *runs, "--trace", str(tmp_path / "t.csv")],
+        "trace into a missing directory": [
+            "solve", "--instance", "semiprime:8:143", "--level", "0", "--cap", "2",
+            *runs, "--trace", str(tmp_path / "nodir" / "t.csv")],
         "clause wider than 3": ["solve", "-i", str(wide), "--level", "0",
                                 "--cap", "50", *runs],
+        "clause wider than 3 into a new runs directory": [
+            "solve", "-i", str(wide), "--level", "0", "--repeats", "1",
+            "-o", str(tmp_path / "r" / "runs.jsonl")],
         "records file with a foreign key": ["tts", "-i", str(foreign)],
         "negative ladder seed": ["preprocess", "-i", str(good), "--seed", "-3",
                                  "-o", str(out)],
-        "negative guess count": ["preprocess", "-i", str(good), "--max-guesses",
-                                 "-1", "-o", str(out)],
         "negative backbone seed": ["generate", "--backbone", "14", "56", "50",
                                    "--seed", "-3", "-o", str(out)],
         "input file and instance spec": ["solve", "-i", str(good), "--instance",

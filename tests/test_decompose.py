@@ -401,7 +401,7 @@ def test_iterate_bfs_strategy_and_unknown_strategy():
 
 def test_iterate_empty_residual_needs_no_solver():
     cnf, _, _ = generate_instance(4, None)
-    res = run_ladder(cnf, 7, seed=1, max_guesses=1)
+    res = run_ladder(cnf, 7, seed=1)
     run = iterate(res.cnf, res.condition, cnf, **ONE_READ, budget=45, cap=100,
                   seed=0, collect_trace=False)
     assert run.solved and evaluate(cnf, run.assignment)
@@ -465,7 +465,7 @@ def test_iterate_trace_capture():
 
 def test_factor_recovery_through_full_pipeline():
     cnf, nl, inst = generate_instance(8, 143)
-    res = run_ladder(cnf, 7, seed=4, max_guesses=2)
+    res = run_ladder(cnf, 7, seed=4)
     run = iterate(res.cnf, res.condition, cnf, strategy="dfs",
                   backend="emulator", budget=45, cap=1000, seed=4, num_samples=8,
                   collect_trace=False)

@@ -328,13 +328,15 @@ def test_kernel_energy_is_the_model_energy_on_every_slice(monkeypatch, spec, cel
 
 
 def test_a_repeat_on_an_equal_formula_reruns_only_the_guess(monkeypatch):
+    """A repeat runs the ladder only for a guess value that no earlier repeat
+    on an equal formula drew: each outcome of the guess runs once."""
     spec = "semiprime:10:551"
     cnf = expand_instances(spec)[0][1]
-    decisions = {seed: preprocess.run_ladder(cnf, 7, seed=seed,
-                                             max_guesses=1).branch_decisions
+    decisions = {seed: preprocess.run_ladder(cnf, 7, seed=seed).branch_decisions
                  for seed in range(1, 7)}
     first, twin = next((a, b) for a, b in itertools.combinations(decisions, 2)
                        if decisions[a] == decisions[b])
+    other = next(seed for seed in decisions if decisions[seed] != decisions[first])
     empty_formula_memos()
     calls = []
 
@@ -365,19 +367,41 @@ def test_a_repeat_on_an_equal_formula_reruns_only_the_guess(monkeypatch):
     assert {"reencode_option2", "subsume_clauses", "build_vig"} <= set(repeat(6, 1))
     assert repeat(6, 2) == []
     assert "condition_2sat" in repeat(7, first)
-    guess, *settle = repeat(7, twin)
-    assert guess == "branch_probe"
-    assert set(settle) <= {"propagate_1sat", "propagate_replaced_values"}
+    assert repeat(7, twin) == []
+    assert {"reencode_option2", "branch_probe", "build_vig"} <= set(repeat(7, other))
 
 
 def test_formula_memos_keep_at_most_their_bound():
     rng = random.Random(3)
     for _ in range(20):
         cnf = random_3sat(12, 30, rng)
-        preprocess.run_ladder(cnf, 6, seed=0, max_guesses=1)
+        preprocess.run_ladder(cnf, 6, seed=0)
         decompose.formula_index(cnf)
     assert len(preprocess._LADDER_MEMO) == MEMO_ENTRIES
     assert len(decompose._INDEX_MEMO) == MEMO_ENTRIES
+
+
+def test_formula_memos_hold_a_sweep_over_every_level_and_guess(monkeypatch):
+    # levels 0-6 and both outcomes of the guess: 9 ladder keys, up to 9 residuals
+    cnf = expand_instances("semiprime:10:551")[0][1]
+    built = []
+    build_vig = decompose.build_vig
+    monkeypatch.setattr(decompose, "build_vig",
+                        lambda f: built.append(f) or build_vig(f))
+
+    def sweep():
+        built.clear()
+        times = []
+        for level in range(preprocess.MAX_LEVEL + 1):
+            for guess in (False, True):
+                res = preprocess.run_ladder(cnf, level, seed=1, branch_override=guess)
+                decompose.formula_index(res.cnf)
+                times += [r.wall_time for r in res.reports]
+        return times, list(built)
+
+    times, vigs = sweep()
+    assert any(times) and vigs  # the first sweep fills both memos
+    assert sweep() == ([0.0] * len(times), [])  # the second hits every entry
 
 
 @given(st.data(), st.sampled_from((0, preprocess.MAX_LEVEL)), st.integers(1, 5))
@@ -391,8 +415,7 @@ def test_a_repeat_on_clauses_wider_than_3_raises_only_the_width_error(
     cnf = make_cnf(n, clauses)
     config = SweepConfig(instances=["x"], cap=20, budget=data.draw(st.integers(0, 6)),
                          num_samples=1)
-    residual = preprocess.run_ladder(cnf, level, seed=seed,
-                                     max_guesses=config.max_guesses).cnf
+    residual = preprocess.run_ladder(cnf, level, seed=seed).cnf
     repeat = functools.partial(run_repeat, "x", cnf, config, level=level,
                                strategy="dfs", backend="emulator", seed=seed)
     if residual.max_clause_width() > 3 and not residual.is_unsat_marked():

@@ -40,9 +40,9 @@ from conftest import (check_reconstruction, empty_formula_memos, fixed, pure,
                       random_3sat, substituted)
 
 
-def _state(cnf: Cnf, seed: int = 0) -> PrepState:
+def _state(cnf: Cnf, guess: bool = False) -> PrepState:
     return PrepState(clauses=list(cnf.clauses), condition=ConditionList(),
-                     rng=random.Random(seed))
+                     guess=guess)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +226,7 @@ def test_condition_2sat_contradiction_is_unsat():
     st = _state(make_cnf(2, clauses))
     condition_2sat(st)
     assert (1,) in st.clauses and (-1,) in st.clauses
-    res = run_ladder(make_cnf(2, clauses), 3, seed=0, max_guesses=1)
+    res = run_ladder(make_cnf(2, clauses), 3, seed=0)
     assert res.cnf.is_unsat_marked()
 
 
@@ -369,16 +369,15 @@ def _hub_cnf():
 
 
 def test_branch_probe_picks_max_degree():
-    st = _state(_hub_cnf(), seed=3)
-    branch_probe(st, 1)
+    st = _state(_hub_cnf())
+    branch_probe(st)
     assert len(st.branch_decisions) == 1
     assert st.branch_decisions[0].var == 1
 
 
 def test_branch_probe_override_and_propagation():
-    st = _state(_hub_cnf())
-    st.branch_override = __import__("collections").deque([True])
-    branch_probe(st, 1)
+    st = _state(_hub_cnf(), guess=True)
+    branch_probe(st)
     assert st.branch_decisions[0].value is True
     assert fixed(st.condition)[1] is True
     # clauses containing +1 satisfied, -1 shortened
@@ -389,7 +388,7 @@ def test_branch_probe_override_and_propagation():
 def test_branch_probe_below_threshold_no_guess():
     # regular structure: every variable has identical degree
     st = _state(make_cnf(4, [(1, 2), (2, 3), (3, 4), (4, 1)]))
-    branch_probe(st, 1)
+    branch_probe(st)
     assert st.branch_decisions == []
 
 
@@ -399,17 +398,10 @@ _CLOSING = [(-1, 2), (-1, -2), (1, 3, 4), (1, -3, 4), (1, 3, -4)]
 
 
 def test_branch_probe_wrong_guess_closes_branch():
-    st = _state(make_cnf(4, _CLOSING))
-    st.branch_override = __import__("collections").deque([True])
-    branch_probe(st, 1)
+    st = _state(make_cnf(4, _CLOSING), guess=True)
+    branch_probe(st)
     assert st.branch_decisions[0].var == 1
     assert st.unsat  # a closing guess is never flipped
-
-
-def test_branch_probe_max_guesses_budget():
-    st = _state(_hub_cnf(), seed=1)
-    branch_probe(st, 3)
-    assert len(st.branch_decisions) <= 3
 
 
 # ---------------------------------------------------------------------------
@@ -432,16 +424,15 @@ def test_pass_leaves_an_unsat_state_alone(ladder_pass):
         st.condition.add_sub(2, 1, -1)
         return st
 
-    args = (1,) if ladder_pass is branch_probe else ()  # the guess budget
     live = busy_state(_BUSY)
-    ladder_pass(live, *args)
+    ladder_pass(live)
     assert (live.clauses, live.condition.records) != \
         (list(_BUSY), busy_state(_BUSY).condition.records)
 
     clauses = [*_BUSY[:5], (), *_BUSY[5:]]
     st = busy_state(clauses)
     records = list(st.condition.records)
-    rep = ladder_pass(st, *args)
+    rep = ladder_pass(st)
     assert rep.name == ladder_pass.__name__
     assert rep.wall_time == 0.0
     assert st.clauses == clauses and st.condition.records == records
@@ -454,14 +445,14 @@ def test_pass_leaves_an_unsat_state_alone(ladder_pass):
 def test_ladder_level_bounds():
     cnf = make_cnf(2, [(1, 2)])
     with pytest.raises(ValueError):
-        run_ladder(cnf, -1, seed=0, max_guesses=1)
+        run_ladder(cnf, -1, seed=0)
     with pytest.raises(ValueError):
-        run_ladder(cnf, MAX_LEVEL + 1, seed=0, max_guesses=1)
+        run_ladder(cnf, MAX_LEVEL + 1, seed=0)
 
 
 def test_ladder_level0_identity():
     cnf = random_3sat(8, 20, random.Random(4))
-    res = run_ladder(cnf, 0, seed=0, max_guesses=1)
+    res = run_ladder(cnf, 0, seed=0)
     assert res.cnf.clauses == cnf.clauses
     assert len(res.condition) == 0
     assert res.reports == ()
@@ -469,7 +460,7 @@ def test_ladder_level0_identity():
 
 def test_ladder_report_chain_is_consistent():
     cnf = random_3sat(12, 40, random.Random(8))
-    res = run_ladder(cnf, 6, seed=0, max_guesses=1)
+    res = run_ladder(cnf, 6, seed=0)
     assert res.reports[-1].vars_after == res.vars_remaining
     assert res.reports[-1].clauses_after == res.cnf.num_clauses
 
@@ -478,7 +469,7 @@ def test_ladder_no_units_after_level2():
     rng = random.Random(13)
     for _ in range(15):
         cnf = random_3sat(rng.randint(5, 14), rng.randint(8, 45), rng)
-        res = run_ladder(cnf, 2, seed=0, max_guesses=1)
+        res = run_ladder(cnf, 2, seed=0)
         if not res.cnf.is_unsat_marked():
             assert all(len(c) != 1 for c in res.cnf.clauses)
 
@@ -487,7 +478,7 @@ def test_ladder_no_pair_groups_after_level3():
     rng = random.Random(14)
     for _ in range(15):
         cnf = random_3sat(rng.randint(5, 14), rng.randint(8, 45), rng)
-        res = run_ladder(cnf, 3, seed=0, max_guesses=1)
+        res = run_ladder(cnf, 3, seed=0)
         if res.cnf.is_unsat_marked():
             continue
         patterns = {}
@@ -504,7 +495,7 @@ def test_ladder_clean_after_level5():
     rng = random.Random(15)
     for _ in range(10):
         cnf = random_3sat(rng.randint(5, 12), rng.randint(8, 40), rng)
-        res = run_ladder(cnf, 5, seed=0, max_guesses=1)
+        res = run_ladder(cnf, 5, seed=0)
         if res.cnf.is_unsat_marked():
             continue
         for c in res.cnf.clauses:
@@ -516,7 +507,7 @@ def test_ladder_no_subsumed_or_pure_after_level6():
     rng = random.Random(16)
     for _ in range(10):
         cnf = random_3sat(rng.randint(5, 12), rng.randint(8, 40), rng)
-        res = run_ladder(cnf, 6, seed=0, max_guesses=1)
+        res = run_ladder(cnf, 6, seed=0)
         if res.cnf.is_unsat_marked():
             continue
         sets = [frozenset(c) for c in res.cnf.clauses]
@@ -531,7 +522,7 @@ def test_ladder_no_subsumed_or_pure_after_level6():
 
 def test_ladder_vars_monotone_over_levels():
     cnf = random_3sat(14, 55, random.Random(17))
-    profile = [run_ladder(cnf, lvl, seed=3, max_guesses=1).vars_remaining
+    profile = [run_ladder(cnf, lvl, seed=3).vars_remaining
                for lvl in range(MAX_LEVEL + 1)]
     assert profile[0] == len(cnf.occurring_vars())
     assert profile == sorted(profile, reverse=True)
@@ -540,7 +531,7 @@ def test_ladder_vars_monotone_over_levels():
 def test_ladder_unsat_input_flows_through():
     cnf = make_cnf(1, [(1,), (-1,)])
     for level in range(2, MAX_LEVEL + 1):
-        res = run_ladder(cnf, level, seed=0, max_guesses=1)
+        res = run_ladder(cnf, level, seed=0)
         assert res.cnf.is_unsat_marked()
 
 
@@ -581,24 +572,24 @@ def test_pure_elimination_shrinks_solution_set_of_loose_formula():
     assert image == {frozenset({(1, True), (2, True), (3, True)})}
 
 
-def test_reconstruction_branching_union_covers_multiple_guesses():
+def test_reconstruction_branching_union_covers_both_outcomes_of_the_guess():
     rng = random.Random(23)
     for i in range(10):
         n = rng.randint(5, 10)
         cnf = random_3sat(n, int(n * 4.0), rng)
-        image, O, lossy = check_reconstruction(cnf, 7, seed=i, max_guesses=2)
+        image, O, lossy = check_reconstruction(cnf, 7, seed=i)
         if not lossy:
             assert image == O, i
 
 
 def test_semiprime_ladder_full_reduction_and_reconstruction(catalog45):
     for bits, semiprime, cnf, nl in catalog45:
-        profile = [run_ladder(cnf, lvl, seed=0, max_guesses=1).vars_remaining
+        profile = [run_ladder(cnf, lvl, seed=0).vars_remaining
                    for lvl in range(MAX_LEVEL + 1)]
         assert profile[0] == profile[1] == (18 if bits == 4 else 28)
         for lvl in range(4, MAX_LEVEL + 1):
             assert profile[lvl] == 0  # fully conditioned at replaced-value prop
-        res = run_ladder(cnf, 4, seed=0, max_guesses=1)
+        res = run_ladder(cnf, 4, seed=0)
         full = reconstruct(res.condition, {}, cnf.num_vars)
         assert evaluate(cnf, full)
         a = sum((1 << i) for i, v in enumerate(nl.input_bits_a) if full[v])
@@ -725,9 +716,9 @@ def _messy_cnfs(draw):
     return make_cnf(n, clauses)
 
 
-@given(_messy_cnfs(), st.integers(0, 3), st.integers(1, 3))
+@given(_messy_cnfs(), st.integers(0, 3))
 @settings(max_examples=100, deadline=None)
-def test_indexed_passes_match_naive_oracles(cnf, seed, max_guesses):
+def test_indexed_passes_match_naive_oracles(cnf, seed):
     clauses = list(cnf.clauses)
     assert _unit_fixpoint(clauses) == _naive_unit_fixpoint(clauses)
     assert detect_gate_groups(clauses) == _naive_detect_gate_groups(clauses)
@@ -739,17 +730,16 @@ def test_indexed_passes_match_naive_oracles(cnf, seed, max_guesses):
 
     passes = dict(preprocess.LADDER_PASSES)
     passes[6] = (_naive_subsume_clauses, preprocess.eliminate_pure_literals)
-    kwargs = dict(seed=seed, max_guesses=max_guesses)
     # a memoized prefix would skip the passes under test: both sides run cold
     empty_formula_memos()
-    new = [_ladder_outcome(run_ladder(cnf, lvl, **kwargs))
+    new = [_ladder_outcome(run_ladder(cnf, lvl, seed=seed))
            for lvl in range(MAX_LEVEL + 1)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(preprocess, "_unit_fixpoint", _naive_unit_fixpoint)
         mp.setattr(preprocess, "detect_gate_groups", _naive_detect_gate_groups)
         mp.setattr(preprocess, "LADDER_PASSES", passes)
         empty_formula_memos()
-        old = [_ladder_outcome(run_ladder(cnf, lvl, **kwargs))
+        old = [_ladder_outcome(run_ladder(cnf, lvl, seed=seed))
                for lvl in range(MAX_LEVEL + 1)]
     assert new == old
 
@@ -778,31 +768,56 @@ def test_gate_table_matches_naive_search_on_every_row_set():
             assert detect_gate_groups(clauses) == _naive_detect_gate_groups(clauses)
 
 
-# run_ladder output for semiprime 3127 (12 bits) at level 7, max_guesses=3:
-# seed -> (residual clauses, variables remaining, branch decisions, sha256
-# prefix of the whole outcome)
+def _digest(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()[:16]
+
+
+# run_ladder output for semiprime 3127 (12 bits) at level 7: seed ->
+# (residual clauses, variables remaining, branch decisions, sha256 prefix of
+# the whole outcome)
 _PINNED_3127 = {
-    1: (183, 69, [(2, True), (11, False), (10, False)], "d28ac05e08f00323"),
-    2: (154, 60, [(2, False), (4, False), (3, True)], "5f02d69a9abde611"),
-    3: (322, 113, [(2, True), (11, False), (10, True)], "6634520dd5a4dea4"),
-    4: (334, 116, [(2, True), (11, True), (10, True)], "995ad78c88f8e190"),
-    5: (98, 38, [(2, False), (4, False), (3, False)], "d0b551718844837d"),
+    1: (409, 133, [(2, True)], "f551a9919af8b160"),
+    2: (394, 129, [(2, False)], "5ae3a5326c4f18ce"),
+    3: (409, 133, [(2, True)], "f551a9919af8b160"),
+    4: (409, 133, [(2, True)], "f551a9919af8b160"),
+    5: (394, 129, [(2, False)], "5ae3a5326c4f18ce"),
 }
 
 
 def test_run_ladder_output_is_pinned():
     cnf, _, _ = generate_instance(12, 3127)
     for seed, expected in _PINNED_3127.items():
-        res = run_ladder(cnf, 7, seed=seed, max_guesses=3)
-        digest = hashlib.sha256(
-            json.dumps(_ladder_outcome(res)).encode()).hexdigest()[:16]
+        res = run_ladder(cnf, 7, seed=seed)
         decisions = [dataclasses.astuple(b) for b in res.branch_decisions]
-        assert (len(res.cnf.clauses), res.vars_remaining, decisions, digest) \
-            == expected
+        assert (len(res.cnf.clauses), res.vars_remaining, decisions,
+                _digest(_ladder_outcome(res))) == expected
+
+
+# run_ladder output at every level: formula -> per level 0..7, the sha256
+# prefix of the outcomes at seeds 1 and 2
+_PINNED_LEVELS = {
+    "143": ["e69616b290c37cff", "9cb3d439101d7b54", "6b46e7bff949cc75",
+            "6097b0794e4c3c29", "bf99fcca3e7fd72b", "063936dfa8a40722",
+            "e26c053fb6f671d5", "2bf968bfa255c486"],
+    "551": ["99a14b920dd7b888", "b9fbba17ee3b8baa", "f140fccbbab4eff9",
+            "9663d576b92e0bc1", "779d7b1923012625", "c5a0927c79e1f87f",
+            "ecc9a9725a32c7ab", "c4baadff72fa8611"],
+    "backbone": ["c76b23594c10ca4a", "dc37690031eb9623", "d820d9698c4ddebf",
+                 "6227a85eb03ef07f", "4635d09347e89eca", "bffe9d8fb8336ea1",
+                 "8a2d2ef43af4d5d9", "51d6428be8241137"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_LEVELS))
+def test_run_ladder_output_is_pinned_at_every_level(name):
+    cnf = _BUILD[name]()
+    assert [_digest([_ladder_outcome(run_ladder(cnf, level, seed=seed))
+                     for seed in (1, 2)])
+            for level in range(MAX_LEVEL + 1)] == _PINNED_LEVELS[name]
 
 
 # ---------------------------------------------------------------------------
-# the memoized seed-independent prefix (levels 1..6)
+# the memoized ladder
 
 
 # the formulas the memo tests ladder; each call builds one from scratch
@@ -833,14 +848,14 @@ def test_memoized_ladder_matches_a_cold_run(name):
     for level, seed in cells:
         empty_formula_memos()
         cold[level, seed] = _ladder_outcome(
-            run_ladder(cnf, level, seed=seed, max_guesses=1))
+            run_ladder(cnf, level, seed=seed))
     empty_formula_memos()
     for level, seed in cells:  # the first seed of a level fills its entry
-        res = run_ladder(cnf, level, seed=seed, max_guesses=1)
+        res = run_ladder(cnf, level, seed=seed)
         assert _ladder_outcome(res) == cold[level, seed]
     # every level's entry is in place now; another level's must never serve
     for level, seed in cells:
-        res = run_ladder(apart, level, seed=seed, max_guesses=1)
+        res = run_ladder(apart, level, seed=seed)
         assert _ladder_outcome(res) == cold[level, seed]
         assert all(r.wall_time == 0.0 for r in _prefix_reports(res))
 
@@ -848,10 +863,10 @@ def test_memoized_ladder_matches_a_cold_run(name):
 def test_memoized_ladder_hands_out_copies():
     cnf = _BUILD["551"]()
     for _ in range(2):  # a filling call, then a reusing one
-        res = run_ladder(cnf, MAX_LEVEL, seed=1, max_guesses=1)
+        res = run_ladder(cnf, MAX_LEVEL, seed=1)
         expected = _ladder_outcome(res)
         res.condition.records.clear()
-        again = run_ladder(cnf, MAX_LEVEL, seed=1, max_guesses=1)
+        again = run_ladder(cnf, MAX_LEVEL, seed=1)
         assert _ladder_outcome(again) == expected
-    cold = run_ladder(cnf, 6, seed=0, max_guesses=1)
+    cold = run_ladder(cnf, 6, seed=0)
     assert any(r.wall_time > 0.0 for r in cold.reports)  # only reuse reads 0 s

@@ -3,6 +3,9 @@
 Subcommands: generate (semiprime or backbone CNFs), preprocess (simplification
 ladder), solve (decompose + anneal, single cell or config-file sweep), tts
 (time-to-solution from runs.jsonl), report (aggregates + runtime plot data).
+Each value of solve is set one way: ``-i/--instance`` takes a spec or a
+DIMACS file, ``-o`` the runs file (``results/runs.jsonl`` when left out),
+and every other setting a flag or, with ``--sweep``, the config file.
 Bad input (a malformed file or spec, an out-of-range value, a file that
 cannot be read, a flag that another one overrides or that does not apply)
 ends in one ``isingsat: error: ...`` line and exit status 2, before any
@@ -20,17 +23,17 @@ from pathlib import Path
 from .circuit import EncodingOption, generate_instance, semiprime_catalog
 from .cnf import parse_dimacs, write_dimacs
 from .decompose import STRATEGIES
-from .preprocess import ConditionList, MAX_LEVEL, run_ladder
-from . import harness
+from .preprocess import ConditionRecord, MAX_LEVEL, run_ladder
 from .harness import (BackboneSpec, SweepConfig, aggregate_records,
                       expand_instances, generate_backbone_instance,
                       load_records, load_timings, preprocess_and_decompose,
-                      results_dir, run_experiment, timings_path_for,
-                      write_aggregates, write_runtime_report)
+                      run_experiment, timings_path_for, write_aggregates,
+                      write_runtime_report)
 from .solver import BACKENDS
 
 
 DEFAULT_OUTPUT = "instance.cnf"  # what generate writes without -o or --dir
+DEFAULT_RUNS = "results/runs.jsonl"  # where solve appends its records
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -40,8 +43,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         if clash:
             raise ValueError("--backbone writes one random 3SAT formula to -o; "
                              f"drop {', '.join(clash)}")
-        n, m, b = args.backbone
-        spec = BackboneSpec(n=int(n), m=int(m), b=float(b) / 100.0)
+        n, m, percent = args.backbone
+        spec = BackboneSpec(n=n, m=m, b=percent / 100.0)
         cnf = generate_backbone_instance(spec, 0 if args.seed is None else args.seed)
         output = args.output or DEFAULT_OUTPUT
         Path(output).write_text(write_dimacs(cnf))
@@ -78,8 +81,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _condition_json(cond: ConditionList) -> str:
-    rows = [dataclasses.asdict(r) for r in cond.records]
+def _condition_json(cond: tuple[ConditionRecord, ...]) -> str:
+    rows = [dataclasses.asdict(r) for r in cond]
     return json.dumps(rows, indent=1)
 
 
@@ -105,26 +108,20 @@ _LIST_FLAGS = {"levels": "--level", "strategies": "--strategy",
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    if args.output and args.results_dir:
-        raise ValueError("-o/--output names the runs file and its directory; "
-                         "drop --results-dir")
     # a setting flag left out is None, so SweepConfig supplies its default
     given = {k: v for k, v in vars(args).items()
              if k in SweepConfig.__dataclass_fields__ and v is not None}
     if args.sweep:
-        clash = [*(["-i/--input"] if args.input else []),
-                 *(["--instance"] if args.instance else []),
+        clash = [*(["-i/--instance"] if args.instance else []),
                  *(_LIST_FLAGS.get(k, "--" + k.replace("_", "-")) for k in given)]
         if clash:
             raise ValueError("--sweep takes the instances and every setting "
                              f"from its file; drop {', '.join(clash)}")
         config = SweepConfig.from_file(args.sweep)
     else:
-        if args.input and args.instance:
-            raise ValueError("-i/--input names the instance already; drop --instance")
-        if not args.input and not args.instance:
-            raise ValueError("solve needs -i/--input, --instance, or --sweep")
-        config = SweepConfig(instances=[args.instance or args.input], **given)
+        if not args.instance:
+            raise ValueError("solve needs -i/--instance or --sweep")
+        config = SweepConfig(instances=[args.instance], **given)
     if args.trace:
         # replays the first repeat up to its first solver call
         _instance_id, cnf = expand_instances(config.instances[0])[0]
@@ -142,21 +139,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             w.writerow(["sweep", "temperature", "best_energy"])
             w.writerows(run.trace)
         print(f"anneal trace of the first solver call -> {args.trace}")
-    if args.output:
-        out_path = Path(args.output)
-        out_dir, runs_filename = out_path.parent, out_path.name
-    else:
-        out_dir, runs_filename = results_dir(args.results_dir), "runs.jsonl"
 
     def progress(rec):
         status = "solved" if rec.solved else f"failed ({rec.reason})"
         print(f"  {rec.instance} L{rec.level} {rec.strategy}/{rec.backend} "
               f"seed={rec.seed}: {status} in {rec.iterations_used} iterations")
 
-    records = run_experiment(config, out_dir, runs_filename, progress=progress)
+    runs = Path(args.output)
+    records = run_experiment(config, runs.parent, runs.name, progress=progress)
     solved = sum(r.solved for r in records)
-    print(f"{solved}/{len(records)} repeats solved -> "
-          f"{Path(out_dir) / runs_filename}")
+    print(f"{solved}/{len(records)} repeats solved -> {runs}")
     return 0
 
 
@@ -202,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="whole catalog for --bits")
     g.add_argument("--option", type=int, choices=(1, 2),
                    help="OR-gate encoding option (default 1)")
-    g.add_argument("--backbone", nargs=3, metavar=("N", "M", "B"),
-                   help="random 3SAT with planted backbone; B in percent")
+    g.add_argument("--backbone", nargs=3, type=int, metavar=("N", "M", "B"),
+                   help="random 3SAT with planted backbone; B an integer percent")
     g.add_argument("--seed", type=int, help="--backbone seed (default 0)")
     g.add_argument("-o", "--output", help=f"output file (default {DEFAULT_OUTPUT})")
     g.add_argument("--dir", help="directory for --all output")
@@ -222,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     # a setting's dest is its SweepConfig field and its help shows that
     # field's default; a list field takes one value (nargs=1)
     s = sub.add_parser("solve", help="preprocess + decompose + solve repeats")
-    s.add_argument("-i", "--input", help="DIMACS file")
-    s.add_argument("--instance", help="instance spec, e.g. semiprime:8:143")
+    s.add_argument("-i", "--instance",
+                   help="instance spec, e.g. semiprime:8:143, or a DIMACS file")
     s.add_argument("--sweep", help="JSON sweep config (full factorial); "
                                    "takes no instance or setting flag")
     dflt = {f.name: "default: " + str(f.default_factory()
@@ -244,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"chip reads per solver call, {dflt['num_samples']}")
     s.add_argument("--stop-on-solve", action="store_true", default=None,
                    help="stop a cell's repeats after the first success")
-    s.add_argument("-o", "--output", help="runs.jsonl path")
-    s.add_argument("--results-dir", help=f"default dir (or ${harness.RESULTS_ENV})")
+    s.add_argument("-o", "--output", default=DEFAULT_RUNS,
+                   help=f"runs file, default: {DEFAULT_RUNS}")
     s.add_argument("--trace", help="CSV dump of the anneal trace of the first "
                    "repeat's first solver call, written before the sweep; "
                    "refused when it makes none (tabu, or a ladder that "

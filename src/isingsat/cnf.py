@@ -85,7 +85,7 @@ def make_cnf(num_vars: int, clauses: Iterable[Sequence[int]]) -> Cnf:
     return Cnf(num_vars, tuple(tuple(c) for c in clauses))
 
 
-def parse_dimacs(text: str | bytes) -> Cnf:
+def parse_dimacs(text: str) -> Cnf:
     """Parse DIMACS CNF text.
 
     Clauses may span lines; a ``%`` line ends the clause section (some public
@@ -93,9 +93,6 @@ def parse_dimacs(text: str | bytes) -> Cnf:
     disagrees with the header is tolerated; structural problems raise
     DimacsError with the line number.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8", errors="replace")
-
     num_vars = -1
     clauses: list[Clause] = []
     pending: list[int] = []

@@ -47,7 +47,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .cnf import Assignment, Cnf, count_satisfied, evaluate, memoize
-from .preprocess import ConditionList, reconstruct
+from .preprocess import ConditionRecord, reconstruct
 from .qubo import QuboModel, cnf_to_qubo, qubo_to_ising, scale_to_chip
 from .solver import solve
 
@@ -362,7 +362,7 @@ def _decode(qubo: QuboModel, spins: tuple[int, ...]) -> Assignment:
     return {var: spins[idx] > 0 for idx, var in qubo.source_var_map.items()}
 
 
-def iterate(cnf: Cnf, condition: ConditionList, original: Cnf, *,
+def iterate(cnf: Cnf, condition: tuple[ConditionRecord, ...], original: Cnf, *,
             strategy: str, backend: str, budget: int, cap: int, seed: int,
             num_samples: int, collect_trace: bool) -> DecompositionRun:
     """Select → freeze → solve → merge until every clause holds or the cap hits.
@@ -408,20 +408,18 @@ def iterate(cnf: Cnf, condition: ConditionList, original: Cnf, *,
         if sub.spin_cost > budget:
             raise RuntimeError(
                 f"selection produced spin cost {sub.spin_cost} > {budget}")
-        if sub.qubo.num_vars == 0:
-            sub_solution: Assignment = {}
-        else:
-            model = qubo_to_ising(sub.qubo)
-            if backend == "emulator":  # tabu solves the unscaled model
-                model, _distortion = scale_to_chip(model)
-            result = solve(model, backend=backend, seed=rng.getrandbits(63),
-                           num_samples=num_samples,
-                           collect_trace=collect_trace and solver_calls == 0)
-            if solver_calls == 0 and collect_trace:
-                first_trace = result.trace
-            solver_calls += 1
-            sub_solution = _decode(sub.qubo, result.best_spins)
-        update_global(state, sub_solution, cnf)
+        # the start's clause has only false literals, so the slice keeps it
+        # and has at least one variable
+        model = qubo_to_ising(sub.qubo)
+        if backend == "emulator":  # tabu solves the unscaled model
+            model, _distortion = scale_to_chip(model)
+        result = solve(model, backend=backend, seed=rng.getrandbits(63),
+                       num_samples=num_samples,
+                       collect_trace=collect_trace and solver_calls == 0)
+        if solver_calls == 0 and collect_trace:
+            first_trace = result.trace
+        solver_calls += 1
+        update_global(state, _decode(sub.qubo, result.best_spins), cnf)
         filt.note_selection(selected)
 
     if count_satisfied(cnf.clauses, state.assignment) != state.best_count:

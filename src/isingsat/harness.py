@@ -37,16 +37,6 @@ from .solver import BACKENDS
 # solver_time a relative, deterministic quantity
 PER_CALL_TIME = 0.001
 
-RESULTS_ENV = "ISINGSAT_RESULTS"
-
-
-def results_dir(override: str | None) -> Path:
-    """Results directory: explicit argument, else $ISINGSAT_RESULTS, else ./results."""
-    if override:
-        return Path(override)
-    return Path(os.environ.get(RESULTS_ENV, "results"))
-
-
 # ---------------------------------------------------------------------------
 # run records
 
@@ -246,7 +236,7 @@ def generate_backbone_instance(spec: BackboneSpec, seed: int) -> Cnf:
 
 
 SPEC_FORMS = ("semiprime:BITS (whole catalog), semiprime:BITS:N, "
-              "backbone:N:M:B[:SEED] (B in percent), file:PATH or a bare path")
+              "backbone:N:M:B[:SEED] (B an integer percent), file:PATH or a bare path")
 
 
 def expand_instances(spec: str) -> list[tuple[str, Cnf]]:
@@ -264,8 +254,7 @@ def expand_instances(spec: str) -> list[tuple[str, Cnf]]:
         if parts[0] == "semiprime":
             bits, *targets = map(int, parts[1:])
         elif parts[0] == "backbone":
-            n, m = int(parts[1]), int(parts[2])
-            b = float(parts[3]) / 100.0
+            n, m, percent = map(int, parts[1:4])
             seed = int(parts[4]) if len(parts) > 4 else 0
     except ValueError:
         raise ValueError(bad) from None
@@ -280,8 +269,9 @@ def expand_instances(spec: str) -> list[tuple[str, Cnf]]:
             raise ValueError(f"{targets[0]} is not in the {bits}-bit catalog")
         return out
     if parts[0] == "backbone":
-        cnf = generate_backbone_instance(BackboneSpec(n=n, m=m, b=b), seed)
-        return [(f"backbone-n{n}-m{m}-b{int(round(b * 100))}-s{seed}", cnf)]
+        cnf = generate_backbone_instance(BackboneSpec(n=n, m=m, b=percent / 100.0),
+                                         seed)
+        return [(f"backbone-n{n}-m{m}-b{percent}-s{seed}", cnf)]
     path = Path(spec.removeprefix("file:"))
     cnf = parse_dimacs(path.read_text())
     digest = hashlib.sha256(write_dimacs(cnf).encode()).hexdigest()[:12]

@@ -40,18 +40,18 @@ empty clause, a unit, a pending substitution, the occurring variables of a
 report) are one sweep of the clauses or the condition list each, made
 when they are read.  The seed feeds only the value of the level-7 guess,
 drawn before any pass runs, so the outcome is a function of the formula,
-the level and that value.  :func:`run_ladder` memoizes it (residual,
-condition records, reports, decisions) by ``(cnf, level, guess)``, the
-formula compared by value, in a memo of ``MEMO_ENTRIES`` entries that drops
-its oldest first.  So every level runs once per formula, level 7 once per
-outcome of its guess, and a call that reuses an entry reports 0 s for each
-pass.
+the level and that value.  :func:`run_ladder` memoizes it as one
+immutable :class:`LadderResult` by ``(cnf, level, guess)``, the formula
+compared by value, in a memo of ``MEMO_ENTRIES`` entries that drops its
+oldest first.  So every level runs once per formula, level 7 once per
+outcome of its guess, and every call that reuses an entry shares that one
+result, whose reports read 0 s for each pass.
 
 Nothing renumbers variables: the residual keeps the original ``num_vars`` and
-a :class:`ConditionList` records how to lift a residual model back to the
-full variable set.  The per-pass "variable count" is the number of variables
-occurring in the clause list — replaced or fixed variables no longer count
-once they leave the CNF.
+the condition records (:class:`ConditionRecord`, in order) say how to lift
+a residual model back to the full variable set.  The per-pass "variable
+count" is the number of variables occurring in the clause list — replaced
+or fixed variables no longer count once they leave the CNF.
 """
 from __future__ import annotations
 
@@ -59,7 +59,7 @@ import heapq
 import random
 import time
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from functools import wraps
 
@@ -79,34 +79,13 @@ class ConditionRecord:
     sign: int | None = None  # +1: var == root, -1: var == not root
 
 
-class ConditionList:
-    """Ordered log of variable eliminations, sufficient to reconstruct a
-    full model from a residual one."""
-
-    def __init__(self) -> None:
-        self.records: list[ConditionRecord] = []
-
-    def add_fix(self, var: int, value: bool) -> None:
-        self.records.append(ConditionRecord("fix", var, value=value))
-
-    def add_sub(self, var: int, root: int, sign: int) -> None:
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        self.records.append(ConditionRecord("sub", var, root=root, sign=sign))
-
-    def add_pure(self, var: int, value: bool) -> None:
-        self.records.append(ConditionRecord("pure", var, value=value))
-
-    def values(self) -> dict[int, bool]:
-        """All variables with a determined value (fixed or pure)."""
-        return {r.var: r.value for r in self.records if r.kind != "sub"}
-
-    def __len__(self) -> int:
-        return len(self.records)
+def known_values(records: Iterable[ConditionRecord]) -> dict[int, bool]:
+    """All variables with a determined value (fixed or pure)."""
+    return {r.var: r.value for r in records if r.kind != "sub"}
 
 
 def reconstruct(
-    condition: ConditionList,
+    condition: Sequence[ConditionRecord],
     residual_model: dict[int, bool],
     num_vars: int,
 ) -> dict[int, bool]:
@@ -116,15 +95,15 @@ def reconstruct(
     keep theirs, substituted variables copy (or negate) their root, and
     variables constrained by nothing are False.
     """
-    out = condition.values()
-    sub_targets = {r.var for r in condition.records if r.kind == "sub"}
+    out = known_values(condition)
+    sub_targets = {r.var for r in condition if r.kind == "sub"}
     for var, val in residual_model.items():
         out.setdefault(var, bool(val))
     for v in range(1, num_vars + 1):
         if v not in out and v not in sub_targets:
             out[v] = False
     # Reverse order resolves chains where a later pass replaced an earlier root.
-    for rec in reversed(condition.records):
+    for rec in reversed(condition):
         if rec.kind == "sub" and rec.var not in out:
             out[rec.var] = out[rec.root] if rec.sign > 0 else not out[rec.root]
     return out
@@ -154,12 +133,13 @@ class PassReport:
 
 @dataclass
 class PrepState:
-    """The working formula, the records that undo it, and the value of the
-    level-7 guess (None below level 7); anything else a pass boundary
-    checks is computed from these when it is read."""
+    """The working formula, the records that undo it (passes append to
+    ``condition``), and the value of the level-7 guess (None below level
+    7); anything else a pass boundary checks is computed from these when it
+    is read."""
 
     clauses: list[Clause]
-    condition: ConditionList
+    condition: list[ConditionRecord]
     guess: bool | None
     branch_decisions: list[BranchDecision] = field(default_factory=list)
 
@@ -326,8 +306,8 @@ def _propagate(st: PrepState, clauses: list[Clause]) -> None:
     """Make the fixpoint of ``clauses`` the working formula, recording each
     fix for reconstruction."""
     st.clauses, fixes = _unit_fixpoint(clauses)
-    for var, val in fixes:
-        st.condition.add_fix(var, val)
+    st.condition.extend(ConditionRecord("fix", var, value=val)
+                        for var, val in fixes)
 
 
 @_ladder_pass
@@ -367,33 +347,12 @@ class _ParityDSU:
             self.parity[node] = p
         return root, self.parity[path[0]] if path else 0
 
-    def union(self, u: int, v: int, rel: int) -> bool:
-        """Assert u == v (rel 0) or u == not v (rel 1); False on contradiction."""
-        ru, pu = self.find(u)
-        rv, pv = self.find(v)
-        if ru == rv:
-            return (pu ^ pv) == rel
-        # lower index wins as root
-        if ru < rv:
-            self.parent[rv] = ru
-            self.parity[rv] = pu ^ pv ^ rel
-        else:
-            self.parent[ru] = rv
-            self.parity[ru] = pu ^ pv ^ rel
-        return True
-
-
-def _pair_survivors(patterns: set[tuple[int, int]]) -> list[tuple[bool, bool]]:
-    """Assignments to (u, v) consistent with every distinct 2-clause pattern.
-    A pattern (su, sv) names the clause su*u | sv*v, which excludes exactly
-    the assignment making both literals false."""
-    excluded = {(su < 0, sv < 0) for su, sv in patterns}
-    return [
-        (a, b)
-        for a in (False, True)
-        for b in (False, True)
-        if (a, b) not in excluded
-    ]
+    def union(self, u: int, v: int, rel: int) -> None:
+        """Hang root ``v`` under root ``u < v``: u == v (rel 0) or u == not v
+        (rel 1).  The caller passes two distinct roots, so the lower index
+        stays the root and no contradiction can arise here."""
+        self.parent[v] = u
+        self.parity[v] = rel
 
 
 class _PairConditioner:
@@ -401,11 +360,14 @@ class _PairConditioner:
 
     Two-clauses arrive one at a time, are canonicalized through the live
     union-find, and accumulate as sign patterns per canonical variable pair.
-    A buffer or inverter pair unions its variables the moment it completes;
-    that union migrates every recorded pattern touching either class so the
-    equivalence immediately feeds later collisions (a chain of equivalences
-    can surface implied units within the same sweep).  A pair amassing three
-    distinct patterns pins both variables and queues two unit clauses.
+    A buffer or inverter pair unions its variables the moment it completes,
+    always two distinct roots; that union migrates every recorded pattern
+    touching either class so the equivalence immediately feeds later
+    collisions (a chain of equivalences can surface implied units within
+    the same sweep).  A pair amassing three distinct patterns pins both
+    variables and queues two unit clauses.  A contradiction such as
+    ``a == b`` with ``a == not b`` comes out as the units ``a`` and ``-a``,
+    which the follow-up propagation turns into an empty clause.
     """
 
     def __init__(self) -> None:
@@ -413,7 +375,6 @@ class _PairConditioner:
         self.groups: dict[tuple[int, int], set[tuple[int, int]]] = {}
         self.by_var: dict[int, set[tuple[int, int]]] = {}
         self.queued: list[int] = []
-        self.unsat = False
 
     def canon(self, lit: int) -> int:
         root, parity = self.dsu.find(abs(lit))
@@ -421,8 +382,6 @@ class _PairConditioner:
         return root * (sign if parity == 0 else -sign)
 
     def add_clause(self, l1: int, l2: int) -> None:
-        if self.unsat:
-            return
         c1, c2 = self.canon(l1), self.canon(l2)
         if abs(c1) == abs(c2):
             if c1 == c2:
@@ -451,48 +410,40 @@ class _PairConditioner:
                 self._drop_group(key)
                 self._union(key[0], key[1], rel)
         elif len(pats) == 3:
-            ((a, b),) = _pair_survivors(pats)
-            self.queued.append(key[0] if a else -key[0])
-            self.queued.append(key[1] if b else -key[1])
+            # the one assignment left falsifies the missing pattern: each
+            # variable takes the sign it has in two of the three present
+            self.queued.append(sum(su for su, _ in pats) * key[0])
+            self.queued.append(sum(sv for _, sv in pats) * key[1])
             self._drop_group(key)
 
     def _drop_group(self, key: tuple[int, int]) -> None:
-        self.groups.pop(key, None)
+        del self.groups[key]
         for v in key:
-            keys = self.by_var.get(v)
-            if keys:
-                keys.discard(key)
+            self.by_var[v].remove(key)
 
     def _union(self, u: int, v: int, rel: int) -> None:
-        if not self.dsu.union(u, v, rel):
-            self.unsat = True
-            return
-        # re-canonicalize every pattern that mentions either class; the
-        # worklist keeps cascaded unions from recursing
-        work = sorted(self.by_var.get(u, set()) | self.by_var.get(v, set()))
-        for key in work:
+        self.dsu.union(u, v, rel)
+        # re-canonicalize every pattern that mentions either class; a
+        # re-added pattern that completes another pair unions it from here,
+        # so cascaded unions recurse
+        for key in sorted(self.by_var[u] | self.by_var[v]):
             pats = self.groups.get(key)
             if pats is None:
                 continue
             self._drop_group(key)
-            for (su, sv) in sorted(pats):
-                if self.unsat:
-                    return
+            for su, sv in sorted(pats):
                 self.add_clause(su * key[0], sv * key[1])
 
     def finish_groups(self) -> None:
-        """Resolve leftover two-pattern groups whose survivors share a
-        coordinate: that coordinate is forced, one unit each."""
+        """Resolve leftover two-pattern groups.  Complementary pairs were
+        unioned when they completed, so the two clauses of such a group
+        share exactly one literal, and resolving them forces it: one unit
+        each."""
         for key in sorted(self.groups):
             pats = self.groups[key]
-            if len(pats) != 2:
-                continue
-            survivors = _pair_survivors(pats)
-            (a1, b1), (a2, b2) = survivors[:2]
-            if len(survivors) == 2 and a1 == a2:
-                self.queued.append(key[0] if a1 else -key[0])
-            elif len(survivors) == 2 and b1 == b2:
-                self.queued.append(key[1] if b1 else -key[1])
+            if len(pats) == 2:
+                (su, sv), (su2, _) = pats
+                self.queued.append(su * key[0] if su == su2 else sv * key[1])
 
 
 @_ladder_pass
@@ -502,10 +453,11 @@ def condition_2sat(st: PrepState) -> None:
     Traversal 1 streams the 2-clauses through a live union-find: completed
     buffer/inverter pairs become variable equivalences on the spot (with
     pattern migration, so chains compose), three-pattern groups queue two
-    implied units, and leftover two-pattern groups whose survivors share a
-    coordinate queue one.  Traversal 2 substitutes every replaced variable
-    by its class root, drops clauses the substitution made tautological,
-    and appends the queued units for the follow-up unit propagation.
+    implied units, and leftover two-pattern groups queue the literal their
+    clauses share.  Traversal 2 substitutes every replaced variable by its
+    class root, drops clauses the substitution made tautological, and
+    appends the queued units for the follow-up unit propagation, which
+    also finds any contradiction among them.
     """
     cond = _PairConditioner()
 
@@ -513,20 +465,16 @@ def condition_2sat(st: PrepState) -> None:
     for c in st.clauses:
         if len(c) == 2:
             cond.add_clause(c[0], c[1])
-        if cond.unsat:
-            st.clauses = [*st.clauses, ()]
-            return
     cond.finish_groups()
 
-    # snapshot the fully resolved substitution map before touching clauses
+    # the fully resolved substitution map, before touching clauses
     submap: dict[int, tuple[int, int]] = {}
     for var in sorted(cond.dsu.parent):
         root, p = cond.dsu.find(var)
         if root != var:
-            submap[var] = (root, 1 if p == 0 else -1)
-    for var in sorted(submap):
-        root, sign = submap[var]
-        st.condition.add_sub(var, root, sign)
+            sign = 1 if p == 0 else -1
+            submap[var] = (root, sign)
+            st.condition.append(ConditionRecord("sub", var, root=root, sign=sign))
 
     def rewrite(lit: int) -> int:
         var = abs(lit)
@@ -571,12 +519,12 @@ def propagate_replaced_values(st: PrepState) -> None:
     has a known value, the replaced variable's value follows from the sign.
     Sweeps the records until one gives nothing, so it cascades through
     chains; never touches the clause list."""
-    values = st.condition.values()
+    values = known_values(st.condition)
     progress = True
     while progress:
         progress = False
-        for var, value in _pending_subs(st.condition.records, values):
-            st.condition.add_fix(var, value)
+        for var, value in _pending_subs(st.condition, values):
+            st.condition.append(ConditionRecord("fix", var, value=value))
             values[var] = value
             progress = True
 
@@ -650,14 +598,14 @@ def eliminate_pure_literals(st: PrepState) -> None:
         if not pure:
             break
         for v in pure:
-            st.condition.add_pure(v, v in pos)
+            st.condition.append(ConditionRecord("pure", v, value=v in pos))
         pure_set = set(pure)
         st.clauses = [
             c for c in st.clauses if not any(abs(l) in pure_set for l in c)
         ]
     for v in sorted(started_occurring - st.occurring()
-                    - set(st.condition.values())):
-        st.condition.add_pure(v, True)
+                    - set(known_values(st.condition))):
+        st.condition.append(ConditionRecord("pure", v, value=True))
 
 
 # ---------------------------------------------------------------------------
@@ -711,8 +659,13 @@ MAX_LEVEL = 7  # the guess; no level below it draws from the seed
 
 @dataclass(frozen=True)
 class LadderResult:
+    """The residual formula, the condition records that lift its models,
+    each pass's report and the level-7 decisions.  Every field is
+    immutable, so one result serves every call that shares its memo
+    entry."""
+
     cnf: Cnf
-    condition: ConditionList
+    condition: tuple[ConditionRecord, ...]
     reports: tuple[PassReport, ...]
     branch_decisions: tuple[BranchDecision, ...]
 
@@ -729,19 +682,16 @@ def _stabilize(st: PrepState, level: int, reports: list[PassReport]) -> None:
         ran = []
         if level >= 2 and 1 in map(len, st.clauses):
             ran.append(propagate_1sat(st))
-        if level >= 4 and any(_pending_subs(st.condition.records,
-                                            st.condition.values())):
+        if level >= 4 and any(_pending_subs(st.condition,
+                                            known_values(st.condition))):
             ran.append(propagate_replaced_values(st))
         if not ran:
             break
         reports.extend(ran)
 
 
-# (formula, level, guess) -> residual, condition records, reports at 0 s
-# and branch decisions
-_LADDER_MEMO: dict[tuple[Cnf, int, bool | None],
-                   tuple[Cnf, tuple[ConditionRecord, ...], tuple[PassReport, ...],
-                         tuple[BranchDecision, ...]]] = {}
+# (formula, level, guess) -> its ladder result, the reports at 0 s
+_LADDER_MEMO: dict[tuple[Cnf, int, bool | None], LadderResult] = {}
 
 
 def run_ladder(
@@ -756,7 +706,9 @@ def run_ladder(
     At level 7 ``seed`` draws the value of the one guess, unless
     ``branch_override`` gives it; below level 7 nothing is drawn.  The
     outcome runs once per ``(cnf, level, guess)`` value; see the module
-    docstring.  Every call gets its own condition list.
+    docstring.  The first call returns the measured pass times; a call
+    that reuses the outcome gets the memo's one shared result, with 0 s
+    for every pass.
     """
     if not 0 <= level <= MAX_LEVEL:
         raise ValueError(f"level must be between 0 and {MAX_LEVEL}")
@@ -768,24 +720,19 @@ def run_ladder(
                  else branch_override)
     key = (cnf, level, guess)
     hit = _LADDER_MEMO.get(key)
-    if hit is None:
-        st = PrepState(clauses=list(cnf.clauses), condition=ConditionList(),
-                       guess=guess)
-        reports: list[PassReport] = []
-        for lvl in range(1, level + 1):
-            for fn in LADDER_PASSES[lvl]:
-                if st.unsat:
-                    break
-                reports.append(fn(st))
-                if fn is not reencode_option2:
-                    _stabilize(st, level, reports)
-        residual = Cnf(cnf.num_vars, tuple(st.clauses))
-        decisions = tuple(st.branch_decisions)
-        memoize(_LADDER_MEMO, key, (
-            residual, tuple(st.condition.records),
-            tuple(replace(r, wall_time=0.0) for r in reports), decisions))
-        return LadderResult(residual, st.condition, tuple(reports), decisions)
-    residual, records, reports, decisions = hit
-    condition = ConditionList()
-    condition.records = list(records)
-    return LadderResult(residual, condition, reports, decisions)
+    if hit is not None:
+        return hit
+    st = PrepState(clauses=list(cnf.clauses), condition=[], guess=guess)
+    reports: list[PassReport] = []
+    for lvl in range(1, level + 1):
+        for fn in LADDER_PASSES[lvl]:
+            if st.unsat:
+                break
+            reports.append(fn(st))
+            if fn is not reencode_option2:
+                _stabilize(st, level, reports)
+    res = LadderResult(Cnf(cnf.num_vars, tuple(st.clauses)), tuple(st.condition),
+                       tuple(reports), tuple(st.branch_decisions))
+    memoize(_LADDER_MEMO, key, replace(
+        res, reports=tuple(replace(r, wall_time=0.0) for r in reports)))
+    return res

@@ -9,7 +9,7 @@ from hypothesis import settings
 from isingsat import decompose, preprocess
 from isingsat.circuit import generate_instance, semiprime_catalog
 from isingsat.cnf import Cnf, brute_force_solutions, evaluate, make_cnf
-from isingsat.preprocess import MAX_LEVEL, reconstruct, run_ladder
+from isingsat.preprocess import MAX_LEVEL, known_values, reconstruct, run_ladder
 
 # Every run draws the same examples and keeps no example database, so a
 # checkout's results do not depend on what earlier runs found.
@@ -49,15 +49,15 @@ def mixed_random_cnf(num_vars: int, num_clauses: int, rng: random.Random) -> Cnf
 
 
 def fixed(condition) -> dict[int, bool]:
-    return {r.var: r.value for r in condition.records if r.kind == "fix"}
+    return {r.var: r.value for r in condition if r.kind == "fix"}
 
 
 def pure(condition) -> dict[int, bool]:
-    return {r.var: r.value for r in condition.records if r.kind == "pure"}
+    return {r.var: r.value for r in condition if r.kind == "pure"}
 
 
 def substituted(condition) -> dict[int, tuple[int, int]]:
-    return {r.var: (r.root, r.sign) for r in condition.records if r.kind == "sub"}
+    return {r.var: (r.root, r.sign) for r in condition if r.kind == "sub"}
 
 
 def proj(sol, keys):
@@ -81,7 +81,7 @@ def check_reconstruction(cnf: Cnf, level: int, seed: int):
         res = run_ladder(cnf, level, seed=seed, branch_override=guess)
         if res.cnf.is_unsat_marked():
             continue
-        determined = set(res.condition.values()) | set(substituted(res.condition))
+        determined = set(known_values(res.condition)) | set(substituted(res.condition))
         free = [v for v in occ if v not in determined]
         sub = make_cnf(cnf.num_vars, res.cnf.clauses)
         for r in brute_force_solutions(sub, variables=free, var_cap=28):

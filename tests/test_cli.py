@@ -190,6 +190,13 @@ def test_resume_after_a_torn_timings_row_then_report(tmp_path):
     assert main(["report", "-i", str(runs), "-o", str(tmp_path / "agg.csv")]) == 0
 
 
+def test_solve_appends_to_the_default_runs_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["solve", "-i", "semiprime:8:143", "--repeats", "1", "--cap", "1"]
+    assert main(argv) == 0
+    assert len(load_records(tmp_path / "results" / "runs.jsonl")) == 1
+
+
 def test_solve_from_dimacs_file_with_trace(tmp_path):
     src = tmp_path / "in.cnf"
     main(["generate", "--bits", "4", "-o", str(src)])
@@ -259,6 +266,7 @@ def test_tts_empty_file(tmp_path, capsys):
     ("non-numeric semiprime width", "bad instance spec 'semiprime:x'"),
     ("non-numeric semiprime", "bad instance spec 'semiprime:8:x'"),
     ("non-numeric backbone percentage", "bad instance spec 'backbone:10:40:x'"),
+    ("fractional backbone percentage", "bad instance spec 'backbone:200:800:50.3'"),
     ("non-numeric backbone seed", "bad instance spec 'backbone:10:40:50:x'"),
     ("trace of a tabu run", "drop --trace"),
     ("trace of a sweep whose first backend is tabu", "drop --trace"),
@@ -269,8 +277,6 @@ def test_tts_empty_file(tmp_path, capsys):
     ("records file with a foreign key", 'not a run record: {"a": 1}'),
     ("negative ladder seed", "seed must be >= 0, got -3"),
     ("negative backbone seed", "seed must be >= 0, got -3"),
-    ("input file and instance spec", "drop --instance"),
-    ("runs file and results dir", "drop --results-dir"),
     ("backbone with semiprime flags", "drop --bits, --dir"),
     ("backbone with an encoding option", "drop --option"),
     ("semiprime with a seed", "drop --seed"),
@@ -311,6 +317,9 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, case, says):
                                             *runs],
         "non-numeric backbone seed": ["solve", "--instance", "backbone:10:40:50:x",
                                       *runs],
+        # its id would hold the rounded percent of another formula
+        "fractional backbone percentage": ["solve", "--instance",
+                                           "backbone:200:800:50.3", *runs],
         "trace of a tabu run": ["solve", "-i", str(good), "--backend", "tabu",
                                 "--level", "0", "--cap", "3", *runs,
                                 "--trace", str(tmp_path / "t.csv")],
@@ -333,10 +342,6 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, case, says):
                                  "-o", str(out)],
         "negative backbone seed": ["generate", "--backbone", "14", "56", "50",
                                    "--seed", "-3", "-o", str(out)],
-        "input file and instance spec": ["solve", "-i", str(good), "--instance",
-                                         "semiprime:8:143", *runs],
-        "runs file and results dir": ["solve", "--instance", "semiprime:8:143",
-                                      "--results-dir", str(tmp_path / "res"), *runs],
         "backbone with semiprime flags": ["generate", "--backbone", "14", "56", "50",
                                           "--dir", str(tmp_path / "d"), "--bits", "8",
                                           "-o", str(out)],
@@ -396,8 +401,8 @@ def test_bad_setting_writes_no_record(tmp_path, capsys, case, says):
     (["--cap", "5000"], "drop --cap"),  # the default, given on purpose
     (["--level", "7", "--num-samples", "10"], "drop --level, --num-samples"),
     (["--stop-on-solve"], "drop --stop-on-solve"),
-    (["--instance", "semiprime:4"], "drop --instance"),
-    (["-i", "in.cnf"], "drop -i/--input"),
+    (["--instance", "semiprime:4"], "drop -i/--instance"),
+    (["-i", "in.cnf"], "drop -i/--instance"),
 ])
 def test_sweep_takes_no_instance_or_setting_flag(tmp_path, capsys, flags, says):
     sweep = tmp_path / "sweep.json"

@@ -31,6 +31,9 @@ def test_parse_basic():
 def test_parse_multiline_clause_and_trailing():
     cnf = parse_dimacs("p cnf 2 1\n1\n-2 0\n")
     assert cnf.clauses == ((1, -2),)
+    # a % line ends the clauses: whatever follows is not read
+    cnf = parse_dimacs("p cnf 2 1\n1\n-2 0\n%\n0\n")
+    assert cnf.clauses == ((1, -2),)
 
 
 def test_parse_empty_clause_is_kept():
@@ -48,6 +51,13 @@ def test_parse_errors():
         parse_dimacs("p cnf 2 1\n1 x 0\n")  # junk token
     with pytest.raises(DimacsError):
         parse_dimacs("p cnf 2 1\n1 2\n")  # unterminated clause
+    with pytest.raises(DimacsError, match="line 2: duplicate problem header"):
+        parse_dimacs("p cnf 2 1\np cnf 2 1\n1 0\n")
+    for header in ("p cnf 2", "p cnf 2 1 1", "p cnf 2 x"):  # 3 or 5 fields, bad count
+        with pytest.raises(DimacsError, match="line 1: malformed problem header"):
+            parse_dimacs(header + "\n1 0\n")
+    with pytest.raises(DimacsError, match="line 2: missing 'p cnf' header"):
+        parse_dimacs("c only\nc comments\n")
 
 
 @pytest.mark.parametrize("text", [

@@ -28,7 +28,7 @@ from isingsat.decompose import (
     select_dfs,
     update_global,
 )
-from isingsat.preprocess import ConditionList, run_ladder
+from isingsat.preprocess import run_ladder
 from isingsat.qubo import cnf_to_qubo
 
 from conftest import mixed_random_cnf, random_3sat
@@ -225,7 +225,7 @@ def test_iterate_notes_every_selection_in_the_filter(monkeypatch):
     monkeypatch.setattr(decompose, "select_dfs",
                         lambda *args: picked.append(select(*args)) or picked[-1])
     cnf = random_3sat(10, 60, random.Random(5))  # too dense to solve in 4
-    run = iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=6, cap=4, seed=1,
+    run = iterate(cnf, (), cnf, **ONE_READ, budget=6, cap=4, seed=1,
                   collect_trace=False)
     assert noted == picked and len(noted) == run.iterations_used == 4
 
@@ -335,7 +335,7 @@ def test_spin_cost_counts_repeated_variable_3_clauses():
                         assert sub.spin_cost <= budget
                         assert sub.qubo.num_vars <= budget
         # iterate raises when a slice's spin cost overshoots the budget
-        iterate(cnf, ConditionList(), cnf, strategy="dfs", backend="tabu",
+        iterate(cnf, (), cnf, strategy="dfs", backend="tabu",
                 budget=5, cap=20, seed=trial, num_samples=1, collect_trace=False)
 
 
@@ -346,7 +346,7 @@ def test_tabu_skips_chip_scaling(monkeypatch):
 
     monkeypatch.setattr(decompose, "scale_to_chip", no_scaling)
     cnf = random_3sat(12, 40, random.Random(5))
-    run = iterate(cnf, ConditionList(), cnf, strategy="dfs", backend="tabu",
+    run = iterate(cnf, (), cnf, strategy="dfs", backend="tabu",
                   budget=45, cap=5, seed=1, num_samples=1, collect_trace=False)
     assert run.solver_calls > 0
 
@@ -358,7 +358,7 @@ def test_iterate_solves_small_random_instances():
         cnf = random_3sat(12, 30, rng)
         if not brute_force_solutions(cnf):
             continue
-        run = iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=14, cap=400,
+        run = iterate(cnf, (), cnf, **ONE_READ, budget=14, cap=400,
                       seed=i, collect_trace=False)
         assert run.solved and evaluate(cnf, run.assignment), i
         solved += 1
@@ -367,7 +367,7 @@ def test_iterate_solves_small_random_instances():
 
 def test_iterate_returns_run_metadata():
     cnf = random_3sat(10, 24, random.Random(5))
-    run = iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=12, cap=300, seed=2,
+    run = iterate(cnf, (), cnf, **ONE_READ, budget=12, cap=300, seed=2,
                   collect_trace=False)
     assert isinstance(run, DecompositionRun)
     assert run.iterations_used <= 300
@@ -380,9 +380,9 @@ def test_iterate_returns_run_metadata():
 
 def test_iterate_deterministic():
     cnf = random_3sat(12, 34, random.Random(8))
-    a = iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=12, cap=150, seed=9,
+    a = iterate(cnf, (), cnf, **ONE_READ, budget=12, cap=150, seed=9,
                 collect_trace=False)
-    b = iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=12, cap=150, seed=9,
+    b = iterate(cnf, (), cnf, **ONE_READ, budget=12, cap=150, seed=9,
                 collect_trace=False)
     assert (a.solved, a.iterations_used, a.solver_calls, a.best_satisfied) == \
         (b.solved, b.iterations_used, b.solver_calls, b.best_satisfied)
@@ -391,11 +391,11 @@ def test_iterate_deterministic():
 
 def test_iterate_bfs_strategy_and_unknown_strategy():
     cnf = random_3sat(10, 25, random.Random(4))
-    run = iterate(cnf, ConditionList(), cnf, strategy="bfs", backend="emulator",
+    run = iterate(cnf, (), cnf, strategy="bfs", backend="emulator",
                   budget=12, cap=300, seed=1, num_samples=1, collect_trace=False)
     assert run.iterations_used >= 0
     with pytest.raises(ValueError):
-        iterate(cnf, ConditionList(), cnf, strategy="random", backend="emulator",
+        iterate(cnf, (), cnf, strategy="random", backend="emulator",
                 budget=12, cap=300, seed=1, num_samples=1, collect_trace=False)
 
 
@@ -410,7 +410,7 @@ def test_iterate_empty_residual_needs_no_solver():
 
 def test_iterate_unsat_marker_short_circuits():
     cnf = make_cnf(2, [(), (1, 2)])
-    run = iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=10, cap=50, seed=0,
+    run = iterate(cnf, (), cnf, **ONE_READ, budget=10, cap=50, seed=0,
                   collect_trace=False)
     assert not run.solved
     assert run.reason == "unsat-marker"
@@ -423,7 +423,7 @@ def test_iterate_refuses_a_clause_wider_than_3():
     cnf = make_cnf(4, [(1, 2, 3, 4), (-1, -2, -3, -4), (1, -2, 3, -4),
                        (-1, 2, -3, 4)])
     with pytest.raises(ValueError, match="clause width 4 exceeds 3"):
-        iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=45, cap=0, seed=0,
+        iterate(cnf, (), cnf, **ONE_READ, budget=45, cap=0, seed=0,
                 collect_trace=False)
 
 
@@ -431,7 +431,7 @@ def test_iterate_budget_too_small():
     # conflicting units can never be fully satisfied, so the loop must
     # attempt a selection — which a zero budget cannot afford
     cnf = make_cnf(1, [(1,), (-1,)])
-    run = iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=0, cap=10, seed=0,
+    run = iterate(cnf, (), cnf, **ONE_READ, budget=0, cap=10, seed=0,
                   collect_trace=False)
     assert not run.solved
     assert run.reason == "budget-too-small"
@@ -443,7 +443,7 @@ def test_iterate_keeps_history_when_asked():
     cnf = random_3sat(10, 25, random.Random(6))
     history = []
     for cap in range(1, 16):
-        run = iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=12, cap=cap, seed=3,
+        run = iterate(cnf, (), cnf, **ONE_READ, budget=12, cap=cap, seed=3,
                       collect_trace=False)
         assert run.iterations_used == cap or run.solved
         assert run.best_satisfied <= cnf.num_clauses
@@ -456,7 +456,7 @@ def test_iterate_keeps_history_when_asked():
 
 def test_iterate_trace_capture():
     cnf = random_3sat(10, 25, random.Random(7))
-    run = iterate(cnf, ConditionList(), cnf, **ONE_READ, budget=12, cap=50,
+    run = iterate(cnf, (), cnf, **ONE_READ, budget=12, cap=50,
                   seed=1, collect_trace=True)
     if run.solver_calls:
         assert len(run.trace) > 0

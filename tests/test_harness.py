@@ -525,6 +525,11 @@ def test_sweep_config_file_validation(tmp_path):
     assert cfg.levels == [7] and cfg.num_samples == 10
     with pytest.raises(ValueError, match="budget must be between 0 and 45"):
         replace(cfg, budget=60)  # replace checks like the constructor
+    for instances in ("semiprime:4", []):
+        with pytest.raises(ValueError, match="instances must be a non-empty list of str"):
+            replace(cfg, instances=instances)
+    with pytest.raises(ValueError, match="stop_on_solve must be a bool, got 1"):
+        replace(cfg, stop_on_solve=1)
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"instances": ["x"], "budgetz": 1}))

@@ -17,7 +17,6 @@ from isingsat.harness import BackboneSpec, generate_backbone_instance
 from isingsat.preprocess import (
     _DETECT_ORDER,
     MAX_LEVEL,
-    ConditionList,
     ConditionRecord,
     GateGroup,
     PrepState,
@@ -28,6 +27,7 @@ from isingsat.preprocess import (
     condition_2sat,
     detect_gate_groups,
     eliminate_pure_literals,
+    known_values,
     propagate_1sat,
     propagate_replaced_values,
     reconstruct,
@@ -41,64 +41,57 @@ from conftest import (check_reconstruction, empty_formula_memos, fixed, pure,
 
 
 def _state(cnf: Cnf, guess: bool = False) -> PrepState:
-    return PrepState(clauses=list(cnf.clauses), condition=ConditionList(),
-                     guess=guess)
+    return PrepState(clauses=list(cnf.clauses), condition=[], guess=guess)
 
 
 # ---------------------------------------------------------------------------
 # condition list and reconstruct
 
 
+def _fix(var: int, value: bool) -> ConditionRecord:
+    return ConditionRecord("fix", var, value=value)
+
+
+def _sub(var: int, root: int, sign: int) -> ConditionRecord:
+    return ConditionRecord("sub", var, root=root, sign=sign)
+
+
 def test_condition_list_views():
-    cond = ConditionList()
-    cond.add_fix(1, True)
-    cond.add_sub(2, 1, -1)
-    cond.add_pure(3, False)
+    cond = [_fix(1, True), _sub(2, 1, -1), ConditionRecord("pure", 3, value=False)]
     assert fixed(cond) == {1: True}
     assert substituted(cond) == {2: (1, -1)}
     assert pure(cond) == {3: False}
-    assert cond.values() == {1: True, 3: False}
-    assert len(cond) == 3
-    with pytest.raises(ValueError):
-        cond.add_sub(4, 1, 0)
+    assert known_values(cond) == {1: True, 3: False}
 
 
 def test_reconstruct_negated_master():
-    cond = ConditionList()
-    cond.add_sub(1, 2, -1)  # a == not b
+    cond = [_sub(1, 2, -1)]  # a == not b
     out = reconstruct(cond, {2: False}, 2)
     assert out == {1: True, 2: False}
 
 
 def test_reconstruct_chain_same_sign():
     # a -> b -> c, both same-sign, c true: everything true
-    cond = ConditionList()
-    cond.add_sub(1, 2, 1)
-    cond.add_sub(2, 3, 1)
+    cond = [_sub(1, 2, 1), _sub(2, 3, 1)]
     out = reconstruct(cond, {3: True}, 3)
     assert out == {1: True, 2: True, 3: True}
 
 
 def test_reconstruct_chain_signs_compose():
-    cond = ConditionList()
-    cond.add_sub(1, 2, -1)
-    cond.add_sub(2, 3, -1)
+    cond = [_sub(1, 2, -1), _sub(2, 3, -1)]
     out = reconstruct(cond, {3: True}, 3)
     assert out == {1: True, 2: False, 3: True}
 
 
 def test_reconstruct_later_fix_of_root_wins():
     # the root itself is fixed by a later pass; the sub must read that value
-    cond = ConditionList()
-    cond.add_sub(5, 2, 1)
-    cond.add_fix(2, False)
+    cond = [_sub(5, 2, 1), _fix(2, False)]
     out = reconstruct(cond, {}, 5)
     assert out[5] is False and out[2] is False
 
 
 def test_reconstruct_defaults_unconstrained():
-    cond = ConditionList()
-    cond.add_fix(1, True)
+    cond = [_fix(1, True)]
     out = reconstruct(cond, {}, 3)
     assert out == {1: True, 2: False, 3: False}
 
@@ -254,33 +247,28 @@ def test_condition_2sat_substitution_leaves_no_replaced_vars():
 
 def test_rvp_master_value_flows():
     st = _state(make_cnf(2, []))
-    st.condition.add_sub(1, 2, 1)
-    st.condition.add_fix(2, True)
+    st.condition += [_sub(1, 2, 1), _fix(2, True)]
     propagate_replaced_values(st)
-    assert st.condition.values()[1] is True
+    assert known_values(st.condition)[1] is True
 
 
 def test_rvp_negated_master():
     st = _state(make_cnf(2, []))
-    st.condition.add_sub(1, 2, -1)
-    st.condition.add_fix(2, False)
+    st.condition += [_sub(1, 2, -1), _fix(2, False)]
     propagate_replaced_values(st)
-    assert st.condition.values()[1] is True
+    assert known_values(st.condition)[1] is True
 
 
 def test_rvp_cascades_chains():
     st = _state(make_cnf(3, []))
-    st.condition.add_sub(2, 3, -1)
-    st.condition.add_sub(1, 2, -1)
-    st.condition.add_fix(3, True)
+    st.condition += [_sub(2, 3, -1), _sub(1, 2, -1), _fix(3, True)]
     propagate_replaced_values(st)
-    assert st.condition.records[3:] == [ConditionRecord("fix", 2, value=False),
-                                        ConditionRecord("fix", 1, value=True)]
+    assert st.condition[3:] == [_fix(2, False), _fix(1, True)]
 
 
 def test_rvp_never_touches_clauses():
     st = _state(make_cnf(2, [(1, 2)]))
-    st.condition.add_sub(1, 2, 1)
+    st.condition.append(_sub(1, 2, 1))
     propagate_replaced_values(st)
     assert st.clauses == [(1, 2)]
 
@@ -420,22 +408,21 @@ _BUSY = (gate_clauses("OR", 1, 2, 3, EncodingOption.OPTION1)
 def test_pass_leaves_an_unsat_state_alone(ladder_pass):
     def busy_state(clauses):
         st = _state(make_cnf(9, clauses))
-        st.condition.add_fix(1, True)
-        st.condition.add_sub(2, 1, -1)
+        st.condition += [_fix(1, True), _sub(2, 1, -1)]
         return st
 
     live = busy_state(_BUSY)
     ladder_pass(live)
-    assert (live.clauses, live.condition.records) != \
-        (list(_BUSY), busy_state(_BUSY).condition.records)
+    assert (live.clauses, live.condition) != \
+        (list(_BUSY), busy_state(_BUSY).condition)
 
     clauses = [*_BUSY[:5], (), *_BUSY[5:]]
     st = busy_state(clauses)
-    records = list(st.condition.records)
+    records = list(st.condition)
     rep = ladder_pass(st)
     assert rep.name == ladder_pass.__name__
     assert rep.wall_time == 0.0
-    assert st.clauses == clauses and st.condition.records == records
+    assert st.clauses == clauses and st.condition == records
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +675,7 @@ def _ladder_outcome(res):
     records, reports without their wall times, and branch decisions."""
     return (
         [list(c) for c in res.cnf.clauses],
-        [dataclasses.astuple(r) for r in res.condition.records],
+        [dataclasses.astuple(r) for r in res.condition],
         [[r.name, r.vars_after, r.clauses_after] for r in res.reports],
         [dataclasses.astuple(b) for b in res.branch_decisions],
     )
@@ -860,13 +847,12 @@ def test_memoized_ladder_matches_a_cold_run(name):
         assert all(r.wall_time == 0.0 for r in _prefix_reports(res))
 
 
-def test_memoized_ladder_hands_out_copies():
+def test_memoized_ladder_hands_out_one_immutable_result():
     cnf = _BUILD["551"]()
-    for _ in range(2):  # a filling call, then a reusing one
-        res = run_ladder(cnf, MAX_LEVEL, seed=1)
-        expected = _ladder_outcome(res)
-        res.condition.records.clear()
-        again = run_ladder(cnf, MAX_LEVEL, seed=1)
-        assert _ladder_outcome(again) == expected
+    first = run_ladder(cnf, MAX_LEVEL, seed=1)  # fills the entry
+    shared = run_ladder(cnf, MAX_LEVEL, seed=1)
+    assert run_ladder(_BUILD["551"](), MAX_LEVEL, seed=1) is shared
+    assert isinstance(shared.condition, tuple)
+    assert _ladder_outcome(shared) == _ladder_outcome(first)
     cold = run_ladder(cnf, 6, seed=0)
     assert any(r.wall_time > 0.0 for r in cold.reports)  # only reuse reads 0 s

@@ -273,3 +273,41 @@ def test_compiled_matches_pure_bitwise():
     assert c_impl.mix_seed(0, 0) == py_mix_seed(0, 0)
     assert c_impl.mix_seed(2**70 + 9, 2) == py_mix_seed(2**70 + 9, 2)
     assert c_impl.mix_seed(-5, 1) == py_mix_seed(-5, 1)
+
+
+# ---------------------------------------------------------------------------
+# the kernel build, the only path on a host without a cached shared object
+
+
+def _cc() -> str:
+    return shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
+
+
+@pytest.mark.skipif(shutil.which(_cc()) is None, reason="no C compiler on PATH")
+def test_build_writes_the_shared_object(tmp_path):
+    target = tmp_path / "cache" / "_kernels.so"
+    assert kernels._build(str(target)) is None
+    assert target.stat().st_size > 0
+    assert [p.name for p in target.parent.iterdir()] == [target.name]
+
+
+def test_build_without_a_compiler_says_so(tmp_path, monkeypatch):
+    get = sysconfig.get_config_var
+    monkeypatch.setattr(sysconfig, "get_config_var",
+                        lambda name: "no-such-cc --flag" if name == "CC" else get(name))
+    target = tmp_path / "_kernels.so"
+    assert kernels._build(str(target)) == "no C compiler (no-such-cc) on PATH"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.skipif(shutil.which(_cc()) is None, reason="no C compiler on PATH")
+def test_build_of_a_broken_source_reports_the_compiler(tmp_path, monkeypatch):
+    broken = tmp_path / "_kernels.c"
+    with open(kernels._SOURCE) as fh:
+        broken.write_text(fh.read() + "\nthis is not C;\n")
+    monkeypatch.setattr(kernels, "_SOURCE", str(broken))
+    target = tmp_path / "out" / "_kernels.so"
+    reason = kernels._build(str(target))
+    assert reason is not None and " exited with " in reason
+    assert str(broken) in reason
+    assert not any((tmp_path / "out").iterdir())  # no .tmp file is left

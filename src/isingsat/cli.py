@@ -180,8 +180,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and through ``parser_class`` its subparsers, whose
+    rejections (a bad flag value, an unknown flag) are one error line."""
+
+    def error(self, message: str):
+        self.exit(2, f"isingsat: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="isingsat",
         description="factorization CNFs, preprocessing ladder, and "
                     "spin-budgeted decomposition on an emulated Ising annealer")

@@ -49,6 +49,16 @@ class Cnf:
             raise ValueError(
                 f"literal {lit} references a variable above num_vars={n}")
 
+    def __hash__(self) -> int:
+        # the value hash, computed on first use and kept: a memo lookup
+        # would otherwise walk every clause, and most formulas are never
+        # hashed at all
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.num_vars, self.clauses))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)

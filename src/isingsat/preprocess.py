@@ -364,8 +364,11 @@ class _PairConditioner:
     always two distinct roots; that union migrates every recorded pattern
     touching either class so the equivalence immediately feeds later
     collisions (a chain of equivalences can surface implied units within
-    the same sweep).  A pair amassing three distinct patterns pins both
-    variables and queues two unit clauses.  A contradiction such as
+    the same sweep).  A migrated pattern can complete another pair, whose
+    union migrates in turn before the rest of the first: the migrations
+    run depth first from an explicit stack, so a chain of any length
+    cascades without recursion.  A pair amassing three distinct patterns
+    pins both variables and queues two unit clauses.  A contradiction such as
     ``a == b`` with ``a == not b`` comes out as the units ``a`` and ``-a``,
     which the follow-up propagation turns into an empty clause.
     """
@@ -382,14 +385,23 @@ class _PairConditioner:
         return root * (sign if parity == 0 else -sign)
 
     def add_clause(self, l1: int, l2: int) -> None:
-        c1, c2 = self.canon(l1), self.canon(l2)
-        if abs(c1) == abs(c2):
-            if c1 == c2:
-                self.queued.append(c1)  # (l v l) is a unit in disguise
-            return  # (l v ~l) is a tautology
-        self._add_pattern(c1, c2)
+        stack: list[Iterator[tuple[int, int]]] = []
+        self._add(l1, l2, stack)
+        while stack:
+            clause = next(stack[-1], None)
+            if clause is None:
+                stack.pop()
+            else:
+                self._add(*clause, stack)
 
-    def _add_pattern(self, lu: int, lv: int) -> None:
+    def _add(self, l1: int, l2: int, stack: list[Iterator[tuple[int, int]]]) -> None:
+        """Record one clause; a pair it completes is unioned, and that
+        union's migrations are pushed onto ``stack``."""
+        lu, lv = self.canon(l1), self.canon(l2)
+        if abs(lu) == abs(lv):
+            if lu == lv:
+                self.queued.append(lu)  # (l v l) is a unit in disguise
+            return  # (l v ~l) is a tautology
         if abs(lu) > abs(lv):
             lu, lv = lv, lu
         key = (abs(lu), abs(lv))
@@ -408,7 +420,9 @@ class _PairConditioner:
                 # (+,+),(-,-) asserts u == not v
                 rel = 0 if pats == {(1, -1), (-1, 1)} else 1
                 self._drop_group(key)
-                self._union(key[0], key[1], rel)
+                self.dsu.union(key[0], key[1], rel)
+                touching = self.by_var[key[0]] | self.by_var[key[1]]
+                stack.append(self._migrate(sorted(touching)))
         elif len(pats) == 3:
             # the one assignment left falsifies the missing pattern: each
             # variable takes the sign it has in two of the three present
@@ -421,18 +435,16 @@ class _PairConditioner:
         for v in key:
             self.by_var[v].remove(key)
 
-    def _union(self, u: int, v: int, rel: int) -> None:
-        self.dsu.union(u, v, rel)
-        # re-canonicalize every pattern that mentions either class; a
-        # re-added pattern that completes another pair unions it from here,
-        # so cascaded unions recurse
-        for key in sorted(self.by_var[u] | self.by_var[v]):
+    def _migrate(self, keys: list[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+        """The patterns of ``keys`` still recorded, dropped group by group as
+        they are reached, to be re-added through the merged classes."""
+        for key in keys:
             pats = self.groups.get(key)
             if pats is None:
                 continue
             self._drop_group(key)
             for su, sv in sorted(pats):
-                self.add_clause(su * key[0], sv * key[1])
+                yield su * key[0], sv * key[1]
 
     def finish_groups(self) -> None:
         """Resolve leftover two-pattern groups.  Complementary pairs were

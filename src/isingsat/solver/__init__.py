@@ -21,8 +21,9 @@ the quarter-integer and integer models the pipeline builds.
 
 The inner loops live in :mod:`.kernels`: a C kernel compiled on first import
 and cached in ``__pycache__``, or, without a C compiler, the pure-Python
-oracle it is tested against bit for bit.  ``kernels.COMPILED_KERNELS``
-says which one runs.
+oracle it is tested against bit for bit.  The two give identical results;
+the C kernel's Metropolis test calls ``exp`` only where two cheap bounds
+cannot decide it.  ``kernels.COMPILED_KERNELS`` says which one runs.
 """
 from __future__ import annotations
 

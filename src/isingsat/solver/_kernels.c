@@ -1,11 +1,13 @@
 /* Compiled solver kernels: Metropolis annealing and tabu descent.
  *
- * An operation-for-operation port of the pure-Python oracle _kernels_py:
- * the same splitmix64 seeding and xorshift64* stream, the same float
- * operation order and tie-breaks, and libm exp/pow, so the two give
- * bit-identical results.  Build with -ffp-contract=off so that no
- * multiply-add is fused.  The inputs are copied into C buffers and the
- * interpreter lock is released around the sweep and move loops.
+ * Gives results bit-identical to the pure-Python oracle _kernels_py: the
+ * same splitmix64 seeding and xorshift64* stream, the same float operation
+ * order and tie-breaks, and libm exp/pow.  The one difference in method is
+ * that the Metropolis test calls exp only when two cheap bounds cannot
+ * decide it (see rejects); the decision is the same either way.  Build with
+ * -ffp-contract=off so that no multiply-add is fused.  The inputs are
+ * copied into C buffers and the interpreter lock is released around the
+ * sweep and move loops.
  *
  * The couplings arrive as a dense row-major n*n matrix jd, symmetric with a
  * zero diagonal, and are copied as given: row i equals column i, so the field
@@ -158,6 +160,32 @@ static PyObject *chain_result(Chain *c, double best, PyObject *extra)
     return out;
 }
 
+/* The Metropolis test for an uphill move, u >= exp(-de / t), which the
+ * oracle evaluates as written, decided here without exp where a bound can.
+ * With x = de / t (the exact test computes (-de) / t, which is exactly -x):
+ *   - the cubic Taylor sum p(x) = 1 + x + x^2/2 + x^3/6 is <= e^x for every
+ *     real x (the remainder e^z x^4/24 is >= 0), so u * p(x) >= 1 + 1e-9
+ *     means u > e^-x: reject.  For x < 0, p(x) <= 1, so this never fires;
+ *   - 1 - x <= e^-x for every real x, so u < 1 - x - 1e-9 means u < e^-x:
+ *     accept.
+ * Rounding matters only where a comparison is close, and there both sides
+ * are at most about 1: each bound is then off by a few 1e-16 and libm's
+ * exp by under one ulp, so the 1e-9 margins keep every decision the one
+ * the exact test makes.  When x = inf (t underflowed), u * p(x) is inf
+ * for u > 0, a reject as exp(-inf) = 0 gives, and NaN for u = 0, while
+ * 1 - x = -inf: at u = 0 neither bound fires and the exact test decides.
+ * A NaN x fails both comparisons, so the exact test decides it too.
+ */
+static int rejects(double de, double t, double u)
+{
+    double x = de / t;
+    if (u * (1.0 + x * (1.0 + x * (0.5 + x * (1.0 / 6.0)))) >= 1.0 + 1e-9)
+        return 1;
+    if (u < 1.0 - x - 1e-9)
+        return 0;
+    return u >= exp(-de / t);
+}
+
 static PyObject *anneal(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "jd", "h", "sweeps", "t0", "t1", "seed",
@@ -185,7 +213,7 @@ static PyObject *anneal(PyObject *self, PyObject *args, PyObject *kwargs)
     for (int sweep = 0; sweep < sweeps; sweep++) {
         for (int i = 0; i < n; i++) {
             double de = -2.0 * c.spins[i] * c.fields[i];
-            if (de > 0.0 && unif(step(&c.state)) >= exp(-de / t))
+            if (de > 0.0 && rejects(de, t, unif(step(&c.state))))
                 continue;
             chain_flip(&c, i);
             cur += de;
@@ -278,7 +306,7 @@ static PyMethodDef methods[] = {
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_kernels",
-    "Compiled solver kernels, bit-identical to _kernels_py; jd must be symmetric.",
+    "Compiled solver kernels, results bit-identical to _kernels_py; jd must be symmetric.",
     -1, methods,
 };
 

@@ -2,10 +2,13 @@
 
 The oracle for the compiled kernels in ``_kernels.c``, which ``kernels``
 builds on first import, and what runs when they cannot be built.  The two
-must stay operation-for-operation identical — same seeding (splitmix64) and
-RNG (xorshift64*), same float operation order, same tie-breaks, libm
+must give identical results — same seeding (splitmix64) and RNG
+(xorshift64*), same float operation order, same tie-breaks, libm
 ``exp``/``pow`` — so that results never depend on which implementation the
-import selected; the tests compare them bit for bit.
+import selected; the tests compare them bit for bit.  The Metropolis test
+here is the plain definition ``u >= exp(-de / t)``; the C kernel skips
+``exp`` where one of two bounds already decides it, and the bit-for-bit
+tests check that it decides alike.
 
 The couplings arrive as a dense row-major n*n list ``jd``, symmetric with a
 zero diagonal, and are read as given: a flip of spin i reads row i where it

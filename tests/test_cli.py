@@ -416,6 +416,20 @@ def test_sweep_takes_no_instance_or_setting_flag(tmp_path, capsys, flags, says):
     assert not runs.exists()
 
 
+@pytest.mark.parametrize("argv, says", [
+    (["generate", "--bits", "x"], "argument --bits: invalid int value: 'x'"),
+    (["generate", "--backbone", "10", "40", "50.3"],
+     "argument --backbone: invalid int value: '50.3'"),
+    (["solve", "--instance", "semiprime:4", "--frobnicate"],
+     "unrecognized arguments: --frobnicate"),
+])
+def test_rejected_flag_is_one_error_line(capsys, argv, says):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"isingsat: error: {says}\n"
+
+
 def test_solve_help_shows_the_sweep_config_defaults(capsys):
     with pytest.raises(SystemExit):
         main(["solve", "--help"])

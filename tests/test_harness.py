@@ -381,6 +381,18 @@ def test_formula_memos_keep_at_most_their_bound():
     assert len(decompose._INDEX_MEMO) == MEMO_ENTRIES
 
 
+def test_equal_formulas_built_apart_share_one_memo_entry():
+    a, b = (random_3sat(12, 30, random.Random(5)) for _ in range(2))
+    assert a is not b and a == b
+    assert "_hash" not in vars(a)  # a formula never hashed pays nothing
+    assert hash(a) == hash(b) == hash((a.num_vars, a.clauses))
+    assert vars(a)["_hash"] == hash(a)  # kept after the first call
+    preprocess.run_ladder(a, 6, seed=0)  # a cold call returns its own timed result
+    assert preprocess.run_ladder(b, 6, seed=0) is preprocess.run_ladder(a, 6, seed=0)
+    assert decompose.formula_index(a) is decompose.formula_index(b)
+    assert len(preprocess._LADDER_MEMO) == len(decompose._INDEX_MEMO) == 1
+
+
 def test_formula_memos_hold_a_sweep_over_every_level_and_guess(monkeypatch):
     # levels 0-6 and both outcomes of the guess: 9 ladder keys, up to 9 residuals
     cnf = expand_instances("semiprime:10:551")[0][1]

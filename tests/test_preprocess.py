@@ -211,6 +211,17 @@ def test_condition_2sat_chain_with_negation():
     assert substituted(st.condition) == {2: (1, -1), 3: (1, 1)}
 
 
+def test_condition_2sat_cascades_a_long_chain_without_recursion():
+    # k -> k+1 and 1 -> k+1 each hold one pattern of a pair until the last
+    # two clauses make 1 == 2; from there each union completes the next
+    # pair, so the cascade is 400 unions deep
+    n = 401
+    clauses = [c for k in range(2, n) for c in ((k, -(k + 1)), (-1, k + 1))]
+    res = run_ladder(make_cnf(n, clauses + [(1, -2), (-1, 2)]), 3, seed=1)
+    assert substituted(res.condition) == {v: (1, 1) for v in range(2, n + 1)}
+    assert res.cnf.clauses == ()
+
+
 def test_condition_2sat_contradiction_is_unsat():
     # a == b and a == ~b together: the second relation degenerates to
     # contradictory queued units, and the ladder's follow-up propagation

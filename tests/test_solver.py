@@ -275,6 +275,42 @@ def test_compiled_matches_pure_bitwise():
     assert c_impl.mix_seed(-5, 1) == py_mix_seed(-5, 1)
 
 
+@pytest.mark.skipif(not kernels.COMPILED_KERNELS, reason="compiled kernels unavailable")
+def test_compiled_metropolis_shortcut_matches_pure():
+    # the C kernel settles most uphill tests by bounds on exp(-x); the oracle
+    # always calls exp, so every decision must agree on every kind of model
+    from isingsat.solver import _kernels as c_impl
+
+    rng = random.Random(23)
+    chip = [_random_model(45, rng) for _ in range(2)]
+    quarter = [qubo_to_ising(cnf_to_qubo(random_3sat(n, 4 * n, rng))) for n in (14, 20)]
+    floats = []
+    for n in (9, 30):
+        j = [0.0] * (n * n)
+        for i in range(n):
+            for k in range(i + 1, n):
+                j[i * n + k] = j[k * n + i] = rng.uniform(-3.0, 3.0)
+        floats.append(IsingModel(n, j, [rng.uniform(-2.0, 2.0) for _ in range(n)], 0.0))
+    # spins 0 and 3 sit in no term, so every de of theirs is exactly 0
+    flat = IsingModel(4, [0.0] * 16, [0.0, 0.5, -0.5, 0.0], 0.0)
+    flat.j[1 * 4 + 2] = flat.j[2 * 4 + 1] = 1.0
+    production = (SWEEPS, INITIAL_TEMP, FINAL_TEMP)
+    cases = [(m, production) for m in chip + quarter]
+    cases += [(m, (200, 6.0, 0.02)) for m in floats]
+    for m in (chip[0], quarter[0], floats[0], flat):
+        cases += [(m, (1, INITIAL_TEMP, FINAL_TEMP)),  # one sweep, at t0
+                  (m, (40, 5.0, 1e-300)),  # x^3 overflows, so p(x) is inf
+                  (m, (30, 5e-324, 5e-324)),  # de / t is inf from the start
+                  (m, (30, 1e6, 1e6))]  # x near 0: the accept bound decides
+    cases.append((flat, production))
+    for k, (m, (sweeps, t0, t1)) in enumerate(cases):
+        args = (m.num_spins, m.j, m.h, sweeps, t0, t1, py_mix_seed(k, 1), True)
+        pa, ca = py_anneal(*args), c_impl.anneal(*args)
+        assert list(pa[0]) == list(ca[0]), k
+        assert pa[1] == ca[1], k
+        assert list(pa[2]) == list(ca[2]), k
+
+
 # ---------------------------------------------------------------------------
 # the kernel build, the only path on a host without a cached shared object
 

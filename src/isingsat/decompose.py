@@ -30,7 +30,8 @@ An iteration then touches only the slice:
 
 * picking a start variable reads the kept pool;
 * freezing visits only the clauses of the selected variables; every other
-  unsatisfied clause freezes empty and is counted, not walked;
+  unsatisfied clause freezes empty and is counted, not walked, and no
+  formula is built for the slice;
 * a merge moves the counts of only the clauses of the variables it flips,
   and commits them only when it is accepted; the pool moves only for the
   clauses whose satisfied status flips.
@@ -117,9 +118,6 @@ class FilterState:
     consecutive: dict[int, int] = field(default_factory=dict)
     cooldown: dict[int, int] = field(default_factory=dict)
 
-    def is_cooling(self, var: int) -> bool:
-        return self.cooldown.get(var, 0) > 0
-
     def note_selection(self, selected: set[int]) -> None:
         """Advance one iteration: tick cooldowns, bump/reset streak counters."""
         for v in list(self.cooldown):
@@ -203,7 +201,7 @@ def formula_index(cnf: Cnf) -> tuple[Vig, Mapping[int, tuple[int, ...]]]:
 
 @dataclass(frozen=True)
 class Subproblem:
-    """One frozen slice: the QUBO of its kept clauses and its spin count."""
+    """One frozen slice: the QUBO of its kept clause list and its spin count."""
 
     qubo: QuboModel
     spin_cost: int
@@ -211,20 +209,16 @@ class Subproblem:
 
 def _walk_select(vig: Vig, budget: int, start: int,
                  filt: FilterState, depth_first: bool) -> set[int]:
+    # ``seen`` holds the queued and the selected vars, so each is pushed once;
+    # no cooldown ticks during a walk, so the cooling vars are read once
+    cooling = {v for v, left in filt.cooldown.items() if left > 0}
     selected: set[int] = set()
+    seen = {start}
     ancillas = 0  # one per 3-literal clause whose variables are all selected
     active: deque[int] = deque()
     parked: deque[int] = deque()  # cooling vars wait here until nothing else is left
-    queued: set[int] = set()
-
-    def push(v: int) -> None:
-        if v in queued or v in selected:
-            return
-        queued.add(v)
-        (parked if filt.is_cooling(v) else active).append(v)
-
+    (parked if start in cooling else active).append(start)
     pushes = vig.dfs_order if depth_first else vig.adjacency
-    push(start)
     pending = vig.nodes
     pend_pos = 0
     while True:
@@ -235,14 +229,14 @@ def _walk_select(vig: Vig, budget: int, start: int,
         else:
             # component exhausted with budget to spare: restart at the lowest
             # untouched variable so a big enough budget selects everything
-            while pend_pos < len(pending) and (
-                    pending[pend_pos] in queued or pending[pend_pos] in selected):
+            while pend_pos < len(pending) and pending[pend_pos] in seen:
                 pend_pos += 1
             if pend_pos == len(pending):
                 break
-            push(pending[pend_pos])
+            v = pending[pend_pos]
+            seen.add(v)
+            (parked if v in cooling else active).append(v)
             continue
-        queued.discard(v)
         selected.add(v)
         extra = sum(1 for a, b in vig.triangles.get(v, ())
                     if a in selected and b in selected)
@@ -251,7 +245,9 @@ def _walk_select(vig: Vig, budget: int, start: int,
             break
         ancillas += extra
         for u in pushes[v]:
-            push(u)
+            if u not in seen:
+                seen.add(u)
+                (parked if u in cooling else active).append(u)
     return selected
 
 
@@ -279,7 +275,8 @@ def freeze_and_extract(cnf: Cnf, selected: set[int],
     Only the clauses touching the selection are visited: every other
     clause has only frozen literals, so a satisfied one is dropped and an
     unsatisfied one freezes empty.  Those are counted, not walked, and
-    passed on after the kept clauses.
+    passed on as ``()`` after the kept clauses, in a plain list: no formula
+    is built or validated per slice.  The spin cost adds the QUBO's ancillas.
     """
     if not selected:
         raise ValueError("selection is empty")
@@ -299,8 +296,8 @@ def freeze_and_extract(cnf: Cnf, selected: set[int],
         else:
             kept.append(tuple(lits))
     emptied = len(state.unsat) - len(state.unsat & visit)
-    qubo = cnf_to_qubo(Cnf(num_vars=cnf.num_vars, clauses=(*kept, *[()] * emptied)))
-    return Subproblem(qubo, len(selected) + sum(1 for c in kept if len(c) == 3))
+    qubo = cnf_to_qubo(kept + [()] * emptied)
+    return Subproblem(qubo, len(selected) + qubo.num_vars - len(qubo.source_var_map))
 
 
 def update_global(state: GlobalState, sub_solution: Assignment,

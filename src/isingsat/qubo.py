@@ -7,7 +7,8 @@ variables and m3 three-literal clauses costs n + m3 QUBO variables; 1- and
 2-literal clauses need no ancilla.  Negated literals are handled by the
 substitution v -> 1 - v, never by extra variables.  The substituted
 coefficients are a constant table keyed by clause width and sign pattern
-(14 entries); building a QUBO only looks them up.
+(14 entries); building a QUBO only looks them up.  Both models keep their
+pair terms in maps keyed ``(i, k)``, ``i < k``, so no step costs n².
 
 The width-3 gadget coefficients were frozen from an exhaustive 16-row
 enumeration (min over the ancilla: 0 on the seven satisfying rows, exactly 1
@@ -23,9 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
-from .cnf import Cnf
+from .cnf import Clause
 
 Pair = tuple[int, int]
 
@@ -57,19 +59,18 @@ class QuboModel:
 class IsingModel:
     """Pairwise spin model: H(s) = sum_{i<k} J_ik s_i s_k + sum_i h_i s_i + offset.
 
-    Its layout is the kernels' own: ``j`` is the symmetric row-major n*n
-    coupling matrix with a zero diagonal, and ``h`` the n fields.
+    ``j`` maps each coupled pair ``(i, k)``, ``i < k``, to J_ik, as
+    :attr:`QuboModel.quadratic` does, and ``h`` holds the n fields.
     """
 
     num_spins: int
-    j: list[float]
+    j: dict[Pair, float]
     h: list[float]
     offset: float
 
     def energy(self, s: Sequence[int]) -> float:
-        n = self.num_spins
-        return self.offset + sum(self.h[i] * s[i] + sum(
-            self.j[i * n + k] * s[i] * s[k] for k in range(i + 1, n)) for i in range(n))
+        return self.offset + sum(a * x for a, x in zip(self.h, s)) + sum(
+            b * s[i] * s[k] for (i, k), b in self.j.items())
 
 
 # Capacity and integer coefficient range of the emulated annealer board,
@@ -119,18 +120,18 @@ _TERMS = {signs: (constant,
           for signs, (constant, lin, quad) in _GADGETS.items()}
 
 
-def cnf_to_qubo(cnf: Cnf) -> QuboModel:
-    """Sum of clause gadgets over the occurring variables.
+def cnf_to_qubo(clauses: Sequence[Clause]) -> QuboModel:
+    """Sum of clause gadgets over the variables the clauses hold.
 
     QUBO indices are contiguous: occurring CNF variables first (sorted),
     then one ancilla per width-3 clause in clause order.  Minimum energy is
-    0 iff the formula is satisfiable; every unsatisfiable clause at the
+    0 iff the clauses can all hold; every unsatisfiable clause at the
     optimum adds 1, and empty clauses add their +1 directly to the offset.
     """
-    width = cnf.max_clause_width()
+    width = max(map(len, clauses), default=0)
     if width > 3:
         raise ValueError(f"clause width {width} exceeds 3; reduce the formula first")
-    occurring = cnf.occurring_vars()
+    occurring = sorted(set(map(abs, chain.from_iterable(clauses))))
     slot_of: dict[int, int] = {}  # either literal of a variable -> its index
     for i, v in enumerate(occurring):
         slot_of[v] = slot_of[-v] = i
@@ -138,7 +139,7 @@ def cnf_to_qubo(cnf: Cnf) -> QuboModel:
     quadratic: dict[Pair, float] = {}
     offset = 0.0
     next_ancilla = len(occurring)
-    for clause in cnf.clauses:
+    for clause in clauses:
         if not clause:
             offset += 1.0
             continue
@@ -165,19 +166,18 @@ def cnf_to_qubo(cnf: Cnf) -> QuboModel:
 
 def qubo_to_ising(q: QuboModel) -> IsingModel:
     """Exact change of variables x_i = (1 + s_i)/2; energies match assignment-wise."""
-    n = q.num_vars
-    j = [0.0] * (n * n)
-    h = [0.0] * n
+    j: dict[Pair, float] = {}
+    h = [0.0] * q.num_vars
     offset = q.offset
     for i, a in q.linear.items():
         h[i] += a / 2.0
         offset += a / 2.0
     for (i, k), b in q.quadratic.items():
-        j[i * n + k] = j[k * n + i] = b / 4.0
-        h[i] += b / 4.0
-        h[k] += b / 4.0
-        offset += b / 4.0
-    return IsingModel(n, j, h, offset)
+        j[i, k] = quarter = b / 4.0
+        h[i] += quarter
+        h[k] += quarter
+        offset += quarter
+    return IsingModel(q.num_vars, j, h, offset)
 
 
 def chip_misfit(v: float) -> str | None:
@@ -201,14 +201,14 @@ def scale_to_chip(m: IsingModel) -> tuple[IsingModel, DistortionReport]:
     passes through untouched.  Otherwise every coefficient (and the offset)
     is scaled so the largest magnitude lands on ``COEFF_MAX``, then J/h are
     rounded to integers (ties away from zero) and clamped; the scaled model
-    keeps the dense layout, zeros included.  Positive scaling preserves the
-    energy ordering exactly; only the rounding step can distort, which the
-    report quantifies.  Each rule runs once per distinct coefficient value.
+    keeps the same pairs.  Positive scaling preserves the energy ordering
+    exactly; only the rounding step can distort, which the report
+    quantifies.  Each rule runs once per distinct coefficient value.
     """
     if m.num_spins > SPIN_BUDGET:
         raise ValueError(
             f"{m.num_spins} spins exceed the chip budget {SPIN_BUDGET}")
-    values = {*m.j, *m.h}
+    values = {*m.j.values(), *m.h}
     if not any(map(chip_misfit, values)):
         return m, DistortionReport(max_rel_error=0.0)
     maxabs = max(map(abs, values))
@@ -217,6 +217,6 @@ def scale_to_chip(m: IsingModel) -> tuple[IsingModel, DistortionReport]:
            for v in values}
     max_rel = max((abs(fit[v] - v * scale) / abs(v * scale)
                    for v in values if v * scale != 0.0), default=0.0)
-    scaled = IsingModel(m.num_spins, list(map(fit.__getitem__, m.j)),
+    scaled = IsingModel(m.num_spins, {pair: fit[v] for pair, v in m.j.items()},
                         list(map(fit.__getitem__, m.h)), m.offset * scale)
     return scaled, DistortionReport(max_rel_error=max_rel)

@@ -1,7 +1,7 @@
 """Ising ground-state search: :func:`solve` on one of two backends.
 
-Both backends take the same :class:`~isingsat.qubo.IsingModel`, whose dense
-coupling matrix and fields go to the kernels as they are:
+Both backends take the same :class:`~isingsat.qubo.IsingModel`; a call lays
+its pairs out once as the kernels' dense, symmetric row-major n*n matrix:
 
 * ``"emulator"`` — a simulated annealer standing in for the 45-spin
   all-to-all chip.  It refuses models that would not fit the device: more
@@ -63,10 +63,9 @@ def _check_chip(model: IsingModel) -> None:
     if n > SPIN_BUDGET:
         raise ValueError(
             f"model needs {n} spins but the chip has {SPIN_BUDGET}")
-    if not any(map(chip_misfit, {*model.j, *model.h})):
+    if not any(map(chip_misfit, {*model.j.values(), *model.h})):
         return  # one check per distinct value; a misfit is then named
-    couplings = ((f"coupling {(i, k)}", model.j[i * n + k])
-                 for i in range(n) for k in range(i + 1, n))
+    couplings = ((f"coupling {pair}", v) for pair, v in sorted(model.j.items()))
     fields = ((f"field {i}", v) for i, v in enumerate(model.h))
     for name, v in chain(couplings, fields):
         if why := chip_misfit(v):
@@ -95,12 +94,15 @@ def solve(model: IsingModel, *, backend: str, seed: int, num_samples: int,
     n = model.num_spins
     if n == 0:
         return SolveResult((), ())
+    jd = [0.0] * (n * n)
+    for (i, k), v in model.j.items():
+        jd[i * n + k] = jd[k * n + i] = v
     if emulator:
-        reads = [anneal(n, model.j, model.h, SWEEPS, INITIAL_TEMP, FINAL_TEMP,
+        reads = [anneal(n, jd, model.h, SWEEPS, INITIAL_TEMP, FINAL_TEMP,
                         mix_seed(seed, k), collect_trace)
                  for k in range(num_samples)]
     else:
-        reads = [tabu(n, model.j, model.h, DEFAULT_TABU_MOVES, TABU_TENURE,
+        reads = [tabu(n, jd, model.h, DEFAULT_TABU_MOVES, TABU_TENURE,
                       mix_seed(seed, k))
                  for k in range(num_samples)]
     # a read is (spins, kernel energy, anneal trace rows or tabu move count)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,11 +118,74 @@ def test_filter_parks_cooling_vars():
     filt = FilterState()
     for _ in range(FILTER_WINDOW - 1):
         filt.note_selection({1, 2})
-    assert not filt.is_cooling(1)
+    assert 1 not in filt.cooldown
     filt.note_selection({1, 2})  # streak reaches the window: cooldown starts
-    assert filt.is_cooling(1) and filt.is_cooling(2)
+    assert 1 in filt.cooldown and 2 in filt.cooldown
     sel = select_bfs(vig, budget=2, start=3, filt=filt)
     assert sel == {3, 4}  # cooling vars parked behind fresh ones
+
+
+def _reference_walk(vig, budget, start, cooldown, depth_first):
+    """The walk with a push closure that tests ``queued`` and ``selected``
+    apart and looks the cooldown up on every push."""
+    selected, queued = set(), set()
+    ancillas = 0
+    active, parked = deque(), deque()
+
+    def push(v):
+        if v in queued or v in selected:
+            return
+        queued.add(v)
+        (parked if cooldown.get(v, 0) > 0 else active).append(v)
+
+    push(start)
+    while True:
+        if active or parked:
+            lane = active or parked
+            v = lane.pop() if depth_first else lane.popleft()
+        else:
+            rest = [u for u in vig.nodes if u not in queued and u not in selected]
+            if not rest:
+                break
+            push(rest[0])
+            continue
+        queued.discard(v)
+        selected.add(v)
+        extra = sum(1 for a, b in vig.triangles.get(v, ())
+                    if a in selected and b in selected)
+        if len(selected) + ancillas + extra > budget:
+            selected.discard(v)
+            break
+        ancillas += extra
+        for u in (vig.dfs_order if depth_first else vig.adjacency)[v]:
+            push(u)
+    return selected
+
+
+@st.composite
+def _walk_cases(draw):
+    """A small formula whose 3-clauses may repeat a variable, a start and a
+    cooldown map with entries at or below 0."""
+    n = draw(st.integers(2, 14))
+    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(st.lists(lit, min_size=1, max_size=3).map(tuple),
+                            min_size=n // 2, max_size=2 * n))
+    vig = build_vig(make_cnf(n, clauses))
+    start = draw(st.sampled_from(vig.nodes))
+    cooldown = draw(st.dictionaries(st.integers(1, n), st.integers(-1, 2)))
+    return vig, start, cooldown
+
+
+@given(_walk_cases())
+@settings(max_examples=50, deadline=None)
+def test_walks_match_the_reference_walk(case):
+    vig, start, cooldown = case
+    for budget in range(13):
+        for select, depth_first in ((select_bfs, False), (select_dfs, True)):
+            filt = FilterState(cooldown=dict(cooldown))
+            assert select(vig, budget, start, filt) == _reference_walk(
+                vig, budget, start, cooldown, depth_first), (budget, depth_first)
+            assert filt.cooldown == cooldown  # a walk reads the filter only
 
 
 def test_filter_cooldown_expires():
@@ -130,9 +194,9 @@ def test_filter_cooldown_expires():
         filt.note_selection({1})
     for _ in range(FILTER_WINDOW - 1):
         filt.note_selection(set())
-        assert filt.is_cooling(1)
+        assert 1 in filt.cooldown
     filt.note_selection(set())
-    assert not filt.is_cooling(1)
+    assert 1 not in filt.cooldown
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +207,7 @@ def test_freeze_worked_example():
     # (a v b)(a v ~b)(~a v b)(a v ~b v c) with a frozen false
     cnf = make_cnf(3, [(1, 2), (1, -2), (-1, 2), (1, -2, 3)])
     sub = freeze_and_extract(cnf, {2, 3}, _gs(cnf, {1: False}))
-    assert sub.qubo == cnf_to_qubo(make_cnf(3, [(2,), (-2,), (-2, 3)]))
+    assert sub.qubo == cnf_to_qubo([(2,), (-2,), (-2, 3)])
     assert sub.spin_cost == 2
 
 
@@ -159,7 +223,7 @@ def test_freeze_conflicting_units_maxsat():
 def test_freeze_emptied_clause_is_offset():
     cnf = make_cnf(2, [(1,), (2,)])
     sub = freeze_and_extract(cnf, {2}, _gs(cnf, {1: False}))
-    assert sub.qubo == cnf_to_qubo(make_cnf(2, [(), (2,)]))
+    assert sub.qubo == cnf_to_qubo([(), (2,)])
     assert sub.qubo.offset >= 1.0
 
 
@@ -167,7 +231,7 @@ def test_freeze_counts_ancillas_in_spin_cost():
     cnf = make_cnf(4, [(1, 2, 3), (1, 2, 4)])
     sub = freeze_and_extract(cnf, {1, 2, 3}, _gs(cnf, {4: True}))
     # clause (1,2,4) satisfied by the frozen true 4; one 3-wide clause kept
-    assert sub.qubo == cnf_to_qubo(make_cnf(4, [(1, 2, 3)]))
+    assert sub.qubo == cnf_to_qubo([(1, 2, 3)])
     assert sub.spin_cost == 4
 
 
@@ -180,7 +244,7 @@ def test_freeze_rejects_empty_selection():
 def test_freeze_default_false_for_unassigned():
     cnf = make_cnf(2, [(2, 1)])
     sub = freeze_and_extract(cnf, {2}, _gs(cnf, {}))
-    assert sub.qubo == cnf_to_qubo(make_cnf(2, [(2,)]))
+    assert sub.qubo == cnf_to_qubo([(2,)])
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +307,7 @@ def _naive_freeze(cnf, selected, assignment):
                    for lit in clause):
             kept.append(tuple(lit for lit in clause if abs(lit) in selected))
     spin_cost = len(selected) + sum(1 for c in kept if len(c) == 3)
-    return cnf_to_qubo(make_cnf(cnf.num_vars, kept)), spin_cost
+    return cnf_to_qubo(kept), spin_cost
 
 
 @st.composite

@@ -3,11 +3,15 @@ from __future__ import annotations
 
 import itertools
 import random
+import struct
 
 import pytest
 
+from isingsat import solver
 from isingsat.cnf import clause_satisfied, make_cnf
 from isingsat.qubo import (
+    COEFF_MAX,
+    COEFF_MIN,
     IsingModel,
     QuboModel,
     cnf_to_qubo,
@@ -20,7 +24,7 @@ from conftest import mixed_random_cnf
 
 def _gadget_min(clause, x_vars):
     """Penalty of the one-clause formula, minimized over its ancilla if any."""
-    q = cnf_to_qubo(make_cnf(max(abs(lit) for lit in clause), [clause]))
+    q = cnf_to_qubo([clause])
     x = [x_vars[q.source_var_map[i]] for i in range(len(q.source_var_map))]
     ancillas = q.num_vars - len(q.source_var_map)
     return min(q.energy(x + list(w))
@@ -47,17 +51,17 @@ def test_gadget_penalty_indicator(width):
 
 
 def test_gadget_width3_integer_coefficients():
-    q = cnf_to_qubo(make_cnf(3, [(1, 2, 3)]))  # ancilla at index 3
+    q = cnf_to_qubo([(1, 2, 3)])  # ancilla at index 3
     assert q.linear == {0: 1.0, 1: 1.0, 2: -1.0}
     assert q.quadratic == {(0, 1): 1.0, (0, 3): -2.0, (1, 3): -2.0, (2, 3): 1.0}
     assert q.offset == 1.0
 
 
 def test_gadget_rejects_bad_widths():
-    q = cnf_to_qubo(make_cnf(1, [()]))  # no gadget, only its constant penalty
+    q = cnf_to_qubo([()])  # no gadget, only its constant penalty
     assert (q.num_vars, q.linear, q.quadratic, q.offset) == (0, {}, {}, 1.0)
     with pytest.raises(ValueError):
-        cnf_to_qubo(make_cnf(4, [(1, 2, 3, 4)]))
+        cnf_to_qubo([(1, 2, 3, 4)])
 
 
 def _qubo_min(q: QuboModel):
@@ -75,7 +79,7 @@ def test_qubo_minimum_counts_unsatisfied_clauses():
     cnfs += [make_cnf(cnf.num_vars, cnf.clauses + (extra,))
              for cnf, extra in zip(cnfs, _REPEATED_VAR_CLAUSES)]
     for cnf in cnfs:
-        q = cnf_to_qubo(cnf)
+        q = cnf_to_qubo(cnf.clauses)
         assert all(0 <= i < j < q.num_vars for i, j in q.quadratic)
         # brute-force MaxSAT optimum over the occurring variables
         occ = cnf.occurring_vars()
@@ -88,7 +92,7 @@ def test_qubo_minimum_counts_unsatisfied_clauses():
 
 def test_qubo_index_layout():
     cnf = make_cnf(9, [(2, -5, 7), (5, 9)])
-    q = cnf_to_qubo(cnf)
+    q = cnf_to_qubo(cnf.clauses)
     # occurring vars sorted first, then one ancilla per width-3 clause
     assert q.source_var_map == {0: 2, 1: 5, 2: 7, 3: 9}
     assert q.num_vars == 5
@@ -96,51 +100,47 @@ def test_qubo_index_layout():
 
 def test_qubo_empty_clause_is_constant_penalty():
     cnf = make_cnf(2, [(1, 2), ()])
-    q = cnf_to_qubo(cnf)
+    q = cnf_to_qubo(cnf.clauses)
     assert _qubo_min(q) == pytest.approx(1.0)
 
 
 def test_qubo_rejects_wide_clauses():
     with pytest.raises(ValueError):
-        cnf_to_qubo(make_cnf(4, [(1, 2, 3, 4)]))
+        cnf_to_qubo([(1, 2, 3, 4)])
 
 
 def test_ising_matches_qubo_assignmentwise():
     rng = random.Random(5)
     for _ in range(20):
         cnf = mixed_random_cnf(rng.randint(2, 5), rng.randint(1, 6), rng)
-        q = cnf_to_qubo(cnf)
+        q = cnf_to_qubo(cnf.clauses)
         m = qubo_to_ising(q)
         n = m.num_spins
         assert n == q.num_vars and len(m.h) == n
-        assert all(m.j[i * n + k] == m.j[k * n + i] for i in range(n) for k in range(n))
-        assert all(m.j[i * n + i] == 0.0 for i in range(n))
+        assert m.j.keys() == q.quadratic.keys()  # pairs (i, k), i < k
         for bits in itertools.product((0, 1), repeat=q.num_vars):
             spins = tuple(2 * b - 1 for b in bits)
             assert m.energy(spins) == pytest.approx(q.energy(bits))
 
 
 def test_scale_passthrough_for_integral_models():
-    m = IsingModel(2, [0.0, 3.0, 3.0, 0.0], [-2.0, 0.0], 1.5)
+    m = IsingModel(2, {(0, 1): 3.0}, [-2.0, 0.0], 1.5)
     scaled, rep = scale_to_chip(m)
     assert scaled is m
     assert rep.max_rel_error == 0.0
 
 
 def test_scale_maps_largest_to_coeff_max():
-    m = IsingModel(2, [0.0, 28.0, 28.0, 0.0], [7.0, -3.5], 0.0)
+    m = IsingModel(2, {(0, 1): 28.0}, [7.0, -3.5], 0.0)
     scaled, rep = scale_to_chip(m)
-    assert scaled.j == [0.0, 14.0, 14.0, 0.0]
+    assert scaled.j == {(0, 1): 14.0}
     assert scaled.h == [4.0, -2.0]
     assert rep.max_rel_error == pytest.approx(abs(4.0 - 3.5) / 3.5)
 
 
 def test_scale_preserves_ordering_when_exact():
     # coefficients already proportional to integers: ordering survives exactly
-    j = [0.0, 0.5, 0.0,
-         0.5, 0.0, -0.25,
-         0.0, -0.25, 0.0]
-    m = IsingModel(3, j, [0.25, 0.0, 0.0], 0.0)
+    m = IsingModel(3, {(0, 1): 0.5, (1, 2): -0.25}, [0.25, 0.0, 0.0], 0.0)
     scaled, rep = scale_to_chip(m)
     assert rep.max_rel_error == 0.0
     spins_sets = list(itertools.product((-1, 1), repeat=3))
@@ -150,6 +150,70 @@ def test_scale_preserves_ordering_when_exact():
 
 
 def test_scale_budget_guard():
-    m = IsingModel(46, [0.0] * 46 * 46, [0.0] * 46, 0.0)
+    m = IsingModel(46, {}, [0.0] * 46, 0.0)
     with pytest.raises(ValueError):
         scale_to_chip(m)
+
+
+def _slice_clauses(rng: random.Random) -> list[tuple[int, ...]]:
+    """A slice's clause list: widths 0-3 over few variables, so clauses
+    repeat a variable or hold both of its literals, and some are empty."""
+    n = rng.randint(1, 6)
+    return [tuple(rng.choice((v, -v)) for v in rng.choices(range(1, n + 1), k=w))
+            for w in rng.choices((0, 1, 2, 3, 3), k=rng.randint(1, 12))]
+
+
+def _kernel_inputs(monkeypatch, m: IsingModel, backend: str):
+    """The (n, jd, h) that ``solve`` hands the kernel of ``backend``."""
+    calls = []
+
+    def kernel(n, jd, h, *rest):
+        calls.append((n, jd, h))
+        return [1] * n, 0.0, []
+
+    monkeypatch.setattr(solver, "anneal" if backend == "emulator" else "tabu", kernel)
+    solver.solve(m, backend=backend, seed=1, num_samples=2, collect_trace=False)
+    assert len(calls) == 2 and calls[0] == calls[1]
+    return calls[0]
+
+
+def _bits(values) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)  # tells 0.0 from -0.0
+
+
+def _round_clamp(x: float) -> float:
+    r = int(abs(x) + 0.5)  # ties away from zero
+    return float(max(COEFF_MIN, min(COEFF_MAX, r if x >= 0 else -r)))
+
+
+def test_slice_models_reach_the_kernels_as_the_dense_build(monkeypatch):
+    """The kernels get, bit for bit, the row-major matrix a naive n*n build
+    from the QUBO gives (b/4 in both triangles, zero diagonal), and chip
+    scaling of the pair model matches a per-entry pass over that matrix."""
+    rng = random.Random(21)
+    scaled_models = 0
+    for _ in range(60):
+        q = cnf_to_qubo(_slice_clauses(rng))
+        n = q.num_vars
+        naive = [0.0] * (n * n)
+        for (i, k), b in q.quadratic.items():
+            naive[i * n + k] = naive[k * n + i] = b / 4.0
+        m = qubo_to_ising(q)
+        if n:
+            spins, jd, h = _kernel_inputs(monkeypatch, m, "tabu")
+            assert (spins, _bits(jd), h) == (n, _bits(naive), m.h)
+        scaled, report = scale_to_chip(m)
+        values = {*naive, *m.h}
+        if all(float(v).is_integer() and COEFF_MIN <= v <= COEFF_MAX for v in values):
+            assert scaled is m and report.max_rel_error == 0.0
+            continue
+        scaled_models += 1
+        scale = COEFF_MAX / max(map(abs, values))
+        ref_j, ref_h = ([_round_clamp(v * scale) for v in vs] for vs in (naive, m.h))
+        ref_rel = max((abs(_round_clamp(v * scale) - v * scale) / abs(v * scale)
+                       for v in values if v * scale != 0.0), default=0.0)
+        assert report.max_rel_error == ref_rel
+        assert scaled.j.keys() == m.j.keys() and scaled.offset == m.offset * scale
+        spins, jd, h = _kernel_inputs(monkeypatch, scaled, "emulator")
+        assert (spins, _bits(jd), _bits(h)) == (n, _bits(ref_j), _bits(ref_h))
+    assert scaled_models >= 30

@@ -34,12 +34,12 @@ from conftest import random_3sat
 def _random_model(n: int, rng: random.Random) -> IsingModel:
     """Integer couplings and fields over the chip's programmable range."""
     lo, hi = COEFF_MIN, COEFF_MAX
-    j = [0.0] * (n * n)
+    j = {}
     h = [0.0] * n
     for i in range(n):
         for k in range(i + 1, n):
             if rng.random() < 0.6:
-                j[i * n + k] = j[k * n + i] = float(rng.randint(lo, hi))
+                j[i, k] = float(rng.randint(lo, hi))
         if rng.random() < 0.7:
             h[i] = float(rng.randint(lo, hi))
     return IsingModel(n, j, h, 0.0)
@@ -47,7 +47,17 @@ def _random_model(n: int, rng: random.Random) -> IsingModel:
 
 def _pair(coupling: float) -> IsingModel:
     """Two spins and one coupling between them."""
-    return IsingModel(2, [0.0, coupling, coupling, 0.0], [0.0, 0.0], 0.0)
+    return IsingModel(2, {(0, 1): coupling}, [0.0, 0.0], 0.0)
+
+
+def _dense(m: IsingModel) -> list[float]:
+    """The couplings as the kernels take them: a row-major n*n matrix with
+    J_ik at (i, k) and (k, i) and zeros elsewhere."""
+    n = m.num_spins
+    jd = [0.0] * (n * n)
+    for (i, k), b in m.j.items():
+        jd[i * n + k] = jd[k * n + i] = b
+    return jd
 
 
 def _exact_min(m: IsingModel) -> float:
@@ -57,13 +67,15 @@ def _exact_min(m: IsingModel) -> float:
     """
     n = m.num_spins
     states = 1 - 2 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
-    upper = np.triu(np.array(m.j).reshape(n, n))
+    upper = np.zeros((n, n))
+    for (i, k), b in m.j.items():
+        upper[i, k] = b
     energies = m.offset + states @ np.array(m.h) + ((states @ upper) * states).sum(axis=1)
     return float(energies.min())
 
 
 def test_request_validation():
-    m = IsingModel(1, [0.0], [1.0], 0.0)
+    m = IsingModel(1, {}, [1.0], 0.0)
     with pytest.raises(ValueError, match="num_samples"):
         solve(m, backend="emulator", seed=0, num_samples=0, collect_trace=False)
     with pytest.raises(ValueError, match="quantum"):
@@ -98,7 +110,7 @@ def test_emulator_sample_count_and_best_pick():
     m = _random_model(8, random.Random(5))
     m.offset = 3.0
     res = solve(m, backend="emulator", seed=2, num_samples=6, collect_trace=True)
-    reads = [kernels.anneal(8, m.j, m.h, SWEEPS, INITIAL_TEMP, FINAL_TEMP,
+    reads = [kernels.anneal(8, _dense(m), m.h, SWEEPS, INITIAL_TEMP, FINAL_TEMP,
                             kernels.mix_seed(2, k), True) for k in range(6)]
     energies = [energy for _, energy, _ in reads]
     assert [e + m.offset for e in energies] == [m.energy(s) for s, _, _ in reads]
@@ -119,14 +131,14 @@ def test_emulator_trace_monotone():
 
 
 def test_empty_model_shortcut():
-    m = IsingModel(0, [], [], 2.5)
+    m = IsingModel(0, {}, [], 2.5)
     res = solve(m, backend="emulator", seed=0, num_samples=1, collect_trace=False)
     assert res.best_spins == () and res.trace == ()
     assert m.energy(res.best_spins) == 2.5
 
 
 def test_chip_guard_budget():
-    m = IsingModel(46, [0.0] * 46 * 46, [0.0] * 46, 0.0)
+    m = IsingModel(46, {}, [0.0] * 46, 0.0)
     with pytest.raises(ValueError, match="46 spins"):
         solve(m, backend="emulator", seed=0, num_samples=1, collect_trace=False)
 
@@ -135,7 +147,7 @@ def test_chip_guard_non_integer_coefficients():
     # within 1e-9 of an integer is still not an integer the chip can hold
     for m, name in ((_pair(0.75), r"coupling \(0, 1\)"),
                     (_pair(1.0 + 1e-10), r"coupling \(0, 1\)"),
-                    (IsingModel(1, [0.0], [-3.0 - 1e-12], 0.0), "field 0")):
+                    (IsingModel(1, {}, [-3.0 - 1e-12], 0.0), "field 0")):
         with pytest.raises(ValueError,
                            match=f"{name} = .* is not an integer; scale_to_chip"):
             solve(m, backend="emulator", seed=0, num_samples=1, collect_trace=False)
@@ -143,12 +155,10 @@ def test_chip_guard_non_integer_coefficients():
 
 def test_chip_guard_range():
     # the message names the first misfit, couplings (i, k) before fields
-    j = [0.0, 2.0, 0.0,
-         2.0, 0.0, -15.0,
-         0.0, -15.0, 0.0]
+    j = {(0, 1): 2.0, (1, 2): -15.0}
     for m, misfit in ((_pair(15.0), r"coupling \(0, 1\) = 15.0"),
                       (IsingModel(3, j, [0.0, 0.0, 20.0], 0.0), r"coupling \(1, 2\) = -15.0"),
-                      (IsingModel(3, [0.0] * 9, [0.0, 0.0, 20.0], 0.0), "field 2 = 20.0")):
+                      (IsingModel(3, {}, [0.0, 0.0, 20.0], 0.0), "field 2 = 20.0")):
         with pytest.raises(ValueError,
                            match=f"{misfit} outside programmable range"):
             solve(m, backend="emulator", seed=0, num_samples=1, collect_trace=False)
@@ -180,19 +190,19 @@ def test_solve_dispatch():
     m = _pair(1.0)
     r1 = solve(m, backend="emulator", seed=3, num_samples=1, collect_trace=True)
     r2 = solve(m, backend="tabu", seed=3, num_samples=1, collect_trace=True)
-    spins, _, trace = kernels.anneal(2, m.j, m.h, SWEEPS, INITIAL_TEMP, FINAL_TEMP,
+    spins, _, trace = kernels.anneal(2, _dense(m), m.h, SWEEPS, INITIAL_TEMP, FINAL_TEMP,
                                      kernels.mix_seed(3, 0), True)
     assert (r1.best_spins, r1.trace) == (
         tuple(spins), tuple((s, t, e + m.offset) for s, t, e in trace))
     assert r1.trace  # only the emulator traces
-    spins, _, _ = kernels.tabu(2, m.j, m.h, DEFAULT_TABU_MOVES, TABU_TENURE,
+    spins, _, _ = kernels.tabu(2, _dense(m), m.h, DEFAULT_TABU_MOVES, TABU_TENURE,
                                kernels.mix_seed(3, 0))
     assert r2.best_spins == tuple(spins) and r2.trace == ()
     assert m.energy(r1.best_spins) == m.energy(r2.best_spins) == -1.0
 
 
 def test_offset_carried_through():
-    m = IsingModel(1, [0.0], [2.0], 10.0)
+    m = IsingModel(1, {}, [2.0], 10.0)
     res = solve(m, backend="emulator", seed=0, num_samples=1, collect_trace=True)
     assert res.best_spins == (-1,)
     assert res.trace[-1][2] == pytest.approx(8.0)  # spin -1 plus offset
@@ -204,7 +214,7 @@ def test_sat_instance_decodes_to_model():
     from isingsat.cnf import evaluate
 
     cnf = random_3sat(8, 20, random.Random(42))
-    q = cnf_to_qubo(cnf)
+    q = cnf_to_qubo(cnf.clauses)
     scaled, _ = scale_to_chip(qubo_to_ising(q))
     res = solve(scaled, backend="emulator", seed=3, num_samples=8, collect_trace=False)
     assignment = {var: res.best_spins[idx] > 0 for idx, var in q.source_var_map.items()}
@@ -226,7 +236,7 @@ def test_mix_seed_never_zero_and_distinct():
 def test_pure_anneal_energy_bookkeeping():
     rng = random.Random(31)
     m = _random_model(7, rng)
-    jd, h = m.j, m.h
+    jd, h = _dense(m), m.h
     spins, best, trace = py_anneal(7, jd, h, 60, 10.0, 0.05, py_mix_seed(1, 0), False)
     check = sum(jd[i * 7 + j] * spins[i] * spins[j] for i in range(7) for j in range(i + 1, 7))
     check += sum(h[i] * spins[i] for i in range(7))
@@ -258,7 +268,7 @@ def test_compiled_matches_pure_bitwise():
     sizes = [rng.randint(2, 18) for _ in range(12)] + [45, 45, 45]
     for trial, n in enumerate(sizes):
         m = _random_model(n, rng)
-        jd, h = m.j, m.h
+        jd, h = _dense(m), m.h
         seed = py_mix_seed(trial, 5)
         collect = trial % 2 == 0
         pa = py_anneal(n, jd, h, 80, 8.0, 0.1, seed, collect)
@@ -283,17 +293,14 @@ def test_compiled_metropolis_shortcut_matches_pure():
 
     rng = random.Random(23)
     chip = [_random_model(45, rng) for _ in range(2)]
-    quarter = [qubo_to_ising(cnf_to_qubo(random_3sat(n, 4 * n, rng))) for n in (14, 20)]
+    quarter = [qubo_to_ising(cnf_to_qubo(random_3sat(n, 4 * n, rng).clauses))
+               for n in (14, 20)]
     floats = []
     for n in (9, 30):
-        j = [0.0] * (n * n)
-        for i in range(n):
-            for k in range(i + 1, n):
-                j[i * n + k] = j[k * n + i] = rng.uniform(-3.0, 3.0)
+        j = {(i, k): rng.uniform(-3.0, 3.0) for i in range(n) for k in range(i + 1, n)}
         floats.append(IsingModel(n, j, [rng.uniform(-2.0, 2.0) for _ in range(n)], 0.0))
     # spins 0 and 3 sit in no term, so every de of theirs is exactly 0
-    flat = IsingModel(4, [0.0] * 16, [0.0, 0.5, -0.5, 0.0], 0.0)
-    flat.j[1 * 4 + 2] = flat.j[2 * 4 + 1] = 1.0
+    flat = IsingModel(4, {(1, 2): 1.0}, [0.0, 0.5, -0.5, 0.0], 0.0)
     production = (SWEEPS, INITIAL_TEMP, FINAL_TEMP)
     cases = [(m, production) for m in chip + quarter]
     cases += [(m, (200, 6.0, 0.02)) for m in floats]
@@ -304,7 +311,7 @@ def test_compiled_metropolis_shortcut_matches_pure():
                   (m, (30, 1e6, 1e6))]  # x near 0: the accept bound decides
     cases.append((flat, production))
     for k, (m, (sweeps, t0, t1)) in enumerate(cases):
-        args = (m.num_spins, m.j, m.h, sweeps, t0, t1, py_mix_seed(k, 1), True)
+        args = (m.num_spins, _dense(m), m.h, sweeps, t0, t1, py_mix_seed(k, 1), True)
         pa, ca = py_anneal(*args), c_impl.anneal(*args)
         assert list(pa[0]) == list(ca[0]), k
         assert pa[1] == ca[1], k

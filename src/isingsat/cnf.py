@@ -50,7 +50,7 @@ class Cnf:
                 f"literal {lit} references a variable above num_vars={n}")
 
     def __hash__(self) -> int:
-        # the value hash, computed on first use and kept: a memo lookup
+        # the value hash, computed on first use and kept: a cache lookup
         # would otherwise walk every clause, and most formulas are never
         # hashed at all
         h = self.__dict__.get("_hash")
@@ -75,19 +75,9 @@ class Cnf:
         return max(map(len, self.clauses), default=0)
 
 
-MEMO_ENTRIES = 16  # entries a memo keyed by formula value keeps
-
-
-def memoize(memo: dict, key: object, value: object) -> None:
-    """Store ``value`` under ``key``, first dropping the oldest entry of a
-    memo that already holds ``MEMO_ENTRIES``.
-
-    A ``Cnf`` key compares and hashes by ``num_vars`` and ``clauses``, so
-    equal formulas built apart share an entry.
-    """
-    if len(memo) >= MEMO_ENTRIES:
-        del memo[next(iter(memo))]
-    memo[key] = value
+# entries each formula-keyed ``lru_cache`` keeps; a ``Cnf`` hashes and
+# compares by value, so equal formulas built apart share an entry
+MEMO_ENTRIES = 16
 
 
 def make_cnf(num_vars: int, clauses: Iterable[Sequence[int]]) -> Cnf:

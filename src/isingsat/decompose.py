@@ -19,9 +19,9 @@ Per-iteration work scales with the slice, not the formula.  Each formula is
 indexed once per value per process: :func:`formula_index` builds the graph
 (``build_vig`` records each variable's neighbours in the order each walk
 pushes them, and the 3-literal clauses the projected spin cost counts, so a
-walk sorts nothing) and lists the clauses of every variable, and
-keeps both in a memo of ``MEMO_ENTRIES`` entries keyed by the formula, so
-every decomposition of an equal formula shares them read-only.
+walk sorts nothing) and lists the clauses of every variable, and an
+``lru_cache`` of ``MEMO_ENTRIES`` entries keyed by the formula keeps both,
+so every decomposition of an equal formula shares them read-only.
 ``GlobalState.start`` then counts, for its seed's assignment, the true
 literals of each clause (the make/break bookkeeping of WalkSAT-style local
 search) and, from the unsatisfied clauses, how many of them hold each
@@ -30,8 +30,8 @@ An iteration then touches only the slice:
 
 * picking a start variable reads the kept pool;
 * freezing visits only the clauses of the selected variables; every other
-  unsatisfied clause freezes empty and is counted, not walked, and no
-  formula is built for the slice;
+  unsatisfied clause freezes empty, and only their count reaches the QUBO,
+  as its offset; no formula is built for the slice;
 * a merge moves the counts of only the clauses of the variables it flips,
   and commits them only when it is accepted; the pool moves only for the
   clauses whose satisfied status flips.
@@ -44,10 +44,11 @@ import random
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-from .cnf import Assignment, Cnf, count_satisfied, evaluate, memoize
+from .cnf import MEMO_ENTRIES, Assignment, Cnf, count_satisfied, evaluate
 from .preprocess import ConditionRecord, reconstruct
 from .qubo import QuboModel, cnf_to_qubo, qubo_to_ising, scale_to_chip
 from .solver import solve
@@ -140,8 +141,9 @@ class FilterState:
 class GlobalState:
     """Best-known full assignment with its satisfied-clause bookkeeping.
 
-    ``true_count[c]`` is the number of true literals in clause ``c``,
-    ``unsat`` the clauses at zero and ``best_count`` the satisfied total.
+    ``true_count[c]`` is the number of true literals in clause ``c`` and
+    ``unsat`` the clauses at zero; ``best_count``, the satisfied total, is
+    read from those two.
     ``unsat_degree[v]`` counts the unsatisfied clauses that contain ``v``,
     and ``pool`` lists, ascending, the variables whose count is nonzero: the
     variables a walk may start from.  ``occurrences[v]`` lists the clauses
@@ -151,12 +153,15 @@ class GlobalState:
     """
 
     assignment: Assignment
-    best_count: int
     true_count: list[int]
     unsat: set[int]
     unsat_degree: list[int]
     pool: list[int]
     occurrences: Mapping[int, tuple[int, ...]]
+
+    @property
+    def best_count(self) -> int:
+        return len(self.true_count) - len(self.unsat)
 
     @classmethod
     def start(cls, cnf: Cnf, assignment: Assignment,
@@ -175,28 +180,21 @@ class GlobalState:
         for ci in unsat:
             for v in set(map(abs, cnf.clauses[ci])):
                 degree[v] += 1
-        return cls(assignment, cnf.num_clauses - len(unsat), true_count, unsat,
-                   degree, [v for v, n in enumerate(degree) if n], occurrences)
+        return cls(assignment, true_count, unsat, degree,
+                   [v for v, n in enumerate(degree) if n], occurrences)
 
 
-# ladder output -> its Vig and read-only occurrence lists
-_INDEX_MEMO: dict[Cnf, tuple[Vig, Mapping[int, tuple[int, ...]]]] = {}
-
-
+@lru_cache(maxsize=MEMO_ENTRIES)
 def formula_index(cnf: Cnf) -> tuple[Vig, Mapping[int, tuple[int, ...]]]:
     """The interaction graph of ``cnf`` and, per variable, the clauses that
     contain it in clause order: built once per formula value, then shared
     read-only by every decomposition of an equal formula."""
-    index = _INDEX_MEMO.get(cnf)
-    if index is None:
-        occurrences: dict[int, list[int]] = {}
-        for ci, clause in enumerate(cnf.clauses):
-            for v in {abs(lit) for lit in clause}:
-                occurrences.setdefault(v, []).append(ci)
-        index = (build_vig(cnf), MappingProxyType(
-            {v: tuple(cs) for v, cs in occurrences.items()}))
-        memoize(_INDEX_MEMO, cnf, index)
-    return index
+    occurrences: dict[int, list[int]] = {}
+    for ci, clause in enumerate(cnf.clauses):
+        for v in {abs(lit) for lit in clause}:
+            occurrences.setdefault(v, []).append(ci)
+    return build_vig(cnf), MappingProxyType(
+        {v: tuple(cs) for v, cs in occurrences.items()})
 
 
 @dataclass(frozen=True)
@@ -274,9 +272,10 @@ def freeze_and_extract(cnf: Cnf, selected: set[int],
 
     Only the clauses touching the selection are visited: every other
     clause has only frozen literals, so a satisfied one is dropped and an
-    unsatisfied one freezes empty.  Those are counted, not walked, and
-    passed on as ``()`` after the kept clauses, in a plain list: no formula
-    is built or validated per slice.  The spin cost adds the QUBO's ancillas.
+    unsatisfied one freezes empty.  Those are counted, not walked, and the
+    count is added to the offset of the QUBO of the kept clauses, which go
+    to ``cnf_to_qubo`` as a plain list: no formula is built or validated
+    per slice.  The spin cost adds the QUBO's ancillas.
     """
     if not selected:
         raise ValueError("selection is empty")
@@ -295,8 +294,10 @@ def freeze_and_extract(cnf: Cnf, selected: set[int],
                 break
         else:
             kept.append(tuple(lits))
-    emptied = len(state.unsat) - len(state.unsat & visit)
-    qubo = cnf_to_qubo(kept + [()] * emptied)
+    qubo = cnf_to_qubo(kept)
+    # each emptied clause is a constant +1; the sums are small integers, so
+    # the float offset is exact in any order
+    qubo.offset += len(state.unsat) - len(state.unsat & visit)
     return Subproblem(qubo, len(selected) + qubo.num_vars - len(qubo.source_var_map))
 
 
@@ -323,7 +324,6 @@ def update_global(state: GlobalState, sub_solution: Assignment,
     accepted = gain >= 0
     if accepted:
         old.update(sub_solution)
-        state.best_count += gain
         degree, pool = state.unsat_degree, state.pool
         for ci, d in delta.items():
             was = count[ci]

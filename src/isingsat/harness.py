@@ -42,6 +42,8 @@ PER_CALL_TIME = 0.001
 
 
 _VOLATILE_FIELDS = ("preprocess_time", "wall_time")  # measured, not derived
+# a record field's declared type -> the JSON value types it loads from
+_JSON_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float), "str": (str,)}
 
 
 def cell_key(instance: str, level: int, strategy: str, backend: str,
@@ -91,10 +93,17 @@ class RunRecord:
 
     @staticmethod
     def from_json(line: str) -> "RunRecord":
+        """ValueError unless ``line`` is an object of the record's fields,
+        each of its declared type: a bool is no int, an int may be a float."""
         try:
-            return RunRecord(**json.loads(line))
+            record = RunRecord(**json.loads(line))
         except TypeError:  # not an object, or keys that are not the fields
             raise ValueError(f"not a run record: {line.strip()}") from None
+        for f in fields(RunRecord):
+            value = getattr(record, f.name)
+            if type(value) not in _JSON_TYPES[f.type]:
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+        return record
 
 
 # ---------------------------------------------------------------------------

@@ -40,12 +40,12 @@ empty clause, a unit, a pending substitution, the occurring variables of a
 report) are one sweep of the clauses or the condition list each, made
 when they are read.  The seed feeds only the value of the level-7 guess,
 drawn before any pass runs, so the outcome is a function of the formula,
-the level and that value.  :func:`run_ladder` memoizes it as one
-immutable :class:`LadderResult` by ``(cnf, level, guess)``, the formula
-compared by value, in a memo of ``MEMO_ENTRIES`` entries that drops its
-oldest first.  So every level runs once per formula, level 7 once per
-outcome of its guess, and every call that reuses an entry shares that one
-result, whose reports read 0 s for each pass.
+the level and that value.  :func:`run_ladder` keeps it as one immutable
+:class:`LadderResult` in an ``lru_cache`` of ``MEMO_ENTRIES`` entries
+keyed by ``(cnf, level, guess)``, the formula compared by value.  So
+every level runs once per formula, level 7 once per outcome of its
+guess, and every call with that key shares the one result, with the
+pass times measured when it was computed.
 
 Nothing renumbers variables: the residual keeps the original ``num_vars`` and
 the condition records (:class:`ConditionRecord`, in order) say how to lift
@@ -60,11 +60,11 @@ import random
 import time
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field, replace
-from functools import wraps
+from dataclasses import dataclass, field
+from functools import lru_cache, wraps
 
 from .circuit import _OPTION2, EncodingOption, gate_clauses
-from .cnf import Clause, Cnf, memoize
+from .cnf import MEMO_ENTRIES, Clause, Cnf
 
 # ---------------------------------------------------------------------------
 # condition list: the record needed to undo the ladder
@@ -122,8 +122,8 @@ class BranchDecision:
 @dataclass(frozen=True)
 class PassReport:
     """What one pass left: occurring variables and clauses after it, and its
-    time.  A pass skipped on an unsat state, or reused from the ladder's
-    memo, reports 0 s: it did not run."""
+    time when the ladder computed the outcome: a result its cache hands out
+    again keeps that time, and a pass skipped on an unsat state reads 0 s."""
 
     name: str
     vars_after: int
@@ -283,7 +283,7 @@ def _unit_fixpoint(clauses: list[Clause]) -> tuple[list[Clause], list[tuple[int,
     while units and not empty:
         i = heapq.heappop(units)
         c = work[i]
-        if c is None or len(c) != 1:
+        if c is None:
             continue  # satisfied since it was queued
         lit = c[0]
         fixes.append((abs(lit), lit > 0))
@@ -673,7 +673,7 @@ MAX_LEVEL = 7  # the guess; no level below it draws from the seed
 class LadderResult:
     """The residual formula, the condition records that lift its models,
     each pass's report and the level-7 decisions.  Every field is
-    immutable, so one result serves every call that shares its memo
+    immutable, so one result serves every call that shares its cache
     entry."""
 
     cnf: Cnf
@@ -702,10 +702,6 @@ def _stabilize(st: PrepState, level: int, reports: list[PassReport]) -> None:
         reports.extend(ran)
 
 
-# (formula, level, guess) -> its ladder result, the reports at 0 s
-_LADDER_MEMO: dict[tuple[Cnf, int, bool | None], LadderResult] = {}
-
-
 def run_ladder(
     cnf: Cnf,
     level: int,
@@ -718,9 +714,8 @@ def run_ladder(
     At level 7 ``seed`` draws the value of the one guess, unless
     ``branch_override`` gives it; below level 7 nothing is drawn.  The
     outcome runs once per ``(cnf, level, guess)`` value; see the module
-    docstring.  The first call returns the measured pass times; a call
-    that reuses the outcome gets the memo's one shared result, with 0 s
-    for every pass.
+    docstring.  Every call with that value gets the first call's result,
+    whose reports give each pass's time from when it ran.
     """
     if not 0 <= level <= MAX_LEVEL:
         raise ValueError(f"level must be between 0 and {MAX_LEVEL}")
@@ -730,10 +725,11 @@ def run_ladder(
     if level == MAX_LEVEL:
         guess = (random.Random(seed).random() < 0.5 if branch_override is None
                  else branch_override)
-    key = (cnf, level, guess)
-    hit = _LADDER_MEMO.get(key)
-    if hit is not None:
-        return hit
+    return _ladder(cnf, level, guess)
+
+
+@lru_cache(maxsize=MEMO_ENTRIES)
+def _ladder(cnf: Cnf, level: int, guess: bool | None) -> LadderResult:
     st = PrepState(clauses=list(cnf.clauses), condition=[], guess=guess)
     reports: list[PassReport] = []
     for lvl in range(1, level + 1):
@@ -743,8 +739,5 @@ def run_ladder(
             reports.append(fn(st))
             if fn is not reencode_option2:
                 _stabilize(st, level, reports)
-    res = LadderResult(Cnf(cnf.num_vars, tuple(st.clauses)), tuple(st.condition),
-                       tuple(reports), tuple(st.branch_decisions))
-    memoize(_LADDER_MEMO, key, replace(
-        res, reports=tuple(replace(r, wall_time=0.0) for r in reports)))
-    return res
+    return LadderResult(Cnf(cnf.num_vars, tuple(st.clauses)), tuple(st.condition),
+                        tuple(reports), tuple(st.branch_decisions))

@@ -19,8 +19,8 @@ settings.load_profile("deterministic")
 
 def empty_formula_memos() -> None:
     """Forget every memoized ladder prefix and decomposition index."""
-    preprocess._LADDER_MEMO.clear()
-    decompose._INDEX_MEMO.clear()
+    preprocess._ladder.cache_clear()
+    decompose.formula_index.cache_clear()
 
 
 @pytest.fixture(autouse=True)

@@ -1,16 +1,22 @@
 """Command-line smoke tests driving main(argv) end to end."""
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isingsat import decompose
 from isingsat.cli import main
 from isingsat.cnf import parse_dimacs, write_dimacs
 from isingsat.harness import SweepConfig, load_records
 from isingsat.preprocess import MAX_LEVEL, run_ladder
+from isingsat.solver import BACKENDS
 
 
 def test_generate_semiprime(tmp_path, capsys):
@@ -440,3 +446,84 @@ def test_solve_help_shows_the_sweep_config_defaults(capsys):
 def test_unknown_command_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+# ---------------------------------------------------------------------------
+# every input ends in a result or one error line
+
+_BAD_HEADERS = ("p cnf x 3", "p dnf 3 3", "p cnf -1 2", "p cnf 3", "p  cnf 3 1 9")
+
+
+@st.composite
+def _dimacs_texts(draw):
+    """DIMACS texts as users hand them in: small formulas with clauses up to
+    4 wide and the empty clause, or chains of equivalences; some are then
+    truncated, given a bad token, a bad or missing header, or a literal
+    above the declared count."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 8))
+        lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+        clauses = draw(st.lists(st.lists(lit, min_size=1, max_size=4), max_size=14))
+        if draw(st.integers(0, 9)) == 0:
+            clauses.insert(draw(st.integers(0, len(clauses))), [])
+    else:  # v_k == v_k+1 for every k, in any clause order
+        n = draw(st.integers(2, 60))
+        clauses = draw(st.permutations(
+            [c for k in range(1, n) for c in ([k, -k - 1], [-k, k + 1])]))
+        clauses += draw(st.lists(st.sampled_from(([1], [-n], [1, n], [-1, -n])),
+                                 max_size=2))
+    lines = [f"p cnf {n} {len(clauses)}",
+             *(" ".join(map(str, c + [0])) for c in clauses)]
+    damage = draw(st.sampled_from(("none", "none", "truncate", "token", "header",
+                                   "range")))
+    if damage == "token":
+        at = draw(st.integers(1, len(lines)))
+        lines.insert(at, draw(st.sampled_from(("x 0", "1.5 0", "1 - 0", "0x1 0"))))
+    elif damage == "header":
+        lines[0] = draw(st.sampled_from(_BAD_HEADERS + ("", "c no header")))
+        if draw(st.booleans()):
+            lines.append(f"p cnf {n} 0")
+    elif damage == "range":
+        lines.insert(draw(st.integers(1, len(lines))), f"{n + 1} 0")
+    text = "\n".join(lines) + "\n"
+    if damage == "truncate":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+def _main(argv: list[str]) -> tuple[int, str]:
+    """Exit status and stderr of one in-process run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # an argparse rejection
+            code = exc.code
+    return code, err.getvalue()
+
+
+@given(_dimacs_texts(), st.integers(0, MAX_LEVEL), st.integers(0, MAX_LEVEL),
+       st.sampled_from(BACKENDS), st.integers(0, 45))
+@settings(max_examples=100, deadline=None)
+def test_every_input_ends_in_a_result_or_one_error_line(
+        text, pre_level, level, backend, budget):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cnf = tmp / "in.cnf"
+        cnf.write_text(text)
+        out, runs = tmp / "out.cnf", tmp / "r" / "runs.jsonl"
+        for argv, writes in (
+                (["preprocess", "-i", str(cnf), "--level", str(pre_level),
+                  "-o", str(out)], out),
+                (["solve", "-i", str(cnf), "--repeats", "1", "--cap", "2",
+                  "--level", str(level), "--backend", backend,
+                  "--budget", str(budget), "-o", str(runs)], runs.parent)):
+            code, err = _main(argv)
+            if code == 0:
+                assert err == "" and writes.exists()
+            else:
+                assert code == 2
+                assert err.startswith("isingsat: error: ") and err.count("\n") == 1
+                assert not writes.exists()
+        if code == 0:
+            assert len(load_records(runs)) == 1

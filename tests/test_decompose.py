@@ -227,6 +227,16 @@ def test_freeze_emptied_clause_is_offset():
     assert sub.qubo.offset >= 1.0
 
 
+def test_slices_count_emptied_clauses_instead_of_listing_them(monkeypatch):
+    cnf = generate_instance(16, 32881)[0]
+    built = []
+    monkeypatch.setattr(decompose, "cnf_to_qubo",
+                        lambda clauses: built.append(clauses) or cnf_to_qubo(clauses))
+    iterate(cnf, (), cnf, **ONE_READ, budget=20, cap=5, seed=1,
+            collect_trace=False)
+    assert len(built) == 5 and all(map(all, built))  # no () reaches the build
+
+
 def test_freeze_counts_ancillas_in_spin_cost():
     cnf = make_cnf(4, [(1, 2, 3), (1, 2, 4)])
     sub = freeze_and_extract(cnf, {1, 2, 3}, _gs(cnf, {4: True}))

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -61,6 +62,37 @@ def test_record_roundtrip_drops_measured_times():
     assert back.preprocess_time == 0.0 and back.wall_time == 0.0
     assert back.key == rec.key
     assert back.to_json() == line
+
+
+@pytest.mark.parametrize("wrong", [
+    {"level": "7"},  # would load under the key of a real level-7 cell
+    {"solved": "no", "verified": "no"},  # compute_tts would count it solved
+    {"verified": 1},
+    {"seed": 1.5},
+    {"seed": True},
+    {"instance": 5},
+    {"reason": None},
+    {"iterations_used": 2.0},
+    {"solver_time": "0.01"},
+    {"solver_time": False},
+], ids=str)
+def test_record_refuses_a_field_of_the_wrong_type(wrong):
+    d = {**json.loads(_rec().to_json()), **wrong}
+    with pytest.raises(ValueError, match=next(iter(wrong))):
+        RunRecord.from_json(json.dumps(d))
+
+
+def test_record_loads_an_integer_solver_time():
+    d = {**json.loads(_rec().to_json()), "solver_time": 0}
+    assert RunRecord.from_json(json.dumps(d)).solver_time == 0
+
+
+def test_a_record_of_the_wrong_type_is_refused_with_its_file_and_line(tmp_path):
+    runs = tmp_path / "runs.jsonl"
+    bad = {**json.loads(_rec().to_json()), "level": "7"}
+    runs.write_text(_rec(seed=1).to_json() + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{runs}: line 2 is malformed (level")):
+        load_records(runs)
 
 
 def test_record_json_is_canonical():
@@ -377,8 +409,8 @@ def test_formula_memos_keep_at_most_their_bound():
         cnf = random_3sat(12, 30, rng)
         preprocess.run_ladder(cnf, 6, seed=0)
         decompose.formula_index(cnf)
-    assert len(preprocess._LADDER_MEMO) == MEMO_ENTRIES
-    assert len(decompose._INDEX_MEMO) == MEMO_ENTRIES
+    assert preprocess._ladder.cache_info().currsize == MEMO_ENTRIES
+    assert decompose.formula_index.cache_info().currsize == MEMO_ENTRIES
 
 
 def test_equal_formulas_built_apart_share_one_memo_entry():
@@ -387,10 +419,11 @@ def test_equal_formulas_built_apart_share_one_memo_entry():
     assert "_hash" not in vars(a)  # a formula never hashed pays nothing
     assert hash(a) == hash(b) == hash((a.num_vars, a.clauses))
     assert vars(a)["_hash"] == hash(a)  # kept after the first call
-    preprocess.run_ladder(a, 6, seed=0)  # a cold call returns its own timed result
+    preprocess.run_ladder(a, 6, seed=0)
     assert preprocess.run_ladder(b, 6, seed=0) is preprocess.run_ladder(a, 6, seed=0)
     assert decompose.formula_index(a) is decompose.formula_index(b)
-    assert len(preprocess._LADDER_MEMO) == len(decompose._INDEX_MEMO) == 1
+    assert (preprocess._ladder.cache_info().currsize
+            == decompose.formula_index.cache_info().currsize == 1)
 
 
 def test_formula_memos_hold_a_sweep_over_every_level_and_guess(monkeypatch):
@@ -413,7 +446,10 @@ def test_formula_memos_hold_a_sweep_over_every_level_and_guess(monkeypatch):
 
     times, vigs = sweep()
     assert any(times) and vigs  # the first sweep fills both memos
-    assert sweep() == ([0.0] * len(times), [])  # the second hits every entry
+    misses = preprocess._ladder.cache_info().misses
+    # the second hits every entry and hands back the first sweep's times
+    assert sweep() == (times, [])
+    assert preprocess._ladder.cache_info().misses == misses
 
 
 @given(st.data(), st.sampled_from((0, preprocess.MAX_LEVEL)), st.integers(1, 5))

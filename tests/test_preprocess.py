@@ -828,13 +828,6 @@ _BUILD = {
 }
 
 
-def _prefix_reports(res):
-    """The reports of levels 1..6: those before the level-7 guess."""
-    names = [r.name for r in res.reports]
-    return res.reports[:names.index("branch_probe")] if "branch_probe" in names \
-        else res.reports
-
-
 @pytest.mark.parametrize("name", sorted(_BUILD))
 def test_memoized_ladder_matches_a_cold_run(name):
     build = _BUILD[name]
@@ -848,14 +841,17 @@ def test_memoized_ladder_matches_a_cold_run(name):
         cold[level, seed] = _ladder_outcome(
             run_ladder(cnf, level, seed=seed))
     empty_formula_memos()
+    warm = {}
     for level, seed in cells:  # the first seed of a level fills its entry
-        res = run_ladder(cnf, level, seed=seed)
+        res = warm[level, seed] = run_ladder(cnf, level, seed=seed)
         assert _ladder_outcome(res) == cold[level, seed]
+        if level < MAX_LEVEL:  # one outcome, so one object
+            assert res is warm[level, 1]
     # every level's entry is in place now; another level's must never serve
     for level, seed in cells:
         res = run_ladder(apart, level, seed=seed)
         assert _ladder_outcome(res) == cold[level, seed]
-        assert all(r.wall_time == 0.0 for r in _prefix_reports(res))
+        assert res is warm[level, seed]  # with the first call's pass times
 
 
 def test_memoized_ladder_hands_out_one_immutable_result():
@@ -866,4 +862,11 @@ def test_memoized_ladder_hands_out_one_immutable_result():
     assert isinstance(shared.condition, tuple)
     assert _ladder_outcome(shared) == _ladder_outcome(first)
     cold = run_ladder(cnf, 6, seed=0)
-    assert any(r.wall_time > 0.0 for r in cold.reports)  # only reuse reads 0 s
+    assert any(r.wall_time > 0.0 for r in cold.reports)  # the passes were timed
+
+
+def test_a_repeated_call_returns_the_first_result_with_its_pass_times():
+    cnf = _BUILD["143"]()
+    first = run_ladder(cnf, 6, seed=0)
+    assert run_ladder(cnf, 6, seed=0) is first
+    assert any(r.wall_time > 0.0 for r in first.reports)

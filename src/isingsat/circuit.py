@@ -2,12 +2,14 @@
 
 A factoring instance asserts ``a * b = s`` for a known semiprime ``s`` by
 fixing the product bits of a gate-level multiplier with unit clauses.  Two
-clause encodings are supported for 2-input gates:
+clause encodings are supported for 2-input gates, each a table of
+``(sign_a, sign_b, sign_c)`` rows that ``gate_clauses`` maps to literals:
 
-* OPTION1 - one clause per invalid truth-table row (four 3-wide clauses);
-* OPTION2 - implication form (three clauses, one 3-wide), which exists only
-  for AND/OR/NAND/NOR.  XOR/XNOR gates keep OPTION1; ``encode_netlist``
-  warns once when a netlist has any.
+* OPTION1 - ``ROW_ENCODING``: one clause per invalid truth-table row (four
+  3-wide clauses), built at import from ``GATE_FN``;
+* OPTION2 - ``IMPLICATION_FORM`` (three clauses, one 3-wide), which exists
+  only for AND/OR/NAND/NOR.  XOR/XNOR gates keep their row encoding;
+  ``encode_netlist`` warns once when a netlist has any.
 """
 from __future__ import annotations
 
@@ -33,9 +35,18 @@ GATE_FN = {
     NOR: lambda a, b: not (a or b),
 }
 
-# Implication-form clause templates: (sign_a, sign_b, sign_c) triples, with a
-# zero meaning "literal absent".  Signs multiply the variable index.
-_OPTION2 = {
+# Clause templates: (sign_a, sign_b, sign_c) rows, with a zero meaning
+# "literal absent".  Signs multiply the variable index.
+# The row encoding has one row per invalid truth-table row, in (a, b, c)
+# order with False first: each literal is false exactly on that row.
+ROW_ENCODING = {
+    kind: tuple((-1 if va else 1, -1 if vb else 1, -1 if vc else 1)
+                for va in (False, True) for vb in (False, True)
+                for vc in (False, True) if vc != fn(va, vb))
+    for kind, fn in GATE_FN.items()
+}
+
+IMPLICATION_FORM = {
     AND: ((-1, -1, +1), (+1, 0, -1), (0, +1, -1)),
     OR: ((+1, +1, -1), (-1, 0, +1), (0, -1, +1)),
     NAND: ((-1, -1, -1), (+1, 0, +1), (0, +1, +1)),
@@ -165,33 +176,15 @@ def simulate(netlist: GateNetlist, a_value: int, b_value: int) -> tuple[dict[int
 
 
 def gate_clauses(kind: str, a: int, b: int, c: int, option: EncodingOption) -> list[Clause]:
-    """Clauses asserting c = kind(a, b); a gate without an implication form
-    gets its row encoding under either option."""
-    if kind not in GATE_FN:
+    """Clauses asserting c = kind(a, b): the kind's ``ROW_ENCODING`` under
+    OPTION1, and its ``IMPLICATION_FORM`` under OPTION2 when it has one
+    (else its row encoding)."""
+    if kind not in ROW_ENCODING:
         raise ValueError(f"unknown gate kind {kind!r}")
-    if option is EncodingOption.OPTION2 and kind in _OPTION2:
-        out: list[Clause] = []
-        for sa, sb, sc in _OPTION2[kind]:
-            clause = []
-            for sign, var in ((sa, a), (sb, b), (sc, c)):
-                if sign:
-                    clause.append(sign * var)
-            out.append(tuple(clause))
-        return out
-    fn = GATE_FN[kind]
-    out = []
-    for va in (False, True):
-        for vb in (False, True):
-            for vc in (False, True):
-                if vc == fn(va, vb):
-                    continue
-                # One clause per invalid row: each literal is false exactly there.
-                out.append((
-                    a if not va else -a,
-                    b if not vb else -b,
-                    c if not vc else -c,
-                ))
-    return out
+    rows = (IMPLICATION_FORM.get(kind, ROW_ENCODING[kind])
+            if option is EncodingOption.OPTION2 else ROW_ENCODING[kind])
+    return [tuple(sign * var for sign, var in zip(row, (a, b, c)) if sign)
+            for row in rows]
 
 
 def encode_netlist(
@@ -210,7 +203,7 @@ def encode_netlist(
         raise ValueError(f"product {product} does not fit in {width} output bits")
     clauses: list[Clause] = []
     if option is EncodingOption.OPTION2:
-        kept = sorted({g.kind for g in netlist.gates if g.kind not in _OPTION2})
+        kept = sorted({g.kind for g in netlist.gates if g.kind not in IMPLICATION_FORM})
         if kept:
             warnings.warn(
                 f"no implication-form encoding for {', '.join(kept)}; "
@@ -294,9 +287,8 @@ def generate_instance(
     else:
         matches = [c for c in catalog if c.semiprime == semiprime]
         if not matches:
-            raise ValueError(
-                f"{semiprime} is not a {bit_width}-bit semiprime with full-width factors"
-            )
+            raise ValueError(f"{semiprime} is not in the {bit_width}-bit catalog "
+                             "of semiprimes with full-width factors")
         inst = matches[0]
     wa, wb = factor_widths(bit_width)
     # orient the narrow factor along the rows: fewer, wider ripple chains

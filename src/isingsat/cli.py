@@ -171,9 +171,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not records:
         print("no records", file=sys.stderr)
         return 1
+    # read every input before the first file is written
+    timings = load_timings(timings_path_for(Path(args.input)))
     out_csv = Path(args.output)
     write_aggregates(records, out_csv)
-    timings = load_timings(timings_path_for(Path(args.input)))
     plot_path = write_runtime_report(records, out_csv.parent, timings)
     print(f"aggregates -> {out_csv}")
     print(f"plot data  -> {plot_path}")
@@ -243,7 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--num-samples", type=int,
                    help=f"chip reads per solver call, {dflt['num_samples']}")
     s.add_argument("--stop-on-solve", action="store_true", default=None,
-                   help="stop a cell's repeats after the first success")
+                   help="stop a cell's repeats after the first success; tts "
+                   "and report then read p = 1/k from the k repeats kept, an "
+                   "overestimate (0.25 expected for a true p of 0.1 over 20 "
+                   "repeats), so leave it off to estimate TTS")
     s.add_argument("-o", "--output", default=DEFAULT_RUNS,
                    help=f"runs file, default: {DEFAULT_RUNS}")
     s.add_argument("--trace", help="CSV dump of the anneal trace of the first "

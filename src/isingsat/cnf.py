@@ -171,13 +171,14 @@ def clause_satisfied(clause: Clause, assignment: Mapping[int, bool]) -> bool:
 def evaluate(cnf: Cnf, assignment: Mapping[int, bool]) -> bool:
     """Whether a complete assignment satisfies every clause.
 
-    The assignment must cover every variable 1..num_vars; anything less
-    raises ValueError so partial evaluations can never masquerade as full
-    ones.
+    The assignment must cover every variable the clauses hold (a declared
+    variable that no clause holds constrains nothing); anything less raises
+    ValueError so partial evaluations can never masquerade as full ones.
     """
-    missing = [v for v in range(1, cnf.num_vars + 1) if v not in assignment]
+    missing = set(map(abs, chain.from_iterable(cnf.clauses))).difference(assignment)
     if missing:
-        raise ValueError(f"incomplete assignment, missing variables {missing[:8]}")
+        raise ValueError(
+            f"incomplete assignment, missing variables {sorted(missing)[:8]}")
     return all(clause_satisfied(clause, assignment) for clause in cnf.clauses)
 
 
@@ -192,9 +193,13 @@ def count_satisfied(clauses: Sequence[Clause], assignment: Mapping[int, bool]) -
     return len(clauses) - sum(map(true_lits.isdisjoint, clauses))
 
 
+# the largest enumeration the oracle makes: a guard against an accidental
+# 2^n sweep, set by the largest formula the tests enumerate
+BRUTE_FORCE_VARS = 28
+
+
 def brute_force_solutions(
     cnf: Cnf,
-    var_cap: int = 26,
     variables: Sequence[int] | None = None,
 ) -> list[Assignment]:
     """Exhaustively enumerate all satisfying assignments.
@@ -205,15 +210,16 @@ def brute_force_solutions(
     result order is deterministic (False before True at every depth).
 
     ``variables`` restricts enumeration to a subset; every clause must be
-    contained in that subset.  ``var_cap`` guards against accidentally
-    enormous enumerations.
+    contained in that subset.  More than ``BRUTE_FORCE_VARS`` variables
+    raise ValueError.
     """
     if variables is None:
         varlist = list(range(1, cnf.num_vars + 1))
     else:
         varlist = sorted(set(variables))
-    if len(varlist) > var_cap:
-        raise ValueError(f"{len(varlist)} variables exceeds var_cap={var_cap}")
+    if len(varlist) > BRUTE_FORCE_VARS:
+        raise ValueError(f"{len(varlist)} variables exceeds the oracle's "
+                         f"{BRUTE_FORCE_VARS}")
 
     varset = set(varlist)
     for clause in cnf.clauses:

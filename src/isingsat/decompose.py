@@ -145,17 +145,18 @@ class GlobalState:
     ``unsat`` the clauses at zero; ``best_count``, the satisfied total, is
     read from those two.
     ``unsat_degree[v]`` counts the unsatisfied clauses that contain ``v``,
-    and ``pool`` lists, ascending, the variables whose count is nonzero: the
-    variables a walk may start from.  ``occurrences[v]`` lists the clauses
-    containing ``v`` in clause order.  ``update_global`` keeps all of it in
-    step with ``assignment``, touching the pool only for the clauses whose
-    satisfied status flips.
+    for each variable the formula holds (not each it declares), and ``pool``
+    lists, ascending, the variables whose count is nonzero: the variables a
+    walk may start from.  ``occurrences[v]`` lists the clauses containing
+    ``v`` in clause order.  ``update_global`` keeps all of it in step with
+    ``assignment``, touching the pool only for the clauses whose satisfied
+    status flips.
     """
 
     assignment: Assignment
     true_count: list[int]
     unsat: set[int]
-    unsat_degree: list[int]
+    unsat_degree: dict[int, int]
     pool: list[int]
     occurrences: Mapping[int, tuple[int, ...]]
 
@@ -176,12 +177,12 @@ class GlobalState:
         # a repeated literal counts once per occurrence
         true_count = [sum(map(true_lits.__contains__, c)) for c in cnf.clauses]
         unsat = {ci for ci, n in enumerate(true_count) if n == 0}
-        degree = [0] * (cnf.num_vars + 1)
+        degree = dict.fromkeys(occurrences, 0)
         for ci in unsat:
             for v in set(map(abs, cnf.clauses[ci])):
                 degree[v] += 1
         return cls(assignment, true_count, unsat, degree,
-                   [v for v, n in enumerate(degree) if n], occurrences)
+                   sorted(v for v, n in degree.items() if n), occurrences)
 
 
 @lru_cache(maxsize=MEMO_ENTRIES)
@@ -425,7 +426,7 @@ def iterate(cnf: Cnf, condition: tuple[ConditionRecord, ...], original: Cnf, *,
         return DecompositionRun(False, iterations, solver_calls,
                                 state.best_count, m, None, reason=reason,
                                 trace=first_trace)
-    full = reconstruct(condition, state.assignment, original.num_vars)
+    full = reconstruct(condition, state.assignment, original.occurring_vars())
     if not evaluate(original, full):
         raise RuntimeError("solved subproblem failed verification on the input CNF")
     return DecompositionRun(True, iterations, solver_calls,

@@ -183,7 +183,8 @@ def generate_backbone_instance(spec: BackboneSpec, seed: int) -> Cnf:
     brute-forceable sizes (n <= 24) the instance is rejected until every
     solution agrees with the target on the planted set — the planted set is
     then a subset of the true backbone.  Larger sizes are emitted unchecked.
-    The seed must be >= 0.
+    The seed must be >= 0.  A spec whose clauses cannot pin its planted set
+    in ``BACKBONE_TRIES`` tries is bad input and raises ValueError.
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -236,7 +237,7 @@ def generate_backbone_instance(spec: BackboneSpec, seed: int) -> Cnf:
         sols = brute_force_solutions(cnf)
         if sols and all(s[v] == target[v] for s in sols for v in planted):
             return cnf
-    raise RuntimeError(
+    raise ValueError(
         f"could not plant a verified backbone after {BACKBONE_TRIES} tries")
 
 
@@ -268,15 +269,9 @@ def expand_instances(spec: str) -> list[tuple[str, Cnf]]:
     except ValueError:
         raise ValueError(bad) from None
     if parts[0] == "semiprime":
-        out = []
-        for inst in semiprime_catalog(bits):
-            if targets and inst.semiprime not in targets:
-                continue
-            cnf, _nl, _ = generate_instance(bits, inst.semiprime)
-            out.append((f"semiprime-{bits:02d}-{inst.semiprime}", cnf))
-        if targets and not out:
-            raise ValueError(f"{targets[0]} is not in the {bits}-bit catalog")
-        return out
+        numbers = targets or [inst.semiprime for inst in semiprime_catalog(bits)]
+        return [(f"semiprime-{bits:02d}-{number}", generate_instance(bits, number)[0])
+                for number in numbers]
     if parts[0] == "backbone":
         cnf = generate_backbone_instance(BackboneSpec(n=n, m=m, b=percent / 100.0),
                                          seed)
@@ -308,7 +303,11 @@ class SweepConfig:
     * ``cap`` (5000): decomposition iterations per repeat, >= 0
     * ``budget`` (45): spins per slice, 0..``SPIN_BUDGET``
     * ``num_samples`` (10): chip reads per solver call, >= 1
-    * ``stop_on_solve`` (False): run no repeat of a cell after one solved
+    * ``stop_on_solve`` (False): run no repeat of a cell after one solved.
+      Such a cell keeps only the repeats up to its first success, so
+      ``tts`` and ``report`` read p = 1/k from it, an overestimate: for a
+      true p of 0.1 over 20 repeats the expected estimate is 0.25.  A
+      sweep that estimates TTS leaves it off.
 
     Any other value raises ``ValueError`` from the constructor, ``replace``
     and ``from_file``.

@@ -63,7 +63,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 
-from .circuit import _OPTION2, EncodingOption, gate_clauses
+from .circuit import IMPLICATION_FORM, EncodingOption, gate_clauses
 from .cnf import MEMO_ENTRIES, Clause, Cnf
 
 # ---------------------------------------------------------------------------
@@ -87,25 +87,28 @@ def known_values(records: Iterable[ConditionRecord]) -> dict[int, bool]:
 def reconstruct(
     condition: Sequence[ConditionRecord],
     residual_model: dict[int, bool],
-    num_vars: int,
+    variables: Iterable[int],
 ) -> dict[int, bool]:
-    """Lift a model of the residual formula to all ``num_vars`` variables.
+    """Lift a model of the residual formula to the variables the records,
+    the model and ``variables`` name.
 
     Fixed and pure variables take their recorded values, residual variables
     keep theirs, substituted variables copy (or negate) their root, and
-    variables constrained by nothing are False.
+    every other one of ``variables``, constrained by nothing, is False.
+    The work follows the records, the model and ``variables``, not the
+    formula's declared variable count.
     """
     out = known_values(condition)
-    sub_targets = {r.var for r in condition if r.kind == "sub"}
     for var, val in residual_model.items():
         out.setdefault(var, bool(val))
-    for v in range(1, num_vars + 1):
-        if v not in out and v not in sub_targets:
-            out[v] = False
-    # Reverse order resolves chains where a later pass replaced an earlier root.
+    # Reverse order resolves chains where a later pass replaced an earlier
+    # root; a root nothing set is unconstrained, so False.
     for rec in reversed(condition):
         if rec.kind == "sub" and rec.var not in out:
-            out[rec.var] = out[rec.root] if rec.sign > 0 else not out[rec.root]
+            root = out.get(rec.root, False)
+            out[rec.var] = root if rec.sign > 0 else not root
+    for v in variables:
+        out.setdefault(v, False)
     return out
 
 
@@ -240,7 +243,7 @@ def reencode_option2(st: PrepState) -> None:
     drop: set[int] = set()
     insert_at: dict[int, list[Clause]] = {}
     for g in detect_gate_groups(st.clauses):
-        if g.kind not in _OPTION2:
+        if g.kind not in IMPLICATION_FORM:
             continue
         ins = [v for v in g.variables if v != g.output]
         new = gate_clauses(g.kind, ins[0], ins[1], g.output,
@@ -702,29 +705,20 @@ def _stabilize(st: PrepState, level: int, reports: list[PassReport]) -> None:
         reports.extend(ran)
 
 
-def run_ladder(
-    cnf: Cnf,
-    level: int,
-    *,
-    seed: int,
-    branch_override: bool | None = None,
-) -> LadderResult:
+def run_ladder(cnf: Cnf, level: int, *, seed: int) -> LadderResult:
     """Apply every ladder pass up to ``level`` (cumulative, 0..7).
 
-    At level 7 ``seed`` draws the value of the one guess, unless
-    ``branch_override`` gives it; below level 7 nothing is drawn.  The
-    outcome runs once per ``(cnf, level, guess)`` value; see the module
-    docstring.  Every call with that value gets the first call's result,
-    whose reports give each pass's time from when it ran.
+    At level 7 ``seed`` draws the value of the one guess; below level 7
+    nothing is drawn.  The outcome runs once per ``(cnf, level, guess)``
+    value in :func:`_ladder`; see the module docstring.  Every call with
+    that value gets the first call's result, whose reports give each pass's
+    time from when it ran.
     """
     if not 0 <= level <= MAX_LEVEL:
         raise ValueError(f"level must be between 0 and {MAX_LEVEL}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    guess = None
-    if level == MAX_LEVEL:
-        guess = (random.Random(seed).random() < 0.5 if branch_override is None
-                 else branch_override)
+    guess = random.Random(seed).random() < 0.5 if level == MAX_LEVEL else None
     return _ladder(cnf, level, guess)
 
 

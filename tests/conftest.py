@@ -9,7 +9,7 @@ from hypothesis import settings
 from isingsat import decompose, preprocess
 from isingsat.circuit import generate_instance, semiprime_catalog
 from isingsat.cnf import Cnf, brute_force_solutions, evaluate, make_cnf
-from isingsat.preprocess import MAX_LEVEL, known_values, reconstruct, run_ladder
+from isingsat.preprocess import MAX_LEVEL, known_values, reconstruct
 
 # Every run draws the same examples and keeps no example database, so a
 # checkout's results do not depend on what earlier runs found.
@@ -64,7 +64,7 @@ def proj(sol, keys):
     return frozenset((v, sol[v]) for v in keys)
 
 
-def check_reconstruction(cnf: Cnf, level: int, seed: int):
+def check_reconstruction(cnf: Cnf, level: int):
     """Solution-set comparison through the ladder at one level.
 
     Returns (image, O, lossy_pure): the reconstructed projected solution set
@@ -74,18 +74,18 @@ def check_reconstruction(cnf: Cnf, level: int, seed: int):
     multiplicity).
     """
     occ = cnf.occurring_vars()
-    O = {proj(s, occ) for s in brute_force_solutions(cnf, var_cap=28)}
+    O = {proj(s, occ) for s in brute_force_solutions(cnf)}
     image = set()
     lossy_pure = False
     for guess in (False, True) if level == MAX_LEVEL else (None,):
-        res = run_ladder(cnf, level, seed=seed, branch_override=guess)
+        res = preprocess._ladder(cnf, level, guess)
         if res.cnf.is_unsat_marked():
             continue
         determined = set(known_values(res.condition)) | set(substituted(res.condition))
         free = [v for v in occ if v not in determined]
         sub = make_cnf(cnf.num_vars, res.cnf.clauses)
-        for r in brute_force_solutions(sub, variables=free, var_cap=28):
-            full = reconstruct(res.condition, r, cnf.num_vars)
+        for r in brute_force_solutions(sub, variables=free):
+            full = reconstruct(res.condition, r, range(1, cnf.num_vars + 1))
             assert evaluate(cnf, full)  # soundness, always
             image.add(proj(full, occ))
         for var, val in pure(res.condition).items():

@@ -44,15 +44,10 @@ TEST_SEAMS = {
     # an independent oracle: evaluates a multiplier netlist wire by wire
     "circuit.simulate",
     # the exhaustive reference oracle, restricted to a subset of variables
-    # or allowed to enumerate further than the pipeline ever asks
-    "cnf.brute_force_solutions(var_cap)",
     "cnf.brute_force_solutions(variables)",
-    # a scripted level-7 guess: check_reconstruction gives the one guess
-    # each of its two values in turn, so both outcomes are covered.  The
-    # name rule does not report the result field, which
-    # PrepState.branch_decisions hides; it is named so that it is not taken
-    # for an oversight.
-    "preprocess.run_ladder(branch_override)",
+    # the level-7 guess's record: the name rule does not report the result
+    # field, which PrepState.branch_decisions hides; it is named so that it
+    # is not taken for an oversight.
     "preprocess.LadderResult.branch_decisions",
     # energy oracles: the solver picks a read by the energy its kernel
     # tracked, and the tests recompute that energy through the model

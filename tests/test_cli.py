@@ -3,9 +3,13 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import json
+import os
 import tempfile
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -14,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 from isingsat import decompose
 from isingsat.cli import main
 from isingsat.cnf import parse_dimacs, write_dimacs
-from isingsat.harness import SweepConfig, load_records
+from isingsat.decompose import STRATEGIES
+from isingsat.harness import SweepConfig, load_records, timings_path_for
 from isingsat.preprocess import MAX_LEVEL, run_ladder
 from isingsat.solver import BACKENDS
 
@@ -448,6 +453,24 @@ def test_unknown_command_exits():
         main(["frobnicate"])
 
 
+def test_a_declared_variable_count_costs_nothing_when_few_clauses_follow(tmp_path):
+    # one clause over variable 1 under a header of 200,000: a list, dict or
+    # loop over the declared count alone would pass 2 MB
+    cnf = tmp_path / "in.cnf"
+    cnf.write_text("p cnf 200000 1\n1 0\n")
+    for level in (0, MAX_LEVEL):
+        runs = tmp_path / f"runs{level}.jsonl"
+        tracemalloc.start()
+        try:
+            code = main(["solve", "-i", str(cnf), "--repeats", "1", "--cap", "2",
+                         "--level", str(level), "-o", str(runs)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and load_records(runs)[0].solved
+        assert peak < 2_000_000, (level, peak)
+
+
 # ---------------------------------------------------------------------------
 # every input ends in a result or one error line
 
@@ -527,3 +550,212 @@ def test_every_input_ends_in_a_result_or_one_error_line(
                 assert not writes.exists()
         if code == 0:
             assert len(load_records(runs)) == 1
+
+
+
+def _ends_cleanly(argv: list[str], tmp: Path) -> tuple[int, bool]:
+    """Run one command in process and check that it ends in exit 0, in exit 1
+    with ``no records``, or in exit 2 with one error line and no file
+    written under ``tmp``; returns the status and whether a file appeared."""
+    before = set(tmp.rglob("*"))
+    code, err = _main(argv)
+    wrote = set(tmp.rglob("*")) != before
+    if code == 0:
+        assert err == ""
+    elif code == 1:
+        assert err == "no records\n"
+    elif code != 0:
+        assert code == 2
+        assert err.startswith("isingsat: error: ") and err.count("\n") == 1
+        assert not wrote
+    return code, wrote
+
+
+_GENERATE_VALUES = {
+    "--bits": st.one_of(st.integers(4, 8).map(str),
+                        st.sampled_from(("x", "", "3", "17", "-4"))),
+    "--semiprime": st.one_of(st.sampled_from(("9", "15", "143", "221")),
+                             st.integers(-1, 300).map(str)),
+    "--all": st.just(()),
+    "--option": st.sampled_from(("1", "2", "3")),
+    "--backbone": st.tuples(st.integers(1, 8), st.integers(0, 30),
+                            st.integers(-10, 110)).map(lambda t: tuple(map(str, t))),
+    "--seed": st.integers(-2, 3).map(str),
+    "-o": st.just("out.cnf"),
+    "--dir": st.just("d"),
+}
+
+
+def _generate_flags(required: tuple[str, ...], optional: tuple[str, ...]):
+    return st.fixed_dictionaries(
+        {k: _GENERATE_VALUES[k] for k in required},
+        optional={k: _GENERATE_VALUES[k] for k in optional})
+
+
+# a semiprime's flags, a backbone's flags, or any subset of all of them
+_GENERATE_FLAGS = st.one_of(
+    _generate_flags(("--bits",), ("--semiprime", "--all", "--option", "-o", "--dir")),
+    _generate_flags(("--backbone",), ("--seed", "-o")),
+    _generate_flags((), tuple(_GENERATE_VALUES)))
+
+
+@given(_GENERATE_FLAGS)
+@settings(max_examples=60, deadline=None)
+def test_every_generate_flag_vector_ends_in_a_result_or_one_error_line(flags):
+    argv = ["generate"]
+    for flag, value in flags.items():
+        argv += [flag, *((value,) if isinstance(value, str) else value)]
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # generate without -o or --dir writes into the cwd
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, wrote = _ends_cleanly(argv, Path(tmp))
+        finally:
+            os.chdir(cwd)
+    assert code == 2 or code == 0 and wrote
+    # the one warning generate gives: XOR gates keep their row encoding
+    assert all("no implication-form encoding" in str(w.message) for w in caught)
+
+
+@functools.cache
+def _two_records() -> tuple[bytes, bytes]:
+    """A real runs.jsonl of two records and its timings sidecar."""
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = Path(tmp) / "runs.jsonl"
+        assert _main(["solve", "-i", "semiprime:4", "--level", "0", "--cap", "3",
+                      "--repeats", "2", "-o", str(runs)])[0] == 0
+        return runs.read_bytes(), timings_path_for(runs).read_bytes()
+
+
+_WRONG_VALUES = ("x", "", 1.5, None, [], {}, True, 7, -1)
+
+
+@st.composite
+def _record_line(draw, line: bytes) -> bytes:
+    """A record with a field dropped, added or retyped."""
+    record = json.loads(line)
+    op = draw(st.sampled_from(("drop", "add", "retype")))
+    key = draw(st.sampled_from(sorted(record)))
+    if op == "drop":
+        del record[key]
+    elif op == "add":
+        record["extra"] = 1
+    else:
+        record[key] = draw(st.sampled_from(_WRONG_VALUES))
+    return json.dumps(record).encode()
+
+
+@st.composite
+def _timings_line(draw, line: bytes) -> bytes:
+    """A timings row with a field dropped, added or retyped."""
+    row = line.split(b",")
+    op = draw(st.sampled_from(("drop", "add", "retype")))
+    at = draw(st.integers(0, len(row) - 1))
+    if op == "drop":
+        del row[at]
+    elif op == "add":
+        row.insert(at, b"0.5")
+    else:
+        row[at] = draw(st.sampled_from((b"x", b"", b"1e", b'"')))
+    return b",".join(row)
+
+
+@st.composite
+def _damaged(draw, data: bytes, damage_line) -> bytes:
+    """``data`` with one line cut (the file may end there), one line's
+    fields damaged by ``damage_line``, a blank line put in, or bytes that
+    are not UTF-8 put in."""
+    lines = data.split(b"\n")  # the last is empty: the file ends in a newline
+    at = draw(st.integers(0, len(lines) - 2))
+    line = lines[at]
+    damage = draw(st.sampled_from(("cut", "truncate", "field", "blank", "bytes")))
+    if damage == "truncate":
+        return data[:len(b"\n".join(lines[:at])) + draw(st.integers(0, len(line)))]
+    if damage == "cut":  # the rest of the line is lost, its newline kept
+        lines[at] = line[:draw(st.integers(0, len(line)))]
+    elif damage == "field":
+        lines[at] = draw(damage_line(line))
+    elif damage == "blank":
+        lines.insert(at, b"")
+    else:
+        pos = draw(st.integers(0, len(line)))
+        lines[at] = (line[:pos] + draw(st.sampled_from((b"\xff", b"\x80\x81", b"\xc3")))
+                     + line[pos:])
+    return b"\n".join(lines)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_every_damaged_runs_file_ends_in_a_result_or_one_error_line(data):
+    runs_bytes, timings_bytes = _two_records()
+    if data.draw(st.booleans()):
+        runs_bytes = data.draw(_damaged(runs_bytes, _record_line))
+    else:
+        timings_bytes = data.draw(_damaged(timings_bytes, _timings_line))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        runs = tmp / "runs.jsonl"
+        runs.write_bytes(runs_bytes)
+        timings_path_for(runs).write_bytes(timings_bytes)
+        assert not _ends_cleanly(["tts", "-i", str(runs)], tmp)[1]
+        code, wrote = _ends_cleanly(["report", "-i", str(runs),
+                                     "-o", str(tmp / "agg.csv")], tmp)
+        assert code != 0 or wrote
+
+
+_SWEEP_VALUES = {
+    "instances": st.sampled_from((["semiprime:4"], ["backbone:8:30:50"])),
+    "levels": st.lists(st.integers(0, MAX_LEVEL), min_size=1, max_size=2),
+    "strategies": st.lists(st.sampled_from(STRATEGIES), min_size=1, max_size=2),
+    "backends": st.lists(st.sampled_from(BACKENDS), min_size=1, max_size=2),
+    "repeats": st.integers(0, 1),
+    "seed": st.integers(0, 3),
+    "cap": st.integers(0, 2),
+    "budget": st.integers(0, 45),
+    "num_samples": st.integers(1, 2),
+    "stop_on_solve": st.booleans(),
+}
+_OUT_OF_RANGE = {
+    "instances": ([], ["semiprime:4:15"], ["nope:1"]), "levels": ([8], [-1]),
+    "strategies": (["random"],), "backends": (["quantum"],), "repeats": (-1,),
+    "seed": (-1,), "cap": (-1,), "budget": (46,), "num_samples": (0,),
+}
+
+
+@st.composite
+def _sweep_files(draw) -> bytes:
+    """Sweep configs, some then made not JSON, not an object, given an
+    unknown key, a value out of range or a value of the wrong type."""
+    config = draw(st.fixed_dictionaries(
+        {"instances": _SWEEP_VALUES["instances"]},
+        optional={k: v for k, v in _SWEEP_VALUES.items() if k != "instances"}))
+    damage = draw(st.sampled_from(("none", "json", "object", "key", "range", "type")))
+    if damage == "json":
+        text = json.dumps(config).encode()
+        return text[:draw(st.integers(0, len(text) - 1))] + draw(
+            st.sampled_from((b"", b"\xff", b"}", b"x")))
+    if damage == "object":
+        config = draw(st.sampled_from((list(config), 3, "instances", None)))
+    elif damage == "key":
+        config[draw(st.sampled_from(("levles", "max_guesses", "")))] = 1
+    elif damage == "range":
+        key = draw(st.sampled_from(sorted(_OUT_OF_RANGE)))
+        config[key] = draw(st.sampled_from(_OUT_OF_RANGE[key]))
+    elif damage == "type":
+        config[draw(st.sampled_from(sorted(_SWEEP_VALUES)))] = draw(
+            st.sampled_from(_WRONG_VALUES + (["x"], [1.5], [True])))
+    return json.dumps(config).encode()
+
+
+@given(_sweep_files())
+@settings(max_examples=60, deadline=None)
+def test_every_sweep_file_ends_in_a_result_or_one_error_line(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        sweep = tmp / "sweep.json"
+        sweep.write_bytes(text)
+        code, _wrote = _ends_cleanly(["solve", "--sweep", str(sweep), "-o",
+                                      str(tmp / "r" / "runs.jsonl")], tmp)
+        assert code in (0, 2)

@@ -360,8 +360,8 @@ def test_incremental_counts_match_full_rescan(walk):
 def _assert_pool_matches_rescan(cnf, state):
     unsat_vars = [{abs(lit) for lit in cnf.clauses[ci]} for ci in state.unsat]
     assert state.pool == sorted(set().union(*unsat_vars))
-    assert state.unsat_degree == [sum(v in vs for vs in unsat_vars)
-                                  for v in range(cnf.num_vars + 1)]
+    assert state.unsat_degree == {v: sum(v in vs for vs in unsat_vars)
+                                  for v in cnf.occurring_vars()}
 
 
 @given(st.data())

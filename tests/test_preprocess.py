@@ -66,33 +66,33 @@ def test_condition_list_views():
 
 def test_reconstruct_negated_master():
     cond = [_sub(1, 2, -1)]  # a == not b
-    out = reconstruct(cond, {2: False}, 2)
+    out = reconstruct(cond, {2: False}, range(1, 3))
     assert out == {1: True, 2: False}
 
 
 def test_reconstruct_chain_same_sign():
     # a -> b -> c, both same-sign, c true: everything true
     cond = [_sub(1, 2, 1), _sub(2, 3, 1)]
-    out = reconstruct(cond, {3: True}, 3)
+    out = reconstruct(cond, {3: True}, range(1, 4))
     assert out == {1: True, 2: True, 3: True}
 
 
 def test_reconstruct_chain_signs_compose():
     cond = [_sub(1, 2, -1), _sub(2, 3, -1)]
-    out = reconstruct(cond, {3: True}, 3)
+    out = reconstruct(cond, {3: True}, range(1, 4))
     assert out == {1: True, 2: False, 3: True}
 
 
 def test_reconstruct_later_fix_of_root_wins():
     # the root itself is fixed by a later pass; the sub must read that value
     cond = [_sub(5, 2, 1), _fix(2, False)]
-    out = reconstruct(cond, {}, 5)
+    out = reconstruct(cond, {}, range(1, 6))
     assert out[5] is False and out[2] is False
 
 
 def test_reconstruct_defaults_unconstrained():
     cond = [_fix(1, True)]
-    out = reconstruct(cond, {}, 3)
+    out = reconstruct(cond, {}, range(1, 4))
     assert out == {1: True, 2: False, 3: False}
 
 
@@ -353,7 +353,7 @@ def test_pure_literal_loses_only_nonrecorded_polarity():
     cnf = make_cnf(3, [(1, 2, 3)])
     st = _state(cnf)
     eliminate_pure_literals(st)
-    full = reconstruct(st.condition, {}, 3)
+    full = reconstruct(st.condition, {}, range(1, 4))
     assert evaluate(cnf, full)
     assert full == {1: True, 2: True, 3: True}
 
@@ -543,7 +543,7 @@ def test_reconstruction_bijective_levels_0_to_5():
         n = rng.randint(4, 14)
         cnf = random_3sat(n, max(1, int(n * rng.uniform(3.0, 5.0))), rng)
         for level in range(0, 6):
-            image, O, _ = check_reconstruction(cnf, level, seed=i)
+            image, O, _ = check_reconstruction(cnf, level)
             assert image == O, (i, level)
 
 
@@ -553,7 +553,7 @@ def test_reconstruction_levels_6_7_exact_unless_lossy_pure():
         n = rng.randint(4, 14)
         cnf = random_3sat(n, max(1, int(n * rng.uniform(3.0, 5.0))), rng)
         for level in (6, 7):
-            image, O, lossy = check_reconstruction(cnf, level, seed=i)
+            image, O, lossy = check_reconstruction(cnf, level)
             if lossy:
                 assert image <= O and (not O or image)
             else:
@@ -564,7 +564,7 @@ def test_pure_elimination_shrinks_solution_set_of_loose_formula():
     """A non-backbone pure literal keeps satisfiability, not multiplicity:
     the single clause (1 v 2 v 3) has 7 models but one reconstruction."""
     cnf = make_cnf(3, [(1, 2, 3)])
-    image, O, lossy = check_reconstruction(cnf, 6, seed=0)
+    image, O, lossy = check_reconstruction(cnf, 6)
     assert lossy
     assert len(O) == 7
     assert image == {frozenset({(1, True), (2, True), (3, True)})}
@@ -575,7 +575,7 @@ def test_reconstruction_branching_union_covers_both_outcomes_of_the_guess():
     for i in range(10):
         n = rng.randint(5, 10)
         cnf = random_3sat(n, int(n * 4.0), rng)
-        image, O, lossy = check_reconstruction(cnf, 7, seed=i)
+        image, O, lossy = check_reconstruction(cnf, 7)
         if not lossy:
             assert image == O, i
 
@@ -588,7 +588,7 @@ def test_semiprime_ladder_full_reduction_and_reconstruction(catalog45):
         for lvl in range(4, MAX_LEVEL + 1):
             assert profile[lvl] == 0  # fully conditioned at replaced-value prop
         res = run_ladder(cnf, 4, seed=0)
-        full = reconstruct(res.condition, {}, cnf.num_vars)
+        full = reconstruct(res.condition, {}, range(1, cnf.num_vars + 1))
         assert evaluate(cnf, full)
         a = sum((1 << i) for i, v in enumerate(nl.input_bits_a) if full[v])
         b = sum((1 << i) for i, v in enumerate(nl.input_bits_b) if full[v])

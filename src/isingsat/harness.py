@@ -46,6 +46,16 @@ _VOLATILE_FIELDS = ("preprocess_time", "wall_time")  # measured, not derived
 _JSON_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float), "str": (str,)}
 
 
+def _loads(text: str):
+    """``json.loads``, refusing a value nested too deeply for the parser
+    with a ``json.JSONDecodeError`` like any other malformed JSON, not a
+    RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", text, 0) from None
+
+
 def cell_key(instance: str, level: int, strategy: str, backend: str,
              seed: int) -> str:
     """Identity of one repeat: the key of ``runs.jsonl`` resume and timings."""
@@ -96,7 +106,7 @@ class RunRecord:
         """ValueError unless ``line`` is an object of the record's fields,
         each of its declared type: a bool is no int, an int may be a float."""
         try:
-            record = RunRecord(**json.loads(line))
+            record = RunRecord(**_loads(line))
         except TypeError:  # not an object, or keys that are not the fields
             raise ValueError(f"not a run record: {line.strip()}") from None
         for f in fields(RunRecord):
@@ -350,7 +360,7 @@ class SweepConfig:
 
     @staticmethod
     def from_file(path: str | Path) -> "SweepConfig":
-        data = json.loads(Path(path).read_text())
+        data = _loads(Path(path).read_text())
         if not isinstance(data, dict):
             raise ValueError("a sweep config is a JSON object")
         unknown = set(data) - {f.name for f in fields(SweepConfig)}
@@ -456,8 +466,12 @@ def _mend_tail(path: Path, parse: Callable[[str], object]) -> None:
 
 def _timing_row(line: str) -> tuple[str, tuple[float, float]]:
     """The key and measured times of one sidecar row; ValueError unless it
-    has three fields and both times parse."""
-    key, pre, wall = next(csv.reader([line]))
+    has three fields and both times parse (a ``csv.Error``, such as a field
+    over the csv module's size limit, is one too)."""
+    try:
+        key, pre, wall = next(csv.reader([line]))
+    except csv.Error as exc:
+        raise ValueError(str(exc)) from None
     return key, (float(pre), float(wall))
 
 
@@ -483,7 +497,7 @@ def run_experiment(config: SweepConfig, out_dir: Path,
     mended first.  ``out_dir`` is made when the first record is appended."""
     runs_path = out_dir / runs_filename
     timings_path = timings_path_for(runs_path)
-    _mend_tail(runs_path, json.loads)
+    _mend_tail(runs_path, _loads)
     _mend_tail(timings_path, _timing_row)
     done = ({rec.key: rec.solved for rec in load_records(runs_path)}
             if runs_path.exists() else {})
@@ -523,7 +537,7 @@ def run_experiment(config: SweepConfig, out_dir: Path,
 
 def load_records(runs_path: str | Path) -> list[RunRecord]:
     """The records of a runs file, skipping a torn append at its end."""
-    return _read_lines(Path(runs_path), json.loads, RunRecord.from_json, 0)
+    return _read_lines(Path(runs_path), _loads, RunRecord.from_json, 0)
 
 
 def aggregate_records(records: list[RunRecord]) -> list[dict]:

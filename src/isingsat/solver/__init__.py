@@ -1,7 +1,9 @@
 """Ising ground-state search: :func:`solve` on one of two backends.
 
 Both backends take the same :class:`~isingsat.qubo.IsingModel`; a call lays
-its pairs out once as the kernels' dense, symmetric row-major n*n matrix:
+its pairs out once as the kernels' dense, symmetric row-major n*n matrix,
+which is their API and the pure oracle's layout (the compiled kernel keeps
+only its nonzero entries, as per-spin neighbour lists):
 
 * ``"emulator"`` — a simulated annealer standing in for the 45-spin
   all-to-all chip.  It refuses models that would not fit the device: more

@@ -10,8 +10,24 @@
  * sweep and move loops.
  *
  * The couplings arrive as a dense row-major n*n matrix jd, symmetric with a
- * zero diagonal, and are copied as given: row i equals column i, so the field
- * update after flipping spin i reads one contiguous row.
+ * zero diagonal, which is the oracle's layout.  chain_open reads it once and
+ * keeps only its nonzero entries, as per-spin neighbour lists: spin i's links
+ * are links[start[i]] .. links[start[i + 1] - 1], in ascending neighbour
+ * order, each holding the neighbour q, J = jd[i*n + q] and 2*J.  A field is
+ * summed over its row's links and a flip of spin i updates only the fields
+ * of its links, so a flip costs the spin's degree rather than n.
+ *
+ * Skipping the zero entries changes no result.  Each skipped term is
+ * 0 * s or 2 * 0 * s, a zero, and the nonzero terms are added in the
+ * oracle's order.  x + +-0 is x for every nonzero x (inf and NaN included),
+ * so a field can differ from the oracle's only where both are zero, and then
+ * only in the sign of that zero.  A de of either zero fails de > 0, and
+ * cur < best, cur + de < best and de < pick_de treat the two zeros alike, so
+ * every flip is the oracle's.  The energy starts at +0.0 and +0.0 + -0.0 is
+ * +0.0, so the energies and trace rows are bit-identical too.  A caller can
+ * meet a differing zero only by passing h_i = -0.0: that field stays -0.0
+ * here where the oracle's +0.0 terms may turn it to +0.0, and this is never
+ * returned.  Every zero entry of jd, +0.0 or -0.0, is dropped.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -22,9 +38,16 @@
 #define STAR 0x2545F4914F6CDD1DULL
 
 typedef struct {
+    double j, j2;  /* J and 2*J */
+    int q;         /* the neighbour */
+} Link;
+
+typedef struct {
     int n;
     uint64_t state;
-    double *jd, *h, *fields;  /* n*n, n, n */
+    Py_ssize_t *start;   /* n + 1: spin i's links begin at links + start[i] */
+    Link *links;
+    double *h, *fields;  /* n, n */
     signed char *spins, *best_spins;
 } Chain;
 
@@ -58,18 +81,25 @@ static PyObject *mix_seed(PyObject *self, PyObject *args)
     return PyLong_FromUnsignedLongLong(z ? z : STAR);
 }
 
+/* The items of `seq`, which must number at least `count`, as a new reference
+   to a list or tuple; NULL with an exception set. */
+static PyObject *items_of(PyObject *seq, Py_ssize_t count)
+{
+    PyObject *fast = PySequence_Fast(seq, "couplings and fields must be sequences");
+    if (fast != NULL && PySequence_Fast_GET_SIZE(fast) < count) {
+        PyErr_Format(PyExc_ValueError, "need %zd coefficients, got %zd", count,
+                     PySequence_Fast_GET_SIZE(fast));
+        Py_CLEAR(fast);
+    }
+    return fast;
+}
+
 /* Copies `count` floats from a sequence; returns -1 with an exception set. */
 static int load(PyObject *seq, Py_ssize_t count, double *out)
 {
-    PyObject *fast = PySequence_Fast(seq, "couplings and fields must be sequences");
+    PyObject *fast = items_of(seq, count);
     if (fast == NULL)
         return -1;
-    if (PySequence_Fast_GET_SIZE(fast) < count) {
-        PyErr_Format(PyExc_ValueError, "need %zd coefficients, got %zd", count,
-                     PySequence_Fast_GET_SIZE(fast));
-        Py_DECREF(fast);
-        return -1;
-    }
     PyObject **items = PySequence_Fast_ITEMS(fast);
     for (Py_ssize_t k = 0; k < count; k++) {
         double v = PyFloat_AsDouble(items[k]);
@@ -83,8 +113,50 @@ static int load(PyObject *seq, Py_ssize_t count, double *out)
     return 0;
 }
 
-/* Allocates the chain's buffers (plus `extra` doubles at jd + n*n + 2n)
-   and copies the coefficients; returns -1 with an exception set. */
+/* Reads the dense row-major n*n jd in one pass into the neighbour lists,
+   keeping its nonzero entries; returns -1 with an exception set. */
+static int load_links(Chain *c, PyObject *jd)
+{
+    int n = c->n;
+    PyObject *fast = items_of(jd, (Py_ssize_t)n * n);
+    if (fast == NULL)
+        return -1;
+    PyObject **items = PySequence_Fast_ITEMS(fast);
+    Py_ssize_t used = 0, size = 4 * (Py_ssize_t)n + 1;
+    if ((c->links = PyMem_New(Link, size)) == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    for (int i = 0; i < n; i++) {
+        c->start[i] = used;
+        for (int q = 0; q < n; q++) {
+            double v = PyFloat_AsDouble(items[(Py_ssize_t)i * n + q]);
+            if (v == -1.0 && PyErr_Occurred())
+                goto fail;
+            if (v == 0.0)
+                continue;
+            if (used == size) {
+                size *= 2;
+                Link *grown = PyMem_Realloc(c->links, (size_t)size * sizeof *grown);
+                if (grown == NULL) {
+                    PyErr_NoMemory();
+                    goto fail;
+                }
+                c->links = grown;
+            }
+            c->links[used++] = (Link){v, 2.0 * v, q};
+        }
+    }
+    c->start[n] = used;
+    Py_DECREF(fast);
+    return 0;
+fail:
+    Py_DECREF(fast);
+    return -1;
+}
+
+/* Allocates the chain's buffers (plus `extra` doubles at fields + n) and
+   reads the coefficients; returns -1 with an exception set. */
 static int chain_open(Chain *c, int n, PyObject *jd, PyObject *h, uint64_t seed,
                       Py_ssize_t extra)
 {
@@ -95,23 +167,25 @@ static int chain_open(Chain *c, int n, PyObject *jd, PyObject *h, uint64_t seed,
     }
     c->n = n;
     c->state = seed;
-    c->jd = PyMem_New(double, (size_t)n * n + 2 * (size_t)n + extra + 1);
+    c->start = PyMem_New(Py_ssize_t, (size_t)n + 1);
+    c->h = PyMem_New(double, 2 * (size_t)n + extra + 1);
     c->spins = PyMem_New(signed char, 2 * (size_t)n + 1);
-    if (c->jd == NULL || c->spins == NULL) {
+    if (c->start == NULL || c->h == NULL || c->spins == NULL) {
         PyErr_NoMemory();
         return -1;
     }
-    c->h = c->jd + (size_t)n * n;
     c->fields = c->h + n;
     c->best_spins = c->spins + n;
-    if (load(jd, (Py_ssize_t)n * n, c->jd) < 0 || load(h, n, c->h) < 0)
+    if (load_links(c, jd) < 0 || load(h, n, c->h) < 0)
         return -1;
     return 0;
 }
 
 static void chain_close(Chain *c)
 {
-    PyMem_Free(c->jd);
+    PyMem_Free(c->start);
+    PyMem_Free(c->links);
+    PyMem_Free(c->h);
     PyMem_Free(c->spins);
 }
 
@@ -123,8 +197,9 @@ static double chain_init(Chain *c)
         c->spins[i] = step(&c->state) & 1 ? 1 : -1;
     for (int i = 0; i < n; i++) {
         double acc = c->h[i];
-        for (int q = 0; q < n; q++)
-            acc += c->jd[(size_t)i * n + q] * c->spins[q];
+        const Link *l = c->links + c->start[i], *end = c->links + c->start[i + 1];
+        for (; l < end; l++)
+            acc += l->j * c->spins[l->q];
         c->fields[i] = acc;
     }
     double cur = 0.0;
@@ -136,12 +211,11 @@ static double chain_init(Chain *c)
 
 static void chain_flip(Chain *c, int i)
 {
-    int n = c->n;
     c->spins[i] = -c->spins[i];
     signed char si = c->spins[i];
-    const double *row = c->jd + (size_t)i * n;
-    for (int q = 0; q < n; q++)
-        c->fields[q] += 2.0 * row[q] * si;
+    const Link *l = c->links + c->start[i], *end = c->links + c->start[i + 1];
+    for (; l < end; l++)
+        c->fields[l->q] += l->j2 * si;
 }
 
 /* Closes the chain; returns (best_spins, best_energy, extra), NULL on error.

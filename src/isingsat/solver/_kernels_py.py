@@ -11,10 +11,14 @@ here is the plain definition ``u >= exp(-de / t)``; the C kernel skips
 tests check that it decides alike.
 
 The couplings arrive as a dense row-major n*n list ``jd``, symmetric with a
-zero diagonal, and are read as given: a flip of spin i reads row i where it
-means column i.  ``energy = 0.5 * s·(J s) + h·s`` is tracked incrementally
-through per-spin local fields ``f_i = h_i + sum_j J_ij s_j`` (a flip of spin
-i costs ``-2 s_i f_i`` and touches every field in O(n)).
+zero diagonal.  That is the kernels' API and this oracle's layout, read as
+given: a flip of spin i reads row i where it means column i.
+``energy = 0.5 * s·(J s) + h·s`` is tracked incrementally through per-spin
+local fields ``f_i = h_i + sum_j J_ij s_j`` (a flip of spin i costs
+``-2 s_i f_i`` and adds ``2 J_ij s_i`` to every field, zeros included).  The
+C kernel keeps only the nonzero entries of ``jd``, as neighbour lists, so a
+flip there costs the spin's degree; the terms it skips are zeros, and its
+header comment says why its results stay bit-identical to these.
 """
 from __future__ import annotations
 

@@ -163,6 +163,19 @@ def test_report_skips_a_torn_timings_row(tmp_path, capsys):
     assert "line 2 is malformed" in err
 
 
+def test_a_timings_field_over_the_csv_limit_is_malformed(tmp_path):
+    # csv raises its own csv.Error, not a ValueError, on such a field
+    runs_bytes, timings_bytes = _two_records()
+    runs = tmp_path / "runs.jsonl"
+    runs.write_bytes(runs_bytes)
+    head, rows = timings_bytes.split(b"\n", 1)
+    long_row = b"k" * (csv.field_size_limit() + 1) + b",0.0,0.0"
+    timings_path_for(runs).write_bytes(head + b"\n" + long_row + b"\n" + rows)
+    code, err = _main(["report", "-i", str(runs), "-o", str(tmp_path / "agg.csv")])
+    assert code == 2 and "line 2 is malformed (field larger than field limit" in err
+    assert not (tmp_path / "agg.csv").exists()
+
+
 def test_tts_and_report_skip_a_torn_record(tmp_path, capsys):
     runs = tmp_path / "runs.jsonl"
     assert main(["solve", "--instance", "semiprime:6", "--level", "7",
@@ -630,6 +643,8 @@ def _two_records() -> tuple[bytes, bytes]:
 
 
 _WRONG_VALUES = ("x", "", 1.5, None, [], {}, True, 7, -1)
+# JSON nested deeper than json.loads can recurse: RecursionError, no ValueError
+_DEEP = (b"[" * 100_000, b'{"a":' * 100_000)
 
 
 @st.composite
@@ -665,12 +680,14 @@ def _timings_line(draw, line: bytes) -> bytes:
 @st.composite
 def _damaged(draw, data: bytes, damage_line) -> bytes:
     """``data`` with one line cut (the file may end there), one line's
-    fields damaged by ``damage_line``, a blank line put in, or bytes that
-    are not UTF-8 put in."""
+    fields damaged by ``damage_line``, a blank line put in, bytes that are
+    not UTF-8 put in, or one line nested too deeply (the file may then
+    end without its last newline)."""
     lines = data.split(b"\n")  # the last is empty: the file ends in a newline
     at = draw(st.integers(0, len(lines) - 2))
     line = lines[at]
-    damage = draw(st.sampled_from(("cut", "truncate", "field", "blank", "bytes")))
+    damage = draw(st.sampled_from(("cut", "truncate", "field", "blank", "bytes",
+                                   "deep")))
     if damage == "truncate":
         return data[:len(b"\n".join(lines[:at])) + draw(st.integers(0, len(line)))]
     if damage == "cut":  # the rest of the line is lost, its newline kept
@@ -679,6 +696,10 @@ def _damaged(draw, data: bytes, damage_line) -> bytes:
         lines[at] = draw(damage_line(line))
     elif damage == "blank":
         lines.insert(at, b"")
+    elif damage == "deep":
+        lines[at] = draw(st.sampled_from(_DEEP))
+        if draw(st.booleans()):
+            del lines[-1]
     else:
         pos = draw(st.integers(0, len(line)))
         lines[at] = (line[:pos] + draw(st.sampled_from((b"\xff", b"\x80\x81", b"\xc3")))
@@ -731,7 +752,10 @@ def _sweep_files(draw) -> bytes:
     config = draw(st.fixed_dictionaries(
         {"instances": _SWEEP_VALUES["instances"]},
         optional={k: v for k, v in _SWEEP_VALUES.items() if k != "instances"}))
-    damage = draw(st.sampled_from(("none", "json", "object", "key", "range", "type")))
+    damage = draw(st.sampled_from(("none", "json", "deep", "object", "key", "range",
+                                   "type")))
+    if damage == "deep":
+        return draw(st.sampled_from(_DEEP))
     if damage == "json":
         text = json.dumps(config).encode()
         return text[:draw(st.integers(0, len(text) - 1))] + draw(
@@ -747,6 +771,30 @@ def _sweep_files(draw) -> bytes:
         config[draw(st.sampled_from(sorted(_SWEEP_VALUES)))] = draw(
             st.sampled_from(_WRONG_VALUES + (["x"], [1.5], [True])))
     return json.dumps(config).encode()
+
+
+def test_deeply_nested_json_is_malformed_input(tmp_path):
+    # json.loads raises RecursionError, not ValueError, on each of these
+    runs_bytes, timings_bytes = _two_records()
+    first, second = runs_bytes.splitlines(keepends=True)
+    sweep, runs = tmp_path / "sweep.json", tmp_path / "runs.jsonl"
+    timings_path_for(runs).write_bytes(timings_bytes)
+    tts, report = ["tts", "-i", str(runs)], ["report", "-i", str(runs),
+                                             "-o", str(tmp_path / "agg.csv")]
+    for deep in _DEEP:
+        sweep.write_bytes(deep)
+        assert _ends_cleanly(["solve", "--sweep", str(sweep), "-o",
+                              str(tmp_path / "r" / "runs.jsonl")], tmp_path)[0] == 2
+        runs.write_bytes(first + deep + b"\n" + second)
+        for argv in (tts, report):
+            code, err = _main(argv)
+            assert code == 2 and f"{runs}: line 2 is malformed (nested too deeply" in err
+        # a torn append is left out, and a resumed sweep cuts it off
+        runs.write_bytes(runs_bytes + deep)
+        assert _main(tts) == (0, "")
+        assert _main(["solve", "-i", "semiprime:4", "--level", "0", "--cap", "3",
+                      "--repeats", "2", "-o", str(runs)]) == (0, "")
+        assert runs.read_bytes() == runs_bytes
 
 
 @given(_sweep_files())

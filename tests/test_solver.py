@@ -50,11 +50,11 @@ def _pair(coupling: float) -> IsingModel:
     return IsingModel(2, {(0, 1): coupling}, [0.0, 0.0], 0.0)
 
 
-def _dense(m: IsingModel) -> list[float]:
+def _dense(m: IsingModel, zero: float = 0.0) -> list[float]:
     """The couplings as the kernels take them: a row-major n*n matrix with
-    J_ik at (i, k) and (k, i) and zeros elsewhere."""
+    J_ik at (i, k) and (k, i) and ``zero`` elsewhere."""
     n = m.num_spins
-    jd = [0.0] * (n * n)
+    jd = [zero] * (n * n)
     for (i, k), b in m.j.items():
         jd[i * n + k] = jd[k * n + i] = b
     return jd
@@ -318,6 +318,53 @@ def test_compiled_metropolis_shortcut_matches_pure():
         assert list(pa[2]) == list(ca[2]), k
 
 
+def _slice_shaped(rng: random.Random) -> list[tuple[int, list[float], list[float]]]:
+    """(n, jd, h) of models shaped like the slices the pipeline anneals:
+    about three neighbours a spin, spins in no coupling (empty rows), one
+    spin coupled to all others, and n of 1, 2 and 45, each with zeros of
+    either sign in jd and h; and one coupling so large that 2J is inf."""
+    def coeff() -> float:
+        return float(rng.choice([v for v in range(COEFF_MIN, COEFF_MAX + 1) if v]))
+
+    models = []
+    for n, degree in ((45, 3), (45, 3), (44, 1), (30, 3), (2, 1), (1, 0)):
+        pairs = {}
+        for _ in range(n * degree // 2):
+            i, k = sorted(rng.sample(range(n), 2))
+            pairs[i, k] = coeff()
+        models.append((n, pairs))
+    hub = {(0, k): coeff() for k in range(1, 45)}
+    models.append((45, {**hub, **{(k, k + 1): coeff() for k in range(1, 44, 7)}}))
+    models.append((2, {}))
+    models.append((3, {(0, 1): 1e308, (1, 2): 1.0}))  # 2J overflows, J does not
+    out = []
+    for n, pairs in models:
+        for zero in (0.0, -0.0):
+            h = [coeff() if rng.random() < 0.5 else zero for _ in range(n)]
+            out.append((n, _dense(IsingModel(n, pairs, h, 0.0), zero), h))
+    return out
+
+
+@pytest.mark.skipif(not kernels.COMPILED_KERNELS, reason="compiled kernels unavailable")
+def test_neighbour_lists_match_the_dense_oracle_on_slice_shaped_models():
+    # the C kernel keeps only jd's nonzero entries; the oracle reads every one
+    from isingsat.solver import _kernels as c_impl
+
+    schedules = [(SWEEPS, INITIAL_TEMP, FINAL_TEMP), (1, INITIAL_TEMP, FINAL_TEMP),
+                 (40, 5.0, 1e-300), (30, 5e-324, 5e-324), (30, 1e6, 1e6)]
+    for k, (n, jd, h) in enumerate(_slice_shaped(random.Random(29))):
+        for sweeps, t0, t1 in schedules:
+            args = (n, jd, h, sweeps, t0, t1, py_mix_seed(k, sweeps), True)
+            pa, ca = py_anneal(*args), c_impl.anneal(*args)
+            assert list(pa[0]) == list(ca[0]), (k, sweeps)
+            # repr tells the zeros apart: not even their sign may differ
+            assert repr(pa[1:]) == repr(ca[1:]), (k, sweeps)
+        args = (n, jd, h, DEFAULT_TABU_MOVES, TABU_TENURE, py_mix_seed(k, 0))
+        pt, ct = py_tabu(*args), c_impl.tabu(*args)
+        assert list(pt[0]) == list(ct[0]), k
+        assert repr(pt[1:]) == repr(ct[1:]), k
+
+
 # ---------------------------------------------------------------------------
 # the kernel build, the only path on a host without a cached shared object
 
@@ -332,6 +379,15 @@ def test_build_writes_the_shared_object(tmp_path):
     assert kernels._build(str(target)) is None
     assert target.stat().st_size > 0
     assert [p.name for p in target.parent.iterdir()] == [target.name]
+
+
+@pytest.mark.skipif(shutil.which(_cc()) is None, reason="no C compiler on PATH")
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    cmd = [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *kernels._FLAGS,
+           "-Wall", "-Werror", "-I", sysconfig.get_paths()["include"],
+           kernels._SOURCE, "-o", str(tmp_path / "_kernels.so"), "-lm"]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_build_without_a_compiler_says_so(tmp_path, monkeypatch):

@@ -2,7 +2,9 @@
 
 Subcommands: generate (semiprime or backbone CNFs), preprocess (simplification
 ladder), solve (decompose + anneal, single cell or config-file sweep), tts
-(time-to-solution from runs.jsonl), report (aggregates + runtime plot data).
+(time to solution from runs.jsonl, charging every repeat the iterations it
+ran, at the cap and at the best cutoff below it), report (the same per cell
+in aggregates.csv, plus runtime plot data).
 Each value of solve is set one way: ``-i/--instance`` takes a spec or a
 DIMACS file, ``-o`` the runs file (``results/runs.jsonl`` when left out),
 and every other setting a flag or, with ``--sweep``, the config file.
@@ -158,11 +160,15 @@ def _cmd_tts(args: argparse.Namespace) -> int:
         print("no records", file=sys.stderr)
         return 1
     print(f"{'instance':32} {'lvl':>3} {'strategy':8} {'backend':8} "
-          f"{'p':>6} {'t':>9} {'tts':>12}")
+          f"{'p':>6} {'cost':>9} {'tts':>12} {'cutoff':>7} {'p@cut':>6} "
+          f"{'tts@cut':>12}")
     for row in aggregate_records(records):
+        best = (f"{row['best_cutoff']:7d} {row['solved_pct_at_cutoff'] / 100:6.3f} "
+                f"{row['tts_at_cutoff']:12.2f}" if row["best_cutoff"] != ""
+                else f"{'-':>7} {'-':>6} {'-':>12}")
         print(f"{row['instance']:32} {row['level']:>3} {row['strategy']:8} "
-              f"{row['backend']:8} {row['solved'] / row['repeats']:6.2f} "
-              f"{row['mean_iterations_solved']:9.2f} {float(row['tts']):12.2f}")
+              f"{row['backend']:8} {row['solved_pct'] / 100:6.3f} "
+              f"{row['mean_iterations']:9.2f} {float(row['tts']):12.2f} {best}")
     return 0
 
 
@@ -243,11 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, help=dflt["seed"])
     s.add_argument("--num-samples", type=int,
                    help=f"chip reads per solver call, {dflt['num_samples']}")
-    s.add_argument("--stop-on-solve", action="store_true", default=None,
-                   help="stop a cell's repeats after the first success; tts "
-                   "and report then read p = 1/k from the k repeats kept, an "
-                   "overestimate (0.25 expected for a true p of 0.1 over 20 "
-                   "repeats), so leave it off to estimate TTS")
     s.add_argument("-o", "--output", default=DEFAULT_RUNS,
                    help=f"runs file, default: {DEFAULT_RUNS}")
     s.add_argument("--trace", help="CSV dump of the anneal trace of the first "
@@ -256,11 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
                    "solves it)")
     s.set_defaults(func=_cmd_solve)
 
-    t = sub.add_parser("tts", help="time-to-solution table from runs.jsonl")
+    t = sub.add_parser("tts", help="per cell: p, mean iterations charged and "
+                       "TTS at the cap, then the best cutoff with its p and TTS")
     t.add_argument("-i", "--input", required=True)
     t.set_defaults(func=_cmd_tts)
 
-    r = sub.add_parser("report", help="aggregates.csv + runtime plot data")
+    r = sub.add_parser("report", help="aggregates.csv (the tts table per "
+                       "cell) + runtime plot data")
     r.add_argument("-i", "--input", required=True, help="runs.jsonl")
     r.add_argument("-o", "--output", default="aggregates.csv")
     r.set_defaults(func=_cmd_report)

@@ -3,8 +3,9 @@
 One *repeat* is the whole flow — preprocess the instance at the requested
 level with the repeat's seed (so branch guesses differ between repeats), then
 decompose and solve the residual.  An *instance is solved* when any repeat
-succeeds, and per-repeat success probability feeds the time-to-solution
-estimate.
+succeeds.  Time to solution charges every repeat the iterations it ran,
+solved or not, and one sweep gives it at every cutoff up to the cap
+(:func:`tts_curve`).
 
 Records land in an append-only ``runs.jsonl``.  The serialized record
 contains only fields that are pure functions of (instance, seed, config) —
@@ -121,33 +122,42 @@ class RunRecord:
 
 
 @dataclass(frozen=True)
-class TtsEstimate:
-    """Expected iterations to reach a solution with 95% confidence."""
+class TtsPoint:
+    """One cutoff of a cell's TTS curve, in iterations."""
 
-    p: float
-    t: float
+    cutoff: int
+    p: float  # share of the cell's repeats solved within the cutoff
+    cost: float  # mean of min(iterations_used, cutoff) over all repeats
     tts: float
-    num_records: int
-    num_solved: int
 
 
-def compute_tts(records: list[RunRecord]) -> TtsEstimate:
-    """p = solved share; t = mean iterations of solved repeats; tts per the
-    standard rescaling tts = t * ln(0.05)/ln(1-p), clamped to t when p >= 0.95
-    and infinite when nothing solved."""
+def tts_curve(records: list[RunRecord]) -> list[TtsPoint]:
+    """Expected iterations to a 95%-confident solve of one cell, restarting
+    each repeat at cutoff c: tts(c) = cost(c) * ln(0.05) / ln(1 - p(c)),
+    cost(c) itself when p(c) >= 0.95 and infinite when p(c) is 0 (Rønnow
+    et al., Science 345, 420 (2014); Luby, Sinclair and Zuckerman, Inf.
+    Process. Lett. 47, 173 (1993)).  A repeat's path does not depend on
+    its cap, so a record at the cell's smallest cap C also gives the repeat
+    cut at any c <= C.  Between two solves p is flat and the cost rises,
+    so the points, ascending, are at each solve within C and at C last."""
     if not records:
-        raise ValueError("compute_tts needs at least one record")
-    total = len(records)
-    solved = [r for r in records if r.solved]
-    p = len(solved) / total
-    t = sum(r.iterations_used for r in solved) / len(solved) if solved else 0.0
-    if p == 0.0:
-        tts = math.inf
-    elif p >= 0.95:
-        tts = t
-    else:
-        tts = t * math.log(0.05) / math.log(1.0 - p)
-    return TtsEstimate(p=p, t=t, tts=tts, num_records=total, num_solved=len(solved))
+        raise ValueError("tts_curve needs at least one record")
+    n = len(records)
+    cap = min(r.cap for r in records)
+    cutoffs = {r.iterations_used for r in records
+               if r.solved and r.iterations_used <= cap} | {cap}
+    points = []
+    for c in sorted(cutoffs):
+        p = sum(r.solved and r.iterations_used <= c for r in records) / n
+        cost = sum(min(r.iterations_used, c) for r in records) / n
+        if p == 0.0:
+            tts = math.inf
+        elif p >= 0.95:
+            tts = cost
+        else:
+            tts = cost * math.log(0.05) / math.log(1.0 - p)
+        points.append(TtsPoint(cutoff=c, p=p, cost=cost, tts=tts))
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +323,10 @@ class SweepConfig:
     * ``cap`` (5000): decomposition iterations per repeat, >= 0
     * ``budget`` (45): spins per slice, 0..``SPIN_BUDGET``
     * ``num_samples`` (10): chip reads per solver call, >= 1
-    * ``stop_on_solve`` (False): run no repeat of a cell after one solved.
-      Such a cell keeps only the repeats up to its first success, so
-      ``tts`` and ``report`` read p = 1/k from it, an overestimate: for a
-      true p of 0.1 over 20 repeats the expected estimate is 0.25.  A
-      sweep that estimates TTS leaves it off.
 
     Any other value raises ``ValueError`` from the constructor, ``replace``
-    and ``from_file``.
+    and ``from_file``.  One sweep gives TTS at every cutoff up to ``cap``
+    (:func:`tts_curve`).
     """
 
     instances: list[str]
@@ -332,7 +338,6 @@ class SweepConfig:
     cap: int = 5000
     budget: int = 45
     num_samples: int = 10
-    stop_on_solve: bool = False
 
     def __post_init__(self) -> None:
         for name, kind, allowed in (("instances", str, ()), ("levels", int, ()),
@@ -355,8 +360,6 @@ class SweepConfig:
             if value < low or high is not None and value > high:
                 bound = f">= {low}" if high is None else f"between {low} and {high}"
                 raise ValueError(f"{name} must be {bound}, got {value}")
-        if type(self.stop_on_solve) is not bool:
-            raise ValueError(f"stop_on_solve must be a bool, got {self.stop_on_solve!r}")
 
     @staticmethod
     def from_file(path: str | Path) -> "SweepConfig":
@@ -491,40 +494,33 @@ def run_experiment(config: SweepConfig, out_dir: Path,
                    runs_filename: str = "runs.jsonl",
                    progress=None) -> list[RunRecord]:
     """Run the factorial sweep, appending to ``out_dir / runs_filename``;
-    completed cells are skipped so interrupted sweeps resume without
-    duplicating records, and with ``stop_on_solve`` a resumed cell runs no
-    seed after one that already solved; a torn append to either file is
-    mended first.  ``out_dir`` is made when the first record is appended."""
+    completed repeats are skipped so interrupted sweeps resume without
+    duplicating records, and a torn append to either file is mended first.
+    ``out_dir`` is made when the first record is appended."""
     runs_path = out_dir / runs_filename
     timings_path = timings_path_for(runs_path)
     _mend_tail(runs_path, _loads)
     _mend_tail(timings_path, _timing_row)
-    done = ({rec.key: rec.solved for rec in load_records(runs_path)}
-            if runs_path.exists() else {})
+    done = ({rec.key for rec in load_records(runs_path)}
+            if runs_path.exists() else set())
     records: list[RunRecord] = []
     cells = list(product(config.levels, config.strategies, config.backends))
     for spec in config.instances:
         for instance_id, cnf in expand_instances(spec):
             for level, strategy, backend in cells:
-                solved_here = False
                 for rep in range(config.repeats):
                     seed = config.seed + rep
                     key = cell_key(instance_id, level, strategy, backend, seed)
                     if key in done:
-                        # a resumed cell stops where the whole run would
-                        solved_here = solved_here or done[key]
                         continue
-                    if config.stop_on_solve and solved_here:
-                        break
                     rec = run_repeat(instance_id, cnf, config, level=level,
                                      strategy=strategy, backend=backend, seed=seed)
-                    solved_here = solved_here or rec.solved
                     if not records:
                         out_dir.mkdir(parents=True, exist_ok=True)
                     with runs_path.open("a") as fh:
                         fh.write(rec.to_json() + "\n")
                     _append_timing(timings_path, rec)
-                    done[key] = rec.solved
+                    done.add(key)
                     records.append(rec)
                     if progress:
                         progress(rec)
@@ -540,24 +536,37 @@ def load_records(runs_path: str | Path) -> list[RunRecord]:
     return _read_lines(Path(runs_path), _loads, RunRecord.from_json, 0)
 
 
+def _rounded(tts: float) -> float | str:
+    return "inf" if math.isinf(tts) else round(tts, 2)
+
+
 def aggregate_records(records: list[RunRecord]) -> list[dict]:
-    """Solved-% and TTS per (instance, level, strategy, backend) cell."""
+    """Per (instance, level, strategy, backend) cell: solved-%, the mean
+    iterations charged and TTS at the cap, then the cutoff with the least
+    TTS (the smallest on a tie) with its solved-% and TTS, all from
+    :func:`tts_curve`.  The cutoff columns are empty when nothing solved."""
     cells: dict[tuple, list[RunRecord]] = {}
     for r in records:
         cells.setdefault((r.instance, r.level, r.strategy, r.backend), []).append(r)
     rows = []
     for (inst, level, strategy, backend), recs in sorted(cells.items()):
-        est = compute_tts(recs)
+        curve = tts_curve(recs)
+        at_cap = curve[-1]
+        best = min(curve, key=lambda pt: (pt.tts, pt.cutoff))
+        solved = best.p > 0.0
         rows.append({
             "instance": inst,
             "level": level,
             "strategy": strategy,
             "backend": backend,
-            "repeats": est.num_records,
-            "solved": est.num_solved,
-            "solved_pct": round(100.0 * est.p, 2),
-            "mean_iterations_solved": round(est.t, 2),
-            "tts": "inf" if math.isinf(est.tts) else round(est.tts, 2),
+            "repeats": len(recs),
+            "solved": round(at_cap.p * len(recs)),
+            "solved_pct": round(100.0 * at_cap.p, 2),
+            "mean_iterations": round(at_cap.cost, 2),
+            "tts": _rounded(at_cap.tts),
+            "best_cutoff": best.cutoff if solved else "",
+            "solved_pct_at_cutoff": round(100.0 * best.p, 2) if solved else "",
+            "tts_at_cutoff": _rounded(best.tts) if solved else "",
         })
     return rows
 

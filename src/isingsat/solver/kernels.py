@@ -6,7 +6,8 @@ shared object is cached as
 ``__pycache__/_kernels.<source hash>.<extension suffix>``, keyed on the
 source and flags, so later imports only load it.  It is written under a
 temporary name and moved into place, so concurrent first imports never load
-a half-written file.  The loaded module is registered as
+a half-written file; then the builds of older sources for the same
+extension suffix are removed.  The loaded module is registered as
 ``isingsat.solver._kernels``.
 
 Without a compiler on PATH, or when the build fails (one warning is logged),
@@ -33,6 +34,20 @@ _SOURCE = os.path.join(os.path.dirname(__file__), "_kernels.c")
 _FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 
+def _prune(target: str) -> None:
+    """Remove the other ``_kernels.*`` builds beside ``target`` that share
+    the interpreter's extension suffix.  Builds for another suffix (another
+    Python) stay, and so do the ``.tmp`` files of builds in flight."""
+    folder, name = os.path.split(target)
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    for other in os.listdir(folder):
+        if other != name and other.startswith("_kernels.") and other.endswith(suffix):
+            try:
+                os.remove(os.path.join(folder, other))
+            except OSError:  # say, another process removed it first
+                pass
+
+
 def _build(target: str) -> str | None:
     """Compile ``_kernels.c`` to ``target``; the reason it could not, or None."""
     import shlex
@@ -52,6 +67,7 @@ def _build(target: str) -> str | None:
         proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode == 0:
             os.replace(tmp, target)
+            _prune(target)
             return None
         reason = f"{' '.join(cmd)} exited with {proc.returncode}: {proc.stderr.strip()}"
     except OSError as exc:

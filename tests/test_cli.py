@@ -10,6 +10,7 @@ import os
 import tempfile
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,9 +20,11 @@ from isingsat import decompose
 from isingsat.cli import main
 from isingsat.cnf import parse_dimacs, write_dimacs
 from isingsat.decompose import STRATEGIES
-from isingsat.harness import SweepConfig, load_records, timings_path_for
+from isingsat.harness import RunRecord, SweepConfig, load_records, timings_path_for
 from isingsat.preprocess import MAX_LEVEL, run_ladder
 from isingsat.solver import BACKENDS
+
+from conftest import HEAVY_TAIL
 
 
 def test_generate_semiprime(tmp_path, capsys):
@@ -113,6 +116,32 @@ def test_solve_and_tts_and_report(tmp_path, capsys):
     assert main(["report", "-i", str(runs), "-o", str(agg)]) == 0
     assert agg.exists()
     assert (tmp_path / "plotdata" / "runtime_by_level.csv").exists()
+
+
+def test_tts_and_report_give_the_cap_and_the_best_cutoff(tmp_path, capsys):
+    # the 40 repeats of a heavy-tailed cell at cap 1000, and a cell with no solve
+    base = RunRecord(instance="heavy", strategy="dfs", level=7, backend="emulator",
+                     seed=0, cap=1000, solved=True, verified=True, iterations_used=0,
+                     solver_calls=0, best_satisfied=5, num_clauses=5, solver_time=0.0)
+    records = ([replace(base, seed=i, iterations_used=k) for i, k in enumerate(HEAVY_TAIL)]
+               + [replace(base, seed=100 + i, solved=False, verified=False,
+                          iterations_used=1000) for i in range(24)]
+               + [replace(base, instance="stuck", solved=False, verified=False,
+                          iterations_used=1000)])
+    runs = tmp_path / "runs.jsonl"
+    runs.write_text("".join(r.to_json() + "\n" for r in records))
+    assert main(["tts", "-i", str(runs)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows[0][4:] == ["p", "cost", "tts", "cutoff", "p@cut", "tts@cut"]
+    assert rows[1][4:] == ["0.400", "654.90", "3840.66", "37", "0.225", "404.30"]
+    assert rows[2][4:] == ["0.000", "1000.00", "inf", "-", "-", "-"]
+    agg = tmp_path / "aggregates.csv"
+    assert main(["report", "-i", str(runs), "-o", str(agg)]) == 0
+    assert agg.read_text().splitlines() == [
+        "instance,level,strategy,backend,repeats,solved,solved_pct,mean_iterations,"
+        "tts,best_cutoff,solved_pct_at_cutoff,tts_at_cutoff",
+        "heavy,7,dfs,emulator,40,16,40.0,654.9,3840.66,37,22.5,404.3",
+        "stuck,7,dfs,emulator,1,0,0.0,1000.0,inf,,,"]
 
 
 def test_report_leaves_preprocess_time_empty_without_timings(tmp_path):
@@ -258,11 +287,26 @@ def test_solve_sweep_config(tmp_path):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({
         "instances": ["semiprime:4"], "levels": [7], "repeats": 2,
-        "cap": 200, "stop_on_solve": True,
+        "cap": 200,
     }))
     runs = tmp_path / "runs.jsonl"
     assert main(["solve", "--sweep", str(cfg), "-o", str(runs)]) == 0
-    assert len(load_records(runs)) >= 1
+    assert len(load_records(runs)) == 2
+
+
+def test_the_removed_stop_on_solve_is_one_error_line(tmp_path, capsys):
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"instances": ["semiprime:4"], "stop_on_solve": True}))
+    runs = tmp_path / "r" / "runs.jsonl"
+    assert main(["solve", "--sweep", str(sweep), "-o", str(runs)]) == 2
+    assert capsys.readouterr().err == \
+        "isingsat: error: unknown config keys: ['stop_on_solve']\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "-i", "semiprime:4", "--stop-on-solve", "-o", str(runs)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == \
+        "isingsat: error: unrecognized arguments: --stop-on-solve\n"
+    assert list(tmp_path.iterdir()) == [sweep]
 
 
 def test_solve_needs_an_input(capsys):
@@ -424,7 +468,7 @@ def test_bad_setting_writes_no_record(tmp_path, capsys, case, says):
     (["--cap", "1"], "drop --cap"),
     (["--cap", "5000"], "drop --cap"),  # the default, given on purpose
     (["--level", "7", "--num-samples", "10"], "drop --level, --num-samples"),
-    (["--stop-on-solve"], "drop --stop-on-solve"),
+    (["--repeats", "1"], "drop --repeats"),  # the file's own value
     (["--instance", "semiprime:4"], "drop -i/--instance"),
     (["-i", "in.cnf"], "drop -i/--instance"),
 ])
@@ -736,7 +780,6 @@ _SWEEP_VALUES = {
     "cap": st.integers(0, 2),
     "budget": st.integers(0, 45),
     "num_samples": st.integers(1, 2),
-    "stop_on_solve": st.booleans(),
 }
 _OUT_OF_RANGE = {
     "instances": ([], ["semiprime:4:15"], ["nope:1"]), "levels": ([8], [-1]),

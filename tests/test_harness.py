@@ -21,7 +21,6 @@ from isingsat.harness import (
     RunRecord,
     SweepConfig,
     aggregate_records,
-    compute_tts,
     expand_instances,
     generate_backbone_instance,
     load_records,
@@ -30,11 +29,12 @@ from isingsat.harness import (
     run_repeat,
     runtime_report,
     timings_path_for,
+    tts_curve,
     write_aggregates,
     write_runtime_report,
 )
 
-from conftest import empty_formula_memos, random_3sat
+from conftest import HEAVY_TAIL, empty_formula_memos, random_3sat
 
 
 def _rec(solved=True, iterations=10, seed=0, level=7, instance="x",
@@ -66,7 +66,7 @@ def test_record_roundtrip_drops_measured_times():
 
 @pytest.mark.parametrize("wrong", [
     {"level": "7"},  # would load under the key of a real level-7 cell
-    {"solved": "no", "verified": "no"},  # compute_tts would count it solved
+    {"solved": "no", "verified": "no"},  # tts_curve would count it solved
     {"verified": 1},
     {"seed": 1.5},
     {"seed": True},
@@ -124,49 +124,113 @@ def _tts_case(num, solved, iters):
     return [_rec(solved=i < solved, iterations=iters, seed=i) for i in range(num)]
 
 
+def _at_cap(records):
+    return tts_curve(records)[-1]
+
+
 def test_tts_all_solved_returns_mean_time():
-    est = compute_tts(_tts_case(10, 10, 20))
-    assert est.p == 1.0 and est.t == 20.0 and est.tts == 20.0
+    est = _at_cap(_tts_case(10, 10, 20))
+    assert est.p == 1.0 and est.cost == 20.0 and est.tts == 20.0
 
 
 def test_tts_half_solved():
-    est = compute_tts(_tts_case(10, 5, 20))
+    est = _at_cap(_tts_case(10, 5, 20))
     assert est.p == 0.5
     expected = 20.0 * math.log(0.05) / math.log(0.5)
     assert abs(est.tts - expected) < 1e-9
 
 
 def test_tts_rare_success():
-    est = compute_tts(_tts_case(20, 1, 100))
+    est = _at_cap(_tts_case(20, 1, 100))
     assert abs(est.p - 0.05) < 1e-12
     expected = 100.0 * math.log(0.05) / math.log(0.95)
     assert abs(est.tts - expected) < 1e-9
 
 
 def test_tts_no_success_is_infinite():
-    est = compute_tts(_tts_case(5, 0, 7))
-    assert est.p == 0.0 and math.isinf(est.tts)
-    assert est.t == 0.0
+    curve = tts_curve(_tts_case(5, 0, 7))
+    assert len(curve) == 1 and curve[0].cutoff == 100
+    assert curve[0].p == 0.0 and math.isinf(curve[0].tts)
+    assert curve[0].cost == 7.0  # charged, though nothing solved
 
 
 def test_tts_high_confidence_clamp():
     # 19/20 solved: p = 0.95, already at the confidence target
-    est = compute_tts(_tts_case(20, 19, 12))
+    est = _at_cap(_tts_case(20, 19, 12))
     assert est.p == 0.95 and est.tts == 12.0
 
 
-def test_tts_mean_only_over_solved():
-    recs = [_rec(solved=True, iterations=10, seed=0),
-            _rec(solved=True, iterations=30, seed=1),
+def test_tts_charges_every_repeat():
+    recs = [_rec(solved=True, iterations=10, seed=0, cap=500),
+            _rec(solved=True, iterations=30, seed=1, cap=500),
             _rec(solved=False, iterations=500, seed=2, cap=500)]
-    est = compute_tts(recs)
-    assert est.t == 20.0
-    assert est.num_records == 3 and est.num_solved == 2
+    est = _at_cap(recs)
+    assert est.cost == 180.0  # (10 + 30 + 500) / 3, not the solved mean of 20
+    assert est.cutoff == 500 and est.p == pytest.approx(2 / 3)
 
 
 def test_tts_rejects_empty():
     with pytest.raises(ValueError):
-        compute_tts([])
+        tts_curve([])
+
+
+def test_tts_curve_of_a_heavy_tailed_cell():
+    recs = ([_rec(iterations=k, seed=i, cap=1000) for i, k in enumerate(HEAVY_TAIL)]
+            + [_rec(solved=False, iterations=1000, seed=100 + i, cap=1000)
+               for i in range(24)])
+    curve = tts_curve(recs)
+    assert [pt.cutoff for pt in curve] == sorted(set(HEAVY_TAIL)) + [1000]
+    at_cap = curve[-1]
+    assert (at_cap.p, at_cap.cost) == (0.4, pytest.approx(654.9))
+    assert at_cap.tts == pytest.approx(3840.66, abs=0.01)
+    # charging only the solved repeats, as TTS once did, reads 804.90
+    solved_mean = sum(HEAVY_TAIL) / len(HEAVY_TAIL)
+    assert solved_mean * math.log(0.05) / math.log(0.6) == pytest.approx(804.90, abs=0.01)
+    best = next(pt for pt in curve if pt.cutoff == 37)
+    assert (best.p, best.cost) == (0.225, pytest.approx(34.4))
+    assert best.tts == pytest.approx(404.30, abs=0.01)
+    assert all(pt.tts > best.tts for pt in curve if pt is not best)
+    [row] = aggregate_records(recs)
+    assert (row["best_cutoff"], row["solved_pct_at_cutoff"], row["tts_at_cutoff"]) == \
+        (37, 22.5, 404.3)
+
+
+def test_tts_curve_of_a_mixed_cap_cell():
+    # a mixed-cap cell is cut at its smallest cap; the solve at 150 lies past
+    # it, and an unsat-marker repeat is charged its 0 iterations
+    recs = [_rec(iterations=5, seed=0, cap=200), _rec(iterations=150, seed=1, cap=200),
+            _rec(solved=False, iterations=100, seed=2, cap=100),
+            _rec(solved=False, iterations=0, seed=3, cap=200)]
+    curve = tts_curve(recs)
+    assert [(pt.cutoff, pt.p, pt.cost) for pt in curve] == [
+        (5, 0.25, 3.75), (100, 0.25, 51.25)]
+    assert curve[0].tts == pytest.approx(3.75 * math.log(0.05) / math.log(0.75))
+
+
+@pytest.mark.parametrize("spec, cell, caps", [
+    # level 7 solves semiprime:6 in 0 or 1 iterations, level 0 in 11 to 29
+    ("semiprime:6", dict(level=7, strategy="dfs", backend="emulator"), (0, 3)),
+    ("semiprime:6", dict(level=0, strategy="dfs", backend="emulator"), (15, 30)),
+    ("backbone:14:56:50:3", dict(level=0, strategy="bfs", backend="tabu"), (5, 30)),
+], ids=["semiprime-L7-emulator", "semiprime-L0-emulator", "backbone-tabu"])
+def test_a_repeat_at_a_smaller_cap_is_its_prefix(spec, cell, caps):
+    """What makes one sweep's curve valid: a record at cap c is the repeat at
+    cap C > c cut at c."""
+    instance_id, cnf = expand_instances(spec)[0]
+    small, large = caps
+    outcomes = set()
+    for seed in range(1, 13):
+        at = {cap: run_repeat(instance_id, cnf, SweepConfig(instances=[spec], cap=cap,
+                                                            num_samples=2),
+                              seed=seed, **cell) for cap in caps}
+        long_run = at[large]
+        if long_run.iterations_used <= small:  # it stops within c
+            assert at[small].to_json() == replace(long_run, cap=small).to_json()
+            outcomes.add("stops within c")
+        else:
+            assert not at[small].solved and at[small].iterations_used == small
+            outcomes.add("cut at c")
+    assert outcomes == {"stops within c", "cut at c"}
 
 
 # ---------------------------------------------------------------------------
@@ -537,34 +601,6 @@ def test_sweep_runs_file_is_deterministic(tmp_path):
         (tmp_path / "b" / "runs.jsonl").read_bytes()
 
 
-def test_sweep_stop_on_solve(tmp_path):
-    recs = run_experiment(_tiny_config(repeats=4, stop_on_solve=True),
-                          out_dir=tmp_path)
-    solved_at = next(i for i, r in enumerate(recs) if r.solved)
-    assert len(recs) == solved_at + 1
-
-
-def test_sweep_stop_on_solve_holds_on_resume(tmp_path):
-    class Interrupted(Exception):
-        pass
-
-    def interrupt_after_solve(rec):
-        if rec.solved:
-            raise Interrupted
-
-    config = _tiny_config(repeats=4, stop_on_solve=True)
-    with pytest.raises(Interrupted):
-        run_experiment(config, out_dir=tmp_path / "cut",
-                       progress=interrupt_after_solve)
-    cut = load_records(tmp_path / "cut" / "runs.jsonl")
-    resumed = run_experiment(config, out_dir=tmp_path / "cut")
-    # the interrupted cell already solved: resuming runs none of its seeds
-    assert not {r.instance for r in resumed} & {r.instance for r in cut}
-    run_experiment(config, out_dir=tmp_path / "whole")
-    assert (tmp_path / "cut" / "runs.jsonl").read_bytes() == \
-        (tmp_path / "whole" / "runs.jsonl").read_bytes()
-
-
 def test_sweep_config_file_validation(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"instances": ["semiprime:4"], "repeats": 3}))
@@ -576,8 +612,6 @@ def test_sweep_config_file_validation(tmp_path):
     for instances in ("semiprime:4", []):
         with pytest.raises(ValueError, match="instances must be a non-empty list of str"):
             replace(cfg, instances=instances)
-    with pytest.raises(ValueError, match="stop_on_solve must be a bool, got 1"):
-        replace(cfg, stop_on_solve=1)
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"instances": ["x"], "budgetz": 1}))
@@ -606,8 +640,10 @@ def test_aggregate_rows(tmp_path):
     by_level = {r["level"]: r for r in rows}
     assert by_level[7]["repeats"] == 3 and by_level[7]["solved"] == 2
     assert by_level[7]["solved_pct"] == pytest.approx(66.67)
-    assert by_level[7]["mean_iterations_solved"] == 15.0
+    assert by_level[7]["mean_iterations"] == pytest.approx(43.33)  # 130 / 3
+    assert by_level[7]["best_cutoff"] == 20
     assert by_level[0]["tts"] == 4.0
+    assert by_level[0]["best_cutoff"] == 4  # cutoffs 4 and 100 tie: the smaller
 
     out = tmp_path / "agg.csv"
     write_aggregates(recs, out)

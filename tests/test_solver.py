@@ -1,6 +1,7 @@
 """Annealing/tabu emulator: determinism, optimality on small models, guards."""
 from __future__ import annotations
 
+import importlib.machinery
 import os
 import random
 import shlex
@@ -379,6 +380,21 @@ def test_build_writes_the_shared_object(tmp_path):
     assert kernels._build(str(target)) is None
     assert target.stat().st_size > 0
     assert [p.name for p in target.parent.iterdir()] == [target.name]
+
+
+@pytest.mark.skipif(shutil.which(_cc()) is None, reason="no C compiler on PATH")
+def test_build_removes_older_builds_of_its_suffix_only(tmp_path):
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    target = tmp_path / f"_kernels.new{suffix}"
+    stale = tmp_path / f"_kernels.old{suffix}"
+    other = tmp_path / "_kernels.old.abi3.so"  # another interpreter's build
+    in_flight = tmp_path / f"_kernels.next{suffix}.123.tmp"
+    for path in (stale, other, in_flight):
+        path.write_bytes(b"")
+    assert not other.name.endswith(suffix)
+    assert kernels._build(str(target)) is None
+    assert {p.name for p in tmp_path.iterdir()} == {target.name, other.name,
+                                                   in_flight.name}
 
 
 @pytest.mark.skipif(shutil.which(_cc()) is None, reason="no C compiler on PATH")

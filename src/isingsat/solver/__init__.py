@@ -13,7 +13,10 @@ only its nonzero entries, as per-spin neighbour lists):
 * ``"tabu"`` — a single-flip tabu search with no size or coefficient
   restrictions, used as the software baseline.  Its effort is a fixed move
   budget rather than wall-clock time so identical calls give identical
-  results on any machine.
+  results on any machine.  The search draws no random numbers after its
+  start, so once it is back in a state it was in since its last improvement
+  it only repeats that cycle; the C kernel then stops and returns the full
+  budget's result.
 
 Every backend draws randomness from a seeded xorshift64* generator; per-read
 seeds are derived with splitmix64, so a call's outcome depends only on
@@ -25,7 +28,8 @@ The inner loops live in :mod:`.kernels`: a C kernel compiled on first import
 and cached in ``__pycache__``, or, without a C compiler, the pure-Python
 oracle it is tested against bit for bit.  The two give identical results;
 the C kernel's Metropolis test calls ``exp`` only where two cheap bounds
-cannot decide it.  ``kernels.COMPILED_KERNELS`` says which one runs.
+cannot decide it, and its tabu stops at a repeated state, where the oracle
+runs out the budget.  ``kernels.COMPILED_KERNELS`` says which one runs.
 """
 from __future__ import annotations
 

@@ -2,12 +2,14 @@
  *
  * Gives results bit-identical to the pure-Python oracle _kernels_py: the
  * same splitmix64 seeding and xorshift64* stream, the same float operation
- * order and tie-breaks, and libm exp/pow.  The one difference in method is
- * that the Metropolis test calls exp only when two cheap bounds cannot
- * decide it (see rejects); the decision is the same either way.  Build with
- * -ffp-contract=off so that no multiply-add is fused.  The inputs are
- * copied into C buffers and the interpreter lock is released around the
- * sweep and move loops.
+ * order and tie-breaks, and libm exp/pow.  There are two differences in
+ * method, and neither changes a result.  The Metropolis test calls exp only
+ * when two cheap bounds cannot decide it (see rejects).  Tabu stops once its
+ * search is back in a state it was in since its last improvement, which
+ * fixes every later move, and returns what the full budget would (see
+ * tabu).  Build with -ffp-contract=off so that no multiply-add is fused.
+ * The inputs are copied into C buffers and the interpreter lock is released
+ * around the sweep and move loops.
  *
  * The couplings arrive as a dense row-major n*n matrix jd, symmetric with a
  * zero diagonal, which is the oracle's layout.  chain_open reads it once and
@@ -31,6 +33,7 @@
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <limits.h>
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -94,6 +97,13 @@ static PyObject *items_of(PyObject *seq, Py_ssize_t count)
     return fast;
 }
 
+/* The value of a float or of any object with __float__ (an int, say), read
+   directly when it is an exact float; -1.0 with an exception set on error. */
+static double as_double(PyObject *v)
+{
+    return PyFloat_CheckExact(v) ? PyFloat_AS_DOUBLE(v) : PyFloat_AsDouble(v);
+}
+
 /* Copies `count` floats from a sequence; returns -1 with an exception set. */
 static int load(PyObject *seq, Py_ssize_t count, double *out)
 {
@@ -102,7 +112,7 @@ static int load(PyObject *seq, Py_ssize_t count, double *out)
         return -1;
     PyObject **items = PySequence_Fast_ITEMS(fast);
     for (Py_ssize_t k = 0; k < count; k++) {
-        double v = PyFloat_AsDouble(items[k]);
+        double v = as_double(items[k]);
         if (v == -1.0 && PyErr_Occurred()) {
             Py_DECREF(fast);
             return -1;
@@ -130,7 +140,7 @@ static int load_links(Chain *c, PyObject *jd)
     for (int i = 0; i < n; i++) {
         c->start[i] = used;
         for (int q = 0; q < n; q++) {
-            double v = PyFloat_AsDouble(items[(Py_ssize_t)i * n + q]);
+            double v = as_double(items[(Py_ssize_t)i * n + q]);
             if (v == -1.0 && PyErr_Occurred())
                 goto fail;
             if (v == 0.0)
@@ -314,6 +324,60 @@ static PyObject *anneal(PyObject *self, PyObject *args, PyObject *kwargs)
     return chain_result(&c, best, trace);
 }
 
+/* A saved tabu search state: the energy, spins and fields, bit for bit, and
+ * each spin's remaining tabu moves, max(0, through - move).  Tabu draws no
+ * random numbers after chain_init, so with best fixed this state fixes
+ * every later move. */
+typedef struct {
+    double cur;
+    double *fields;      /* n */
+    long long *left;     /* n */
+    signed char *spins;  /* n */
+} Mark;
+
+static long long tabu_left(long long through, long long move)
+{
+    return through > move ? through - move : 0;
+}
+
+static void mark_save(Mark *m, const Chain *c, double cur, const long long *through,
+                      long long move)
+{
+    m->cur = cur;
+    memcpy(m->spins, c->spins, c->n);
+    memcpy(m->fields, c->fields, (size_t)c->n * sizeof *m->fields);
+    for (int i = 0; i < c->n; i++)
+        m->left[i] = tabu_left(through[i], move);
+}
+
+/* Whether the search is back in the saved state.  The energy goes first:
+   it differs at most moves, and then nothing else is read. */
+static int mark_reached(const Mark *m, const Chain *c, double cur, const long long *through,
+                        long long move)
+{
+    if (cur != m->cur || memcmp(&cur, &m->cur, sizeof cur) ||
+        memcmp(c->spins, m->spins, c->n) ||
+        memcmp(c->fields, m->fields, (size_t)c->n * sizeof *m->fields))
+        return 0;
+    for (int i = 0; i < c->n; i++)
+        if (tabu_left(through[i], move) != m->left[i])
+            return 0;
+    return 1;
+}
+
+/* Best-admissible single-flip tabu search.  A flip at move m keeps the spin
+ * tabu through move m + tenure - 1 (the oracle's tabu_until less one),
+ * saturated at LLONG_MAX, where it stays tabu to the end of any budget.
+ *
+ * The cycle exit: a state reached again after the last improvement, with
+ * the same best, repeats the moves between forever, none of which improved
+ * or found no admissible spin.  So the rest of the budget can return nothing
+ * new, and the loop stops with the full budget's result, moves = max_moves.
+ * Brent's cycle finder (BIT 20, 176 (1980)) spots the repeat with one saved
+ * state: the state is saved at the last improvement (or the start) and 1, 2,
+ * 4, 8, ... moves after it, and every state in between is compared with the
+ * saved one, the energy first, so most moves pay one comparison.  Saving
+ * afresh at each improvement keeps best fixed since the saved state. */
 static PyObject *tabu(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     static char *kwlist[] = {"n", "jd", "h", "max_moves", "tenure", "seed", NULL};
@@ -327,25 +391,33 @@ static PyObject *tabu(PyObject *self, PyObject *args, PyObject *kwargs)
     if (PyErr_Occurred())
         return NULL;
     Chain c;
-    long long *tabu_until = PyMem_New(long long, (size_t)(n > 0 ? n : 0) + 1);
-    if (chain_open(&c, n, jd, h, seed, 0) < 0 || tabu_until == NULL) {
+    size_t size = (size_t)(n > 0 ? n : 0) + 1;
+    /* the last tabu move of each spin, then the saved state's left */
+    long long *through = PyMem_New(long long, 2 * size);
+    Mark mark = {.spins = PyMem_New(signed char, size)};
+    if (chain_open(&c, n, jd, h, seed, n) < 0 || through == NULL || mark.spins == NULL) {
         if (!PyErr_Occurred())
             PyErr_NoMemory();
         chain_close(&c);
-        PyMem_Free(tabu_until);
+        PyMem_Free(through);
+        PyMem_Free(mark.spins);
         return NULL;
     }
+    mark.fields = c.fields + n;
+    mark.left = through + size;
     double cur, best;
-    long long moves = 0;
+    long long moves = 0, since = 0;  /* since: moves since the last improvement */
     Py_BEGIN_ALLOW_THREADS
     cur = best = chain_init(&c);
-    memset(tabu_until, 0, (size_t)n * sizeof *tabu_until);
-    for (long long move = 1; move <= max_moves; move++) {
+    memset(through, 0, (size_t)n * sizeof *through);
+    mark_save(&mark, &c, cur, through, 0);
+    for (long long done = 0; done < max_moves; done++) {
+        long long move = done + 1;
         int pick = -1;
         double pick_de = 0.0;
         for (int i = 0; i < n; i++) {
             double de = -2.0 * c.spins[i] * c.fields[i];
-            if (move < tabu_until[i] && !(cur + de < best))  /* aspiration */
+            if (move <= through[i] && !(cur + de < best))  /* aspiration */
                 continue;
             if (pick < 0 || de < pick_de) {
                 pick = i;
@@ -356,15 +428,24 @@ static PyObject *tabu(PyObject *self, PyObject *args, PyObject *kwargs)
             break;
         chain_flip(&c, pick);
         cur += pick_de;
-        tabu_until[pick] = move + tenure;
+        through[pick] = tenure > LLONG_MAX - done ? LLONG_MAX : done + tenure;
         moves = move;
         if (cur < best) {
             best = cur;
             memcpy(c.best_spins, c.spins, n);
+            since = 0;
+        } else if (mark_reached(&mark, &c, cur, through, move)) {
+            moves = max_moves;
+            break;
+        } else {
+            since++;
         }
+        if ((since & (since - 1)) == 0)  /* 0 or a power of two */
+            mark_save(&mark, &c, cur, through, move);
     }
     Py_END_ALLOW_THREADS
-    PyMem_Free(tabu_until);
+    PyMem_Free(through);
+    PyMem_Free(mark.spins);
     return chain_result(&c, best, PyLong_FromLongLong(moves));
 }
 

@@ -5,10 +5,15 @@ builds on first import, and what runs when they cannot be built.  The two
 must give identical results — same seeding (splitmix64) and RNG
 (xorshift64*), same float operation order, same tie-breaks, libm
 ``exp``/``pow`` — so that results never depend on which implementation the
-import selected; the tests compare them bit for bit.  The Metropolis test
-here is the plain definition ``u >= exp(-de / t)``; the C kernel skips
-``exp`` where one of two bounds already decides it, and the bit-for-bit
-tests check that it decides alike.
+import selected; the tests compare them bit for bit.  Two shortcuts of the C
+kernel stay out of this oracle, which the tests hold them against:
+
+* The Metropolis test here is the plain definition ``u >= exp(-de / t)``;
+  the C kernel skips ``exp`` where one of two bounds already decides it.
+* Tabu here spends its whole move budget; the C kernel stops once its search
+  is back in a state it was in since its last improvement (spins, fields,
+  energy and remaining tabu moves, bit for bit), since the rest of the budget
+  would only repeat that cycle, and reports the full budget's move count.
 
 The couplings arrive as a dense row-major n*n list ``jd``, symmetric with a
 zero diagonal.  That is the kernels' API and this oracle's layout, read as

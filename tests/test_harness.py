@@ -367,6 +367,20 @@ def test_run_repeat_records_are_pinned(spec, cell, settings, golden):
     assert run_repeat(instance_id, cnf, config, **cell).to_json() == golden
 
 
+@pytest.mark.skipif(not solver.kernels.COMPILED_KERNELS,
+                    reason="compiled kernels unavailable")
+def test_a_tabu_repeat_records_alike_with_the_pure_oracle(monkeypatch):
+    # the compiled tabu stops where its search repeats itself; the oracle
+    # spends every move of the budget, and the record must not tell them apart
+    spec = "backbone:100:429:50"
+    instance_id, cnf = expand_instances(spec)[0]
+    config = SweepConfig(instances=[spec], cap=10, budget=45, num_samples=1)
+    cell = dict(level=7, strategy="bfs", backend="tabu", seed=1)
+    compiled = run_repeat(instance_id, cnf, config, **cell).to_json()
+    monkeypatch.setattr(solver, "tabu", solver.kernels._kernels_py.tabu)
+    assert run_repeat(instance_id, cnf, config, **cell).to_json() == compiled
+
+
 # Every solver call's best spins over a short repeat, hashed, on calls
 # with more reads than the golden cells take.  Nearly every such call has
 # several reads tied at its best energy, so these digests pin which read the

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import importlib.machinery
+import json
 import os
 import random
 import shlex
@@ -261,6 +262,59 @@ def test_cached_kernel_import_loads_no_build_modules():
     assert out.stdout.split() == ["True", "[]"]
 
 
+def _tenths(seed: int) -> IsingModel:
+    """A model with couplings and fields in tenths, which no double holds
+    exactly: a field that a flip and its undo leave can differ in its last
+    bits, so the same spins come back with other fields."""
+    rng = random.Random(seed)
+    n = rng.randint(6, 12)
+    j = {(i, k): rng.randint(-30, 30) / 10
+         for i in range(n) for k in range(i + 1, n) if rng.random() < 0.5}
+    return IsingModel(n, j, [rng.randint(-20, 20) / 10 for _ in range(n)], 0.0)
+
+
+def _tabu_cases() -> list[tuple]:
+    """(n, jd, h, max_moves, tenure, seed) of tabu calls that take the
+    compiled kernel's cycle exit and calls that must not take it.
+
+    Quarter-integer slices settle into exact cycles.  On a plateau (an
+    all-zero model) the energy never changes, so only the spins and tabu
+    times tell states apart.  The tenths models meet states that differ from
+    an earlier one only in field bits, in tabu times, or in coming just
+    after an improvement, and then improve later: an exit there would return
+    a worse best.  In ``twins``, spins 0 and 1 couple to the rest with
+    opposite signs, so flipping both from equal values changes no field and
+    no energy, and only the spins tell the two states apart.  The edges of
+    the move loop are covered too: tenure 0 and below (nothing is tabu),
+    tenure above n (every spin turns tabu and the search stops early, even
+    on a budget of 2^63 - 1), budgets of 0 and 1, -0.0 fields, and tenures
+    that overflow a long long when added to the move.
+    """
+    rng = random.Random(43)
+    quarter = [qubo_to_ising(cnf_to_qubo(random_3sat(v, c, rng).clauses))
+               for v, c in ((5, 8), (6, 12), (8, 16))]
+    zeros = [IsingModel(n, {}, [0.0] * n, 0.0) for n in (6, 16)]
+    signed = IsingModel(4, {(0, 1): 1.0, (2, 3): -0.5}, [-0.0, 0.25, -0.0, -0.0], 0.0)
+    cases = []
+    for m in quarter + zeros + [signed, _tenths(3173)]:
+        n = m.num_spins
+        for moves, tenure in ((DEFAULT_TABU_MOVES, TABU_TENURE), (DEFAULT_TABU_MOVES, 0),
+                              (300, -3), (300, n + 1), (0, TABU_TENURE), (1, TABU_TENURE)):
+            cases.append((n, _dense(m), m.h, moves, tenure, py_mix_seed(len(cases), 2)))
+    for seed in (80, 148, 625, 3173):  # seeds on which each such exit shows
+        m = _tenths(seed)
+        cases.append((m.num_spins, _dense(m), m.h, DEFAULT_TABU_MOVES, 5, seed))
+    twins = IsingModel(5, {(0, 2): -2.0, (1, 2): 2.0, (0, 3): -2.0, (1, 3): 2.0,
+                           (0, 4): -1.0, (1, 4): 1.0, (2, 3): 2.0, (2, 4): -1.0},
+                       [0.0, 0.0, 0.0, 1.0, 0.0], 0.0)
+    cases += [(5, _dense(twins), twins.h, 500, 2, seed) for seed in (1, 2, 5)]
+    six = _tenths(80)
+    cases += [(six.num_spins, _dense(six), six.h, 50, tenure, 7)
+              for tenure in (2**63 - 1, 2**63 - 2, -2**63)]
+    cases.append((6, _dense(zeros[0]), zeros[0].h, 2**63 - 1, 7, 3))
+    return cases
+
+
 @pytest.mark.skipif(not kernels.COMPILED_KERNELS, reason="compiled kernels unavailable")
 def test_compiled_matches_pure_bitwise():
     from isingsat.solver import _kernels as c_impl
@@ -281,6 +335,13 @@ def test_compiled_matches_pure_bitwise():
         ct = c_impl.tabu(n, jd, h, 300, 10, seed)
         assert list(pt[0]) == list(ct[0])
         assert pt[1] == ct[1]
+        assert pt[2] == ct[2]  # the move count
+    # the oracle runs every move of the budget; the C kernel stops once its
+    # search is back in a state it was in since the last improvement
+    for k, args in enumerate(_tabu_cases()):
+        pt, ct = py_tabu(*args), c_impl.tabu(*args)
+        assert list(pt[0]) == list(ct[0]), k
+        assert repr(pt[1:]) == repr(ct[1:]), k
     assert c_impl.mix_seed(0, 0) == py_mix_seed(0, 0)
     assert c_impl.mix_seed(2**70 + 9, 2) == py_mix_seed(2**70 + 9, 2)
     assert c_impl.mix_seed(-5, 1) == py_mix_seed(-5, 1)
@@ -366,6 +427,36 @@ def test_neighbour_lists_match_the_dense_oracle_on_slice_shaped_models():
         assert repr(pt[1:]) == repr(ct[1:]), k
 
 
+def _in_child(path: str, tabu_calls=(), anneal_calls=()) -> str:
+    """The repr of each call's result from the kernel module at ``path``, as
+    a fresh interpreter returns them: the test outlives a call that aborts
+    or runs on."""
+    code = ("import importlib.machinery as m, importlib.util as u, json, sys\n"
+            "loader = m.ExtensionFileLoader('_kernels', sys.argv[1])\n"
+            "k = u.module_from_spec(u.spec_from_file_location("
+            "'_kernels', sys.argv[1], loader=loader))\n"
+            "loader.exec_module(k)\n"
+            "tabu, anneal = json.load(sys.stdin)\n"
+            "print(repr(([k.tabu(*a) for a in tabu], [k.anneal(*a) for a in anneal])))\n")
+    out = subprocess.run([sys.executable, "-c", code, path], capture_output=True,
+                         text=True, timeout=60,
+                         input=json.dumps([list(tabu_calls), list(anneal_calls)]))
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
+@pytest.mark.skipif(not kernels.COMPILED_KERNELS, reason="compiled kernels unavailable")
+def test_compiled_tabu_stops_a_cycling_search_on_a_huge_budget():
+    # 10^12 moves would take days; a search that cycles ends at once with
+    # the result of the full budget, which the oracle reaches within 2000
+    from isingsat.solver import _kernels as c_impl
+
+    m = qubo_to_ising(cnf_to_qubo(random_3sat(5, 8, random.Random(43)).clauses))
+    args = [m.num_spins, _dense(m), m.h, 10**12, TABU_TENURE, 9]
+    spins, energy, _ = py_tabu(*args[:3], DEFAULT_TABU_MOVES, *args[4:])
+    assert _in_child(c_impl.__file__, [args]) == repr(([(spins, energy, 10**12)], []))
+
+
 # ---------------------------------------------------------------------------
 # the kernel build, the only path on a host without a cached shared object
 
@@ -397,12 +488,16 @@ def test_build_removes_older_builds_of_its_suffix_only(tmp_path):
                                                    in_flight.name}
 
 
+def _compile(out, *flags: str) -> subprocess.CompletedProcess:
+    """Compile ``_kernels.c`` to ``out`` with the build's flags and ``flags``."""
+    cmd = [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *kernels._FLAGS, *flags,
+           "-I", sysconfig.get_paths()["include"], kernels._SOURCE, "-o", str(out), "-lm"]
+    return subprocess.run(cmd, capture_output=True, text=True)
+
+
 @pytest.mark.skipif(shutil.which(_cc()) is None, reason="no C compiler on PATH")
 def test_kernel_source_compiles_without_warnings(tmp_path):
-    cmd = [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *kernels._FLAGS,
-           "-Wall", "-Werror", "-I", sysconfig.get_paths()["include"],
-           kernels._SOURCE, "-o", str(tmp_path / "_kernels.so"), "-lm"]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
+    proc = _compile(tmp_path / "_kernels.so", "-Wall", "-Werror")
     assert proc.returncode == 0, proc.stderr
 
 
@@ -426,3 +521,19 @@ def test_build_of_a_broken_source_reports_the_compiler(tmp_path, monkeypatch):
     assert reason is not None and " exited with " in reason
     assert str(broken) in reason
     assert not any((tmp_path / "out").iterdir())  # no .tmp file is left
+
+
+@pytest.mark.skipif(shutil.which(_cc()) is None, reason="no C compiler on PATH")
+def test_kernels_run_clean_under_the_undefined_behaviour_sanitizer(tmp_path):
+    # this build aborts at the first undefined operation, a signed overflow
+    # of tabu's tenure say, and must still give the oracle's results
+    path = tmp_path / f"_kernels{importlib.machinery.EXTENSION_SUFFIXES[0]}"
+    proc = _compile(path, "-fsanitize=undefined", "-fno-sanitize-recover=all")
+    assert proc.returncode == 0, proc.stderr
+    tabu_calls = _tabu_cases()
+    anneal_calls = [(n, jd, h, sweeps, t0, t1, py_mix_seed(k, sweeps), True)
+                    for k, (n, jd, h) in enumerate(_slice_shaped(random.Random(29)))
+                    for sweeps, t0, t1 in ((30, 5.0, 1e-300), (30, 5e-324, 5e-324),
+                                           (1, INITIAL_TEMP, FINAL_TEMP))]
+    want = ([py_tabu(*a) for a in tabu_calls], [py_anneal(*a) for a in anneal_calls])
+    assert _in_child(str(path), tabu_calls, anneal_calls) == repr(want)

@@ -11,7 +11,10 @@ and every other setting a flag or, with ``--sweep``, the config file.
 Bad input (a malformed file or spec, an out-of-range value, a file that
 cannot be read, a flag that another one overrides or that does not apply)
 ends in one ``isingsat: error: ...`` line and exit status 2, before any
-file is written.
+file is written.  One case still writes first: a formula that a repeat
+rejects, such as one left with a clause wider than 3 after the ladder, ends
+a sweep at the first cell that meets it, after the records of the cells
+before it.
 """
 from __future__ import annotations
 
@@ -24,11 +27,10 @@ from pathlib import Path
 
 from .circuit import EncodingOption, generate_instance, semiprime_catalog
 from .cnf import parse_dimacs, write_dimacs
-from .decompose import STRATEGIES
+from .decompose import STRATEGIES, iterate
 from .preprocess import ConditionRecord, MAX_LEVEL, run_ladder
-from .harness import (BackboneSpec, SweepConfig, aggregate_records,
-                      expand_instances, generate_backbone_instance,
-                      load_records, load_timings, preprocess_and_decompose,
+from .harness import (SweepConfig, aggregate_records, expand_instances,
+                      generate_backbone_instance, load_records, load_timings,
                       run_experiment, timings_path_for, write_aggregates,
                       write_runtime_report)
 from .solver import BACKENDS
@@ -46,8 +48,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             raise ValueError("--backbone writes one random 3SAT formula to -o; "
                              f"drop {', '.join(clash)}")
         n, m, percent = args.backbone
-        spec = BackboneSpec(n=n, m=m, b=percent / 100.0)
-        cnf = generate_backbone_instance(spec, 0 if args.seed is None else args.seed)
+        cnf = generate_backbone_instance(n, m, percent / 100.0,
+                                         0 if args.seed is None else args.seed)
         output = args.output or DEFAULT_OUTPUT
         Path(output).write_text(write_dimacs(cnf))
         print(f"wrote {output}: n={cnf.num_vars} m={cnf.num_clauses}")
@@ -90,6 +92,10 @@ def _condition_json(cond: tuple[ConditionRecord, ...]) -> str:
 
 def _cmd_preprocess(args: argparse.Namespace) -> int:
     cnf = parse_dimacs(Path(args.input).read_text())
+    for name in filter(None, (args.output, args.cond, args.report)):
+        folder = Path(name).parent
+        if not folder.is_dir():
+            raise ValueError(f"cannot write {name}: no directory {folder}")
     res = run_ladder(cnf, level=args.level, seed=args.seed)
     Path(args.output).write_text(write_dimacs(res.cnf))
     if args.cond:
@@ -125,12 +131,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             raise ValueError("solve needs -i/--instance or --sweep")
         config = SweepConfig(instances=[args.instance], **given)
     if args.trace:
-        # replays the first repeat up to its first solver call
-        _instance_id, cnf = expand_instances(config.instances[0])[0]
-        run, _pre_time = preprocess_and_decompose(
-            cnf, config, level=config.levels[0], strategy=config.strategies[0],
-            backend=config.backends[0], seed=config.seed, cap=1,
-            collect_trace=True)
+        # replays the first repeat up to its first solver call; every spec
+        # is expanded first, so a bad one writes no trace
+        instances = [pair for spec in config.instances
+                     for pair in expand_instances(spec)]
+        cnf = instances[0][1]
+        res = run_ladder(cnf, level=config.levels[0], seed=config.seed)
+        run = iterate(res.cnf, res.condition, cnf, strategy=config.strategies[0],
+                      backend=config.backends[0], budget=config.budget, cap=1,
+                      seed=config.seed, num_samples=config.num_samples,
+                      collect_trace=True)
         if not run.trace:
             raise ValueError("--trace dumps the anneal trace of the first "
                              "repeat's first solver call, but it records none "

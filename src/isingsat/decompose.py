@@ -16,12 +16,12 @@ selected ``FILTER_WINDOW`` times in a row sits out (pushed behind every
 other candidate) for the next ``FILTER_WINDOW`` iterations.
 
 Per-iteration work scales with the slice, not the formula.  Each formula is
-indexed once per value per process: :func:`formula_index` builds the graph
-(``build_vig`` records each variable's neighbours in the order each walk
-pushes them, and the 3-literal clauses the projected spin cost counts, so a
-walk sorts nothing) and lists the clauses of every variable, and an
-``lru_cache`` of ``MEMO_ENTRIES`` entries keyed by the formula keeps both,
-so every decomposition of an equal formula shares them read-only.
+indexed once per value per process: :func:`build_vig`, an ``lru_cache`` of
+``MEMO_ENTRIES`` entries keyed by the formula, records in one pass over the
+clauses each variable's neighbours in the order each walk pushes them, the
+3-literal clauses the projected spin cost counts (so a walk sorts nothing)
+and the clauses of every variable, and every decomposition of an equal
+formula shares that index read-only.
 ``GlobalState.start`` then counts, for its seed's assignment, the true
 literals of each clause (the make/break bookkeeping of WalkSAT-style local
 search) and, from the unsatisfied clauses, how many of them hold each
@@ -58,7 +58,9 @@ STRATEGIES = ("bfs", "dfs")
 
 @dataclass(frozen=True)
 class Vig:
-    """Variable interaction graph plus the per-formula index the walks read.
+    """Variable interaction graph plus the per-formula index the walks and
+    the clause bookkeeping read; one is shared by every decomposition of an
+    equal formula (:func:`build_vig`), so nothing may change it.
 
     ``adjacency[v]`` lists the neighbours of ``v`` in ascending order, the
     order a breadth-first walk pushes them; ``dfs_order[v]`` lists them by
@@ -69,23 +71,29 @@ class Vig:
     them or repeats one, as in ``(v, v, u)`` or ``(v, -v, u)``.
     ``triangles[v]`` has one entry per such clause containing ``v``: its
     other two distinct variables, with ``v`` standing in for any it lacks,
-    so the entry holds once ``v`` itself is selected.
+    so the entry holds once ``v`` itself is selected.  ``occurrences[v]``
+    lists the clauses containing ``v`` in clause order, read-only.
     """
 
     adjacency: dict[int, tuple[int, ...]]
     dfs_order: dict[int, tuple[int, ...]]
     nodes: list[int]
     triangles: dict[int, tuple[tuple[int, int], ...]]
+    occurrences: Mapping[int, tuple[int, ...]]
 
 
+@lru_cache(maxsize=MEMO_ENTRIES)
 def build_vig(cnf: Cnf) -> Vig:
-    """Connect every pair of variables sharing a clause; no self-loops."""
+    """Connect every pair of variables sharing a clause, with no self-loops,
+    and list each variable's clauses: built once per formula value."""
     nbrs: dict[int, set[int]] = {}
     triangles: dict[int, list[tuple[int, int]]] = {}
-    for clause in cnf.clauses:
+    occurrences: dict[int, list[int]] = {}
+    for ci, clause in enumerate(cnf.clauses):
         vs = sorted({abs(lit) for lit in clause})
         for v in vs:
             nbrs.setdefault(v, set()).update(vs)
+            occurrences.setdefault(v, []).append(ci)
         if len(clause) == 3 and len(vs) == 3:
             a, b, c = vs
             triangles.setdefault(a, []).append((b, c))
@@ -101,7 +109,8 @@ def build_vig(cnf: Cnf) -> Vig:
     dfs_order = {v: tuple(sorted(ns, key=lambda u: (-len(nbrs[u]), -u)))
                  for v, ns in nbrs.items()}
     return Vig(adjacency, dfs_order, sorted(nbrs),
-               {v: tuple(ts) for v, ts in triangles.items()})
+               {v: tuple(ts) for v, ts in triangles.items()},
+               MappingProxyType({v: tuple(cs) for v, cs in occurrences.items()}))
 
 
 FILTER_WINDOW = 5
@@ -168,7 +177,7 @@ class GlobalState:
     def start(cls, cnf: Cnf, assignment: Assignment,
               occurrences: Mapping[int, tuple[int, ...]]) -> GlobalState:
         """Count the true literals of ``cnf``, whose occurrence lists
-        :func:`formula_index` gives, under ``assignment``; the state takes
+        :func:`build_vig` gives, under ``assignment``; the state takes
         ownership of ``assignment`` and sets each formula variable it lacks
         to False."""
         for v in occurrences:
@@ -183,19 +192,6 @@ class GlobalState:
                 degree[v] += 1
         return cls(assignment, true_count, unsat, degree,
                    sorted(v for v, n in degree.items() if n), occurrences)
-
-
-@lru_cache(maxsize=MEMO_ENTRIES)
-def formula_index(cnf: Cnf) -> tuple[Vig, Mapping[int, tuple[int, ...]]]:
-    """The interaction graph of ``cnf`` and, per variable, the clauses that
-    contain it in clause order: built once per formula value, then shared
-    read-only by every decomposition of an equal formula."""
-    occurrences: dict[int, list[int]] = {}
-    for ci, clause in enumerate(cnf.clauses):
-        for v in {abs(lit) for lit in clause}:
-            occurrences.setdefault(v, []).append(ci)
-    return build_vig(cnf), MappingProxyType(
-        {v: tuple(cs) for v, cs in occurrences.items()})
 
 
 @dataclass(frozen=True)
@@ -384,9 +380,9 @@ def iterate(cnf: Cnf, condition: tuple[ConditionRecord, ...], original: Cnf, *,
                          "slices only 3-CNF")
 
     rng = random.Random(seed)
-    vig, occurrences = formula_index(cnf)
+    vig = build_vig(cnf)
     assignment: Assignment = {v: bool(rng.getrandbits(1)) for v in vig.nodes}
-    state = GlobalState.start(cnf, assignment, occurrences)
+    state = GlobalState.start(cnf, assignment, vig.occurrences)
     filt = FilterState()
     select = select_dfs if strategy == "dfs" else select_bfs
 

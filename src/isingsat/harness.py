@@ -29,7 +29,7 @@ from typing import Callable
 
 from .circuit import generate_instance, semiprime_catalog
 from .cnf import Cnf, brute_force_solutions, make_cnf, parse_dimacs, write_dimacs
-from .decompose import STRATEGIES, DecompositionRun, iterate
+from .decompose import STRATEGIES, iterate
 from .preprocess import MAX_LEVEL, run_ladder
 from .qubo import SPIN_BUDGET
 from .solver import BACKENDS
@@ -168,20 +168,6 @@ BACKBONE_TRIES = 60  # re-plants before giving up on a verified backbone
 PINS_PER_VAR = 3  # implication pins per planted variable, the last all-true
 
 
-@dataclass(frozen=True)
-class BackboneSpec:
-    """Random-3SAT family with a planted backbone fraction.
-
-    The paper's reference grid is n = 100, m in {403, 411, 418, 423, 429,
-    435, 441, 449} and b in {0.10, 0.30, 0.50, 0.70, 0.90}; any other spec
-    is generated the same way.
-    """
-
-    n: int
-    m: int
-    b: float
-
-
 def _false_lit(v: int, target: dict[int, bool]) -> int:
     return -v if target[v] else v
 
@@ -190,8 +176,11 @@ def _true_lit(v: int, target: dict[int, bool]) -> int:
     return v if target[v] else -v
 
 
-def generate_backbone_instance(spec: BackboneSpec, seed: int) -> Cnf:
-    """Random 3SAT satisfied by a hidden target with ~b*n backbone variables.
+def generate_backbone_instance(n: int, m: int, b: float, seed: int) -> Cnf:
+    """Random 3SAT of ``n`` variables and ``m`` clauses satisfied by a hidden
+    target with ~b*n backbone variables.  The paper's reference grid is
+    n = 100, m in {403, 411, 418, 423, 429, 435, 441, 449} and b in {0.10,
+    0.30, 0.50, 0.70, 0.90}; any other triple is generated the same way.
 
     Planted variables are pinned along a shuffled chain: each gets implication
     pins (its true literal plus the falsified literals of the next planted
@@ -203,18 +192,19 @@ def generate_backbone_instance(spec: BackboneSpec, seed: int) -> Cnf:
     brute-forceable sizes (n <= 24) the instance is rejected until every
     solution agrees with the target on the planted set — the planted set is
     then a subset of the true backbone.  Larger sizes are emitted unchecked.
-    The seed must be >= 0.  A spec whose clauses cannot pin its planted set
-    in ``BACKBONE_TRIES`` tries is bad input and raises ValueError.
+    The seed must be >= 0.  An (n, m, b) whose clauses cannot pin its
+    planted set in ``BACKBONE_TRIES`` tries is bad input and raises
+    ValueError.
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    if spec.n < 3 or spec.m < 1 or not 0.0 <= spec.b <= 1.0:
+    if n < 3 or m < 1 or not 0.0 <= b <= 1.0:
         raise ValueError("need n >= 3, m >= 1, 0 <= b <= 1")
     import random
 
     rng = random.Random(seed)
-    all_vars = list(range(1, spec.n + 1))
-    k = round(spec.b * spec.n)
+    all_vars = list(range(1, n + 1))
+    k = round(b * n)
     for _attempt in range(BACKBONE_TRIES):
         target = {v: bool(rng.getrandbits(1)) for v in all_vars}
         planted = sorted(rng.sample(all_vars, k))
@@ -225,7 +215,7 @@ def generate_backbone_instance(spec: BackboneSpec, seed: int) -> Cnf:
         for idx, v in enumerate(order):
             others = [u for u in pool if u != v]
             for pin_no in range(PINS_PER_VAR):
-                if len(clauses) >= spec.m:
+                if len(clauses) >= m:
                     break
                 all_true = pin_no == PINS_PER_VAR - 1
                 if not all_true and k >= 3:
@@ -243,7 +233,7 @@ def generate_backbone_instance(spec: BackboneSpec, seed: int) -> Cnf:
                             _false_lit(b2, target)]
                 rng.shuffle(lits)
                 clauses.append(tuple(lits))
-        while len(clauses) < spec.m:
+        while len(clauses) < m:
             vs = rng.sample(all_vars, 3)
             lits = [v if rng.getrandbits(1) else -v for v in vs]
             if not any((l > 0) == target[abs(l)] for l in lits):
@@ -251,8 +241,8 @@ def generate_backbone_instance(spec: BackboneSpec, seed: int) -> Cnf:
                 lits[pick] = _true_lit(abs(lits[pick]), target)
             clauses.append(tuple(lits))
         rng.shuffle(clauses)
-        cnf = make_cnf(spec.n, clauses[: spec.m])
-        if spec.n > 24 or not planted:
+        cnf = make_cnf(n, clauses[:m])
+        if n > 24 or not planted:
             return cnf
         sols = brute_force_solutions(cnf)
         if sols and all(s[v] == target[v] for s in sols for v in planted):
@@ -293,8 +283,7 @@ def expand_instances(spec: str) -> list[tuple[str, Cnf]]:
         return [(f"semiprime-{bits:02d}-{number}", generate_instance(bits, number)[0])
                 for number in numbers]
     if parts[0] == "backbone":
-        cnf = generate_backbone_instance(BackboneSpec(n=n, m=m, b=percent / 100.0),
-                                         seed)
+        cnf = generate_backbone_instance(n, m, percent / 100.0, seed)
         return [(f"backbone-n{n}-m{m}-b{percent}-s{seed}", cnf)]
     path = Path(spec.removeprefix("file:"))
     cnf = parse_dimacs(path.read_text())
@@ -374,27 +363,16 @@ class SweepConfig:
         return SweepConfig(**data)
 
 
-def preprocess_and_decompose(cnf: Cnf, config: SweepConfig, *, level: int,
-                             strategy: str, backend: str, seed: int, cap: int,
-                             collect_trace: bool) -> tuple[DecompositionRun, float]:
-    """Ladder, then decomposition, of one repeat or of its trace replay;
-    returns the run and the ladder's wall time."""
+def run_repeat(instance_id: str, cnf: Cnf, config: SweepConfig, *, level: int,
+               strategy: str, backend: str, seed: int) -> RunRecord:
+    """One full repeat of a cell, up to the config's cap: the ladder, then
+    the decomposition of its residual."""
     t0 = time.perf_counter()
     res = run_ladder(cnf, level=level, seed=seed)
     pre_time = time.perf_counter() - t0
     run = iterate(res.cnf, res.condition, cnf, strategy=strategy, backend=backend,
-                  budget=config.budget, cap=cap, seed=seed,
-                  num_samples=config.num_samples, collect_trace=collect_trace)
-    return run, pre_time
-
-
-def run_repeat(instance_id: str, cnf: Cnf, config: SweepConfig, *, level: int,
-               strategy: str, backend: str, seed: int) -> RunRecord:
-    """One full repeat of a cell, up to the config's cap."""
-    t0 = time.perf_counter()
-    run, pre_time = preprocess_and_decompose(
-        cnf, config, level=level, strategy=strategy, backend=backend, seed=seed,
-        cap=config.cap, collect_trace=False)
+                  budget=config.budget, cap=config.cap, seed=seed,
+                  num_samples=config.num_samples, collect_trace=False)
     wall = time.perf_counter() - t0
     return RunRecord(
         instance=instance_id,
@@ -496,7 +474,10 @@ def run_experiment(config: SweepConfig, out_dir: Path,
     """Run the factorial sweep, appending to ``out_dir / runs_filename``;
     completed repeats are skipped so interrupted sweeps resume without
     duplicating records, and a torn append to either file is mended first.
-    ``out_dir`` is made when the first record is appended."""
+    Every spec is expanded before either file is touched, so a bad spec
+    writes nothing.  ``out_dir`` is made when the first record is appended."""
+    instances = [pair for spec in config.instances
+                 for pair in expand_instances(spec)]
     runs_path = out_dir / runs_filename
     timings_path = timings_path_for(runs_path)
     _mend_tail(runs_path, _loads)
@@ -505,25 +486,24 @@ def run_experiment(config: SweepConfig, out_dir: Path,
             if runs_path.exists() else set())
     records: list[RunRecord] = []
     cells = list(product(config.levels, config.strategies, config.backends))
-    for spec in config.instances:
-        for instance_id, cnf in expand_instances(spec):
-            for level, strategy, backend in cells:
-                for rep in range(config.repeats):
-                    seed = config.seed + rep
-                    key = cell_key(instance_id, level, strategy, backend, seed)
-                    if key in done:
-                        continue
-                    rec = run_repeat(instance_id, cnf, config, level=level,
-                                     strategy=strategy, backend=backend, seed=seed)
-                    if not records:
-                        out_dir.mkdir(parents=True, exist_ok=True)
-                    with runs_path.open("a") as fh:
-                        fh.write(rec.to_json() + "\n")
-                    _append_timing(timings_path, rec)
-                    done.add(key)
-                    records.append(rec)
-                    if progress:
-                        progress(rec)
+    for instance_id, cnf in instances:
+        for level, strategy, backend in cells:
+            for rep in range(config.repeats):
+                seed = config.seed + rep
+                key = cell_key(instance_id, level, strategy, backend, seed)
+                if key in done:
+                    continue
+                rec = run_repeat(instance_id, cnf, config, level=level,
+                                 strategy=strategy, backend=backend, seed=seed)
+                if not records:
+                    out_dir.mkdir(parents=True, exist_ok=True)
+                with runs_path.open("a") as fh:
+                    fh.write(rec.to_json() + "\n")
+                _append_timing(timings_path, rec)
+                done.add(key)
+                records.append(rec)
+                if progress:
+                    progress(rec)
     return records
 
 

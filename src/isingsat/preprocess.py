@@ -690,19 +690,17 @@ class LadderResult:
 
 
 def _stabilize(st: PrepState, level: int, reports: list[PassReport]) -> None:
-    """Settle interleaved consequences of a pass: propagate fresh unit
-    clauses (levels >= 2), then push new master values through the condition
-    list (levels >= 4), until neither has work left."""
-    while not st.unsat:
-        ran = []
-        if level >= 2 and 1 in map(len, st.clauses):
-            ran.append(propagate_1sat(st))
-        if level >= 4 and any(_pending_subs(st.condition,
-                                            known_values(st.condition))):
-            ran.append(propagate_replaced_values(st))
-        if not ran:
-            break
-        reports.extend(ran)
+    """Settle the consequences of a pass: propagate fresh unit clauses
+    (levels >= 2), then push new master values through the condition list
+    (levels >= 4).  One round leaves neither with work: unit propagation
+    runs to a fixpoint or to an empty clause, and value propagation clears
+    every pending substitution without touching a clause."""
+    if st.unsat:
+        return
+    if level >= 2 and 1 in map(len, st.clauses):
+        reports.append(propagate_1sat(st))
+    if level >= 4 and any(_pending_subs(st.condition, known_values(st.condition))):
+        reports.append(propagate_replaced_values(st))
 
 
 def run_ladder(cnf: Cnf, level: int, *, seed: int) -> LadderResult:

@@ -280,6 +280,11 @@ static PyObject *anneal(PyObject *self, PyObject *args, PyObject *kwargs)
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iOOiddOp:anneal", kwlist, &n, &jd,
                                      &h, &sweeps, &t0, &t1, &seed_obj, &collect_trace))
         return NULL;
+    /* a zero t0 would turn t into NaN after the first sweep */
+    if (!(t0 > 0.0 && t0 < HUGE_VAL && t1 > 0.0 && t1 < HUGE_VAL)) {
+        PyErr_SetString(PyExc_ValueError, "t0 and t1 must be positive and finite");
+        return NULL;
+    }
     uint64_t seed = PyLong_AsUnsignedLongLongMask(seed_obj);
     if (PyErr_Occurred())
         return NULL;

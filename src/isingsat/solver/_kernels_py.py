@@ -24,10 +24,19 @@ local fields ``f_i = h_i + sum_j J_ij s_j`` (a flip of spin i costs
 C kernel keeps only the nonzero entries of ``jd``, as neighbour lists, so a
 flip there costs the spin's degree; the terms it skips are zeros, and its
 header comment says why its results stay bit-identical to these.
+
+Both reject the same arguments with the same exception types, checked in the
+C kernel's order: an argument that is not an integer where C parses one is a
+TypeError, one outside C's ``int`` (``n``, ``sweeps``) or ``long long``
+(``max_moves``, ``tenure``) an OverflowError; a temperature that is not
+positive and finite, a negative ``n``, or a ``jd`` or ``h`` shorter than
+n*n or n entries is a ValueError.  A seed is taken modulo 2**64, and an
+integer temperature as a float.
 """
 from __future__ import annotations
 
 import math
+import operator
 
 _MASK = (1 << 64) - 1
 _STAR = 0x2545F4914F6CDD1D
@@ -54,7 +63,21 @@ def _unif(out: int) -> float:
     return (out >> 11) * (1.0 / 9007199254740992.0)
 
 
-def _init(n: int, jd: list[float], h: list[float], state: int):
+def _c_int(value: int, bits: int) -> int:
+    """``value`` as C argument parsing reads a signed ``bits``-bit integer."""
+    value = operator.index(value)
+    if not -(1 << bits - 1) <= value < 1 << bits - 1:
+        raise OverflowError(f"{value} does not fit a {bits}-bit C integer")
+    return value
+
+
+def _init(n: int, jd: list[float], h: list[float], seed: int):
+    state = operator.index(seed) & _MASK
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    for coefficients, count in ((jd, n * n), (h, n)):
+        if len(coefficients) < count:
+            raise ValueError(f"need {count} coefficients, got {len(coefficients)}")
     spins = [0] * n
     for i in range(n):
         state, out = _step(state)
@@ -75,6 +98,10 @@ def _init(n: int, jd: list[float], h: list[float], state: int):
 def anneal(n: int, jd: list[float], h: list[float], sweeps: int,
            t0: float, t1: float, seed: int, collect_trace: bool):
     """Geometric-cooling Metropolis; returns (best_spins, best_energy, trace)."""
+    n, sweeps = _c_int(n, 32), _c_int(sweeps, 32)
+    if not (0.0 < t0 < math.inf and 0.0 < t1 < math.inf):
+        raise ValueError("t0 and t1 must be positive and finite")
+    t0, t1 = float(t0), float(t1)  # as C reads them: trace rows hold floats
     state, spins, fields, cur = _init(n, jd, h, seed)
     best = cur
     best_spins = list(spins)
@@ -106,6 +133,8 @@ def anneal(n: int, jd: list[float], h: list[float], sweeps: int,
 def tabu(n: int, jd: list[float], h: list[float], max_moves: int,
          tenure: int, seed: int):
     """Best-admissible single-flip tabu search; returns (best_spins, best_energy, moves)."""
+    n = _c_int(n, 32)
+    max_moves, tenure = _c_int(max_moves, 64), _c_int(tenure, 64)
     state, spins, fields, cur = _init(n, jd, h, seed)
     best = cur
     best_spins = list(spins)

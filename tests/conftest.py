@@ -25,7 +25,7 @@ HEAVY_TAIL = (14, 14, 17, 19, 23, 31, 37, 37, 37, 54, 89, 138, 169, 209, 312, 99
 def empty_formula_memos() -> None:
     """Forget every memoized ladder prefix and decomposition index."""
     preprocess._ladder.cache_clear()
-    decompose.formula_index.cache_clear()
+    decompose.build_vig.cache_clear()
 
 
 @pytest.fixture(autouse=True)

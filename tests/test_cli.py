@@ -342,8 +342,14 @@ def test_tts_empty_file(tmp_path, capsys):
     ("trace into a missing directory", "No such file or directory"),
     ("clause wider than 3", "clause width 4 exceeds 3"),
     ("clause wider than 3 into a new runs directory", "clause width 4 exceeds 3"),
+    ("sweep with a bad later spec", "bit_width must be between 4 and 16"),
+    ("sweep with a missing later file", "absent.cnf"),
+    ("trace of a sweep with a bad later spec", "bit_width must be between 4 and 16"),
+    ("trace of a sweep with a missing later file", "absent.cnf"),
     ("records file with a foreign key", 'not a run record: {"a": 1}'),
     ("negative ladder seed", "seed must be >= 0, got -3"),
+    ("condition list into a missing directory", "no directory"),
+    ("pass report into a missing directory", "no directory"),
     ("negative backbone seed", "seed must be >= 0, got -3"),
     ("backbone with semiprime flags", "drop --bits, --dir"),
     ("backbone with an encoding option", "drop --option"),
@@ -368,6 +374,12 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, case, says):
     tabu_sweep = tmp_path / "tabu.json"
     tabu_sweep.write_text(json.dumps({"instances": ["semiprime:4"], "repeats": 1,
                                       "backends": ["tabu", "emulator"]}))
+    # the first spec is good, and at level 0 its repeat makes solver calls
+    later = {name: tmp_path / f"{name}.json" for name in ("bad", "missing")}
+    for name, spec in (("bad", "semiprime:99"),
+                       ("missing", str(tmp_path / "absent.cnf"))):
+        later[name].write_text(json.dumps({"instances": ["semiprime:4", spec],
+                                           "levels": [0], "repeats": 1, "cap": 5}))
     runs = ["-o", str(tmp_path / "runs.jsonl"), "--repeats", "1"]
     out = tmp_path / "out.cnf"
     argv = {
@@ -405,9 +417,25 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, case, says):
         "clause wider than 3 into a new runs directory": [
             "solve", "-i", str(wide), "--level", "0", "--repeats", "1",
             "-o", str(tmp_path / "r" / "runs.jsonl")],
+        "sweep with a bad later spec": ["solve", "--sweep", str(later["bad"]),
+                                        *runs[:2]],
+        "sweep with a missing later file": ["solve", "--sweep", str(later["missing"]),
+                                            *runs[:2]],
+        "trace of a sweep with a bad later spec": [
+            "solve", "--sweep", str(later["bad"]), *runs[:2],
+            "--trace", str(tmp_path / "t.csv")],
+        "trace of a sweep with a missing later file": [
+            "solve", "--sweep", str(later["missing"]), *runs[:2],
+            "--trace", str(tmp_path / "t.csv")],
         "records file with a foreign key": ["tts", "-i", str(foreign)],
         "negative ladder seed": ["preprocess", "-i", str(good), "--seed", "-3",
                                  "-o", str(out)],
+        "condition list into a missing directory": [
+            "preprocess", "-i", str(good), "-o", str(out),
+            "--cond", str(tmp_path / "nodir" / "c.json")],
+        "pass report into a missing directory": [
+            "preprocess", "-i", str(good), "-o", str(out),
+            "--report", str(tmp_path / "nodir" / "r.json")],
         "negative backbone seed": ["generate", "--backbone", "14", "56", "50",
                                    "--seed", "-3", "-o", str(out)],
         "backbone with semiprime flags": ["generate", "--backbone", "14", "56", "50",

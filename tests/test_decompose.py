@@ -22,7 +22,6 @@ from isingsat.decompose import (
     FilterState,
     GlobalState,
     build_vig,
-    formula_index,
     freeze_and_extract,
     iterate,
     select_bfs,
@@ -36,7 +35,7 @@ from conftest import mixed_random_cnf, random_3sat
 
 
 def _gs(cnf, assignment):
-    return GlobalState.start(cnf, dict(assignment), formula_index(cnf)[1])
+    return GlobalState.start(cnf, dict(assignment), build_vig(cnf).occurrences)
 
 
 # one read per solver call on the emulator, DFS unless a test says otherwise
@@ -397,9 +396,9 @@ def test_spin_cost_counts_repeated_variable_3_clauses():
             v, u = rng.sample(range(1, 9), 2)
             extra.append(rng.choice(((v, v, u), (v, -v, u), (-v, u, v), (v, v, v))))
         cnf = make_cnf(8, list(base.clauses) + extra)
-        vig, occurrences = formula_index(cnf)
+        vig = build_vig(cnf)
         state = GlobalState.start(cnf, {v: rng.random() < 0.5 for v in range(1, 9)},
-                                  occurrences)
+                                  vig.occurrences)
         for budget in (2, 3, 5, 8):
             for start in vig.nodes:
                 for select in (select_bfs, select_dfs):

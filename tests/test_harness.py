@@ -17,7 +17,6 @@ from isingsat import decompose, preprocess, solver
 from isingsat.cnf import (MEMO_ENTRIES, brute_force_solutions, evaluate, make_cnf,
                           write_dimacs)
 from isingsat.harness import (
-    BackboneSpec,
     RunRecord,
     SweepConfig,
     aggregate_records,
@@ -240,8 +239,7 @@ def test_a_repeat_at_a_smaller_cap_is_its_prefix(spec, cell, caps):
 def test_backbone_planted_fraction_is_lower_bound():
     # brute-forceable size: the verified planted set bounds the true backbone
     for b in (0.25, 0.50, 0.75):
-        spec = BackboneSpec(n=16, m=64, b=b)
-        cnf = generate_backbone_instance(spec, seed=2)
+        cnf = generate_backbone_instance(16, 64, b, seed=2)
         sols = brute_force_solutions(cnf)
         assert sols
         backbone = [v for v in range(1, 17)
@@ -250,17 +248,16 @@ def test_backbone_planted_fraction_is_lower_bound():
 
 
 def test_backbone_deterministic_and_seed_sensitive():
-    spec = BackboneSpec(n=14, m=56, b=0.5)
-    a = generate_backbone_instance(spec, seed=5)
-    b = generate_backbone_instance(spec, seed=5)
-    c = generate_backbone_instance(spec, seed=6)
+    a = generate_backbone_instance(14, 56, 0.5, seed=5)
+    b = generate_backbone_instance(14, 56, 0.5, seed=5)
+    c = generate_backbone_instance(14, 56, 0.5, seed=6)
     assert a.clauses == b.clauses
     assert a.clauses != c.clauses
 
 
 def test_backbone_parameter_validation():
     with pytest.raises(ValueError, match="n >= 3"):
-        generate_backbone_instance(BackboneSpec(n=2, m=4, b=0.5), 0)
+        generate_backbone_instance(2, 4, 0.5, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -464,15 +461,16 @@ def test_a_repeat_on_an_equal_formula_reruns_only_the_guess(monkeypatch):
     monkeypatch.setattr(preprocess, "LADDER_PASSES", {
         level: tuple(passes[fn.__name__] for fn in fns)
         for level, fns in preprocess.LADDER_PASSES.items()})
-    monkeypatch.setattr(decompose, "build_vig", spy(decompose.build_vig))
     config = SweepConfig(instances=[spec], cap=2)
 
     def repeat(level, seed):
         instance_id, cnf = expand_instances(spec)[0]  # a new, equal formula
         calls.clear()
+        built = decompose.build_vig.cache_info().misses
         run_repeat(instance_id, cnf, config, level=level, strategy="dfs",
                    backend="emulator", seed=seed)
-        return list(calls)
+        built = decompose.build_vig.cache_info().misses - built
+        return list(calls) + ["build_vig"] * built
 
     assert {"reencode_option2", "subsume_clauses", "build_vig"} <= set(repeat(6, 1))
     assert repeat(6, 2) == []
@@ -486,9 +484,9 @@ def test_formula_memos_keep_at_most_their_bound():
     for _ in range(20):
         cnf = random_3sat(12, 30, rng)
         preprocess.run_ladder(cnf, 6, seed=0)
-        decompose.formula_index(cnf)
+        decompose.build_vig(cnf)
     assert preprocess._ladder.cache_info().currsize == MEMO_ENTRIES
-    assert decompose.formula_index.cache_info().currsize == MEMO_ENTRIES
+    assert decompose.build_vig.cache_info().currsize == MEMO_ENTRIES
 
 
 def test_equal_formulas_built_apart_share_one_memo_entry():
@@ -499,34 +497,30 @@ def test_equal_formulas_built_apart_share_one_memo_entry():
     assert vars(a)["_hash"] == hash(a)  # kept after the first call
     preprocess.run_ladder(a, 6, seed=0)
     assert preprocess.run_ladder(b, 6, seed=0) is preprocess.run_ladder(a, 6, seed=0)
-    assert decompose.formula_index(a) is decompose.formula_index(b)
+    assert decompose.build_vig(a) is decompose.build_vig(b)
     assert (preprocess._ladder.cache_info().currsize
-            == decompose.formula_index.cache_info().currsize == 1)
+            == decompose.build_vig.cache_info().currsize == 1)
 
 
-def test_formula_memos_hold_a_sweep_over_every_level_and_guess(monkeypatch):
+def test_formula_memos_hold_a_sweep_over_every_level_and_guess():
     # levels 0-6 and both outcomes of the guess: 9 ladder keys, up to 9 residuals
     cnf = expand_instances("semiprime:10:551")[0][1]
-    built = []
-    build_vig = decompose.build_vig
-    monkeypatch.setattr(decompose, "build_vig",
-                        lambda f: built.append(f) or build_vig(f))
 
     def sweep():
-        built.clear()
+        built = decompose.build_vig.cache_info().misses
         times = []
         for level in range(preprocess.MAX_LEVEL + 1):
             for guess in (False, True) if level == preprocess.MAX_LEVEL else (None,):
                 res = preprocess._ladder(cnf, level, guess)
-                decompose.formula_index(res.cnf)
+                decompose.build_vig(res.cnf)
                 times += [r.wall_time for r in res.reports]
-        return times, list(built)
+        return times, decompose.build_vig.cache_info().misses - built
 
     times, vigs = sweep()
     assert any(times) and vigs  # the first sweep fills both memos
     misses = preprocess._ladder.cache_info().misses
     # the second hits every entry and hands back the first sweep's times
-    assert sweep() == (times, [])
+    assert sweep() == (times, 0)
     assert preprocess._ladder.cache_info().misses == misses
 
 

@@ -8,12 +8,12 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from isingsat import preprocess
 from isingsat.cnf import Cnf, brute_force_solutions, evaluate, make_cnf
 from isingsat.circuit import EncodingOption, generate_instance, gate_clauses
-from isingsat.harness import BackboneSpec, generate_backbone_instance
+from isingsat.harness import generate_backbone_instance
 from isingsat.preprocess import (
     _DETECT_ORDER,
     MAX_LEVEL,
@@ -597,7 +597,8 @@ def test_semiprime_ladder_full_reduction_and_reconstruction(catalog45):
 
 # ---------------------------------------------------------------------------
 # naive reference oracles: the whole-formula rescans the indexed passes
-# replaced.  Each must give exactly the same output.
+# replaced, and the settle loop that one round replaced.  Each must give
+# exactly the same output.
 
 
 def _naive_unit_fixpoint(clauses):
@@ -642,6 +643,21 @@ def _naive_subsume(st: PrepState):
 
 _naive_subsume.__name__ = "subsume_clauses"
 _naive_subsume_clauses = _ladder_pass(_naive_subsume)
+
+
+def _naive_stabilize(st: PrepState, level, reports):
+    """Settle a pass in rounds until a round finds no unit clause and no
+    pending substitution."""
+    while not st.unsat:
+        ran = []
+        if level >= 2 and 1 in map(len, st.clauses):
+            ran.append(propagate_1sat(st))
+        if level >= 4 and any(preprocess._pending_subs(st.condition,
+                                                       known_values(st.condition))):
+            ran.append(propagate_replaced_values(st))
+        if not ran:
+            break
+        reports.extend(ran)
 
 
 def _naive_detect_gate_groups(clauses):
@@ -695,7 +711,8 @@ def _ladder_outcome(res):
 @st.composite
 def _messy_cnfs(draw):
     """Small CNFs with duplicate literals, tautologies, repeated units, empty
-    clauses, and whole gate row encodings (clauses and literals shuffled)."""
+    clauses, equivalences (a, -b) (-a, b) of either sign, and whole gate
+    row encodings (clauses and literals shuffled)."""
     n = draw(st.integers(1, 7))
     lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
     kinds = [st.lists(lit, min_size=1, max_size=4).map(tuple),
@@ -705,6 +722,12 @@ def _messy_cnfs(draw):
     if draw(st.integers(0, 9)) == 0:  # an empty clause stops every pass
         kinds.append(st.just(()))
     clauses = draw(st.lists(st.one_of(kinds), max_size=24))
+    if n >= 2:  # level 3 substitutes them, and later fixes reach their roots
+        for _ in range(draw(st.integers(0, 2))):
+            a, b = draw(st.permutations(range(1, n + 1)))[:2]
+            b *= draw(st.sampled_from((1, -1)))
+            for row in ((a, -b), (-a, b)):
+                clauses.insert(draw(st.integers(0, len(clauses))), row)
     if n >= 3:
         for kind in draw(st.lists(st.sampled_from(_DETECT_ORDER), max_size=3)):
             a, b, c = draw(st.permutations(range(1, n + 1)))[:3]
@@ -715,6 +738,9 @@ def _messy_cnfs(draw):
 
 
 @given(_messy_cnfs(), st.integers(0, 3))
+# level 3 substitutes 3 by 1 and leaves conflicting units: the propagation
+# that empties a clause fixes 1, so a replaced-values report follows it
+@example(make_cnf(3, [(1, -3), (-1, 3), (1, 3), (-1, -3)]), 0)
 @settings(max_examples=100, deadline=None)
 def test_indexed_passes_match_naive_oracles(cnf, seed):
     clauses = list(cnf.clauses)
@@ -736,6 +762,7 @@ def test_indexed_passes_match_naive_oracles(cnf, seed):
         mp.setattr(preprocess, "_unit_fixpoint", _naive_unit_fixpoint)
         mp.setattr(preprocess, "detect_gate_groups", _naive_detect_gate_groups)
         mp.setattr(preprocess, "LADDER_PASSES", passes)
+        mp.setattr(preprocess, "_stabilize", _naive_stabilize)
         empty_formula_memos()
         old = [_ladder_outcome(run_ladder(cnf, lvl, seed=seed))
                for lvl in range(MAX_LEVEL + 1)]
@@ -823,8 +850,7 @@ _BUILD = {
     "143": lambda: generate_instance(8, 143)[0],
     "551": lambda: generate_instance(10, 551)[0],
     "3127": lambda: generate_instance(12, 3127)[0],
-    "backbone": lambda: generate_backbone_instance(
-        BackboneSpec(n=100, m=429, b=0.5), 0),
+    "backbone": lambda: generate_backbone_instance(100, 429, 0.5, 0),
 }
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import json
+import math
 import os
 import random
 import shlex
@@ -455,6 +456,55 @@ def test_compiled_tabu_stops_a_cycling_search_on_a_huge_budget():
     args = [m.num_spins, _dense(m), m.h, 10**12, TABU_TENURE, 9]
     spins, energy, _ = py_tabu(*args[:3], DEFAULT_TABU_MOVES, *args[4:])
     assert _in_child(c_impl.__file__, [args]) == repr(([(spins, energy, 10**12)], []))
+
+
+@pytest.mark.skipif(not kernels.COMPILED_KERNELS, reason="compiled kernels unavailable")
+def test_both_kernels_reject_the_same_arguments():
+    from isingsat.solver import _kernels as c_impl
+
+    jd, h = [0.0, 1.0, 1.0, 0.0], [0.5, -0.5]
+    tabu = (2, jd, h, 50, 3, 7)  # n, jd, h, max_moves, tenure, seed
+    anneal = (2, jd, h, 20, 5.0, 0.1, 7, False)  # ..., sweeps, t0, t1, seed, trace
+
+    def bad(args, k, value):
+        return args[:k] + (value,) + args[k + 1:]
+
+    cases = [
+        # C's long long and int
+        ("tabu", bad(tabu, 3, 2**63), OverflowError),
+        ("tabu", bad(tabu, 4, 2**63), OverflowError),
+        ("tabu", bad(tabu, 4, -2**63 - 1), OverflowError),
+        ("tabu", bad(tabu, 0, 2**31), OverflowError),
+        ("anneal", bad(anneal, 3, 2**31), OverflowError),
+        ("anneal", bad(anneal, 0, -2**31 - 1), OverflowError),
+        # not an integer
+        ("tabu", bad(tabu, 3, 50.0), TypeError),
+        ("anneal", bad(anneal, 0, 2.0), TypeError),
+        ("anneal", bad(anneal, 6, 7.0), TypeError),
+        # a negative size, too few coefficients
+        ("tabu", bad(tabu, 0, -1), ValueError),
+        ("anneal", bad(anneal, 0, -1), ValueError),
+        ("tabu", bad(tabu, 1, jd[:2]), ValueError),
+        ("anneal", bad(anneal, 1, jd[:2]), ValueError),
+        ("tabu", bad(tabu, 2, h[:1]), ValueError),
+        ("anneal", bad(anneal, 2, h[:1]), ValueError),
+        # a temperature that is not positive and finite
+        *(("anneal", bad(anneal, k, t), ValueError)
+          for k in (4, 5) for t in (0.0, -0.0, -1.0, math.inf, math.nan)),
+        ("anneal", bad(anneal, 4, "hot"), TypeError),
+    ]
+    for name, args, error in cases:
+        for impl in (getattr(c_impl, name), {"tabu": py_tabu, "anneal": py_anneal}[name]):
+            with pytest.raises(error):
+                impl(*args)
+    # the checks leave good arguments alone; a seed is read modulo 2**64
+    for seed in (7, 7 + 2**64, 7 - 2**64):
+        assert py_tabu(*bad(tabu, 5, seed)) == c_impl.tabu(*bad(tabu, 5, seed)) \
+            == py_tabu(*tabu)
+        assert py_anneal(*bad(anneal, 6, seed)) == c_impl.anneal(*bad(anneal, 6, seed))
+    # an integer temperature is read as a float, also in the trace rows
+    warm = (2, jd, h, 3, 5, 1, 7, True)
+    assert repr(py_anneal(*warm)) == repr(c_impl.anneal(*warm))
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ from .decompose import STRATEGIES, iterate
 from .preprocess import ConditionRecord, MAX_LEVEL, run_ladder
 from .harness import (SweepConfig, aggregate_records, expand_instances,
                       generate_backbone_instance, load_records, load_timings,
-                      run_experiment, timings_path_for, write_aggregates,
-                      write_runtime_report)
+                      open_runs_file, run_experiment, timings_path_for,
+                      write_aggregates, write_runtime_report)
 from .solver import BACKENDS
 
 
@@ -146,6 +146,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                              "repeat's first solver call, but it records none "
                              "(the backend is tabu, or the repeat makes no "
                              "solver call); drop --trace")
+        open_runs_file(Path(args.output))  # a malformed one writes no trace
         with Path(args.trace).open("w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["sweep", "temperature", "best_energy"])

@@ -214,6 +214,7 @@ def _walk_select(vig: Vig, budget: int, start: int,
     parked: deque[int] = deque()  # cooling vars wait here until nothing else is left
     (parked if start in cooling else active).append(start)
     pushes = vig.dfs_order if depth_first else vig.adjacency
+    triangles = vig.triangles
     pending = vig.nodes
     pend_pos = 0
     while True:
@@ -233,8 +234,10 @@ def _walk_select(vig: Vig, budget: int, start: int,
             (parked if v in cooling else active).append(v)
             continue
         selected.add(v)
-        extra = sum(1 for a, b in vig.triangles.get(v, ())
-                    if a in selected and b in selected)
+        extra = 0
+        for a, b in triangles.get(v, ()):
+            if a in selected and b in selected:
+                extra += 1
         if len(selected) + ancillas + extra > budget:
             selected.discard(v)
             break
@@ -279,18 +282,22 @@ def freeze_and_extract(cnf: Cnf, selected: set[int],
     visit: set[int] = set()
     for v in selected:
         visit.update(state.occurrences.get(v, ()))
-    assignment = state.assignment
+    signed = {*selected, *[-v for v in selected]}  # the selected literals
+    assignment, clauses = state.assignment, cnf.clauses
     kept: list[tuple[int, ...]] = []
+    keep = kept.append
     for ci in sorted(visit):
         lits: list[int] = []
-        for lit in cnf.clauses[ci]:
-            v = abs(lit)
-            if v in selected:
+        for lit in clauses[ci]:
+            if lit in signed:
                 lits.append(lit)
-            elif (lit > 0) == assignment[v]:
+            elif lit > 0:  # a true frozen literal satisfies the clause
+                if assignment[lit]:
+                    break
+            elif not assignment[-lit]:
                 break
         else:
-            kept.append(tuple(lits))
+            keep(tuple(lits))
     qubo = cnf_to_qubo(kept)
     # each emptied clause is a constant +1; the sums are small integers, so
     # the float offset is exact in any order

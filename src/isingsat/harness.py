@@ -468,6 +468,14 @@ def timings_path_for(runs_path: Path) -> Path:
     return runs_path.with_name(runs_path.stem + ".timings.csv")
 
 
+def open_runs_file(runs_path: Path) -> set[str]:
+    """Mend a torn append to ``runs_path`` and its timings file, then read
+    the keys of its records (a malformed one raises ValueError)."""
+    _mend_tail(runs_path, _loads)
+    _mend_tail(timings_path_for(runs_path), _timing_row)
+    return {rec.key for rec in load_records(runs_path)} if runs_path.exists() else set()
+
+
 def run_experiment(config: SweepConfig, out_dir: Path,
                    runs_filename: str = "runs.jsonl",
                    progress=None) -> list[RunRecord]:
@@ -480,10 +488,7 @@ def run_experiment(config: SweepConfig, out_dir: Path,
                  for pair in expand_instances(spec)]
     runs_path = out_dir / runs_filename
     timings_path = timings_path_for(runs_path)
-    _mend_tail(runs_path, _loads)
-    _mend_tail(timings_path, _timing_row)
-    done = ({rec.key for rec in load_records(runs_path)}
-            if runs_path.exists() else set())
+    done = open_runs_file(runs_path)
     records: list[RunRecord] = []
     cells = list(product(config.levels, config.strategies, config.backends))
     for instance_id, cnf in instances:

@@ -128,39 +128,54 @@ def cnf_to_qubo(clauses: Sequence[Clause]) -> QuboModel:
     0 iff the clauses can all hold; every unsatisfiable clause at the
     optimum adds 1, and empty clauses add their +1 directly to the offset.
     """
-    width = max(map(len, clauses), default=0)
-    if width > 3:
-        raise ValueError(f"clause width {width} exceeds 3; reduce the formula first")
     occurring = sorted(set(map(abs, chain.from_iterable(clauses))))
     slot_of: dict[int, int] = {}  # either literal of a variable -> its index
     for i, v in enumerate(occurring):
         slot_of[v] = slot_of[-v] = i
     linear: dict[int, float] = {}
     quadratic: dict[Pair, float] = {}
-    offset = 0.0
+    lin_get, quad_get = linear.get, quadratic.get
+    offset = 0  # a sum of small integers, exact as an int
     next_ancilla = len(occurring)
     for clause in clauses:
-        if not clause:
-            offset += 1.0
-            continue
-        slots = list(map(slot_of.__getitem__, clause))
-        if len(clause) == 3:
-            slots.append(next_ancilla)
+        width = len(clause)
+        if width == 3:
+            a, b, c = clause
+            constant, lin, quad = _TERMS[a > 0, b > 0, c > 0]
+            slots = slot_of[a], slot_of[b], slot_of[c], next_ancilla
             next_ancilla += 1
-        constant, lin, quad = _TERMS[tuple(map((0).__lt__, clause))]
+        elif width == 2:
+            a, b = clause
+            constant, lin, quad = _TERMS[a > 0, b > 0]
+            slots = slot_of[a], slot_of[b]
+        elif width == 1:  # the 1-literal rows of _GADGETS: 1 - x, or x if negated
+            a, = clause
+            i = slot_of[a]
+            if a > 0:
+                offset += 1
+                linear[i] = lin_get(i, 0.0) - 1
+            else:
+                linear[i] = lin_get(i, 0.0) + 1
+            continue
+        elif width == 0:
+            offset += 1
+            continue
+        else:
+            raise ValueError(f"clause width {max(map(len, clauses))} exceeds 3; "
+                             "reduce the formula first")
         offset += constant
         for s, coeff in lin:
             i = slots[s]
-            linear[i] = linear.get(i, 0.0) + coeff
+            linear[i] = lin_get(i, 0.0) + coeff
         for s, t, coeff in quad:
             i, j = slots[s], slots[t]
             if i == j:  # a repeated variable folds in as x*x = x
-                linear[i] = linear.get(i, 0.0) + coeff
+                linear[i] = lin_get(i, 0.0) + coeff
             else:
                 key = (i, j) if i < j else (j, i)
-                quadratic[key] = quadratic.get(key, 0.0) + coeff
+                quadratic[key] = quad_get(key, 0.0) + coeff
     return QuboModel(num_vars=next_ancilla,  # occurring variables + ancillas
-                     linear=linear, quadratic=quadratic, offset=offset,
+                     linear=linear, quadratic=quadratic, offset=float(offset),
                      source_var_map=dict(enumerate(occurring)))
 
 

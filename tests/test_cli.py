@@ -346,6 +346,7 @@ def test_tts_empty_file(tmp_path, capsys):
     ("sweep with a missing later file", "absent.cnf"),
     ("trace of a sweep with a bad later spec", "bit_width must be between 4 and 16"),
     ("trace of a sweep with a missing later file", "absent.cnf"),
+    ("trace with a malformed runs file", "line 1 is malformed"),
     ("records file with a foreign key", 'not a run record: {"a": 1}'),
     ("negative ladder seed", "seed must be >= 0, got -3"),
     ("condition list into a missing directory", "no directory"),
@@ -381,6 +382,8 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, case, says):
         later[name].write_text(json.dumps({"instances": ["semiprime:4", spec],
                                            "levels": [0], "repeats": 1, "cap": 5}))
     runs = ["-o", str(tmp_path / "runs.jsonl"), "--repeats", "1"]
+    garbled = tmp_path / "garbled.jsonl"
+    garbled.write_text("garbage\n")
     out = tmp_path / "out.cnf"
     argv = {
         "misspelt sweep key": ["solve", "--sweep", str(sweep), "-o", str(tmp_path / "r")],
@@ -427,6 +430,9 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, case, says):
         "trace of a sweep with a missing later file": [
             "solve", "--sweep", str(later["missing"]), *runs[:2],
             "--trace", str(tmp_path / "t.csv")],
+        "trace with a malformed runs file": [
+            "solve", "-i", "semiprime:8:143", "--level", "0", "--cap", "2",
+            "--repeats", "1", "-o", str(garbled), "--trace", str(tmp_path / "t.csv")],
         "records file with a foreign key": ["tts", "-i", str(foreign)],
         "negative ladder seed": ["preprocess", "-i", str(good), "--seed", "-3",
                                  "-o", str(out)],

@@ -6,10 +6,12 @@ import random
 import struct
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from isingsat import solver
 from isingsat.cnf import clause_satisfied, make_cnf
 from isingsat.qubo import (
+    _GADGETS,
     COEFF_MAX,
     COEFF_MIN,
     IsingModel,
@@ -62,6 +64,64 @@ def test_gadget_rejects_bad_widths():
     assert (q.num_vars, q.linear, q.quadratic, q.offset) == (0, {}, {}, 1.0)
     with pytest.raises(ValueError):
         cnf_to_qubo([(1, 2, 3, 4)])
+    with pytest.raises(ValueError, match="clause width 5 exceeds 3"):
+        cnf_to_qubo([(1,), (1, 2, 3, 4), (1, 2, 3, 4, 5), ()])
+
+
+def _expand_gadgets(clauses):
+    """The QUBO of ``clauses`` expanded term by term from the 14 rows of
+    ``_GADGETS``: the literals' variables, then the width-3 ancilla, take
+    the row's linear coefficients in order and its pair coefficients for the
+    pairs below; a zero term adds nothing, and a pair of one variable twice
+    adds to its linear term (x*x = x)."""
+    pairs = {1: [], 2: [(0, 1)], 3: [(0, 1), (0, 3), (1, 3), (2, 3)]}
+    occurring = sorted({abs(lit) for clause in clauses for lit in clause})
+    index = {v: i for i, v in enumerate(occurring)}
+    linear, quadratic, offset = {}, {}, 0
+    ancillas = 0
+    for clause in clauses:
+        if not clause:
+            offset += 1
+            continue
+        constant, lin, quad = _GADGETS[tuple(lit > 0 for lit in clause)]
+        slots = [index[abs(lit)] for lit in clause]
+        if len(clause) == 3:
+            slots.append(len(occurring) + ancillas)
+            ancillas += 1
+        offset += constant
+        terms = [((slot,), c) for slot, c in zip(slots, lin)]
+        terms += [((slots[s], slots[t]), c) for (s, t), c in zip(pairs[len(clause)], quad)]
+        for term, c in terms:
+            key = tuple(sorted(set(term)))
+            if c and len(key) == 2:
+                quadratic[key] = quadratic.get(key, 0) + c
+            elif c:
+                linear[key[0]] = linear.get(key[0], 0) + c
+    return (len(occurring) + ancillas, linear, quadratic, offset,
+            dict(enumerate(occurring)))
+
+
+@st.composite
+def _clause_lists(draw):
+    """Clauses of widths 0-3 over variables 1-5, either sign, which repeat
+    variables and whole clauses."""
+    lit = st.integers(1, 5).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(st.lists(lit, max_size=3).map(tuple), max_size=10))
+    repeats = draw(st.lists(st.sampled_from(clauses), max_size=3)) if clauses else []
+    return clauses + repeats
+
+
+@given(_clause_lists())
+@example([(2, 2, 3), (-2, 2, 3), (4, -4), (1,), (-1,), (), (2, 2, 3), (5, -3, -5)])
+@settings(max_examples=200, deadline=None)
+def test_cnf_to_qubo_matches_the_gadget_table_term_by_term(clauses):
+    q = cnf_to_qubo(clauses)
+    num_vars, linear, quadratic, offset, source = _expand_gadgets(clauses)
+    assert (q.num_vars, q.offset, q.source_var_map) == (num_vars, offset, source)
+    assert q.linear.keys() == linear.keys() and q.quadratic.keys() == quadratic.keys()
+    assert q.linear == linear and q.quadratic == quadratic
+    values = [q.offset, *q.linear.values(), *q.quadratic.values()]
+    assert all(type(v) is float for v in values)
 
 
 def _qubo_min(q: QuboModel):

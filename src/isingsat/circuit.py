@@ -8,13 +8,15 @@ clause encodings are supported for 2-input gates, each a table of
 * OPTION1 - ``ROW_ENCODING``: one clause per invalid truth-table row (four
   3-wide clauses), built at import from ``GATE_FN``;
 * OPTION2 - ``IMPLICATION_FORM`` (three clauses, one 3-wide), which exists
-  only for AND/OR/NAND/NOR.  XOR/XNOR gates keep their row encoding;
-  ``encode_netlist`` warns once when a netlist has any.
+  only for AND/OR/NAND/NOR; XOR/XNOR gates keep their row encoding.
+
+``encode_netlist`` writes every gate in its row encoding.  The implication
+form is ladder level 1 (``preprocess.reencode_option2``), which finds the
+gate groups of any formula and rewrites them through ``gate_clauses``.
 """
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass
 
 from .cnf import Clause, Cnf
@@ -187,14 +189,10 @@ def gate_clauses(kind: str, a: int, b: int, c: int, option: EncodingOption) -> l
             for row in rows]
 
 
-def encode_netlist(
-    netlist: GateNetlist,
-    product: int,
-    option: EncodingOption,
-) -> Cnf:
+def encode_netlist(netlist: GateNetlist, product: int) -> Cnf:
     """CNF for ``a * b = product`` over the netlist.
 
-    Adds: gate clauses; a negative unit for the constant-zero wire; positive
+    Adds: each gate's row encoding; a negative unit for the constant-zero wire; positive
     units forcing both factor MSBs (factors are full-width); and one unit per
     product bit in LSB-first order.
     """
@@ -202,16 +200,9 @@ def encode_netlist(
     if product < 0 or product.bit_length() > width:
         raise ValueError(f"product {product} does not fit in {width} output bits")
     clauses: list[Clause] = []
-    if option is EncodingOption.OPTION2:
-        kept = sorted({g.kind for g in netlist.gates if g.kind not in IMPLICATION_FORM})
-        if kept:
-            warnings.warn(
-                f"no implication-form encoding for {', '.join(kept)}; "
-                "those gates keep the full row encoding",
-                stacklevel=2,
-            )
     for g in netlist.gates:
-        clauses.extend(gate_clauses(g.kind, g.inputs[0], g.inputs[1], g.output, option))
+        clauses.extend(gate_clauses(g.kind, g.inputs[0], g.inputs[1], g.output,
+                                    EncodingOption.OPTION1))
     clauses.append((-netlist.const_zero,))
     clauses.append((netlist.input_bits_a[-1],))
     clauses.append((netlist.input_bits_b[-1],))
@@ -224,9 +215,6 @@ def encode_netlist(
 @dataclass(frozen=True)
 class SemiprimeInstance:
     semiprime: int
-    p: int
-    q: int
-    bit_width: int
 
 
 def factor_widths(bit_width: int) -> tuple[int, int]:
@@ -253,45 +241,24 @@ def semiprime_catalog(bit_width: int) -> list[SemiprimeInstance]:
         raise ValueError("bit_width must be between 4 and 16")
     wa, wb = factor_widths(bit_width)
     primes = _primes_below(1 << max(wa, wb))
-
-    def full_width(p: int, w: int) -> bool:
-        return p.bit_length() == w
-
-    ps = [p for p in primes if full_width(p, wa)]
-    qs = [q for q in primes if full_width(q, wb)]
-    seen: set[int] = set()
-    out: list[SemiprimeInstance] = []
-    for p in ps:
-        for q in qs:
-            s = p * q
-            if s.bit_length() != bit_width or s in seen:
-                continue
-            seen.add(s)
-            out.append(SemiprimeInstance(s, max(p, q), min(p, q), bit_width))
-    out.sort(key=lambda inst: inst.semiprime)
-    return out
+    ps = [p for p in primes if p.bit_length() == wa]
+    qs = [q for q in primes if q.bit_length() == wb]
+    products = {p * q for p in ps for q in qs}
+    return [SemiprimeInstance(s) for s in sorted(products)
+            if s.bit_length() == bit_width]
 
 
 def generate_instance(
-    bit_width: int,
-    semiprime: int | None,
-    option: EncodingOption = EncodingOption.OPTION1,
+    bit_width: int, semiprime: int,
 ) -> tuple[Cnf, GateNetlist, SemiprimeInstance]:
-    """Build the CNF for one semiprime of the family (``None``: the
-    smallest)."""
-    catalog = semiprime_catalog(bit_width)
-    if not catalog:
-        raise ValueError(f"no semiprimes for bit width {bit_width}")
-    if semiprime is None:
-        inst = catalog[0]
-    else:
-        matches = [c for c in catalog if c.semiprime == semiprime]
-        if not matches:
-            raise ValueError(f"{semiprime} is not in the {bit_width}-bit catalog "
-                             "of semiprimes with full-width factors")
-        inst = matches[0]
+    """Build the CNF for one semiprime of the family."""
+    matches = [c for c in semiprime_catalog(bit_width) if c.semiprime == semiprime]
+    if not matches:
+        raise ValueError(f"{semiprime} is not in the {bit_width}-bit catalog "
+                         "of semiprimes with full-width factors")
+    inst = matches[0]
     wa, wb = factor_widths(bit_width)
     # orient the narrow factor along the rows: fewer, wider ripple chains
     netlist = build_multiplier(wb, wa)
-    cnf = encode_netlist(netlist, inst.semiprime, option)
+    cnf = encode_netlist(netlist, inst.semiprime)
     return cnf, netlist, inst

@@ -1,20 +1,26 @@
 """Command-line entry point.
 
-Subcommands: generate (semiprime or backbone CNFs), preprocess (simplification
-ladder), solve (decompose + anneal, single cell or config-file sweep), tts
-(time to solution from runs.jsonl, charging every repeat the iterations it
-ran, at the cap and at the best cutoff below it), report (the same per cell
-in aggregates.csv, plus runtime plot data).
-Each value of solve is set one way: ``-i/--instance`` takes a spec or a
-DIMACS file, ``-o`` the runs file (``results/runs.jsonl`` when left out),
-and every other setting a flag or, with ``--sweep``, the config file.
+Subcommands: generate (the formula of each instance a spec names),
+preprocess (the simplification ladder on one instance; ``--level 1`` gives
+the implication-form encoding of a multiplier's gates), solve (decompose +
+anneal, single cell or config-file sweep), tts (time to solution from
+runs.jsonl, charging every repeat the iterations it ran, at the cap and at
+the best cutoff below it), report (the same per cell in aggregates.csv,
+plus runtime plot data).
+Every command that reads an instance takes it one way: ``-i`` with a spec
+of ``harness.SPEC_FORMS``, a bare DIMACS path among them.  generate writes
+one instance to ``-o`` or each instance to ``--dir`` as
+``<instance id>.cnf``, the id that solve records.  Each value of solve is
+set one way: ``-i/--instance`` takes the instance, ``-o`` the runs file
+(``results/runs.jsonl`` when left out), and every other setting a flag or,
+with ``--sweep``, the config file.
 Bad input (a malformed file or spec, an out-of-range value, a file that
-cannot be read, a flag that another one overrides or that does not apply)
-ends in one ``isingsat: error: ...`` line and exit status 2, before any
-file is written.  One case still writes first: a formula that a repeat
-rejects, such as one left with a clause wider than 3 after the ladder, ends
-a sweep at the first cell that meets it, after the records of the cells
-before it.
+cannot be read, a flag given twice, a flag that another one overrides or
+that does not apply) ends in one ``isingsat: error: ...`` line and exit
+status 2, before any file is written.  One case still writes first: a
+formula that a repeat rejects, such as one left with a clause wider than 3
+after the ladder, ends a sweep at the first cell that meets it, after the
+records of the cells before it.
 """
 from __future__ import annotations
 
@@ -25,12 +31,11 @@ import json
 import sys
 from pathlib import Path
 
-from .circuit import EncodingOption, generate_instance, semiprime_catalog
-from .cnf import parse_dimacs, write_dimacs
+from .cnf import write_dimacs
 from .decompose import STRATEGIES, iterate
 from .preprocess import ConditionRecord, MAX_LEVEL, run_ladder
-from .harness import (SweepConfig, aggregate_records, expand_instances,
-                      generate_backbone_instance, load_records, load_timings,
+from .harness import (SPEC_FORMS, SweepConfig, aggregate_records,
+                      expand_instances, load_records, load_timings,
                       open_runs_file, run_experiment, timings_path_for,
                       write_aggregates, write_runtime_report)
 from .solver import BACKENDS
@@ -41,47 +46,21 @@ DEFAULT_RUNS = "results/runs.jsonl"  # where solve appends its records
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    if args.backbone:
-        clash = [f"--{dest}" for dest in ("bits", "semiprime", "all", "option", "dir")
-                 if getattr(args, dest) is not None]
-        if clash:
-            raise ValueError("--backbone writes one random 3SAT formula to -o; "
-                             f"drop {', '.join(clash)}")
-        n, m, percent = args.backbone
-        cnf = generate_backbone_instance(n, m, percent / 100.0,
-                                         0 if args.seed is None else args.seed)
-        output = args.output or DEFAULT_OUTPUT
-        Path(output).write_text(write_dimacs(cnf))
-        print(f"wrote {output}: n={cnf.num_vars} m={cnf.num_clauses}")
-        return 0
-    if args.bits is None:
-        raise ValueError("generate needs --bits or --backbone")
-    if args.seed is not None:
-        raise ValueError("a semiprime formula is not random; drop --seed")
-    if args.all and args.semiprime is not None:
-        raise ValueError("--all writes every semiprime of the catalog; drop --semiprime")
     if args.dir and args.output:
         raise ValueError("--dir names every file it writes; drop -o/--output")
-    if args.all and not args.dir:
-        raise ValueError("generate --all needs --dir: every instance would overwrite -o")
-    option = EncodingOption.OPTION2 if args.option == 2 else EncodingOption.OPTION1
-    # None picks the smallest semiprime of the catalog
-    targets = ([c.semiprime for c in semiprime_catalog(args.bits)] if args.all
-               else [args.semiprime])
+    instances = expand_instances(args.instance)
+    if len(instances) > 1 and not args.dir:
+        raise ValueError(f"{args.instance} names {len(instances)} instances; "
+                         "give --dir to write one file each")
     outdir = Path(args.dir) if args.dir else None
-    for number in targets:
-        cnf, _nl, inst = generate_instance(args.bits, number, option)
-        if outdir:
-            outdir.mkdir(parents=True, exist_ok=True)
-            path = outdir / f"semiprime-{args.bits:02d}-{number}.cnf"
-        else:
-            path = Path(args.output or DEFAULT_OUTPUT)
+    if outdir:
+        outdir.mkdir(parents=True, exist_ok=True)
+    for instance_id, cnf in instances:
+        path = (outdir / f"{instance_id}.cnf" if outdir
+                else Path(args.output or DEFAULT_OUTPUT))
         path.write_text(write_dimacs(cnf, comments=[
-            f"product {inst.semiprime} = {inst.p} * {inst.q}",
-            f"bits {inst.bit_width}",
-        ]))
-        print(f"wrote {path}: {inst.semiprime} = {inst.p}*{inst.q}, "
-              f"n={cnf.num_vars} m={cnf.num_clauses}")
+            f"{instance_id} from spec {args.instance}"]))
+        print(f"wrote {path}: n={cnf.num_vars} m={cnf.num_clauses}")
     return 0
 
 
@@ -91,7 +70,11 @@ def _condition_json(cond: tuple[ConditionRecord, ...]) -> str:
 
 
 def _cmd_preprocess(args: argparse.Namespace) -> int:
-    cnf = parse_dimacs(Path(args.input).read_text())
+    instances = expand_instances(args.input)
+    if len(instances) > 1:
+        raise ValueError(f"{args.input} names {len(instances)} instances; "
+                         "preprocess takes one")
+    [(_id, cnf)] = instances
     for name in filter(None, (args.output, args.cond, args.report)):
         folder = Path(name).parent
         if not folder.is_dir():
@@ -213,22 +196,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "spin-budgeted decomposition on an emulated Ising annealer")
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="write semiprime or backbone CNFs")
-    g.add_argument("--bits", type=int, help="semiprime bit width (4..16)")
-    g.add_argument("--semiprime", type=int, help="specific product from the catalog")
-    g.add_argument("--all", action="store_true", default=None,
-                   help="whole catalog for --bits")
-    g.add_argument("--option", type=int, choices=(1, 2),
-                   help="OR-gate encoding option (default 1)")
-    g.add_argument("--backbone", nargs=3, type=int, metavar=("N", "M", "B"),
-                   help="random 3SAT with planted backbone; B an integer percent")
-    g.add_argument("--seed", type=int, help="--backbone seed (default 0)")
+    g = sub.add_parser("generate", help="write the formula of each instance "
+                       "a spec names")
+    g.add_argument("-i", "--instance", required=True, help=SPEC_FORMS)
     g.add_argument("-o", "--output", help=f"output file (default {DEFAULT_OUTPUT})")
-    g.add_argument("--dir", help="directory for --all output")
+    g.add_argument("--dir", help="directory for one <instance id>.cnf per "
+                   "instance; needed when the spec names more than one")
     g.set_defaults(func=_cmd_generate)
 
-    pre = sub.add_parser("preprocess", help="run the simplification ladder")
-    pre.add_argument("-i", "--input", required=True)
+    pre = sub.add_parser("preprocess", help="run the simplification ladder "
+                         "(--level 1 gives the implication-form encoding)")
+    pre.add_argument("-i", "--input", required=True,
+                     help=f"one instance: {SPEC_FORMS}")
     pre.add_argument("--level", type=int, default=MAX_LEVEL,
                     help=f"cumulative ladder level 0..{MAX_LEVEL}")
     pre.add_argument("--seed", type=int, default=SweepConfig.seed)

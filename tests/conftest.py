@@ -101,13 +101,13 @@ def check_reconstruction(cnf: Cnf, level: int):
 
 @pytest.fixture(scope="session")
 def cnf4():
-    cnf, netlist, inst = generate_instance(4, None)
+    cnf, netlist, inst = generate_instance(4, 9)
     return cnf
 
 
 @pytest.fixture(scope="session")
 def cnf5():
-    cnf, netlist, inst = generate_instance(5, None)
+    cnf, netlist, inst = generate_instance(5, 21)
     return cnf
 
 

@@ -1,6 +1,8 @@
 """Multiplier netlists, semiprime catalogs, and CNF encodings."""
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from isingsat.circuit import (
@@ -8,11 +10,13 @@ from isingsat.circuit import (
     build_multiplier,
     encode_netlist,
     factor_widths,
+    gate_clauses,
     generate_instance,
     semiprime_catalog,
     simulate,
 )
 from isingsat.cnf import evaluate
+from isingsat.preprocess import run_ladder
 
 
 def test_factor_widths():
@@ -63,9 +67,6 @@ def test_catalog_matches_independent_sieve():
         got = semiprime_catalog(bits)
         assert {inst.semiprime for inst in got} == expect, bits
         assert [inst.semiprime for inst in got] == sorted(expect)
-        for inst in got:
-            assert inst.p * inst.q == inst.semiprime
-            assert inst.p >= inst.q
 
 
 def test_catalog_small_widths_exact():
@@ -83,7 +84,7 @@ def test_catalog_width_bounds():
 @pytest.mark.parametrize("bits,occ", [(4, 18), (5, 28), (7, 71), (8, 104), (10, 171), (11, 205)])
 def test_instance_occurring_variable_counts(bits, occ):
     # every wire of the multiplier occurs in some clause
-    cnf, _, _ = generate_instance(bits, None)
+    cnf, _, _ = generate_instance(bits, semiprime_catalog(bits)[0].semiprime)
     assert len(cnf.occurring_vars()) == occ
     assert cnf.num_vars == occ
 
@@ -98,17 +99,21 @@ def test_eight_bit_instance_shape():
     assert nl.input_bits_a[-1] in units and nl.input_bits_b[-1] in units
 
 
+def _factors(semiprime):
+    """The prime factors, the narrow one first: it is the a-input rail."""
+    q = next(d for d in range(2, semiprime) if semiprime % d == 0)
+    return q, semiprime // q
+
+
 def test_factor_assignment_satisfies_cnf(catalog45):
     for bits, semiprime, cnf, nl in catalog45:
-        inst = [i for i in semiprime_catalog(bits) if i.semiprime == semiprime][0]
-        # the a-input rail is the narrow factor
-        wires, product = simulate(nl, inst.q, inst.p)
+        wires, product = simulate(nl, *_factors(semiprime))
         assert product == semiprime
         assert evaluate(cnf, wires)
 
 
 def test_wrong_product_assignment_fails():
-    cnf, nl, inst = generate_instance(4, None)
+    cnf, nl, inst = generate_instance(4, 9)
     wires, product = simulate(nl, 3, 2)  # 6 != 9
     assert product != inst.semiprime
     assert not evaluate(cnf, wires)
@@ -119,19 +124,29 @@ def test_unknown_semiprime_rejected():
         generate_instance(4, 15)  # 3*5 has a 3-bit factor, not full-width 2+2
 
 
-def test_option2_same_factor_solutions():
-    cnf1, nl, inst = generate_instance(5, None, EncodingOption.OPTION1)
-    with pytest.warns(UserWarning, match="XOR"):
-        cnf2, nl2, _ = generate_instance(5, None, EncodingOption.OPTION2)
-    assert nl.input_bits_a == nl2.input_bits_a
-    wires, _ = simulate(nl, inst.q, inst.p)
-    assert evaluate(cnf2, wires)
-    assert cnf2.max_clause_width() <= 3
+def _multiset(clauses):
+    return Counter(tuple(sorted(c)) for c in clauses)
+
+
+def test_level1_is_the_implication_form_encoding():
+    # the one path to the implication form: ladder level 1 rewrites every
+    # AND/OR gate of the row encoding, XOR gates keep their rows
+    for bits, inst in ((b, i) for b in range(4, 11) for i in semiprime_catalog(b)):
+        cnf, nl, _ = generate_instance(bits, inst.semiprime)
+        implication = [c for g in nl.gates
+                       for c in gate_clauses(g.kind, *g.inputs, g.output,
+                                             EncodingOption.OPTION2)]
+        implication += [c for c in cnf.clauses if len(c) == 1]
+        level1 = run_ladder(cnf, 1, seed=1).cnf
+        assert level1.num_vars == cnf.num_vars
+        assert _multiset(level1.clauses) == _multiset(implication), inst
+        wires, _ = simulate(nl, *_factors(inst.semiprime))
+        assert evaluate(level1, wires), inst
 
 
 def test_encode_netlist_fixes_product_and_zero():
     nl = build_multiplier(2, 2)
-    cnf = encode_netlist(nl, 9, EncodingOption.OPTION1)
+    cnf = encode_netlist(nl, 9)
     units = {c[0] for c in cnf.clauses if len(c) == 1}
     assert -nl.const_zero in units
     # 9 = 1001: output bits 0 and 3 true, 1 and 2 false

@@ -9,7 +9,6 @@ import json
 import os
 import tempfile
 import tracemalloc
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,10 +16,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isingsat import decompose
+from isingsat.circuit import generate_instance
 from isingsat.cli import main
 from isingsat.cnf import parse_dimacs, write_dimacs
 from isingsat.decompose import STRATEGIES
-from isingsat.harness import RunRecord, SweepConfig, load_records, timings_path_for
+from isingsat.harness import (RunRecord, SweepConfig, expand_instances,
+                              generate_backbone_instance, load_records,
+                              timings_path_for)
 from isingsat.preprocess import MAX_LEVEL, run_ladder
 from isingsat.solver import BACKENDS
 
@@ -29,45 +31,71 @@ from conftest import HEAVY_TAIL
 
 def test_generate_semiprime(tmp_path, capsys):
     out = tmp_path / "t4.cnf"
-    assert main(["generate", "--bits", "4", "-o", str(out)]) == 0
+    assert main(["generate", "-i", "semiprime:4:9", "-o", str(out)]) == 0
     cnf = parse_dimacs(out.read_text())
     assert cnf.num_vars == 18
-    assert "9 = 3*3" in capsys.readouterr().out
+    assert out.read_text() == write_dimacs(generate_instance(4, 9)[0], comments=[
+        "semiprime-04-9 from spec semiprime:4:9"])
+    assert f"wrote {out}: n=18" in capsys.readouterr().out
 
 
 def test_generate_whole_catalog(tmp_path):
-    assert main(["generate", "--bits", "7", "--all",
-                 "--dir", str(tmp_path / "cat")]) == 0
-    files = sorted(p.name for p in (tmp_path / "cat").glob("*.cnf"))
-    assert files and all(f.startswith("semiprime-07-") for f in files)
+    # each file is named by the instance id that solve records: with the
+    # width alone the old flags named one file semiprime-08-None.cnf
+    assert main(["generate", "-i", "semiprime:8", "--dir", str(tmp_path / "cat")]) == 0
+    files = {p.name: p.read_text() for p in (tmp_path / "cat").iterdir()}
+    instances = expand_instances("semiprime:8")
+    assert sorted(files) == sorted(f"{iid}.cnf" for iid, _ in instances)
+    assert len(files) == 2 and not any("None" in name for name in files)
+    for iid, cnf in instances:
+        assert files[f"{iid}.cnf"] == write_dimacs(cnf, comments=[
+            f"{iid} from spec semiprime:8"])
 
 
 def test_generate_whole_catalog_needs_a_dir(tmp_path, capsys):
     # every instance would overwrite the one -o path
     out = tmp_path / "one.cnf"
-    assert main(["generate", "--bits", "8", "--all", "-o", str(out)]) == 2
+    assert main(["generate", "-i", "semiprime:8", "-o", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("isingsat: error: ") and "--dir" in err
+    assert err == ("isingsat: error: semiprime:8 names 2 instances; "
+                   "give --dir to write one file each\n")
     assert not out.exists()
 
 
 def test_generate_backbone(tmp_path):
     out = tmp_path / "bb.cnf"
-    assert main(["generate", "--backbone", "14", "56", "50",
-                 "--seed", "3", "-o", str(out)]) == 0
+    assert main(["generate", "-i", "backbone:14:56:50:3", "-o", str(out)]) == 0
     cnf = parse_dimacs(out.read_text())
     assert (cnf.num_vars, cnf.num_clauses) == (14, 56)
+    assert cnf == generate_backbone_instance(14, 56, 0.5, 3)
 
 
 def test_generate_needs_a_mode(capsys):
-    assert main(["generate"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("isingsat: error: ") and "--bits or --backbone" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["generate"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == ("isingsat: error: the following "
+                                       "arguments are required: -i/--instance\n")
+
+
+@pytest.mark.parametrize("spec", ["semiprime:8:143", "backbone:14:56:50:3"])
+def test_preprocess_of_a_spec_is_preprocess_of_its_generated_file(tmp_path, spec):
+    src = tmp_path / "in.cnf"
+    assert main(["generate", "-i", spec, "-o", str(src)]) == 0
+    outputs = {}
+    for name, given in (("spec", spec), ("file", str(src))):
+        paths = [tmp_path / f"{name}{suffix}" for suffix in (".cnf", ".cond", ".rep")]
+        assert main(["preprocess", "-i", given, "--level", "7", "-o", str(paths[0]),
+                     "--cond", str(paths[1]), "--report", str(paths[2])]) == 0
+        report = json.loads(paths[2].read_text())
+        outputs[name] = (paths[0].read_bytes(), paths[1].read_bytes(),
+                         [{**row, "wall_time": None} for row in report])
+    assert outputs["spec"] == outputs["file"]
 
 
 def test_preprocess_writes_all_artifacts(tmp_path):
     src = tmp_path / "in.cnf"
-    main(["generate", "--bits", "5", "-o", str(src)])
+    main(["generate", "-i", "semiprime:5:21", "-o", str(src)])
     out = tmp_path / "out.cnf"
     cond = tmp_path / "cond.json"
     report = tmp_path / "report.json"
@@ -88,7 +116,7 @@ def test_preprocess_writes_all_artifacts(tmp_path):
 
 def test_preprocess_default_seed_is_the_first_solve_repeats(tmp_path):
     src = tmp_path / "in.cnf"
-    main(["generate", "--bits", "10", "--semiprime", "551", "-o", str(src)])
+    main(["generate", "-i", "semiprime:10:551", "-o", str(src)])
     cnf = parse_dimacs(src.read_text())
     out = tmp_path / "out.cnf"
     assert main(["preprocess", "-i", str(src), "-o", str(out)]) == 0
@@ -252,7 +280,7 @@ def test_solve_appends_to_the_default_runs_file(tmp_path, monkeypatch):
 
 def test_solve_from_dimacs_file_with_trace(tmp_path):
     src = tmp_path / "in.cnf"
-    main(["generate", "--bits", "4", "-o", str(src)])
+    main(["generate", "-i", "semiprime:4:9", "-o", str(src)])
     runs = tmp_path / "runs.jsonl"
     trace = tmp_path / "trace.csv"
     assert main(["solve", "-i", str(src), "--level", "0", "--repeats", "1",
@@ -352,11 +380,11 @@ def test_tts_empty_file(tmp_path, capsys):
     ("condition list into a missing directory", "no directory"),
     ("pass report into a missing directory", "no directory"),
     ("negative backbone seed", "seed must be >= 0, got -3"),
-    ("backbone with semiprime flags", "drop --bits, --dir"),
-    ("backbone with an encoding option", "drop --option"),
-    ("semiprime with a seed", "drop --seed"),
-    ("whole catalog and one semiprime", "drop --semiprime"),
     ("output file and output dir", "drop -o/--output"),
+    ("generate of a malformed spec", "bad instance spec 'semiprime:x'"),
+    ("preprocess of a spec of several instances",
+     "semiprime:8 names 2 instances; preprocess takes one"),
+    ("preprocess of a semiprime not in the catalog", "999"),
 ])
 def test_bad_input_is_one_error_line(tmp_path, capsys, case, says):
     sweep = tmp_path / "sweep.json"
@@ -442,20 +470,16 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, case, says):
         "pass report into a missing directory": [
             "preprocess", "-i", str(good), "-o", str(out),
             "--report", str(tmp_path / "nodir" / "r.json")],
-        "negative backbone seed": ["generate", "--backbone", "14", "56", "50",
-                                   "--seed", "-3", "-o", str(out)],
-        "backbone with semiprime flags": ["generate", "--backbone", "14", "56", "50",
-                                          "--dir", str(tmp_path / "d"), "--bits", "8",
-                                          "-o", str(out)],
-        "backbone with an encoding option": ["generate", "--backbone", "14", "56", "50",
-                                             "--option", "2", "-o", str(out)],
-        "semiprime with a seed": ["generate", "--bits", "8", "--seed", "5",
-                                  "-o", str(out)],
-        "whole catalog and one semiprime": ["generate", "--bits", "8", "--all",
-                                            "--semiprime", "143",
-                                            "--dir", str(tmp_path / "d")],
-        "output file and output dir": ["generate", "--bits", "8", "--all",
+        "negative backbone seed": ["generate", "-i", "backbone:14:56:50:-3",
+                                   "-o", str(out)],
+        "output file and output dir": ["generate", "-i", "semiprime:8",
                                        "--dir", str(tmp_path / "d"), "-o", str(out)],
+        "generate of a malformed spec": ["generate", "-i", "semiprime:x",
+                                         "--dir", str(tmp_path / "d")],
+        "preprocess of a spec of several instances": ["preprocess", "-i", "semiprime:8",
+                                                      "-o", str(out)],
+        "preprocess of a semiprime not in the catalog": [
+            "preprocess", "-i", "semiprime:8:999", "-o", str(out)],
     }[case]
     before = set(tmp_path.iterdir())
     assert main(argv) == 2
@@ -519,9 +543,9 @@ def test_sweep_takes_no_instance_or_setting_flag(tmp_path, capsys, flags, says):
 
 
 @pytest.mark.parametrize("argv, says", [
-    (["generate", "--bits", "x"], "argument --bits: invalid int value: 'x'"),
-    (["generate", "--backbone", "10", "40", "50.3"],
-     "argument --backbone: invalid int value: '50.3'"),
+    (["generate", "-i"], "argument -i/--instance: expected one argument"),
+    (["generate", "-i", "semiprime:4", "--bits", "4"],
+     "unrecognized arguments: --bits 4"),
     (["solve", "--instance", "semiprime:4", "--frobnicate"],
      "unrecognized arguments: --frobnicate"),
 ])
@@ -662,52 +686,36 @@ def _ends_cleanly(argv: list[str], tmp: Path) -> tuple[int, bool]:
     return code, wrote
 
 
-_GENERATE_VALUES = {
-    "--bits": st.one_of(st.integers(4, 8).map(str),
-                        st.sampled_from(("x", "", "3", "17", "-4"))),
-    "--semiprime": st.one_of(st.sampled_from(("9", "15", "143", "221")),
-                             st.integers(-1, 300).map(str)),
-    "--all": st.just(()),
-    "--option": st.sampled_from(("1", "2", "3")),
-    "--backbone": st.tuples(st.integers(1, 8), st.integers(0, 30),
-                            st.integers(-10, 110)).map(lambda t: tuple(map(str, t))),
-    "--seed": st.integers(-2, 3).map(str),
-    "-o": st.just("out.cnf"),
-    "--dir": st.just("d"),
-}
+_INT_TEXT = st.one_of(st.integers(-2, 300).map(str),
+                     st.sampled_from(("x", "", "1.5", "0x9")))
+
+# valid specs, malformed ones and ones that name several instances
+_GENERATE_SPECS = st.one_of(
+    st.integers(4, 8).map(lambda bits: f"semiprime:{bits}"),
+    st.tuples(st.one_of(st.integers(3, 8).map(str), _INT_TEXT),
+              st.sampled_from(("9", "15", "21", "143", "221")) | _INT_TEXT)
+    .map(lambda t: "semiprime:" + ":".join(t)),
+    st.tuples(st.integers(1, 8), st.integers(0, 30), st.integers(-10, 110))
+    .map(lambda t: "backbone:" + ":".join(map(str, t)))
+    .flatmap(lambda spec: st.sampled_from(("", ":0", ":3", ":-1", ":x"))
+             .map(lambda seed: spec + seed)),
+    st.sampled_from(("semiprime", "semiprime:8:143:1", "backbone:10", "nope:1",
+                     "", "file:absent.cnf", "absent.cnf", "d")))
 
 
-def _generate_flags(required: tuple[str, ...], optional: tuple[str, ...]):
-    return st.fixed_dictionaries(
-        {k: _GENERATE_VALUES[k] for k in required},
-        optional={k: _GENERATE_VALUES[k] for k in optional})
-
-
-# a semiprime's flags, a backbone's flags, or any subset of all of them
-_GENERATE_FLAGS = st.one_of(
-    _generate_flags(("--bits",), ("--semiprime", "--all", "--option", "-o", "--dir")),
-    _generate_flags(("--backbone",), ("--seed", "-o")),
-    _generate_flags((), tuple(_GENERATE_VALUES)))
-
-
-@given(_GENERATE_FLAGS)
+@given(_GENERATE_SPECS, st.fixed_dictionaries(
+    {}, optional={"-o": st.just("out.cnf"), "--dir": st.just("d")}))
 @settings(max_examples=60, deadline=None)
-def test_every_generate_flag_vector_ends_in_a_result_or_one_error_line(flags):
-    argv = ["generate"]
-    for flag, value in flags.items():
-        argv += [flag, *((value,) if isinstance(value, str) else value)]
+def test_every_generate_spec_ends_in_a_result_or_one_error_line(spec, flags):
+    argv = ["generate", "-i", spec, *(x for kv in flags.items() for x in kv)]
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # generate without -o or --dir writes into the cwd
         try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                code, wrote = _ends_cleanly(argv, Path(tmp))
+            code, wrote = _ends_cleanly(argv, Path(tmp))
         finally:
             os.chdir(cwd)
     assert code == 2 or code == 0 and wrote
-    # the one warning generate gives: XOR gates keep their row encoding
-    assert all("no implication-form encoding" in str(w.message) for w in caught)
 
 
 @functools.cache

@@ -473,7 +473,7 @@ def test_iterate_bfs_strategy_and_unknown_strategy():
 
 
 def test_iterate_empty_residual_needs_no_solver():
-    cnf, _, _ = generate_instance(4, None)
+    cnf, _, _ = generate_instance(4, 9)
     res = run_ladder(cnf, 7, seed=1)
     run = iterate(res.cnf, res.condition, cnf, **ONE_READ, budget=45, cap=100,
                   seed=0, collect_trace=False)

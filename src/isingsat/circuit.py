@@ -192,9 +192,9 @@ def gate_clauses(kind: str, a: int, b: int, c: int, option: EncodingOption) -> l
 def encode_netlist(netlist: GateNetlist, product: int) -> Cnf:
     """CNF for ``a * b = product`` over the netlist.
 
-    Adds: each gate's row encoding; a negative unit for the constant-zero wire; positive
-    units forcing both factor MSBs (factors are full-width); and one unit per
-    product bit in LSB-first order.
+    Adds: each gate's row encoding; a negative unit for the constant-zero
+    wire; positive units forcing both factor MSBs (factors are full-width);
+    and one unit per product bit in LSB-first order.
     """
     width = len(netlist.output_bits)
     if product < 0 or product.bit_length() > width:

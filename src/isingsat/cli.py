@@ -52,11 +52,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if len(instances) > 1 and not args.dir:
         raise ValueError(f"{args.instance} names {len(instances)} instances; "
                          "give --dir to write one file each")
-    outdir = Path(args.dir) if args.dir else None
-    if outdir:
-        outdir.mkdir(parents=True, exist_ok=True)
+    if args.dir:
+        Path(args.dir).mkdir(parents=True, exist_ok=True)
     for instance_id, cnf in instances:
-        path = (outdir / f"{instance_id}.cnf" if outdir
+        path = (Path(args.dir, f"{instance_id}.cnf") if args.dir
                 else Path(args.output or DEFAULT_OUTPUT))
         path.write_text(write_dimacs(cnf, comments=[
             f"{instance_id} from spec {args.instance}"]))
@@ -129,7 +128,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                              "repeat's first solver call, but it records none "
                              "(the backend is tabu, or the repeat makes no "
                              "solver call); drop --trace")
-        open_runs_file(Path(args.output))  # a malformed one writes no trace
+        # a malformed runs file, or one this sweep may not resume, writes no trace
+        open_runs_file(Path(args.output), config, [iid for iid, _ in instances])
         with Path(args.trace).open("w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["sweep", "temperature", "best_energy"])
@@ -181,9 +181,28 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+class _StoreOnce(argparse.Action):
+    """argparse's default store action, refusing a flag given twice in one
+    parse (an abbreviation counts as its flag): otherwise the last one would
+    win.  A default is set without the action, so it never counts."""
+
+    namespace = None  # the namespace of the parse that last stored the flag
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if self.namespace is namespace:
+            raise argparse.ArgumentError(self, "given more than once")
+        self.namespace = namespace
+        setattr(namespace, self.dest, values)
+
+
 class _Parser(argparse.ArgumentParser):
     """A parser, and through ``parser_class`` its subparsers, whose
-    rejections (a bad flag value, an unknown flag) are one error line."""
+    rejections (a bad flag value, an unknown flag, a flag given twice) are
+    one error line."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _StoreOnce)
 
     def error(self, message: str):
         self.exit(2, f"isingsat: error: {message}\n")

@@ -468,12 +468,26 @@ def timings_path_for(runs_path: Path) -> Path:
     return runs_path.with_name(runs_path.stem + ".timings.csv")
 
 
-def open_runs_file(runs_path: Path) -> set[str]:
+def open_runs_file(runs_path: Path, config: SweepConfig,
+                   instance_ids: list[str]) -> dict[str, int]:
     """Mend a torn append to ``runs_path`` and its timings file, then read
-    the keys of its records (a malformed one raises ValueError)."""
+    the key and cap of each of its records (a malformed one raises
+    ValueError).  Raises ValueError, too, when the sweep of ``config``
+    over ``instance_ids`` would skip a record at a smaller cap than
+    ``config.cap``."""
     _mend_tail(runs_path, _loads)
     _mend_tail(timings_path_for(runs_path), _timing_row)
-    return {rec.key for rec in load_records(runs_path)} if runs_path.exists() else set()
+    done = ({rec.key: rec.cap for rec in load_records(runs_path)}
+            if runs_path.exists() else {})
+    for key in (cell_key(instance_id, *cell, config.seed + rep)
+                for instance_id in instance_ids
+                for cell in product(config.levels, config.strategies, config.backends)
+                for rep in range(config.repeats)):
+        if done.get(key, config.cap) < config.cap:
+            raise ValueError(f"{runs_path} holds {key} at cap {done[key]}, "
+                             f"below this sweep's cap {config.cap}; resuming "
+                             "would skip it, so write to another runs file")
+    return done
 
 
 def run_experiment(config: SweepConfig, out_dir: Path,
@@ -483,12 +497,19 @@ def run_experiment(config: SweepConfig, out_dir: Path,
     completed repeats are skipped so interrupted sweeps resume without
     duplicating records, and a torn append to either file is mended first.
     Every spec is expanded before either file is touched, so a bad spec
-    writes nothing.  ``out_dir`` is made when the first record is appended."""
+    writes nothing.  ``out_dir`` is made when the first record is appended.
+
+    A completed repeat is one with a record at the sweep's cap or a larger
+    one, which :func:`tts_curve` cuts at the cell's smallest cap.  A sweep
+    that would skip a record at a smaller cap raises ValueError before its
+    first repeat.  ``budget`` and ``num_samples`` are not in the records,
+    so a resumed sweep cannot check them yet; a manifest of the sweep's
+    settings beside the runs file would."""
     instances = [pair for spec in config.instances
                  for pair in expand_instances(spec)]
     runs_path = out_dir / runs_filename
     timings_path = timings_path_for(runs_path)
-    done = open_runs_file(runs_path)
+    done = open_runs_file(runs_path, config, [iid for iid, _cnf in instances])
     records: list[RunRecord] = []
     cells = list(product(config.levels, config.strategies, config.backends))
     for instance_id, cnf in instances:
@@ -505,7 +526,7 @@ def run_experiment(config: SweepConfig, out_dir: Path,
                 with runs_path.open("a") as fh:
                     fh.write(rec.to_json() + "\n")
                 _append_timing(timings_path, rec)
-                done.add(key)
+                done[key] = rec.cap
                 records.append(rec)
                 if progress:
                     progress(rec)

@@ -128,20 +128,22 @@ def _multiset(clauses):
     return Counter(tuple(sorted(c)) for c in clauses)
 
 
-def test_level1_is_the_implication_form_encoding():
-    # the one path to the implication form: ladder level 1 rewrites every
-    # AND/OR gate of the row encoding, XOR gates keep their rows
-    for bits, inst in ((b, i) for b in range(4, 11) for i in semiprime_catalog(b)):
-        cnf, nl, _ = generate_instance(bits, inst.semiprime)
-        implication = [c for g in nl.gates
-                       for c in gate_clauses(g.kind, *g.inputs, g.output,
-                                             EncodingOption.OPTION2)]
-        implication += [c for c in cnf.clauses if len(c) == 1]
-        level1 = run_ladder(cnf, 1, seed=1).cnf
-        assert level1.num_vars == cnf.num_vars
-        assert _multiset(level1.clauses) == _multiset(implication), inst
-        wires, _ = simulate(nl, *_factors(inst.semiprime))
-        assert evaluate(level1, wires), inst
+def test_option2_same_factor_solutions():
+    # the option-2 (implication-form) encoding has one path, ladder level 1:
+    # it rewrites the rows of every AND/OR gate, XOR gates keep theirs, and
+    # the factors' wires satisfy the result
+    for bits in range(4, 11):
+        for inst in semiprime_catalog(bits):
+            cnf, nl, _ = generate_instance(bits, inst.semiprime)
+            implication = [c for g in nl.gates
+                           for c in gate_clauses(g.kind, *g.inputs, g.output,
+                                                 EncodingOption.OPTION2)]
+            implication += [c for c in cnf.clauses if len(c) == 1]
+            level1 = run_ladder(cnf, 1, seed=1).cnf
+            assert level1.num_vars == cnf.num_vars
+            assert _multiset(level1.clauses) == _multiset(implication), inst
+            wires, _ = simulate(nl, *_factors(inst.semiprime))
+            assert evaluate(level1, wires), inst
 
 
 def test_encode_netlist_fixes_product_and_zero():

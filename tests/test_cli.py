@@ -40,8 +40,8 @@ def test_generate_semiprime(tmp_path, capsys):
 
 
 def test_generate_whole_catalog(tmp_path):
-    # each file is named by the instance id that solve records: with the
-    # width alone the old flags named one file semiprime-08-None.cnf
+    # each file is named by the instance id that solve records, so a spec
+    # without a product names no file semiprime-08-None.cnf
     assert main(["generate", "-i", "semiprime:8", "--dir", str(tmp_path / "cat")]) == 0
     files = {p.name: p.read_text() for p in (tmp_path / "cat").iterdir()}
     instances = expand_instances("semiprime:8")
@@ -556,6 +556,56 @@ def test_rejected_flag_is_one_error_line(capsys, argv, says):
     assert capsys.readouterr().err == f"isingsat: error: {says}\n"
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["solve", "-i", "semiprime:4", "--level", "0", "--level", "7", "-o", "{runs}"],
+     "--level"),
+    (["solve", "-i", "semiprime:4", "-i", "semiprime:5", "-o", "{runs}"],
+     "-i/--instance"),
+    (["solve", "-i", "semiprime:4", "--lev", "0", "--level", "7", "-o", "{runs}"],
+     "--level"),
+    (["solve", "--sweep", "{sweep}", "--sweep", "{sweep}", "-o", "{runs}"], "--sweep"),
+    (["preprocess", "-i", "semiprime:4:9", "--seed", "1", "--seed", "2",
+      "-o", "{out}"], "--seed"),
+    (["generate", "-i", "semiprime:4:9", "-o", "{out}", "--output", "{out}"],
+     "-o/--output"),
+    (["report", "-i", "{runs}", "-o", "{out}", "-o", "{out}"], "-o/--output"),
+])
+def test_a_flag_given_twice_is_one_error_line(tmp_path, capsys, argv, flag):
+    # otherwise the last one would win without a word
+    paths = {"runs": tmp_path / "r" / "runs.jsonl", "out": tmp_path / "out",
+             "sweep": tmp_path / "sweep.json"}
+    paths["sweep"].write_text(json.dumps({"instances": ["semiprime:4"]}))
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**paths) for arg in argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == \
+        f"isingsat: error: argument {flag}: given more than once\n"
+    assert list(tmp_path.iterdir()) == [paths["sweep"]]
+
+
+def test_a_sweep_that_would_skip_a_shorter_record_is_refused(tmp_path, capsys):
+    runs = tmp_path / "r" / "runs.jsonl"
+    solve = ["solve", "-i", "semiprime:8:143", "--level", "0", "--repeats", "2",
+             "-o", str(runs), "--cap"]
+    assert main([*solve, "1"]) == 0
+    written = runs.read_bytes(), timings_path_for(runs).read_bytes()
+    capsys.readouterr()
+    trace = tmp_path / "t.csv"
+    for extra in ([], ["--trace", str(trace)]):
+        assert main([*solve, "50", *extra]) == 2
+        assert capsys.readouterr().err == (
+            f"isingsat: error: {runs} holds semiprime-08-143|0|dfs|emulator|1 at "
+            "cap 1, below this sweep's cap 50; resuming would skip it, so write "
+            "to another runs file\n")
+        assert (runs.read_bytes(), timings_path_for(runs).read_bytes()) == written
+        assert not trace.exists()
+    # a record at a larger cap than the sweep's stays usable: tts cuts it
+    assert main([*solve, "0"]) == 0
+    assert main([*solve, "1"]) == 0
+    assert "0/0 repeats solved" in capsys.readouterr().out
+    assert (runs.read_bytes(), timings_path_for(runs).read_bytes()) == written
+
+
 def test_solve_help_shows_the_sweep_config_defaults(capsys):
     with pytest.raises(SystemExit):
         main(["solve", "--help"])
@@ -706,7 +756,7 @@ _GENERATE_SPECS = st.one_of(
 @given(_GENERATE_SPECS, st.fixed_dictionaries(
     {}, optional={"-o": st.just("out.cnf"), "--dir": st.just("d")}))
 @settings(max_examples=60, deadline=None)
-def test_every_generate_spec_ends_in_a_result_or_one_error_line(spec, flags):
+def test_every_generate_flag_vector_ends_in_a_result_or_one_error_line(spec, flags):
     argv = ["generate", "-i", spec, *(x for kv in flags.items() for x in kv)]
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:

@@ -29,20 +29,26 @@ variable and which variables hold any: the pool a walk starts from.
 An iteration then touches only the slice:
 
 * picking a start variable reads the kept pool;
-* freezing visits only the clauses of the selected variables; every other
-  unsatisfied clause freezes empty, and only their count reaches the QUBO,
-  as its offset; no formula is built for the slice;
+* freezing visits only the clauses of the selected variables, in clause
+  order, by a merge of their occurrence lists; every other unsatisfied
+  clause freezes empty, and only their count reaches the QUBO, as its
+  offset; no formula is built for the slice;
 * a merge moves the counts of only the clauses of the variables it flips,
   and commits them only when it is accepted; the pool moves only for the
   clauses whose satisfied status flips.
 
 One full rescan at the end of the loop checks the final count.
+
+The walk and the clause loop of the freeze run in the compiled module, as
+``solver.kernels.walk`` and ``freeze``, which read the index and the state
+as they stand here; without a C compiler their pure-Python oracle runs,
+with the same results.  :func:`select_bfs`, :func:`select_dfs` and
+:func:`freeze_and_extract` stay here and look them up at call time.
 """
 from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
-from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
@@ -52,6 +58,7 @@ from .cnf import MEMO_ENTRIES, Assignment, Cnf, count_satisfied, evaluate
 from .preprocess import ConditionRecord, reconstruct
 from .qubo import QuboModel, cnf_to_qubo, qubo_to_ising, scale_to_chip
 from .solver import solve
+from .solver.kernels import freeze, walk
 
 STRATEGIES = ("bfs", "dfs")
 
@@ -202,63 +209,18 @@ class Subproblem:
     spin_cost: int
 
 
-def _walk_select(vig: Vig, budget: int, start: int,
-                 filt: FilterState, depth_first: bool) -> set[int]:
-    # ``seen`` holds the queued and the selected vars, so each is pushed once;
-    # no cooldown ticks during a walk, so the cooling vars are read once
-    cooling = {v for v, left in filt.cooldown.items() if left > 0}
-    selected: set[int] = set()
-    seen = {start}
-    ancillas = 0  # one per 3-literal clause whose variables are all selected
-    active: deque[int] = deque()
-    parked: deque[int] = deque()  # cooling vars wait here until nothing else is left
-    (parked if start in cooling else active).append(start)
-    pushes = vig.dfs_order if depth_first else vig.adjacency
-    triangles = vig.triangles
-    pending = vig.nodes
-    pend_pos = 0
-    while True:
-        if active:
-            v = active.popleft() if not depth_first else active.pop()
-        elif parked:
-            v = parked.popleft() if not depth_first else parked.pop()
-        else:
-            # component exhausted with budget to spare: restart at the lowest
-            # untouched variable so a big enough budget selects everything
-            while pend_pos < len(pending) and pending[pend_pos] in seen:
-                pend_pos += 1
-            if pend_pos == len(pending):
-                break
-            v = pending[pend_pos]
-            seen.add(v)
-            (parked if v in cooling else active).append(v)
-            continue
-        selected.add(v)
-        extra = 0
-        for a, b in triangles.get(v, ()):
-            if a in selected and b in selected:
-                extra += 1
-        if len(selected) + ancillas + extra > budget:
-            selected.discard(v)
-            break
-        ancillas += extra
-        for u in pushes[v]:
-            if u not in seen:
-                seen.add(u)
-                (parked if u in cooling else active).append(u)
-    return selected
-
-
 def select_bfs(vig: Vig, budget: int, start: int,
                filt: FilterState) -> set[int]:
     """Breadth-first ball around ``start`` that fits the spin budget."""
-    return _walk_select(vig, budget, start, filt, depth_first=False)
+    return walk(vig.adjacency, vig.triangles, vig.nodes, filt.cooldown,
+                budget, start, False)
 
 
 def select_dfs(vig: Vig, budget: int, start: int,
                filt: FilterState) -> set[int]:
     """Depth-first chain from ``start``, preferring low-degree neighbors."""
-    return _walk_select(vig, budget, start, filt, depth_first=True)
+    return walk(vig.dfs_order, vig.triangles, vig.nodes, filt.cooldown,
+                budget, start, True)
 
 
 def freeze_and_extract(cnf: Cnf, selected: set[int],
@@ -270,38 +232,22 @@ def freeze_and_extract(cnf: Cnf, selected: set[int],
     further — conflicting units and duplicates stay, and a clause emptied by
     freezing becomes a constant +1 in the QUBO offset.
 
-    Only the clauses touching the selection are visited: every other
-    clause has only frozen literals, so a satisfied one is dropped and an
-    unsatisfied one freezes empty.  Those are counted, not walked, and the
+    Only the clauses touching the selection are visited, by the kernel
+    ``freeze``: every other clause has only frozen literals, so a satisfied
+    one is dropped and an unsatisfied one freezes empty.  Those are counted,
+    not walked (the unsatisfied clauses less the visited ones), and the
     count is added to the offset of the QUBO of the kept clauses, which go
     to ``cnf_to_qubo`` as a plain list: no formula is built or validated
     per slice.  The spin cost adds the QUBO's ancillas.
     """
     if not selected:
         raise ValueError("selection is empty")
-    visit: set[int] = set()
-    for v in selected:
-        visit.update(state.occurrences.get(v, ()))
-    signed = {*selected, *[-v for v in selected]}  # the selected literals
-    assignment, clauses = state.assignment, cnf.clauses
-    kept: list[tuple[int, ...]] = []
-    keep = kept.append
-    for ci in sorted(visit):
-        lits: list[int] = []
-        for lit in clauses[ci]:
-            if lit in signed:
-                lits.append(lit)
-            elif lit > 0:  # a true frozen literal satisfies the clause
-                if assignment[lit]:
-                    break
-            elif not assignment[-lit]:
-                break
-        else:
-            keep(tuple(lits))
+    kept, visited_unsat = freeze(cnf.clauses, state.occurrences, selected,
+                                 state.assignment, state.true_count)
     qubo = cnf_to_qubo(kept)
     # each emptied clause is a constant +1; the sums are small integers, so
     # the float offset is exact in any order
-    qubo.offset += len(state.unsat) - len(state.unsat & visit)
+    qubo.offset += len(state.unsat) - visited_unsat
     return Subproblem(qubo, len(selected) + qubo.num_vars - len(qubo.source_var_map))
 
 

@@ -30,6 +30,8 @@ oracle it is tested against bit for bit.  The two give identical results;
 the C kernel's Metropolis test calls ``exp`` only where two cheap bounds
 cannot decide it, and its tabu stops at a repeated state, where the oracle
 runs out the budget.  ``kernels.COMPILED_KERNELS`` says which one runs.
+The same module holds the decomposition's slice walk and freeze, which
+``isingsat.decompose`` imports from it.
 """
 from __future__ import annotations
 

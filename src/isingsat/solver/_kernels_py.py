@@ -1,4 +1,5 @@
-"""Pure-Python solver kernels: Metropolis annealing and tabu descent.
+"""Pure-Python kernels: Metropolis annealing, tabu descent, and the
+decomposition's slice walk and freeze.
 
 The oracle for the compiled kernels in ``_kernels.c``, which ``kernels``
 builds on first import, and what runs when they cannot be built.  The two
@@ -32,11 +33,21 @@ TypeError, one outside C's ``int`` (``n``, ``sweeps``) or ``long long``
 positive and finite, a negative ``n``, or a ``jd`` or ``h`` shorter than
 n*n or n entries is a ValueError.  A seed is taken modulo 2**64, and an
 integer temperature as a float.
+
+``walk`` and ``freeze`` are the decomposition's slice walk and the clause
+loop of its freeze, as ``decompose`` ran them in Python.  They do integer
+work only.  On the index and state ``decompose`` builds, the C versions
+return what these return and raise what these raise: a start the index
+lacks is a KeyError once it is selected, and so is a frozen variable the
+assignment lacks once it is read.  The C freeze merges the occurrence lists
+where this one sorts them, so it needs each list ascending, as
+``build_vig`` makes it, and raises ValueError otherwise.
 """
 from __future__ import annotations
 
 import math
 import operator
+from collections import deque
 
 _MASK = (1 << 64) - 1
 _STAR = 0x2545F4914F6CDD1D
@@ -164,3 +175,84 @@ def tabu(n: int, jd: list[float], h: list[float], max_moves: int,
             best = cur
             best_spins = list(spins)
     return best_spins, best, moves
+
+
+def walk(pushes, triangles, nodes, cooldown, budget, start, depth_first):
+    """The spin-budgeted walk from ``start``; returns the selected set.
+
+    ``pushes[v]`` lists the neighbours of ``v`` in push order, ``triangles``
+    and ``nodes`` are the ``Vig``'s and ``cooldown`` the ``FilterState``'s.
+    """
+    # ``seen`` holds the queued and the selected vars, so each is pushed once;
+    # no cooldown ticks during a walk, so the cooling vars are read once
+    cooling = {v for v, left in cooldown.items() if left > 0}
+    selected: set[int] = set()
+    seen = {start}
+    ancillas = 0  # one per 3-literal clause whose variables are all selected
+    active: deque[int] = deque()
+    parked: deque[int] = deque()  # cooling vars wait here until nothing else is left
+    (parked if start in cooling else active).append(start)
+    pending = nodes
+    pend_pos = 0
+    while True:
+        if active:
+            v = active.popleft() if not depth_first else active.pop()
+        elif parked:
+            v = parked.popleft() if not depth_first else parked.pop()
+        else:
+            # component exhausted with budget to spare: restart at the lowest
+            # untouched variable so a big enough budget selects everything
+            while pend_pos < len(pending) and pending[pend_pos] in seen:
+                pend_pos += 1
+            if pend_pos == len(pending):
+                break
+            v = pending[pend_pos]
+            seen.add(v)
+            (parked if v in cooling else active).append(v)
+            continue
+        selected.add(v)
+        extra = 0
+        for a, b in triangles.get(v, ()):
+            if a in selected and b in selected:
+                extra += 1
+        if len(selected) + ancillas + extra > budget:
+            selected.discard(v)
+            break
+        ancillas += extra
+        for u in pushes[v]:
+            if u not in seen:
+                seen.add(u)
+                (parked if u in cooling else active).append(u)
+    return selected
+
+
+def freeze(clauses, occurrences, selected, assignment, true_count):
+    """The kept clauses of a slice, in clause order, and how many of the
+    visited clauses are unsatisfied (``true_count`` zero).
+
+    Only the clauses of the selected variables (``occurrences``) are
+    visited.  A true frozen literal drops its clause and a false one is
+    removed; the selected literals are kept as they stand.
+    """
+    visit: set[int] = set()
+    for v in selected:
+        visit.update(occurrences.get(v, ()))
+    signed = {*selected, *[-v for v in selected]}  # the selected literals
+    kept: list[tuple[int, ...]] = []
+    keep = kept.append
+    unsat = 0
+    for ci in sorted(visit):
+        if not true_count[ci]:
+            unsat += 1
+        lits: list[int] = []
+        for lit in clauses[ci]:
+            if lit in signed:
+                lits.append(lit)
+            elif lit > 0:  # a true frozen literal satisfies the clause
+                if assignment[lit]:
+                    break
+            elif not assignment[-lit]:
+                break
+        else:
+            keep(tuple(lits))
+    return kept, unsat

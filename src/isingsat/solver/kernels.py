@@ -1,5 +1,11 @@
 """Kernel selector: the C kernel, compiled on first import, else the pure oracle.
 
+Both hold the same five functions: the solver's ``anneal`` and ``tabu`` and
+their seeding ``mix_seed``, and the decomposition's slice ``walk`` and
+``freeze`` (``decompose.select_bfs``, ``select_dfs`` and
+``freeze_and_extract`` call these two).  One build, one loader and one
+``COMPILED_KERNELS`` flag cover all five.
+
 ``_kernels.c`` is compiled the first time this module is imported, with the
 interpreter's C compiler and ``-O2 -shared -fPIC -ffp-contract=off``.  The
 shared object is cached as
@@ -12,7 +18,7 @@ extension suffix are removed.  The loaded module is registered as
 
 Without a compiler on PATH, or when the build fails (one warning is logged),
 the pure-Python oracle ``_kernels_py`` runs instead; it gives bit-identical
-results, only slower.  ``COMPILED_KERNELS`` records which one was picked, so
+results (and raises the same exceptions), only slower.  ``COMPILED_KERNELS`` records which one was picked, so
 benchmarks and bug reports can say so, and ``FALLBACK_REASON`` says why the
 compiled one was not.
 """
@@ -113,3 +119,5 @@ _impl = _compiled or _kernels_py
 mix_seed = _impl.mix_seed
 anneal = _impl.anneal
 tabu = _impl.tabu
+walk = _impl.walk
+freeze = _impl.freeze

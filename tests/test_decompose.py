@@ -5,7 +5,7 @@ import random
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from isingsat.cnf import (
     brute_force_solutions,
@@ -30,6 +30,7 @@ from isingsat.decompose import (
 )
 from isingsat.preprocess import run_ladder
 from isingsat.qubo import cnf_to_qubo
+from isingsat.solver import _kernels_py, kernels
 
 from conftest import mixed_random_cnf, random_3sat
 
@@ -162,16 +163,25 @@ def _reference_walk(vig, budget, start, cooldown, depth_first):
 
 
 @st.composite
-def _walk_cases(draw):
-    """A small formula whose 3-clauses may repeat a variable, a start and a
-    cooldown map with entries at or below 0."""
+def _formulas(draw, offset=0):
+    """A small formula whose 3-clauses may repeat a variable, its variables
+    ``offset + 1 .. num_vars``."""
     n = draw(st.integers(2, 14))
-    lit = st.integers(1, n).flatmap(lambda v: st.sampled_from((v, -v)))
+    lit = st.integers(1 + offset, n + offset).flatmap(lambda v: st.sampled_from((v, -v)))
     clauses = draw(st.lists(st.lists(lit, min_size=1, max_size=3).map(tuple),
                             min_size=n // 2, max_size=2 * n))
-    vig = build_vig(make_cnf(n, clauses))
+    return make_cnf(n + offset, clauses)
+
+
+@st.composite
+def _walk_cases(draw, offset=0):
+    """A ``_formulas`` index, a start and a cooldown map with entries at or
+    below 0."""
+    cnf = draw(_formulas(offset))
+    vig = build_vig(cnf)
     start = draw(st.sampled_from(vig.nodes))
-    cooldown = draw(st.dictionaries(st.integers(1, n), st.integers(-1, 2)))
+    cooldown = draw(st.dictionaries(st.integers(1 + offset, cnf.num_vars),
+                                    st.integers(-1, 2)))
     return vig, start, cooldown
 
 
@@ -185,6 +195,86 @@ def test_walks_match_the_reference_walk(case):
             assert select(vig, budget, start, filt) == _reference_walk(
                 vig, budget, start, cooldown, depth_first), (budget, depth_first)
             assert filt.cooldown == cooldown  # a walk reads the filter only
+
+
+# The compiled walk and freeze against the pure ones, exceptions included.
+# Variables above 256 are not cached ints, so the C code meets int objects
+# that are equal but not identical.
+needs_compiled = pytest.mark.skipif(not kernels.COMPILED_KERNELS,
+                                    reason="compiled kernels unavailable")
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the exception is the outcome compared
+        return type(exc), str(exc)
+
+
+@needs_compiled
+@given(st.one_of(_walk_cases(), _walk_cases(offset=300)), st.booleans())
+@example(  # two components, the start cooling, cooldowns from -1 to 2
+    (build_vig(make_cnf(5, [(1, 2), (2, 2, 3), (4, -5)])), 1,
+     {1: 2, 2: 1, 3: 0, 4: -1}), False)
+@example((build_vig(make_cnf(305, [(301, -302, 302), (303, 304), (305,)])), 303,
+          {301: 1, 304: 2}), False)
+@example((build_vig(make_cnf(3, [(1, 2)])), 1, {}), True)
+@settings(max_examples=100, deadline=None)
+def test_compiled_walk_matches_the_pure_walk(case, outside):
+    vig, start, cooldown = case
+    if outside:  # a start the index lacks: a KeyError once it is selected
+        start = vig.nodes[-1] + 1
+    for budget in range(13):
+        for pushes, depth_first in ((vig.adjacency, False), (vig.dfs_order, True)):
+            args = (pushes, vig.triangles, vig.nodes, cooldown, budget, start, depth_first)
+            assert _outcome(kernels.walk, *args) == _outcome(_kernels_py.walk, *args), (
+                budget, depth_first)
+
+
+def _freeze_case(num_vars, clauses, selected, values, lacking=None):
+    """The arguments of a freeze: a formula, a selection and its state,
+    whose assignment lacks ``lacking``."""
+    cnf = make_cnf(num_vars, clauses)
+    state = _gs(cnf, values)
+    state.assignment.pop(lacking, None)
+    return cnf, set(selected), state
+
+
+@st.composite
+def _freeze_cases(draw):
+    """A ``_formulas`` formula, its variables above 256 or not, any selection
+    of its variables and a state whose assignment may lack a frozen one."""
+    cnf = draw(_formulas(draw(st.sampled_from((0, 300)))))
+    nodes = build_vig(cnf).nodes
+    selected = draw(st.sets(st.sampled_from(nodes)))
+    frozen = [v for v in nodes if v not in selected]
+    lacking = draw(st.sampled_from(frozen)) if frozen and draw(st.booleans()) else None
+    values = {v: draw(st.booleans()) for v in nodes}
+    return _freeze_case(cnf.num_vars, cnf.clauses, selected, values, lacking)
+
+
+@needs_compiled
+@given(_freeze_cases())
+@example(  # (v, v, u) and (v, -v, u) kept, (2, 3) emptied, (-1,) unsatisfied
+    _freeze_case(3, [(1, 1, 2), (1, -1, 3), (2, 3), (-1,), (2, -3)], {1},
+                 {1: True, 2: False, 3: False}))
+@example(_freeze_case(303, [(301, -302, 303), (-301, -301, 302), (302, 303)], {301},
+                      {301: False, 302: True, 303: False}))
+@example(_freeze_case(303, [(301, -302, 303), (-301, -301, 302)], {301},
+                      {301: False, 302: True, 303: False}, lacking=302))
+@settings(max_examples=200, deadline=None)
+def test_compiled_freeze_matches_the_pure_freeze(case):
+    cnf, selected, state = case
+    args = (cnf.clauses, state.occurrences, selected, state.assignment, state.true_count)
+    assert _outcome(kernels.freeze, *args) == _outcome(_kernels_py.freeze, *args)
+
+
+@needs_compiled
+def test_compiled_freeze_needs_ascending_occurrence_lists():
+    # it merges the lists where the oracle sorts; build_vig makes them ascending
+    with pytest.raises(ValueError, match="not ascending"):
+        kernels.freeze(((1,), (1, 2)), {1: (1, 0)}, {1}, {1: True, 2: False}, [1, 1])
 
 
 def test_filter_cooldown_expires():

@@ -378,6 +378,29 @@ def test_a_tabu_repeat_records_alike_with_the_pure_oracle(monkeypatch):
     assert run_repeat(instance_id, cnf, config, **cell).to_json() == compiled
 
 
+@pytest.mark.parametrize("spec,cell,settings,golden", _GOLDEN_CELLS,
+                         ids=["L7-dfs-emulator", "L0-budget20", "bfs-tabu"])
+def test_golden_repeats_record_alike_with_the_pure_walk_and_freeze(
+        monkeypatch, spec, cell, settings, golden):
+    # the pinned records are the compiled walk and freeze's wherever a C
+    # compiler exists (test_run_repeat_records_are_pinned)
+    instance_id, cnf = expand_instances(spec)[0]
+    config = SweepConfig(instances=[spec], **settings)
+    pure = solver.kernels._kernels_py
+    called = set()
+
+    def spy(fn):
+        def call(*args):
+            called.add(fn.__name__)
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(decompose, "walk", spy(pure.walk))
+    monkeypatch.setattr(decompose, "freeze", spy(pure.freeze))
+    assert run_repeat(instance_id, cnf, config, **cell).to_json() == golden
+    assert called == {"walk", "freeze"}
+
+
 # Every solver call's best spins over a short repeat, hashed, on calls
 # with more reads than the golden cells take.  Nearly every such call has
 # several reads tied at its best energy, so these digests pin which read the

@@ -212,11 +212,6 @@ def encode_netlist(netlist: GateNetlist, product: int) -> Cnf:
     return Cnf(netlist.num_vars, tuple(clauses))
 
 
-@dataclass(frozen=True)
-class SemiprimeInstance:
-    semiprime: int
-
-
 def factor_widths(bit_width: int) -> tuple[int, int]:
     """Factor bit widths for a product of the given width: as equal as possible."""
     hi = (bit_width + 1) // 2
@@ -234,9 +229,9 @@ def _primes_below(limit: int) -> list[int]:
     return primes
 
 
-def semiprime_catalog(bit_width: int) -> list[SemiprimeInstance]:
-    """All semiprimes of exactly ``bit_width`` bits whose prime factors are
-    full-width for the canonical factor split (both MSBs set)."""
+def semiprime_catalog(bit_width: int) -> list[int]:
+    """All semiprimes of exactly ``bit_width`` bits, ascending, whose prime
+    factors are full-width for the canonical factor split (both MSBs set)."""
     if not 4 <= bit_width <= 16:
         raise ValueError("bit_width must be between 4 and 16")
     wa, wb = factor_widths(bit_width)
@@ -244,21 +239,15 @@ def semiprime_catalog(bit_width: int) -> list[SemiprimeInstance]:
     ps = [p for p in primes if p.bit_length() == wa]
     qs = [q for q in primes if q.bit_length() == wb]
     products = {p * q for p in ps for q in qs}
-    return [SemiprimeInstance(s) for s in sorted(products)
-            if s.bit_length() == bit_width]
+    return sorted(s for s in products if s.bit_length() == bit_width)
 
 
-def generate_instance(
-    bit_width: int, semiprime: int,
-) -> tuple[Cnf, GateNetlist, SemiprimeInstance]:
+def generate_instance(bit_width: int, semiprime: int) -> tuple[Cnf, GateNetlist]:
     """Build the CNF for one semiprime of the family."""
-    matches = [c for c in semiprime_catalog(bit_width) if c.semiprime == semiprime]
-    if not matches:
+    if semiprime not in semiprime_catalog(bit_width):
         raise ValueError(f"{semiprime} is not in the {bit_width}-bit catalog "
                          "of semiprimes with full-width factors")
-    inst = matches[0]
     wa, wb = factor_widths(bit_width)
     # orient the narrow factor along the rows: fewer, wider ripple chains
     netlist = build_multiplier(wb, wa)
-    cnf = encode_netlist(netlist, inst.semiprime)
-    return cnf, netlist, inst
+    return encode_netlist(netlist, semiprime), netlist

@@ -1,12 +1,12 @@
 """Command-line entry point.
 
-Subcommands: generate (the formula of each instance a spec names),
+Four subcommands: generate (the formula of each instance a spec names),
 preprocess (the simplification ladder on one instance; ``--level 1`` gives
 the implication-form encoding of a multiplier's gates), solve (decompose +
-anneal, single cell or config-file sweep), tts (time to solution from
-runs.jsonl, charging every repeat the iterations it ran, at the cap and at
-the best cutoff below it), report (the same per cell in aggregates.csv,
-plus runtime plot data).
+anneal, single cell or config-file sweep) and report (per cell of
+runs.jsonl, solved-% and time to solution, charging every repeat the
+iterations it ran, at the cap and at the best cutoff below it, written to
+aggregates.csv and printed; plus runtime plot data).
 Every command that reads an instance takes it one way: ``-i`` with a spec
 of ``harness.SPEC_FORMS``, a bare DIMACS path among them.  generate writes
 one instance to ``-o`` or each instance to ``--dir`` as
@@ -16,11 +16,12 @@ set one way: ``-i/--instance`` takes the instance, ``-o`` the runs file
 with ``--sweep``, the config file.
 Bad input (a malformed file or spec, an out-of-range value, a file that
 cannot be read, a flag given twice, a flag that another one overrides or
-that does not apply) ends in one ``isingsat: error: ...`` line and exit
-status 2, before any file is written.  One case still writes first: a
-formula that a repeat rejects, such as one left with a clause wider than 3
-after the ladder, ends a sweep at the first cell that meets it, after the
-records of the cells before it.
+that does not apply, an output that names an input or another output)
+ends in one ``isingsat: error: ...`` line and exit status 2, before any
+file is written.  One case still writes first: a formula that a repeat
+rejects, such as one left with a clause wider than 3 after the ladder,
+ends a sweep at the first cell that meets it, after the records of the
+cells before it.
 """
 from __future__ import annotations
 
@@ -36,13 +37,25 @@ from .decompose import STRATEGIES, iterate
 from .preprocess import ConditionRecord, MAX_LEVEL, run_ladder
 from .harness import (SPEC_FORMS, SweepConfig, aggregate_records,
                       expand_instances, load_records, load_timings,
-                      open_runs_file, run_experiment, timings_path_for,
-                      write_aggregates, write_runtime_report)
+                      open_runs_file, run_experiment, runtime_report,
+                      spec_file, timings_path_for, write_csv)
 from .solver import BACKENDS
 
 
 DEFAULT_OUTPUT = "instance.cnf"  # what generate writes without -o or --dir
 DEFAULT_RUNS = "results/runs.jsonl"  # where solve appends its records
+RUNTIME_PLOT = Path("plotdata", "runtime_by_level.csv")  # report's, beside -o
+
+
+def _refuse_overwrites(reads, writes) -> None:
+    """Refuse a command that would write over one of its inputs or write one
+    file twice; ``reads`` and ``writes`` are (role, path or None) pairs."""
+    seen = {Path(path).resolve(): role for role, path in reads if path}
+    for role, path in filter(lambda pair: pair[1], writes):
+        key = Path(path).resolve()
+        if key in seen:
+            raise ValueError(f"{path} is both {seen[key]} and {role}")
+        seen[key] = role
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -52,11 +65,14 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     if len(instances) > 1 and not args.dir:
         raise ValueError(f"{args.instance} names {len(instances)} instances; "
                          "give --dir to write one file each")
+    paths = [Path(args.dir, f"{instance_id}.cnf") if args.dir
+             else Path(args.output or DEFAULT_OUTPUT) for instance_id, _ in instances]
+    flag = "--dir" if args.dir else "-o/--output"
+    _refuse_overwrites([("-i/--instance", spec_file(args.instance))],
+                       [(flag, path) for path in paths])
     if args.dir:
         Path(args.dir).mkdir(parents=True, exist_ok=True)
-    for instance_id, cnf in instances:
-        path = (Path(args.dir, f"{instance_id}.cnf") if args.dir
-                else Path(args.output or DEFAULT_OUTPUT))
+    for (instance_id, cnf), path in zip(instances, paths):
         path.write_text(write_dimacs(cnf, comments=[
             f"{instance_id} from spec {args.instance}"]))
         print(f"wrote {path}: n={cnf.num_vars} m={cnf.num_clauses}")
@@ -74,7 +90,9 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.input} names {len(instances)} instances; "
                          "preprocess takes one")
     [(_id, cnf)] = instances
-    for name in filter(None, (args.output, args.cond, args.report)):
+    outputs = {"-o/--output": args.output, "--cond": args.cond, "--report": args.report}
+    _refuse_overwrites([("-i/--input", spec_file(args.input))], outputs.items())
+    for name in filter(None, outputs.values()):
         folder = Path(name).parent
         if not folder.is_dir():
             raise ValueError(f"cannot write {name}: no directory {folder}")
@@ -112,6 +130,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if not args.instance:
             raise ValueError("solve needs -i/--instance or --sweep")
         config = SweepConfig(instances=[args.instance], **given)
+    runs = Path(args.output)
+    _refuse_overwrites(
+        [("--sweep", args.sweep),
+         *(("an instance file", spec_file(spec)) for spec in config.instances)],
+        [("-o/--output", runs),
+         ("the timings file of -o/--output", timings_path_for(runs)),
+         ("--trace", args.trace)])
     if args.trace:
         # replays the first repeat up to its first solver call; every spec
         # is expanded first, so a bad one writes no trace
@@ -129,7 +154,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                              "(the backend is tabu, or the repeat makes no "
                              "solver call); drop --trace")
         # a malformed runs file, or one this sweep may not resume, writes no trace
-        open_runs_file(Path(args.output), config, [iid for iid, _ in instances])
+        open_runs_file(runs, config, [iid for iid, _ in instances])
         with Path(args.trace).open("w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["sweep", "temperature", "best_energy"])
@@ -141,41 +166,33 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print(f"  {rec.instance} L{rec.level} {rec.strategy}/{rec.backend} "
               f"seed={rec.seed}: {status} in {rec.iterations_used} iterations")
 
-    runs = Path(args.output)
     records = run_experiment(config, runs.parent, runs.name, progress=progress)
     solved = sum(r.solved for r in records)
     print(f"{solved}/{len(records)} repeats solved -> {runs}")
     return 0
 
 
-def _cmd_tts(args: argparse.Namespace) -> int:
-    records = load_records(args.input)
-    if not records:
-        print("no records", file=sys.stderr)
-        return 1
-    print(f"{'instance':32} {'lvl':>3} {'strategy':8} {'backend':8} "
-          f"{'p':>6} {'cost':>9} {'tts':>12} {'cutoff':>7} {'p@cut':>6} "
-          f"{'tts@cut':>12}")
-    for row in aggregate_records(records):
-        best = (f"{row['best_cutoff']:7d} {row['solved_pct_at_cutoff'] / 100:6.3f} "
-                f"{row['tts_at_cutoff']:12.2f}" if row["best_cutoff"] != ""
-                else f"{'-':>7} {'-':>6} {'-':>12}")
-        print(f"{row['instance']:32} {row['level']:>3} {row['strategy']:8} "
-              f"{row['backend']:8} {row['solved_pct'] / 100:6.3f} "
-              f"{row['mean_iterations']:9.2f} {float(row['tts']):12.2f} {best}")
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
-    records = load_records(args.input)
+    runs, out_csv = Path(args.input), Path(args.output)
+    timings_path, plot_path = timings_path_for(runs), out_csv.parent / RUNTIME_PLOT
+    _refuse_overwrites(
+        [("-i/--input", runs), ("the timings file of -i/--input", timings_path)],
+        [("-o/--output", out_csv), ("the plot data", plot_path)])
+    records = load_records(runs)
     if not records:
         print("no records", file=sys.stderr)
         return 1
     # read every input before the first file is written
-    timings = load_timings(timings_path_for(Path(args.input)))
-    out_csv = Path(args.output)
-    write_aggregates(records, out_csv)
-    plot_path = write_runtime_report(records, out_csv.parent, timings)
+    timings = load_timings(timings_path)
+    plot_path.parent.mkdir(exist_ok=True)  # -o's directory must exist
+    rows = aggregate_records(records)
+    write_csv(rows, out_csv)
+    write_csv(runtime_report(records, timings), plot_path)
+    # the rows as written, under their column names; an empty cell prints "-"
+    table = [list(rows[0]), *([str(v) or "-" for v in row.values()] for row in rows)]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    for line in table:
+        print("  ".join(map(str.ljust, line, widths)).rstrip())
     print(f"aggregates -> {out_csv}")
     print(f"plot data  -> {plot_path}")
     return 0
@@ -266,13 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
                    "solves it)")
     s.set_defaults(func=_cmd_solve)
 
-    t = sub.add_parser("tts", help="per cell: p, mean iterations charged and "
-                       "TTS at the cap, then the best cutoff with its p and TTS")
-    t.add_argument("-i", "--input", required=True)
-    t.set_defaults(func=_cmd_tts)
-
-    r = sub.add_parser("report", help="aggregates.csv (the tts table per "
-                       "cell) + runtime plot data")
+    r = sub.add_parser("report", help="per cell: solved-%%, mean iterations "
+                       "charged and TTS at the cap, then the best cutoff with "
+                       "its solved-%% and TTS; writes the table to -o and "
+                       "prints it, plus runtime plot data")
     r.add_argument("-i", "--input", required=True, help="runs.jsonl")
     r.add_argument("-o", "--output", default="aggregates.csv")
     r.set_defaults(func=_cmd_report)

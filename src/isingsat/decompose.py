@@ -158,8 +158,8 @@ class GlobalState:
     """Best-known full assignment with its satisfied-clause bookkeeping.
 
     ``true_count[c]`` is the number of true literals in clause ``c`` and
-    ``unsat`` the clauses at zero; ``best_count``, the satisfied total, is
-    read from those two.
+    ``unsat`` the number of clauses at zero; ``best_count``, the satisfied
+    total, is read from those two.
     ``unsat_degree[v]`` counts the unsatisfied clauses that contain ``v``,
     for each variable the formula holds (not each it declares), and ``pool``
     lists, ascending, the variables whose count is nonzero: the variables a
@@ -171,14 +171,14 @@ class GlobalState:
 
     assignment: Assignment
     true_count: list[int]
-    unsat: set[int]
+    unsat: int
     unsat_degree: dict[int, int]
     pool: list[int]
     occurrences: Mapping[int, tuple[int, ...]]
 
     @property
     def best_count(self) -> int:
-        return len(self.true_count) - len(self.unsat)
+        return len(self.true_count) - self.unsat
 
     @classmethod
     def start(cls, cnf: Cnf, assignment: Assignment,
@@ -192,12 +192,12 @@ class GlobalState:
         true_lits = {v if val else -v for v, val in assignment.items()}
         # a repeated literal counts once per occurrence
         true_count = [sum(map(true_lits.__contains__, c)) for c in cnf.clauses]
-        unsat = {ci for ci, n in enumerate(true_count) if n == 0}
+        unsat = [c for c, n in zip(cnf.clauses, true_count) if n == 0]
         degree = dict.fromkeys(occurrences, 0)
-        for ci in unsat:
-            for v in set(map(abs, cnf.clauses[ci])):
+        for clause in unsat:
+            for v in set(map(abs, clause)):
                 degree[v] += 1
-        return cls(assignment, true_count, unsat, degree,
+        return cls(assignment, true_count, len(unsat), degree,
                    sorted(v for v, n in degree.items() if n), occurrences)
 
 
@@ -247,7 +247,7 @@ def freeze_and_extract(cnf: Cnf, selected: set[int],
     qubo = cnf_to_qubo(kept)
     # each emptied clause is a constant +1; the sums are small integers, so
     # the float offset is exact in any order
-    qubo.offset += len(state.unsat) - visited_unsat
+    qubo.offset += state.unsat - visited_unsat
     return Subproblem(qubo, len(selected) + qubo.num_vars - len(qubo.source_var_map))
 
 
@@ -281,7 +281,7 @@ def update_global(state: GlobalState, sub_solution: Assignment,
             if (was > 0) == (was + d > 0):
                 continue
             step = -1 if was == 0 else 1  # now satisfied / now unsatisfied
-            (state.unsat.add if step > 0 else state.unsat.discard)(ci)
+            state.unsat += step
             for v in set(map(abs, cnf.clauses[ci])):
                 degree[v] += step
                 if step > 0 and degree[v] == 1:

@@ -259,6 +259,13 @@ SPEC_FORMS = ("semiprime:BITS (whole catalog), semiprime:BITS:N, "
               "backbone:N:M:B[:SEED] (B an integer percent), file:PATH or a bare path")
 
 
+def spec_file(spec: str) -> Path | None:
+    """The DIMACS file an instance spec reads; None for a generated one."""
+    if spec.split(":")[0] in ("semiprime", "backbone"):
+        return None
+    return Path(spec.removeprefix("file:"))
+
+
 def expand_instances(spec: str) -> list[tuple[str, Cnf]]:
     """Expand one instance spec into (id, cnf) pairs; the forms are
     ``SPEC_FORMS``.  A file's id is its stem plus the first 12 hex digits
@@ -279,13 +286,13 @@ def expand_instances(spec: str) -> list[tuple[str, Cnf]]:
     except ValueError:
         raise ValueError(bad) from None
     if parts[0] == "semiprime":
-        numbers = targets or [inst.semiprime for inst in semiprime_catalog(bits)]
+        numbers = targets or semiprime_catalog(bits)
         return [(f"semiprime-{bits:02d}-{number}", generate_instance(bits, number)[0])
                 for number in numbers]
     if parts[0] == "backbone":
         cnf = generate_backbone_instance(n, m, percent / 100.0, seed)
         return [(f"backbone-n{n}-m{m}-b{percent}-s{seed}", cnf)]
-    path = Path(spec.removeprefix("file:"))
+    path = spec_file(spec)
     cnf = parse_dimacs(path.read_text())
     digest = hashlib.sha256(write_dimacs(cnf).encode()).hexdigest()[:12]
     return [(f"{path.stem}-{digest}", cnf)]
@@ -577,15 +584,6 @@ def aggregate_records(records: list[RunRecord]) -> list[dict]:
     return rows
 
 
-def write_aggregates(records: list[RunRecord], path: str | Path) -> None:
-    rows = aggregate_records(records)
-    with Path(path).open("w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=list(rows[0].keys()) if rows else
-                           ["instance", "level", "strategy", "backend"])
-        w.writeheader()
-        w.writerows(rows)
-
-
 def runtime_report(records: list[RunRecord],
                    timings: dict[str, tuple[float, float]]) -> list[dict]:
     """Per-level preprocessing vs solver time (stacked-bar plot data).
@@ -623,14 +621,10 @@ def load_timings(timings_path: str | Path) -> dict[str, tuple[float, float]]:
     return dict(_read_lines(p, _timing_row, _timing_row, 1))
 
 
-def write_runtime_report(records: list[RunRecord], out_dir: Path,
-                         timings: dict[str, tuple[float, float]]) -> Path:
-    plotdata = out_dir / "plotdata"
-    plotdata.mkdir(parents=True, exist_ok=True)
-    rows = runtime_report(records, timings)
-    path = plotdata / "runtime_by_level.csv"
+def write_csv(rows: list[dict], path: Path) -> None:
+    """``rows``, at least one (a report of no records is refused), as a CSV
+    under their keys."""
     with path.open("w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=list(rows[0].keys()) if rows else ["level"])
+        w = csv.DictWriter(fh, fieldnames=list(rows[0]))
         w.writeheader()
         w.writerows(rows)
-    return path

@@ -101,13 +101,13 @@ def check_reconstruction(cnf: Cnf, level: int):
 
 @pytest.fixture(scope="session")
 def cnf4():
-    cnf, netlist, inst = generate_instance(4, 9)
+    cnf, _netlist = generate_instance(4, 9)
     return cnf
 
 
 @pytest.fixture(scope="session")
 def cnf5():
-    cnf, netlist, inst = generate_instance(5, 21)
+    cnf, _netlist = generate_instance(5, 21)
     return cnf
 
 
@@ -116,7 +116,7 @@ def catalog45():
     """Every 4- and 5-bit semiprime instance: (bits, semiprime, cnf, netlist)."""
     out = []
     for bits in (4, 5):
-        for inst in semiprime_catalog(bits):
-            cnf, netlist, _ = generate_instance(bits, inst.semiprime)
-            out.append((bits, inst.semiprime, cnf, netlist))
+        for semiprime in semiprime_catalog(bits):
+            cnf, netlist = generate_instance(bits, semiprime)
+            out.append((bits, semiprime, cnf, netlist))
     return out

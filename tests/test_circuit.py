@@ -65,13 +65,12 @@ def test_catalog_matches_independent_sieve():
                     if s.bit_length() == bits:
                         expect.add(s)
         got = semiprime_catalog(bits)
-        assert {inst.semiprime for inst in got} == expect, bits
-        assert [inst.semiprime for inst in got] == sorted(expect)
+        assert got == sorted(expect), bits
 
 
 def test_catalog_small_widths_exact():
-    assert [i.semiprime for i in semiprime_catalog(4)] == [9]
-    assert [i.semiprime for i in semiprime_catalog(5)] == [21]
+    assert semiprime_catalog(4) == [9]
+    assert semiprime_catalog(5) == [21]
 
 
 def test_catalog_width_bounds():
@@ -84,13 +83,13 @@ def test_catalog_width_bounds():
 @pytest.mark.parametrize("bits,occ", [(4, 18), (5, 28), (7, 71), (8, 104), (10, 171), (11, 205)])
 def test_instance_occurring_variable_counts(bits, occ):
     # every wire of the multiplier occurs in some clause
-    cnf, _, _ = generate_instance(bits, semiprime_catalog(bits)[0].semiprime)
+    cnf, _ = generate_instance(bits, semiprime_catalog(bits)[0])
     assert len(cnf.occurring_vars()) == occ
     assert cnf.num_vars == occ
 
 
 def test_eight_bit_instance_shape():
-    cnf, nl, _ = generate_instance(8, 143)
+    cnf, nl = generate_instance(8, 143)
     assert cnf.num_vars == 104
     assert cnf.max_clause_width() == 3
     units = {c[0] for c in cnf.clauses if len(c) == 1}
@@ -113,9 +112,9 @@ def test_factor_assignment_satisfies_cnf(catalog45):
 
 
 def test_wrong_product_assignment_fails():
-    cnf, nl, inst = generate_instance(4, 9)
+    cnf, nl = generate_instance(4, 9)
     wires, product = simulate(nl, 3, 2)  # 6 != 9
-    assert product != inst.semiprime
+    assert product != 9
     assert not evaluate(cnf, wires)
 
 
@@ -133,17 +132,17 @@ def test_option2_same_factor_solutions():
     # it rewrites the rows of every AND/OR gate, XOR gates keep theirs, and
     # the factors' wires satisfy the result
     for bits in range(4, 11):
-        for inst in semiprime_catalog(bits):
-            cnf, nl, _ = generate_instance(bits, inst.semiprime)
+        for semiprime in semiprime_catalog(bits):
+            cnf, nl = generate_instance(bits, semiprime)
             implication = [c for g in nl.gates
                            for c in gate_clauses(g.kind, *g.inputs, g.output,
                                                  EncodingOption.OPTION2)]
             implication += [c for c in cnf.clauses if len(c) == 1]
             level1 = run_ladder(cnf, 1, seed=1).cnf
             assert level1.num_vars == cnf.num_vars
-            assert _multiset(level1.clauses) == _multiset(implication), inst
-            wires, _ = simulate(nl, *_factors(inst.semiprime))
-            assert evaluate(level1, wires), inst
+            assert _multiset(level1.clauses) == _multiset(implication), semiprime
+            wires, _ = simulate(nl, *_factors(semiprime))
+            assert evaluate(level1, wires), semiprime
 
 
 def test_encode_netlist_fixes_product_and_zero():

@@ -126,7 +126,7 @@ def test_preprocess_default_seed_is_the_first_solve_repeats(tmp_path):
     assert out.read_text() == write_dimacs(first.cnf)
 
 
-def test_solve_and_tts_and_report(tmp_path, capsys):
+def test_solve_and_report(tmp_path, capsys):
     runs = tmp_path / "runs.jsonl"
     assert main(["solve", "--instance", "semiprime:4", "--level", "7",
                  "--repeats", "2", "--cap", "200",
@@ -136,17 +136,15 @@ def test_solve_and_tts_and_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "2/2 repeats solved" in out
 
-    assert main(["tts", "-i", str(runs)]) == 0
-    table = capsys.readouterr().out
-    assert "semiprime-04-9" in table and "1.00" in table
-
     agg = tmp_path / "aggregates.csv"
     assert main(["report", "-i", str(runs), "-o", str(agg)]) == 0
+    table = capsys.readouterr().out
+    assert "semiprime-04-9" in table and "100.0" in table
     assert agg.exists()
     assert (tmp_path / "plotdata" / "runtime_by_level.csv").exists()
 
 
-def test_tts_and_report_give_the_cap_and_the_best_cutoff(tmp_path, capsys):
+def test_report_prints_the_rows_it_writes(tmp_path, capsys):
     # the 40 repeats of a heavy-tailed cell at cap 1000, and a cell with no solve
     base = RunRecord(instance="heavy", strategy="dfs", level=7, backend="emulator",
                      seed=0, cap=1000, solved=True, verified=True, iterations_used=0,
@@ -158,11 +156,6 @@ def test_tts_and_report_give_the_cap_and_the_best_cutoff(tmp_path, capsys):
                           iterations_used=1000)])
     runs = tmp_path / "runs.jsonl"
     runs.write_text("".join(r.to_json() + "\n" for r in records))
-    assert main(["tts", "-i", str(runs)]) == 0
-    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert rows[0][4:] == ["p", "cost", "tts", "cutoff", "p@cut", "tts@cut"]
-    assert rows[1][4:] == ["0.400", "654.90", "3840.66", "37", "0.225", "404.30"]
-    assert rows[2][4:] == ["0.000", "1000.00", "inf", "-", "-", "-"]
     agg = tmp_path / "aggregates.csv"
     assert main(["report", "-i", str(runs), "-o", str(agg)]) == 0
     assert agg.read_text().splitlines() == [
@@ -170,6 +163,14 @@ def test_tts_and_report_give_the_cap_and_the_best_cutoff(tmp_path, capsys):
         "tts,best_cutoff,solved_pct_at_cutoff,tts_at_cutoff",
         "heavy,7,dfs,emulator,40,16,40.0,654.9,3840.66,37,22.5,404.3",
         "stuck,7,dfs,emulator,1,0,0.0,1000.0,inf,,,"]
+    # one printed line per row of the file, its header first, cell for cell;
+    # an empty cell prints as "-"
+    *table, wrote_agg, wrote_plot = capsys.readouterr().out.splitlines()
+    with agg.open(newline="") as fh:
+        assert [line.split() for line in table] == [
+            [cell or "-" for cell in row] for row in csv.reader(fh)]
+    assert wrote_agg == f"aggregates -> {agg}"
+    assert wrote_plot == f"plot data  -> {tmp_path / 'plotdata' / 'runtime_by_level.csv'}"
 
 
 def test_report_leaves_preprocess_time_empty_without_timings(tmp_path):
@@ -233,28 +234,35 @@ def test_a_timings_field_over_the_csv_limit_is_malformed(tmp_path):
     assert not (tmp_path / "agg.csv").exists()
 
 
-def test_tts_and_report_skip_a_torn_record(tmp_path, capsys):
-    runs = tmp_path / "runs.jsonl"
+def test_report_skips_a_torn_record(tmp_path, capsys):
+    runs, agg = tmp_path / "runs.jsonl", tmp_path / "agg.csv"
     assert main(["solve", "--instance", "semiprime:6", "--level", "7",
                  "--repeats", "2", "--cap", "3", "-o", str(runs)]) == 0
     whole = runs.read_text()
     capsys.readouterr()
-    assert main(["tts", "-i", str(runs)]) == 0
-    table = capsys.readouterr().out
+    report = ["report", "-i", str(runs), "-o", str(agg)]
+    assert main(report) == 0
+    table, rows = capsys.readouterr().out, agg.read_bytes()
     # an interrupted sweep's last append
     runs.write_text(whole + '{"backend":"emu')
-    assert main(["tts", "-i", str(runs)]) == 0
-    assert capsys.readouterr().out == table
-    report = ["report", "-i", str(runs), "-o", str(tmp_path / "agg.csv")]
     assert main(report) == 0
+    assert capsys.readouterr().out == table and agg.read_bytes() == rows
     # the same line before the last one is damage, not a torn append
     runs.write_text('{"backend":"emu\n' + whole)
-    capsys.readouterr()
-    for argv in (["tts", "-i", str(runs)], report):
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("isingsat: error: ") and err.count("\n") == 1
-        assert f"{runs}: line 1 is malformed (Unterminated string" in err
+    assert main(report) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("isingsat: error: ") and err.count("\n") == 1
+    assert f"{runs}: line 1 is malformed (Unterminated string" in err
+    assert agg.read_bytes() == rows
+
+
+def test_report_writes_nothing_when_its_plot_directory_is_a_file(tmp_path):
+    runs = tmp_path / "runs.jsonl"
+    runs.write_bytes(_two_records()[0])
+    (tmp_path / "plotdata").write_text("")
+    code, err = _main(["report", "-i", str(runs), "-o", str(tmp_path / "agg.csv")])
+    assert code == 2 and "File exists" in err
+    assert not (tmp_path / "agg.csv").exists()
 
 
 def test_resume_after_a_torn_timings_row_then_report(tmp_path):
@@ -343,11 +351,13 @@ def test_solve_needs_an_input(capsys):
     assert err.startswith("isingsat: error: ") and "solve needs" in err
 
 
-def test_tts_empty_file(tmp_path, capsys):
+def test_report_of_an_empty_file(tmp_path):
     empty = tmp_path / "runs.jsonl"
     empty.write_text("")
-    assert main(["tts", "-i", str(empty)]) == 1
-    assert main(["report", "-i", str(empty)]) == 1
+    assert _main(["report", "-i", str(empty)]) == (1, "no records\n")
+    assert _main(["report", "-i", str(empty), "-o", str(tmp_path / "agg.csv")]) == (
+        1, "no records\n")
+    assert list(tmp_path.iterdir()) == [empty]
 
 
 @pytest.mark.parametrize("case, says", [
@@ -461,7 +471,8 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, case, says):
         "trace with a malformed runs file": [
             "solve", "-i", "semiprime:8:143", "--level", "0", "--cap", "2",
             "--repeats", "1", "-o", str(garbled), "--trace", str(tmp_path / "t.csv")],
-        "records file with a foreign key": ["tts", "-i", str(foreign)],
+        "records file with a foreign key": ["report", "-i", str(foreign),
+                                            "-o", str(tmp_path / "agg.csv")],
         "negative ladder seed": ["preprocess", "-i", str(good), "--seed", "-3",
                                  "-o", str(out)],
         "condition list into a missing directory": [
@@ -487,6 +498,74 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, case, says):
     assert err.startswith("isingsat: error: ") and err.count("\n") == 1
     assert says in err
     assert set(tmp_path.iterdir()) == before  # no file written
+
+
+_SAME_FILE = {
+    "report over its input": (
+        ["report", "-i", "runs.jsonl", "-o", "runs.jsonl"],
+        "runs.jsonl is both -i/--input and -o/--output"),
+    "report over its timings file": (
+        ["report", "-i", "runs.jsonl", "-o", "./runs.timings.csv"],
+        "runs.timings.csv is both the timings file of -i/--input and -o/--output"),
+    "report's plot data over its input": (
+        ["report", "-i", "plotdata/runtime_by_level.csv", "-o", "agg.csv"],
+        "plotdata/runtime_by_level.csv is both -i/--input and the plot data"),
+    # loop/plotdata is a link to loop itself
+    "report's plot data over its -o": (
+        ["report", "-i", "runs.jsonl", "-o", "loop/plotdata/runtime_by_level.csv"],
+        "loop/plotdata/plotdata/runtime_by_level.csv is both -o/--output and "
+        "the plot data"),
+    "preprocess with --cond over -o": (
+        ["preprocess", "-i", "semiprime:8:143", "-o", "r.cnf", "--cond", "r.cnf"],
+        "r.cnf is both -o/--output and --cond"),
+    "preprocess with --report over -o": (
+        ["preprocess", "-i", "x.cnf", "-o", "r.cnf", "--report", "loop/../r.cnf"],
+        "loop/../r.cnf is both -o/--output and --report"),
+    "preprocess over its input": (
+        ["preprocess", "-i", "file:x.cnf", "-o", "x.cnf"],
+        "x.cnf is both -i/--input and -o/--output"),
+    "generate over its input": (
+        ["generate", "-i", "x.cnf", "-o", "x.cnf"],
+        "x.cnf is both -i/--instance and -o/--output"),
+    "solve over its instance": (
+        ["solve", "-i", "x.cnf", "--cap", "1", "--repeats", "1", "-o", "x.cnf"],
+        "x.cnf is both an instance file and -o/--output"),
+    "solve over its sweep file": (
+        ["solve", "--sweep", "sweep.json", "-o", "sweep.json"],
+        "sweep.json is both --sweep and -o/--output"),
+    "solve with --trace over its runs file": (
+        ["solve", "-i", "semiprime:8:143", "--level", "0", "--cap", "1",
+         "--repeats", "1", "-o", "runs.jsonl", "--trace", "runs.jsonl"],
+        "runs.jsonl is both -o/--output and --trace"),
+    "solve with --trace over the timings file": (
+        ["solve", "-i", "semiprime:8:143", "--level", "0", "--cap", "1",
+         "--repeats", "1", "-o", "runs.jsonl", "--trace", "runs.timings.csv"],
+        "runs.timings.csv is both the timings file of -o/--output and --trace"),
+}
+
+
+@pytest.mark.parametrize("case", _SAME_FILE)
+def test_no_command_writes_over_its_input_or_its_own_output(
+        tmp_path, monkeypatch, case):
+    argv, says = _SAME_FILE[case]
+    monkeypatch.chdir(tmp_path)
+    runs_bytes, timings_bytes = _two_records()
+    Path("runs.jsonl").write_bytes(runs_bytes)
+    Path("runs.timings.csv").write_bytes(timings_bytes)
+    Path("plotdata").mkdir()
+    Path("plotdata", "runtime_by_level.csv").write_bytes(runs_bytes)
+    Path("x.cnf").write_text(write_dimacs(generate_instance(4, 9)[0]))
+    Path("sweep.json").write_text(json.dumps({"instances": ["semiprime:4"]}))
+    Path("loop").mkdir()
+    Path("loop", "plotdata").symlink_to(".")
+
+    def files():
+        return {Path(top, name): Path(top, name).read_bytes()
+                for top, _dirs, names in os.walk(".") for name in names}
+
+    before = files()
+    assert _main(argv) == (2, f"isingsat: error: {says}\n")
+    assert files() == before
 
 
 @pytest.mark.parametrize("case, says", [
@@ -599,7 +678,7 @@ def test_a_sweep_that_would_skip_a_shorter_record_is_refused(tmp_path, capsys):
             "to another runs file\n")
         assert (runs.read_bytes(), timings_path_for(runs).read_bytes()) == written
         assert not trace.exists()
-    # a record at a larger cap than the sweep's stays usable: tts cuts it
+    # a record at a larger cap than the sweep's stays usable: tts_curve cuts it
     assert main([*solve, "0"]) == 0
     assert main([*solve, "1"]) == 0
     assert "0/0 repeats solved" in capsys.readouterr().out
@@ -856,7 +935,6 @@ def test_every_damaged_runs_file_ends_in_a_result_or_one_error_line(data):
         runs = tmp / "runs.jsonl"
         runs.write_bytes(runs_bytes)
         timings_path_for(runs).write_bytes(timings_bytes)
-        assert not _ends_cleanly(["tts", "-i", str(runs)], tmp)[1]
         code, wrote = _ends_cleanly(["report", "-i", str(runs),
                                      "-o", str(tmp / "agg.csv")], tmp)
         assert code != 0 or wrote
@@ -914,19 +992,17 @@ def test_deeply_nested_json_is_malformed_input(tmp_path):
     first, second = runs_bytes.splitlines(keepends=True)
     sweep, runs = tmp_path / "sweep.json", tmp_path / "runs.jsonl"
     timings_path_for(runs).write_bytes(timings_bytes)
-    tts, report = ["tts", "-i", str(runs)], ["report", "-i", str(runs),
-                                             "-o", str(tmp_path / "agg.csv")]
+    report = ["report", "-i", str(runs), "-o", str(tmp_path / "agg.csv")]
     for deep in _DEEP:
         sweep.write_bytes(deep)
         assert _ends_cleanly(["solve", "--sweep", str(sweep), "-o",
                               str(tmp_path / "r" / "runs.jsonl")], tmp_path)[0] == 2
         runs.write_bytes(first + deep + b"\n" + second)
-        for argv in (tts, report):
-            code, err = _main(argv)
-            assert code == 2 and f"{runs}: line 2 is malformed (nested too deeply" in err
+        code, err = _main(report)
+        assert code == 2 and f"{runs}: line 2 is malformed (nested too deeply" in err
         # a torn append is left out, and a resumed sweep cuts it off
         runs.write_bytes(runs_bytes + deep)
-        assert _main(tts) == (0, "")
+        assert _main(report) == (0, "")
         assert _main(["solve", "-i", "semiprime:4", "--level", "0", "--cap", "3",
                       "--repeats", "2", "-o", str(runs)]) == (0, "")
         assert runs.read_bytes() == runs_bytes

@@ -441,13 +441,17 @@ def test_incremental_counts_match_full_rescan(walk):
                             >= count_satisfied(cnf.clauses, before))
         assert state.assignment == (candidate if accepted else before)
         assert state.best_count == count_satisfied(cnf.clauses, state.assignment)
-        assert state.unsat == {ci for ci, c in enumerate(cnf.clauses)
-                               if not clause_satisfied(c, state.assignment)}
+        unsat = [ci for ci, c in enumerate(cnf.clauses)
+                 if not clause_satisfied(c, state.assignment)]
+        assert [ci for ci, k in enumerate(state.true_count) if k == 0] == unsat
+        assert state.unsat == len(unsat)
         _assert_pool_matches_rescan(cnf, state)
 
 
 def _assert_pool_matches_rescan(cnf, state):
-    unsat_vars = [{abs(lit) for lit in cnf.clauses[ci]} for ci in state.unsat]
+    unsat_vars = [{abs(lit) for lit in c}
+                  for c, k in zip(cnf.clauses, state.true_count) if k == 0]
+    assert state.unsat == len(unsat_vars)
     assert state.pool == sorted(set().union(*unsat_vars))
     assert state.unsat_degree == {v: sum(v in vs for vs in unsat_vars)
                                   for v in cnf.occurring_vars()}
@@ -467,7 +471,7 @@ def test_start_counts_every_true_literal(data):
     value = {v: given_values.get(v, False) for v in range(1, n + 1)}
     assert state.true_count == [sum(1 for lit in c if (lit > 0) == value[abs(lit)])
                                 for c in cnf.clauses]
-    assert state.unsat == {ci for ci, k in enumerate(state.true_count) if k == 0}
+    assert state.unsat == state.true_count.count(0)
     _assert_pool_matches_rescan(cnf, state)
 
 
@@ -563,7 +567,7 @@ def test_iterate_bfs_strategy_and_unknown_strategy():
 
 
 def test_iterate_empty_residual_needs_no_solver():
-    cnf, _, _ = generate_instance(4, 9)
+    cnf, _ = generate_instance(4, 9)
     res = run_ladder(cnf, 7, seed=1)
     run = iterate(res.cnf, res.condition, cnf, **ONE_READ, budget=45, cap=100,
                   seed=0, collect_trace=False)
@@ -627,7 +631,7 @@ def test_iterate_trace_capture():
 
 
 def test_factor_recovery_through_full_pipeline():
-    cnf, nl, inst = generate_instance(8, 143)
+    cnf, nl = generate_instance(8, 143)
     res = run_ladder(cnf, 7, seed=4)
     run = iterate(res.cnf, res.condition, cnf, strategy="dfs",
                   backend="emulator", budget=45, cap=1000, seed=4, num_samples=8,

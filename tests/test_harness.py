@@ -29,8 +29,7 @@ from isingsat.harness import (
     runtime_report,
     timings_path_for,
     tts_curve,
-    write_aggregates,
-    write_runtime_report,
+    write_csv,
 )
 
 from conftest import HEAVY_TAIL, empty_formula_memos, random_3sat
@@ -677,7 +676,7 @@ def test_aggregate_rows(tmp_path):
     assert by_level[0]["best_cutoff"] == 4  # cutoffs 4 and 100 tie: the smaller
 
     out = tmp_path / "agg.csv"
-    write_aggregates(recs, out)
+    write_csv(rows, out)
     header = out.read_text().splitlines()[0]
     assert header.startswith("instance,level,strategy,backend")
 
@@ -691,6 +690,6 @@ def test_runtime_report_prefers_sidecar_timings(tmp_path):
     assert rows2[0]["mean_preprocess_time"] == pytest.approx(0.5)
     assert rows2[0]["mean_solver_calls"] == 10.0
 
-    path = write_runtime_report(recs, tmp_path, sidecar)
-    assert path.name == "runtime_by_level.csv"
+    path = tmp_path / "runtime_by_level.csv"
+    write_csv(rows2, path)
     assert "level,records,mean_preprocess_time" in path.read_text().splitlines()[0]

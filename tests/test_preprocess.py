@@ -810,7 +810,7 @@ _PINNED_3127 = {
 
 
 def test_run_ladder_output_is_pinned():
-    cnf, _, _ = generate_instance(12, 3127)
+    cnf, _ = generate_instance(12, 3127)
     for seed, expected in _PINNED_3127.items():
         res = run_ladder(cnf, 7, seed=seed)
         decisions = [dataclasses.astuple(b) for b in res.branch_decisions]

@@ -3,11 +3,12 @@
 A factoring instance asserts ``a * b = s`` for a known semiprime ``s`` by
 fixing the product bits of a gate-level multiplier with unit clauses.  Two
 clause encodings are supported for 2-input gates, each a table of
-``(sign_a, sign_b, sign_c)`` rows that ``gate_clauses`` maps to literals:
+``(sign_a, sign_b, sign_c)`` rows per gate kind that ``gate_clauses`` maps
+to literals:
 
-* OPTION1 - ``ROW_ENCODING``: one clause per invalid truth-table row (four
-  3-wide clauses), built at import from ``GATE_FN``;
-* OPTION2 - ``IMPLICATION_FORM`` (three clauses, one 3-wide), which exists
+* ``ROW_ENCODING`` (the paper's option 1): one clause per invalid
+  truth-table row (four 3-wide clauses), built at import from ``GATE_FN``;
+* ``IMPLICATION_FORM`` (option 2; three clauses, one 3-wide), which exists
   only for AND/OR/NAND/NOR; XOR/XNOR gates keep their row encoding.
 
 ``encode_netlist`` writes every gate in its row encoding.  The implication
@@ -16,7 +17,6 @@ gate groups of any formula and rewrites them through ``gate_clauses``.
 """
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from .cnf import Clause, Cnf
@@ -54,11 +54,6 @@ IMPLICATION_FORM = {
     NAND: ((-1, -1, -1), (+1, 0, +1), (0, +1, +1)),
     NOR: ((+1, +1, +1), (-1, 0, -1), (0, -1, -1)),
 }
-
-
-class EncodingOption(enum.Enum):
-    OPTION1 = "opt1"
-    OPTION2 = "opt2"
 
 
 @dataclass(frozen=True)
@@ -177,14 +172,11 @@ def simulate(netlist: GateNetlist, a_value: int, b_value: int) -> tuple[dict[int
     return wires, product
 
 
-def gate_clauses(kind: str, a: int, b: int, c: int, option: EncodingOption) -> list[Clause]:
-    """Clauses asserting c = kind(a, b): the kind's ``ROW_ENCODING`` under
-    OPTION1, and its ``IMPLICATION_FORM`` under OPTION2 when it has one
-    (else its row encoding)."""
-    if kind not in ROW_ENCODING:
-        raise ValueError(f"unknown gate kind {kind!r}")
-    rows = (IMPLICATION_FORM.get(kind, ROW_ENCODING[kind])
-            if option is EncodingOption.OPTION2 else ROW_ENCODING[kind])
+def gate_clauses(rows: tuple[tuple[int, int, int], ...], a: int, b: int,
+                 c: int) -> list[Clause]:
+    """The clauses of a gate over inputs ``a``, ``b`` and output ``c``, one
+    per row of a table such as ``ROW_ENCODING[kind]`` or
+    ``IMPLICATION_FORM[kind]``."""
     return [tuple(sign * var for sign, var in zip(row, (a, b, c)) if sign)
             for row in rows]
 
@@ -201,8 +193,8 @@ def encode_netlist(netlist: GateNetlist, product: int) -> Cnf:
         raise ValueError(f"product {product} does not fit in {width} output bits")
     clauses: list[Clause] = []
     for g in netlist.gates:
-        clauses.extend(gate_clauses(g.kind, g.inputs[0], g.inputs[1], g.output,
-                                    EncodingOption.OPTION1))
+        clauses.extend(gate_clauses(ROW_ENCODING[g.kind], g.inputs[0], g.inputs[1],
+                                    g.output))
     clauses.append((-netlist.const_zero,))
     clauses.append((netlist.input_bits_a[-1],))
     clauses.append((netlist.input_bits_b[-1],))

@@ -19,8 +19,9 @@ Per-iteration work scales with the slice, not the formula.  Each formula is
 indexed once per value per process: :func:`build_vig`, an ``lru_cache`` of
 ``MEMO_ENTRIES`` entries keyed by the formula, records in one pass over the
 clauses each variable's neighbours in the order each walk pushes them, the
-3-literal clauses the projected spin cost counts (so a walk sorts nothing)
-and the clauses of every variable, and every decomposition of an equal
+3-literal clauses the projected spin cost counts (so a walk sorts nothing),
+the clauses of every variable and the literals of every clause, as flat int
+arrays over dense variable ranks, and every decomposition of an equal
 formula shares that index read-only.
 ``GlobalState.start`` then counts, for its seed's assignment, the true
 literals of each clause (the make/break bookkeeping of WalkSAT-style local
@@ -48,19 +49,27 @@ with the same results.  :func:`select_bfs`, :func:`select_dfs` and
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import lru_cache
-from types import MappingProxyType
-from typing import Mapping
+from itertools import accumulate, chain
 
 from .cnf import MEMO_ENTRIES, Assignment, Cnf, count_satisfied, evaluate
 from .preprocess import ConditionRecord, reconstruct
 from .qubo import QuboModel, cnf_to_qubo, qubo_to_ising, scale_to_chip
 from .solver import solve
+from .solver._kernels_py import rank, row
 from .solver.kernels import freeze, walk
 
 STRATEGIES = ("bfs", "dfs")
+
+
+def _table(rows: list[list[int]]) -> array:
+    """``rows`` flat in one ``array('i')`` ``t``: ``t[0]`` offsets, then the
+    items, so row ``i`` is ``t[t[i]:t[i + 1]]`` (:func:`row` reads it)."""
+    offsets = accumulate(map(len, rows), initial=len(rows) + 1)
+    return array("i", chain(offsets, chain.from_iterable(rows)))
 
 
 @dataclass(frozen=True)
@@ -69,55 +78,57 @@ class Vig:
     the clause bookkeeping read; one is shared by every decomposition of an
     equal formula (:func:`build_vig`), so nothing may change it.
 
-    ``adjacency[v]`` lists the neighbours of ``v`` in ascending order, the
-    order a breadth-first walk pushes them; ``dfs_order[v]`` lists them by
-    descending degree, ties by descending variable, the order a depth-first
-    walk pushes them, so the lowest-degree neighbour pops next.  ``nodes``
-    lists the variables in order.  A 3-literal clause costs an ancilla spin
-    once all of its distinct variables are selected, whether it has three of
-    them or repeats one, as in ``(v, v, u)`` or ``(v, -v, u)``.
-    ``triangles[v]`` has one entry per such clause containing ``v``: its
-    other two distinct variables, with ``v`` standing in for any it lacks,
-    so the entry holds once ``v`` itself is selected.  ``occurrences[v]``
-    lists the clauses containing ``v`` in clause order, read-only.
+    ``nodes`` lists the variables the formula holds, ascending; ``r`` is
+    the rank of ``nodes[r]`` (:func:`rank`).  Each table (:func:`_table`)
+    has a row per rank, or per clause, and holds ranks, not variables, so
+    none is sized by a variable number.  Row ``r`` of ``bfs`` lists the
+    neighbours of ``nodes[r]`` in ascending order, the order a breadth-first
+    walk pushes them; row ``r`` of ``dfs`` lists them by descending degree,
+    ties by descending variable, the order a depth-first walk pushes them,
+    so the lowest-degree neighbour pops next.  A 3-literal clause costs an
+    ancilla spin once all of its distinct variables are selected, whether it
+    has three of them or repeats one, as in ``(v, v, u)`` or ``(v, -v, u)``.
+    Row ``r`` of ``triangles`` holds one flattened pair per such clause
+    containing ``nodes[r]``: its other two distinct variables, ``r`` for any
+    it lacks.  Row ``r`` of ``occurrences`` lists the clauses containing
+    ``nodes[r]`` in clause order; row ``c`` of ``clauses`` the literals of
+    clause ``c``, ``2 * r`` for ``nodes[r]`` and ``2 * r + 1`` for ``-nodes[r]``.
     """
 
-    adjacency: dict[int, tuple[int, ...]]
-    dfs_order: dict[int, tuple[int, ...]]
     nodes: list[int]
-    triangles: dict[int, tuple[tuple[int, int], ...]]
-    occurrences: Mapping[int, tuple[int, ...]]
+    bfs: array
+    dfs: array
+    triangles: array
+    occurrences: array
+    clauses: array
 
 
 @lru_cache(maxsize=MEMO_ENTRIES)
 def build_vig(cnf: Cnf) -> Vig:
     """Connect every pair of variables sharing a clause, with no self-loops,
     and list each variable's clauses: built once per formula value."""
-    nbrs: dict[int, set[int]] = {}
-    triangles: dict[int, list[tuple[int, int]]] = {}
-    occurrences: dict[int, list[int]] = {}
+    nodes = sorted({abs(lit) for clause in cnf.clauses for lit in clause})
+    ranks = {v: r for r, v in enumerate(nodes)}  # for this build only
+    nbrs: list[set[int]] = [set() for _ in nodes]
+    triangles: list[list[int]] = [[] for _ in nodes]
+    occurrences: list[list[int]] = [[] for _ in nodes]
+    clauses = []
     for ci, clause in enumerate(cnf.clauses):
-        vs = sorted({abs(lit) for lit in clause})
-        for v in vs:
-            nbrs.setdefault(v, set()).update(vs)
-            occurrences.setdefault(v, []).append(ci)
-        if len(clause) == 3 and len(vs) == 3:
-            a, b, c = vs
-            triangles.setdefault(a, []).append((b, c))
-            triangles.setdefault(b, []).append((a, c))
-            triangles.setdefault(c, []).append((a, b))
-        elif len(clause) == 3:
-            for v in vs:  # u is the other variable, or v again in (v, v, v)
-                u = vs[0] + vs[-1] - v
-                triangles.setdefault(v, []).append((u, v))
-    for v, ns in nbrs.items():
-        ns.discard(v)
-    adjacency = {v: tuple(sorted(ns)) for v, ns in nbrs.items()}
-    dfs_order = {v: tuple(sorted(ns, key=lambda u: (-len(nbrs[u]), -u)))
-                 for v, ns in nbrs.items()}
-    return Vig(adjacency, dfs_order, sorted(nbrs),
-               {v: tuple(ts) for v, ts in triangles.items()},
-               MappingProxyType({v: tuple(cs) for v, cs in occurrences.items()}))
+        lits = [2 * ranks[abs(lit)] + (lit < 0) for lit in clause]
+        clauses.append(lits)
+        rs = sorted({lit >> 1 for lit in lits})
+        for r in rs:
+            nbrs[r].update(rs)
+            occurrences[r].append(ci)
+        if len(lits) == 3:  # the other two ranks, r for any missing
+            for r in rs:
+                triangles[r].extend(([u for u in rs if u != r] + [r, r])[:2])
+    bfs = [sorted(ns - {r}) for r, ns in enumerate(nbrs)]
+    degree = list(map(len, bfs))
+    # ranks ascend with the variables, so -u breaks ties as -variable would
+    dfs = [sorted(ns, key=lambda u: (-degree[u], -u)) for ns in bfs]
+    return Vig(nodes, _table(bfs), _table(dfs), _table(triangles), _table(occurrences),
+               _table(clauses))
 
 
 FILTER_WINDOW = 5
@@ -163,10 +174,10 @@ class GlobalState:
     ``unsat_degree[v]`` counts the unsatisfied clauses that contain ``v``,
     for each variable the formula holds (not each it declares), and ``pool``
     lists, ascending, the variables whose count is nonzero: the variables a
-    walk may start from.  ``occurrences[v]`` lists the clauses containing
-    ``v`` in clause order.  ``update_global`` keeps all of it in step with
+    walk may start from.  ``update_global`` keeps all of it in step with
     ``assignment``, touching the pool only for the clauses whose satisfied
-    status flips.
+    status flips.  ``vig`` is the formula's index and ``flags``, a zero byte
+    per node, the kernels' scratch, which they clear before they return.
     """
 
     assignment: Assignment
@@ -174,31 +185,31 @@ class GlobalState:
     unsat: int
     unsat_degree: dict[int, int]
     pool: list[int]
-    occurrences: Mapping[int, tuple[int, ...]]
+    vig: Vig
+    flags: bytearray
 
     @property
     def best_count(self) -> int:
         return len(self.true_count) - self.unsat
 
     @classmethod
-    def start(cls, cnf: Cnf, assignment: Assignment,
-              occurrences: Mapping[int, tuple[int, ...]]) -> GlobalState:
-        """Count the true literals of ``cnf``, whose occurrence lists
-        :func:`build_vig` gives, under ``assignment``; the state takes
-        ownership of ``assignment`` and sets each formula variable it lacks
-        to False."""
-        for v in occurrences:
+    def start(cls, cnf: Cnf, assignment: Assignment, vig: Vig) -> GlobalState:
+        """Count the true literals of ``cnf``, whose index is ``vig``, under
+        ``assignment``; the state takes ownership of ``assignment`` and sets
+        each formula variable it lacks to False."""
+        for v in vig.nodes:
             assignment.setdefault(v, False)
         true_lits = {v if val else -v for v, val in assignment.items()}
         # a repeated literal counts once per occurrence
         true_count = [sum(map(true_lits.__contains__, c)) for c in cnf.clauses]
         unsat = [c for c, n in zip(cnf.clauses, true_count) if n == 0]
-        degree = dict.fromkeys(occurrences, 0)
+        degree = dict.fromkeys(vig.nodes, 0)
         for clause in unsat:
             for v in set(map(abs, clause)):
                 degree[v] += 1
         return cls(assignment, true_count, len(unsat), degree,
-                   sorted(v for v, n in degree.items() if n), occurrences)
+                   sorted(v for v, n in degree.items() if n), vig,
+                   bytearray(len(vig.nodes)))
 
 
 @dataclass(frozen=True)
@@ -209,22 +220,21 @@ class Subproblem:
     spin_cost: int
 
 
-def select_bfs(vig: Vig, budget: int, start: int,
-               filt: FilterState) -> set[int]:
+def select_bfs(vig: Vig, budget: int, start: int, filt: FilterState,
+               flags: bytearray) -> set[int]:
     """Breadth-first ball around ``start`` that fits the spin budget."""
-    return walk(vig.adjacency, vig.triangles, vig.nodes, filt.cooldown,
+    return walk(vig.bfs, vig.triangles, vig.nodes, filt.cooldown, flags,
                 budget, start, False)
 
 
-def select_dfs(vig: Vig, budget: int, start: int,
-               filt: FilterState) -> set[int]:
+def select_dfs(vig: Vig, budget: int, start: int, filt: FilterState,
+               flags: bytearray) -> set[int]:
     """Depth-first chain from ``start``, preferring low-degree neighbors."""
-    return walk(vig.dfs_order, vig.triangles, vig.nodes, filt.cooldown,
+    return walk(vig.dfs, vig.triangles, vig.nodes, filt.cooldown, flags,
                 budget, start, True)
 
 
-def freeze_and_extract(cnf: Cnf, selected: set[int],
-                       state: GlobalState) -> Subproblem:
+def freeze_and_extract(selected: set[int], state: GlobalState) -> Subproblem:
     """Substitute best-known values for everything outside the selection.
 
     A true frozen literal satisfies its clause (dropped); a false one is
@@ -242,8 +252,9 @@ def freeze_and_extract(cnf: Cnf, selected: set[int],
     """
     if not selected:
         raise ValueError("selection is empty")
-    kept, visited_unsat = freeze(cnf.clauses, state.occurrences, selected,
-                                 state.assignment, state.true_count)
+    vig = state.vig
+    kept, visited_unsat = freeze(vig.clauses, vig.occurrences, vig.nodes, selected,
+                                 state.assignment, state.true_count, state.flags)
     qubo = cnf_to_qubo(kept)
     # each emptied clause is a constant +1; the sums are small integers, so
     # the float offset is exact in any order
@@ -261,13 +272,13 @@ def update_global(state: GlobalState, sub_solution: Assignment,
     clause whose satisfied status flips moves its variables' unsatisfied
     counts and, where one leaves or reaches zero, the start pool.
     """
-    old, count = state.assignment, state.true_count
+    old, count, vig = state.assignment, state.true_count, state.vig
     delta: dict[int, int] = {}
     for v, val in sub_solution.items():
-        if old.get(v) == val:
-            continue
+        if old.get(v) == val or (r := rank(vig.nodes, v)) < 0:
+            continue  # unchanged, or in no clause
         t = v if val else -v  # the literal of v that turns true
-        for ci in state.occurrences.get(v, ()):
+        for ci in row(vig.occurrences, r):
             clause = cnf.clauses[ci]
             delta[ci] = delta.get(ci, 0) + clause.count(t) - clause.count(-t)
     gain = sum((count[ci] + d > 0) - (count[ci] > 0) for ci, d in delta.items())
@@ -300,7 +311,6 @@ class DecompositionRun:
     solver_calls: int
     best_satisfied: int
     num_clauses: int
-    assignment: Assignment | None
     reason: str
     trace: tuple[tuple[int, float, float], ...] = ()
 
@@ -326,7 +336,7 @@ def iterate(cnf: Cnf, condition: tuple[ConditionRecord, ...], original: Cnf, *,
     m = cnf.num_clauses
 
     if cnf.is_unsat_marked():
-        return DecompositionRun(False, 0, 0, 0, m, None, reason="unsat-marker")
+        return DecompositionRun(False, 0, 0, 0, m, reason="unsat-marker")
     width = cnf.max_clause_width()
     if width > 3:
         raise ValueError(f"clause width {width} exceeds 3: the decomposition "
@@ -335,7 +345,7 @@ def iterate(cnf: Cnf, condition: tuple[ConditionRecord, ...], original: Cnf, *,
     rng = random.Random(seed)
     vig = build_vig(cnf)
     assignment: Assignment = {v: bool(rng.getrandbits(1)) for v in vig.nodes}
-    state = GlobalState.start(cnf, assignment, vig.occurrences)
+    state = GlobalState.start(cnf, assignment, vig)
     filt = FilterState()
     select = select_dfs if strategy == "dfs" else select_bfs
 
@@ -347,11 +357,11 @@ def iterate(cnf: Cnf, condition: tuple[ConditionRecord, ...], original: Cnf, *,
         iterations += 1
         pool = state.pool  # non-empty: no unsatisfied clause is empty
         start = pool[rng.randrange(len(pool))]
-        selected = select(vig, budget, start, filt)
+        selected = select(vig, budget, start, filt, state.flags)
         if not selected:
             reason = "budget-too-small"
             break
-        sub = freeze_and_extract(cnf, selected, state)
+        sub = freeze_and_extract(selected, state)
         if sub.spin_cost > budget:
             raise RuntimeError(
                 f"selection produced spin cost {sub.spin_cost} > {budget}")
@@ -373,11 +383,11 @@ def iterate(cnf: Cnf, condition: tuple[ConditionRecord, ...], original: Cnf, *,
         raise RuntimeError("incremental satisfied count drifted from a full rescan")
     if state.best_count < m:
         return DecompositionRun(False, iterations, solver_calls,
-                                state.best_count, m, None, reason=reason,
+                                state.best_count, m, reason=reason,
                                 trace=first_trace)
     full = reconstruct(condition, state.assignment, original.occurring_vars())
     if not evaluate(original, full):
         raise RuntimeError("solved subproblem failed verification on the input CNF")
     return DecompositionRun(True, iterations, solver_calls,
-                            state.best_count, m, full, reason="solved",
+                            state.best_count, m, reason="solved",
                             trace=first_trace)

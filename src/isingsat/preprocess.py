@@ -63,7 +63,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 
-from .circuit import IMPLICATION_FORM, EncodingOption, gate_clauses
+from .circuit import IMPLICATION_FORM, ROW_ENCODING, gate_clauses
 from .cnf import MEMO_ENTRIES, Clause, Cnf
 
 # ---------------------------------------------------------------------------
@@ -197,8 +197,7 @@ def _build_gate_table() -> dict[frozenset[tuple[bool, bool, bool]], tuple[str, i
     for pos in range(3):
         ins = [v for v in (1, 2, 3) if v != pos + 1]
         for kind in _DETECT_ORDER:
-            rows = gate_clauses(kind, ins[0], ins[1], pos + 1,
-                                EncodingOption.OPTION1)
+            rows = gate_clauses(ROW_ENCODING[kind], ins[0], ins[1], pos + 1)
             key = frozenset((1 in r, 2 in r, 3 in r) for r in rows)
             table.setdefault(key, (kind, pos))
     return table
@@ -246,8 +245,7 @@ def reencode_option2(st: PrepState) -> None:
         if g.kind not in IMPLICATION_FORM:
             continue
         ins = [v for v in g.variables if v != g.output]
-        new = gate_clauses(g.kind, ins[0], ins[1], g.output,
-                           EncodingOption.OPTION2)
+        new = gate_clauses(IMPLICATION_FORM[g.kind], ins[0], ins[1], g.output)
         drop.update(g.clause_indices)
         insert_at[g.clause_indices[0]] = new
     if insert_at:

@@ -1,6 +1,10 @@
 /* Compiled kernels: the solver's Metropolis annealing and tabu descent, and
  * the decomposition's slice walk and freeze (walk and freeze, at the end,
- * which do integer work only and have their own comment).
+ * which do integer work only and have their own comment).  The walk and the
+ * freeze read build_vig's flat int tables, whose rows are numbered by node
+ * rank, and keep their per-rank marks in the caller's flag array, which they
+ * clear before they return, on error too, so no call does work or allocates
+ * memory in proportion to the formula.
  *
  * The solver kernels give results bit-identical to the pure-Python oracle
  * _kernels_py: the same splitmix64 seeding and xorshift64* stream, the same
@@ -458,118 +462,33 @@ static PyObject *tabu(PyObject *self, PyObject *args, PyObject *kwargs)
 
 /* ------------------------------------------------------------------ */
 /* The slice walk and the freeze, results equal to _kernels_py's walk and
- * freeze.  Both read the per-formula index and the incumbent as Python holds
- * them (dicts, tuples and lists of ints) and create no Python object but
- * their results and, in the freeze, the key of each frozen variable whose
- * value is first read through a negative literal.  Their scratch grows with
- * the variables and clauses they meet, from a 256-slot table; nothing is
- * sized by the formula.  A variable is a Py_ssize_t inside, and each int
- * object they keep is borrowed from the index, which no Python code runs to
- * change while they hold it. */
+ * freeze.  They read build_vig's index: the variables the formula holds are
+ * numbered by their rank in the ascending list `nodes` (a variable passed in
+ * is found there by binary search), and each table is one array('i') t
+ * whose row i is t[t[i]] .. t[t[i + 1] - 1], holding ranks, clause indices
+ * or literals (2r for node r, 2r + 1 for its negation).  A row is checked
+ * when it is read, its offsets against the table and its items against
+ * what they index; one outside is an IndexError, as in the oracle.  The
+ * scratch is the caller's flag array, one byte per node and all zero on
+ * entry.  A call sets flags only on the ranks it touches, lists each in
+ * `touched` when its byte first turns nonzero, and clears exactly those
+ * before it returns, error returns included, so nothing is sized by the
+ * formula. */
 
-/* Variables and their flags: an open-addressing table, at most half full,
- * that grows by doubling.  A flag byte of 0 marks an empty slot. */
+enum { COOLING = 1, SEEN = 2, CHOSEN = 4, KNOWN = 8, VALUE = 16 };
+
+/* A growable list of ranks; as a lane it pops from its head breadth-first
+ * and from its tail depth-first. */
 typedef struct {
-    size_t mask, count;
-    Py_ssize_t *keys;
-    unsigned char *flags;
-} VarMap;
-
-/* IN marks a used slot; KNOWN means VALUE holds the variable's value. */
-enum { IN = 1, COOLING = 2, SEEN = 4, CHOSEN = 8, KNOWN = 16, VALUE = 32 };
-
-static size_t map_slot(const VarMap *m, Py_ssize_t v)
-{
-    size_t i = (size_t)(((uint64_t)v * 0x9E3779B97F4A7C15ULL) >> 32) & m->mask;
-    while (m->flags[i] && m->keys[i] != v)
-        i = (i + 1) & m->mask;
-    return i;
-}
-
-/* The flags of v, 0 when v is not in the map. */
-static unsigned char map_get(const VarMap *m, Py_ssize_t v) { return m->flags[map_slot(m, v)]; }
-
-static int map_alloc(VarMap *m, size_t size)
-{
-    m->mask = size - 1;
-    m->count = 0;
-    m->keys = PyMem_New(Py_ssize_t, size);
-    m->flags = PyMem_Calloc(size, 1);
-    if (m->keys == NULL || m->flags == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    return 0;
-}
-
-static void map_free(VarMap *m)
-{
-    PyMem_Free(m->keys);
-    PyMem_Free(m->flags);
-}
-
-/* The flags of v, which is added with flags IN if it is not in the map; valid
- * until the next call.  NULL with MemoryError set. */
-static unsigned char *map_at(VarMap *m, Py_ssize_t v)
-{
-    size_t i = map_slot(m, v);
-    if (m->flags[i])
-        return m->flags + i;
-    if (2 * (m->count + 1) > m->mask + 1) {
-        VarMap old = *m;
-        if (map_alloc(m, 2 * (old.mask + 1)) < 0) {
-            map_free(&old);
-            return NULL;
-        }
-        for (size_t j = 0; j <= old.mask; j++)
-            if (old.flags[j]) {
-                size_t slot = map_slot(m, old.keys[j]);
-                m->flags[slot] = old.flags[j];
-                m->keys[slot] = old.keys[j];
-            }
-        m->count = old.count;
-        map_free(&old);
-        i = map_slot(m, v);
-    }
-    m->flags[i] = IN;
-    m->keys[i] = v;
-    m->count++;
-    return m->flags + i;
-}
-
-/* The value of the int `obj`; -1 with an exception set on error. */
-static int var_of(PyObject *obj, Py_ssize_t *out)
-{
-    *out = PyLong_AsSsize_t(obj);
-    return *out == -1 && PyErr_Occurred() ? -1 : 0;
-}
-
-/* Raises KeyError(key), as a dict lookup that misses does. */
-static void key_error(PyObject *key)
-{
-    PyObject *args = PyTuple_Pack(1, key);
-    if (args != NULL) {
-        PyErr_SetObject(PyExc_KeyError, args);
-        Py_DECREF(args);
-    }
-}
-
-/* A queue of walk variables, each the int object and its value. */
-typedef struct {
-    PyObject *obj;
-    Py_ssize_t v;
-} Var;
-
-typedef struct {
-    Var *items;
+    Py_ssize_t *items;
     Py_ssize_t head, tail, size;
-} Lane;
+} Ranks;
 
-static int lane_push(Lane *q, PyObject *obj, Py_ssize_t v)
+static int ranks_push(Ranks *q, Py_ssize_t r)
 {
     if (q->tail == q->size) {
         Py_ssize_t size = q->size ? 2 * q->size : 64;
-        Var *grown = PyMem_Realloc(q->items, (size_t)size * sizeof *grown);
+        Py_ssize_t *grown = PyMem_Realloc(q->items, (size_t)size * sizeof *grown);
         if (grown == NULL) {
             PyErr_NoMemory();
             return -1;
@@ -577,151 +496,214 @@ static int lane_push(Lane *q, PyObject *obj, Py_ssize_t v)
         q->items = grown;
         q->size = size;
     }
-    q->items[q->tail++] = (Var){obj, v};
+    q->items[q->tail++] = r;
     return 0;
 }
 
-/* Marks v, whose flags are `flags`, seen and queues it: in `parked` if it is
- * cooling, else in `active`.  -1 with MemoryError set. */
-static int enqueue(Lane *active, Lane *parked, unsigned char *flags, PyObject *obj,
-                   Py_ssize_t v)
+/* The caller's flags, one per node, and the ranks a call set. */
+typedef struct {
+    unsigned char *flags;
+    Ranks touched;
+} Marks;
+
+/* Raises the IndexError `msg`; returns -1. */
+static int outside(const char *msg)
 {
-    *flags |= SEEN;
-    return lane_push(*flags & COOLING ? parked : active, obj, v);
+    PyErr_SetString(PyExc_IndexError, msg);
+    return -1;
 }
 
-/* The ancillas that selecting v adds: its triangles whose pair is chosen.
- * -1 with an exception set. */
-static Py_ssize_t closed_triangles(PyObject *triangles, const VarMap *vars, PyObject *v)
+/* Sets `bit` on rank r; -1 with MemoryError set. */
+static int mark(Marks *m, Py_ssize_t r, unsigned char bit)
 {
-    PyObject *tris = PyDict_GetItemWithError(triangles, v);
-    if (tris == NULL)
-        return PyErr_Occurred() ? -1 : 0;
-    PyObject *fast = PySequence_Fast(tris, "triangles must be sequences");
-    if (fast == NULL)
+    if (!m->flags[r] && ranks_push(&m->touched, r) < 0)
         return -1;
-    Py_ssize_t extra = 0;
-    for (Py_ssize_t k = 0; k < PySequence_Fast_GET_SIZE(fast); k++) {
-        PyObject *pair = PySequence_Fast_GET_ITEM(fast, k);
-        Py_ssize_t a, b;
-        if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2) {
-            PyErr_SetString(PyExc_TypeError, "a triangle must be a pair");
-            extra = -1;
-            break;
-        }
-        if (var_of(PyTuple_GET_ITEM(pair, 0), &a) < 0) {
-            extra = -1;
-            break;
-        }
-        if (!(map_get(vars, a) & CHOSEN))
-            continue;
-        if (var_of(PyTuple_GET_ITEM(pair, 1), &b) < 0) {
-            extra = -1;
-            break;
-        }
-        extra += (map_get(vars, b) & CHOSEN) != 0;
-    }
-    Py_DECREF(fast);
-    return extra;
+    m->flags[r] |= bit;
+    return 0;
 }
 
-/* walk(pushes, triangles, nodes, cooldown, budget, start, depth_first): the
- * oracle's walk.  A lane pops from its head breadth-first and from its tail
- * depth-first. */
+/* Opens the flag array; -1 with ValueError set unless it has a byte per
+ * node. */
+static int marks_open(Marks *m, Py_buffer *flags, PyObject *nodes)
+{
+    *m = (Marks){flags->buf, {0}};
+    if (flags->len == PyList_GET_SIZE(nodes))
+        return 0;
+    PyErr_SetString(PyExc_ValueError, "the flag array must hold one byte per node");
+    return -1;
+}
+
+/* Clears every flag the call set and frees its list. */
+static void marks_close(Marks *m)
+{
+    for (Py_ssize_t k = 0; k < m->touched.tail; k++)
+        m->flags[m->touched.items[k]] = 0;
+    PyMem_Free(m->touched.items);
+}
+
+/* The order of the exact ints a and b, -1, 0 or 1; comparing them runs no
+ * Python code and cannot fail. */
+static int order(PyObject *a, PyObject *b)
+{
+    int aover, bover;
+    long long av = PyLong_AsLongLongAndOverflow(a, &aover);
+    long long bv = PyLong_AsLongLongAndOverflow(b, &bover);
+    if (aover || bover)  /* beyond long long */
+        return PyObject_RichCompareBool(a, b, Py_GT) - PyObject_RichCompareBool(a, b, Py_LT);
+    return (av > bv) - (av < bv);
+}
+
+/* The rank of the variable `key` among the first `n` of the ascending ints
+ * `nodes`, -1 if they lack it, or -2 with an exception set. */
+static Py_ssize_t rank_of(PyObject *nodes, Py_ssize_t n, PyObject *key)
+{
+    PyObject *v = PyNumber_Index(key);  /* an exact int */
+    if (v == NULL)
+        return -2;
+    Py_ssize_t lo = 0, hi = Py_MIN(n, PyList_GET_SIZE(nodes)), r = -1;
+    while (lo < hi) {
+        Py_ssize_t mid = lo + (hi - lo) / 2;
+        PyObject *item = PyList_GET_ITEM(nodes, mid);
+        int c = PyLong_CheckExact(item) ? order(item, v) : -2;
+        if (c == -2)
+            PyErr_SetString(PyExc_TypeError, "nodes must hold ints");
+        if (c == -2 || c == 0) {
+            r = c ? -2 : mid;
+            break;
+        }
+        if (c < 0)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    Py_DECREF(v);
+    return r;
+}
+
+/* Opens the table `obj`, which must be an array('i') or another contiguous
+ * buffer of C ints; -1 with an exception set. */
+static int table_open(PyObject *obj, Py_buffer *view)
+{
+    if (PyObject_GetBuffer(obj, view, PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0)
+        return -1;
+    if (view->itemsize != sizeof(int) || strcmp(view->format, "i") != 0) {
+        PyBuffer_Release(view);
+        PyErr_SetString(PyExc_TypeError, "an index table must be an array('i')");
+        return -1;
+    }
+    return 0;
+}
+
+/* Row i of the table as [*lo, *hi), each item checked to lie in
+ * 0 .. bound - 1; -1 with IndexError when i, the row or an item lies
+ * outside. */
+static int row(const Py_buffer *table, Py_ssize_t i, Py_ssize_t bound, const int **lo,
+               const int **hi)
+{
+    const int *t = table->buf;
+    Py_ssize_t len = table->len / (Py_ssize_t)sizeof(int);
+    if (len == 0 || i < 0 || i + 1 >= t[0] || t[0] > len || t[i] < 0 || t[i] > t[i + 1] ||
+        t[i + 1] > len)
+        return outside("a row is outside the index");
+    for (const int *p = t + t[i]; p < t + t[i + 1]; p++)
+        if (*p < 0 || *p >= bound)
+            return outside("an item is outside the index");
+    *lo = t + t[i];
+    *hi = t + t[i + 1];
+    return 0;
+}
+
+/* Marks rank r seen and queues it: in `parked` if it is cooling, else in
+ * `active`.  -1 with MemoryError set. */
+static int enqueue(Marks *m, Ranks *active, Ranks *parked, Py_ssize_t r)
+{
+    if (mark(m, r, SEEN) < 0)
+        return -1;
+    return ranks_push(m->flags[r] & COOLING ? parked : active, r);
+}
+
+/* The node of rank r, borrowed; NULL with IndexError if `nodes` has since
+ * lost it. */
+static PyObject *node(PyObject *nodes, Py_ssize_t r)
+{
+    if (r < PyList_GET_SIZE(nodes))
+        return PyList_GET_ITEM(nodes, r);
+    outside("a rank is outside the nodes");
+    return NULL;
+}
+
+/* walk(pushes, triangles, nodes, cooldown, flags, budget, start, depth_first):
+ * the oracle's walk. */
 static PyObject *walk(PyObject *self, PyObject *args)
 {
-    PyObject *pushes, *triangles, *nodes, *cooldown, *start;
+    PyObject *push_table, *tri_table, *nodes, *cooldown, *start;
+    Py_buffer flags;
     Py_ssize_t budget;
     int depth_first;
-    if (!PyArg_ParseTuple(args, "O!O!OO!nOp:walk", &PyDict_Type, &pushes, &PyDict_Type,
-                          &triangles, &nodes, &PyDict_Type, &cooldown, &budget, &start,
+    if (!PyArg_ParseTuple(args, "OOO!O!w*nOp:walk", &push_table, &tri_table, &PyList_Type,
+                          &nodes, &PyDict_Type, &cooldown, &flags, &budget, &start,
                           &depth_first))
         return NULL;
-    PyObject *pending = PySequence_Fast(nodes, "nodes must be a sequence");
+    Py_buffer pushes = {0}, tris = {0};
+    Marks m;
+    Ranks active = {0}, parked = {0};
     PyObject *selected = PySet_New(NULL);
-    VarMap vars = {0};
-    Lane active = {0}, parked = {0};
-    Py_ssize_t pend = 0, ancillas = 0;
-    unsigned char *flags;
-    if (pending == NULL || selected == NULL || map_alloc(&vars, 256) < 0)
+    Py_ssize_t r, n = flags.len, pend = 0, nsel = 0, ancillas = 0;
+    if (marks_open(&m, &flags, nodes) < 0 || selected == NULL ||
+        table_open(push_table, &pushes) < 0 || table_open(tri_table, &tris) < 0)
         goto fail;
-    /* no cooldown ticks during a walk, so the cooling vars are read once */
+    /* no cooldown ticks during a walk, so the cooling ranks are marked once;
+       a cooling variable the nodes lack is never reached */
     Py_ssize_t pos = 0;
-    PyObject *key, *left, *zero = PyLong_FromLong(0);
-    while (PyDict_Next(cooldown, &pos, &key, &left)) {
-        Py_ssize_t v;
-        int hot = PyObject_RichCompareBool(left, zero, Py_GT);
-        if (hot < 0 || (hot && (var_of(key, &v) < 0 || (flags = map_at(&vars, v)) == NULL))) {
-            Py_DECREF(zero);
+    PyObject *key, *left;
+    while (PyDict_Next(cooldown, &pos, &key, &left))
+        if ((r = rank_of(nodes, n, key)) < -1 || (r >= 0 && mark(&m, r, COOLING) < 0))
             goto fail;
-        }
-        if (hot)
-            *flags |= COOLING;
-    }
-    Py_DECREF(zero);
-    Var v = {start, 0};
-    if (var_of(start, &v.v) < 0 || (flags = map_at(&vars, v.v)) == NULL ||
-        enqueue(&active, &parked, flags, v.obj, v.v) < 0)
+    if ((r = rank_of(nodes, n, start)) < -1 ||
+        (r == -1 && outside("the start is not a node of the index") < 0) ||
+        enqueue(&m, &active, &parked, r) < 0)
         goto fail;
     for (;;) {
-        Lane *lane = active.head < active.tail ? &active
-                     : parked.head < parked.tail ? &parked : NULL;
+        Ranks *lane = active.head < active.tail ? &active
+                      : parked.head < parked.tail ? &parked : NULL;
         if (lane == NULL) {
             /* component exhausted with budget to spare: restart at the
-               lowest untouched variable */
-            Py_ssize_t size = PySequence_Fast_GET_SIZE(pending);
-            for (; pend < size; pend++) {
-                v.obj = PySequence_Fast_GET_ITEM(pending, pend);
-                if (var_of(v.obj, &v.v) < 0)
-                    goto fail;
-                if (!(map_get(&vars, v.v) & SEEN))
-                    break;
-            }
-            if (pend == size)
+               lowest untouched rank, the lowest variable */
+            while (pend < n && (m.flags[pend] & SEEN))
+                pend++;
+            if (pend == n)
                 break;
-            if ((flags = map_at(&vars, v.v)) == NULL ||
-                enqueue(&active, &parked, flags, v.obj, v.v) < 0)
+            if (enqueue(&m, &active, &parked, pend) < 0)
                 goto fail;
             continue;
         }
-        v = depth_first ? lane->items[--lane->tail] : lane->items[lane->head++];
-        if (PySet_Add(selected, v.obj) < 0)
+        r = depth_first ? lane->items[--lane->tail] : lane->items[lane->head++];
+        m.flags[r] |= CHOSEN;  /* r is seen, so it is listed already */
+        /* the ancillas that selecting r adds: its triangles whose pair is chosen */
+        Py_ssize_t extra = 0;
+        const int *t, *end;
+        if (row(&tris, r, n, &t, &end) < 0)
             goto fail;
-        *map_at(&vars, v.v) |= CHOSEN;  /* v is in the map: nothing is added */
-        Py_ssize_t extra = closed_triangles(triangles, &vars, v.obj);
-        if (extra < 0)
-            goto fail;
-        if (PySet_GET_SIZE(selected) + ancillas + extra > budget) {
-            if (PySet_Discard(selected, v.obj) < 0)
-                goto fail;
+        for (; end - t >= 2; t += 2)
+            extra += (m.flags[t[0]] & m.flags[t[1]] & CHOSEN) != 0;
+        if (++nsel + ancillas + extra > budget)
             break;
-        }
         ancillas += extra;
-        PyObject *nbrs = PyDict_GetItemWithError(pushes, v.obj), *fast;
-        if (nbrs == NULL) {
-            if (!PyErr_Occurred())
-                key_error(v.obj);
+        PyObject *v = node(nodes, r);
+        if (v == NULL || PySet_Add(selected, v) < 0 || row(&pushes, r, n, &t, &end) < 0)
             goto fail;
-        }
-        if ((fast = PySequence_Fast(nbrs, "neighbours must be sequences")) == NULL)
-            goto fail;
-        for (Py_ssize_t k = 0; k < PySequence_Fast_GET_SIZE(fast); k++) {
-            PyObject *u = PySequence_Fast_GET_ITEM(fast, k);
-            Py_ssize_t uv;
-            if (var_of(u, &uv) < 0 || (flags = map_at(&vars, uv)) == NULL ||
-                (!(*flags & SEEN) && enqueue(&active, &parked, flags, u, uv) < 0)) {
-                Py_DECREF(fast);
+        for (; t < end; t++)
+            if (!(m.flags[*t] & SEEN) && enqueue(&m, &active, &parked, *t) < 0)
                 goto fail;
-            }
-        }
-        Py_DECREF(fast);
     }
     goto done;
 fail:
     Py_CLEAR(selected);
 done:
-    Py_XDECREF(pending);
-    map_free(&vars);
+    marks_close(&m);
+    PyBuffer_Release(&pushes);
+    PyBuffer_Release(&tris);
+    PyBuffer_Release(&flags);
     PyMem_Free(active.items);
     PyMem_Free(parked.items);
     return selected;
@@ -729,7 +711,7 @@ done:
 
 /* Merges the ascending runs a[bounds[r] .. bounds[r + 1] - 1], r < runs,
  * pairwise through b; returns the buffer that holds the merged run. */
-static Py_ssize_t *merge_runs(Py_ssize_t *a, Py_ssize_t *b, Py_ssize_t *bounds, Py_ssize_t runs)
+static int *merge_runs(int *a, int *b, Py_ssize_t *bounds, Py_ssize_t runs)
 {
     while (runs > 1) {
         Py_ssize_t pairs = 0;
@@ -746,193 +728,177 @@ static Py_ssize_t *merge_runs(Py_ssize_t *a, Py_ssize_t *b, Py_ssize_t *bounds, 
         }
         bounds[pairs] = bounds[runs];
         runs = pairs;
-        Py_ssize_t *t = a;
+        int *t = a;
         a = b;
         b = t;
     }
     return a;
 }
 
-/* The clauses of the selected vars, ascending with repeats, in one buffer
- * of `*total` entries; NULL with an exception set. */
-static Py_ssize_t *visit_order(PyObject *occurrences, PyObject *sel, Py_ssize_t *total)
+/* The clauses of the ranks `sel`, ascending with repeats, in one buffer of
+ * `*total` entries, each below `nclauses`; NULL with an exception set. */
+static int *visit_order(const Py_buffer *occ, const Ranks *sel, Py_ssize_t nclauses,
+                        Py_ssize_t *total)
 {
-    Py_ssize_t nsel = PySequence_Fast_GET_SIZE(sel), size = 0, runs = 0;
-    PyObject **held = PyMem_New(PyObject *, (size_t)nsel + 1);
-    Py_ssize_t *bounds = PyMem_New(Py_ssize_t, (size_t)nsel + 2), *buf = NULL, *out = NULL;
-    if (held == NULL || bounds == NULL) {
+    Py_ssize_t size = 0, at = 0, nsel = sel->tail;
+    Py_ssize_t *bounds = PyMem_New(Py_ssize_t, (size_t)nsel + 2);
+    int *buf = NULL, *out = NULL;
+    const int *lo, *hi;
+    if (bounds == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    for (Py_ssize_t k = 0; k < nsel; k++) {
-        PyObject *var = PySequence_Fast_GET_ITEM(sel, k), *occ;
-        if (PyDict_Check(occurrences)) {
-            occ = PyDict_GetItemWithError(occurrences, var);
-            Py_XINCREF(occ);
-        } else if ((occ = PyObject_GetItem(occurrences, var)) == NULL &&
-                   PyErr_ExceptionMatches(PyExc_KeyError)) {
-            PyErr_Clear();
-        }
-        if (occ == NULL) {
-            if (PyErr_Occurred())
-                goto done;
-            continue;
-        }
-        held[runs] = PySequence_Fast(occ, "occurrence lists must be sequences");
-        Py_DECREF(occ);
-        if (held[runs] == NULL)
+    for (Py_ssize_t r = 0; r < nsel; r++) {
+        if (row(occ, sel->items[r], nclauses, &lo, &hi) < 0)
             goto done;
-        size += PySequence_Fast_GET_SIZE(held[runs]);
-        runs++;
-    }
-    if ((buf = PyMem_New(Py_ssize_t, 2 * (size_t)size + 1)) == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    Py_ssize_t at = 0;
-    for (Py_ssize_t r = 0; r < runs; r++) {
-        bounds[r] = at;
-        for (Py_ssize_t k = 0; k < PySequence_Fast_GET_SIZE(held[r]); k++, at++) {
-            if (var_of(PySequence_Fast_GET_ITEM(held[r], k), buf + at) < 0)
-                goto done;
-            if (k > 0 && buf[at] < buf[at - 1]) {
+        for (const int *c = lo + 1; c < hi; c++)
+            if (*c < c[-1]) {
                 PyErr_SetString(PyExc_ValueError, "an occurrence list is not ascending");
                 goto done;
             }
-        }
+        size += hi - lo;
     }
-    bounds[runs] = at;
-    Py_ssize_t *merged = merge_runs(buf, buf + size, bounds, runs);
+    if ((buf = PyMem_New(int, 2 * (size_t)size + 1)) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t r = 0; r < nsel; r++) {
+        row(occ, sel->items[r], nclauses, &lo, &hi);  /* checked above */
+        bounds[r] = at;
+        memcpy(buf + at, lo, (size_t)(hi - lo) * sizeof *buf);
+        at += hi - lo;
+    }
+    bounds[nsel] = at;
+    int *merged = merge_runs(buf, buf + size, bounds, nsel);
     if (merged != buf)
         memcpy(buf, merged, (size_t)size * sizeof *buf);
     *total = size;
     out = buf;
     buf = NULL;
 done:
-    for (Py_ssize_t r = 0; r < runs; r++)
-        Py_XDECREF(held[r]);
-    PyMem_Free(held);
     PyMem_Free(bounds);
     PyMem_Free(buf);
     return out;
 }
 
-/* Whether the frozen literal `lit` of variable v is true, its value read from
- * `assignment` once per call and kept in `flags`; -1 with an exception set. */
-static int frozen_true(PyObject *assignment, PyObject *lit, Py_ssize_t lv, Py_ssize_t v,
-                       unsigned char *flags)
+/* Whether the frozen literal 2r + negated is true, the value of node r read
+ * from `assignment` once per call and kept in its flags; -1 with an
+ * exception set. */
+static int frozen_true(Marks *m, PyObject *nodes, PyObject *assignment, Py_ssize_t r,
+                       int negated)
 {
-    if (!(*flags & KNOWN)) {
-        PyObject *key = lv > 0 ? lit : PyLong_FromSsize_t(v), *value;
+    if (!(m->flags[r] & KNOWN)) {
+        PyObject *key = node(nodes, r), *value = NULL;
         if (key == NULL)
             return -1;
-        int truth = -1;
-        if ((value = PyDict_GetItemWithError(assignment, key)) == NULL) {
-            if (!PyErr_Occurred())
-                key_error(key);
-        } else {
-            truth = PyObject_IsTrue(value);
-        }
-        if (key != lit)
-            Py_DECREF(key);
-        if (truth < 0)
+        Py_INCREF(key);
+        value = PyObject_GetItem(assignment, key);
+        Py_DECREF(key);
+        int truth = value == NULL ? -1 : PyObject_IsTrue(value);
+        Py_XDECREF(value);
+        if (truth < 0 || mark(m, r, KNOWN | (truth ? VALUE : 0)) < 0)
             return -1;
-        *flags |= KNOWN | (truth ? VALUE : 0);
     }
-    return (lv > 0) == ((*flags & VALUE) != 0);
+    return negated != ((m->flags[r] & VALUE) != 0);
 }
 
-/* freeze(clauses, occurrences, selected, assignment, true_count): the
- * oracle's freeze.  The clauses of the selected vars are visited in
- * ascending order, each once, by a merge of their ascending occurrence
- * lists; nothing the size of the formula is read or allocated. */
+/* freeze(clauses, occurrences, nodes, selected, assignment, true_count,
+ * flags): the oracle's freeze.  The clauses of the selected ranks are
+ * visited in ascending order, each once, by a merge of their ascending
+ * occurrence rows. */
 static PyObject *freeze(PyObject *self, PyObject *args)
 {
-    PyObject *clauses, *occurrences, *selected, *assignment, *true_count;
-    if (!PyArg_ParseTuple(args, "OOOO!O:freeze", &clauses, &occurrences, &selected,
-                          &PyDict_Type, &assignment, &true_count))
+    PyObject *clause_table, *occ_table, *nodes, *selected, *assignment, *true_count;
+    Py_buffer flags;
+    if (!PyArg_ParseTuple(args, "OOO!OO!Ow*:freeze", &clause_table, &occ_table, &PyList_Type,
+                          &nodes, &selected, &PyDict_Type, &assignment, &true_count, &flags))
         return NULL;
+    Py_buffer cls = {0}, occ = {0};
+    Marks m;
     PyObject *sel = PySequence_Fast(selected, "selected must be iterable");
-    PyObject *rows = PySequence_Fast(clauses, "clauses must be a sequence");
     PyObject *counts = PySequence_Fast(true_count, "true_count must be a sequence");
-    PyObject *kept = PyList_New(0), *row = NULL, *out = NULL, **lits = NULL;
-    Py_ssize_t *visit = NULL, nvisit = 0, width = 0, unsat = 0;
-    VarMap vars = {0};
-    if (sel == NULL || rows == NULL || counts == NULL || kept == NULL ||
-        map_alloc(&vars, 256) < 0)
+    PyObject *kept = PyList_New(0), *out = NULL;
+    int *visit = NULL, *codes = NULL;  /* the kept literals of a clause */
+    Py_ssize_t r, n = flags.len, nvisit = 0, unsat = 0, width = 0;
+    if (marks_open(&m, &flags, nodes) < 0 || sel == NULL || counts == NULL ||
+        kept == NULL || table_open(clause_table, &cls) < 0 || table_open(occ_table, &occ) < 0)
         goto done;
     for (Py_ssize_t k = 0; k < PySequence_Fast_GET_SIZE(sel); k++) {
-        Py_ssize_t v;
-        unsigned char *flags;
-        if (var_of(PySequence_Fast_GET_ITEM(sel, k), &v) < 0 || (flags = map_at(&vars, v)) == NULL)
+        /* a selected variable the nodes lack is in no clause */
+        if ((r = rank_of(nodes, n, PySequence_Fast_GET_ITEM(sel, k))) < -1 ||
+            (r >= 0 && mark(&m, r, CHOSEN) < 0))
             goto done;
-        *flags |= CHOSEN;
     }
-    if ((visit = visit_order(occurrences, sel, &nvisit)) == NULL)
+    /* only the chosen ranks are listed yet */
+    if ((visit = visit_order(&occ, &m.touched, PySequence_Fast_GET_SIZE(counts),
+                             &nvisit)) == NULL)
         goto done;
-    Py_ssize_t nrows = PySequence_Fast_GET_SIZE(rows);
+    /* Python code that a count's __bool__, a lookup or a collection runs may
+       change true_count, the nodes or the flags, so an index into the lists
+       is checked just before it is read, and a clause's kept literals are
+       listed before its tuple is made */
     for (Py_ssize_t at = 0; at < nvisit; at++) {
-        Py_ssize_t ci = visit[at];
+        int ci = visit[at];
         if (at > 0 && ci == visit[at - 1])
             continue;
-        if (ci < 0 || ci >= nrows || ci >= PySequence_Fast_GET_SIZE(counts)) {
+        if (ci >= PySequence_Fast_GET_SIZE(counts)) {
             PyErr_SetString(PyExc_IndexError, "clause index out of range");
             goto done;
         }
-        int sat = PyObject_IsTrue(PySequence_Fast_GET_ITEM(counts, ci));
+        PyObject *count = Py_NewRef(PySequence_Fast_GET_ITEM(counts, ci));
+        int sat = PyObject_IsTrue(count);
+        Py_DECREF(count);
         if (sat < 0)
             goto done;
         unsat += !sat;
-        Py_XDECREF(row);
-        row = PySequence_Fast(PySequence_Fast_GET_ITEM(rows, ci), "a clause must be a sequence");
-        if (row == NULL)
+        const int *lo, *hi;
+        if (row(&cls, ci, 2 * n, &lo, &hi) < 0)
             goto done;
-        Py_ssize_t n = PySequence_Fast_GET_SIZE(row), nlits = 0;
-        if (n > width) {
-            PyObject **grown = PyMem_Realloc(lits, (size_t)n * sizeof *grown);
+        if (hi - lo > width) {
+            int *grown = PyMem_Realloc(codes, (size_t)(hi - lo) * sizeof *grown);
             if (grown == NULL) {
                 PyErr_NoMemory();
                 goto done;
             }
-            lits = grown;
-            width = n;
+            codes = grown;
+            width = hi - lo;
         }
+        Py_ssize_t nlits = 0;
         int dropped = 0;  /* by a true frozen literal */
-        for (Py_ssize_t k = 0; k < n && !dropped; k++) {
-            PyObject *lit = PySequence_Fast_GET_ITEM(row, k);
-            Py_ssize_t lv;
-            unsigned char *flags;
-            if (var_of(lit, &lv) < 0 || (flags = map_at(&vars, lv < 0 ? -lv : lv)) == NULL)
-                goto done;
-            if (*flags & CHOSEN)
-                lits[nlits++] = lit;
-            else if ((dropped = frozen_true(assignment, lit, lv, lv < 0 ? -lv : lv, flags)) < 0)
+        for (const int *l = lo; l < hi && !dropped; l++) {
+            if (m.flags[*l >> 1] & CHOSEN)
+                codes[nlits++] = *l;
+            else if ((dropped = frozen_true(&m, nodes, assignment, *l >> 1, *l & 1)) < 0)
                 goto done;
         }
         if (dropped)
             continue;
         PyObject *clause = PyTuple_New(nlits);
-        if (clause == NULL)
-            goto done;
-        for (Py_ssize_t k = 0; k < nlits; k++) {
-            Py_INCREF(lits[k]);
-            PyTuple_SET_ITEM(clause, k, lits[k]);
+        for (Py_ssize_t k = 0; clause != NULL && k < nlits; k++) {
+            PyObject *v = node(nodes, codes[k] >> 1);
+            PyObject *lit = v == NULL ? NULL : codes[k] & 1 ? PyNumber_Negative(v) : Py_NewRef(v);
+            if (lit == NULL)
+                Py_CLEAR(clause);
+            else
+                PyTuple_SET_ITEM(clause, k, lit);
         }
-        int failed = PyList_Append(kept, clause);
-        Py_DECREF(clause);
-        if (failed < 0)
+        if (clause == NULL || PyList_Append(kept, clause) < 0) {
+            Py_XDECREF(clause);
             goto done;
+        }
+        Py_DECREF(clause);
     }
     out = Py_BuildValue("(On)", kept, unsat);
 done:
+    marks_close(&m);
+    PyBuffer_Release(&cls);
+    PyBuffer_Release(&occ);
+    PyBuffer_Release(&flags);
     Py_XDECREF(sel);
-    Py_XDECREF(rows);
     Py_XDECREF(counts);
     Py_XDECREF(kept);
-    Py_XDECREF(row);
     PyMem_Free(visit);
-    PyMem_Free(lits);
-    map_free(&vars);
+    PyMem_Free(codes);
     return out;
 }
 

@@ -36,17 +36,26 @@ integer temperature as a float.
 
 ``walk`` and ``freeze`` are the decomposition's slice walk and the clause
 loop of its freeze, as ``decompose`` ran them in Python.  They do integer
-work only.  On the index and state ``decompose`` builds, the C versions
-return what these return and raise what these raise: a start the index
-lacks is a KeyError once it is selected, and so is a frozen variable the
-assignment lacks once it is read.  The C freeze merges the occurrence lists
-where this one sorts them, so it needs each list ascending, as
-``build_vig`` makes it, and raises ValueError otherwise.
+work only, on ranks: the tables ``build_vig`` lays out (read by ``row``)
+are indexed by the position of a variable in the ascending ``nodes``, and
+the variables passed in are found there by ``rank``.  The C versions mark
+what they touch in the flag array; these keep their marks in sets.  On the
+tables ``build_vig`` makes, both return the same and raise the same, in the
+same order: a flag array whose length is not ``len(nodes)`` is a ValueError,
+a variable that is not an integer a TypeError, a start ``nodes`` lacks an
+IndexError and a frozen variable the assignment lacks a KeyError; a cooling
+or a selected variable ``nodes`` lacks is in no clause, so it is skipped.
+These read the tables as they stand, since ``build_vig`` makes every offset
+and item in range; the C versions check each row they read and raise
+IndexError for an offset or an item out of range, and the C freeze, which
+merges the occurrence rows where this one sorts them, ValueError for a row
+that is not ascending.
 """
 from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from collections import deque
 
 _MASK = (1 << 64) - 1
@@ -177,23 +186,42 @@ def tabu(n: int, jd: list[float], h: list[float], max_moves: int,
     return best_spins, best, moves
 
 
-def walk(pushes, triangles, nodes, cooldown, budget, start, depth_first):
+def rank(nodes, v):
+    """The rank of variable ``v`` in the ascending list ``nodes``, or -1 when
+    ``nodes`` lacks it; a TypeError unless ``v`` is an integer."""
+    v = operator.index(v)
+    r = bisect_left(nodes, v)
+    return r if r < len(nodes) and nodes[r] == v else -1
+
+
+def row(table, i):
+    """Row ``i`` of a flat table: ``table[0]`` offsets, then the items."""
+    return table[table[i]:table[i + 1]]
+
+
+def walk(pushes, triangles, nodes, cooldown, flags, budget, start, depth_first):
     """The spin-budgeted walk from ``start``; returns the selected set.
 
-    ``pushes[v]`` lists the neighbours of ``v`` in push order, ``triangles``
-    and ``nodes`` are the ``Vig``'s and ``cooldown`` the ``FilterState``'s.
+    ``pushes`` is the ``Vig``'s neighbour table in push order, ``triangles``
+    and ``nodes`` the ``Vig``'s, ``cooldown`` the ``FilterState``'s (its keys
+    cool) and ``flags`` the ``GlobalState``'s.
     """
-    # ``seen`` holds the queued and the selected vars, so each is pushed once;
-    # no cooldown ticks during a walk, so the cooling vars are read once
-    cooling = {v for v, left in cooldown.items() if left > 0}
+    n = len(nodes)
+    if len(flags) != n:
+        raise ValueError("the flag array must hold one byte per node")
+    # ``seen`` holds the queued and the selected ranks, so each is pushed
+    # once; no cooldown ticks during a walk, so the cooling ranks are read once
+    cooling = {r for r in (rank(nodes, v) for v in cooldown) if r >= 0}
+    first = rank(nodes, start)
+    if first < 0:
+        raise IndexError("the start is not a node of the index")
     selected: set[int] = set()
-    seen = {start}
+    seen = {first}
     ancillas = 0  # one per 3-literal clause whose variables are all selected
     active: deque[int] = deque()
-    parked: deque[int] = deque()  # cooling vars wait here until nothing else is left
-    (parked if start in cooling else active).append(start)
-    pending = nodes
-    pend_pos = 0
+    parked: deque[int] = deque()  # cooling ranks wait here until nothing else is left
+    (parked if first in cooling else active).append(first)
+    pend = 0
     while True:
         if active:
             v = active.popleft() if not depth_first else active.pop()
@@ -201,43 +229,49 @@ def walk(pushes, triangles, nodes, cooldown, budget, start, depth_first):
             v = parked.popleft() if not depth_first else parked.pop()
         else:
             # component exhausted with budget to spare: restart at the lowest
-            # untouched variable so a big enough budget selects everything
-            while pend_pos < len(pending) and pending[pend_pos] in seen:
-                pend_pos += 1
-            if pend_pos == len(pending):
+            # untouched rank (variable) so a big enough budget selects everything
+            while pend < n and pend in seen:
+                pend += 1
+            if pend == n:
                 break
-            v = pending[pend_pos]
+            v = pend
             seen.add(v)
             (parked if v in cooling else active).append(v)
             continue
         selected.add(v)
         extra = 0
-        for a, b in triangles.get(v, ()):
+        pairs = iter(row(triangles, v))
+        for a, b in zip(pairs, pairs):
             if a in selected and b in selected:
                 extra += 1
         if len(selected) + ancillas + extra > budget:
             selected.discard(v)
             break
         ancillas += extra
-        for u in pushes[v]:
+        for u in row(pushes, v):
             if u not in seen:
                 seen.add(u)
                 (parked if u in cooling else active).append(u)
-    return selected
+    return {nodes[r] for r in selected}
 
 
-def freeze(clauses, occurrences, selected, assignment, true_count):
+def freeze(clauses, occurrences, nodes, selected, assignment, true_count, flags):
     """The kept clauses of a slice, in clause order, and how many of the
     visited clauses are unsatisfied (``true_count`` zero).
 
-    Only the clauses of the selected variables (``occurrences``) are
-    visited.  A true frozen literal drops its clause and a false one is
-    removed; the selected literals are kept as they stand.
+    ``clauses``, ``occurrences`` and ``nodes`` are the ``Vig``'s, the rest
+    the ``GlobalState``'s.  Only the clauses of the selected variables
+    (their ``occurrences`` rows) are visited.  A true frozen
+    literal drops its clause and a false one is removed; the selected
+    literals are kept as they stand.
     """
+    n = len(nodes)
+    if len(flags) != n:
+        raise ValueError("the flag array must hold one byte per node")
+    chosen = dict.fromkeys(r for r in (rank(nodes, v) for v in selected) if r >= 0)
     visit: set[int] = set()
-    for v in selected:
-        visit.update(occurrences.get(v, ()))
-    signed = {*selected, *[-v for v in selected]}  # the selected literals
+    for r in chosen:
+        visit.update(row(occurrences, r))
     kept: list[tuple[int, ...]] = []
     keep = kept.append
     unsat = 0
@@ -245,14 +279,12 @@ def freeze(clauses, occurrences, selected, assignment, true_count):
         if not true_count[ci]:
             unsat += 1
         lits: list[int] = []
-        for lit in clauses[ci]:
-            if lit in signed:
-                lits.append(lit)
-            elif lit > 0:  # a true frozen literal satisfies the clause
-                if assignment[lit]:
-                    break
-            elif not assignment[-lit]:
-                break
+        for lit in row(clauses, ci):
+            v = nodes[lit >> 1]
+            if lit >> 1 in chosen:
+                lits.append(-v if lit & 1 else v)
+            elif bool(assignment[v]) != lit & 1:
+                break  # a true frozen literal satisfies the clause
         else:
             keep(tuple(lits))
     return kept, unsat

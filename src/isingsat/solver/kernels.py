@@ -2,8 +2,8 @@
 
 Both hold the same five functions: the solver's ``anneal`` and ``tabu`` and
 their seeding ``mix_seed``, and the decomposition's slice ``walk`` and
-``freeze`` (``decompose.select_bfs``, ``select_dfs`` and
-``freeze_and_extract`` call these two).  One build, one loader and one
+``freeze``, which read ``decompose.build_vig``'s rank tables and a flag
+array, as ``_kernels_py`` sets out.  One build, one loader and one
 ``COMPILED_KERNELS`` flag cover all five.
 
 ``_kernels.c`` is compiled the first time this module is imported, with the

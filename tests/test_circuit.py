@@ -6,7 +6,8 @@ from collections import Counter
 import pytest
 
 from isingsat.circuit import (
-    EncodingOption,
+    IMPLICATION_FORM,
+    ROW_ENCODING,
     build_multiplier,
     encode_netlist,
     factor_widths,
@@ -135,8 +136,9 @@ def test_option2_same_factor_solutions():
         for semiprime in semiprime_catalog(bits):
             cnf, nl = generate_instance(bits, semiprime)
             implication = [c for g in nl.gates
-                           for c in gate_clauses(g.kind, *g.inputs, g.output,
-                                                 EncodingOption.OPTION2)]
+                           for c in gate_clauses(
+                               IMPLICATION_FORM.get(g.kind, ROW_ENCODING[g.kind]),
+                               *g.inputs, g.output)]
             implication += [c for c in cnf.clauses if len(c) == 1]
             level1 = run_ladder(cnf, 1, seed=1).cnf
             assert level1.num_vars == cnf.num_vars

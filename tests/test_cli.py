@@ -715,6 +715,27 @@ def test_a_declared_variable_count_costs_nothing_when_few_clauses_follow(tmp_pat
         assert peak < 2_000_000, (level, peak)
 
 
+def test_a_high_variable_costs_nothing_when_few_clauses_hold_it(tmp_path):
+    # four units over the highest declared variables, beyond a C int: the
+    # index follows the variables the clauses hold, not their numbers
+    cnf = tmp_path / "in.cnf"
+    cnf.write_text("p cnf 4000000000 4\n-4000000000 0\n3999999999 0\n"
+                   "-3999999998 0\n3999999997 0\n")
+    for level in (0, MAX_LEVEL):
+        runs = tmp_path / f"runs{level}.jsonl"
+        tracemalloc.start()
+        try:
+            code = main(["solve", "-i", str(cnf), "--repeats", "1", "--cap", "4",
+                         "--level", str(level), "-o", str(runs)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        record = load_records(runs)[0]
+        assert code == 0 and record.solved
+        assert record.iterations_used >= (level == 0)  # the walk and freeze ran
+        assert peak < 2_000_000, (level, peak)
+
+
 # ---------------------------------------------------------------------------
 # every input ends in a result or one error line
 

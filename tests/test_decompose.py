@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
+from array import array
 from collections import deque
 
 import pytest
@@ -28,15 +30,21 @@ from isingsat.decompose import (
     select_dfs,
     update_global,
 )
-from isingsat.preprocess import run_ladder
+from isingsat.preprocess import ConditionRecord, run_ladder
 from isingsat.qubo import cnf_to_qubo
 from isingsat.solver import _kernels_py, kernels
+from isingsat.solver._kernels_py import rank, row
 
 from conftest import mixed_random_cnf, random_3sat
 
 
 def _gs(cnf, assignment):
-    return GlobalState.start(cnf, dict(assignment), build_vig(cnf).occurrences)
+    return GlobalState.start(cnf, dict(assignment), build_vig(cnf))
+
+
+def _flags(vig):
+    """A walk's scratch: one zero byte per node of the index."""
+    return bytearray(len(vig.nodes))
 
 
 # one read per solver call on the emulator, DFS unless a test says otherwise
@@ -47,29 +55,72 @@ ONE_READ = dict(strategy="dfs", backend="emulator", num_samples=1)
 # interaction graph
 
 
+def _dict_index(cnf):
+    """The index as dicts keyed by variable, built apart from ``build_vig``:
+    neighbours ascending and by the DFS push order, triangle pairs and
+    occurrence lists."""
+    nbrs, triangles, occurrences = {}, {}, {}
+    for ci, clause in enumerate(cnf.clauses):
+        vs = {abs(lit) for lit in clause}
+        for v in vs:
+            nbrs.setdefault(v, set()).update(vs - {v})
+            occurrences.setdefault(v, []).append(ci)
+            if len(clause) == 3:  # the other two, v standing in for any missing
+                others = sorted(vs - {v}) + [v] * (3 - len(vs))
+                triangles.setdefault(v, []).append(tuple(others))
+    adjacency = {v: sorted(ns) for v, ns in nbrs.items()}
+    dfs_order = {v: sorted(ns, key=lambda u: (-len(nbrs[u]), -u))
+                 for v, ns in nbrs.items()}
+    return adjacency, dfs_order, triangles, occurrences
+
+
+def _nodes_of(vig, table, v):
+    """The row of variable ``v`` in a table of ranks, as variables."""
+    return [vig.nodes[r] for r in row(table, rank(vig.nodes, v))]
+
+
 def test_vig_cooccurrence():
     cnf = make_cnf(4, [(1, 2, 3), (2, -4)])
     vig = build_vig(cnf)
-    assert vig.adjacency[2] == (1, 3, 4)
-    assert vig.dfs_order[2] == (3, 1, 4)  # degree 2, 2, 1; ties by -u
+    assert _nodes_of(vig, vig.bfs, 2) == [1, 3, 4]
+    assert _nodes_of(vig, vig.dfs, 2) == [3, 1, 4]  # degree 2, 2, 1; ties by -u
     assert vig.nodes == [1, 2, 3, 4]
 
 
 def test_vig_ignores_self_loops():
     vig = build_vig(make_cnf(2, [(1, -1), (1, 2)]))
-    assert vig.adjacency[1] == (2,)
+    assert _nodes_of(vig, vig.bfs, 1) == [2]
 
 
-def test_vig_dfs_order_is_the_degree_sort():
-    """A DFS walk pushes the same neighbours as a BFS walk, by descending
-    degree, ties by descending variable."""
+def test_vig_rows_match_a_dict_index():
+    """Every row of the flat index holds what a dict index built apart holds,
+    there is a row per variable the formula holds and per clause, and a
+    variable it lacks has no rank."""
     rng = random.Random(4)
     for _ in range(20):
-        vig = build_vig(mixed_random_cnf(rng.randint(3, 12), rng.randint(1, 30), rng))
-        assert set(vig.dfs_order) == set(vig.adjacency) == set(vig.nodes)
-        for v, nbrs in vig.adjacency.items():
-            assert vig.dfs_order[v] == tuple(
-                sorted(nbrs, key=lambda u: (-len(vig.adjacency[u]), -u)))
+        base = mixed_random_cnf(rng.randint(3, 12), rng.randint(1, 30), rng)
+        v, u = rng.sample(range(1, base.num_vars + 1), 2)
+        cnf = make_cnf(base.num_vars + rng.randint(0, 2),
+                       [*base.clauses, (v, v, u), (v, -v, u), (u, u, u)])
+        vig = build_vig(cnf)
+        nodes = vig.nodes
+        adjacency, dfs_order, triangles, occurrences = _dict_index(cnf)
+        assert nodes == sorted(occurrences)
+        for table in (vig.bfs, vig.dfs, vig.triangles, vig.occurrences):
+            assert table[0] == len(nodes) + 1  # a row per node, not per declared var
+        assert vig.clauses[0] == cnf.num_clauses + 1
+        for v in range(cnf.num_vars + 2):
+            if v not in occurrences:
+                assert rank(nodes, v) == -1
+                continue
+            assert _nodes_of(vig, vig.bfs, v) == adjacency[v]
+            assert _nodes_of(vig, vig.dfs, v) == dfs_order[v]
+            flat = _nodes_of(vig, vig.triangles, v)
+            assert list(zip(flat[::2], flat[1::2])) == triangles.get(v, [])
+            assert row(vig.occurrences, rank(nodes, v)).tolist() == occurrences[v]
+        for ci, clause in enumerate(cnf.clauses):
+            assert [-nodes[lit >> 1] if lit & 1 else nodes[lit >> 1]
+                    for lit in row(vig.clauses, ci)] == list(clause)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +135,7 @@ def _chain_cnf(n):
 def test_bfs_select_is_ball():
     cnf = make_cnf(7, [(1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (6, 7)])
     vig = build_vig(cnf)
-    sel = select_bfs(vig, budget=4, start=1, filt=FilterState())
+    sel = select_bfs(vig, budget=4, start=1, filt=FilterState(), flags=_flags(vig))
     # BFS from 1 visits 1, then neighbors 2, 3, then 2's children
     assert sel == {1, 2, 3, 4}
 
@@ -92,7 +143,7 @@ def test_bfs_select_is_ball():
 def test_dfs_select_extends_chains():
     cnf = _chain_cnf(10)
     vig = build_vig(cnf)
-    sel = select_dfs(vig, budget=5, start=1, filt=FilterState())
+    sel = select_dfs(vig, budget=5, start=1, filt=FilterState(), flags=_flags(vig))
     assert sel == {1, 2, 3, 4, 5}  # one unbroken chain
 
 
@@ -100,16 +151,18 @@ def test_selection_respects_ancilla_cost():
     # a 3-wide clause over three selected vars costs one extra spin
     cnf = make_cnf(3, [(1, 2, 3)])
     vig = build_vig(cnf)
-    assert select_dfs(vig, budget=3, start=1, filt=FilterState()) != {1, 2, 3}
-    assert select_dfs(vig, budget=4, start=1, filt=FilterState()) == {1, 2, 3}
+    flags = _flags(vig)
+    assert select_dfs(vig, 3, 1, FilterState(), flags) != {1, 2, 3}
+    assert select_dfs(vig, 4, 1, FilterState(), flags) == {1, 2, 3}
 
 
 def test_selection_restarts_across_components():
     # disconnected graph: big budget selects everything
     cnf = make_cnf(6, [(1, 2), (3, 4), (5, 6)])
     vig = build_vig(cnf)
-    assert select_bfs(vig, budget=6, start=1, filt=FilterState()) == {1, 2, 3, 4, 5, 6}
-    assert select_dfs(vig, budget=6, start=5, filt=FilterState()) == {1, 2, 3, 4, 5, 6}
+    flags = _flags(vig)
+    assert select_bfs(vig, 6, 1, FilterState(), flags) == {1, 2, 3, 4, 5, 6}
+    assert select_dfs(vig, 6, 5, FilterState(), flags) == {1, 2, 3, 4, 5, 6}
 
 
 def test_filter_parks_cooling_vars():
@@ -121,13 +174,15 @@ def test_filter_parks_cooling_vars():
     assert 1 not in filt.cooldown
     filt.note_selection({1, 2})  # streak reaches the window: cooldown starts
     assert 1 in filt.cooldown and 2 in filt.cooldown
-    sel = select_bfs(vig, budget=2, start=3, filt=filt)
+    sel = select_bfs(vig, budget=2, start=3, filt=filt, flags=_flags(vig))
     assert sel == {3, 4}  # cooling vars parked behind fresh ones
 
 
-def _reference_walk(vig, budget, start, cooldown, depth_first):
-    """The walk with a push closure that tests ``queued`` and ``selected``
-    apart and looks the cooldown up on every push."""
+def _reference_walk(cnf, budget, start, cooldown, depth_first):
+    """The walk over a dict index built from ``cnf``, with a push closure
+    that tests ``queued`` and ``selected`` apart and looks the cooldown up
+    on every push."""
+    adjacency, dfs_order, triangles, occurrences = _dict_index(cnf)
     selected, queued = set(), set()
     ancillas = 0
     active, parked = deque(), deque()
@@ -136,7 +191,7 @@ def _reference_walk(vig, budget, start, cooldown, depth_first):
         if v in queued or v in selected:
             return
         queued.add(v)
-        (parked if cooldown.get(v, 0) > 0 else active).append(v)
+        (parked if v in cooldown else active).append(v)
 
     push(start)
     while True:
@@ -144,20 +199,20 @@ def _reference_walk(vig, budget, start, cooldown, depth_first):
             lane = active or parked
             v = lane.pop() if depth_first else lane.popleft()
         else:
-            rest = [u for u in vig.nodes if u not in queued and u not in selected]
+            rest = [u for u in sorted(occurrences) if u not in queued and u not in selected]
             if not rest:
                 break
             push(rest[0])
             continue
         queued.discard(v)
         selected.add(v)
-        extra = sum(1 for a, b in vig.triangles.get(v, ())
+        extra = sum(1 for a, b in triangles.get(v, ())
                     if a in selected and b in selected)
         if len(selected) + ancillas + extra > budget:
             selected.discard(v)
             break
         ancillas += extra
-        for u in (vig.dfs_order if depth_first else vig.adjacency)[v]:
+        for u in (dfs_order if depth_first else adjacency).get(v, ()):
             push(u)
     return selected
 
@@ -175,31 +230,33 @@ def _formulas(draw, offset=0):
 
 @st.composite
 def _walk_cases(draw, offset=0):
-    """A ``_formulas`` index, a start and a cooldown map with entries at or
-    below 0."""
+    """A ``_formulas`` formula, a start and a cooldown map, whose countdowns
+    are positive as ``FilterState.note_selection`` leaves them."""
     cnf = draw(_formulas(offset))
-    vig = build_vig(cnf)
-    start = draw(st.sampled_from(vig.nodes))
+    start = draw(st.sampled_from(build_vig(cnf).nodes))
     cooldown = draw(st.dictionaries(st.integers(1 + offset, cnf.num_vars),
-                                    st.integers(-1, 2)))
-    return vig, start, cooldown
+                                    st.integers(1, FILTER_WINDOW)))
+    return cnf, start, cooldown
 
 
 @given(_walk_cases())
 @settings(max_examples=50, deadline=None)
 def test_walks_match_the_reference_walk(case):
-    vig, start, cooldown = case
+    cnf, start, cooldown = case
+    vig = build_vig(cnf)
+    flags = _flags(vig)
     for budget in range(13):
         for select, depth_first in ((select_bfs, False), (select_dfs, True)):
             filt = FilterState(cooldown=dict(cooldown))
-            assert select(vig, budget, start, filt) == _reference_walk(
-                vig, budget, start, cooldown, depth_first), (budget, depth_first)
+            assert select(vig, budget, start, filt, flags) == _reference_walk(
+                cnf, budget, start, cooldown, depth_first), (budget, depth_first)
             assert filt.cooldown == cooldown  # a walk reads the filter only
 
 
 # The compiled walk and freeze against the pure ones, exceptions included.
 # Variables above 256 are not cached ints, so the C code meets int objects
-# that are equal but not identical.
+# that are equal but not identical.  Each compiled call must leave the flag
+# array all zero, also when it raises.
 needs_compiled = pytest.mark.skipif(not kernels.COMPILED_KERNELS,
                                     reason="compiled kernels unavailable")
 
@@ -212,24 +269,36 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _compiled_outcome(fn, flags, *args):
+    """``_outcome`` of the compiled ``fn``, checking that the call left the
+    flag array ``flags`` all zero."""
+    outcome = _outcome(getattr(kernels, fn), *args)
+    assert not any(flags), (fn, outcome)
+    return outcome
+
+
 @needs_compiled
-@given(st.one_of(_walk_cases(), _walk_cases(offset=300)), st.booleans())
-@example(  # two components, the start cooling, cooldowns from -1 to 2
-    (build_vig(make_cnf(5, [(1, 2), (2, 2, 3), (4, -5)])), 1,
-     {1: 2, 2: 1, 3: 0, 4: -1}), False)
-@example((build_vig(make_cnf(305, [(301, -302, 302), (303, 304), (305,)])), 303,
-          {301: 1, 304: 2}), False)
-@example((build_vig(make_cnf(3, [(1, 2)])), 1, {}), True)
+@given(st.one_of(_walk_cases(), _walk_cases(offset=300)),
+       st.sampled_from((None, "after", "below")))
+@example(  # two components, the start cooling
+    (make_cnf(5, [(1, 2), (2, 2, 3), (4, -5)]), 1, {1: 2, 2: 1, 4: 5}), None)
+@example((make_cnf(305, [(301, -302, 302), (303, 304), (305,)]), 303,
+          {301: 1, 304: 2}), None)
+@example((make_cnf(3, [(1, 2)]), 1, {3: 1}), "after")  # declared, in no clause
+@example((make_cnf(2, [(1, 2)]), 1, {2: 1}), "after")  # past the declared count
 @settings(max_examples=100, deadline=None)
 def test_compiled_walk_matches_the_pure_walk(case, outside):
-    vig, start, cooldown = case
-    if outside:  # a start the index lacks: a KeyError once it is selected
-        start = vig.nodes[-1] + 1
+    cnf, start, cooldown = case
+    vig = build_vig(cnf)
+    flags = _flags(vig)
+    if outside:  # a start the index lacks
+        start = vig.nodes[-1] + 1 if outside == "after" else -start
     for budget in range(13):
-        for pushes, depth_first in ((vig.adjacency, False), (vig.dfs_order, True)):
-            args = (pushes, vig.triangles, vig.nodes, cooldown, budget, start, depth_first)
-            assert _outcome(kernels.walk, *args) == _outcome(_kernels_py.walk, *args), (
-                budget, depth_first)
+        for pushes, depth_first in ((vig.bfs, False), (vig.dfs, True)):
+            args = (pushes, vig.triangles, vig.nodes, cooldown, flags, budget, start,
+                    depth_first)
+            assert (_compiled_outcome("walk", flags, *args)
+                    == _outcome(_kernels_py.walk, *args)), (budget, depth_first)
 
 
 def _freeze_case(num_vars, clauses, selected, values, lacking=None):
@@ -263,18 +332,97 @@ def _freeze_cases(draw):
                       {301: False, 302: True, 303: False}))
 @example(_freeze_case(303, [(301, -302, 303), (-301, -301, 302)], {301},
                       {301: False, 302: True, 303: False}, lacking=302))
+@example(_freeze_case(4, [(1, 2)], {1, 4}, {1: True, 2: False}))  # 4: in no clause
+@example(_freeze_case(3, [(1, 2)], {1, 5, -2}, {1: True, 2: False}))  # 5, -2: no nodes
+@example(_freeze_case(3, [(1, 2)], {1, 2.0}, {1: True, 2: False}))  # not an integer
 @settings(max_examples=200, deadline=None)
 def test_compiled_freeze_matches_the_pure_freeze(case):
     cnf, selected, state = case
-    args = (cnf.clauses, state.occurrences, selected, state.assignment, state.true_count)
-    assert _outcome(kernels.freeze, *args) == _outcome(_kernels_py.freeze, *args)
+    vig = state.vig
+    args = (vig.clauses, vig.occurrences, vig.nodes, selected, state.assignment,
+            state.true_count, state.flags)
+    assert (_compiled_outcome("freeze", state.flags, *args)
+            == _outcome(_kernels_py.freeze, *args))
+
+
+@needs_compiled
+def test_compiled_kernels_need_a_flag_byte_per_node():
+    cnf = make_cnf(3, [(1, 2), (2, 3)])
+    state = _gs(cnf, {})
+    vig, outcome = state.vig, (ValueError, "the flag array must hold one byte per node")
+    for flags in (bytearray(2), bytearray(4)):
+        walk_args = (vig.bfs, vig.triangles, vig.nodes, {}, flags, 3, 1, False)
+        freeze_args = (vig.clauses, vig.occurrences, vig.nodes, {1}, state.assignment,
+                       state.true_count, flags)
+        for fn, args in (("walk", walk_args), ("freeze", freeze_args)):
+            assert (_compiled_outcome(fn, flags, *args)
+                    == _outcome(getattr(_kernels_py, fn), *args) == outcome)
 
 
 @needs_compiled
 def test_compiled_freeze_needs_ascending_occurrence_lists():
-    # it merges the lists where the oracle sorts; build_vig makes them ascending
-    with pytest.raises(ValueError, match="not ascending"):
-        kernels.freeze(((1,), (1, 2)), {1: (1, 0)}, {1}, {1: True, 2: False}, [1, 1])
+    # it merges the rows where the oracle sorts; build_vig makes them ascending
+    clauses = array("i", [3, 4, 6, 0, 0, 2])  # (1,), (1, 2) over nodes [1, 2]
+    occurrences = array("i", [3, 5, 6, 1, 0, 1])  # node 1's row is (1, 0)
+    flags = bytearray(2)
+    args = (clauses, occurrences, [1, 2], {1}, {1: True, 2: False}, [1, 1], flags)
+    outcome = (ValueError, "an occurrence list is not ascending")
+    assert _compiled_outcome("freeze", flags, *args) == outcome
+
+
+@needs_compiled
+def test_compiled_kernels_check_every_row_they_read():
+    """A table row or an item outside what it indexes is an IndexError from
+    the compiled kernels, which leaves the flags clear (the oracle reads the
+    tables as ``build_vig`` makes them, in range)."""
+    nodes, flags, values = [1, 2], bytearray(2), {1: True, 2: False}
+    good = array("i", [3, 4, 5, 1, 0])  # ranks: 0 -- 1
+    clauses = array("i", [2, 4, 0, 3])  # (1, -2)
+    occurrences = array("i", [3, 4, 5, 0, 0])
+    bad_rows = array("i", [3, 4, 9, 1, 0])  # row 1 ends past the table
+    bad_items = array("i", [3, 4, 5, 2, 0])  # rank 2 of 2 nodes
+    cases = [("walk", (table, good, nodes, {}, flags, 5, 1, False))
+             for table in (bad_rows, bad_items)]
+    cases += [("walk", (good, bad_items, nodes, {}, flags, 5, 2, False))]
+    cases += [("freeze", (array("i", [2, 4, 0, 9]), occurrences, nodes, {1}, values,
+                          [1], flags)),  # literal 9 of 2 nodes
+              ("freeze", (clauses, array("i", [3, 4, 5, 1, 0]), nodes, {1}, values,
+                          [1], flags)),  # clause 1 of 1
+              ("freeze", (clauses, occurrences, nodes, {1}, values, [], flags))]
+    for fn, args in cases:
+        outcome = _compiled_outcome(fn, flags, *args)
+        assert outcome[0] is IndexError, (fn, outcome)
+
+
+def _ring(n):
+    """3-clauses over each run of three variables, around a ring of ``n``."""
+    return make_cnf(n, [(v, -(v % n + 1), (v + 1) % n + 1) for v in range(1, n + 1)])
+
+
+@needs_compiled
+def test_compiled_walk_and_freeze_allocate_by_the_slice_not_the_formula():
+    """A walk and a freeze of the same slice allocate alike on a formula of
+    10**2 and one of 10**5 variables: nothing is sized by the formula."""
+    peaks = []
+    for n in (10**2, 10**5):
+        cnf = _ring(n)
+        vig = build_vig(cnf)
+        state = _gs(cnf, {v: v % 3 == 0 for v in range(1, n + 1)})
+        filt = FilterState(cooldown={50: 3})
+        tracemalloc.start()
+        try:
+            for _ in range(2):  # the second pass finds every cache warm
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                selected = select_bfs(vig, 30, 40, filt, state.flags)
+                kept, _ = kernels.freeze(vig.clauses, vig.occurrences, vig.nodes, selected,
+                                         state.assignment, state.true_count, state.flags)
+                peak = tracemalloc.get_traced_memory()[1] - base
+                del selected, kept
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] <= peaks[0], peaks
 
 
 def test_filter_cooldown_expires():
@@ -295,7 +443,7 @@ def test_filter_cooldown_expires():
 def test_freeze_worked_example():
     # (a v b)(a v ~b)(~a v b)(a v ~b v c) with a frozen false
     cnf = make_cnf(3, [(1, 2), (1, -2), (-1, 2), (1, -2, 3)])
-    sub = freeze_and_extract(cnf, {2, 3}, _gs(cnf, {1: False}))
+    sub = freeze_and_extract({2, 3}, _gs(cnf, {1: False}))
     assert sub.qubo == cnf_to_qubo([(2,), (-2,), (-2, 3)])
     assert sub.spin_cost == 2
 
@@ -303,7 +451,7 @@ def test_freeze_worked_example():
 def test_freeze_conflicting_units_maxsat():
     # the (b)(~b) conflict: minimum energy 1 at either value
     cnf = make_cnf(2, [(1, 2), (1, -2)])
-    sub = freeze_and_extract(cnf, {2}, _gs(cnf, {1: False}))
+    sub = freeze_and_extract({2}, _gs(cnf, {1: False}))
     q = sub.qubo
     energies = {x: q.energy({0: x}) for x in (0, 1)}
     assert energies == {0: 1.0, 1: 1.0}
@@ -311,7 +459,7 @@ def test_freeze_conflicting_units_maxsat():
 
 def test_freeze_emptied_clause_is_offset():
     cnf = make_cnf(2, [(1,), (2,)])
-    sub = freeze_and_extract(cnf, {2}, _gs(cnf, {1: False}))
+    sub = freeze_and_extract({2}, _gs(cnf, {1: False}))
     assert sub.qubo == cnf_to_qubo([(), (2,)])
     assert sub.qubo.offset >= 1.0
 
@@ -328,7 +476,7 @@ def test_slices_count_emptied_clauses_instead_of_listing_them(monkeypatch):
 
 def test_freeze_counts_ancillas_in_spin_cost():
     cnf = make_cnf(4, [(1, 2, 3), (1, 2, 4)])
-    sub = freeze_and_extract(cnf, {1, 2, 3}, _gs(cnf, {4: True}))
+    sub = freeze_and_extract({1, 2, 3}, _gs(cnf, {4: True}))
     # clause (1,2,4) satisfied by the frozen true 4; one 3-wide clause kept
     assert sub.qubo == cnf_to_qubo([(1, 2, 3)])
     assert sub.spin_cost == 4
@@ -337,12 +485,12 @@ def test_freeze_counts_ancillas_in_spin_cost():
 def test_freeze_rejects_empty_selection():
     cnf = make_cnf(1, [(1,)])
     with pytest.raises(ValueError):
-        freeze_and_extract(cnf, set(), _gs(cnf, {}))
+        freeze_and_extract(set(), _gs(cnf, {}))
 
 
 def test_freeze_default_false_for_unassigned():
     cnf = make_cnf(2, [(2, 1)])
-    sub = freeze_and_extract(cnf, {2}, _gs(cnf, {}))
+    sub = freeze_and_extract({2}, _gs(cnf, {}))
     assert sub.qubo == cnf_to_qubo([(2,)])
 
 
@@ -431,7 +579,7 @@ def test_incremental_counts_match_full_rescan(walk):
     _assert_pool_matches_rescan(cnf, state)
     for selected, bits in steps:
         before = dict(state.assignment)
-        sub = freeze_and_extract(cnf, selected, state)
+        sub = freeze_and_extract(selected, state)
         assert (sub.qubo, sub.spin_cost) == _naive_freeze(cnf, selected, before)
         proposal = {v: bits[v - 1] for v in selected}
         accepted = update_global(state, proposal, cnf)
@@ -492,13 +640,13 @@ def test_spin_cost_counts_repeated_variable_3_clauses():
         cnf = make_cnf(8, list(base.clauses) + extra)
         vig = build_vig(cnf)
         state = GlobalState.start(cnf, {v: rng.random() < 0.5 for v in range(1, 9)},
-                                  vig.occurrences)
+                                  vig)
         for budget in (2, 3, 5, 8):
             for start in vig.nodes:
                 for select in (select_bfs, select_dfs):
-                    selected = select(vig, budget, start, FilterState())
+                    selected = select(vig, budget, start, FilterState(), state.flags)
                     if selected:
-                        sub = freeze_and_extract(cnf, selected, state)
+                        sub = freeze_and_extract(selected, state)
                         assert sub.spin_cost <= budget
                         assert sub.qubo.num_vars <= budget
         # iterate raises when a slice's spin cost overshoots the budget
@@ -527,7 +675,7 @@ def test_iterate_solves_small_random_instances():
             continue
         run = iterate(cnf, (), cnf, **ONE_READ, budget=14, cap=400,
                       seed=i, collect_trace=False)
-        assert run.solved and evaluate(cnf, run.assignment), i
+        assert run.solved, i  # iterate checks the model against cnf
         solved += 1
     assert solved >= 4
 
@@ -545,7 +693,20 @@ def test_iterate_returns_run_metadata():
         assert run.best_satisfied == cnf.num_clauses
 
 
-def test_iterate_deterministic():
+def _lifted_models(monkeypatch):
+    """The models ``iterate`` lifts and checks against its input, in order."""
+    models = []
+
+    def check(cnf, full):
+        models.append(full)
+        return evaluate(cnf, full)
+
+    monkeypatch.setattr(decompose, "evaluate", check)
+    return models
+
+
+def test_iterate_deterministic(monkeypatch):
+    models = _lifted_models(monkeypatch)
     cnf = random_3sat(12, 34, random.Random(8))
     a = iterate(cnf, (), cnf, **ONE_READ, budget=12, cap=150, seed=9,
                 collect_trace=False)
@@ -553,7 +714,7 @@ def test_iterate_deterministic():
                 collect_trace=False)
     assert (a.solved, a.iterations_used, a.solver_calls, a.best_satisfied) == \
         (b.solved, b.iterations_used, b.solver_calls, b.best_satisfied)
-    assert a.assignment == b.assignment
+    assert len(models) == 2 * a.solved and models[:1] == models[1:]
 
 
 def test_iterate_bfs_strategy_and_unknown_strategy():
@@ -571,7 +732,7 @@ def test_iterate_empty_residual_needs_no_solver():
     res = run_ladder(cnf, 7, seed=1)
     run = iterate(res.cnf, res.condition, cnf, **ONE_READ, budget=45, cap=100,
                   seed=0, collect_trace=False)
-    assert run.solved and evaluate(cnf, run.assignment)
+    assert run.solved  # iterate checks the lifted model against cnf
     assert run.solver_calls == 0 and run.iterations_used == 0
 
 
@@ -630,13 +791,30 @@ def test_iterate_trace_capture():
         assert len(run.trace[0]) == 3
 
 
-def test_factor_recovery_through_full_pipeline():
+def test_iterate_raises_when_the_lifted_model_falsifies_the_input():
+    # the residual (2,) solves, but the record fixing 1 False lifts it to a
+    # model that falsifies the unit clause (1,) of the input
+    original = make_cnf(2, [(1,), (2,)])
+    residual = make_cnf(2, [(2,)])
+    for value in (True, False):
+        condition = (ConditionRecord("fix", 1, value=value),)
+        args = (residual, condition, original)
+        settings = dict(ONE_READ, budget=45, cap=10, seed=0, collect_trace=False)
+        if value:
+            assert iterate(*args, **settings).solved
+        else:
+            with pytest.raises(RuntimeError, match="failed verification"):
+                iterate(*args, **settings)
+
+
+def test_factor_recovery_through_full_pipeline(monkeypatch):
+    models = _lifted_models(monkeypatch)
     cnf, nl = generate_instance(8, 143)
     res = run_ladder(cnf, 7, seed=4)
     run = iterate(res.cnf, res.condition, cnf, strategy="dfs",
                   backend="emulator", budget=45, cap=1000, seed=4, num_samples=8,
                   collect_trace=False)
-    assert run.solved and evaluate(cnf, run.assignment)
-    a = sum((1 << i) for i, v in enumerate(nl.input_bits_a) if run.assignment[v])
-    b = sum((1 << i) for i, v in enumerate(nl.input_bits_b) if run.assignment[v])
+    assert run.solved and len(models) == 1
+    a = sum((1 << i) for i, v in enumerate(nl.input_bits_a) if models[0][v])
+    b = sum((1 << i) for i, v in enumerate(nl.input_bits_b) if models[0][v])
     assert a * b == 143

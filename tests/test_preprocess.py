@@ -12,7 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from isingsat import preprocess
 from isingsat.cnf import Cnf, brute_force_solutions, evaluate, make_cnf
-from isingsat.circuit import EncodingOption, generate_instance, gate_clauses
+from isingsat.circuit import (IMPLICATION_FORM, ROW_ENCODING, gate_clauses,
+                              generate_instance)
 from isingsat.harness import generate_backbone_instance
 from isingsat.preprocess import (
     _DETECT_ORDER,
@@ -101,7 +102,7 @@ def test_reconstruct_defaults_unconstrained():
 
 
 def _or_gate(a, b, c):
-    return gate_clauses("OR", a, b, c, EncodingOption.OPTION1)
+    return gate_clauses(ROW_ENCODING["OR"], a, b, c)
 
 
 def test_reencode_option2_rewrites_or_group():
@@ -117,7 +118,7 @@ def test_reencode_option2_rewrites_or_group():
 
 
 def test_reencode_option2_leaves_xor_alone():
-    clauses = gate_clauses("XOR", 1, 2, 3, EncodingOption.OPTION1)
+    clauses = gate_clauses(ROW_ENCODING["XOR"], 1, 2, 3)
     st = _state(make_cnf(3, clauses))
     reencode_option2(st)
     assert st.clauses == list(clauses)
@@ -136,7 +137,7 @@ def test_reencode_option2_no_groups_identity():
 
 def test_propagate_1sat_or_gate_backward():
     # implication-form OR gate plus (~c): both inputs forced false
-    clauses = gate_clauses("OR", 1, 2, 3, EncodingOption.OPTION2) + [(-3,)]
+    clauses = gate_clauses(IMPLICATION_FORM["OR"], 1, 2, 3) + [(-3,)]
     st = _state(make_cnf(3, clauses))
     propagate_1sat(st)
     assert fixed(st.condition) == {3: False, 1: False, 2: False}
@@ -407,7 +408,7 @@ def test_branch_probe_wrong_guess_closes_branch():
 # the guard every pass shares
 
 # every pass changes the clauses or the condition list of this state
-_BUSY = (gate_clauses("OR", 1, 2, 3, EncodingOption.OPTION1)
+_BUSY = (gate_clauses(ROW_ENCODING["OR"], 1, 2, 3)
          + [(3,), (4, 5), (-4, -5), (4, 4, 6), (4, 6), (1, 7), (1, -7, 8),
             (1, 8, 9), (1, -9, 2)])
 
@@ -679,8 +680,8 @@ def _naive_detect_gate_groups(clauses):
                 for cand in _DETECT_ORDER:
                     expected = {
                         frozenset(c)
-                        for c in gate_clauses(cand, ins[0], ins[1], out_var,
-                                              EncodingOption.OPTION1)
+                        for c in gate_clauses(ROW_ENCODING[cand], ins[0], ins[1],
+                                              out_var)
                     }
                     if distinct == expected:
                         kind, output = cand, out_var
@@ -731,7 +732,7 @@ def _messy_cnfs(draw):
     if n >= 3:
         for kind in draw(st.lists(st.sampled_from(_DETECT_ORDER), max_size=3)):
             a, b, c = draw(st.permutations(range(1, n + 1)))[:3]
-            for row in gate_clauses(kind, a, b, c, EncodingOption.OPTION1):
+            for row in gate_clauses(ROW_ENCODING[kind], a, b, c):
                 row = tuple(draw(st.permutations(row)))
                 clauses.insert(draw(st.integers(0, len(clauses))), row)
     return make_cnf(n, clauses)
@@ -772,14 +773,14 @@ def test_indexed_passes_match_naive_oracles(cnf, seed):
 def test_gate_table_recognizes_every_kind_output_and_order():
     for kind in _DETECT_ORDER:
         for a, b, c in itertools.permutations((3, 7, 12)):
-            rows = gate_clauses(kind, a, b, c, EncodingOption.OPTION1)
+            rows = gate_clauses(ROW_ENCODING[kind], a, b, c)
             (group,) = detect_gate_groups(rows[::-1])
             assert group.variables == (3, 7, 12) and group.kind == kind
             if kind in ("XOR", "XNOR"):
                 # parity gates read the same from every output: lowest wins
                 assert group.output == 3
                 ins = [v for v in (3, 7, 12) if v != 3]
-                same = gate_clauses(kind, *ins, 3, EncodingOption.OPTION1)
+                same = gate_clauses(ROW_ENCODING[kind], *ins, 3)
                 assert set(map(frozenset, same)) == set(map(frozenset, rows))
             else:
                 assert group.output == c

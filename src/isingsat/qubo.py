@@ -10,6 +10,13 @@ coefficients are a constant table keyed by clause width and sign pattern
 (14 entries); building a QUBO only looks them up.  Both models keep their
 pair terms in maps keyed ``(i, k)``, ``i < k``, so no step costs n².
 
+The table and both builds, :func:`cnf_to_qubo` and :func:`qubo_to_ising`,
+run in :mod:`.solver.kernels`: compiled, or as the pure-Python oracle
+``_kernels_py``, with identical fields and key order.  Every QUBO
+coefficient is a small integer, which the Ising step only halves and
+quarters, so neither build rounds; :func:`scale_to_chip`, which does, stays
+here.
+
 The width-3 gadget coefficients were frozen from an exhaustive 16-row
 enumeration (min over the ancilla: 0 on the seven satisfying rows, exactly 1
 on the falsifying row):
@@ -24,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Mapping, Sequence
 
 from .cnf import Clause
@@ -87,39 +93,6 @@ class DistortionReport:
     max_rel_error: float
 
 
-# The penalties 1 - a, (1 - a)(1 - b) and P(a, b, c, w), with a -> 1 - x for
-# each negative literal, expanded once.  Keyed by the literal signs (True =
-# positive, so the width is the key's length), each entry holds the offset, a
-# linear coefficient per slot and a quadratic coefficient per pair of
-# _PAIRS.  Slots 0..width-1 are the literals' variables in clause order, slot
-# 3 the width-3 ancilla.
-_PAIRS = {1: (), 2: ((0, 1),), 3: ((0, 1), (0, 3), (1, 3), (2, 3))}
-_GADGETS = {
-    (True,): (1, (-1,), ()),
-    (False,): (0, (1,), ()),
-    (True, True): (1, (-1, -1), (1,)),
-    (True, False): (0, (0, 1), (-1,)),
-    (False, True): (0, (1, 0), (-1,)),
-    (False, False): (0, (0, 0), (1,)),
-    (True, True, True): (1, (1, 1, -1, 0), (1, -2, -2, 1)),
-    (True, True, False): (0, (1, 1, 1, 1), (1, -2, -2, -1)),
-    (True, False, True): (2, (2, -1, -1, -2), (-1, -2, 2, 1)),
-    (True, False, False): (1, (2, -1, 1, -1), (-1, -2, 2, -1)),
-    (False, True, True): (2, (-1, 2, -1, -2), (-1, 2, -2, 1)),
-    (False, True, False): (1, (-1, 2, 1, -1), (-1, 2, -2, -1)),
-    (False, False, True): (4, (-2, -2, -1, -4), (1, 2, 2, 1)),
-    (False, False, False): (3, (-2, -2, 1, -3), (1, 2, 2, -1)),
-}
-
-
-# _GADGETS with the zero terms dropped, keyed the same way: the offset, then
-# (slot, coefficient) per linear term and (slot, slot, coefficient) per pair.
-_TERMS = {signs: (constant,
-                  tuple((slot, c) for slot, c in enumerate(lin) if c),
-                  tuple((s, t, c) for (s, t), c in zip(_PAIRS[len(signs)], quad) if c))
-          for signs, (constant, lin, quad) in _GADGETS.items()}
-
-
 def cnf_to_qubo(clauses: Sequence[Clause]) -> QuboModel:
     """Sum of clause gadgets over the variables the clauses hold.
 
@@ -127,72 +100,15 @@ def cnf_to_qubo(clauses: Sequence[Clause]) -> QuboModel:
     then one ancilla per width-3 clause in clause order.  Minimum energy is
     0 iff the clauses can all hold; every unsatisfiable clause at the
     optimum adds 1, and empty clauses add their +1 directly to the offset.
+    A literal that is not an int is a TypeError, a literal 0 or a clause
+    wider than 3 a ValueError.
     """
-    occurring = sorted(set(map(abs, chain.from_iterable(clauses))))
-    slot_of: dict[int, int] = {}  # either literal of a variable -> its index
-    for i, v in enumerate(occurring):
-        slot_of[v] = slot_of[-v] = i
-    linear: dict[int, float] = {}
-    quadratic: dict[Pair, float] = {}
-    lin_get, quad_get = linear.get, quadratic.get
-    offset = 0  # a sum of small integers, exact as an int
-    next_ancilla = len(occurring)
-    for clause in clauses:
-        width = len(clause)
-        if width == 3:
-            a, b, c = clause
-            constant, lin, quad = _TERMS[a > 0, b > 0, c > 0]
-            slots = slot_of[a], slot_of[b], slot_of[c], next_ancilla
-            next_ancilla += 1
-        elif width == 2:
-            a, b = clause
-            constant, lin, quad = _TERMS[a > 0, b > 0]
-            slots = slot_of[a], slot_of[b]
-        elif width == 1:  # the 1-literal rows of _GADGETS: 1 - x, or x if negated
-            a, = clause
-            i = slot_of[a]
-            if a > 0:
-                offset += 1
-                linear[i] = lin_get(i, 0.0) - 1
-            else:
-                linear[i] = lin_get(i, 0.0) + 1
-            continue
-        elif width == 0:
-            offset += 1
-            continue
-        else:
-            raise ValueError(f"clause width {max(map(len, clauses))} exceeds 3; "
-                             "reduce the formula first")
-        offset += constant
-        for s, coeff in lin:
-            i = slots[s]
-            linear[i] = lin_get(i, 0.0) + coeff
-        for s, t, coeff in quad:
-            i, j = slots[s], slots[t]
-            if i == j:  # a repeated variable folds in as x*x = x
-                linear[i] = lin_get(i, 0.0) + coeff
-            else:
-                key = (i, j) if i < j else (j, i)
-                quadratic[key] = quad_get(key, 0.0) + coeff
-    return QuboModel(num_vars=next_ancilla,  # occurring variables + ancillas
-                     linear=linear, quadratic=quadratic, offset=float(offset),
-                     source_var_map=dict(enumerate(occurring)))
+    return QuboModel(*kernels.qubo(clauses))
 
 
 def qubo_to_ising(q: QuboModel) -> IsingModel:
     """Exact change of variables x_i = (1 + s_i)/2; energies match assignment-wise."""
-    j: dict[Pair, float] = {}
-    h = [0.0] * q.num_vars
-    offset = q.offset
-    for i, a in q.linear.items():
-        h[i] += a / 2.0
-        offset += a / 2.0
-    for (i, k), b in q.quadratic.items():
-        j[i, k] = quarter = b / 4.0
-        h[i] += quarter
-        h[k] += quarter
-        offset += quarter
-    return IsingModel(q.num_vars, j, h, offset)
+    return IsingModel(*kernels.ising(q.num_vars, q.linear, q.quadratic, q.offset))
 
 
 def chip_misfit(v: float) -> str | None:
@@ -235,3 +151,8 @@ def scale_to_chip(m: IsingModel) -> tuple[IsingModel, DistortionReport]:
     scaled = IsingModel(m.num_spins, {pair: fit[v] for pair, v in m.j.items()},
                         list(map(fit.__getitem__, m.h)), m.offset * scale)
     return scaled, DistortionReport(max_rel_error=max_rel)
+
+
+# Last: the solver package imports this module's chip constants and models,
+# so importing it at the top would fail when this module is imported first.
+from .solver import kernels  # noqa: E402

@@ -31,7 +31,10 @@ the C kernel's Metropolis test calls ``exp`` only where two cheap bounds
 cannot decide it, and its tabu stops at a repeated state, where the oracle
 runs out the budget.  ``kernels.COMPILED_KERNELS`` says which one runs.
 The same module holds the decomposition's slice walk and freeze, which
-``isingsat.decompose`` imports from it.
+``isingsat.decompose`` imports from it, and the slice's QUBO and Ising
+build, which ``isingsat.qubo`` calls; this package imports ``qubo``'s chip
+constants and models, and ``qubo`` imports ``kernels`` last, so either may
+be imported first.
 """
 from __future__ import annotations
 

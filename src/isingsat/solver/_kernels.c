@@ -1,10 +1,14 @@
-/* Compiled kernels: the solver's Metropolis annealing and tabu descent, and
- * the decomposition's slice walk and freeze (walk and freeze, at the end,
- * which do integer work only and have their own comment).  The walk and the
- * freeze read build_vig's flat int tables, whose rows are numbered by node
- * rank, and keep their per-rank marks in the caller's flag array, which they
- * clear before they return, on error too, so no call does work or allocates
- * memory in proportion to the formula.
+/* Compiled kernels: the solver's Metropolis annealing and tabu descent, the
+ * decomposition's slice walk and freeze, and the slice's model build, qubo
+ * and ising (walk and freeze, then qubo and ising, at the end, each pair
+ * with its own comment).  The walk and the freeze read build_vig's flat int
+ * tables, whose rows are numbered by node rank, and keep their per-rank
+ * marks in the caller's flag array, which they clear before they return, on
+ * error too, so no call does work or allocates memory in proportion to the
+ * formula.  The model build is exact: its coefficients are small integers
+ * from the 14-row gadget table, which ising only halves and quarters, so it
+ * rounds nothing and gives the oracle's floats bit for bit; chip scaling,
+ * which rounds, stays in Python.
  *
  * The solver kernels give results bit-identical to the pure-Python oracle
  * _kernels_py: the same splitmix64 seeding and xorshift64* stream, the same
@@ -902,6 +906,470 @@ done:
     return out;
 }
 
+/* ------------------------------------------------------------------ */
+/* The slice's model build, results equal to _kernels_py's qubo and ising,
+ * dict entries made in the oracle's first-insertion order.  Both are exact,
+ * so they round nothing the oracle does not: every QUBO coefficient is a
+ * sum of the small integers in GADGETS, which a double holds exactly, and
+ * ising divides each coefficient by 2 or 4 and adds the quotients into h and
+ * the offset in the oracle's order, so it is bit-identical to the oracle on
+ * any model, non-dyadic floats included (nothing is fused under
+ * -ffp-contract=off).  The scratch is sized by the clause list: a record
+ * per literal, a slot per variable and ancilla, and at most 4 pair terms per
+ * clause in a hash table, never by the variable numbers or by
+ * (variables + ancillas)^2. */
+
+/* _kernels_py._GADGETS in its order: row [width][pattern], where bit
+ * width - 1 - k of pattern is set when literal k is negative.  A row holds
+ * the offset, a linear coefficient per slot (slots 0 .. width - 1 are the
+ * literals' variables, slot 3 the width-3 ancilla) and one per pair of
+ * PAIRS[width]. */
+typedef struct {
+    int constant;
+    signed char lin[4], quad[4];
+} Gadget;
+
+static const Gadget GADGETS[4][8] = {
+    [1] = {{1, {-1}, {0}}, {0, {1}, {0}}},
+    [2] = {{1, {-1, -1}, {1}}, {0, {0, 1}, {-1}}, {0, {1, 0}, {-1}}, {0, {0, 0}, {1}}},
+    [3] = {{1, {1, 1, -1, 0}, {1, -2, -2, 1}},
+           {0, {1, 1, 1, 1}, {1, -2, -2, -1}},
+           {2, {2, -1, -1, -2}, {-1, -2, 2, 1}},
+           {1, {2, -1, 1, -1}, {-1, -2, 2, -1}},
+           {2, {-1, 2, -1, -2}, {-1, 2, -2, 1}},
+           {1, {-1, 2, 1, -1}, {-1, 2, -2, -1}},
+           {4, {-2, -2, -1, -4}, {1, 2, 2, 1}},
+           {3, {-2, -2, 1, -3}, {1, 2, 2, -1}}},
+};
+static const signed char PAIRS[4][4][2] = {[2] = {{0, 1}},
+                                           [3] = {{0, 1}, {0, 3}, {1, 3}, {2, 3}}};
+static const int NSLOTS[4] = {0, 1, 2, 4}, NPAIRS[4] = {0, 0, 1, 4};
+
+/* A literal: its variable, |literal|, in v when that fits a long long,
+ * else in big, an exact int; its sign; and id, the variable's number, which
+ * becomes its slot. */
+typedef struct {
+    long long v;
+    PyObject *big;
+    Py_ssize_t id;
+    int neg;
+} Var;
+
+/* Orders Vars by variable; a big one exceeds every other, and comparing two
+ * exact ints runs no Python code and cannot fail. */
+static int var_order(const void *pa, const void *pb)
+{
+    const Var *a = pa, *b = pb;
+    if (a->big == NULL && b->big == NULL)
+        return (a->v > b->v) - (a->v < b->v);
+    if (a->big == NULL || b->big == NULL)
+        return a->big == NULL ? -1 : 1;
+    return PyObject_RichCompareBool(a->big, b->big, Py_GT) -
+           PyObject_RichCompareBool(a->big, b->big, Py_LT);
+}
+
+/* The first probe of x in an open-addressing table of mask + 1 entries. */
+static size_t probe(uint64_t x, size_t mask)
+{
+    return (size_t)((x * 0xBF58476D1CE4E5B9ULL) >> 32) & mask;
+}
+
+/* The smallest power of two of at least 2 * count and 8: the entries of a
+ * table for count keys. */
+static size_t table_size(Py_ssize_t count)
+{
+    size_t size = 8;
+    while (size < 2 * (size_t)count)
+        size *= 2;
+    return size;
+}
+
+/* The model being built: a linear term per slot, listed in `order` when
+ * first touched, and the pair terms in first-touch order, found by an
+ * open-addressing table of pair index + 1 (0 empty). */
+typedef struct {
+    double *lin;
+    unsigned char *seen;
+    Py_ssize_t *order, nlin;
+    struct Term {
+        Py_ssize_t i, j;
+        double b;
+    } *pairs;
+    Py_ssize_t npairs, *table;
+    size_t mask;
+} Build;
+
+static void add_linear(Build *m, Py_ssize_t i, int c)
+{
+    if (!m->seen[i]) {
+        m->seen[i] = 1;
+        m->order[m->nlin++] = i;
+        m->lin[i] = 0.0;
+    }
+    m->lin[i] += c;
+}
+
+/* Adds c to the pair term (i, j), i < j. */
+static void add_pair(Build *m, Py_ssize_t i, Py_ssize_t j, int c)
+{
+    uint64_t x = ((uint64_t)i * 0x9E3779B97F4A7C15ULL) ^ (uint64_t)j;
+    for (size_t at = probe(x, m->mask);; at = (at + 1) & m->mask) {
+        Py_ssize_t k = m->table[at] - 1;
+        if (k < 0) {
+            k = m->npairs++;
+            m->table[at] = k + 1;
+            m->pairs[k] = (struct Term){i, j, 0.0};
+        } else if (m->pairs[k].i != i || m->pairs[k].j != j) {
+            continue;
+        }
+        m->pairs[k].b += c;
+        return;
+    }
+}
+
+/* Reads the literals of `clauses` into vars, *count of them in clause
+ * order, and each clause's width; -1 with an exception set, *count then
+ * being the Vars read, whose bigs the caller releases. */
+static int read_literals(PyObject *clauses, Var **vars, Py_ssize_t *widths, Py_ssize_t *count)
+{
+    Py_ssize_t m = PyTuple_GET_SIZE(clauses), size = 0, widest = 0;
+    for (Py_ssize_t c = 0; c < m; c++) {
+        PyObject *clause = PySequence_Tuple(PyTuple_GET_ITEM(clauses, c));
+        if (clause == NULL)
+            return -1;
+        Py_ssize_t width = widths[c] = PyTuple_GET_SIZE(clause);
+        widest = Py_MAX(widest, width);
+        if (*count + width > size) {
+            size = Py_MAX(2 * (*count + width), 3 * m + 1);
+            Var *more = PyMem_Realloc(*vars, (size_t)size * sizeof *more);
+            if (more == NULL) {
+                Py_DECREF(clause);
+                PyErr_NoMemory();
+                return -1;
+            }
+            *vars = more;
+        }
+        for (Py_ssize_t k = 0; k < width; k++) {
+            PyObject *lit = PyTuple_GET_ITEM(clause, k);
+            int over = 0;
+            long long v = PyLong_Check(lit) ? PyLong_AsLongLongAndOverflow(lit, &over) : 0;
+            Var *var = *vars + *count;
+            *var = (Var){v < 0 ? -(unsigned long long)v : (unsigned long long)v, NULL, 0,
+                         over ? over < 0 : v < 0};
+            if (!PyLong_Check(lit))
+                PyErr_Format(PyExc_TypeError, "literal %R is not an int", lit);
+            else if (v == 0 && !over)
+                PyErr_SetString(PyExc_ValueError, "literal 0 is not allowed inside a clause");
+            else if (over || v == LLONG_MIN) {  /* |lit| does not fit a long long */
+                PyObject *exact = PyNumber_Index(lit);
+                var->big = exact ? PyNumber_Absolute(exact) : NULL;
+                Py_XDECREF(exact);
+            }
+            if (PyErr_Occurred()) {
+                Py_DECREF(clause);
+                return -1;
+            }
+            ++*count;
+        }
+        Py_DECREF(clause);
+    }
+    if (widest <= 3)
+        return 0;
+    PyErr_Format(PyExc_ValueError, "clause width %zd exceeds 3; reduce the formula first", widest);
+    return -1;
+}
+
+/* Numbers the variables of the n literals `vars` by rank, as the oracle's
+ * sorted `occurring` does: each literal's id becomes its slot, and
+ * occurring[0 .. return - 1] new references to the variables, ascending.
+ * The distinct variables are found by a hash table, so only they are
+ * sorted.  -1 with an exception set. */
+static Py_ssize_t number_variables(Var *vars, Py_ssize_t n, PyObject **occurring)
+{
+    size_t mask = table_size(n) - 1;
+    Py_ssize_t *table = PyMem_Calloc(mask + 1, sizeof *table), ndist = 0, nout = 0;
+    Var *dist = PyMem_New(Var, n + 1);
+    Py_ssize_t *rank = PyMem_New(Py_ssize_t, n + 1);
+    if (table == NULL || dist == NULL || rank == NULL) {
+        PyErr_NoMemory();
+        nout = -1;
+        goto done;
+    }
+    for (Py_ssize_t k = 0; k < n; k++) {
+        Var *var = vars + k;
+        /* an exact int's hash cannot fail */
+        uint64_t x = var->big ? (uint64_t)PyObject_Hash(var->big) ^ 1 : (uint64_t)var->v << 1;
+        size_t at = probe(x, mask);
+        while (table[at] && var_order(dist + table[at] - 1, var) != 0)
+            at = (at + 1) & mask;
+        if (!table[at]) {
+            dist[ndist] = *var;
+            dist[ndist].id = ndist;
+            table[at] = ++ndist;
+        }
+        var->id = table[at] - 1;
+    }
+    qsort(dist, ndist, sizeof *dist, var_order);
+    for (; nout < ndist; nout++) {
+        Var *var = dist + nout;
+        rank[var->id] = nout;
+        occurring[nout] = var->big ? Py_NewRef(var->big) : PyLong_FromLongLong(var->v);
+        if (occurring[nout] == NULL) {
+            while (nout > 0)
+                Py_DECREF(occurring[--nout]);
+            nout = -1;
+            goto done;
+        }
+    }
+    for (Py_ssize_t k = 0; k < n; k++)
+        vars[k].id = rank[vars[k].id];
+done:
+    PyMem_Free(table);
+    PyMem_Free(dist);
+    PyMem_Free(rank);
+    return nout;
+}
+
+/* A new dict of the linear terms in first-touch order; NULL on error. */
+static PyObject *linear_dict(const Build *m)
+{
+    PyObject *out = PyDict_New();
+    for (Py_ssize_t k = 0; out != NULL && k < m->nlin; k++) {
+        Py_ssize_t i = m->order[k];
+        PyObject *key = PyLong_FromSsize_t(i), *value = PyFloat_FromDouble(m->lin[i]);
+        if (key == NULL || value == NULL || PyDict_SetItem(out, key, value) < 0)
+            Py_CLEAR(out);
+        Py_XDECREF(key);
+        Py_XDECREF(value);
+    }
+    return out;
+}
+
+/* A new dict of the pair terms, keyed (i, j), in first-touch order; NULL on
+ * error. */
+static PyObject *pair_dict(const Build *m)
+{
+    PyObject *out = PyDict_New();
+    for (Py_ssize_t k = 0; out != NULL && k < m->npairs; k++) {
+        PyObject *key = PyTuple_New(2), *value = PyFloat_FromDouble(m->pairs[k].b);
+        if (key != NULL) {
+            PyTuple_SET_ITEM(key, 0, PyLong_FromSsize_t(m->pairs[k].i));
+            PyTuple_SET_ITEM(key, 1, PyLong_FromSsize_t(m->pairs[k].j));
+        }
+        if (key == NULL || !PyTuple_GET_ITEM(key, 0) || !PyTuple_GET_ITEM(key, 1) ||
+            value == NULL || PyDict_SetItem(out, key, value) < 0)
+            Py_CLEAR(out);
+        Py_XDECREF(key);
+        Py_XDECREF(value);
+    }
+    return out;
+}
+
+/* qubo(clauses): the oracle's qubo.  Every literal is read and checked
+ * first, in clause order; then the variables are numbered, and each clause
+ * adds its GADGETS row. */
+static PyObject *qubo(PyObject *self, PyObject *arg)
+{
+    PyObject *clauses = PySequence_Tuple(arg);  /* Python code cannot resize it */
+    if (clauses == NULL)
+        return NULL;
+    Py_ssize_t m = PyTuple_GET_SIZE(clauses), nlits = 0, nvars = 0, nanc = 0, npairs = 0;
+    Var *vars = NULL;
+    Py_ssize_t *widths = PyMem_New(Py_ssize_t, m + 1);
+    PyObject **occurring = NULL, *linear = NULL, *quadratic = NULL, *source = NULL, *out = NULL;
+    Build b = {0};
+    if (widths == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (read_literals(clauses, &vars, widths, &nlits) < 0)
+        goto done;
+    for (Py_ssize_t c = 0; c < m; c++) {
+        nanc += widths[c] == 3;
+        npairs += NPAIRS[widths[c]];
+    }
+    if ((occurring = PyMem_New(PyObject *, nlits + 1)) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if ((nvars = number_variables(vars, nlits, occurring)) < 0) {
+        nvars = 0;
+        goto done;
+    }
+    Py_ssize_t num_vars = nvars + nanc, next_ancilla = nvars, at = 0;
+    long long offset = 0;
+    size_t cap = table_size(npairs);
+    b.lin = PyMem_New(double, num_vars + 1);
+    b.seen = PyMem_Calloc(num_vars + 1, 1);
+    b.order = PyMem_New(Py_ssize_t, num_vars + 1);
+    b.pairs = PyMem_New(struct Term, npairs + 1);
+    b.table = PyMem_Calloc(cap, sizeof *b.table);
+    b.mask = cap - 1;
+    if (!b.lin || !b.seen || !b.order || !b.pairs || !b.table) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t c = 0; c < m; c++) {
+        Py_ssize_t width = widths[c], s[4];
+        int pattern = 0;
+        if (width == 0) {
+            offset += 1;
+            continue;
+        }
+        for (Py_ssize_t k = 0; k < width; k++, at++) {
+            pattern = pattern << 1 | vars[at].neg;
+            s[k] = vars[at].id;
+        }
+        if (width == 3)
+            s[3] = next_ancilla++;
+        const Gadget *g = &GADGETS[width][pattern];
+        offset += g->constant;
+        for (int k = 0; k < NSLOTS[width]; k++)
+            if (g->lin[k])
+                add_linear(&b, s[k], g->lin[k]);
+        for (int k = 0; k < NPAIRS[width]; k++) {
+            Py_ssize_t i = s[PAIRS[width][k][0]], j = s[PAIRS[width][k][1]];
+            if (!g->quad[k])
+                continue;
+            if (i == j)  /* a repeated variable folds in as x*x = x */
+                add_linear(&b, i, g->quad[k]);
+            else
+                add_pair(&b, Py_MIN(i, j), Py_MAX(i, j), g->quad[k]);
+        }
+    }
+    if ((linear = linear_dict(&b)) == NULL || (quadratic = pair_dict(&b)) == NULL ||
+        (source = PyDict_New()) == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i < nvars; i++) {
+        PyObject *key = PyLong_FromSsize_t(i);
+        int failed = key == NULL || PyDict_SetItem(source, key, occurring[i]) < 0;
+        Py_XDECREF(key);
+        if (failed)
+            goto done;
+    }
+    out = Py_BuildValue("(nOOdO)", num_vars, linear, quadratic, (double)offset, source);
+done:
+    for (Py_ssize_t k = 0; vars != NULL && k < nlits; k++)
+        Py_XDECREF(vars[k].big);
+    for (Py_ssize_t k = 0; k < nvars; k++)
+        Py_DECREF(occurring[k]);
+    Py_DECREF(clauses);
+    Py_XDECREF(linear);
+    Py_XDECREF(quadratic);
+    Py_XDECREF(source);
+    PyMem_Free(vars);
+    PyMem_Free(widths);
+    PyMem_Free(occurring);
+    PyMem_Free(b.lin);
+    PyMem_Free(b.seen);
+    PyMem_Free(b.order);
+    PyMem_Free(b.pairs);
+    PyMem_Free(b.table);
+    return out;
+}
+
+/* The value of an int or float QUBO coefficient, which runs no Python code;
+ * -1.0 with an exception set. */
+static double coefficient(PyObject *v)
+{
+    if (PyFloat_Check(v))
+        return PyFloat_AS_DOUBLE(v);
+    if (PyLong_Check(v))
+        return PyLong_AsDouble(v);
+    PyErr_Format(PyExc_TypeError, "a QUBO coefficient must be an int or a float, not %.100s",
+                 Py_TYPE(v)->tp_name);
+    return -1.0;
+}
+
+/* The spin the QUBO index `key` names among n; -1 with an exception set
+ * unless it is an int in 0 .. n - 1. */
+static Py_ssize_t spin_of(PyObject *key, Py_ssize_t n)
+{
+    if (!PyLong_Check(key)) {
+        PyErr_SetString(PyExc_TypeError, "a QUBO index must be an int");
+        return -1;
+    }
+    Py_ssize_t i = PyLong_AsSsize_t(key);
+    if (i == -1 && PyErr_Occurred())
+        PyErr_Clear();  /* beyond Py_ssize_t: outside as well */
+    return i >= 0 && i < n ? i : outside("a QUBO index is outside the model");
+}
+
+/* ising(num_vars, linear, quadratic, offset): the oracle's ising, which
+ * raises for an index or a coefficient the oracle would misread.  Reading an
+ * int or a float runs no Python code; hashing a pair key into j may, so the
+ * key is held meanwhile. */
+static PyObject *ising(PyObject *self, PyObject *args)
+{
+    Py_ssize_t n;
+    PyObject *linear, *quadratic, *offset, *key, *value;
+    if (!PyArg_ParseTuple(args, "nO!O!O:ising", &n, &PyDict_Type, &linear, &PyDict_Type,
+                          &quadratic, &offset))
+        return NULL;
+    if (n < 0) {
+        PyErr_SetString(PyExc_ValueError, "num_vars must be non-negative");
+        return NULL;
+    }
+    /* with no term the oracle returns the offset object as it came */
+    int terms = PyDict_GET_SIZE(linear) + PyDict_GET_SIZE(quadratic) > 0;
+    double off = terms ? coefficient(offset) : 0.0;
+    if (off == -1.0 && PyErr_Occurred())
+        return NULL;
+    double *h = PyMem_Calloc((size_t)n + 1, sizeof *h);  /* +0.0 from zero bits */
+    PyObject *j = PyDict_New(), *hs = NULL, *out = NULL;
+    if (h == NULL || j == NULL) {
+        if (h == NULL)
+            PyErr_NoMemory();
+        goto done;
+    }
+    Py_ssize_t pos = 0;
+    while (PyDict_Next(linear, &pos, &key, &value)) {
+        Py_ssize_t i = spin_of(key, n);
+        double a = i < 0 ? -1.0 : coefficient(value);
+        if (a == -1.0 && PyErr_Occurred())
+            goto done;
+        h[i] += a / 2.0;
+        off += a / 2.0;
+    }
+    pos = 0;
+    while (PyDict_Next(quadratic, &pos, &key, &value)) {
+        Py_ssize_t i = -1, k = -1;
+        if (!PyTuple_CheckExact(key) || PyTuple_GET_SIZE(key) != 2)
+            PyErr_SetString(PyExc_TypeError, "a QUBO pair must be a tuple (i, k)");
+        else if ((i = spin_of(PyTuple_GET_ITEM(key, 0), n)) >= 0)
+            k = spin_of(PyTuple_GET_ITEM(key, 1), n);
+        double b = k < 0 ? -1.0 : coefficient(value);
+        if (b == -1.0 && PyErr_Occurred())
+            goto done;
+        double quarter = b / 4.0;
+        PyObject *q = PyFloat_FromDouble(quarter);
+        Py_INCREF(key);
+        int failed = q == NULL || PyDict_SetItem(j, key, q) < 0;
+        Py_DECREF(key);
+        Py_XDECREF(q);
+        if (failed)
+            goto done;
+        h[i] += quarter;
+        h[k] += quarter;
+        off += quarter;
+    }
+    if ((hs = PyList_New(n)) == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *v = PyFloat_FromDouble(h[i]);
+        if (v == NULL)
+            goto done;
+        PyList_SET_ITEM(hs, i, v);
+    }
+    out = terms ? Py_BuildValue("(nOOd)", n, j, hs, off)
+                : Py_BuildValue("(nOOO)", n, j, hs, offset);
+done:
+    PyMem_Free(h);
+    Py_XDECREF(j);
+    Py_XDECREF(hs);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"mix_seed", mix_seed, METH_VARARGS,
      "splitmix64 of (seed, stream), never zero (xorshift state must be)."},
@@ -913,12 +1381,17 @@ static PyMethodDef methods[] = {
      "The spin-budgeted walk from start; returns the selected set."},
     {"freeze", freeze, METH_VARARGS,
      "The kept clauses of a slice in clause order, and the visited unsatisfied count."},
+    {"qubo", qubo, METH_O,
+     "The QUBO of clauses: (num_vars, linear, quadratic, offset, source_var_map)."},
+    {"ising", ising, METH_VARARGS,
+     "The Ising form of a QUBO's fields: (num_spins, j, h, offset)."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_kernels",
-    "Compiled solver and slice kernels, results identical to _kernels_py; jd must be symmetric.",
+    "Compiled solver, slice and model-build kernels, results identical to _kernels_py; "
+    "jd must be symmetric.",
     -1, methods,
 };
 

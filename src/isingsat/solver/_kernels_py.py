@@ -1,5 +1,5 @@
-"""Pure-Python kernels: Metropolis annealing, tabu descent, and the
-decomposition's slice walk and freeze.
+"""Pure-Python kernels: Metropolis annealing, tabu descent, the
+decomposition's slice walk and freeze, and the slice's QUBO and Ising build.
 
 The oracle for the compiled kernels in ``_kernels.c``, which ``kernels``
 builds on first import, and what runs when they cannot be built.  The two
@@ -50,6 +50,19 @@ and item in range; the C versions check each row they read and raise
 IndexError for an offset or an item out of range, and the C freeze, which
 merges the occurrence rows where this one sorts them, ValueError for a row
 that is not ascending.
+
+``qubo`` and ``ising`` are ``qubo.cnf_to_qubo`` and ``qubo.qubo_to_ising``
+as they ran in Python, returning the models' fields.  ``qubo`` looks each
+clause up in the 14-row gadget table ``_GADGETS``, of which ``_kernels.c``
+holds a copy; both make the dict entries in the same order and raise the
+same, with the same messages.  Its coefficients are small integers, which
+``ising`` only halves and quarters, so neither rounds: the C versions add the
+floats in this order and match these bit for bit, on hand-built models with
+other floats too.  ``ising`` reads the QUBO as it stands; the C version
+takes ``linear`` and ``quadratic`` as dicts, and their coefficients and the
+offset as ints or floats (else a TypeError), and raises IndexError for an
+index outside ``0 .. num_vars - 1``, where this one would index the list
+``h`` with it.
 """
 from __future__ import annotations
 
@@ -57,6 +70,7 @@ import math
 import operator
 from bisect import bisect_left
 from collections import deque
+from itertools import chain
 
 _MASK = (1 << 64) - 1
 _STAR = 0x2545F4914F6CDD1D
@@ -288,3 +302,125 @@ def freeze(clauses, occurrences, nodes, selected, assignment, true_count, flags)
         else:
             keep(tuple(lits))
     return kept, unsat
+
+
+# The penalties 1 - a, (1 - a)(1 - b) and P(a, b, c, w), with a -> 1 - x for
+# each negative literal, expanded once (see ``isingsat.qubo``).  Keyed by the
+# literal signs (True = positive, so the width is the key's length), each
+# entry holds the offset, a linear coefficient per slot and a quadratic
+# coefficient per pair of _PAIRS.  Slots 0..width-1 are the literals'
+# variables in clause order, slot 3 the width-3 ancilla.  ``_kernels.c``
+# holds a copy, in this order.
+_PAIRS = {1: (), 2: ((0, 1),), 3: ((0, 1), (0, 3), (1, 3), (2, 3))}
+_GADGETS = {
+    (True,): (1, (-1,), ()),
+    (False,): (0, (1,), ()),
+    (True, True): (1, (-1, -1), (1,)),
+    (True, False): (0, (0, 1), (-1,)),
+    (False, True): (0, (1, 0), (-1,)),
+    (False, False): (0, (0, 0), (1,)),
+    (True, True, True): (1, (1, 1, -1, 0), (1, -2, -2, 1)),
+    (True, True, False): (0, (1, 1, 1, 1), (1, -2, -2, -1)),
+    (True, False, True): (2, (2, -1, -1, -2), (-1, -2, 2, 1)),
+    (True, False, False): (1, (2, -1, 1, -1), (-1, -2, 2, -1)),
+    (False, True, True): (2, (-1, 2, -1, -2), (-1, 2, -2, 1)),
+    (False, True, False): (1, (-1, 2, 1, -1), (-1, 2, -2, -1)),
+    (False, False, True): (4, (-2, -2, -1, -4), (1, 2, 2, 1)),
+    (False, False, False): (3, (-2, -2, 1, -3), (1, 2, 2, -1)),
+}
+
+
+# _GADGETS with the zero terms dropped, keyed the same way: the offset, then
+# (slot, coefficient) per linear term and (slot, slot, coefficient) per pair.
+_TERMS = {signs: (constant,
+                  tuple((slot, c) for slot, c in enumerate(lin) if c),
+                  tuple((s, t, c) for (s, t), c in zip(_PAIRS[len(signs)], quad) if c))
+          for signs, (constant, lin, quad) in _GADGETS.items()}
+
+
+def qubo(clauses):
+    """The QUBO of ``clauses``: (num_vars, linear, quadratic, offset,
+    source_var_map), the fields of ``isingsat.qubo.QuboModel``.
+
+    Every literal is checked first, in clause order: one that is not an int
+    is a TypeError and a 0 a ValueError.  Then a clause wider than 3 is a
+    ValueError.  ``linear`` and ``quadratic`` hold their keys in the order
+    the clauses first touch them.
+    """
+    for clause in clauses:
+        for lit in clause:
+            if not isinstance(lit, int):
+                raise TypeError(f"literal {lit!r} is not an int")
+            if not lit:
+                raise ValueError("literal 0 is not allowed inside a clause")
+    occurring = sorted(set(map(abs, chain.from_iterable(clauses))))
+    slot_of: dict[int, int] = {}  # either literal of a variable -> its index
+    for i, v in enumerate(occurring):
+        slot_of[v] = slot_of[-v] = i
+    linear: dict[int, float] = {}
+    quadratic: dict[tuple[int, int], float] = {}
+    lin_get, quad_get = linear.get, quadratic.get
+    offset = 0  # a sum of small integers, exact as an int
+    next_ancilla = len(occurring)
+    for clause in clauses:
+        width = len(clause)
+        if width == 3:
+            a, b, c = clause
+            constant, lin, quad = _TERMS[a > 0, b > 0, c > 0]
+            slots = slot_of[a], slot_of[b], slot_of[c], next_ancilla
+            next_ancilla += 1
+        elif width == 2:
+            a, b = clause
+            constant, lin, quad = _TERMS[a > 0, b > 0]
+            slots = slot_of[a], slot_of[b]
+        elif width == 1:  # the 1-literal rows of _GADGETS: 1 - x, or x if negated
+            a, = clause
+            i = slot_of[a]
+            if a > 0:
+                offset += 1
+                linear[i] = lin_get(i, 0.0) - 1
+            else:
+                linear[i] = lin_get(i, 0.0) + 1
+            continue
+        elif width == 0:
+            offset += 1
+            continue
+        else:
+            raise ValueError(f"clause width {max(map(len, clauses))} exceeds 3; "
+                             "reduce the formula first")
+        offset += constant
+        for s, coeff in lin:
+            i = slots[s]
+            linear[i] = lin_get(i, 0.0) + coeff
+        for s, t, coeff in quad:
+            i, j = slots[s], slots[t]
+            if i == j:  # a repeated variable folds in as x*x = x
+                linear[i] = lin_get(i, 0.0) + coeff
+            else:
+                key = (i, j) if i < j else (j, i)
+                quadratic[key] = quad_get(key, 0.0) + coeff
+    # occurring variables + ancillas
+    return next_ancilla, linear, quadratic, float(offset), dict(enumerate(occurring))
+
+
+def ising(num_vars, linear, quadratic, offset):
+    """The exact change of variables x_i = (1 + s_i)/2 of a QUBO's fields:
+    (num_spins, j, h, offset), the fields of ``isingsat.qubo.IsingModel``.
+
+    ``j`` holds ``quadratic``'s key tuples, in its order.  A negative
+    ``num_vars`` is a ValueError.
+    """
+    if num_vars < 0:
+        raise ValueError("num_vars must be non-negative")
+    j = {}
+    h = [0.0] * num_vars
+    for i, a in linear.items():
+        h[i] += a / 2.0
+        offset += a / 2.0
+    for key, b in quadratic.items():
+        i, k = key
+        j[key] = quarter = b / 4.0
+        h[i] += quarter
+        h[k] += quarter
+        offset += quarter
+    return num_vars, j, h, offset

@@ -379,10 +379,10 @@ def test_a_tabu_repeat_records_alike_with_the_pure_oracle(monkeypatch):
 
 @pytest.mark.parametrize("spec,cell,settings,golden", _GOLDEN_CELLS,
                          ids=["L7-dfs-emulator", "L0-budget20", "bfs-tabu"])
-def test_golden_repeats_record_alike_with_the_pure_walk_and_freeze(
+def test_golden_repeats_record_alike_with_every_slice_kernel_pure(
         monkeypatch, spec, cell, settings, golden):
-    # the pinned records are the compiled walk and freeze's wherever a C
-    # compiler exists (test_run_repeat_records_are_pinned)
+    # the pinned records are the compiled walk, freeze and model build's
+    # wherever a C compiler exists (test_run_repeat_records_are_pinned)
     instance_id, cnf = expand_instances(spec)[0]
     config = SweepConfig(instances=[spec], **settings)
     pure = solver.kernels._kernels_py
@@ -396,8 +396,10 @@ def test_golden_repeats_record_alike_with_the_pure_walk_and_freeze(
 
     monkeypatch.setattr(decompose, "walk", spy(pure.walk))
     monkeypatch.setattr(decompose, "freeze", spy(pure.freeze))
+    monkeypatch.setattr(solver.kernels, "qubo", spy(pure.qubo))
+    monkeypatch.setattr(solver.kernels, "ising", spy(pure.ising))
     assert run_repeat(instance_id, cnf, config, **cell).to_json() == golden
-    assert called == {"walk", "freeze"}
+    assert called == {"walk", "freeze", "qubo", "ising"}
 
 
 # Every solver call's best spins over a short repeat, hashed, on calls

@@ -2,16 +2,20 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import struct
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import isingsat
 from isingsat import solver
 from isingsat.cnf import clause_satisfied, make_cnf
 from isingsat.qubo import (
-    _GADGETS,
     COEFF_MAX,
     COEFF_MIN,
     IsingModel,
@@ -20,6 +24,8 @@ from isingsat.qubo import (
     qubo_to_ising,
     scale_to_chip,
 )
+from isingsat.solver import _kernels_py, kernels
+from isingsat.solver._kernels_py import _GADGETS
 
 from conftest import mixed_random_cnf
 
@@ -169,6 +175,26 @@ def test_qubo_rejects_wide_clauses():
         cnf_to_qubo([(1, 2, 3, 4)])
 
 
+def test_qubo_imports_first_in_a_fresh_interpreter():
+    # qubo calls the solver package's kernels, and that package imports qubo
+    code = "import isingsat.qubo as q; print(q.cnf_to_qubo([(1, -2)]).num_vars)"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(isingsat.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.split() == ["2"]
+
+
+def test_qubo_rejects_bad_literals():
+    """A literal 0 is not a variable and a non-int literal is not a
+    literal; the first bad one in clause order is named."""
+    with pytest.raises(ValueError, match="literal 0 is not allowed inside a clause"):
+        cnf_to_qubo([(0, 1)])
+    with pytest.raises(TypeError, match=r"literal 1\.5 is not an int"):
+        cnf_to_qubo([(1, 1.5)])
+    with pytest.raises(TypeError, match="literal '2' is not an int"):
+        cnf_to_qubo([(1, 2, 3, 4), (1, "2"), (0,)])  # before the width
+
+
 def test_ising_matches_qubo_assignmentwise():
     rng = random.Random(5)
     for _ in range(20):
@@ -277,3 +303,138 @@ def test_slice_models_reach_the_kernels_as_the_dense_build(monkeypatch):
         spins, jd, h = _kernel_inputs(monkeypatch, scaled, "emulator")
         assert (spins, _bits(jd), _bits(h)) == (n, _bits(ref_j), _bits(ref_h))
     assert scaled_models >= 30
+
+
+# The compiled model build against the pure one, exceptions included.
+# Variables above 256 are not cached ints, and those beyond 2**63 do not fit
+# a C long long; a draw's variables straddle 2**63 when its base is near it.
+needs_compiled = pytest.mark.skipif(not kernels.COMPILED_KERNELS,
+                                    reason="compiled kernels unavailable")
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the exception is the outcome compared
+        return type(exc), str(exc)
+
+
+def _exact(value):
+    """``value`` with every float as its bytes and every dict as its item
+    list, so that == compares float bits, types and key order."""
+    if isinstance(value, float):
+        return _bits([value])
+    if isinstance(value, dict):
+        return [(_exact(k), _exact(v)) for k, v in value.items()]
+    if isinstance(value, (tuple, list)):
+        return type(value), [_exact(v) for v in value]
+    return type(value), value
+
+
+@st.composite
+def _build_cases(draw):
+    """Clauses of widths 0-3 over six variables, either sign, at a base of
+    0, above 256, near 2**63 or beyond it, with ``(v, v, u)``,
+    ``(v, -v, u)`` and empty clauses mixed in."""
+    base = draw(st.sampled_from((0, 300, 2**63 - 3, 2**64)))
+    var = st.integers(1, 6).map(base.__add__)
+    lit = var.flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(st.lists(lit, max_size=3).map(tuple), max_size=12))
+    v, u = draw(var), draw(var)
+    shapes = draw(st.lists(st.sampled_from([(v, v, u), (v, -v, -u), (-v, v, u), ()]),
+                           max_size=3))
+    return draw(st.permutations(clauses + shapes))
+
+
+def _assert_builds_alike(clauses):
+    """The compiled and the pure qubo agree on ``clauses``, bit for bit and
+    in key order, and so do the compiled and the pure ising on its model."""
+    model = _outcome(kernels.qubo, clauses)
+    assert _exact(model) == _exact(_outcome(_kernels_py.qubo, clauses)), clauses
+    if isinstance(model[0], int):
+        spins = kernels.ising(*model[:4])
+        assert _exact(spins) == _exact(_kernels_py.ising(*model[:4]))
+        assert all(a is b for a, b in zip(spins[1], model[2]))  # j reuses the pair keys
+
+
+@needs_compiled
+@given(_build_cases())
+@example([(301, 301, 302), (301, -301, 303), (), (-302, 303), (303,), (-301,)])
+@example([(2**63, -(2**63), 2**63 - 1), (-(2**63) + 1, 2**64)])
+@settings(max_examples=300, deadline=None)
+def test_compiled_build_matches_the_pure_build(clauses):
+    _assert_builds_alike(clauses)
+
+
+@needs_compiled
+def test_compiled_build_matches_every_gadget_row():
+    """Each of the 14 sign patterns alone, on distinct variables and with
+    the first variable repeated, which pins the C table to ``_GADGETS``."""
+    for signs in _GADGETS:
+        for variables in ((4, 2, 7), (4, 4, 7)):
+            _assert_builds_alike([tuple(v if s else -v for v, s in zip(variables, signs))])
+
+
+@needs_compiled
+def test_compiled_build_refuses_what_the_pure_build_refuses():
+    cases = [[(1, 2, 3, 4)], [(1,), (1, 2, 3, 4), (1, 2, 3, 4, 5), ()], [(0, 1)],
+             [(1, 1.5)], [(1, 2, 3, 4), (1, "2"), (0,)], [(2**70, 0)], [(1,), 7],
+             [(True, -2)]]  # a bool is an int
+    for clauses in cases:
+        _assert_builds_alike(clauses)
+
+
+_COEFFICIENTS = st.one_of(st.integers(-20, 20),
+                          st.floats(-10, 10, allow_nan=False, allow_infinity=False),
+                          st.sampled_from((0.1, 1 / 3, -0.0)))
+
+
+@st.composite
+def _hand_models(draw):
+    """A QUBO's fields built by hand: int and non-dyadic float coefficients
+    and offsets, in any key order."""
+    n = draw(st.integers(0, 6))
+    linear = draw(st.dictionaries(st.integers(0, n - 1), _COEFFICIENTS)) if n else {}
+    pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
+    quadratic = draw(st.dictionaries(st.sampled_from(pairs), _COEFFICIENTS)) if pairs else {}
+    return n, linear, quadratic, draw(_COEFFICIENTS)
+
+
+@needs_compiled
+@given(_hand_models())
+@example((2, {}, {}, 3))  # no term: the offset is returned as given
+@example((3, {2: 0.1, 0: 1 / 3}, {(1, 2): 0.1, (0, 1): -0.0}, 0.2))
+@settings(max_examples=300, deadline=None)
+def test_compiled_ising_matches_the_pure_ising_bit_for_bit(fields):
+    spins = kernels.ising(*fields)
+    assert _exact(spins) == _exact(_kernels_py.ising(*fields))
+    assert all(a is b for a, b in zip(spins[1], fields[2]))
+
+
+def _chain(n, base):
+    """``n`` 3-clauses over consecutive variables from ``base + 1``: n + 2
+    variables and n ancillas, 4n pair terms."""
+    return [(base + v, -(base + v + 1), base + v + 2) for v in range(1, n + 1)]
+
+
+@needs_compiled
+def test_compiled_build_allocates_by_the_clause_list():
+    """What the compiled build allocates beyond the model it returns grows
+    with the clause list, not with the variable numbers or with
+    (variables + ancillas)**2, which is 40x the clause count here."""
+    def scratch(clauses):
+        tracemalloc.start()
+        try:
+            for _ in range(2):  # the second pass finds every cache warm
+                tracemalloc.reset_peak()
+                model = kernels.qubo(clauses)
+                kept, peak = tracemalloc.get_traced_memory()
+                del model
+        finally:
+            tracemalloc.stop()
+        return peak - kept
+
+    small, large = scratch(_chain(100, 0)), scratch(_chain(1000, 0))
+    high = scratch(_chain(100, 10**6))
+    assert large <= 12 * small and high <= 1.1 * small, (small, large, high)

@@ -23,14 +23,17 @@ clauses each variable's neighbours in the order each walk pushes them, the
 the clauses of every variable and the literals of every clause, as flat int
 arrays over dense variable ranks, and every decomposition of an equal
 formula shares that index read-only.
-``GlobalState.start`` then counts, for its seed's assignment, the true
-literals of each clause (the make/break bookkeeping of WalkSAT-style local
-search) and, from the unsatisfied clauses, how many of them hold each
-variable and which variables hold any: the pool a walk starts from.
-An iteration then touches only the slice:
+A repeat's state is flat too: ``GlobalState`` holds the incumbent as a
+byte per rank, and ``GlobalState.start`` counts, for its seed's values, the
+true literals of each clause (the make/break bookkeeping of WalkSAT-style
+local search) and, from the unsatisfied clauses, how many of them hold each
+rank and which ranks hold any: the pool a walk starts from, ascending, so
+it picks the variables it would pick by number.  No dict of the assignment
+exists while the loop runs.  An iteration then touches only the slice:
 
-* picking a start variable reads the kept pool;
-* freezing visits only the clauses of the selected variables, in clause
+* picking a start rank reads the kept pool;
+* the walk selects ranks, and the repetition filter keys by rank;
+* freezing visits only the clauses of the selected ranks, in clause
   order, by a merge of their occurrence lists; every other unsatisfied
   clause freezes empty, and only their count reaches the QUBO, as its
   offset; no formula is built for the slice;
@@ -38,29 +41,30 @@ An iteration then touches only the slice:
   and commits them only when it is accepted; the pool moves only for the
   clauses whose satisfied status flips.
 
-One full rescan at the end of the loop checks the final count.
+One full rescan at the end of the loop, over the assignment made from the
+value bytes, checks the final count.
 
-The walk and the clause loop of the freeze run in the compiled module, as
-``solver.kernels.walk`` and ``freeze``, which read the index and the state
-as they stand here; without a C compiler their pure-Python oracle runs,
-with the same results.  :func:`select_bfs`, :func:`select_dfs` and
-:func:`freeze_and_extract` stay here and look them up at call time.
+The walk, the clause loop of the freeze and the merge run in the compiled
+module, as ``solver.kernels.walk``, ``freeze`` and ``merge``, which read
+the index and write the state's arrays in place; without a C compiler
+their pure-Python oracle runs, with the same results.  :func:`select_bfs`,
+:func:`select_dfs`, :func:`freeze_and_extract` and :func:`update_global`
+stay here and look them up at call time.
 """
 from __future__ import annotations
 
 import random
 from array import array
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, chain
 
-from .cnf import MEMO_ENTRIES, Assignment, Cnf, count_satisfied, evaluate
+from .cnf import MEMO_ENTRIES, Cnf, count_satisfied, evaluate
 from .preprocess import ConditionRecord, reconstruct
 from .qubo import QuboModel, cnf_to_qubo, qubo_to_ising, scale_to_chip
 from .solver import solve
-from .solver._kernels_py import rank, row
-from .solver.kernels import freeze, walk
+from .solver._kernels_py import row
+from .solver.kernels import freeze, merge, walk
 
 STRATEGIES = ("bfs", "dfs")
 
@@ -68,8 +72,9 @@ STRATEGIES = ("bfs", "dfs")
 def _table(rows: list[list[int]]) -> array:
     """``rows`` flat in one ``array('i')`` ``t``: ``t[0]`` offsets, then the
     items, so row ``i`` is ``t[t[i]:t[i + 1]]`` (:func:`row` reads it)."""
-    offsets = accumulate(map(len, rows), initial=len(rows) + 1)
-    return array("i", chain(offsets, chain.from_iterable(rows)))
+    table = array("i", accumulate(map(len, rows), initial=len(rows) + 1))
+    table.fromlist(list(chain.from_iterable(rows)))
+    return table
 
 
 @dataclass(frozen=True)
@@ -79,7 +84,7 @@ class Vig:
     equal formula (:func:`build_vig`), so nothing may change it.
 
     ``nodes`` lists the variables the formula holds, ascending; ``r`` is
-    the rank of ``nodes[r]`` (:func:`rank`).  Each table (:func:`_table`)
+    the rank of ``nodes[r]``.  Each table (:func:`_table`)
     has a row per rank, or per clause, and holds ranks, not variables, so
     none is sized by a variable number.  Row ``r`` of ``bfs`` lists the
     neighbours of ``nodes[r]`` in ascending order, the order a breadth-first
@@ -108,14 +113,27 @@ def build_vig(cnf: Cnf) -> Vig:
     """Connect every pair of variables sharing a clause, with no self-loops,
     and list each variable's clauses: built once per formula value."""
     nodes = sorted({abs(lit) for clause in cnf.clauses for lit in clause})
-    ranks = {v: r for r, v in enumerate(nodes)}  # for this build only
+    codes: dict[int, int] = {}  # literal -> its code, for this build only
+    for r, v in enumerate(nodes):
+        codes[v], codes[-v] = 2 * r, 2 * r + 1
+    clauses = [list(map(codes.__getitem__, clause)) for clause in cnf.clauses]
     nbrs: list[set[int]] = [set() for _ in nodes]
     triangles: list[list[int]] = [[] for _ in nodes]
     occurrences: list[list[int]] = [[] for _ in nodes]
-    clauses = []
-    for ci, clause in enumerate(cnf.clauses):
-        lits = [2 * ranks[abs(lit)] + (lit < 0) for lit in clause]
-        clauses.append(lits)
+    for ci, lits in enumerate(clauses):
+        if len(lits) == 3:  # most clauses: three distinct ranks, a < b < c
+            a, b, c = sorted((lits[0] >> 1, lits[1] >> 1, lits[2] >> 1))
+            if a != b != c:
+                nbrs[a].update((b, c))
+                nbrs[b].update((a, c))
+                nbrs[c].update((a, b))
+                occurrences[a].append(ci)
+                occurrences[b].append(ci)
+                occurrences[c].append(ci)
+                triangles[a] += b, c
+                triangles[b] += a, c
+                triangles[c] += a, b
+                continue
         rs = sorted({lit >> 1 for lit in lits})
         for r in rs:
             nbrs[r].update(rs)
@@ -123,10 +141,12 @@ def build_vig(cnf: Cnf) -> Vig:
         if len(lits) == 3:  # the other two ranks, r for any missing
             for r in rs:
                 triangles[r].extend(([u for u in rs if u != r] + [r, r])[:2])
-    bfs = [sorted(ns - {r}) for r, ns in enumerate(nbrs)]
-    degree = list(map(len, bfs))
-    # ranks ascend with the variables, so -u breaks ties as -variable would
-    dfs = [sorted(ns, key=lambda u: (-degree[u], -u)) for ns in bfs]
+    for r, ns in enumerate(nbrs):
+        ns.discard(r)
+    bfs = list(map(sorted, nbrs))
+    # descending degree, ties by descending rank (so variable): one int key
+    order = [len(ns) * len(nodes) + u for u, ns in enumerate(nbrs)]
+    dfs = [sorted(ns, key=order.__getitem__, reverse=True) for ns in bfs]
     return Vig(nodes, _table(bfs), _table(dfs), _table(triangles), _table(occurrences),
                _table(clauses))
 
@@ -140,7 +160,7 @@ class FilterState:
 
     A variable selected ``FILTER_WINDOW`` iterations in a row is excluded
     from selection for the next ``FILTER_WINDOW`` iterations unless nothing
-    else is reachable.
+    else is reachable.  Variables are keyed by rank, as the walks return them.
     """
 
     consecutive: dict[int, int] = field(default_factory=dict)
@@ -166,24 +186,26 @@ class FilterState:
 
 @dataclass
 class GlobalState:
-    """Best-known full assignment with its satisfied-clause bookkeeping.
+    """Best-known full assignment with its satisfied-clause bookkeeping, in
+    flat arrays indexed by node rank (``vig.nodes[r]`` is rank ``r``).
 
+    ``values[r]`` is 1 when ``nodes[r]`` is True and 0 when it is False.
     ``true_count[c]`` is the number of true literals in clause ``c`` and
     ``unsat`` the number of clauses at zero; ``best_count``, the satisfied
-    total, is read from those two.
-    ``unsat_degree[v]`` counts the unsatisfied clauses that contain ``v``,
-    for each variable the formula holds (not each it declares), and ``pool``
-    lists, ascending, the variables whose count is nonzero: the variables a
-    walk may start from.  ``update_global`` keeps all of it in step with
-    ``assignment``, touching the pool only for the clauses whose satisfied
-    status flips.  ``vig`` is the formula's index and ``flags``, a zero byte
-    per node, the kernels' scratch, which they clear before they return.
+    total, is read from those two.  ``unsat_degree[r]`` counts the
+    unsatisfied clauses that hold rank ``r``, and ``pool`` lists, ascending,
+    the ranks whose count is nonzero: the ranks a walk may start from.
+    ``update_global`` keeps all of it in step, touching the pool only for
+    the clauses whose satisfied status flips.  ``vig`` is the formula's
+    index and ``flags``, a zero byte per node, the kernels' scratch, which
+    they clear before they return.  No dict of the assignment is kept;
+    ``iterate`` makes one when its loop ends.
     """
 
-    assignment: Assignment
-    true_count: list[int]
+    values: bytearray
+    true_count: array
     unsat: int
-    unsat_degree: dict[int, int]
+    unsat_degree: array
     pool: list[int]
     vig: Vig
     flags: bytearray
@@ -193,23 +215,27 @@ class GlobalState:
         return len(self.true_count) - self.unsat
 
     @classmethod
-    def start(cls, cnf: Cnf, assignment: Assignment, vig: Vig) -> GlobalState:
-        """Count the true literals of ``cnf``, whose index is ``vig``, under
-        ``assignment``; the state takes ownership of ``assignment`` and sets
-        each formula variable it lacks to False."""
-        for v in vig.nodes:
-            assignment.setdefault(v, False)
-        true_lits = {v if val else -v for v, val in assignment.items()}
+    def start(cls, vig: Vig, values: bytearray) -> GlobalState:
+        """Count the true literals of each clause of the formula indexed by
+        ``vig`` under ``values``, a byte per node, which the state takes."""
+        t = vig.clauses
+        base = t[0]
+        truth = bytearray(2 * len(values))  # a byte per literal code
+        truth[0::2] = values
+        truth[1::2] = bytes(1 - b for b in values)
         # a repeated literal counts once per occurrence
-        true_count = [sum(map(true_lits.__contains__, c)) for c in cnf.clauses]
-        unsat = [c for c, n in zip(cnf.clauses, true_count) if n == 0]
-        degree = dict.fromkeys(vig.nodes, 0)
-        for clause in unsat:
-            for v in set(map(abs, clause)):
-                degree[v] += 1
-        return cls(assignment, true_count, len(unsat), degree,
-                   sorted(v for v, n in degree.items() if n), vig,
-                   bytearray(len(vig.nodes)))
+        hits = list(accumulate(map(truth.__getitem__, t[base:]), initial=0))
+        true_count = array("i", [hits[b - base] - hits[a - base]
+                                 for a, b in zip(t[:base - 1], t[1:base])])
+        degree = array("i", [0]) * len(values)
+        unsat = 0
+        for ci, count in enumerate(true_count):
+            if not count:
+                unsat += 1
+                for r in {lit >> 1 for lit in row(t, ci)}:
+                    degree[r] += 1
+        pool = [r for r, d in enumerate(degree) if d]
+        return cls(values, true_count, unsat, degree, pool, vig, bytearray(len(values)))
 
 
 @dataclass(frozen=True)
@@ -222,20 +248,21 @@ class Subproblem:
 
 def select_bfs(vig: Vig, budget: int, start: int, filt: FilterState,
                flags: bytearray) -> set[int]:
-    """Breadth-first ball around ``start`` that fits the spin budget."""
-    return walk(vig.bfs, vig.triangles, vig.nodes, filt.cooldown, flags,
-                budget, start, False)
+    """Breadth-first ball around rank ``start`` that fits the spin budget;
+    the selected ranks."""
+    return walk(vig.bfs, vig.triangles, filt.cooldown, flags, budget, start, False)
 
 
 def select_dfs(vig: Vig, budget: int, start: int, filt: FilterState,
                flags: bytearray) -> set[int]:
-    """Depth-first chain from ``start``, preferring low-degree neighbors."""
-    return walk(vig.dfs, vig.triangles, vig.nodes, filt.cooldown, flags,
-                budget, start, True)
+    """Depth-first chain from rank ``start``, preferring low-degree
+    neighbors; the selected ranks."""
+    return walk(vig.dfs, vig.triangles, filt.cooldown, flags, budget, start, True)
 
 
 def freeze_and_extract(selected: set[int], state: GlobalState) -> Subproblem:
-    """Substitute best-known values for everything outside the selection.
+    """Substitute best-known values for everything outside the selection,
+    a set of ranks.
 
     A true frozen literal satisfies its clause (dropped); a false one is
     removed.  Kept clauses are NOT simplified
@@ -247,14 +274,14 @@ def freeze_and_extract(selected: set[int], state: GlobalState) -> Subproblem:
     one is dropped and an unsatisfied one freezes empty.  Those are counted,
     not walked (the unsatisfied clauses less the visited ones), and the
     count is added to the offset of the QUBO of the kept clauses, which go
-    to ``cnf_to_qubo`` as a plain list: no formula is built or validated
-    per slice.  The spin cost adds the QUBO's ancillas.
+    to ``cnf_to_qubo`` as a plain list of variable literals: no formula is
+    built or validated per slice.  The spin cost adds the QUBO's ancillas.
     """
     if not selected:
         raise ValueError("selection is empty")
     vig = state.vig
     kept, visited_unsat = freeze(vig.clauses, vig.occurrences, vig.nodes, selected,
-                                 state.assignment, state.true_count, state.flags)
+                                 state.values, state.true_count, state.flags)
     qubo = cnf_to_qubo(kept)
     # each emptied clause is a constant +1; the sums are small integers, so
     # the float offset is exact in any order
@@ -262,44 +289,23 @@ def freeze_and_extract(selected: set[int], state: GlobalState) -> Subproblem:
     return Subproblem(qubo, len(selected) + qubo.num_vars - len(qubo.source_var_map))
 
 
-def update_global(state: GlobalState, sub_solution: Assignment,
-                  cnf: Cnf) -> bool:
-    """Merge a subproblem solution if the full satisfied count does not drop.
+def update_global(state: GlobalState, spins: tuple[int, ...],
+                  var_map: dict[int, int]) -> bool:
+    """Merge a slice's solution if the full satisfied count does not drop.
 
+    ``spins`` are the slice's spins and ``var_map`` maps their QUBO indices
+    to variables (``QuboModel.source_var_map``); a spin above 0 is True.
     Equal counts are accepted (plateau moves).  Returns True when merged.
-    Only the clauses of the variables that flip are touched: their
-    true-literal counts move by the flipped literals (make/break), and a
-    clause whose satisfied status flips moves its variables' unsatisfied
-    counts and, where one leaves or reaches zero, the start pool.
+    The kernel ``merge`` reads and moves only the clauses of the variables
+    that flip, and commits only an accepted merge.
     """
-    old, count, vig = state.assignment, state.true_count, state.vig
-    delta: dict[int, int] = {}
-    for v, val in sub_solution.items():
-        if old.get(v) == val or (r := rank(vig.nodes, v)) < 0:
-            continue  # unchanged, or in no clause
-        t = v if val else -v  # the literal of v that turns true
-        for ci in row(vig.occurrences, r):
-            clause = cnf.clauses[ci]
-            delta[ci] = delta.get(ci, 0) + clause.count(t) - clause.count(-t)
-    gain = sum((count[ci] + d > 0) - (count[ci] > 0) for ci, d in delta.items())
-    accepted = gain >= 0
-    if accepted:
-        old.update(sub_solution)
-        degree, pool = state.unsat_degree, state.pool
-        for ci, d in delta.items():
-            was = count[ci]
-            count[ci] = was + d
-            if (was > 0) == (was + d > 0):
-                continue
-            step = -1 if was == 0 else 1  # now satisfied / now unsatisfied
-            state.unsat += step
-            for v in set(map(abs, cnf.clauses[ci])):
-                degree[v] += step
-                if step > 0 and degree[v] == 1:
-                    insort(pool, v)
-                elif degree[v] == 0:
-                    del pool[bisect_left(pool, v)]
-    return accepted
+    vig = state.vig
+    gain = merge(vig.clauses, vig.occurrences, vig.nodes, spins, var_map, state.values,
+                 state.true_count, state.unsat_degree, state.pool, state.flags)
+    if gain < 0:
+        return False
+    state.unsat -= gain
+    return True
 
 
 @dataclass(frozen=True)
@@ -313,10 +319,6 @@ class DecompositionRun:
     num_clauses: int
     reason: str
     trace: tuple[tuple[int, float, float], ...] = ()
-
-
-def _decode(qubo: QuboModel, spins: tuple[int, ...]) -> Assignment:
-    return {var: spins[idx] > 0 for idx, var in qubo.source_var_map.items()}
 
 
 def iterate(cnf: Cnf, condition: tuple[ConditionRecord, ...], original: Cnf, *,
@@ -344,8 +346,7 @@ def iterate(cnf: Cnf, condition: tuple[ConditionRecord, ...], original: Cnf, *,
 
     rng = random.Random(seed)
     vig = build_vig(cnf)
-    assignment: Assignment = {v: bool(rng.getrandbits(1)) for v in vig.nodes}
-    state = GlobalState.start(cnf, assignment, vig)
+    state = GlobalState.start(vig, bytearray(rng.getrandbits(1) for _ in vig.nodes))
     filt = FilterState()
     select = select_dfs if strategy == "dfs" else select_bfs
 
@@ -376,16 +377,17 @@ def iterate(cnf: Cnf, condition: tuple[ConditionRecord, ...], original: Cnf, *,
         if solver_calls == 0 and collect_trace:
             first_trace = result.trace
         solver_calls += 1
-        update_global(state, _decode(sub.qubo, result.best_spins), cnf)
+        update_global(state, result.best_spins, sub.qubo.source_var_map)
         filt.note_selection(selected)
 
-    if count_satisfied(cnf.clauses, state.assignment) != state.best_count:
+    assignment = dict(zip(vig.nodes, map(bool, state.values)))
+    if count_satisfied(cnf.clauses, assignment) != state.best_count:
         raise RuntimeError("incremental satisfied count drifted from a full rescan")
     if state.best_count < m:
         return DecompositionRun(False, iterations, solver_calls,
                                 state.best_count, m, reason=reason,
                                 trace=first_trace)
-    full = reconstruct(condition, state.assignment, original.occurring_vars())
+    full = reconstruct(condition, assignment, original.occurring_vars())
     if not evaluate(original, full):
         raise RuntimeError("solved subproblem failed verification on the input CNF")
     return DecompositionRun(True, iterations, solver_calls,

@@ -1,14 +1,15 @@
 /* Compiled kernels: the solver's Metropolis annealing and tabu descent, the
- * decomposition's slice walk and freeze, and the slice's model build, qubo
- * and ising (walk and freeze, then qubo and ising, at the end, each pair
- * with its own comment).  The walk and the freeze read build_vig's flat int
- * tables, whose rows are numbered by node rank, and keep their per-rank
- * marks in the caller's flag array, which they clear before they return, on
- * error too, so no call does work or allocates memory in proportion to the
- * formula.  The model build is exact: its coefficients are small integers
- * from the 14-row gadget table, which ising only halves and quarters, so it
- * rounds nothing and gives the oracle's floats bit for bit; chip scaling,
- * which rounds, stays in Python.
+ * decomposition's slice walk, freeze and merge, and the slice's model build,
+ * qubo and ising (walk, freeze and merge, then qubo and ising, at the end,
+ * each group with its own comment).  The walk, the freeze and the merge
+ * read build_vig's flat int tables, whose rows are numbered by node rank,
+ * read or write a repeat's state in its flat per-rank arrays in place, and
+ * keep their per-rank marks in the caller's flag array, which they clear
+ * before they return, on error too, so no call does work or allocates
+ * memory in proportion to the formula.  The model build is exact: its
+ * coefficients are small integers from the 14-row gadget table, which ising
+ * only halves and quarters, so it rounds nothing and gives the oracle's
+ * floats bit for bit; chip scaling, which rounds, stays in Python.
  *
  * The solver kernels give results bit-identical to the pure-Python oracle
  * _kernels_py: the same splitmix64 seeding and xorshift64* stream, the same
@@ -465,21 +466,24 @@ static PyObject *tabu(PyObject *self, PyObject *args, PyObject *kwargs)
 }
 
 /* ------------------------------------------------------------------ */
-/* The slice walk and the freeze, results equal to _kernels_py's walk and
- * freeze.  They read build_vig's index: the variables the formula holds are
- * numbered by their rank in the ascending list `nodes` (a variable passed in
- * is found there by binary search), and each table is one array('i') t
- * whose row i is t[t[i]] .. t[t[i + 1] - 1], holding ranks, clause indices
- * or literals (2r for node r, 2r + 1 for its negation).  A row is checked
- * when it is read, its offsets against the table and its items against
- * what they index; one outside is an IndexError, as in the oracle.  The
- * scratch is the caller's flag array, one byte per node and all zero on
- * entry.  A call sets flags only on the ranks it touches, lists each in
- * `touched` when its byte first turns nonzero, and clears exactly those
- * before it returns, error returns included, so nothing is sized by the
- * formula. */
+/* The slice walk, the freeze and the merge, results equal to _kernels_py's
+ * walk, freeze and merge.  They read build_vig's index: the variables the
+ * formula holds are numbered by their rank in the ascending list `nodes`,
+ * and each table is one array('i') t whose row i is t[t[i]] .. t[t[i + 1]
+ * - 1], holding ranks, clause indices or literals (2r for node r, 2r + 1
+ * for its negation).  They take and return ranks; only the merge's map
+ * names variables, each found in `nodes` by binary search.  The state they
+ * read and write is GlobalState's flat arrays: a value byte per rank, an
+ * array('i') of true-literal counts per clause and one of unsatisfied
+ * degrees per rank, and the pool, a list of ranks.  A row is checked when
+ * it is read, its offsets against the table and its items against what
+ * they index; one outside is an IndexError, as in the oracle.  The scratch
+ * is the caller's flag array, one byte per node and all zero on entry.  A
+ * call sets flags only on the ranks it touches, lists each in `touched`
+ * when its byte first turns nonzero, and clears exactly those before it
+ * returns, error returns included, so nothing is sized by the formula. */
 
-enum { COOLING = 1, SEEN = 2, CHOSEN = 4, KNOWN = 8, VALUE = 16 };
+enum { COOLING = 1, SEEN = 2, CHOSEN = 4, FLIPS = 8, TURNS_TRUE = 16 };
 
 /* A growable list of ranks; as a lane it pops from its head breadth-first
  * and from its tail depth-first. */
@@ -517,6 +521,13 @@ static int outside(const char *msg)
     return -1;
 }
 
+/* Raises the ValueError `msg`; returns -1. */
+static int refuse(const char *msg)
+{
+    PyErr_SetString(PyExc_ValueError, msg);
+    return -1;
+}
+
 /* Sets `bit` on rank r; -1 with MemoryError set. */
 static int mark(Marks *m, Py_ssize_t r, unsigned char bit)
 {
@@ -526,15 +537,12 @@ static int mark(Marks *m, Py_ssize_t r, unsigned char bit)
     return 0;
 }
 
-/* Opens the flag array; -1 with ValueError set unless it has a byte per
- * node. */
-static int marks_open(Marks *m, Py_buffer *flags, PyObject *nodes)
+/* Opens the flag array; -1 with ValueError set unless it has a byte for
+ * each of the n nodes. */
+static int marks_open(Marks *m, Py_buffer *flags, Py_ssize_t n)
 {
     *m = (Marks){flags->buf, {0}};
-    if (flags->len == PyList_GET_SIZE(nodes))
-        return 0;
-    PyErr_SetString(PyExc_ValueError, "the flag array must hold one byte per node");
-    return -1;
+    return flags->len == n ? 0 : refuse("the flag array must hold one byte per node");
 }
 
 /* Clears every flag the call set and frees its list. */
@@ -584,18 +592,38 @@ static Py_ssize_t rank_of(PyObject *nodes, Py_ssize_t n, PyObject *key)
     return r;
 }
 
-/* Opens the table `obj`, which must be an array('i') or another contiguous
- * buffer of C ints; -1 with an exception set. */
-static int table_open(PyObject *obj, Py_buffer *view)
+/* The rank `key` names, which must lie in 0 .. n - 1: -1 with TypeError
+ * unless it is an integer, or with the IndexError `msg` outside. */
+static Py_ssize_t rank_in(PyObject *key, Py_ssize_t n, const char *msg)
 {
-    if (PyObject_GetBuffer(obj, view, PyBUF_FORMAT | PyBUF_C_CONTIGUOUS) < 0)
+    Py_ssize_t r = PyNumber_AsSsize_t(key, NULL);  /* clipped, so a big int is outside */
+    if (r == -1 && PyErr_Occurred())
+        return -1;
+    return r >= 0 && r < n ? r : outside(msg);
+}
+
+/* Opens `obj`, which must be an array('i') or another contiguous buffer of
+ * C ints, writable if asked; -1 with an exception set. */
+static int ints_open(PyObject *obj, Py_buffer *view, int writable)
+{
+    int want = PyBUF_FORMAT | PyBUF_C_CONTIGUOUS | (writable ? PyBUF_WRITABLE : 0);
+    if (PyObject_GetBuffer(obj, view, want) < 0)
         return -1;
     if (view->itemsize != sizeof(int) || strcmp(view->format, "i") != 0) {
         PyBuffer_Release(view);
-        PyErr_SetString(PyExc_TypeError, "an index table must be an array('i')");
+        PyErr_SetString(PyExc_TypeError, "an index table or a count array must be an array('i')");
         return -1;
     }
     return 0;
+}
+
+/* The number of ints in an opened int buffer. */
+static Py_ssize_t ints_len(const Py_buffer *view) { return view->len / (Py_ssize_t)sizeof(int); }
+
+/* The number of rows of an opened table; an empty one has none. */
+static Py_ssize_t rows(const Py_buffer *table)
+{
+    return table->len ? ((const int *)table->buf)[0] - 1 : 0;
 }
 
 /* Row i of the table as [*lo, *hi), each item checked to lie in
@@ -605,7 +633,7 @@ static int row(const Py_buffer *table, Py_ssize_t i, Py_ssize_t bound, const int
                const int **hi)
 {
     const int *t = table->buf;
-    Py_ssize_t len = table->len / (Py_ssize_t)sizeof(int);
+    Py_ssize_t len = ints_len(table);
     if (len == 0 || i < 0 || i + 1 >= t[0] || t[0] > len || t[i] < 0 || t[i] > t[i + 1] ||
         t[i + 1] > len)
         return outside("a row is outside the index");
@@ -626,45 +654,36 @@ static int enqueue(Marks *m, Ranks *active, Ranks *parked, Py_ssize_t r)
     return ranks_push(m->flags[r] & COOLING ? parked : active, r);
 }
 
-/* The node of rank r, borrowed; NULL with IndexError if `nodes` has since
- * lost it. */
-static PyObject *node(PyObject *nodes, Py_ssize_t r)
-{
-    if (r < PyList_GET_SIZE(nodes))
-        return PyList_GET_ITEM(nodes, r);
-    outside("a rank is outside the nodes");
-    return NULL;
-}
-
-/* walk(pushes, triangles, nodes, cooldown, flags, budget, start, depth_first):
+/* walk(pushes, triangles, cooldown, flags, budget, start, depth_first):
  * the oracle's walk. */
 static PyObject *walk(PyObject *self, PyObject *args)
 {
-    PyObject *push_table, *tri_table, *nodes, *cooldown, *start;
+    PyObject *push_table, *tri_table, *cooldown, *start;
     Py_buffer flags;
     Py_ssize_t budget;
     int depth_first;
-    if (!PyArg_ParseTuple(args, "OOO!O!w*nOp:walk", &push_table, &tri_table, &PyList_Type,
-                          &nodes, &PyDict_Type, &cooldown, &flags, &budget, &start,
-                          &depth_first))
+    if (!PyArg_ParseTuple(args, "OOO!w*nOp:walk", &push_table, &tri_table, &PyDict_Type,
+                          &cooldown, &flags, &budget, &start, &depth_first))
         return NULL;
     Py_buffer pushes = {0}, tris = {0};
-    Marks m;
+    Marks m = {0};
     Ranks active = {0}, parked = {0};
     PyObject *selected = PySet_New(NULL);
     Py_ssize_t r, n = flags.len, pend = 0, nsel = 0, ancillas = 0;
-    if (marks_open(&m, &flags, nodes) < 0 || selected == NULL ||
-        table_open(push_table, &pushes) < 0 || table_open(tri_table, &tris) < 0)
+    if (selected == NULL || ints_open(push_table, &pushes, 0) < 0 ||
+        ints_open(tri_table, &tris, 0) < 0 || marks_open(&m, &flags, rows(&pushes)) < 0)
         goto fail;
     /* no cooldown ticks during a walk, so the cooling ranks are marked once;
-       a cooling variable the nodes lack is never reached */
+       one outside the index is never reached */
     Py_ssize_t pos = 0;
     PyObject *key, *left;
-    while (PyDict_Next(cooldown, &pos, &key, &left))
-        if ((r = rank_of(nodes, n, key)) < -1 || (r >= 0 && mark(&m, r, COOLING) < 0))
+    while (PyDict_Next(cooldown, &pos, &key, &left)) {
+        if ((r = PyNumber_AsSsize_t(key, NULL)) == -1 && PyErr_Occurred())
             goto fail;
-    if ((r = rank_of(nodes, n, start)) < -1 ||
-        (r == -1 && outside("the start is not a node of the index") < 0) ||
+        if (r >= 0 && r < n && mark(&m, r, COOLING) < 0)
+            goto fail;
+    }
+    if ((r = rank_in(start, n, "the start is not a node of the index")) < 0 ||
         enqueue(&m, &active, &parked, r) < 0)
         goto fail;
     for (;;) {
@@ -693,8 +712,10 @@ static PyObject *walk(PyObject *self, PyObject *args)
         if (++nsel + ancillas + extra > budget)
             break;
         ancillas += extra;
-        PyObject *v = node(nodes, r);
-        if (v == NULL || PySet_Add(selected, v) < 0 || row(&pushes, r, n, &t, &end) < 0)
+        PyObject *v = PyLong_FromSsize_t(r);
+        int added = v == NULL ? -1 : PySet_Add(selected, v);
+        Py_XDECREF(v);
+        if (added < 0 || row(&pushes, r, n, &t, &end) < 0)
             goto fail;
         for (; t < end; t++)
             if (!(m.flags[*t] & SEEN) && enqueue(&m, &active, &parked, *t) < 0)
@@ -711,6 +732,24 @@ done:
     PyMem_Free(active.items);
     PyMem_Free(parked.items);
     return selected;
+}
+
+/* Opens the tables and the state that freeze and merge share, checked in
+ * the oracle's order; -1 with an exception set. */
+static int state_open(Marks *m, Py_buffer *flags, PyObject *nodes, const Py_buffer *values,
+                      PyObject *count_obj, Py_buffer *counts, int writable,
+                      PyObject *clause_table, Py_buffer *cls, PyObject *occ_table,
+                      Py_buffer *occ)
+{
+    Py_ssize_t n = PyList_GET_SIZE(nodes);
+    if (ints_open(clause_table, cls, 0) < 0 || ints_open(occ_table, occ, 0) < 0 ||
+        ints_open(count_obj, counts, writable) < 0 || marks_open(m, flags, n) < 0)
+        return -1;
+    if (values->len != n)
+        return refuse("the value array must hold one byte per node");
+    if (ints_len(counts) != rows(cls))
+        return refuse("true_count must hold one count per clause");
+    return 0;
 }
 
 /* Merges the ascending runs a[bounds[r] .. bounds[r + 1] - 1], r < runs,
@@ -757,7 +796,7 @@ static int *visit_order(const Py_buffer *occ, const Ranks *sel, Py_ssize_t nclau
             goto done;
         for (const int *c = lo + 1; c < hi; c++)
             if (*c < c[-1]) {
-                PyErr_SetString(PyExc_ValueError, "an occurrence list is not ascending");
+                refuse("an occurrence list is not ascending");
                 goto done;
             }
         size += hi - lo;
@@ -785,76 +824,56 @@ done:
     return out;
 }
 
-/* Whether the frozen literal 2r + negated is true, the value of node r read
- * from `assignment` once per call and kept in its flags; -1 with an
- * exception set. */
-static int frozen_true(Marks *m, PyObject *nodes, PyObject *assignment, Py_ssize_t r,
-                       int negated)
+/* The node of rank r, borrowed; NULL with IndexError if `nodes` has since
+ * lost it. */
+static PyObject *node(PyObject *nodes, Py_ssize_t r)
 {
-    if (!(m->flags[r] & KNOWN)) {
-        PyObject *key = node(nodes, r), *value = NULL;
-        if (key == NULL)
-            return -1;
-        Py_INCREF(key);
-        value = PyObject_GetItem(assignment, key);
-        Py_DECREF(key);
-        int truth = value == NULL ? -1 : PyObject_IsTrue(value);
-        Py_XDECREF(value);
-        if (truth < 0 || mark(m, r, KNOWN | (truth ? VALUE : 0)) < 0)
-            return -1;
-    }
-    return negated != ((m->flags[r] & VALUE) != 0);
+    if (r < PyList_GET_SIZE(nodes))
+        return PyList_GET_ITEM(nodes, r);
+    outside("a rank is outside the nodes");
+    return NULL;
 }
 
-/* freeze(clauses, occurrences, nodes, selected, assignment, true_count,
- * flags): the oracle's freeze.  The clauses of the selected ranks are
- * visited in ascending order, each once, by a merge of their ascending
- * occurrence rows. */
+/* freeze(clauses, occurrences, nodes, selected, values, true_count, flags):
+ * the oracle's freeze.  The clauses of the selected ranks are visited in
+ * ascending order, each once, by a merge of their ascending occurrence
+ * rows; values and counts are read from their buffers. */
 static PyObject *freeze(PyObject *self, PyObject *args)
 {
-    PyObject *clause_table, *occ_table, *nodes, *selected, *assignment, *true_count;
-    Py_buffer flags;
-    if (!PyArg_ParseTuple(args, "OOO!OO!Ow*:freeze", &clause_table, &occ_table, &PyList_Type,
-                          &nodes, &selected, &PyDict_Type, &assignment, &true_count, &flags))
+    PyObject *clause_table, *occ_table, *nodes, *selected, *count_obj;
+    Py_buffer values, flags;
+    if (!PyArg_ParseTuple(args, "OOO!Oy*Ow*:freeze", &clause_table, &occ_table, &PyList_Type,
+                          &nodes, &selected, &values, &count_obj, &flags))
         return NULL;
-    Py_buffer cls = {0}, occ = {0};
-    Marks m;
-    PyObject *sel = PySequence_Fast(selected, "selected must be iterable");
-    PyObject *counts = PySequence_Fast(true_count, "true_count must be a sequence");
-    PyObject *kept = PyList_New(0), *out = NULL;
+    Py_buffer cls = {0}, occ = {0}, counts = {0};
+    Marks m = {0};
+    PyObject *kept = PyList_New(0), *out = NULL, *it = NULL, *item;
     int *visit = NULL, *codes = NULL;  /* the kept literals of a clause */
     Py_ssize_t r, n = flags.len, nvisit = 0, unsat = 0, width = 0;
-    if (marks_open(&m, &flags, nodes) < 0 || sel == NULL || counts == NULL ||
-        kept == NULL || table_open(clause_table, &cls) < 0 || table_open(occ_table, &occ) < 0)
+    if (kept == NULL || state_open(&m, &flags, nodes, &values, count_obj, &counts, 0,
+                                   clause_table, &cls, occ_table, &occ) < 0 ||
+        (it = PyObject_GetIter(selected)) == NULL)
         goto done;
-    for (Py_ssize_t k = 0; k < PySequence_Fast_GET_SIZE(sel); k++) {
-        /* a selected variable the nodes lack is in no clause */
-        if ((r = rank_of(nodes, n, PySequence_Fast_GET_ITEM(sel, k))) < -1 ||
-            (r >= 0 && mark(&m, r, CHOSEN) < 0))
+    while ((item = PyIter_Next(it)) != NULL) {
+        r = rank_in(item, n, "a selected rank is outside the nodes");
+        Py_DECREF(item);
+        if (r < 0 || mark(&m, r, CHOSEN) < 0)
             goto done;
     }
     /* only the chosen ranks are listed yet */
-    if ((visit = visit_order(&occ, &m.touched, PySequence_Fast_GET_SIZE(counts),
-                             &nvisit)) == NULL)
+    if (PyErr_Occurred() ||
+        (visit = visit_order(&occ, &m.touched, rows(&cls), &nvisit)) == NULL)
         goto done;
-    /* Python code that a count's __bool__, a lookup or a collection runs may
-       change true_count, the nodes or the flags, so an index into the lists
-       is checked just before it is read, and a clause's kept literals are
-       listed before its tuple is made */
+    const unsigned char *vals = values.buf;
+    const int *tc = counts.buf;
+    /* making a clause's tuple may run Python code (a collection) that
+       changes the nodes, so a rank is checked against them just before it
+       is read; the buffers held cannot be resized */
     for (Py_ssize_t at = 0; at < nvisit; at++) {
         int ci = visit[at];
         if (at > 0 && ci == visit[at - 1])
             continue;
-        if (ci >= PySequence_Fast_GET_SIZE(counts)) {
-            PyErr_SetString(PyExc_IndexError, "clause index out of range");
-            goto done;
-        }
-        PyObject *count = Py_NewRef(PySequence_Fast_GET_ITEM(counts, ci));
-        int sat = PyObject_IsTrue(count);
-        Py_DECREF(count);
-        if (sat < 0)
-            goto done;
-        unsat += !sat;
+        unsat += !tc[ci];
         const int *lo, *hi;
         if (row(&cls, ci, 2 * n, &lo, &hi) < 0)
             goto done;
@@ -872,8 +891,8 @@ static PyObject *freeze(PyObject *self, PyObject *args)
         for (const int *l = lo; l < hi && !dropped; l++) {
             if (m.flags[*l >> 1] & CHOSEN)
                 codes[nlits++] = *l;
-            else if ((dropped = frozen_true(&m, nodes, assignment, *l >> 1, *l & 1)) < 0)
-                goto done;
+            else
+                dropped = (vals[*l >> 1] != 0) != (*l & 1);
         }
         if (dropped)
             continue;
@@ -897,12 +916,181 @@ done:
     marks_close(&m);
     PyBuffer_Release(&cls);
     PyBuffer_Release(&occ);
+    PyBuffer_Release(&counts);
+    PyBuffer_Release(&values);
     PyBuffer_Release(&flags);
-    Py_XDECREF(sel);
-    Py_XDECREF(counts);
+    Py_XDECREF(it);
     Py_XDECREF(kept);
     PyMem_Free(visit);
     PyMem_Free(codes);
+    return out;
+}
+
+/* Whether the spin `key` of `spins` is above 0; -1 with an exception set
+ * unless it is an integer. */
+static int spin_up(PyObject *spins, PyObject *key)
+{
+    PyObject *spin = PyObject_GetItem(spins, key), *v = NULL;
+    int over = 0;
+    long long x = 0;
+    if (spin != NULL && (v = PyNumber_Index(spin)) != NULL)
+        x = PyLong_AsLongLongAndOverflow(v, &over);
+    Py_XDECREF(spin);
+    if (v == NULL)
+        return -1;
+    Py_DECREF(v);
+    return over > 0 || (over == 0 && x > 0);
+}
+
+/* The position of rank r in the ascending list of ranks `pool`, as
+ * bisect_left finds it; -1 with an exception set. */
+static Py_ssize_t pool_find(PyObject *pool, Py_ssize_t r)
+{
+    Py_ssize_t lo = 0, hi = PyList_GET_SIZE(pool);
+    while (lo < hi) {
+        Py_ssize_t mid = lo + (hi - lo) / 2;
+        Py_ssize_t v = PyLong_AsSsize_t(PyList_GET_ITEM(pool, mid));
+        if (v == -1 && PyErr_Occurred())
+            return -1;
+        if (v < r)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+/* Moves rank r's unsatisfied degree by `step` and, where it reaches 1 by a
+ * rise or 0, inserts r into or removes it from the pool; -1 with an
+ * exception set. */
+static int degree_step(int *degree, PyObject *pool, Py_ssize_t r, int step)
+{
+    degree[r] += step;
+    if (!(step > 0 && degree[r] == 1) && degree[r] != 0)
+        return 0;
+    Py_ssize_t at = pool_find(pool, r);
+    if (at < 0)
+        return -1;
+    if (degree[r] == 0)
+        return PySequence_DelItem(pool, at);
+    PyObject *v = PyLong_FromSsize_t(r);
+    int done = v == NULL ? -1 : PyList_Insert(pool, at, v);
+    Py_XDECREF(v);
+    return done;
+}
+
+/* merge(clauses, occurrences, nodes, spins, var_map, values, true_count,
+ * unsat_degree, pool, flags): the oracle's merge.  The ranks of the map
+ * are marked SEEN, and FLIPS where their value changes, with TURNS_TRUE
+ * when it becomes True.  Each clause of a flipped rank is read once, from
+ * the first flipped rank among its literals, and its change in true
+ * literals counted over its flipped literals; the changes are listed, and
+ * committed only when the gain is not negative.  Only a pool insertion
+ * that runs out of memory, or a pool that has lost a rank it must hold,
+ * can stop a commit half way. */
+static PyObject *merge(PyObject *self, PyObject *args)
+{
+    PyObject *clause_table, *occ_table, *nodes, *spins, *var_map, *count_obj, *degree_obj;
+    PyObject *pool;
+    Py_buffer values, flags;
+    if (!PyArg_ParseTuple(args, "OOO!OO!w*OOO!w*:merge", &clause_table, &occ_table,
+                          &PyList_Type, &nodes, &spins, &PyDict_Type, &var_map, &values,
+                          &count_obj, &degree_obj, &PyList_Type, &pool, &flags))
+        return NULL;
+    Py_buffer cls = {0}, occ = {0}, counts = {0}, degrees = {0};
+    Marks m = {0};
+    Ranks changes = {0};  /* clause, change: two items each */
+    PyObject *out = NULL;
+    Py_ssize_t r, n = flags.len, gain = 0;
+    if (state_open(&m, &flags, nodes, &values, count_obj, &counts, 1, clause_table, &cls,
+                   occ_table, &occ) < 0 ||
+        ints_open(degree_obj, &degrees, 1) < 0)
+        goto done;
+    if (ints_len(&degrees) != n) {
+        refuse("the degree array must hold one count per node");
+        goto done;
+    }
+    unsigned char *vals = values.buf;
+    int *tc = counts.buf, *degree = degrees.buf;
+    Py_ssize_t pos = 0;
+    PyObject *idx, *var;
+    while (PyDict_Next(var_map, &pos, &idx, &var)) {
+        /* a lookup may run Python code that changes the map: hold both */
+        Py_INCREF(idx);
+        Py_INCREF(var);
+        int up = -1;
+        r = rank_of(nodes, n, var);
+        if (r == -1)
+            outside("a variable of the map is not a node of the index");
+        else if (r >= 0 && (m.flags[r] & SEEN))
+            refuse("the map names a variable twice");
+        else if (r >= 0 && mark(&m, r, SEEN) == 0)
+            up = spin_up(spins, idx);
+        Py_DECREF(idx);
+        Py_DECREF(var);
+        if (up < 0)
+            goto done;
+        if ((vals[r] != 0) != up)
+            m.flags[r] |= FLIPS | (up ? TURNS_TRUE : 0);
+    }
+    Py_ssize_t nclauses = rows(&cls);
+    for (Py_ssize_t k = 0; k < m.touched.tail; k++) {
+        r = m.touched.items[k];
+        if (!(m.flags[r] & FLIPS))
+            continue;
+        const int *c, *cend, *lo, *hi, *l;
+        if (row(&occ, r, nclauses, &c, &cend) < 0)
+            goto done;
+        for (; c < cend; c++) {
+            if (row(&cls, *c, 2 * n, &lo, &hi) < 0)
+                goto done;
+            for (l = lo; l < hi && !(m.flags[*l >> 1] & FLIPS); l++)
+                ;
+            if (l == hi || *l >> 1 != r)
+                continue;  /* the clause is read from its first flipped rank */
+            int d = 0;
+            for (; l < hi; l++)
+                if (m.flags[*l >> 1] & FLIPS)
+                    d += ((m.flags[*l >> 1] & TURNS_TRUE) != 0) != (*l & 1) ? 1 : -1;
+            gain += (tc[*c] + d > 0) - (tc[*c] > 0);
+            if (d && (ranks_push(&changes, *c) < 0 || ranks_push(&changes, d) < 0))
+                goto done;
+        }
+    }
+    if (gain >= 0) {
+        for (Py_ssize_t k = 0; k < m.touched.tail; k++) {
+            r = m.touched.items[k];
+            if (m.flags[r] & FLIPS)
+                vals[r] = (m.flags[r] & TURNS_TRUE) != 0;
+        }
+        for (Py_ssize_t k = 0; k < changes.tail; k += 2) {
+            Py_ssize_t ci = changes.items[k];
+            int was = tc[ci], now = was + (int)changes.items[k + 1];
+            tc[ci] = now;
+            if ((was > 0) == (now > 0))
+                continue;
+            int step = was == 0 ? -1 : 1;  /* now satisfied / now unsatisfied */
+            const int *lo, *hi;
+            row(&cls, ci, 2 * n, &lo, &hi);  /* checked above */
+            for (const int *l = lo; l < hi; l++) {
+                const int *e = lo;
+                while (e < l && *e >> 1 != *l >> 1)
+                    e++;
+                if (e == l && degree_step(degree, pool, *l >> 1, step) < 0)
+                    goto done;  /* each distinct rank once */
+            }
+        }
+    }
+    out = PyLong_FromSsize_t(gain);
+done:
+    marks_close(&m);
+    PyBuffer_Release(&cls);
+    PyBuffer_Release(&occ);
+    PyBuffer_Release(&counts);
+    PyBuffer_Release(&degrees);
+    PyBuffer_Release(&values);
+    PyBuffer_Release(&flags);
+    PyMem_Free(changes.items);
     return out;
 }
 
@@ -1381,6 +1569,8 @@ static PyMethodDef methods[] = {
      "The spin-budgeted walk from start; returns the selected set."},
     {"freeze", freeze, METH_VARARGS,
      "The kept clauses of a slice in clause order, and the visited unsatisfied count."},
+    {"merge", merge, METH_VARARGS,
+     "Merges a slice's spins into the incumbent unless it loses a clause; returns the gain."},
     {"qubo", qubo, METH_O,
      "The QUBO of clauses: (num_vars, linear, quadratic, offset, source_var_map)."},
     {"ising", ising, METH_VARARGS,

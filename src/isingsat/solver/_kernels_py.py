@@ -1,5 +1,6 @@
 """Pure-Python kernels: Metropolis annealing, tabu descent, the
-decomposition's slice walk and freeze, and the slice's QUBO and Ising build.
+decomposition's slice walk, freeze and merge, and the slice's QUBO and Ising
+build.
 
 The oracle for the compiled kernels in ``_kernels.c``, which ``kernels``
 builds on first import, and what runs when they cannot be built.  The two
@@ -34,17 +35,24 @@ positive and finite, a negative ``n``, or a ``jd`` or ``h`` shorter than
 n*n or n entries is a ValueError.  A seed is taken modulo 2**64, and an
 integer temperature as a float.
 
-``walk`` and ``freeze`` are the decomposition's slice walk and the clause
-loop of its freeze, as ``decompose`` ran them in Python.  They do integer
-work only, on ranks: the tables ``build_vig`` lays out (read by ``row``)
-are indexed by the position of a variable in the ascending ``nodes``, and
-the variables passed in are found there by ``rank``.  The C versions mark
-what they touch in the flag array; these keep their marks in sets.  On the
-tables ``build_vig`` makes, both return the same and raise the same, in the
-same order: a flag array whose length is not ``len(nodes)`` is a ValueError,
-a variable that is not an integer a TypeError, a start ``nodes`` lacks an
-IndexError and a frozen variable the assignment lacks a KeyError; a cooling
-or a selected variable ``nodes`` lacks is in no clause, so it is skipped.
+``walk``, ``freeze`` and ``merge`` are the decomposition's slice walk, the
+clause loop of its freeze and its merge, as ``decompose`` ran them in
+Python.  They do integer work only, on ranks: the tables ``build_vig`` lays
+out (read by ``row``) are indexed by the position of a variable in the
+ascending ``nodes``, and so is a repeat's state, ``GlobalState``'s value
+bytes, unsatisfied degrees and pool; its true-literal counts are indexed by
+clause.  The walk takes a start rank and returns the selected ranks, which
+the freeze takes; only the merge's map names variables, which it finds in
+``nodes`` by ``rank``.  The C versions mark what they touch in the flag
+array; these keep their marks in sets and dicts.  On the tables
+``build_vig`` makes, both return the same, write the same and raise the
+same, in the same order: a flag, value or degree array that does not hold
+one item per node, or a count array that does not hold one per clause, is a
+ValueError, and so is a map that names a variable twice; a rank, a
+variable or a spin that is not an integer is a TypeError; a start or a
+selected rank outside ``0 .. len(nodes) - 1``, or a variable of the map that
+``nodes`` lacks, an IndexError.  A cooling rank outside the nodes is never
+reached, so it is skipped.  A merge raises before it writes anything.
 These read the tables as they stand, since ``build_vig`` makes every offset
 and item in range; the C versions check each row they read and raise
 IndexError for an offset or an item out of range, and the C freeze, which
@@ -68,7 +76,7 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections import deque
 from itertools import chain
 
@@ -213,21 +221,38 @@ def row(table, i):
     return table[table[i]:table[i + 1]]
 
 
-def walk(pushes, triangles, nodes, cooldown, flags, budget, start, depth_first):
-    """The spin-budgeted walk from ``start``; returns the selected set.
+def _rows(table):
+    """The number of rows of a flat table; an empty one has none."""
+    return table[0] - 1 if len(table) else 0
 
-    ``pushes`` is the ``Vig``'s neighbour table in push order, ``triangles``
-    and ``nodes`` the ``Vig``'s, ``cooldown`` the ``FilterState``'s (its keys
-    cool) and ``flags`` the ``GlobalState``'s.
-    """
+
+def _check_state(nodes, flags, values, true_count, clauses):
+    """The checks ``freeze`` and ``merge`` share, in the C order."""
     n = len(nodes)
     if len(flags) != n:
         raise ValueError("the flag array must hold one byte per node")
+    if len(values) != n:
+        raise ValueError("the value array must hold one byte per node")
+    if len(true_count) != _rows(clauses):
+        raise ValueError("true_count must hold one count per clause")
+
+
+def walk(pushes, triangles, cooldown, flags, budget, start, depth_first):
+    """The spin-budgeted walk from rank ``start``; returns the selected ranks.
+
+    ``pushes`` is the ``Vig``'s neighbour table in push order, ``triangles``
+    the ``Vig``'s, ``cooldown`` the ``FilterState``'s (its keys, ranks, cool)
+    and ``flags`` the ``GlobalState``'s.
+    """
+    n = len(flags)
+    if n != _rows(pushes):
+        raise ValueError("the flag array must hold one byte per node")
     # ``seen`` holds the queued and the selected ranks, so each is pushed
-    # once; no cooldown ticks during a walk, so the cooling ranks are read once
-    cooling = {r for r in (rank(nodes, v) for v in cooldown) if r >= 0}
-    first = rank(nodes, start)
-    if first < 0:
+    # once; no cooldown ticks during a walk, so the cooling ranks are read
+    # once, and one outside the index is never reached
+    cooling = {r for r in map(operator.index, cooldown) if 0 <= r < n}
+    first = operator.index(start)
+    if not 0 <= first < n:
         raise IndexError("the start is not a node of the index")
     selected: set[int] = set()
     seen = {first}
@@ -266,23 +291,26 @@ def walk(pushes, triangles, nodes, cooldown, flags, budget, start, depth_first):
             if u not in seen:
                 seen.add(u)
                 (parked if u in cooling else active).append(u)
-    return {nodes[r] for r in selected}
+    return selected
 
 
-def freeze(clauses, occurrences, nodes, selected, assignment, true_count, flags):
+def freeze(clauses, occurrences, nodes, selected, values, true_count, flags):
     """The kept clauses of a slice, in clause order, and how many of the
     visited clauses are unsatisfied (``true_count`` zero).
 
     ``clauses``, ``occurrences`` and ``nodes`` are the ``Vig``'s, the rest
-    the ``GlobalState``'s.  Only the clauses of the selected variables
-    (their ``occurrences`` rows) are visited.  A true frozen
-    literal drops its clause and a false one is removed; the selected
-    literals are kept as they stand.
+    the ``GlobalState``'s; ``selected`` holds ranks.  Only the clauses of
+    the selected ranks (their ``occurrences`` rows) are visited.  A true
+    frozen literal drops its clause and a false one is removed; the selected
+    literals are kept as they stand, as variables.
     """
+    _check_state(nodes, flags, values, true_count, clauses)
     n = len(nodes)
-    if len(flags) != n:
-        raise ValueError("the flag array must hold one byte per node")
-    chosen = dict.fromkeys(r for r in (rank(nodes, v) for v in selected) if r >= 0)
+    chosen: set[int] = set()
+    for r in map(operator.index, selected):
+        if not 0 <= r < n:
+            raise IndexError("a selected rank is outside the nodes")
+        chosen.add(r)
     visit: set[int] = set()
     for r in chosen:
         visit.update(row(occurrences, r))
@@ -294,15 +322,71 @@ def freeze(clauses, occurrences, nodes, selected, assignment, true_count, flags)
             unsat += 1
         lits: list[int] = []
         for lit in row(clauses, ci):
-            v = nodes[lit >> 1]
-            if lit >> 1 in chosen:
-                lits.append(-v if lit & 1 else v)
-            elif bool(assignment[v]) != lit & 1:
+            r = lit >> 1
+            if r in chosen:
+                lits.append(-nodes[r] if lit & 1 else nodes[r])
+            elif bool(values[r]) != lit & 1:
                 break  # a true frozen literal satisfies the clause
         else:
             keep(tuple(lits))
     return kept, unsat
 
+
+def merge(clauses, occurrences, nodes, spins, var_map, values, true_count,
+          unsat_degree, pool, flags):
+    """Merge a slice's spins into the incumbent unless it loses a clause;
+    returns the gain, the change in the number of satisfied clauses.
+
+    ``var_map`` maps each QUBO index to the variable whose spin ``spins``
+    holds there (``QuboModel.source_var_map``); a spin above 0 is True.
+    ``clauses``, ``occurrences`` and ``nodes`` are the ``Vig``'s, the rest
+    the ``GlobalState``'s.  Only the clauses of the ranks whose value
+    changes are read: their true-literal counts move by the literals that
+    flip (make/break).  A gain of 0 or more (a plateau move included) is
+    committed: ``values``, ``true_count``, ``unsat_degree`` and the
+    ascending ``pool`` of ranks with a nonzero degree move together, the
+    last two only for the clauses whose satisfied status flips.  A negative
+    gain leaves them all as they were.
+    """
+    _check_state(nodes, flags, values, true_count, clauses)
+    if len(unsat_degree) != len(nodes):
+        raise ValueError("the degree array must hold one count per node")
+    named: set[int] = set()
+    flips: dict[int, bool] = {}  # rank -> its new value
+    for idx, v in var_map.items():
+        r = rank(nodes, v)
+        if r < 0:
+            raise IndexError("a variable of the map is not a node of the index")
+        if r in named:
+            raise ValueError("the map names a variable twice")
+        named.add(r)
+        value = operator.index(spins[idx]) > 0
+        if bool(values[r]) != value:
+            flips[r] = value
+    delta: dict[int, int] = {}
+    for r, value in flips.items():
+        t = 2 * r + (not value)  # the literal of r that turns true
+        for ci in row(occurrences, r):
+            lits = row(clauses, ci)
+            delta[ci] = delta.get(ci, 0) + lits.count(t) - lits.count(t ^ 1)
+    gain = sum((true_count[ci] + d > 0) - (true_count[ci] > 0) for ci, d in delta.items())
+    if gain < 0:
+        return gain
+    for r, value in flips.items():
+        values[r] = value
+    for ci, d in delta.items():
+        was = true_count[ci]
+        true_count[ci] = was + d
+        if (was > 0) == (was + d > 0):
+            continue
+        step = -1 if was == 0 else 1  # now satisfied / now unsatisfied
+        for r in {lit >> 1 for lit in row(clauses, ci)}:
+            unsat_degree[r] += step
+            if step > 0 and unsat_degree[r] == 1:
+                insort(pool, r)
+            elif unsat_degree[r] == 0:
+                del pool[bisect_left(pool, r)]
+    return gain
 
 # The penalties 1 - a, (1 - a)(1 - b) and P(a, b, c, w), with a -> 1 - x for
 # each negative literal, expanded once (see ``isingsat.qubo``).  Keyed by the

@@ -1,12 +1,13 @@
 """Kernel selector: the C kernel, compiled on first import, else the pure oracle.
 
-Both hold the same seven functions: the solver's ``anneal`` and ``tabu`` and
-their seeding ``mix_seed``, the decomposition's slice ``walk`` and
-``freeze``, which read ``decompose.build_vig``'s rank tables and a flag
-array, and the slice's model build, ``qubo`` (clauses to the fields of
+Both hold the same eight functions: the solver's ``anneal`` and ``tabu`` and
+their seeding ``mix_seed``; the decomposition's slice ``walk``, ``freeze``
+and ``merge``, which read ``decompose.build_vig``'s rank tables and a flag
+array and read or write ``decompose.GlobalState``'s per-rank arrays in
+place; and the slice's model build, ``qubo`` (clauses to the fields of
 ``qubo.QuboModel``) and ``ising`` (those to the fields of
 ``qubo.IsingModel``), as ``_kernels_py`` sets out.  One build, one loader
-and one ``COMPILED_KERNELS`` flag cover all seven.
+and one ``COMPILED_KERNELS`` flag cover all eight.
 
 ``_kernels.c`` is compiled the first time this module is imported, with the
 interpreter's C compiler and ``-O2 -shared -fPIC -ffp-contract=off``.  The
@@ -123,5 +124,6 @@ anneal = _impl.anneal
 tabu = _impl.tabu
 walk = _impl.walk
 freeze = _impl.freeze
+merge = _impl.merge
 qubo = _impl.qubo
 ising = _impl.ising

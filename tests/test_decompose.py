@@ -39,7 +39,29 @@ from conftest import mixed_random_cnf, random_3sat
 
 
 def _gs(cnf, assignment):
-    return GlobalState.start(cnf, dict(assignment), build_vig(cnf))
+    """The state of ``cnf`` under ``assignment``; a variable it lacks is False."""
+    vig = build_vig(cnf)
+    return GlobalState.start(vig, bytearray(bool(assignment.get(v)) for v in vig.nodes))
+
+
+def _ranks(vig, variables):
+    """The ranks of those of ``variables`` the index holds."""
+    return {r for r in (rank(vig.nodes, v) for v in variables) if r >= 0}
+
+
+def _variables(vig, ranks):
+    return {vig.nodes[r] for r in ranks}
+
+
+def _assignment(state):
+    """The incumbent as a dict, as ``iterate`` makes it when its loop ends."""
+    return dict(zip(state.vig.nodes, map(bool, state.values)))
+
+
+def _freeze(cnf, selected, assignment):
+    """``freeze_and_extract`` of the variables ``selected`` under ``assignment``."""
+    state = _gs(cnf, assignment)
+    return freeze_and_extract(_ranks(state.vig, selected), state)
 
 
 def _flags(vig):
@@ -135,16 +157,18 @@ def _chain_cnf(n):
 def test_bfs_select_is_ball():
     cnf = make_cnf(7, [(1, 2), (1, 3), (2, 4), (2, 5), (3, 6), (6, 7)])
     vig = build_vig(cnf)
-    sel = select_bfs(vig, budget=4, start=1, filt=FilterState(), flags=_flags(vig))
+    sel = select_bfs(vig, budget=4, start=rank(vig.nodes, 1), filt=FilterState(),
+                     flags=_flags(vig))
     # BFS from 1 visits 1, then neighbors 2, 3, then 2's children
-    assert sel == {1, 2, 3, 4}
+    assert _variables(vig, sel) == {1, 2, 3, 4}
 
 
 def test_dfs_select_extends_chains():
     cnf = _chain_cnf(10)
     vig = build_vig(cnf)
-    sel = select_dfs(vig, budget=5, start=1, filt=FilterState(), flags=_flags(vig))
-    assert sel == {1, 2, 3, 4, 5}  # one unbroken chain
+    sel = select_dfs(vig, budget=5, start=rank(vig.nodes, 1), filt=FilterState(),
+                     flags=_flags(vig))
+    assert _variables(vig, sel) == {1, 2, 3, 4, 5}  # one unbroken chain
 
 
 def test_selection_respects_ancilla_cost():
@@ -152,8 +176,8 @@ def test_selection_respects_ancilla_cost():
     cnf = make_cnf(3, [(1, 2, 3)])
     vig = build_vig(cnf)
     flags = _flags(vig)
-    assert select_dfs(vig, 3, 1, FilterState(), flags) != {1, 2, 3}
-    assert select_dfs(vig, 4, 1, FilterState(), flags) == {1, 2, 3}
+    assert select_dfs(vig, 3, 0, FilterState(), flags) != {0, 1, 2}
+    assert select_dfs(vig, 4, 0, FilterState(), flags) == {0, 1, 2}  # ranks of 1, 2, 3
 
 
 def test_selection_restarts_across_components():
@@ -161,21 +185,22 @@ def test_selection_restarts_across_components():
     cnf = make_cnf(6, [(1, 2), (3, 4), (5, 6)])
     vig = build_vig(cnf)
     flags = _flags(vig)
-    assert select_bfs(vig, 6, 1, FilterState(), flags) == {1, 2, 3, 4, 5, 6}
-    assert select_dfs(vig, 6, 5, FilterState(), flags) == {1, 2, 3, 4, 5, 6}
+    assert _variables(vig, select_bfs(vig, 6, 0, FilterState(), flags)) == {1, 2, 3, 4, 5, 6}
+    assert _variables(vig, select_dfs(vig, 6, 4, FilterState(), flags)) == {1, 2, 3, 4, 5, 6}
 
 
 def test_filter_parks_cooling_vars():
     cnf = _chain_cnf(4)
     vig = build_vig(cnf)
     filt = FilterState()
+    one_two = _ranks(vig, {1, 2})
     for _ in range(FILTER_WINDOW - 1):
-        filt.note_selection({1, 2})
-    assert 1 not in filt.cooldown
-    filt.note_selection({1, 2})  # streak reaches the window: cooldown starts
-    assert 1 in filt.cooldown and 2 in filt.cooldown
-    sel = select_bfs(vig, budget=2, start=3, filt=filt, flags=_flags(vig))
-    assert sel == {3, 4}  # cooling vars parked behind fresh ones
+        filt.note_selection(one_two)
+    assert not one_two & filt.cooldown.keys()
+    filt.note_selection(one_two)  # streak reaches the window: cooldown starts
+    assert one_two <= filt.cooldown.keys()
+    sel = select_bfs(vig, budget=2, start=rank(vig.nodes, 3), filt=filt, flags=_flags(vig))
+    assert _variables(vig, sel) == {3, 4}  # cooling vars parked behind fresh ones
 
 
 def _reference_walk(cnf, budget, start, cooldown, depth_first):
@@ -245,12 +270,14 @@ def test_walks_match_the_reference_walk(case):
     cnf, start, cooldown = case
     vig = build_vig(cnf)
     flags = _flags(vig)
+    by_rank = {rank(vig.nodes, v): left for v, left in cooldown.items()}
     for budget in range(13):
         for select, depth_first in ((select_bfs, False), (select_dfs, True)):
-            filt = FilterState(cooldown=dict(cooldown))
-            assert select(vig, budget, start, filt, flags) == _reference_walk(
+            filt = FilterState(cooldown=dict(by_rank))
+            selected = select(vig, budget, rank(vig.nodes, start), filt, flags)
+            assert _variables(vig, selected) == _reference_walk(
                 cnf, budget, start, cooldown, depth_first), (budget, depth_first)
-            assert filt.cooldown == cooldown  # a walk reads the filter only
+            assert filt.cooldown == by_rank  # a walk reads the filter only
 
 
 # The compiled walk and freeze against the pure ones, exceptions included.
@@ -285,64 +312,74 @@ def _compiled_outcome(fn, flags, *args):
 @example((make_cnf(305, [(301, -302, 302), (303, 304), (305,)]), 303,
           {301: 1, 304: 2}), None)
 @example((make_cnf(3, [(1, 2)]), 1, {3: 1}), "after")  # declared, in no clause
-@example((make_cnf(2, [(1, 2)]), 1, {2: 1}), "after")  # past the declared count
+@example((make_cnf(2, [(1, 2)]), 1, {2: 1}), "below")
 @settings(max_examples=100, deadline=None)
 def test_compiled_walk_matches_the_pure_walk(case, outside):
     cnf, start, cooldown = case
     vig = build_vig(cnf)
     flags = _flags(vig)
-    if outside:  # a start the index lacks
-        start = vig.nodes[-1] + 1 if outside == "after" else -start
+    # a cooling variable the index lacks has rank -1, outside the index
+    cooldown = {rank(vig.nodes, v): left for v, left in cooldown.items()}
+    start = rank(vig.nodes, start)
+    if outside:  # a start outside the index
+        start = len(vig.nodes) if outside == "after" else -start - 1
     for budget in range(13):
         for pushes, depth_first in ((vig.bfs, False), (vig.dfs, True)):
-            args = (pushes, vig.triangles, vig.nodes, cooldown, flags, budget, start,
-                    depth_first)
+            args = (pushes, vig.triangles, cooldown, flags, budget, start, depth_first)
             assert (_compiled_outcome("walk", flags, *args)
                     == _outcome(_kernels_py.walk, *args)), (budget, depth_first)
 
 
-def _freeze_case(num_vars, clauses, selected, values, lacking=None):
-    """The arguments of a freeze: a formula, a selection and its state,
-    whose assignment lacks ``lacking``."""
+def _freeze_case(num_vars, clauses, selected, values):
+    """The arguments of a freeze: a formula, a selection of ranks and the
+    state of ``values``."""
     cnf = make_cnf(num_vars, clauses)
-    state = _gs(cnf, values)
-    state.assignment.pop(lacking, None)
-    return cnf, set(selected), state
+    return cnf, set(selected), _gs(cnf, values)
 
 
 @st.composite
 def _freeze_cases(draw):
     """A ``_formulas`` formula, its variables above 256 or not, any selection
-    of its variables and a state whose assignment may lack a frozen one."""
+    of its ranks and a state of random values."""
     cnf = draw(_formulas(draw(st.sampled_from((0, 300)))))
     nodes = build_vig(cnf).nodes
-    selected = draw(st.sets(st.sampled_from(nodes)))
-    frozen = [v for v in nodes if v not in selected]
-    lacking = draw(st.sampled_from(frozen)) if frozen and draw(st.booleans()) else None
+    selected = draw(st.sets(st.integers(0, len(nodes) - 1)))
     values = {v: draw(st.booleans()) for v in nodes}
-    return _freeze_case(cnf.num_vars, cnf.clauses, selected, values, lacking)
+    return _freeze_case(cnf.num_vars, cnf.clauses, selected, values)
+
+
+def _freeze_args(state, selected):
+    vig = state.vig
+    return (vig.clauses, vig.occurrences, vig.nodes, selected, state.values,
+            state.true_count, state.flags)
 
 
 @needs_compiled
 @given(_freeze_cases())
 @example(  # (v, v, u) and (v, -v, u) kept, (2, 3) emptied, (-1,) unsatisfied
-    _freeze_case(3, [(1, 1, 2), (1, -1, 3), (2, 3), (-1,), (2, -3)], {1},
+    _freeze_case(3, [(1, 1, 2), (1, -1, 3), (2, 3), (-1,), (2, -3)], {0},
                  {1: True, 2: False, 3: False}))
-@example(_freeze_case(303, [(301, -302, 303), (-301, -301, 302), (302, 303)], {301},
+@example(_freeze_case(303, [(301, -302, 303), (-301, -301, 302), (302, 303)], {0},
                       {301: False, 302: True, 303: False}))
-@example(_freeze_case(303, [(301, -302, 303), (-301, -301, 302)], {301},
-                      {301: False, 302: True, 303: False}, lacking=302))
-@example(_freeze_case(4, [(1, 2)], {1, 4}, {1: True, 2: False}))  # 4: in no clause
-@example(_freeze_case(3, [(1, 2)], {1, 5, -2}, {1: True, 2: False}))  # 5, -2: no nodes
-@example(_freeze_case(3, [(1, 2)], {1, 2.0}, {1: True, 2: False}))  # not an integer
+@example(_freeze_case(4, [(1, 2)], {0, 2}, {1: True, 2: False}))  # rank 2 of 2 nodes
+@example(_freeze_case(3, [(1, 2)], {0, -1}, {1: True, 2: False}))  # a negative rank
+@example(_freeze_case(3, [(1, 2)], {0, 1.0}, {1: True, 2: False}))  # not an integer
 @settings(max_examples=200, deadline=None)
 def test_compiled_freeze_matches_the_pure_freeze(case):
     cnf, selected, state = case
-    vig = state.vig
-    args = (vig.clauses, vig.occurrences, vig.nodes, selected, state.assignment,
-            state.true_count, state.flags)
+    args = _freeze_args(state, selected)
     assert (_compiled_outcome("freeze", state.flags, *args)
             == _outcome(_kernels_py.freeze, *args))
+
+
+def _merge_args(state, spins, var_map, **replaced):
+    """The arguments of a merge into ``state``, any of them replaced."""
+    vig = state.vig
+    args = dict(clauses=vig.clauses, occurrences=vig.occurrences, nodes=vig.nodes,
+                spins=spins, var_map=var_map, values=state.values,
+                true_count=state.true_count, unsat_degree=state.unsat_degree,
+                pool=state.pool, flags=state.flags)
+    return tuple({**args, **replaced}.values())
 
 
 @needs_compiled
@@ -351,12 +388,33 @@ def test_compiled_kernels_need_a_flag_byte_per_node():
     state = _gs(cnf, {})
     vig, outcome = state.vig, (ValueError, "the flag array must hold one byte per node")
     for flags in (bytearray(2), bytearray(4)):
-        walk_args = (vig.bfs, vig.triangles, vig.nodes, {}, flags, 3, 1, False)
-        freeze_args = (vig.clauses, vig.occurrences, vig.nodes, {1}, state.assignment,
+        walk_args = (vig.bfs, vig.triangles, {}, flags, 3, 0, False)
+        freeze_args = (vig.clauses, vig.occurrences, vig.nodes, {0}, state.values,
                        state.true_count, flags)
-        for fn, args in (("walk", walk_args), ("freeze", freeze_args)):
+        merge_args = _merge_args(state, (1,), {0: 1}, flags=flags)
+        for fn, args in (("walk", walk_args), ("freeze", freeze_args),
+                         ("merge", merge_args)):
             assert (_compiled_outcome(fn, flags, *args)
                     == _outcome(getattr(_kernels_py, fn), *args) == outcome)
+
+
+@needs_compiled
+def test_compiled_kernels_need_a_value_per_node_and_a_count_per_clause():
+    """A ``values`` or a ``true_count`` of the wrong length is the same
+    ValueError from both kernels, before either reads a row."""
+    cnf = make_cnf(3, [(1, 2), (2, 3)])
+    state = _gs(cnf, {})
+    values = (ValueError, "the value array must hold one byte per node")
+    counts = (ValueError, "true_count must hold one count per clause")
+    cases = [(values, dict(values=v)) for v in (bytearray(2), bytearray(4))]
+    cases += [(counts, dict(true_count=c)) for c in (array("i", []), array("i", [0, 0, 0]))]
+    for outcome, replaced in cases:
+        args = _merge_args(state, (1,), {0: 1}, **replaced)
+        clauses, occurrences, nodes, _, _, values_, true_count, _, _, flags = args
+        freeze_args = (clauses, occurrences, nodes, {0}, values_, true_count, flags)
+        for fn, fn_args in (("freeze", freeze_args), ("merge", args)):
+            assert (_compiled_outcome(fn, flags, *fn_args)
+                    == _outcome(getattr(_kernels_py, fn), *fn_args) == outcome), fn
 
 
 @needs_compiled
@@ -365,7 +423,7 @@ def test_compiled_freeze_needs_ascending_occurrence_lists():
     clauses = array("i", [3, 4, 6, 0, 0, 2])  # (1,), (1, 2) over nodes [1, 2]
     occurrences = array("i", [3, 5, 6, 1, 0, 1])  # node 1's row is (1, 0)
     flags = bytearray(2)
-    args = (clauses, occurrences, [1, 2], {1}, {1: True, 2: False}, [1, 1], flags)
+    args = (clauses, occurrences, [1, 2], {0}, bytearray([1, 0]), array("i", [1, 1]), flags)
     outcome = (ValueError, "an occurrence list is not ascending")
     assert _compiled_outcome("freeze", flags, *args) == outcome
 
@@ -373,25 +431,28 @@ def test_compiled_freeze_needs_ascending_occurrence_lists():
 @needs_compiled
 def test_compiled_kernels_check_every_row_they_read():
     """A table row or an item outside what it indexes is an IndexError from
-    the compiled kernels, which leaves the flags clear (the oracle reads the
-    tables as ``build_vig`` makes them, in range)."""
-    nodes, flags, values = [1, 2], bytearray(2), {1: True, 2: False}
+    the compiled kernels, which leaves the flags and the state as they were
+    (the oracle reads the tables as ``build_vig`` makes them, in range)."""
+    nodes, flags, values = [1, 2], bytearray(2), bytearray([1, 0])
     good = array("i", [3, 4, 5, 1, 0])  # ranks: 0 -- 1
     clauses = array("i", [2, 4, 0, 3])  # (1, -2)
     occurrences = array("i", [3, 4, 5, 0, 0])
     bad_rows = array("i", [3, 4, 9, 1, 0])  # row 1 ends past the table
     bad_items = array("i", [3, 4, 5, 2, 0])  # rank 2 of 2 nodes
-    cases = [("walk", (table, good, nodes, {}, flags, 5, 1, False))
+    counts, degree, pool = array("i", [1]), array("i", [0, 0]), []
+    cases = [("walk", (table, good, {}, flags, 5, 0, False))
              for table in (bad_rows, bad_items)]
-    cases += [("walk", (good, bad_items, nodes, {}, flags, 5, 2, False))]
-    cases += [("freeze", (array("i", [2, 4, 0, 9]), occurrences, nodes, {1}, values,
-                          [1], flags)),  # literal 9 of 2 nodes
-              ("freeze", (clauses, array("i", [3, 4, 5, 1, 0]), nodes, {1}, values,
-                          [1], flags)),  # clause 1 of 1
-              ("freeze", (clauses, occurrences, nodes, {1}, values, [], flags))]
+    cases += [("walk", (good, bad_items, {}, flags, 5, 1, False))]
+    for table, occ in ((array("i", [2, 4, 0, 9]), occurrences),  # literal 9 of 2 nodes
+                       (clauses, array("i", [3, 4, 5, 1, 0]))):  # clause 1 of 1
+        cases += [("freeze", (table, occ, nodes, {0}, values, counts, flags)),
+                  ("merge", (table, occ, nodes, (-1,), {0: 1}, values, counts, degree,
+                             pool, flags))]
     for fn, args in cases:
         outcome = _compiled_outcome(fn, flags, *args)
         assert outcome[0] is IndexError, (fn, outcome)
+    assert (values, counts, degree, pool) == (bytearray([1, 0]), array("i", [1]),
+                                              array("i", [0, 0]), [])
 
 
 def _ring(n):
@@ -400,29 +461,40 @@ def _ring(n):
 
 
 @needs_compiled
-def test_compiled_walk_and_freeze_allocate_by_the_slice_not_the_formula():
-    """A walk and a freeze of the same slice allocate alike on a formula of
-    10**2 and one of 10**5 variables: nothing is sized by the formula."""
+def test_compiled_slice_kernels_allocate_by_the_slice_not_the_formula():
+    """A walk, a freeze and a merge of the same slice each allocate alike on
+    a formula of 10**2 and one of 10**5 variables: nothing is sized by the
+    formula."""
     peaks = []
     for n in (10**2, 10**5):
         cnf = _ring(n)
         vig = build_vig(cnf)
-        state = _gs(cnf, {v: v % 3 == 0 for v in range(1, n + 1)})
-        filt = FilterState(cooldown={50: 3})
+        start = _gs(cnf, {v: v % 3 == 0 for v in range(1, n + 1)})
+        filt = FilterState(cooldown={49: 3})
+
+        def traced(fn, *args):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = fn(*args)
+            return out, tracemalloc.get_traced_memory()[1] - base
+
         tracemalloc.start()
         try:
             for _ in range(2):  # the second pass finds every cache warm
-                tracemalloc.reset_peak()
-                base = tracemalloc.get_traced_memory()[0]
-                selected = select_bfs(vig, 30, 40, filt, state.flags)
-                kept, _ = kernels.freeze(vig.clauses, vig.occurrences, vig.nodes, selected,
-                                         state.assignment, state.true_count, state.flags)
-                peak = tracemalloc.get_traced_memory()[1] - base
-                del selected, kept
+                state = GlobalState(bytearray(start.values), array("i", start.true_count),
+                                    start.unsat, array("i", start.unsat_degree),
+                                    list(start.pool), vig, start.flags)
+                selected, walked = traced(select_bfs, vig, 30, 39, filt, state.flags)
+                kept, frozen = traced(kernels.freeze, *_freeze_args(state, selected))
+                var_map = dict(enumerate(sorted(_variables(vig, selected))))
+                spins = (1,) * len(var_map)  # all True: a flip of every third
+                gain, merged = traced(kernels.merge, *_merge_args(state, spins, var_map))
+                assert gain > 0
+                del selected, kept, var_map
         finally:
             tracemalloc.stop()
-        peaks.append(peak)
-    assert peaks[1] <= peaks[0], peaks
+        peaks.append((walked, frozen, merged))
+    assert all(big <= small for small, big in zip(*peaks)), peaks
 
 
 def test_filter_cooldown_expires():
@@ -443,7 +515,7 @@ def test_filter_cooldown_expires():
 def test_freeze_worked_example():
     # (a v b)(a v ~b)(~a v b)(a v ~b v c) with a frozen false
     cnf = make_cnf(3, [(1, 2), (1, -2), (-1, 2), (1, -2, 3)])
-    sub = freeze_and_extract({2, 3}, _gs(cnf, {1: False}))
+    sub = _freeze(cnf, {2, 3}, {1: False})
     assert sub.qubo == cnf_to_qubo([(2,), (-2,), (-2, 3)])
     assert sub.spin_cost == 2
 
@@ -451,7 +523,7 @@ def test_freeze_worked_example():
 def test_freeze_conflicting_units_maxsat():
     # the (b)(~b) conflict: minimum energy 1 at either value
     cnf = make_cnf(2, [(1, 2), (1, -2)])
-    sub = freeze_and_extract({2}, _gs(cnf, {1: False}))
+    sub = _freeze(cnf, {2}, {1: False})
     q = sub.qubo
     energies = {x: q.energy({0: x}) for x in (0, 1)}
     assert energies == {0: 1.0, 1: 1.0}
@@ -459,7 +531,7 @@ def test_freeze_conflicting_units_maxsat():
 
 def test_freeze_emptied_clause_is_offset():
     cnf = make_cnf(2, [(1,), (2,)])
-    sub = freeze_and_extract({2}, _gs(cnf, {1: False}))
+    sub = _freeze(cnf, {2}, {1: False})
     assert sub.qubo == cnf_to_qubo([(), (2,)])
     assert sub.qubo.offset >= 1.0
 
@@ -476,7 +548,7 @@ def test_slices_count_emptied_clauses_instead_of_listing_them(monkeypatch):
 
 def test_freeze_counts_ancillas_in_spin_cost():
     cnf = make_cnf(4, [(1, 2, 3), (1, 2, 4)])
-    sub = freeze_and_extract({1, 2, 3}, _gs(cnf, {4: True}))
+    sub = _freeze(cnf, {1, 2, 3}, {4: True})
     # clause (1,2,4) satisfied by the frozen true 4; one 3-wide clause kept
     assert sub.qubo == cnf_to_qubo([(1, 2, 3)])
     assert sub.spin_cost == 4
@@ -490,7 +562,7 @@ def test_freeze_rejects_empty_selection():
 
 def test_freeze_default_false_for_unassigned():
     cnf = make_cnf(2, [(2, 1)])
-    sub = freeze_and_extract({2}, _gs(cnf, {}))
+    sub = _freeze(cnf, {2}, {})
     assert sub.qubo == cnf_to_qubo([(2,)])
 
 
@@ -498,28 +570,34 @@ def test_freeze_default_false_for_unassigned():
 # merging
 
 
+def _propose(proposal):
+    """``proposal``, values of variables, as a slice's spins and its map."""
+    var_map = dict(enumerate(sorted(proposal)))
+    return tuple(1 if proposal[v] else -1 for v in var_map.values()), var_map
+
+
 def test_update_global_accepts_plateau_and_better():
     cnf = make_cnf(2, [(1,), (2,)])
     state = _gs(cnf, {1: False, 2: True})
     assert state.best_count == 1
-    assert update_global(state, {1: True}, cnf)
+    assert update_global(state, *_propose({1: True}))
     assert state.best_count == 2
-    assert state.assignment[1] is True
+    assert _assignment(state)[1] is True
     # plateau: conflicting units (1)(~1) score 1 either way; flip accepted
     conflict = make_cnf(1, [(1,), (-1,)])
     state2 = _gs(conflict, {1: True})
     assert state2.best_count == 1
-    assert update_global(state2, {1: False}, conflict)
+    assert update_global(state2, *_propose({1: False}))
     assert state2.best_count == 1
-    assert state2.assignment[1] is False
+    assert _assignment(state2)[1] is False
 
 
 def test_update_global_rejects_worse():
     cnf = make_cnf(2, [(1,), (2,)])
     state = _gs(cnf, {1: True, 2: True})
     assert state.best_count == 2
-    assert not update_global(state, {1: False}, cnf)
-    assert state.assignment[1] is True  # rolled back
+    assert not update_global(state, *_propose({1: False}))
+    assert _assignment(state)[1] is True  # rolled back
     assert state.best_count == 2
 
 
@@ -578,31 +656,110 @@ def test_incremental_counts_match_full_rescan(walk):
     state = _gs(cnf, {v: start[v - 1] for v in range(1, cnf.num_vars + 1)})
     _assert_pool_matches_rescan(cnf, state)
     for selected, bits in steps:
-        before = dict(state.assignment)
-        sub = freeze_and_extract(selected, state)
-        assert (sub.qubo, sub.spin_cost) == _naive_freeze(cnf, selected, before)
+        before = _assignment(state)
+        selected = selected & before.keys()  # a variable in no clause has no rank
+        if selected:
+            sub = freeze_and_extract(_ranks(state.vig, selected), state)
+            assert (sub.qubo, sub.spin_cost) == _naive_freeze(cnf, selected, before)
         proposal = {v: bits[v - 1] for v in selected}
-        accepted = update_global(state, proposal, cnf)
+        accepted = update_global(state, *_propose(proposal))
         assert state.best_count >= count_satisfied(cnf.clauses, before)  # never drops
         candidate = {**before, **proposal}
         assert accepted == (count_satisfied(cnf.clauses, candidate)
                             >= count_satisfied(cnf.clauses, before))
-        assert state.assignment == (candidate if accepted else before)
-        assert state.best_count == count_satisfied(cnf.clauses, state.assignment)
-        unsat = [ci for ci, c in enumerate(cnf.clauses)
-                 if not clause_satisfied(c, state.assignment)]
-        assert [ci for ci, k in enumerate(state.true_count) if k == 0] == unsat
-        assert state.unsat == len(unsat)
-        _assert_pool_matches_rescan(cnf, state)
+        assert _assignment(state) == (candidate if accepted else before)
+        _assert_state_matches_rescan(cnf, state)
+
+
+def _assert_state_matches_rescan(cnf, state):
+    """The counts, the degrees and the pool are those a full rescan of the
+    incumbent gives."""
+    assignment = _assignment(state)
+    assert state.best_count == count_satisfied(cnf.clauses, assignment)
+    unsat = [ci for ci, c in enumerate(cnf.clauses)
+             if not clause_satisfied(c, assignment)]
+    assert [ci for ci, k in enumerate(state.true_count) if k == 0] == unsat
+    assert state.unsat == len(unsat)
+    _assert_pool_matches_rescan(cnf, state)
 
 
 def _assert_pool_matches_rescan(cnf, state):
-    unsat_vars = [{abs(lit) for lit in c}
-                  for c, k in zip(cnf.clauses, state.true_count) if k == 0]
-    assert state.unsat == len(unsat_vars)
-    assert state.pool == sorted(set().union(*unsat_vars))
-    assert state.unsat_degree == {v: sum(v in vs for vs in unsat_vars)
-                                  for v in cnf.occurring_vars()}
+    nodes = state.vig.nodes
+    unsat_ranks = [{rank(nodes, abs(lit)) for lit in c}
+                   for c, k in zip(cnf.clauses, state.true_count) if k == 0]
+    assert state.unsat == len(unsat_ranks)
+    assert state.pool == sorted(set().union(*unsat_ranks))
+    assert list(state.unsat_degree) == [sum(r in rs for rs in unsat_ranks)
+                                        for r in range(len(nodes))]
+
+
+def _state_fields(state):
+    return (bytes(state.values), list(state.true_count), state.unsat,
+            list(state.unsat_degree), list(state.pool))
+
+
+@st.composite
+def _merge_sequences(draw):
+    """A random 3-CNF on few variables (so clauses often repeat one), its
+    variables above 256 or not, a random incumbent and a sequence of
+    proposals, each some of its variables with new values."""
+    offset = draw(st.sampled_from((0, 300)))
+    n = draw(st.integers(3, 9))
+    lit = st.integers(1 + offset, n + offset).flatmap(lambda v: st.sampled_from((v, -v)))
+    clauses = draw(st.lists(st.tuples(lit, lit, lit), min_size=1, max_size=30))
+    cnf = make_cnf(n + offset, clauses)
+    nodes = build_vig(cnf).nodes
+    values = {v: draw(st.booleans()) for v in nodes}
+    proposal = st.dictionaries(st.sampled_from(nodes), st.booleans(), min_size=1)
+    return cnf, values, draw(st.lists(proposal, min_size=1, max_size=8))
+
+
+@needs_compiled
+@given(_merge_sequences())
+@example((  # improving, plateau, rejected, then improving by a pair of which one flips
+    make_cnf(3, [(1, 1, 1), (2, 2, 2), (-1, 2, 2), (3, 3, 3), (-3, -3, -3)]),
+    {1: False, 2: False, 3: True},
+    [{2: True}, {3: False}, {2: False}, {1: True, 2: True}]))
+@settings(max_examples=200, deadline=None)
+def test_compiled_merge_matches_the_pure_merge(case):
+    """Merging the same proposals into two copies of a state, one by each
+    ``merge``, gives the same gains and states, both a full rescan's."""
+    cnf, values, proposals = case
+    compiled, pure = _gs(cnf, values), _gs(cnf, values)
+    for proposal in proposals:
+        spins, var_map = _propose(proposal)
+        gains = [_compiled_outcome("merge", compiled.flags,
+                                   *_merge_args(compiled, spins, var_map)),
+                 _kernels_py.merge(*_merge_args(pure, spins, var_map))]
+        assert gains[0] == gains[1]
+        for state in (compiled, pure):
+            state.unsat -= max(gains[0], 0)  # as update_global counts a merge
+        assert _state_fields(compiled) == _state_fields(pure)
+        _assert_state_matches_rescan(cnf, compiled)
+
+
+@needs_compiled
+def test_compiled_merge_refuses_what_the_pure_merge_refuses():
+    """A map naming a variable outside the nodes, or one twice, a spin or a
+    variable that is not an integer, and an array of the wrong length are
+    refused alike, before anything is committed."""
+    cnf = make_cnf(303, [(301, -302, 303), (-301, 302), (303,)])
+    state = _gs(cnf, {301: True})
+    spins, var_map = (-1, 1), {0: 301, 1: 302}
+    refused = [dict(var_map={0: 301, 1: 304}), dict(var_map={0: 300, 1: 301}),
+               dict(var_map={0: 301, 1: 301}), dict(var_map={0: 301, 1: 1.5}),
+               dict(spins=(-1,)), dict(spins=(-1, 0.5)),
+               dict(values=bytearray(2)), dict(values=bytearray(4)),
+               dict(true_count=array("i", [0, 0])), dict(true_count=array("i", [0] * 4)),
+               dict(unsat_degree=array("i", [0] * 2)), dict(flags=bytearray(4))]
+    before = _state_fields(state)
+    for replaced in refused:
+        args = _merge_args(state, **{"spins": spins, "var_map": var_map, **replaced})
+        outcome = _compiled_outcome("merge", replaced.get("flags", state.flags), *args)
+        assert outcome == _outcome(_kernels_py.merge, *args), replaced
+        assert outcome[0] in (IndexError, ValueError, TypeError), replaced
+        assert _state_fields(state) == before, replaced
+    assert kernels.merge(*_merge_args(state, spins, var_map)) >= 0  # the map itself merges
 
 
 @given(st.data())
@@ -617,8 +774,8 @@ def test_start_counts_every_true_literal(data):
     given_values = data.draw(st.dictionaries(st.integers(1, n), st.booleans()))
     state = _gs(cnf, given_values)
     value = {v: given_values.get(v, False) for v in range(1, n + 1)}
-    assert state.true_count == [sum(1 for lit in c if (lit > 0) == value[abs(lit)])
-                                for c in cnf.clauses]
+    assert list(state.true_count) == [sum(1 for lit in c if (lit > 0) == value[abs(lit)])
+                                      for c in cnf.clauses]
     assert state.unsat == state.true_count.count(0)
     _assert_pool_matches_rescan(cnf, state)
 
@@ -638,11 +795,10 @@ def test_spin_cost_counts_repeated_variable_3_clauses():
             v, u = rng.sample(range(1, 9), 2)
             extra.append(rng.choice(((v, v, u), (v, -v, u), (-v, u, v), (v, v, v))))
         cnf = make_cnf(8, list(base.clauses) + extra)
-        vig = build_vig(cnf)
-        state = GlobalState.start(cnf, {v: rng.random() < 0.5 for v in range(1, 9)},
-                                  vig)
+        state = _gs(cnf, {v: rng.random() < 0.5 for v in range(1, 9)})
+        vig = state.vig
         for budget in (2, 3, 5, 8):
-            for start in vig.nodes:
+            for start in range(len(vig.nodes)):
                 for select in (select_bfs, select_dfs):
                     selected = select(vig, budget, start, FilterState(), state.flags)
                     if selected:

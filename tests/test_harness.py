@@ -381,7 +381,7 @@ def test_a_tabu_repeat_records_alike_with_the_pure_oracle(monkeypatch):
                          ids=["L7-dfs-emulator", "L0-budget20", "bfs-tabu"])
 def test_golden_repeats_record_alike_with_every_slice_kernel_pure(
         monkeypatch, spec, cell, settings, golden):
-    # the pinned records are the compiled walk, freeze and model build's
+    # the pinned records are the compiled walk, freeze, merge and model build's
     # wherever a C compiler exists (test_run_repeat_records_are_pinned)
     instance_id, cnf = expand_instances(spec)[0]
     config = SweepConfig(instances=[spec], **settings)
@@ -396,10 +396,11 @@ def test_golden_repeats_record_alike_with_every_slice_kernel_pure(
 
     monkeypatch.setattr(decompose, "walk", spy(pure.walk))
     monkeypatch.setattr(decompose, "freeze", spy(pure.freeze))
+    monkeypatch.setattr(decompose, "merge", spy(pure.merge))
     monkeypatch.setattr(solver.kernels, "qubo", spy(pure.qubo))
     monkeypatch.setattr(solver.kernels, "ising", spy(pure.ising))
     assert run_repeat(instance_id, cnf, config, **cell).to_json() == golden
-    assert called == {"walk", "freeze", "qubo", "ising"}
+    assert called == {"walk", "freeze", "merge", "qubo", "ising"}
 
 
 # Every solver call's best spins over a short repeat, hashed, on calls

@@ -42,12 +42,14 @@ exists while the loop runs.  An iteration then touches only the slice:
   clauses whose satisfied status flips.
 
 One full rescan at the end of the loop, over the assignment made from the
-value bytes, checks the final count.
+value bytes, checks the final count; it reads the clauses afresh, not the
+counts, so it stays an independent check.
 
-The walk, the clause loop of the freeze and the merge run in the compiled
-module, as ``solver.kernels.walk``, ``freeze`` and ``merge``, which read
-the index and write the state's arrays in place; without a C compiler
-their pure-Python oracle runs, with the same results.  :func:`select_bfs`,
+The start's count, the walk, the clause loop of the freeze and the merge
+run in the compiled module, as ``solver.kernels.tally``, ``walk``,
+``freeze`` and ``merge``, which read the index and make or write the
+state's arrays; without a C compiler their pure-Python oracle runs, with
+the same results.  :meth:`GlobalState.start`, :func:`select_bfs`,
 :func:`select_dfs`, :func:`freeze_and_extract` and :func:`update_global`
 stay here and look them up at call time.
 """
@@ -63,15 +65,15 @@ from .cnf import MEMO_ENTRIES, Cnf, count_satisfied, evaluate
 from .preprocess import ConditionRecord, reconstruct
 from .qubo import QuboModel, cnf_to_qubo, qubo_to_ising, scale_to_chip
 from .solver import solve
-from .solver._kernels_py import row
-from .solver.kernels import freeze, merge, walk
+from .solver.kernels import freeze, merge, tally, walk
 
 STRATEGIES = ("bfs", "dfs")
 
 
 def _table(rows: list[list[int]]) -> array:
     """``rows`` flat in one ``array('i')`` ``t``: ``t[0]`` offsets, then the
-    items, so row ``i`` is ``t[t[i]:t[i + 1]]`` (:func:`row` reads it)."""
+    items, so row ``i`` is ``t[t[i]:t[i + 1]]`` (``_kernels_py.row`` reads
+    it)."""
     table = array("i", accumulate(map(len, rows), initial=len(rows) + 1))
     table.fromlist(list(chain.from_iterable(rows)))
     return table
@@ -217,24 +219,9 @@ class GlobalState:
     @classmethod
     def start(cls, vig: Vig, values: bytearray) -> GlobalState:
         """Count the true literals of each clause of the formula indexed by
-        ``vig`` under ``values``, a byte per node, which the state takes."""
-        t = vig.clauses
-        base = t[0]
-        truth = bytearray(2 * len(values))  # a byte per literal code
-        truth[0::2] = values
-        truth[1::2] = bytes(1 - b for b in values)
-        # a repeated literal counts once per occurrence
-        hits = list(accumulate(map(truth.__getitem__, t[base:]), initial=0))
-        true_count = array("i", [hits[b - base] - hits[a - base]
-                                 for a, b in zip(t[:base - 1], t[1:base])])
-        degree = array("i", [0]) * len(values)
-        unsat = 0
-        for ci, count in enumerate(true_count):
-            if not count:
-                unsat += 1
-                for r in {lit >> 1 for lit in row(t, ci)}:
-                    degree[r] += 1
-        pool = [r for r, d in enumerate(degree) if d]
+        ``vig`` under ``values``, a byte per node, which the state takes;
+        the kernel ``tally`` counts."""
+        true_count, unsat, degree, pool = tally(vig.clauses, values)
         return cls(values, true_count, unsat, degree, pool, vig, bytearray(len(values)))
 
 

@@ -10,12 +10,13 @@ coefficients are a constant table keyed by clause width and sign pattern
 (14 entries); building a QUBO only looks them up.  Both models keep their
 pair terms in maps keyed ``(i, k)``, ``i < k``, so no step costs n².
 
-The table and both builds, :func:`cnf_to_qubo` and :func:`qubo_to_ising`,
-run in :mod:`.solver.kernels`: compiled, or as the pure-Python oracle
-``_kernels_py``, with identical fields and key order.  Every QUBO
-coefficient is a small integer, which the Ising step only halves and
-quarters, so neither build rounds; :func:`scale_to_chip`, which does, stays
-here.
+The table, both builds, :func:`cnf_to_qubo` and :func:`qubo_to_ising`, and
+the rule of :func:`scale_to_chip` run in :mod:`.solver.kernels`: compiled,
+or as the pure-Python oracle ``_kernels_py``, with identical fields, floats
+and key order.  Every QUBO coefficient is a small integer, which the Ising
+step only halves and quarters, so neither build rounds; the chip scaling
+rounds in doubles, and both implementations round alike, zero signs
+included.
 
 The width-3 gadget coefficients were frozen from an exhaustive 16-row
 enumeration (min over the ancilla: 0 on the seven satisfying rows, exactly 1
@@ -29,7 +30,6 @@ units are kept verbatim) price their unavoidable violations.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -121,10 +121,6 @@ def chip_misfit(v: float) -> str | None:
     return None
 
 
-def _round_away(v: float) -> int:
-    return math.floor(v + 0.5) if v >= 0 else math.ceil(v - 0.5)
-
-
 def scale_to_chip(m: IsingModel) -> tuple[IsingModel, DistortionReport]:
     """Fit coefficients into the chip's integer range.
 
@@ -134,23 +130,17 @@ def scale_to_chip(m: IsingModel) -> tuple[IsingModel, DistortionReport]:
     rounded to integers (ties away from zero) and clamped; the scaled model
     keeps the same pairs.  Positive scaling preserves the energy ordering
     exactly; only the rounding step can distort, which the report
-    quantifies.  Each rule runs once per distinct coefficient value.
+    quantifies.  The rule is the kernel ``scale``; a coefficient that is not
+    finite is a ValueError.
     """
     if m.num_spins > SPIN_BUDGET:
         raise ValueError(
             f"{m.num_spins} spins exceed the chip budget {SPIN_BUDGET}")
-    values = {*m.j.values(), *m.h}
-    if not any(map(chip_misfit, values)):
+    scaled = kernels.scale(m.j, m.h, m.offset)
+    if scaled is None:
         return m, DistortionReport(max_rel_error=0.0)
-    maxabs = max(map(abs, values))
-    scale = COEFF_MAX / maxabs
-    fit = {v: float(max(COEFF_MIN, min(COEFF_MAX, _round_away(v * scale))))
-           for v in values}
-    max_rel = max((abs(fit[v] - v * scale) / abs(v * scale)
-                   for v in values if v * scale != 0.0), default=0.0)
-    scaled = IsingModel(m.num_spins, {pair: fit[v] for pair, v in m.j.items()},
-                        list(map(fit.__getitem__, m.h)), m.offset * scale)
-    return scaled, DistortionReport(max_rel_error=max_rel)
+    j, h, offset, max_rel = scaled
+    return IsingModel(m.num_spins, j, h, offset), DistortionReport(max_rel_error=max_rel)
 
 
 # Last: the solver package imports this module's chip constants and models,

@@ -1,15 +1,19 @@
 /* Compiled kernels: the solver's Metropolis annealing and tabu descent, the
- * decomposition's slice walk, freeze and merge, and the slice's model build,
- * qubo and ising (walk, freeze and merge, then qubo and ising, at the end,
+ * decomposition's slice walk, freeze and merge and a repeat's start tally,
+ * the slice's model build, qubo and ising, and its chip scaling (walk,
+ * freeze, merge and tally, then qubo and ising, then scale, at the end,
  * each group with its own comment).  The walk, the freeze and the merge
  * read build_vig's flat int tables, whose rows are numbered by node rank,
  * read or write a repeat's state in its flat per-rank arrays in place, and
  * keep their per-rank marks in the caller's flag array, which they clear
  * before they return, on error too, so no call does work or allocates
- * memory in proportion to the formula.  The model build is exact: its
+ * memory in proportion to the formula; the tally, once per repeat, makes
+ * that state from the clause table.  The model build is exact: its
  * coefficients are small integers from the 14-row gadget table, which ising
  * only halves and quarters, so it rounds nothing and gives the oracle's
- * floats bit for bit; chip scaling, which rounds, stays in Python.
+ * floats bit for bit.  The chip scaling rounds, in doubles, as the oracle
+ * rounds Python floats, and gives its floats bit for bit, zero signs
+ * included.
  *
  * The solver kernels give results bit-identical to the pure-Python oracle
  * _kernels_py: the same splitmix64 seeding and xorshift64* stream, the same
@@ -466,22 +470,24 @@ static PyObject *tabu(PyObject *self, PyObject *args, PyObject *kwargs)
 }
 
 /* ------------------------------------------------------------------ */
-/* The slice walk, the freeze and the merge, results equal to _kernels_py's
- * walk, freeze and merge.  They read build_vig's index: the variables the
- * formula holds are numbered by their rank in the ascending list `nodes`,
- * and each table is one array('i') t whose row i is t[t[i]] .. t[t[i + 1]
- * - 1], holding ranks, clause indices or literals (2r for node r, 2r + 1
- * for its negation).  They take and return ranks; only the merge's map
- * names variables, each found in `nodes` by binary search.  The state they
- * read and write is GlobalState's flat arrays: a value byte per rank, an
- * array('i') of true-literal counts per clause and one of unsatisfied
- * degrees per rank, and the pool, a list of ranks.  A row is checked when
- * it is read, its offsets against the table and its items against what
- * they index; one outside is an IndexError, as in the oracle.  The scratch
- * is the caller's flag array, one byte per node and all zero on entry.  A
- * call sets flags only on the ranks it touches, lists each in `touched`
- * when its byte first turns nonzero, and clears exactly those before it
- * returns, error returns included, so nothing is sized by the formula. */
+/* The slice walk, the freeze, the merge and the start tally, results equal
+ * to _kernels_py's walk, freeze, merge and tally.  They read build_vig's
+ * index: the variables the formula holds are numbered by their rank in the
+ * ascending list `nodes`, and each table is one array('i') t whose row i is
+ * t[t[i]] .. t[t[i + 1] - 1], holding ranks, clause indices or literals (2r
+ * for node r, 2r + 1 for its negation).  They take and return ranks; only
+ * the merge's map names variables, each found in `nodes` by binary search.
+ * The state they read and write is GlobalState's flat arrays: a value byte
+ * per rank, an array('i') of true-literal counts per clause and one of
+ * unsatisfied degrees per rank, and the pool, a list of ranks; the tally
+ * makes the counts, the degrees and the pool from the value bytes.  A row
+ * is checked when it is read, its offsets against the table and its items
+ * against what they index; one outside is an IndexError, as in the oracle.
+ * The scratch is the caller's flag array, one byte per node and all zero on
+ * entry.  A call sets flags only on the ranks it touches, lists each in
+ * `touched` when its byte first turns nonzero, and clears exactly those
+ * before it returns, error returns included, so nothing the walk, the
+ * freeze or the merge does is sized by the formula. */
 
 enum { COOLING = 1, SEEN = 2, CHOSEN = 4, FLIPS = 8, TURNS_TRUE = 16 };
 
@@ -1094,6 +1100,93 @@ done:
     return out;
 }
 
+/* A new array('i') of `count` zeros, as array('i', [0]) * count makes it,
+ * its buffer opened writable in `view`; NULL with an exception set. */
+static PyObject *zero_ints(Py_ssize_t count, Py_buffer *view)
+{
+    PyObject *module = PyImport_ImportModule("array"), *type = NULL, *one = NULL, *out = NULL;
+    if (module != NULL && (type = PyObject_GetAttrString(module, "array")) != NULL &&
+        (one = PyObject_CallFunction(type, "s[i]", "i", 0)) != NULL)
+        out = PySequence_Repeat(one, count);
+    Py_XDECREF(module);
+    Py_XDECREF(type);
+    Py_XDECREF(one);
+    if (out != NULL && ints_open(out, view, 1) < 0)
+        Py_CLEAR(out);
+    return out;
+}
+
+/* tally(clauses, values): the oracle's tally, a repeat's start.  Each
+ * clause's true literals are counted from its literal codes, a repeated
+ * literal once per occurrence, and an unsatisfied clause raises the degree
+ * of each distinct rank it holds once.  The table's header is checked
+ * before the counts are allocated by it, and each row as it is read. */
+static PyObject *tally(PyObject *self, PyObject *args)
+{
+    PyObject *clause_table, *count_obj = NULL, *degree_obj = NULL, *pool = NULL, *out = NULL;
+    Py_buffer values, cls = {0}, counts = {0}, degrees = {0};
+    if (!PyArg_ParseTuple(args, "Oy*:tally", &clause_table, &values))
+        return NULL;
+    const unsigned char *vals = values.buf;
+    Py_ssize_t n = values.len, nclauses, unsat = 0, npool = 0;
+    if (ints_open(clause_table, &cls, 0) < 0)
+        goto done;
+    for (Py_ssize_t r = 0; r < n; r++)
+        if (vals[r] > 1) {
+            refuse("a value byte must be 0 or 1");
+            goto done;
+        }
+    const int *t = cls.buf;
+    if (cls.len && (t[0] < 1 || t[0] > ints_len(&cls))) {
+        outside("a row is outside the index");
+        goto done;
+    }
+    nclauses = rows(&cls);
+    if ((count_obj = zero_ints(nclauses, &counts)) == NULL ||
+        (degree_obj = zero_ints(n, &degrees)) == NULL)
+        goto done;
+    int *tc = counts.buf, *degree = degrees.buf;
+    for (Py_ssize_t ci = 0; ci < nclauses; ci++) {
+        const int *lo, *hi;
+        if (row(&cls, ci, 2 * n, &lo, &hi) < 0)
+            goto done;
+        int c = 0;
+        for (const int *l = lo; l < hi; l++)
+            c += (vals[*l >> 1] != 0) != (*l & 1);
+        tc[ci] = c;
+        if (c)
+            continue;
+        unsat++;
+        for (const int *l = lo; l < hi; l++) {
+            const int *e = lo;
+            while (e < l && *e >> 1 != *l >> 1)
+                e++;
+            if (e == l && degree[*l >> 1]++ == 0)  /* each distinct rank once */
+                npool++;
+        }
+    }
+    if ((pool = PyList_New(npool)) == NULL)
+        goto done;
+    for (Py_ssize_t r = 0, k = 0; r < n; r++) {
+        if (!degree[r])
+            continue;
+        PyObject *v = PyLong_FromSsize_t(r);
+        if (v == NULL)
+            goto done;
+        PyList_SET_ITEM(pool, k++, v);
+    }
+    out = Py_BuildValue("(OnOO)", count_obj, unsat, degree_obj, pool);
+done:
+    PyBuffer_Release(&cls);
+    PyBuffer_Release(&counts);
+    PyBuffer_Release(&degrees);
+    PyBuffer_Release(&values);
+    Py_XDECREF(count_obj);
+    Py_XDECREF(degree_obj);
+    Py_XDECREF(pool);
+    return out;
+}
+
 /* ------------------------------------------------------------------ */
 /* The slice's model build, results equal to _kernels_py's qubo and ising,
  * dict entries made in the oracle's first-insertion order.  Both are exact,
@@ -1558,6 +1651,120 @@ done:
     return out;
 }
 
+/* ------------------------------------------------------------------ */
+/* Chip scaling, results equal to _kernels_py's scale bit for bit.  The
+ * rule works per coefficient in doubles: the scale is COEFF_MAX over the
+ * largest magnitude, and each scaled value x is rounded half away from zero
+ * as floor(x + 0.5) or ceil(x - 0.5) and clamped, as the oracle does on
+ * Python floats; the oracle's int results convert to +0.0 where ceil gives
+ * -0.0, so a zero is returned as +0.0.  The oracle runs the rule once per
+ * distinct value and this once per coefficient, which gives the same
+ * floats; the largest relative error is a maximum of non-negative floats,
+ * which no order changes.  Every rounded value is an integer in
+ * COEFF_MIN .. COEFF_MAX, so each is one shared float object.  The copies
+ * of qubo.COEFF_MIN and COEFF_MAX below are checked against them by a
+ * test. */
+
+#define COEFF_MIN (-14)
+#define COEFF_MAX 14
+
+/* Whether the chip cannot hold v: it holds integers in COEFF_MIN ..
+ * COEFF_MAX (qubo.chip_misfit). */
+static int misfits(double v) { return !(v >= COEFF_MIN && v <= COEFF_MAX && v == floor(v)); }
+
+/* The value x scaled to the chip: rounded half away from zero, clamped and
+ * with a zero as +0.0. */
+static double fit(double x)
+{
+    double r = x >= 0 ? floor(x + 0.5) : ceil(x - 0.5);
+    r = r < COEFF_MIN ? COEFF_MIN : r > COEFF_MAX ? COEFF_MAX : r;
+    return r == 0.0 ? 0.0 : r;
+}
+
+/* scale(j, h, offset): the oracle's scale.  The coefficients are read as
+ * ints or floats, j's values first; None when the chip holds them all,
+ * else (j, h, offset * scale, max_rel_error), j with j's key objects in
+ * j's order. */
+static PyObject *scale(PyObject *self, PyObject *args)
+{
+    PyObject *j, *h, *offset, *key, *value, *fast = NULL, *js = NULL, *hs = NULL, *out = NULL;
+    PyObject *fits[COEFF_MAX - COEFF_MIN + 1] = {NULL};
+    if (!PyArg_ParseTuple(args, "O!OO:scale", &PyDict_Type, &j, &h, &offset))
+        return NULL;
+    if ((fast = PySequence_Fast(h, "the fields must be a sequence")) == NULL)
+        return NULL;
+    Py_ssize_t nj = PyDict_GET_SIZE(j), nh = PySequence_Fast_GET_SIZE(fast), k = 0, pos = 0;
+    double *v = PyMem_New(double, (size_t)(nj + nh) + 1), maxabs = 0.0, max_rel = 0.0;
+    int misfit = 0;
+    if (v == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    /* reading an int or a float runs no Python code, so j cannot change */
+    while (k < nj + nh) {
+        if (k < nj)
+            PyDict_Next(j, &pos, &key, &value);
+        else
+            value = PySequence_Fast_GET_ITEM(fast, k - nj);
+        if ((v[k] = coefficient(value)) == -1.0 && PyErr_Occurred())
+            goto done;
+        misfit |= misfits(v[k++]);
+    }
+    if (!misfit) {
+        out = Py_NewRef(Py_None);
+        goto done;
+    }
+    for (k = 0; k < nj + nh; k++) {
+        if (!isfinite(v[k])) {
+            refuse("a coefficient is not finite");
+            goto done;
+        }
+        maxabs = fabs(v[k]) > maxabs ? fabs(v[k]) : maxabs;
+    }
+    double s = COEFF_MAX / maxabs, off = coefficient(offset);
+    if (isinf(s)) {
+        refuse("the coefficients are too small to scale");
+        goto done;
+    }
+    if (off == -1.0 && PyErr_Occurred())
+        goto done;
+    for (k = 0; k < nj + nh; k++) {
+        double x = v[k] * s, f = fit(x);
+        if (x != 0.0 && fabs(f - x) / fabs(x) > max_rel)
+            max_rel = fabs(f - x) / fabs(x);
+        PyObject **slot = &fits[(int)f - COEFF_MIN];
+        if (*slot == NULL && (*slot = PyFloat_FromDouble(f)) == NULL)
+            goto done;
+        v[k] = f;
+    }
+    if ((js = PyDict_New()) == NULL || (hs = PyList_New(nh)) == NULL)
+        goto done;
+    /* a collection since the first pass may have run Python code */
+    for (k = 0, pos = 0; k < nj && PyDict_Next(j, &pos, &key, &value); k++) {
+        /* hashing a key may run Python code, so the key is held meanwhile */
+        Py_INCREF(key);
+        int failed = PyDict_SetItem(js, key, fits[(int)v[k] - COEFF_MIN]);
+        Py_DECREF(key);
+        if (failed)
+            goto done;
+    }
+    if (k != nj || PyDict_GET_SIZE(j) != nj) {
+        PyErr_SetString(PyExc_RuntimeError, "the couplings changed size during scaling");
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < nh; i++)
+        PyList_SET_ITEM(hs, i, Py_NewRef(fits[(int)v[k++] - COEFF_MIN]));
+    out = Py_BuildValue("(OOdd)", js, hs, off * s, max_rel);
+done:
+    for (k = 0; k < COEFF_MAX - COEFF_MIN + 1; k++)
+        Py_XDECREF(fits[k]);
+    PyMem_Free(v);
+    Py_DECREF(fast);
+    Py_XDECREF(js);
+    Py_XDECREF(hs);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"mix_seed", mix_seed, METH_VARARGS,
      "splitmix64 of (seed, stream), never zero (xorshift state must be)."},
@@ -1575,6 +1782,10 @@ static PyMethodDef methods[] = {
      "The QUBO of clauses: (num_vars, linear, quadratic, offset, source_var_map)."},
     {"ising", ising, METH_VARARGS,
      "The Ising form of a QUBO's fields: (num_spins, j, h, offset)."},
+    {"tally", tally, METH_VARARGS,
+     "A repeat's start: (true_count, unsat, unsat_degree, pool) of the clauses under values."},
+    {"scale", scale, METH_VARARGS,
+     "The chip scaling of an Ising model's fields: (j, h, offset, max_rel_error), or None."},
     {NULL, NULL, 0, NULL},
 };
 

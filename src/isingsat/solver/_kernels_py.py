@@ -1,6 +1,6 @@
 """Pure-Python kernels: Metropolis annealing, tabu descent, the
-decomposition's slice walk, freeze and merge, and the slice's QUBO and Ising
-build.
+decomposition's slice walk, freeze and merge and a repeat's start tally,
+and the slice's QUBO and Ising build and chip scaling.
 
 The oracle for the compiled kernels in ``_kernels.c``, which ``kernels``
 builds on first import, and what runs when they cannot be built.  The two
@@ -59,6 +59,15 @@ IndexError for an offset or an item out of range, and the C freeze, which
 merges the occurrence rows where this one sorts them, ValueError for a row
 that is not ascending.
 
+``tally`` is ``decompose.GlobalState.start`` as it ran in Python: from
+the clause table and the value bytes it counts the true literals of every
+clause and the unsatisfied degree of every rank, and lists the pool.  Both
+versions take the number of nodes from the value bytes; a byte other than
+0 or 1 is a ValueError, and a literal code outside their ranks an
+IndexError, each with the same message.  This one reads the offsets as
+they stand; the C version checks them too, the table's header before it
+allocates by it.
+
 ``qubo`` and ``ising`` are ``qubo.cnf_to_qubo`` and ``qubo.qubo_to_ising``
 as they ran in Python, returning the models' fields.  ``qubo`` looks each
 clause up in the 14-row gadget table ``_GADGETS``, of which ``_kernels.c``
@@ -71,14 +80,28 @@ takes ``linear`` and ``quadratic`` as dicts, and their coefficients and the
 offset as ints or floats (else a TypeError), and raises IndexError for an
 index outside ``0 .. num_vars - 1``, where this one would index the list
 ``h`` with it.
+
+``scale`` is ``qubo.scale_to_chip``'s rule as it ran in Python, after its
+spin-budget check, on the model's fields.  It rounds: ``_round_away``
+rounds half away from zero through ``math.floor`` and ``math.ceil``, whose
+int results make every zero +0.0, and the C version rounds in doubles and
+turns a -0.0 into +0.0, so the two match bit for bit.  A coefficient that
+is not finite is a ValueError in both, checked before the scale is taken,
+and so is a model whose largest magnitude is too small for the scale to be
+finite: left to the rounding, either would raise a ValueError or, from an
+infinite scale, an OverflowError, by the order in which a set holds the
+values.
 """
 from __future__ import annotations
 
 import math
 import operator
+from array import array
 from bisect import bisect_left, insort
 from collections import deque
-from itertools import chain
+from itertools import accumulate, chain
+
+from ..qubo import COEFF_MAX, COEFF_MIN, chip_misfit
 
 _MASK = (1 << 64) - 1
 _STAR = 0x2545F4914F6CDD1D
@@ -388,6 +411,44 @@ def merge(clauses, occurrences, nodes, spins, var_map, values, true_count,
                 del pool[bisect_left(pool, r)]
     return gain
 
+
+def tally(clauses, values):
+    """The clause bookkeeping of a repeat's start: (true_count, unsat,
+    unsat_degree, pool), the counts of ``decompose.GlobalState``.
+
+    ``clauses`` is the ``Vig``'s table of literal codes and ``values`` a
+    byte per node, 1 for True.  ``true_count`` holds each clause's true
+    literals, a repeated literal once per occurrence; ``unsat`` counts the
+    clauses at zero, ``unsat_degree`` the unsatisfied clauses that hold each
+    rank and ``pool`` lists, ascending, the ranks whose degree is nonzero.
+    A value byte other than 0 or 1 is a ValueError, and a literal code
+    outside the ranks of ``values`` an IndexError.
+    """
+    n = len(values)
+    if max(values, default=0) > 1:
+        raise ValueError("a value byte must be 0 or 1")
+    t = clauses
+    base = _rows(t) + 1
+    lits = t[base:t[base - 1]] if len(t) else t
+    if lits and not 0 <= min(lits) <= max(lits) < 2 * n:
+        raise IndexError("an item is outside the index")
+    truth = bytearray(2 * n)  # a byte per literal code
+    truth[0::2] = values
+    truth[1::2] = bytes(1 - b for b in values)
+    # a repeated literal counts once per occurrence
+    hits = list(accumulate(map(truth.__getitem__, lits), initial=0))
+    true_count = array("i", [hits[b - base] - hits[a - base]
+                             for a, b in zip(t[:base - 1], t[1:base])])
+    degree = array("i", [0]) * n
+    unsat = 0
+    for ci, count in enumerate(true_count):
+        if not count:
+            unsat += 1
+            for r in {lit >> 1 for lit in row(t, ci)}:
+                degree[r] += 1
+    pool = [r for r, d in enumerate(degree) if d]
+    return true_count, unsat, degree, pool
+
 # The penalties 1 - a, (1 - a)(1 - b) and P(a, b, c, w), with a -> 1 - x for
 # each negative literal, expanded once (see ``isingsat.qubo``).  Keyed by the
 # literal signs (True = positive, so the width is the key's length), each
@@ -508,3 +569,35 @@ def ising(num_vars, linear, quadratic, offset):
         h[k] += quarter
         offset += quarter
     return num_vars, j, h, offset
+
+
+def _round_away(v: float) -> int:
+    return math.floor(v + 0.5) if v >= 0 else math.ceil(v - 0.5)
+
+
+def scale(j, h, offset):
+    """``qubo.scale_to_chip``'s rule on an Ising model's fields, or None
+    when the chip holds every coefficient (``qubo.chip_misfit``).
+
+    Otherwise every coefficient (and the offset) is scaled so the largest
+    magnitude lands on ``COEFF_MAX``, then J/h are rounded to integers (ties
+    away from zero) and clamped, each rule once per distinct value.  Returns
+    (j, h, offset, max_rel_error): ``j`` holds ``j``'s key objects in its
+    order.  A coefficient that is not finite is a ValueError, and so are
+    coefficients too small for the scale to be finite.
+    """
+    values = {*j.values(), *h}
+    if not any(map(chip_misfit, values)):
+        return None
+    if not all(map(math.isfinite, values)):
+        raise ValueError("a coefficient is not finite")
+    maxabs = max(map(abs, values))
+    scale = COEFF_MAX / maxabs
+    if math.isinf(scale):
+        raise ValueError("the coefficients are too small to scale")
+    fit = {v: float(max(COEFF_MIN, min(COEFF_MAX, _round_away(v * scale))))
+           for v in values}
+    max_rel = max((abs(fit[v] - v * scale) / abs(v * scale)
+                   for v in values if v * scale != 0.0), default=0.0)
+    return ({pair: fit[v] for pair, v in j.items()}, list(map(fit.__getitem__, h)),
+            offset * scale, max_rel)

@@ -1,13 +1,15 @@
 """Kernel selector: the C kernel, compiled on first import, else the pure oracle.
 
-Both hold the same eight functions: the solver's ``anneal`` and ``tabu`` and
+Both hold the same ten functions: the solver's ``anneal`` and ``tabu`` and
 their seeding ``mix_seed``; the decomposition's slice ``walk``, ``freeze``
 and ``merge``, which read ``decompose.build_vig``'s rank tables and a flag
 array and read or write ``decompose.GlobalState``'s per-rank arrays in
-place; and the slice's model build, ``qubo`` (clauses to the fields of
+place, and ``tally``, which counts those arrays at a repeat's start; the
+slice's model build, ``qubo`` (clauses to the fields of
 ``qubo.QuboModel``) and ``ising`` (those to the fields of
-``qubo.IsingModel``), as ``_kernels_py`` sets out.  One build, one loader
-and one ``COMPILED_KERNELS`` flag cover all eight.
+``qubo.IsingModel``); and ``scale``, the rule of ``qubo.scale_to_chip``, as
+``_kernels_py`` sets out.  One build, one loader and one
+``COMPILED_KERNELS`` flag cover all ten.
 
 ``_kernels.c`` is compiled the first time this module is imported, with the
 interpreter's C compiler and ``-O2 -shared -fPIC -ffp-contract=off``.  The
@@ -127,3 +129,5 @@ freeze = _impl.freeze
 merge = _impl.merge
 qubo = _impl.qubo
 ising = _impl.ising
+tally = _impl.tally
+scale = _impl.scale

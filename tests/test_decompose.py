@@ -432,7 +432,8 @@ def test_compiled_freeze_needs_ascending_occurrence_lists():
 def test_compiled_kernels_check_every_row_they_read():
     """A table row or an item outside what it indexes is an IndexError from
     the compiled kernels, which leaves the flags and the state as they were
-    (the oracle reads the tables as ``build_vig`` makes them, in range)."""
+    (the oracle reads the tables as ``build_vig`` makes them, in range); the
+    start tally checks the clause table's header before it allocates by it."""
     nodes, flags, values = [1, 2], bytearray(2), bytearray([1, 0])
     good = array("i", [3, 4, 5, 1, 0])  # ranks: 0 -- 1
     clauses = array("i", [2, 4, 0, 3])  # (1, -2)
@@ -448,6 +449,9 @@ def test_compiled_kernels_check_every_row_they_read():
         cases += [("freeze", (table, occ, nodes, {0}, values, counts, flags)),
                   ("merge", (table, occ, nodes, (-1,), {0: 1}, values, counts, degree,
                              pool, flags))]
+    for table in (array("i", [2, 9, 0, 3]), array("i", [9, 4, 0, 3]),  # past the end
+                  array("i", [0, 4, 0, 3]), array("i", [2, 1, 0, 3])):  # before row 0
+        cases += [("tally", (table, values))]
     for fn, args in cases:
         outcome = _compiled_outcome(fn, flags, *args)
         assert outcome[0] is IndexError, (fn, outcome)
@@ -762,6 +766,62 @@ def test_compiled_merge_refuses_what_the_pure_merge_refuses():
     assert kernels.merge(*_merge_args(state, spins, var_map)) >= 0  # the map itself merges
 
 
+def _typed(outcome):
+    """``outcome`` with each array as its typecode and items and each other
+    value with its type, so that == compares types too."""
+    if isinstance(outcome, tuple) and not isinstance(outcome[0], type):
+        return [(type(x), getattr(x, "typecode", None), list(x) if isinstance(x, array) else x)
+                for x in outcome]
+    return outcome
+
+
+@st.composite
+def _tally_cases(draw):
+    """A clause table of literal codes over ``n`` ranks, rows of widths 0-3
+    with ``(v, v, u)``, ``(v, -v, u)`` and empty rows mixed in, and a value
+    byte per rank; sometimes the values are a byte short or long, one is
+    neither 0 nor 1, or a row holds a code outside the ranks."""
+    n = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.just([]), max_size=2))
+    if n:
+        code = st.integers(0, 2 * n - 1)
+        v, u = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        shapes = [[2 * v, 2 * v, 2 * u], [2 * v, 2 * v + 1, 2 * u + 1], [2 * v + 1, 2 * v, 2 * u]]
+        rows += draw(st.lists(st.lists(code, max_size=3), max_size=12))
+        rows += draw(st.lists(st.sampled_from(shapes), max_size=3))
+        rows = draw(st.permutations(rows))
+    values = bytearray(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    fault = draw(st.sampled_from((None, None, None, "short", "long", "byte", "code")))
+    if fault == "short":
+        del values[-1:]
+    elif fault == "long":
+        values.append(draw(st.integers(0, 1)))
+    elif fault == "byte" and n:
+        values[draw(st.integers(0, n - 1))] = draw(st.integers(2, 255))
+    elif fault == "code":
+        bad = draw(st.sampled_from((-1, 2 * n, 2 * n + 1, -(2**31))))
+        rows.insert(draw(st.integers(0, len(rows))), [0, bad][-draw(st.integers(1, 2)):])
+    return decompose._table(rows), values
+
+
+@needs_compiled
+@given(_tally_cases())
+@example((decompose._table([[0, 0, 2], [0, 1, 3], [], [1], [2, 3]]), bytearray([0, 1])))
+@example((decompose._table([]), bytearray()))
+@example((array("i"), bytearray([1])))  # an empty table has no rows
+@example((decompose._table([[0, 5]]), bytearray([1, 0])))  # rank 2 of 2
+@example((decompose._table([[0, -1]]), bytearray([1, 0])))  # a negative code
+@example((decompose._table([[0, 3]]), bytearray([1, 2])))  # a byte of 2
+@settings(max_examples=300, deadline=None)
+def test_compiled_tally_matches_the_pure_tally(case):
+    """The same counts, of the same types, or the same exception."""
+    table, values = case
+    compiled = _outcome(kernels.tally, table, values)
+    assert _typed(compiled) == _typed(_outcome(_kernels_py.tally, table, values))
+    if isinstance(compiled[0], type):
+        assert compiled[0] in (IndexError, ValueError), compiled
+
+
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_start_counts_every_true_literal(data):
@@ -945,6 +1005,23 @@ def test_iterate_trace_capture():
     if run.solver_calls:
         assert len(run.trace) > 0
         assert len(run.trace[0]) == 3
+
+
+def test_iterate_raises_when_the_counts_drift_from_a_rescan(monkeypatch):
+    """A merge that flips a value byte and leaves ``true_count`` as it was
+    is caught by the closing rescan.  The formula never holds entirely, so
+    the loop runs, and flipping variable 1 moves its count by one."""
+    def drifting_merge(state, spins, var_map):
+        state.values[0] ^= 1
+        return False
+
+    monkeypatch.setattr(decompose, "update_global", drifting_merge)
+    cnf = make_cnf(2, [(1,), (-1,), (1, 2), (1, -2)])
+    for seed in (1, 2):
+        with pytest.raises(RuntimeError) as info:
+            iterate(cnf, (), cnf, strategy="dfs", backend="tabu", budget=45, cap=1,
+                    seed=seed, num_samples=1, collect_trace=False)
+        assert str(info.value) == "incremental satisfied count drifted from a full rescan"
 
 
 def test_iterate_raises_when_the_lifted_model_falsifies_the_input():

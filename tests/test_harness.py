@@ -381,8 +381,9 @@ def test_a_tabu_repeat_records_alike_with_the_pure_oracle(monkeypatch):
                          ids=["L7-dfs-emulator", "L0-budget20", "bfs-tabu"])
 def test_golden_repeats_record_alike_with_every_slice_kernel_pure(
         monkeypatch, spec, cell, settings, golden):
-    # the pinned records are the compiled walk, freeze, merge and model build's
-    # wherever a C compiler exists (test_run_repeat_records_are_pinned)
+    # the pinned records are the compiled start tally, walk, freeze, merge,
+    # model build and chip scaling's wherever a C compiler exists
+    # (test_run_repeat_records_are_pinned); tabu scales no slice
     instance_id, cnf = expand_instances(spec)[0]
     config = SweepConfig(instances=[spec], **settings)
     pure = solver.kernels._kernels_py
@@ -394,13 +395,16 @@ def test_golden_repeats_record_alike_with_every_slice_kernel_pure(
             return fn(*args)
         return call
 
+    monkeypatch.setattr(decompose, "tally", spy(pure.tally))
     monkeypatch.setattr(decompose, "walk", spy(pure.walk))
     monkeypatch.setattr(decompose, "freeze", spy(pure.freeze))
     monkeypatch.setattr(decompose, "merge", spy(pure.merge))
     monkeypatch.setattr(solver.kernels, "qubo", spy(pure.qubo))
     monkeypatch.setattr(solver.kernels, "ising", spy(pure.ising))
+    monkeypatch.setattr(solver.kernels, "scale", spy(pure.scale))
     assert run_repeat(instance_id, cnf, config, **cell).to_json() == golden
-    assert called == {"walk", "freeze", "merge", "qubo", "ising"}
+    scaled = {"scale"} if cell["backend"] == "emulator" else set()
+    assert called == {"tally", "walk", "freeze", "merge", "qubo", "ising", *scaled}
 
 
 # Every solver call's best spins over a short repeat, hashed, on calls

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 import struct
@@ -9,12 +10,15 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import isingsat
-from isingsat import solver
+from isingsat import decompose, solver
 from isingsat.cnf import clause_satisfied, make_cnf
+from isingsat.harness import expand_instances
+from isingsat.preprocess import run_ladder
 from isingsat.qubo import (
     COEFF_MAX,
     COEFF_MIN,
@@ -438,3 +442,111 @@ def test_compiled_build_allocates_by_the_clause_list():
     small, large = scratch(_chain(100, 0)), scratch(_chain(1000, 0))
     high = scratch(_chain(100, 10**6))
     assert large <= 12 * small and high <= 1.1 * small, (small, large, high)
+
+
+# The compiled chip scaling against the pure one: float bits, zero signs,
+# key objects and their order, and exceptions.
+_SCALE_COEFFICIENTS = st.one_of(
+    st.integers(-80, 80).map(lambda q: q / 4),  # quarter-integers
+    st.integers(-20, 20).map(float),  # integral, some outside the chip's range
+    st.integers(-20, 20),
+    st.sampled_from((-0.0, 0.3, -0.3, 0.5, -0.5, 14.5, -14.5, 1e300, -1e308, 1e-310,
+                     5e-324, 2.0**60, math.inf, -math.inf, math.nan)),
+    st.floats(),  # huge, tiny and non-finite too
+)
+
+
+@st.composite
+def _scale_cases(draw):
+    """An Ising model's fields: n of 0, 1, 45 or 46 spins or a few, pairs
+    in any order, and an offset."""
+    n = draw(st.sampled_from((0, 1, 2, 3, 6, 45, 46)))
+    h = draw(st.lists(_SCALE_COEFFICIENTS, min_size=n, max_size=n))
+    pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
+    keys = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=40)) if pairs else []
+    j = {key: draw(_SCALE_COEFFICIENTS) for key in keys}
+    return j, h, draw(_SCALE_COEFFICIENTS)
+
+
+@needs_compiled
+@given(_scale_cases())
+@example(({(0, 1): 28.0}, [7.0, -3.5], 1.0))
+@example(({(0, 1): 3.0}, [-2.0, 0.0], 1.5))  # every coefficient fits: None
+@example(({(0, 1): -0.3}, [28.0, -0.0], -0.0))  # ceil(-0.8) is -0.0 in C
+@example(({(0, 1): 5e-324}, [1e-320, 0.0], 0.0))  # no finite scale
+@example(({(0, 1): math.nan}, [0.5], 0.0))
+@example(({}, [math.inf, 0.5], 0.0))
+@example(({}, [], 0.0))
+@settings(max_examples=200, deadline=None)
+def test_compiled_scale_matches_the_pure_scale_bit_for_bit(case):
+    j, h, offset = case
+    compiled = _outcome(kernels.scale, j, h, offset)
+    assert _exact(compiled) == _exact(_outcome(_kernels_py.scale, j, h, offset))
+    if compiled is not None and not isinstance(compiled[0], type):
+        assert all(a is b for a, b in zip(compiled[0], j))  # j's key objects, in order
+        assert all(v in range(COEFF_MIN, COEFF_MAX + 1) for v in (*compiled[0].values(),
+                                                                  *compiled[1]))
+
+
+def test_every_scale_holds_qubo_chip_range():
+    """The compiled copy of ``COEFF_MIN`` and ``COEFF_MAX`` is ``qubo``'s:
+    each bound fits and the integer beyond it does not, and the largest
+    magnitude lands on ``COEFF_MAX``."""
+    for scale in (kernels.scale, _kernels_py.scale):
+        assert scale({}, [float(COEFF_MIN), float(COEFF_MAX)], 0.0) is None
+        for v in (COEFF_MIN - 1, COEFF_MAX + 1):
+            _, h, _, _ = scale({(0, 1): 1.0}, [float(v), 0.0], 0.0)
+            assert h[0] == math.copysign(COEFF_MAX, v), scale
+
+
+def _energies(states, j, h):
+    """Each state's energy without the offset; exact on the quarter-integer
+    and integer models compared here."""
+    upper = np.zeros((states.shape[1],) * 2)
+    for (i, k), b in j.items():
+        upper[i, k] = b
+    return states @ np.asarray(h, dtype=float) + ((states @ upper) * states).sum(axis=1)
+
+
+def test_chip_scaling_keeps_every_ground_state_of_small_slices(monkeypatch):
+    """Every emulator slice of a few repeats at a budget of 16 spins is
+    enumerated: each ground state of the scaled model must be one of the
+    exact model's.  The gap, in chip units, is the scaled energy of the best
+    state that is not an exact ground state less the scaled ground energy;
+    a slice that loses a ground state has a gap of 0 or less."""
+    scale = decompose.scale_to_chip
+    slices = []
+
+    def capture(model):
+        slices.append(model)
+        return scale(model)
+
+    monkeypatch.setattr(decompose, "scale_to_chip", capture)
+    gaps, states_of = {}, {}
+    for spec, level in (("semiprime:10:551", 7), ("semiprime:11:1037", 7),
+                        ("semiprime:16:32881", 0)):
+        cnf = expand_instances(spec)[0][1]
+        for seed in (1, 2):
+            res = run_ladder(cnf, level=level, seed=seed)
+            decompose.iterate(res.cnf, res.condition, cnf, strategy="dfs",
+                              backend="emulator", budget=16, cap=8, seed=seed,
+                              num_samples=1, collect_trace=False)
+            gap = math.inf
+            for model in slices:
+                n = model.num_spins
+                if n not in states_of:
+                    states_of[n] = 1.0 - 2 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+                states = states_of[n]
+                scaled = kernels.scale(model.j, model.h, model.offset)
+                j, h = (model.j, model.h) if scaled is None else scaled[:2]
+                exact, chip = _energies(states, model.j, model.h), _energies(states, j, h)
+                others = chip[exact != exact.min()]
+                if others.size:
+                    gap = min(gap, others.min() - chip.min())
+            gaps[spec, seed] = gap, len(slices)
+            slices.clear()
+    assert all(count for _, count in gaps.values()), gaps
+    lost = {key: gap for key, (gap, _) in gaps.items() if gap <= 0}
+    assert not lost, "scaling loses a ground state: " + "; ".join(
+        f"{spec} seed {seed}: smallest gap {gap:g} chip units"
+        for (spec, seed), gap in lost.items())

@@ -34,16 +34,18 @@ exists while the loop runs.  An iteration then touches only the slice:
 * picking a start rank reads the kept pool;
 * the walk selects ranks, and the repetition filter keys by rank;
 * freezing visits only the clauses of the selected ranks, in clause
-  order, by a merge of their occurrence lists; every other unsatisfied
-  clause freezes empty, and only their count reaches the QUBO, as its
-  offset; no formula is built for the slice;
-* a merge moves the counts of only the clauses of the variables it flips,
-  and commits them only when it is accepted; the pool moves only for the
-  clauses whose satisfied status flips.
+  order, by a merge of their occurrence lists, and hands the kept clauses
+  to the QUBO as literal codes; every other unsatisfied clause freezes
+  empty, and only their count reaches the QUBO, as its offset;
+* a merge takes the QUBO's ranks back (``QuboModel.ranks``), moves the
+  counts of only the clauses of the ranks it flips, and commits them only
+  when it is accepted; the pool moves only for the clauses whose satisfied
+  status flips.
 
-One full rescan at the end of the loop, over the assignment made from the
-value bytes, checks the final count; it reads the clauses afresh, not the
-counts, so it stays an independent check.
+Variable numbers appear only in ``Vig.nodes`` and in the assignment
+``iterate`` makes when its loop ends.  One full rescan then checks the
+final count; it reads the clauses afresh, not the counts, so it stays an
+independent check.
 
 The start's count, the walk, the clause loop of the freeze and the merge
 run in the compiled module, as ``solver.kernels.tally``, ``walk``,
@@ -261,34 +263,32 @@ def freeze_and_extract(selected: set[int], state: GlobalState) -> Subproblem:
     one is dropped and an unsatisfied one freezes empty.  Those are counted,
     not walked (the unsatisfied clauses less the visited ones), and the
     count is added to the offset of the QUBO of the kept clauses, which go
-    to ``cnf_to_qubo`` as a plain list of variable literals: no formula is
-    built or validated per slice.  The spin cost adds the QUBO's ancillas.
+    to ``cnf_to_qubo`` as a plain list of literal codes: no formula is built
+    or validated per slice.  The spin cost adds the QUBO's ancillas.
     """
     if not selected:
         raise ValueError("selection is empty")
     vig = state.vig
-    kept, visited_unsat = freeze(vig.clauses, vig.occurrences, vig.nodes, selected,
-                                 state.values, state.true_count, state.flags)
+    kept, visited_unsat = freeze(vig.clauses, vig.occurrences, selected, state.values,
+                                 state.true_count, state.flags)
     qubo = cnf_to_qubo(kept)
     # each emptied clause is a constant +1; the sums are small integers, so
     # the float offset is exact in any order
     qubo.offset += state.unsat - visited_unsat
-    return Subproblem(qubo, len(selected) + qubo.num_vars - len(qubo.source_var_map))
+    return Subproblem(qubo, len(selected) + qubo.num_vars - len(qubo.ranks))
 
 
-def update_global(state: GlobalState, spins: tuple[int, ...],
-                  var_map: dict[int, int]) -> bool:
+def update_global(state: GlobalState, spins: tuple[int, ...], ranks: list[int]) -> bool:
     """Merge a slice's solution if the full satisfied count does not drop.
 
-    ``spins`` are the slice's spins and ``var_map`` maps their QUBO indices
-    to variables (``QuboModel.source_var_map``); a spin above 0 is True.
-    Equal counts are accepted (plateau moves).  Returns True when merged.
-    The kernel ``merge`` reads and moves only the clauses of the variables
-    that flip, and commits only an accepted merge.
+    ``spins[i]`` is the spin of rank ``ranks[i]`` (``QuboModel.ranks``); a
+    spin above 0 is True.  Equal counts are accepted (plateau moves).
+    Returns True when merged.  The kernel ``merge`` reads and moves only the
+    clauses of the ranks that flip, and commits only an accepted merge.
     """
     vig = state.vig
-    gain = merge(vig.clauses, vig.occurrences, vig.nodes, spins, var_map, state.values,
-                 state.true_count, state.unsat_degree, state.pool, state.flags)
+    gain = merge(vig.clauses, vig.occurrences, spins, ranks, state.values, state.true_count,
+                 state.unsat_degree, state.pool, state.flags)
     if gain < 0:
         return False
     state.unsat -= gain
@@ -364,7 +364,7 @@ def iterate(cnf: Cnf, condition: tuple[ConditionRecord, ...], original: Cnf, *,
         if solver_calls == 0 and collect_trace:
             first_trace = result.trace
         solver_calls += 1
-        update_global(state, result.best_spins, sub.qubo.source_var_map)
+        update_global(state, result.best_spins, sub.qubo.ranks)
         filt.note_selection(selected)
 
     assignment = dict(zip(vig.nodes, map(bool, state.values)))

@@ -1,14 +1,17 @@
 """CNF to QUBO/Ising conversion and chip-range coefficient scaling.
 
 Each clause becomes a penalty polynomial over binary variables: zero on every
-assignment that satisfies the clause, at least one otherwise.  Width-3
-clauses need one ancilla variable each, so a formula with n occurring
-variables and m3 three-literal clauses costs n + m3 QUBO variables; 1- and
-2-literal clauses need no ancilla.  Negated literals are handled by the
-substitution v -> 1 - v, never by extra variables.  The substituted
-coefficients are a constant table keyed by clause width and sign pattern
-(14 entries); building a QUBO only looks them up.  Both models keep their
-pair terms in maps keyed ``(i, k)``, ``i < k``, so no step costs n².
+assignment that satisfies the clause, at least one otherwise.  A slice's
+clauses arrive as the decomposition's literal codes, ``2 * r`` for the
+variable of rank ``r`` and ``2 * r + 1`` for its negation, so the build
+never sees a variable number.  Width-3 clauses need one ancilla variable
+each, so a slice with n occurring ranks and m3 three-literal clauses costs
+n + m3 QUBO variables; 1- and 2-literal clauses need no ancilla.  Negated
+literals are handled by the substitution v -> 1 - v, never by extra
+variables.  The substituted coefficients are a constant table keyed by
+clause width and sign pattern (14 entries); building a QUBO only looks them
+up.  Both models keep their pair terms in maps keyed ``(i, k)``, ``i < k``,
+so no step costs n².
 
 The table, both builds, :func:`cnf_to_qubo` and :func:`qubo_to_ising`, and
 the rule of :func:`scale_to_chip` run in :mod:`.solver.kernels`: compiled,
@@ -45,16 +48,16 @@ class QuboModel:
     energy(x) = offset + sum_i linear[i]*x_i + sum_{i<j} quadratic[i,j]*x_i*x_j
 
     ``quadratic`` keys are ordered pairs ``i < j``; :func:`cnf_to_qubo`
-    builds every model, with each field, in one step.  ``source_var_map``
-    maps a QUBO index back to the CNF variable it encodes; ancilla indices
-    are absent from it.
+    builds every model, with each field, in one step.  ``ranks[i]`` is the
+    rank of the variable QUBO index ``i`` encodes, for each ``i`` below
+    ``len(ranks)``; the ancillas follow.
     """
 
     num_vars: int
     linear: dict[int, float]
     quadratic: dict[Pair, float]
     offset: float
-    source_var_map: dict[int, int]
+    ranks: list[int]
 
     def energy(self, x: Sequence[int] | Mapping[int, int]) -> float:
         return self.offset + sum(a * x[i] for i, a in self.linear.items()) + sum(
@@ -94,14 +97,14 @@ class DistortionReport:
 
 
 def cnf_to_qubo(clauses: Sequence[Clause]) -> QuboModel:
-    """Sum of clause gadgets over the variables the clauses hold.
+    """Sum of clause gadgets over the ranks the clauses' literal codes hold.
 
-    QUBO indices are contiguous: occurring CNF variables first (sorted),
-    then one ancilla per width-3 clause in clause order.  Minimum energy is
-    0 iff the clauses can all hold; every unsatisfiable clause at the
-    optimum adds 1, and empty clauses add their +1 directly to the offset.
-    A literal that is not an int is a TypeError, a literal 0 or a clause
-    wider than 3 a ValueError.
+    QUBO indices are contiguous: the occurring ranks first (sorted, listed
+    in ``ranks``), then one ancilla per width-3 clause in clause order.
+    Minimum energy is 0 iff the clauses can all hold; every unsatisfiable
+    clause at the optimum adds 1, and empty clauses add their +1 directly to
+    the offset.  A code that is not an int is a TypeError, a code that is
+    negative or beyond a C ``int``, or a clause wider than 3, a ValueError.
     """
     return QuboModel(*kernels.qubo(clauses))
 

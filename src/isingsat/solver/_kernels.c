@@ -2,18 +2,19 @@
  * decomposition's slice walk, freeze and merge and a repeat's start tally,
  * the slice's model build, qubo and ising, and its chip scaling (walk,
  * freeze, merge and tally, then qubo and ising, then scale, at the end,
- * each group with its own comment).  The walk, the freeze and the merge
- * read build_vig's flat int tables, whose rows are numbered by node rank,
- * read or write a repeat's state in its flat per-rank arrays in place, and
- * keep their per-rank marks in the caller's flag array, which they clear
- * before they return, on error too, so no call does work or allocates
- * memory in proportion to the formula; the tally, once per repeat, makes
- * that state from the clause table.  The model build is exact: its
- * coefficients are small integers from the 14-row gadget table, which ising
- * only halves and quarters, so it rounds nothing and gives the oracle's
- * floats bit for bit.  The chip scaling rounds, in doubles, as the oracle
- * rounds Python floats, and gives its floats bit for bit, zero signs
- * included.
+ * each group with its own comment).  From the walk to the merge a slice
+ * stays in ranks and literal codes, so no variable number reaches this
+ * module.  The walk, the freeze and the merge read build_vig's flat int
+ * tables, whose rows are numbered by node rank, read or write a repeat's
+ * state in its flat per-rank arrays in place, and keep their per-rank marks
+ * in the caller's flag array, which they clear before they return, on error
+ * too, so no call does work or allocates memory in proportion to the
+ * formula; the tally, once per repeat, makes that state from the clause
+ * table.  The model build is exact: its coefficients are small integers
+ * from the 14-row gadget table, which ising only halves and quarters, so it
+ * rounds nothing and gives the oracle's floats bit for bit.  The chip
+ * scaling rounds, in doubles, as the oracle rounds Python floats, and gives
+ * its floats bit for bit, zero signs included.
  *
  * The solver kernels give results bit-identical to the pure-Python oracle
  * _kernels_py: the same splitmix64 seeding and xorshift64* stream, the same
@@ -472,21 +473,23 @@ static PyObject *tabu(PyObject *self, PyObject *args, PyObject *kwargs)
 /* ------------------------------------------------------------------ */
 /* The slice walk, the freeze, the merge and the start tally, results equal
  * to _kernels_py's walk, freeze, merge and tally.  They read build_vig's
- * index: the variables the formula holds are numbered by their rank in the
- * ascending list `nodes`, and each table is one array('i') t whose row i is
- * t[t[i]] .. t[t[i + 1] - 1], holding ranks, clause indices or literals (2r
- * for node r, 2r + 1 for its negation).  They take and return ranks; only
- * the merge's map names variables, each found in `nodes` by binary search.
- * The state they read and write is GlobalState's flat arrays: a value byte
- * per rank, an array('i') of true-literal counts per clause and one of
- * unsatisfied degrees per rank, and the pool, a list of ranks; the tally
- * makes the counts, the degrees and the pool from the value bytes.  A row
- * is checked when it is read, its offsets against the table and its items
- * against what they index; one outside is an IndexError, as in the oracle.
- * The scratch is the caller's flag array, one byte per node and all zero on
- * entry.  A call sets flags only on the ranks it touches, lists each in
- * `touched` when its byte first turns nonzero, and clears exactly those
- * before it returns, error returns included, so nothing the walk, the
+ * index, in which the variables the formula holds are numbered by rank,
+ * their position in the ascending Vig.nodes; none of these sees a variable
+ * number.  Each table is one array('i') t whose row i is t[t[i]] ..
+ * t[t[i + 1] - 1], holding ranks, clause indices or literal codes (2r for
+ * node r, 2r + 1 for its negation).  The walk takes a start rank and returns
+ * the selected ranks, the freeze takes those and returns the kept clauses
+ * as tuples of literal codes, and the merge takes a slice's ranks, one per
+ * spin.  The state they read and write is GlobalState's flat arrays: a
+ * value byte per rank, an array('i') of true-literal counts per clause and
+ * one of unsatisfied degrees per rank, and the pool, a list of ranks; the
+ * tally makes the counts, the degrees and the pool from the value bytes.  A
+ * row is checked when it is read, its offsets against the table and its
+ * items against what they index; one outside is an IndexError, as in the
+ * oracle.  The scratch is the caller's flag array, one byte per node and
+ * all zero on entry.  A call sets flags only on the ranks it touches, lists
+ * each in `touched` when its byte first turns nonzero, and clears exactly
+ * those before it returns, error returns included, so nothing the walk, the
  * freeze or the merge does is sized by the formula. */
 
 enum { COOLING = 1, SEEN = 2, CHOSEN = 4, FLIPS = 8, TURNS_TRUE = 16 };
@@ -559,45 +562,6 @@ static void marks_close(Marks *m)
     PyMem_Free(m->touched.items);
 }
 
-/* The order of the exact ints a and b, -1, 0 or 1; comparing them runs no
- * Python code and cannot fail. */
-static int order(PyObject *a, PyObject *b)
-{
-    int aover, bover;
-    long long av = PyLong_AsLongLongAndOverflow(a, &aover);
-    long long bv = PyLong_AsLongLongAndOverflow(b, &bover);
-    if (aover || bover)  /* beyond long long */
-        return PyObject_RichCompareBool(a, b, Py_GT) - PyObject_RichCompareBool(a, b, Py_LT);
-    return (av > bv) - (av < bv);
-}
-
-/* The rank of the variable `key` among the first `n` of the ascending ints
- * `nodes`, -1 if they lack it, or -2 with an exception set. */
-static Py_ssize_t rank_of(PyObject *nodes, Py_ssize_t n, PyObject *key)
-{
-    PyObject *v = PyNumber_Index(key);  /* an exact int */
-    if (v == NULL)
-        return -2;
-    Py_ssize_t lo = 0, hi = Py_MIN(n, PyList_GET_SIZE(nodes)), r = -1;
-    while (lo < hi) {
-        Py_ssize_t mid = lo + (hi - lo) / 2;
-        PyObject *item = PyList_GET_ITEM(nodes, mid);
-        int c = PyLong_CheckExact(item) ? order(item, v) : -2;
-        if (c == -2)
-            PyErr_SetString(PyExc_TypeError, "nodes must hold ints");
-        if (c == -2 || c == 0) {
-            r = c ? -2 : mid;
-            break;
-        }
-        if (c < 0)
-            lo = mid + 1;
-        else
-            hi = mid;
-    }
-    Py_DECREF(v);
-    return r;
-}
-
 /* The rank `key` names, which must lie in 0 .. n - 1: -1 with TypeError
  * unless it is an integer, or with the IndexError `msg` outside. */
 static Py_ssize_t rank_in(PyObject *key, Py_ssize_t n, const char *msg)
@@ -626,10 +590,11 @@ static int ints_open(PyObject *obj, Py_buffer *view, int writable)
 /* The number of ints in an opened int buffer. */
 static Py_ssize_t ints_len(const Py_buffer *view) { return view->len / (Py_ssize_t)sizeof(int); }
 
-/* The number of rows of an opened table; an empty one has none. */
+/* The number of rows of an opened table; an empty one has none.  The
+ * header is widened first, so a header of INT_MIN does not overflow. */
 static Py_ssize_t rows(const Py_buffer *table)
 {
-    return table->len ? ((const int *)table->buf)[0] - 1 : 0;
+    return table->len ? (Py_ssize_t)((const int *)table->buf)[0] - 1 : 0;
 }
 
 /* Row i of the table as [*lo, *hi), each item checked to lie in
@@ -741,26 +706,28 @@ done:
 }
 
 /* Opens the tables and the state that freeze and merge share, checked in
- * the oracle's order; -1 with an exception set. */
-static int state_open(Marks *m, Py_buffer *flags, PyObject *nodes, const Py_buffer *values,
-                      PyObject *count_obj, Py_buffer *counts, int writable,
-                      PyObject *clause_table, Py_buffer *cls, PyObject *occ_table,
-                      Py_buffer *occ)
+ * the oracle's order; the number of nodes, the rows of the occurrence
+ * table, or -1 with an exception set. */
+static Py_ssize_t state_open(Marks *m, Py_buffer *flags, const Py_buffer *values,
+                             PyObject *count_obj, Py_buffer *counts, int writable,
+                             PyObject *clause_table, Py_buffer *cls, PyObject *occ_table,
+                             Py_buffer *occ)
 {
-    Py_ssize_t n = PyList_GET_SIZE(nodes);
     if (ints_open(clause_table, cls, 0) < 0 || ints_open(occ_table, occ, 0) < 0 ||
-        ints_open(count_obj, counts, writable) < 0 || marks_open(m, flags, n) < 0)
+        ints_open(count_obj, counts, writable) < 0 || marks_open(m, flags, rows(occ)) < 0)
         return -1;
-    if (values->len != n)
+    if (values->len != flags->len)
         return refuse("the value array must hold one byte per node");
     if (ints_len(counts) != rows(cls))
         return refuse("true_count must hold one count per clause");
-    return 0;
+    return flags->len;
 }
 
 /* Merges the ascending runs a[bounds[r] .. bounds[r + 1] - 1], r < runs,
- * pairwise through b; returns the buffer that holds the merged run. */
-static int *merge_runs(int *a, int *b, Py_ssize_t *bounds, Py_ssize_t runs)
+ * pairwise through b; returns the buffer that holds the merged run.  The
+ * freeze and the merge merge clause indices with it, and qubo sorts its
+ * literals by rank as runs of one. */
+static int64_t *merge_runs(int64_t *a, int64_t *b, Py_ssize_t *bounds, Py_ssize_t runs)
 {
     while (runs > 1) {
         Py_ssize_t pairs = 0;
@@ -777,7 +744,7 @@ static int *merge_runs(int *a, int *b, Py_ssize_t *bounds, Py_ssize_t runs)
         }
         bounds[pairs] = bounds[runs];
         runs = pairs;
-        int *t = a;
+        int64_t *t = a;
         a = b;
         b = t;
     }
@@ -786,12 +753,12 @@ static int *merge_runs(int *a, int *b, Py_ssize_t *bounds, Py_ssize_t runs)
 
 /* The clauses of the ranks `sel`, ascending with repeats, in one buffer of
  * `*total` entries, each below `nclauses`; NULL with an exception set. */
-static int *visit_order(const Py_buffer *occ, const Ranks *sel, Py_ssize_t nclauses,
-                        Py_ssize_t *total)
+static int64_t *visit_order(const Py_buffer *occ, const Ranks *sel, Py_ssize_t nclauses,
+                            Py_ssize_t *total)
 {
     Py_ssize_t size = 0, at = 0, nsel = sel->tail;
     Py_ssize_t *bounds = PyMem_New(Py_ssize_t, (size_t)nsel + 2);
-    int *buf = NULL, *out = NULL;
+    int64_t *buf = NULL, *out = NULL;
     const int *lo, *hi;
     if (bounds == NULL) {
         PyErr_NoMemory();
@@ -807,18 +774,18 @@ static int *visit_order(const Py_buffer *occ, const Ranks *sel, Py_ssize_t nclau
             }
         size += hi - lo;
     }
-    if ((buf = PyMem_New(int, 2 * (size_t)size + 1)) == NULL) {
+    if ((buf = PyMem_New(int64_t, 2 * (size_t)size + 1)) == NULL) {
         PyErr_NoMemory();
         goto done;
     }
     for (Py_ssize_t r = 0; r < nsel; r++) {
         row(occ, sel->items[r], nclauses, &lo, &hi);  /* checked above */
         bounds[r] = at;
-        memcpy(buf + at, lo, (size_t)(hi - lo) * sizeof *buf);
-        at += hi - lo;
+        while (lo < hi)
+            buf[at++] = *lo++;
     }
     bounds[nsel] = at;
-    int *merged = merge_runs(buf, buf + size, bounds, nsel);
+    int64_t *merged = merge_runs(buf, buf + size, bounds, nsel);
     if (merged != buf)
         memcpy(buf, merged, (size_t)size * sizeof *buf);
     *total = size;
@@ -830,34 +797,25 @@ done:
     return out;
 }
 
-/* The node of rank r, borrowed; NULL with IndexError if `nodes` has since
- * lost it. */
-static PyObject *node(PyObject *nodes, Py_ssize_t r)
-{
-    if (r < PyList_GET_SIZE(nodes))
-        return PyList_GET_ITEM(nodes, r);
-    outside("a rank is outside the nodes");
-    return NULL;
-}
-
-/* freeze(clauses, occurrences, nodes, selected, values, true_count, flags):
- * the oracle's freeze.  The clauses of the selected ranks are visited in
+/* freeze(clauses, occurrences, selected, values, true_count, flags): the
+ * oracle's freeze.  The clauses of the selected ranks are visited in
  * ascending order, each once, by a merge of their ascending occurrence
- * rows; values and counts are read from their buffers. */
+ * rows; values and counts are read from their buffers, and a kept clause is
+ * the tuple of its selected literal codes. */
 static PyObject *freeze(PyObject *self, PyObject *args)
 {
-    PyObject *clause_table, *occ_table, *nodes, *selected, *count_obj;
+    PyObject *clause_table, *occ_table, *selected, *count_obj;
     Py_buffer values, flags;
-    if (!PyArg_ParseTuple(args, "OOO!Oy*Ow*:freeze", &clause_table, &occ_table, &PyList_Type,
-                          &nodes, &selected, &values, &count_obj, &flags))
+    if (!PyArg_ParseTuple(args, "OOOy*Ow*:freeze", &clause_table, &occ_table, &selected,
+                          &values, &count_obj, &flags))
         return NULL;
     Py_buffer cls = {0}, occ = {0}, counts = {0};
     Marks m = {0};
     PyObject *kept = PyList_New(0), *out = NULL, *it = NULL, *item;
-    int *visit = NULL, *codes = NULL;  /* the kept literals of a clause */
-    Py_ssize_t r, n = flags.len, nvisit = 0, unsat = 0, width = 0;
-    if (kept == NULL || state_open(&m, &flags, nodes, &values, count_obj, &counts, 0,
-                                   clause_table, &cls, occ_table, &occ) < 0 ||
+    int64_t *visit = NULL;
+    Py_ssize_t r, n = flags.len, nvisit = 0, unsat = 0;
+    if (kept == NULL || state_open(&m, &flags, &values, count_obj, &counts, 0, clause_table,
+                                   &cls, occ_table, &occ) < 0 ||
         (it = PyObject_GetIter(selected)) == NULL)
         goto done;
     while ((item = PyIter_Next(it)) != NULL) {
@@ -872,44 +830,32 @@ static PyObject *freeze(PyObject *self, PyObject *args)
         goto done;
     const unsigned char *vals = values.buf;
     const int *tc = counts.buf;
-    /* making a clause's tuple may run Python code (a collection) that
-       changes the nodes, so a rank is checked against them just before it
-       is read; the buffers held cannot be resized */
     for (Py_ssize_t at = 0; at < nvisit; at++) {
-        int ci = visit[at];
+        int ci = (int)visit[at];
         if (at > 0 && ci == visit[at - 1])
             continue;
         unsat += !tc[ci];
-        const int *lo, *hi;
+        const int *lo, *hi, *l;
         if (row(&cls, ci, 2 * n, &lo, &hi) < 0)
             goto done;
-        if (hi - lo > width) {
-            int *grown = PyMem_Realloc(codes, (size_t)(hi - lo) * sizeof *grown);
-            if (grown == NULL) {
-                PyErr_NoMemory();
-                goto done;
-            }
-            codes = grown;
-            width = hi - lo;
-        }
         Py_ssize_t nlits = 0;
-        int dropped = 0;  /* by a true frozen literal */
-        for (const int *l = lo; l < hi && !dropped; l++) {
+        for (l = lo; l < hi; l++) {
             if (m.flags[*l >> 1] & CHOSEN)
-                codes[nlits++] = *l;
-            else
-                dropped = (vals[*l >> 1] != 0) != (*l & 1);
+                nlits++;
+            else if ((vals[*l >> 1] != 0) != (*l & 1))
+                break;  /* a true frozen literal satisfies the clause */
         }
-        if (dropped)
+        if (l < hi)
             continue;
         PyObject *clause = PyTuple_New(nlits);
-        for (Py_ssize_t k = 0; clause != NULL && k < nlits; k++) {
-            PyObject *v = node(nodes, codes[k] >> 1);
-            PyObject *lit = v == NULL ? NULL : codes[k] & 1 ? PyNumber_Negative(v) : Py_NewRef(v);
-            if (lit == NULL)
+        for (Py_ssize_t k = 0; clause != NULL && k < nlits; lo++) {
+            if (!(m.flags[*lo >> 1] & CHOSEN))
+                continue;
+            PyObject *code = PyLong_FromLong(*lo);
+            if (code == NULL)
                 Py_CLEAR(clause);
             else
-                PyTuple_SET_ITEM(clause, k, lit);
+                PyTuple_SET_ITEM(clause, k++, code);
         }
         if (clause == NULL || PyList_Append(kept, clause) < 0) {
             Py_XDECREF(clause);
@@ -928,19 +874,20 @@ done:
     Py_XDECREF(it);
     Py_XDECREF(kept);
     PyMem_Free(visit);
-    PyMem_Free(codes);
     return out;
 }
 
-/* Whether the spin `key` of `spins` is above 0; -1 with an exception set
- * unless it is an integer. */
-static int spin_up(PyObject *spins, PyObject *key)
+/* Whether spins[i] is above 0; -1 with an exception set unless it is an
+ * integer. */
+static int spin_up(PyObject *spins, Py_ssize_t i)
 {
-    PyObject *spin = PyObject_GetItem(spins, key), *v = NULL;
+    PyObject *key = PyLong_FromSsize_t(i), *spin = NULL, *v = NULL;
     int over = 0;
     long long x = 0;
-    if (spin != NULL && (v = PyNumber_Index(spin)) != NULL)
+    if (key != NULL && (spin = PyObject_GetItem(spins, key)) != NULL &&
+        (v = PyNumber_Index(spin)) != NULL)
         x = PyLong_AsLongLongAndOverflow(v, &over);
+    Py_XDECREF(key);
     Py_XDECREF(spin);
     if (v == NULL)
         return -1;
@@ -985,89 +932,77 @@ static int degree_step(int *degree, PyObject *pool, Py_ssize_t r, int step)
     return done;
 }
 
-/* merge(clauses, occurrences, nodes, spins, var_map, values, true_count,
- * unsat_degree, pool, flags): the oracle's merge.  The ranks of the map
- * are marked SEEN, and FLIPS where their value changes, with TURNS_TRUE
- * when it becomes True.  Each clause of a flipped rank is read once, from
- * the first flipped rank among its literals, and its change in true
- * literals counted over its flipped literals; the changes are listed, and
- * committed only when the gain is not negative.  Only a pool insertion
- * that runs out of memory, or a pool that has lost a rank it must hold,
- * can stop a commit half way. */
+/* merge(clauses, occurrences, spins, ranks, values, true_count,
+ * unsat_degree, pool, flags): the oracle's merge.  The slice's ranks are
+ * marked SEEN, and FLIPS where their value changes, with TURNS_TRUE when it
+ * becomes True.  The clauses of the flipped ranks are visited in ascending
+ * order, each once, by a merge of their ascending occurrence rows, and each
+ * one's change in true literals is counted over its flipped literals; the
+ * changes are listed, and committed only when the gain is not negative.
+ * Only a pool insertion that runs out of memory, or a pool that has lost a
+ * rank it must hold, can stop a commit half way. */
 static PyObject *merge(PyObject *self, PyObject *args)
 {
-    PyObject *clause_table, *occ_table, *nodes, *spins, *var_map, *count_obj, *degree_obj;
-    PyObject *pool;
+    PyObject *clause_table, *occ_table, *spins, *rank_seq, *count_obj, *degree_obj, *pool;
     Py_buffer values, flags;
-    if (!PyArg_ParseTuple(args, "OOO!OO!w*OOO!w*:merge", &clause_table, &occ_table,
-                          &PyList_Type, &nodes, &spins, &PyDict_Type, &var_map, &values,
-                          &count_obj, &degree_obj, &PyList_Type, &pool, &flags))
+    if (!PyArg_ParseTuple(args, "OOOOw*OOO!w*:merge", &clause_table, &occ_table, &spins,
+                          &rank_seq, &values, &count_obj, &degree_obj, &PyList_Type, &pool,
+                          &flags))
         return NULL;
     Py_buffer cls = {0}, occ = {0}, counts = {0}, degrees = {0};
     Marks m = {0};
-    Ranks changes = {0};  /* clause, change: two items each */
-    PyObject *out = NULL;
-    Py_ssize_t r, n = flags.len, gain = 0;
-    if (state_open(&m, &flags, nodes, &values, count_obj, &counts, 1, clause_table, &cls,
-                   occ_table, &occ) < 0 ||
+    Ranks flipped = {0}, changes = {0};  /* changes: clause, change: two items each */
+    PyObject *ranks = NULL, *out = NULL;
+    int64_t *visit = NULL;
+    Py_ssize_t r, n = flags.len, nvisit = 0, gain = 0;
+    if (state_open(&m, &flags, &values, count_obj, &counts, 1, clause_table, &cls, occ_table,
+                   &occ) < 0 ||
         ints_open(degree_obj, &degrees, 1) < 0)
         goto done;
     if (ints_len(&degrees) != n) {
         refuse("the degree array must hold one count per node");
         goto done;
     }
+    /* a copy, since reading a spin may run Python code that changes a list */
+    if ((ranks = PySequence_Tuple(rank_seq)) == NULL)
+        goto done;
     unsigned char *vals = values.buf;
     int *tc = counts.buf, *degree = degrees.buf;
-    Py_ssize_t pos = 0;
-    PyObject *idx, *var;
-    while (PyDict_Next(var_map, &pos, &idx, &var)) {
-        /* a lookup may run Python code that changes the map: hold both */
-        Py_INCREF(idx);
-        Py_INCREF(var);
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(ranks); i++) {
         int up = -1;
-        r = rank_of(nodes, n, var);
-        if (r == -1)
-            outside("a variable of the map is not a node of the index");
-        else if (r >= 0 && (m.flags[r] & SEEN))
-            refuse("the map names a variable twice");
+        r = rank_in(PyTuple_GET_ITEM(ranks, i), n, "a rank of the slice is outside the nodes");
+        if (r >= 0 && (m.flags[r] & SEEN))
+            refuse("the slice names a rank twice");
         else if (r >= 0 && mark(&m, r, SEEN) == 0)
-            up = spin_up(spins, idx);
-        Py_DECREF(idx);
-        Py_DECREF(var);
+            up = spin_up(spins, i);
         if (up < 0)
             goto done;
-        if ((vals[r] != 0) != up)
+        if ((vals[r] != 0) != up) {
             m.flags[r] |= FLIPS | (up ? TURNS_TRUE : 0);
-    }
-    Py_ssize_t nclauses = rows(&cls);
-    for (Py_ssize_t k = 0; k < m.touched.tail; k++) {
-        r = m.touched.items[k];
-        if (!(m.flags[r] & FLIPS))
-            continue;
-        const int *c, *cend, *lo, *hi, *l;
-        if (row(&occ, r, nclauses, &c, &cend) < 0)
-            goto done;
-        for (; c < cend; c++) {
-            if (row(&cls, *c, 2 * n, &lo, &hi) < 0)
-                goto done;
-            for (l = lo; l < hi && !(m.flags[*l >> 1] & FLIPS); l++)
-                ;
-            if (l == hi || *l >> 1 != r)
-                continue;  /* the clause is read from its first flipped rank */
-            int d = 0;
-            for (; l < hi; l++)
-                if (m.flags[*l >> 1] & FLIPS)
-                    d += ((m.flags[*l >> 1] & TURNS_TRUE) != 0) != (*l & 1) ? 1 : -1;
-            gain += (tc[*c] + d > 0) - (tc[*c] > 0);
-            if (d && (ranks_push(&changes, *c) < 0 || ranks_push(&changes, d) < 0))
+            if (ranks_push(&flipped, r) < 0)
                 goto done;
         }
     }
+    if ((visit = visit_order(&occ, &flipped, rows(&cls), &nvisit)) == NULL)
+        goto done;
+    for (Py_ssize_t at = 0; at < nvisit; at++) {
+        int ci = (int)visit[at], d = 0;
+        if (at > 0 && ci == visit[at - 1])
+            continue;
+        const int *lo, *hi;
+        if (row(&cls, ci, 2 * n, &lo, &hi) < 0)
+            goto done;
+        for (; lo < hi; lo++)
+            if (m.flags[*lo >> 1] & FLIPS)
+                d += ((m.flags[*lo >> 1] & TURNS_TRUE) != 0) != (*lo & 1) ? 1 : -1;
+        gain += (tc[ci] + d > 0) - (tc[ci] > 0);
+        if (d && (ranks_push(&changes, ci) < 0 || ranks_push(&changes, d) < 0))
+            goto done;
+    }
     if (gain >= 0) {
-        for (Py_ssize_t k = 0; k < m.touched.tail; k++) {
-            r = m.touched.items[k];
-            if (m.flags[r] & FLIPS)
-                vals[r] = (m.flags[r] & TURNS_TRUE) != 0;
+        for (Py_ssize_t k = 0; k < flipped.tail; k++) {
+            r = flipped.items[k];
+            vals[r] = (m.flags[r] & TURNS_TRUE) != 0;
         }
         for (Py_ssize_t k = 0; k < changes.tail; k += 2) {
             Py_ssize_t ci = changes.items[k];
@@ -1096,7 +1031,10 @@ done:
     PyBuffer_Release(&degrees);
     PyBuffer_Release(&values);
     PyBuffer_Release(&flags);
+    Py_XDECREF(ranks);
+    PyMem_Free(flipped.items);
     PyMem_Free(changes.items);
+    PyMem_Free(visit);
     return out;
 }
 
@@ -1189,16 +1127,18 @@ done:
 
 /* ------------------------------------------------------------------ */
 /* The slice's model build, results equal to _kernels_py's qubo and ising,
- * dict entries made in the oracle's first-insertion order.  Both are exact,
- * so they round nothing the oracle does not: every QUBO coefficient is a
- * sum of the small integers in GADGETS, which a double holds exactly, and
- * ising divides each coefficient by 2 or 4 and adds the quotients into h and
- * the offset in the oracle's order, so it is bit-identical to the oracle on
- * any model, non-dyadic floats included (nothing is fused under
- * -ffp-contract=off).  The scratch is sized by the clause list: a record
- * per literal, a slot per variable and ancilla, and at most 4 pair terms per
- * clause in a hash table, never by the variable numbers or by
- * (variables + ancillas)^2. */
+ * dict entries made in the oracle's first-insertion order.  qubo takes the
+ * freeze's literal codes, numbers the slice's spins by sorting the distinct
+ * ranks they hold and returns those ranks, so no variable number reaches
+ * the build.  Both are exact, so they round nothing the oracle does not:
+ * every QUBO coefficient is a sum of the small integers in GADGETS, which a
+ * double holds exactly, and ising divides each coefficient by 2 or 4 and
+ * adds the quotients into h and the offset in the oracle's order, so it is
+ * bit-identical to the oracle on any model, non-dyadic floats included
+ * (nothing is fused under -ffp-contract=off).  The scratch is sized by the
+ * clause list: a record per literal, a slot per rank and ancilla, and at
+ * most 4 pair terms per clause in a hash table, never by the ranks' values
+ * or by (ranks + ancillas)^2. */
 
 /* _kernels_py._GADGETS in its order: row [width][pattern], where bit
  * width - 1 - k of pattern is set when literal k is negative.  A row holds
@@ -1225,29 +1165,6 @@ static const Gadget GADGETS[4][8] = {
 static const signed char PAIRS[4][4][2] = {[2] = {{0, 1}},
                                            [3] = {{0, 1}, {0, 3}, {1, 3}, {2, 3}}};
 static const int NSLOTS[4] = {0, 1, 2, 4}, NPAIRS[4] = {0, 0, 1, 4};
-
-/* A literal: its variable, |literal|, in v when that fits a long long,
- * else in big, an exact int; its sign; and id, the variable's number, which
- * becomes its slot. */
-typedef struct {
-    long long v;
-    PyObject *big;
-    Py_ssize_t id;
-    int neg;
-} Var;
-
-/* Orders Vars by variable; a big one exceeds every other, and comparing two
- * exact ints runs no Python code and cannot fail. */
-static int var_order(const void *pa, const void *pb)
-{
-    const Var *a = pa, *b = pb;
-    if (a->big == NULL && b->big == NULL)
-        return (a->v > b->v) - (a->v < b->v);
-    if (a->big == NULL || b->big == NULL)
-        return a->big == NULL ? -1 : 1;
-    return PyObject_RichCompareBool(a->big, b->big, Py_GT) -
-           PyObject_RichCompareBool(a->big, b->big, Py_LT);
-}
 
 /* The first probe of x in an open-addressing table of mask + 1 entries. */
 static size_t probe(uint64_t x, size_t mask)
@@ -1308,10 +1225,9 @@ static void add_pair(Build *m, Py_ssize_t i, Py_ssize_t j, int c)
     }
 }
 
-/* Reads the literals of `clauses` into vars, *count of them in clause
- * order, and each clause's width; -1 with an exception set, *count then
- * being the Vars read, whose bigs the caller releases. */
-static int read_literals(PyObject *clauses, Var **vars, Py_ssize_t *widths, Py_ssize_t *count)
+/* Reads the literal codes of `clauses` into codes, *count of them in
+ * clause order, and each clause's width; -1 with an exception set. */
+static int read_codes(PyObject *clauses, int **codes, Py_ssize_t *widths, Py_ssize_t *count)
 {
     Py_ssize_t m = PyTuple_GET_SIZE(clauses), size = 0, widest = 0;
     for (Py_ssize_t c = 0; c < m; c++) {
@@ -1322,35 +1238,28 @@ static int read_literals(PyObject *clauses, Var **vars, Py_ssize_t *widths, Py_s
         widest = Py_MAX(widest, width);
         if (*count + width > size) {
             size = Py_MAX(2 * (*count + width), 3 * m + 1);
-            Var *more = PyMem_Realloc(*vars, (size_t)size * sizeof *more);
+            int *more = PyMem_Realloc(*codes, (size_t)size * sizeof *more);
             if (more == NULL) {
                 Py_DECREF(clause);
                 PyErr_NoMemory();
                 return -1;
             }
-            *vars = more;
+            *codes = more;
         }
         for (Py_ssize_t k = 0; k < width; k++) {
-            PyObject *lit = PyTuple_GET_ITEM(clause, k);
+            PyObject *code = PyTuple_GET_ITEM(clause, k);
             int over = 0;
-            long long v = PyLong_Check(lit) ? PyLong_AsLongLongAndOverflow(lit, &over) : 0;
-            Var *var = *vars + *count;
-            *var = (Var){v < 0 ? -(unsigned long long)v : (unsigned long long)v, NULL, 0,
-                         over ? over < 0 : v < 0};
-            if (!PyLong_Check(lit))
-                PyErr_Format(PyExc_TypeError, "literal %R is not an int", lit);
-            else if (v == 0 && !over)
-                PyErr_SetString(PyExc_ValueError, "literal 0 is not allowed inside a clause");
-            else if (over || v == LLONG_MIN) {  /* |lit| does not fit a long long */
-                PyObject *exact = PyNumber_Index(lit);
-                var->big = exact ? PyNumber_Absolute(exact) : NULL;
-                Py_XDECREF(exact);
-            }
+            long v = 0;
+            if (!PyLong_Check(code))
+                PyErr_Format(PyExc_TypeError, "literal code %R is not an int", code);
+            else if ((v = PyLong_AsLongAndOverflow(code, &over)) < 0 || over || v > INT_MAX)
+                PyErr_Format(PyExc_ValueError, "literal code %R is negative or beyond a C int",
+                             code);
             if (PyErr_Occurred()) {
                 Py_DECREF(clause);
                 return -1;
             }
-            ++*count;
+            (*codes)[(*count)++] = (int)v;
         }
         Py_DECREF(clause);
     }
@@ -1360,55 +1269,37 @@ static int read_literals(PyObject *clauses, Var **vars, Py_ssize_t *widths, Py_s
     return -1;
 }
 
-/* Numbers the variables of the n literals `vars` by rank, as the oracle's
- * sorted `occurring` does: each literal's id becomes its slot, and
- * occurring[0 .. return - 1] new references to the variables, ascending.
- * The distinct variables are found by a hash table, so only they are
- * sorted.  -1 with an exception set. */
-static Py_ssize_t number_variables(Var *vars, Py_ssize_t n, PyObject **occurring)
+/* Numbers the ranks of the n literal codes as the oracle's sorted `ranks`
+ * does: slot[k] becomes the QUBO index of code k's rank and ranks[0 ..
+ * return - 1] the distinct ranks, ascending.  Each literal is the key
+ * rank << 32 | k, so sorting the keys puts equal ranks together, each
+ * literal's position beside its rank.  -1 with MemoryError set; 2**32
+ * literals would not fit in memory as Python objects anyway. */
+static Py_ssize_t number_ranks(const int *codes, Py_ssize_t n, Py_ssize_t *slot, int *ranks)
 {
-    size_t mask = table_size(n) - 1;
-    Py_ssize_t *table = PyMem_Calloc(mask + 1, sizeof *table), ndist = 0, nout = 0;
-    Var *dist = PyMem_New(Var, n + 1);
-    Py_ssize_t *rank = PyMem_New(Py_ssize_t, n + 1);
-    if (table == NULL || dist == NULL || rank == NULL) {
+    int64_t *keys = PyMem_New(int64_t, 2 * (size_t)n + 1);
+    Py_ssize_t *bounds = PyMem_New(Py_ssize_t, (size_t)n + 2), nranks = -1;
+    if (keys == NULL || bounds == NULL || (uint64_t)n >> 32) {
         PyErr_NoMemory();
-        nout = -1;
         goto done;
     }
     for (Py_ssize_t k = 0; k < n; k++) {
-        Var *var = vars + k;
-        /* an exact int's hash cannot fail */
-        uint64_t x = var->big ? (uint64_t)PyObject_Hash(var->big) ^ 1 : (uint64_t)var->v << 1;
-        size_t at = probe(x, mask);
-        while (table[at] && var_order(dist + table[at] - 1, var) != 0)
-            at = (at + 1) & mask;
-        if (!table[at]) {
-            dist[ndist] = *var;
-            dist[ndist].id = ndist;
-            table[at] = ++ndist;
-        }
-        var->id = table[at] - 1;
+        keys[k] = (int64_t)(codes[k] >> 1) << 32 | k;
+        bounds[k] = k;
     }
-    qsort(dist, ndist, sizeof *dist, var_order);
-    for (; nout < ndist; nout++) {
-        Var *var = dist + nout;
-        rank[var->id] = nout;
-        occurring[nout] = var->big ? Py_NewRef(var->big) : PyLong_FromLongLong(var->v);
-        if (occurring[nout] == NULL) {
-            while (nout > 0)
-                Py_DECREF(occurring[--nout]);
-            nout = -1;
-            goto done;
-        }
+    bounds[n] = n;
+    const int64_t *sorted = merge_runs(keys, keys + n, bounds, n);
+    nranks = 0;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        int r = (int)(sorted[k] >> 32);
+        if (nranks == 0 || ranks[nranks - 1] != r)
+            ranks[nranks++] = r;
+        slot[sorted[k] & 0xFFFFFFFF] = nranks - 1;
     }
-    for (Py_ssize_t k = 0; k < n; k++)
-        vars[k].id = rank[vars[k].id];
 done:
-    PyMem_Free(table);
-    PyMem_Free(dist);
-    PyMem_Free(rank);
-    return nout;
+    PyMem_Free(keys);
+    PyMem_Free(bounds);
+    return nranks;
 }
 
 /* A new dict of the linear terms in first-touch order; NULL on error. */
@@ -1446,38 +1337,38 @@ static PyObject *pair_dict(const Build *m)
     return out;
 }
 
-/* qubo(clauses): the oracle's qubo.  Every literal is read and checked
- * first, in clause order; then the variables are numbered, and each clause
- * adds its GADGETS row. */
+/* qubo(clauses): the oracle's qubo.  Every literal code is read and
+ * checked first, in clause order; then the ranks are numbered, and each
+ * clause adds its GADGETS row. */
 static PyObject *qubo(PyObject *self, PyObject *arg)
 {
     PyObject *clauses = PySequence_Tuple(arg);  /* Python code cannot resize it */
     if (clauses == NULL)
         return NULL;
-    Py_ssize_t m = PyTuple_GET_SIZE(clauses), nlits = 0, nvars = 0, nanc = 0, npairs = 0;
-    Var *vars = NULL;
-    Py_ssize_t *widths = PyMem_New(Py_ssize_t, m + 1);
-    PyObject **occurring = NULL, *linear = NULL, *quadratic = NULL, *source = NULL, *out = NULL;
+    Py_ssize_t m = PyTuple_GET_SIZE(clauses), nlits = 0, nranks = 0, nanc = 0, npairs = 0;
+    int *codes = NULL, *ranks = NULL;
+    Py_ssize_t *widths = PyMem_New(Py_ssize_t, m + 1), *slot = NULL;
+    PyObject *linear = NULL, *quadratic = NULL, *rank_list = NULL, *out = NULL;
     Build b = {0};
     if (widths == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    if (read_literals(clauses, &vars, widths, &nlits) < 0)
+    if (read_codes(clauses, &codes, widths, &nlits) < 0)
         goto done;
     for (Py_ssize_t c = 0; c < m; c++) {
         nanc += widths[c] == 3;
         npairs += NPAIRS[widths[c]];
     }
-    if ((occurring = PyMem_New(PyObject *, nlits + 1)) == NULL) {
+    slot = PyMem_New(Py_ssize_t, nlits + 1);
+    ranks = PyMem_New(int, nlits + 1);
+    if (slot == NULL || ranks == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    if ((nvars = number_variables(vars, nlits, occurring)) < 0) {
-        nvars = 0;
+    if ((nranks = number_ranks(codes, nlits, slot, ranks)) < 0)
         goto done;
-    }
-    Py_ssize_t num_vars = nvars + nanc, next_ancilla = nvars, at = 0;
+    Py_ssize_t num_vars = nranks + nanc, next_ancilla = nranks, at = 0;
     long long offset = 0;
     size_t cap = table_size(npairs);
     b.lin = PyMem_New(double, num_vars + 1);
@@ -1498,8 +1389,8 @@ static PyObject *qubo(PyObject *self, PyObject *arg)
             continue;
         }
         for (Py_ssize_t k = 0; k < width; k++, at++) {
-            pattern = pattern << 1 | vars[at].neg;
-            s[k] = vars[at].id;
+            pattern = pattern << 1 | (codes[at] & 1);
+            s[k] = slot[at];
         }
         if (width == 3)
             s[3] = next_ancilla++;
@@ -1519,28 +1410,24 @@ static PyObject *qubo(PyObject *self, PyObject *arg)
         }
     }
     if ((linear = linear_dict(&b)) == NULL || (quadratic = pair_dict(&b)) == NULL ||
-        (source = PyDict_New()) == NULL)
+        (rank_list = PyList_New(nranks)) == NULL)
         goto done;
-    for (Py_ssize_t i = 0; i < nvars; i++) {
-        PyObject *key = PyLong_FromSsize_t(i);
-        int failed = key == NULL || PyDict_SetItem(source, key, occurring[i]) < 0;
-        Py_XDECREF(key);
-        if (failed)
+    for (Py_ssize_t i = 0; i < nranks; i++) {
+        PyObject *r = PyLong_FromLong(ranks[i]);
+        if (r == NULL)
             goto done;
+        PyList_SET_ITEM(rank_list, i, r);
     }
-    out = Py_BuildValue("(nOOdO)", num_vars, linear, quadratic, (double)offset, source);
+    out = Py_BuildValue("(nOOdO)", num_vars, linear, quadratic, (double)offset, rank_list);
 done:
-    for (Py_ssize_t k = 0; vars != NULL && k < nlits; k++)
-        Py_XDECREF(vars[k].big);
-    for (Py_ssize_t k = 0; k < nvars; k++)
-        Py_DECREF(occurring[k]);
     Py_DECREF(clauses);
     Py_XDECREF(linear);
     Py_XDECREF(quadratic);
-    Py_XDECREF(source);
-    PyMem_Free(vars);
+    Py_XDECREF(rank_list);
+    PyMem_Free(codes);
     PyMem_Free(widths);
-    PyMem_Free(occurring);
+    PyMem_Free(slot);
+    PyMem_Free(ranks);
     PyMem_Free(b.lin);
     PyMem_Free(b.seen);
     PyMem_Free(b.order);
@@ -1775,11 +1662,11 @@ static PyMethodDef methods[] = {
     {"walk", walk, METH_VARARGS,
      "The spin-budgeted walk from start; returns the selected set."},
     {"freeze", freeze, METH_VARARGS,
-     "The kept clauses of a slice in clause order, and the visited unsatisfied count."},
+     "The kept clauses of a slice as literal codes, and the visited unsatisfied count."},
     {"merge", merge, METH_VARARGS,
      "Merges a slice's spins into the incumbent unless it loses a clause; returns the gain."},
     {"qubo", qubo, METH_O,
-     "The QUBO of clauses: (num_vars, linear, quadratic, offset, source_var_map)."},
+     "The QUBO of clauses of literal codes: (num_vars, linear, quadratic, offset, ranks)."},
     {"ising", ising, METH_VARARGS,
      "The Ising form of a QUBO's fields: (num_spins, j, h, offset)."},
     {"tally", tally, METH_VARARGS,

@@ -37,27 +37,27 @@ integer temperature as a float.
 
 ``walk``, ``freeze`` and ``merge`` are the decomposition's slice walk, the
 clause loop of its freeze and its merge, as ``decompose`` ran them in
-Python.  They do integer work only, on ranks: the tables ``build_vig`` lays
-out (read by ``row``) are indexed by the position of a variable in the
-ascending ``nodes``, and so is a repeat's state, ``GlobalState``'s value
-bytes, unsatisfied degrees and pool; its true-literal counts are indexed by
-clause.  The walk takes a start rank and returns the selected ranks, which
-the freeze takes; only the merge's map names variables, which it finds in
-``nodes`` by ``rank``.  The C versions mark what they touch in the flag
-array; these keep their marks in sets and dicts.  On the tables
-``build_vig`` makes, both return the same, write the same and raise the
+Python.  They do integer work only, on ranks and literal codes, and never
+see a variable number: the walk takes a start rank and returns the
+selected ranks, the freeze takes those and hands on the kept clauses as
+literal codes, and the merge takes the slice's ranks (``QuboModel.ranks``).
+The tables ``build_vig`` lays out (read by ``row``) have a row per rank or
+per clause; ``GlobalState``'s value bytes, unsatisfied degrees and pool are
+indexed by rank and its true-literal counts by clause.  The number of nodes
+is the number of rows of ``occurrences``, or of the walk's push table.  The
+C versions mark what they touch in the flag array; these keep their marks
+in sets and dicts.  Both return the same, write the same and raise the
 same, in the same order: a flag, value or degree array that does not hold
-one item per node, or a count array that does not hold one per clause, is a
-ValueError, and so is a map that names a variable twice; a rank, a
-variable or a spin that is not an integer is a TypeError; a start or a
-selected rank outside ``0 .. len(nodes) - 1``, or a variable of the map that
-``nodes`` lacks, an IndexError.  A cooling rank outside the nodes is never
-reached, so it is skipped.  A merge raises before it writes anything.
-These read the tables as they stand, since ``build_vig`` makes every offset
-and item in range; the C versions check each row they read and raise
-IndexError for an offset or an item out of range, and the C freeze, which
-merges the occurrence rows where this one sorts them, ValueError for a row
-that is not ascending.
+one item per node, or a count array that does not hold one per clause, is
+a ValueError, and so is a slice that names a rank twice; a rank or a spin
+that is not an integer is a TypeError; a start, a selected rank or a rank
+of the slice outside ``0 .. n - 1`` an IndexError.  A cooling rank outside
+the nodes is never reached, so it is skipped.  A merge raises before it
+writes anything.  These read the tables as they stand; the C versions check
+each row they read and raise IndexError for an offset or an item out of
+range, and the C freeze and merge, which merge the occurrence rows where
+these sort them, ValueError for a row that is not ascending.  A table the C
+versions accept they read as these do, even one ``build_vig`` would not make.
 
 ``tally`` is ``decompose.GlobalState.start`` as it ran in Python: from
 the clause table and the value bytes it counts the true literals of every
@@ -69,13 +69,14 @@ they stand; the C version checks them too, the table's header before it
 allocates by it.
 
 ``qubo`` and ``ising`` are ``qubo.cnf_to_qubo`` and ``qubo.qubo_to_ising``
-as they ran in Python, returning the models' fields.  ``qubo`` looks each
-clause up in the 14-row gadget table ``_GADGETS``, of which ``_kernels.c``
-holds a copy; both make the dict entries in the same order and raise the
-same, with the same messages.  Its coefficients are small integers, which
-``ising`` only halves and quarters, so neither rounds: the C versions add the
-floats in this order and match these bit for bit, on hand-built models with
-other floats too.  ``ising`` reads the QUBO as it stands; the C version
+as they ran in Python, returning the models' fields.  ``qubo`` takes the
+freeze's literal codes, numbers the slice's spins by the sorted distinct
+ranks and looks each clause up in the 14-row gadget table ``_GADGETS``, of
+which ``_kernels.c`` holds a copy; both make the dict entries in the same
+order and raise the same, with the same messages.  Its coefficients are
+small integers, which ``ising`` only halves and quarters, so neither rounds:
+the C versions add the floats in this order and match these bit for bit,
+on hand-built models with other floats too.  ``ising`` reads the QUBO as it stands; the C version
 takes ``linear`` and ``quadratic`` as dicts, and their coefficients and the
 offset as ints or floats (else a TypeError), and raises IndexError for an
 index outside ``0 .. num_vars - 1``, where this one would index the list
@@ -104,6 +105,7 @@ from itertools import accumulate, chain
 from ..qubo import COEFF_MAX, COEFF_MIN, chip_misfit
 
 _MASK = (1 << 64) - 1
+_INT_MAX = (1 << 31) - 1  # the largest literal code, which a C int holds
 _STAR = 0x2545F4914F6CDD1D
 
 
@@ -231,14 +233,6 @@ def tabu(n: int, jd: list[float], h: list[float], max_moves: int,
     return best_spins, best, moves
 
 
-def rank(nodes, v):
-    """The rank of variable ``v`` in the ascending list ``nodes``, or -1 when
-    ``nodes`` lacks it; a TypeError unless ``v`` is an integer."""
-    v = operator.index(v)
-    r = bisect_left(nodes, v)
-    return r if r < len(nodes) and nodes[r] == v else -1
-
-
 def row(table, i):
     """Row ``i`` of a flat table: ``table[0]`` offsets, then the items."""
     return table[table[i]:table[i + 1]]
@@ -249,15 +243,17 @@ def _rows(table):
     return table[0] - 1 if len(table) else 0
 
 
-def _check_state(nodes, flags, values, true_count, clauses):
-    """The checks ``freeze`` and ``merge`` share, in the C order."""
-    n = len(nodes)
+def _check_state(occurrences, flags, values, true_count, clauses):
+    """The checks ``freeze`` and ``merge`` share, in the C order; the number
+    of nodes."""
+    n = _rows(occurrences)
     if len(flags) != n:
         raise ValueError("the flag array must hold one byte per node")
     if len(values) != n:
         raise ValueError("the value array must hold one byte per node")
     if len(true_count) != _rows(clauses):
         raise ValueError("true_count must hold one count per clause")
+    return n
 
 
 def walk(pushes, triangles, cooldown, flags, budget, start, depth_first):
@@ -317,37 +313,33 @@ def walk(pushes, triangles, cooldown, flags, budget, start, depth_first):
     return selected
 
 
-def freeze(clauses, occurrences, nodes, selected, values, true_count, flags):
+def freeze(clauses, occurrences, selected, values, true_count, flags):
     """The kept clauses of a slice, in clause order, and how many of the
     visited clauses are unsatisfied (``true_count`` zero).
 
-    ``clauses``, ``occurrences`` and ``nodes`` are the ``Vig``'s, the rest
-    the ``GlobalState``'s; ``selected`` holds ranks.  Only the clauses of
-    the selected ranks (their ``occurrences`` rows) are visited.  A true
-    frozen literal drops its clause and a false one is removed; the selected
-    literals are kept as they stand, as variables.
+    ``clauses`` and ``occurrences`` are the ``Vig``'s, the rest the
+    ``GlobalState``'s; ``selected`` holds ranks.  Only the clauses of the
+    selected ranks (their ``occurrences`` rows) are visited.  A true frozen
+    literal drops its clause and a false one is removed; the selected
+    literals are kept as they stand, as literal codes.
     """
-    _check_state(nodes, flags, values, true_count, clauses)
-    n = len(nodes)
+    n = _check_state(occurrences, flags, values, true_count, clauses)
     chosen: set[int] = set()
     for r in map(operator.index, selected):
         if not 0 <= r < n:
             raise IndexError("a selected rank is outside the nodes")
         chosen.add(r)
-    visit: set[int] = set()
-    for r in chosen:
-        visit.update(row(occurrences, r))
     kept: list[tuple[int, ...]] = []
     keep = kept.append
     unsat = 0
-    for ci in sorted(visit):
+    for ci in sorted({ci for r in chosen for ci in row(occurrences, r)}):
         if not true_count[ci]:
             unsat += 1
         lits: list[int] = []
         for lit in row(clauses, ci):
             r = lit >> 1
             if r in chosen:
-                lits.append(-nodes[r] if lit & 1 else nodes[r])
+                lits.append(lit)
             elif bool(values[r]) != lit & 1:
                 break  # a true frozen literal satisfies the clause
         else:
@@ -355,43 +347,41 @@ def freeze(clauses, occurrences, nodes, selected, values, true_count, flags):
     return kept, unsat
 
 
-def merge(clauses, occurrences, nodes, spins, var_map, values, true_count,
-          unsat_degree, pool, flags):
+def merge(clauses, occurrences, spins, ranks, values, true_count, unsat_degree, pool,
+          flags):
     """Merge a slice's spins into the incumbent unless it loses a clause;
     returns the gain, the change in the number of satisfied clauses.
 
-    ``var_map`` maps each QUBO index to the variable whose spin ``spins``
-    holds there (``QuboModel.source_var_map``); a spin above 0 is True.
-    ``clauses``, ``occurrences`` and ``nodes`` are the ``Vig``'s, the rest
-    the ``GlobalState``'s.  Only the clauses of the ranks whose value
-    changes are read: their true-literal counts move by the literals that
-    flip (make/break).  A gain of 0 or more (a plateau move included) is
-    committed: ``values``, ``true_count``, ``unsat_degree`` and the
-    ascending ``pool`` of ranks with a nonzero degree move together, the
-    last two only for the clauses whose satisfied status flips.  A negative
-    gain leaves them all as they were.
+    ``spins[i]`` is the spin of rank ``ranks[i]`` (``QuboModel.ranks``); a
+    spin above 0 is True.  ``clauses`` and ``occurrences`` are the
+    ``Vig``'s, the rest the ``GlobalState``'s.  Only the clauses of the
+    ranks whose value changes are read, each once, in clause order: its
+    true-literal count moves by the literals that flip (make/break).  A
+    gain of 0 or more (a plateau move included) is committed: ``values``,
+    ``true_count``, ``unsat_degree`` and the ascending ``pool`` of ranks
+    with a nonzero degree move together, the last two only for the clauses
+    whose satisfied status flips.  A negative gain leaves them all as they
+    were.
     """
-    _check_state(nodes, flags, values, true_count, clauses)
-    if len(unsat_degree) != len(nodes):
+    n = _check_state(occurrences, flags, values, true_count, clauses)
+    if len(unsat_degree) != n:
         raise ValueError("the degree array must hold one count per node")
     named: set[int] = set()
     flips: dict[int, bool] = {}  # rank -> its new value
-    for idx, v in var_map.items():
-        r = rank(nodes, v)
-        if r < 0:
-            raise IndexError("a variable of the map is not a node of the index")
+    for i, r in enumerate(ranks):
+        r = operator.index(r)
+        if not 0 <= r < n:
+            raise IndexError("a rank of the slice is outside the nodes")
         if r in named:
-            raise ValueError("the map names a variable twice")
+            raise ValueError("the slice names a rank twice")
         named.add(r)
-        value = operator.index(spins[idx]) > 0
+        value = operator.index(spins[i]) > 0
         if bool(values[r]) != value:
             flips[r] = value
-    delta: dict[int, int] = {}
-    for r, value in flips.items():
-        t = 2 * r + (not value)  # the literal of r that turns true
-        for ci in row(occurrences, r):
-            lits = row(clauses, ci)
-            delta[ci] = delta.get(ci, 0) + lits.count(t) - lits.count(t ^ 1)
+    # per clause, +1 for each literal that turns true, -1 for each that turns false
+    delta = {ci: sum(1 if flips[lit >> 1] != lit & 1 else -1
+                     for lit in row(clauses, ci) if lit >> 1 in flips)
+             for ci in sorted({ci for r in flips for ci in row(occurrences, r)})}
     gain = sum((true_count[ci] + d > 0) - (true_count[ci] > 0) for ci, d in delta.items())
     if gain < 0:
         return gain
@@ -403,7 +393,7 @@ def merge(clauses, occurrences, nodes, spins, var_map, values, true_count,
         if (was > 0) == (was + d > 0):
             continue
         step = -1 if was == 0 else 1  # now satisfied / now unsatisfied
-        for r in {lit >> 1 for lit in row(clauses, ci)}:
+        for r in dict.fromkeys(lit >> 1 for lit in row(clauses, ci)):  # each rank once
             unsat_degree[r] += step
             if step > 0 and unsat_degree[r] == 1:
                 insort(pool, r)
@@ -484,48 +474,49 @@ _TERMS = {signs: (constant,
 
 
 def qubo(clauses):
-    """The QUBO of ``clauses``: (num_vars, linear, quadratic, offset,
-    source_var_map), the fields of ``isingsat.qubo.QuboModel``.
+    """The QUBO of ``clauses``, tuples of literal codes (``2 * r`` for rank
+    ``r``, ``2 * r + 1`` for its negation): (num_vars, linear, quadratic,
+    offset, ranks), the fields of ``isingsat.qubo.QuboModel``.
 
-    Every literal is checked first, in clause order: one that is not an int
-    is a TypeError and a 0 a ValueError.  Then a clause wider than 3 is a
-    ValueError.  ``linear`` and ``quadratic`` hold their keys in the order
+    Every code is checked first, in clause order: one that is not an int is
+    a TypeError, and one that is negative or beyond a C ``int`` a
+    ValueError.  Then a clause wider than 3 is a ValueError.  The distinct
+    ranks, ascending, take QUBO indices 0 .. len(ranks) - 1, and ``ranks``
+    lists them; ``linear`` and ``quadratic`` hold their keys in the order
     the clauses first touch them.
     """
     for clause in clauses:
-        for lit in clause:
-            if not isinstance(lit, int):
-                raise TypeError(f"literal {lit!r} is not an int")
-            if not lit:
-                raise ValueError("literal 0 is not allowed inside a clause")
-    occurring = sorted(set(map(abs, chain.from_iterable(clauses))))
-    slot_of: dict[int, int] = {}  # either literal of a variable -> its index
-    for i, v in enumerate(occurring):
-        slot_of[v] = slot_of[-v] = i
+        for code in clause:
+            if not isinstance(code, int):
+                raise TypeError(f"literal code {code!r} is not an int")
+            if not 0 <= code <= _INT_MAX:
+                raise ValueError(f"literal code {code!r} is negative or beyond a C int")
+    ranks = sorted({code >> 1 for code in chain.from_iterable(clauses)})
+    slot_of = {r: i for i, r in enumerate(ranks)}
     linear: dict[int, float] = {}
     quadratic: dict[tuple[int, int], float] = {}
     lin_get, quad_get = linear.get, quadratic.get
     offset = 0  # a sum of small integers, exact as an int
-    next_ancilla = len(occurring)
+    next_ancilla = len(ranks)
     for clause in clauses:
         width = len(clause)
         if width == 3:
             a, b, c = clause
-            constant, lin, quad = _TERMS[a > 0, b > 0, c > 0]
-            slots = slot_of[a], slot_of[b], slot_of[c], next_ancilla
+            constant, lin, quad = _TERMS[not a & 1, not b & 1, not c & 1]
+            slots = slot_of[a >> 1], slot_of[b >> 1], slot_of[c >> 1], next_ancilla
             next_ancilla += 1
         elif width == 2:
             a, b = clause
-            constant, lin, quad = _TERMS[a > 0, b > 0]
-            slots = slot_of[a], slot_of[b]
+            constant, lin, quad = _TERMS[not a & 1, not b & 1]
+            slots = slot_of[a >> 1], slot_of[b >> 1]
         elif width == 1:  # the 1-literal rows of _GADGETS: 1 - x, or x if negated
             a, = clause
-            i = slot_of[a]
-            if a > 0:
+            i = slot_of[a >> 1]
+            if a & 1:
+                linear[i] = lin_get(i, 0.0) + 1
+            else:
                 offset += 1
                 linear[i] = lin_get(i, 0.0) - 1
-            else:
-                linear[i] = lin_get(i, 0.0) + 1
             continue
         elif width == 0:
             offset += 1
@@ -544,8 +535,8 @@ def qubo(clauses):
             else:
                 key = (i, j) if i < j else (j, i)
                 quadratic[key] = quad_get(key, 0.0) + coeff
-    # occurring variables + ancillas
-    return next_ancilla, linear, quadratic, float(offset), dict(enumerate(occurring))
+    # the ranks' spins + ancillas
+    return next_ancilla, linear, quadratic, float(offset), ranks
 
 
 def ising(num_vars, linear, quadratic, offset):

@@ -5,11 +5,12 @@ their seeding ``mix_seed``; the decomposition's slice ``walk``, ``freeze``
 and ``merge``, which read ``decompose.build_vig``'s rank tables and a flag
 array and read or write ``decompose.GlobalState``'s per-rank arrays in
 place, and ``tally``, which counts those arrays at a repeat's start; the
-slice's model build, ``qubo`` (clauses to the fields of
-``qubo.QuboModel``) and ``ising`` (those to the fields of
-``qubo.IsingModel``); and ``scale``, the rule of ``qubo.scale_to_chip``, as
-``_kernels_py`` sets out.  One build, one loader and one
-``COMPILED_KERNELS`` flag cover all ten.
+slice's model build, ``qubo`` (the freeze's literal codes to the fields of
+``qubo.QuboModel``, the slice's ranks among them) and ``ising`` (those to
+the fields of ``qubo.IsingModel``); and ``scale``, the rule of
+``qubo.scale_to_chip``, as ``_kernels_py`` sets out.  A slice reaches them
+as ranks and literal codes only: no kernel sees a variable number.  One
+build, one loader and one ``COMPILED_KERNELS`` flag cover all ten.
 
 ``_kernels.c`` is compiled the first time this module is imported, with the
 interpreter's C compiler and ``-O2 -shared -fPIC -ffp-contract=off``.  The

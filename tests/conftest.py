@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 
 import pytest
 from hypothesis import settings
@@ -41,6 +42,24 @@ def random_3sat(num_vars: int, num_clauses: int, rng: random.Random) -> Cnf:
         vs = rng.sample(range(1, num_vars + 1), 3)
         clauses.append(tuple(v if rng.random() < 0.5 else -v for v in vs))
     return make_cnf(num_vars, clauses)
+
+
+def rank(nodes, v):
+    """The rank of variable ``v`` in the ascending list ``nodes``, or -1 when
+    ``nodes`` lacks it."""
+    r = bisect_left(nodes, v)
+    return r if r < len(nodes) and nodes[r] == v else -1
+
+
+def codes(clauses, nodes=None):
+    """``clauses`` of DIMACS literals as the slice kernels' literal codes:
+    ``2 * r`` for the variable of rank ``r`` in the ascending ``nodes``,
+    ``2 * r + 1`` for its negation.  Without ``nodes`` variable ``v`` has
+    rank ``v``, so a model's ``ranks`` are the variables themselves."""
+    def code(lit):
+        r = abs(lit) if nodes is None else rank(nodes, abs(lit))
+        return 2 * r + (lit < 0)
+    return [tuple(map(code, clause)) for clause in clauses]
 
 
 def mixed_random_cnf(num_vars: int, num_clauses: int, rng: random.Random) -> Cnf:

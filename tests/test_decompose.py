@@ -33,9 +33,9 @@ from isingsat.decompose import (
 from isingsat.preprocess import ConditionRecord, run_ladder
 from isingsat.qubo import cnf_to_qubo
 from isingsat.solver import _kernels_py, kernels
-from isingsat.solver._kernels_py import rank, row
+from isingsat.solver._kernels_py import row
 
-from conftest import mixed_random_cnf, random_3sat
+from conftest import codes, mixed_random_cnf, random_3sat, rank
 
 
 def _gs(cnf, assignment):
@@ -281,9 +281,9 @@ def test_walks_match_the_reference_walk(case):
 
 
 # The compiled walk and freeze against the pure ones, exceptions included.
-# Variables above 256 are not cached ints, so the C code meets int objects
-# that are equal but not identical.  Each compiled call must leave the flag
-# array all zero, also when it raises.
+# The kernels see ranks and literal codes only, so a formula's variables may
+# lie above 256, beyond the cached ints, without either noticing.  Each
+# compiled call must leave the flag array all zero, also when it raises.
 needs_compiled = pytest.mark.skipif(not kernels.COMPILED_KERNELS,
                                     reason="compiled kernels unavailable")
 
@@ -350,8 +350,8 @@ def _freeze_cases(draw):
 
 def _freeze_args(state, selected):
     vig = state.vig
-    return (vig.clauses, vig.occurrences, vig.nodes, selected, state.values,
-            state.true_count, state.flags)
+    return (vig.clauses, vig.occurrences, selected, state.values, state.true_count,
+            state.flags)
 
 
 @needs_compiled
@@ -372,13 +372,12 @@ def test_compiled_freeze_matches_the_pure_freeze(case):
             == _outcome(_kernels_py.freeze, *args))
 
 
-def _merge_args(state, spins, var_map, **replaced):
+def _merge_args(state, spins, ranks, **replaced):
     """The arguments of a merge into ``state``, any of them replaced."""
     vig = state.vig
-    args = dict(clauses=vig.clauses, occurrences=vig.occurrences, nodes=vig.nodes,
-                spins=spins, var_map=var_map, values=state.values,
-                true_count=state.true_count, unsat_degree=state.unsat_degree,
-                pool=state.pool, flags=state.flags)
+    args = dict(clauses=vig.clauses, occurrences=vig.occurrences, spins=spins, ranks=ranks,
+                values=state.values, true_count=state.true_count,
+                unsat_degree=state.unsat_degree, pool=state.pool, flags=state.flags)
     return tuple({**args, **replaced}.values())
 
 
@@ -389,9 +388,9 @@ def test_compiled_kernels_need_a_flag_byte_per_node():
     vig, outcome = state.vig, (ValueError, "the flag array must hold one byte per node")
     for flags in (bytearray(2), bytearray(4)):
         walk_args = (vig.bfs, vig.triangles, {}, flags, 3, 0, False)
-        freeze_args = (vig.clauses, vig.occurrences, vig.nodes, {0}, state.values,
-                       state.true_count, flags)
-        merge_args = _merge_args(state, (1,), {0: 1}, flags=flags)
+        freeze_args = (vig.clauses, vig.occurrences, {0}, state.values, state.true_count,
+                       flags)
+        merge_args = _merge_args(state, (1,), [0], flags=flags)
         for fn, args in (("walk", walk_args), ("freeze", freeze_args),
                          ("merge", merge_args)):
             assert (_compiled_outcome(fn, flags, *args)
@@ -409,23 +408,35 @@ def test_compiled_kernels_need_a_value_per_node_and_a_count_per_clause():
     cases = [(values, dict(values=v)) for v in (bytearray(2), bytearray(4))]
     cases += [(counts, dict(true_count=c)) for c in (array("i", []), array("i", [0, 0, 0]))]
     for outcome, replaced in cases:
-        args = _merge_args(state, (1,), {0: 1}, **replaced)
-        clauses, occurrences, nodes, _, _, values_, true_count, _, _, flags = args
-        freeze_args = (clauses, occurrences, nodes, {0}, values_, true_count, flags)
+        args = _merge_args(state, (1,), [0], **replaced)
+        clauses, occurrences, _, _, values_, true_count, _, _, flags = args
+        freeze_args = (clauses, occurrences, {0}, values_, true_count, flags)
         for fn, fn_args in (("freeze", freeze_args), ("merge", args)):
             assert (_compiled_outcome(fn, flags, *fn_args)
                     == _outcome(getattr(_kernels_py, fn), *fn_args) == outcome), fn
 
 
+# (1,), (1, 2) over nodes [1, 2], with node 1's occurrence row (1, 0)
+_UNSORTED = (array("i", [3, 4, 6, 0, 0, 2]), array("i", [3, 5, 6, 1, 0, 1]))
+
+
 @needs_compiled
 def test_compiled_freeze_needs_ascending_occurrence_lists():
     # it merges the rows where the oracle sorts; build_vig makes them ascending
-    clauses = array("i", [3, 4, 6, 0, 0, 2])  # (1,), (1, 2) over nodes [1, 2]
-    occurrences = array("i", [3, 5, 6, 1, 0, 1])  # node 1's row is (1, 0)
     flags = bytearray(2)
-    args = (clauses, occurrences, [1, 2], {0}, bytearray([1, 0]), array("i", [1, 1]), flags)
+    args = (*_UNSORTED, {0}, bytearray([1, 0]), array("i", [1, 1]), flags)
     outcome = (ValueError, "an occurrence list is not ascending")
     assert _compiled_outcome("freeze", flags, *args) == outcome
+
+
+@needs_compiled
+def test_compiled_merge_needs_ascending_occurrence_lists():
+    # it merges the rows of the flipped ranks, as the freeze merges them
+    flags = bytearray(2)
+    args = (*_UNSORTED, (-1,), [0], bytearray([1, 0]), array("i", [1, 1]),
+            array("i", [0, 0]), [], flags)
+    outcome = (ValueError, "an occurrence list is not ascending")
+    assert _compiled_outcome("merge", flags, *args) == outcome
 
 
 @needs_compiled
@@ -434,7 +445,7 @@ def test_compiled_kernels_check_every_row_they_read():
     the compiled kernels, which leaves the flags and the state as they were
     (the oracle reads the tables as ``build_vig`` makes them, in range); the
     start tally checks the clause table's header before it allocates by it."""
-    nodes, flags, values = [1, 2], bytearray(2), bytearray([1, 0])
+    flags, values = bytearray(2), bytearray([1, 0])
     good = array("i", [3, 4, 5, 1, 0])  # ranks: 0 -- 1
     clauses = array("i", [2, 4, 0, 3])  # (1, -2)
     occurrences = array("i", [3, 4, 5, 0, 0])
@@ -446,9 +457,8 @@ def test_compiled_kernels_check_every_row_they_read():
     cases += [("walk", (good, bad_items, {}, flags, 5, 1, False))]
     for table, occ in ((array("i", [2, 4, 0, 9]), occurrences),  # literal 9 of 2 nodes
                        (clauses, array("i", [3, 4, 5, 1, 0]))):  # clause 1 of 1
-        cases += [("freeze", (table, occ, nodes, {0}, values, counts, flags)),
-                  ("merge", (table, occ, nodes, (-1,), {0: 1}, values, counts, degree,
-                             pool, flags))]
+        cases += [("freeze", (table, occ, {0}, values, counts, flags)),
+                  ("merge", (table, occ, (-1,), [0], values, counts, degree, pool, flags))]
     for table in (array("i", [2, 9, 0, 3]), array("i", [9, 4, 0, 3]),  # past the end
                   array("i", [0, 4, 0, 3]), array("i", [2, 1, 0, 3])):  # before row 0
         cases += [("tally", (table, values))]
@@ -490,11 +500,11 @@ def test_compiled_slice_kernels_allocate_by_the_slice_not_the_formula():
                                     list(start.pool), vig, start.flags)
                 selected, walked = traced(select_bfs, vig, 30, 39, filt, state.flags)
                 kept, frozen = traced(kernels.freeze, *_freeze_args(state, selected))
-                var_map = dict(enumerate(sorted(_variables(vig, selected))))
-                spins = (1,) * len(var_map)  # all True: a flip of every third
-                gain, merged = traced(kernels.merge, *_merge_args(state, spins, var_map))
+                ranks = sorted(selected)
+                spins = (1,) * len(ranks)  # all True: a flip of every third
+                gain, merged = traced(kernels.merge, *_merge_args(state, spins, ranks))
                 assert gain > 0
-                del selected, kept, var_map
+                del selected, kept, ranks
         finally:
             tracemalloc.stop()
         peaks.append((walked, frozen, merged))
@@ -520,7 +530,7 @@ def test_freeze_worked_example():
     # (a v b)(a v ~b)(~a v b)(a v ~b v c) with a frozen false
     cnf = make_cnf(3, [(1, 2), (1, -2), (-1, 2), (1, -2, 3)])
     sub = _freeze(cnf, {2, 3}, {1: False})
-    assert sub.qubo == cnf_to_qubo([(2,), (-2,), (-2, 3)])
+    assert sub.qubo == cnf_to_qubo(codes([(2,), (-2,), (-2, 3)], build_vig(cnf).nodes))
     assert sub.spin_cost == 2
 
 
@@ -536,7 +546,7 @@ def test_freeze_conflicting_units_maxsat():
 def test_freeze_emptied_clause_is_offset():
     cnf = make_cnf(2, [(1,), (2,)])
     sub = _freeze(cnf, {2}, {1: False})
-    assert sub.qubo == cnf_to_qubo([(), (2,)])
+    assert sub.qubo == cnf_to_qubo(codes([(), (2,)], build_vig(cnf).nodes))
     assert sub.qubo.offset >= 1.0
 
 
@@ -554,7 +564,7 @@ def test_freeze_counts_ancillas_in_spin_cost():
     cnf = make_cnf(4, [(1, 2, 3), (1, 2, 4)])
     sub = _freeze(cnf, {1, 2, 3}, {4: True})
     # clause (1,2,4) satisfied by the frozen true 4; one 3-wide clause kept
-    assert sub.qubo == cnf_to_qubo([(1, 2, 3)])
+    assert sub.qubo == cnf_to_qubo(codes([(1, 2, 3)], build_vig(cnf).nodes))
     assert sub.spin_cost == 4
 
 
@@ -567,31 +577,32 @@ def test_freeze_rejects_empty_selection():
 def test_freeze_default_false_for_unassigned():
     cnf = make_cnf(2, [(2, 1)])
     sub = _freeze(cnf, {2}, {})
-    assert sub.qubo == cnf_to_qubo([(2,)])
+    assert sub.qubo == cnf_to_qubo(codes([(2,)], build_vig(cnf).nodes))
 
 
 # ---------------------------------------------------------------------------
 # merging
 
 
-def _propose(proposal):
-    """``proposal``, values of variables, as a slice's spins and its map."""
-    var_map = dict(enumerate(sorted(proposal)))
-    return tuple(1 if proposal[v] else -1 for v in var_map.values()), var_map
+def _propose(state, proposal):
+    """``proposal``, values of variables, as a slice's spins and its ranks."""
+    variables = sorted(proposal)
+    return (tuple(1 if proposal[v] else -1 for v in variables),
+            [rank(state.vig.nodes, v) for v in variables])
 
 
 def test_update_global_accepts_plateau_and_better():
     cnf = make_cnf(2, [(1,), (2,)])
     state = _gs(cnf, {1: False, 2: True})
     assert state.best_count == 1
-    assert update_global(state, *_propose({1: True}))
+    assert update_global(state, *_propose(state, {1: True}))
     assert state.best_count == 2
     assert _assignment(state)[1] is True
     # plateau: conflicting units (1)(~1) score 1 either way; flip accepted
     conflict = make_cnf(1, [(1,), (-1,)])
     state2 = _gs(conflict, {1: True})
     assert state2.best_count == 1
-    assert update_global(state2, *_propose({1: False}))
+    assert update_global(state2, *_propose(state2, {1: False}))
     assert state2.best_count == 1
     assert _assignment(state2)[1] is False
 
@@ -600,7 +611,7 @@ def test_update_global_rejects_worse():
     cnf = make_cnf(2, [(1,), (2,)])
     state = _gs(cnf, {1: True, 2: True})
     assert state.best_count == 2
-    assert not update_global(state, *_propose({1: False}))
+    assert not update_global(state, *_propose(state, {1: False}))
     assert _assignment(state)[1] is True  # rolled back
     assert state.best_count == 2
 
@@ -636,7 +647,7 @@ def _naive_freeze(cnf, selected, assignment):
                    for lit in clause):
             kept.append(tuple(lit for lit in clause if abs(lit) in selected))
     spin_cost = len(selected) + sum(1 for c in kept if len(c) == 3)
-    return cnf_to_qubo(kept), spin_cost
+    return cnf_to_qubo(codes(kept, build_vig(cnf).nodes)), spin_cost
 
 
 @st.composite
@@ -666,7 +677,7 @@ def test_incremental_counts_match_full_rescan(walk):
             sub = freeze_and_extract(_ranks(state.vig, selected), state)
             assert (sub.qubo, sub.spin_cost) == _naive_freeze(cnf, selected, before)
         proposal = {v: bits[v - 1] for v in selected}
-        accepted = update_global(state, *_propose(proposal))
+        accepted = update_global(state, *_propose(state, proposal))
         assert state.best_count >= count_satisfied(cnf.clauses, before)  # never drops
         candidate = {**before, **proposal}
         assert accepted == (count_satisfied(cnf.clauses, candidate)
@@ -731,10 +742,10 @@ def test_compiled_merge_matches_the_pure_merge(case):
     cnf, values, proposals = case
     compiled, pure = _gs(cnf, values), _gs(cnf, values)
     for proposal in proposals:
-        spins, var_map = _propose(proposal)
+        spins, ranks = _propose(compiled, proposal)
         gains = [_compiled_outcome("merge", compiled.flags,
-                                   *_merge_args(compiled, spins, var_map)),
-                 _kernels_py.merge(*_merge_args(pure, spins, var_map))]
+                                   *_merge_args(compiled, spins, ranks)),
+                 _kernels_py.merge(*_merge_args(pure, spins, ranks))]
         assert gains[0] == gains[1]
         for state in (compiled, pure):
             state.unsat -= max(gains[0], 0)  # as update_global counts a merge
@@ -744,26 +755,26 @@ def test_compiled_merge_matches_the_pure_merge(case):
 
 @needs_compiled
 def test_compiled_merge_refuses_what_the_pure_merge_refuses():
-    """A map naming a variable outside the nodes, or one twice, a spin or a
-    variable that is not an integer, and an array of the wrong length are
-    refused alike, before anything is committed."""
+    """A slice naming a rank outside the nodes, or one twice, a spin or a
+    rank that is not an integer, too few spins and an array of the wrong
+    length are refused alike, before anything is committed."""
     cnf = make_cnf(303, [(301, -302, 303), (-301, 302), (303,)])
     state = _gs(cnf, {301: True})
-    spins, var_map = (-1, 1), {0: 301, 1: 302}
-    refused = [dict(var_map={0: 301, 1: 304}), dict(var_map={0: 300, 1: 301}),
-               dict(var_map={0: 301, 1: 301}), dict(var_map={0: 301, 1: 1.5}),
+    spins, ranks = (-1, 1), [0, 1]
+    refused = [dict(ranks=[0, 3]), dict(ranks=[-1, 0]), dict(ranks=[0, 2**64]),
+               dict(ranks=[0, 0]), dict(ranks=[0, 1.5]), dict(ranks=5),
                dict(spins=(-1,)), dict(spins=(-1, 0.5)),
                dict(values=bytearray(2)), dict(values=bytearray(4)),
                dict(true_count=array("i", [0, 0])), dict(true_count=array("i", [0] * 4)),
                dict(unsat_degree=array("i", [0] * 2)), dict(flags=bytearray(4))]
     before = _state_fields(state)
     for replaced in refused:
-        args = _merge_args(state, **{"spins": spins, "var_map": var_map, **replaced})
+        args = _merge_args(state, **{"spins": spins, "ranks": ranks, **replaced})
         outcome = _compiled_outcome("merge", replaced.get("flags", state.flags), *args)
         assert outcome == _outcome(_kernels_py.merge, *args), replaced
         assert outcome[0] in (IndexError, ValueError, TypeError), replaced
         assert _state_fields(state) == before, replaced
-    assert kernels.merge(*_merge_args(state, spins, var_map)) >= 0  # the map itself merges
+    assert kernels.merge(*_merge_args(state, spins, ranks)) >= 0  # the slice itself merges
 
 
 def _typed(outcome):
@@ -822,6 +833,123 @@ def test_compiled_tally_matches_the_pure_tally(case):
         assert compiled[0] in (IndexError, ValueError), compiled
 
 
+
+# The refusals of a table the compiled kernels check row by row where the
+# oracle reads it as it stands (test_compiled_kernels_check_every_row_they_read,
+# test_compiled_freeze_needs_ascending_occurrence_lists)
+_TABLE_REFUSALS = {(IndexError, "a row is outside the index"),
+                   (IndexError, "an item is outside the index"),
+                   (ValueError, "an occurrence list is not ascending")}
+
+
+def _resized(draw, buffer):
+    """A copy of ``buffer`` an item short or long."""
+    out = buffer[:]
+    if draw(st.booleans()):
+        del out[-1:]
+    else:
+        out.append(0)
+    return out
+
+
+def _mutated(draw, table, bound):
+    """A copy of the flat table ``table``, whose items lie below ``bound``,
+    with an offset or an item set to any value, often one just inside or
+    outside a bound, or cut short."""
+    out = array("i", table)
+    fault = draw(st.sampled_from(("offset", "item", "short")))
+    if fault == "short" and out:
+        del out[draw(st.integers(0, len(out) - 1)):]
+    elif out:
+        header = min(max(out[0], 1), len(out))
+        at = (draw(st.integers(0, header - 1)) if fault == "offset" or header == len(out)
+              else draw(st.integers(header, len(out) - 1)))
+        edges = (-1, bound - 1, bound, len(out), len(out) + 1, -(2**31), 2**31 - 1)
+        out[at] = draw(st.one_of(st.sampled_from(edges), st.integers(-2, len(out) + 2)))
+    return out
+
+
+@st.composite
+def _malformed_calls(draw, kernel):
+    """The arguments of a call of the slice kernel ``kernel`` on a
+    ``_formulas`` formula's index and a state of random values, with one
+    fault or none: a table mutated, ranks that lie outside the nodes or
+    repeat and too few spins, or a buffer of the wrong length."""
+    cnf = draw(_formulas(draw(st.sampled_from((0, 300)))))
+    vig = build_vig(cnf)
+    n = len(vig.nodes)
+    state = _gs(cnf, {v: draw(st.booleans()) for v in vig.nodes})
+    fault = draw(st.sampled_from((None, "table", "table", "table", "rank", "buffer")))
+    rank = st.integers(-2, n + 1) if fault == "rank" else st.integers(0, n - 1)
+    if kernel == "walk":  # the tables, each with the bound of its items
+        tables = [(vig.dfs if draw(st.booleans()) else vig.bfs, n), (vig.triangles, n)]
+        buffers = {"flags": state.flags}
+    elif kernel == "tally":
+        tables = [(vig.clauses, 2 * n)]
+        buffers = {"values": state.values}
+    else:
+        tables = [(vig.clauses, 2 * n), (vig.occurrences, len(cnf.clauses))]
+        buffers = {"flags": state.flags, "values": state.values, "counts": state.true_count,
+                   "degree": state.unsat_degree}
+    if fault == "table":
+        which = draw(st.integers(0, len(tables) - 1))
+        table, bound = tables[which]
+        tables[which] = _mutated(draw, table, bound), bound
+    tables = [table for table, _ in tables]
+    buffers = {name: buffer[:] for name, buffer in buffers.items()}
+    if fault == "buffer":
+        name = draw(st.sampled_from(sorted(buffers)))
+        buffers[name] = _resized(draw, buffers[name])
+    if draw(st.booleans()):
+        # a bytearray's allocation holds a NUL past its end, so a sanitizer
+        # misses a read one byte past it; an array('B') has none
+        buffers = {name: array("B", b) if isinstance(b, bytearray) else b
+                   for name, b in buffers.items()}
+    if kernel == "walk":
+        cooldown = draw(st.dictionaries(rank, st.integers(1, FILTER_WINDOW), max_size=3))
+        return (*tables, cooldown, buffers["flags"], draw(st.integers(0, 12)), draw(rank),
+                draw(st.booleans()))
+    if kernel == "tally":
+        return (*tables, buffers["values"])
+    state_buffers = buffers["values"], buffers["counts"]
+    if kernel == "freeze":
+        return (*tables, draw(st.sets(rank, max_size=8)), *state_buffers, buffers["flags"])
+    ranks = draw(st.lists(rank, max_size=8, unique=fault != "rank"))
+    spins = tuple(draw(st.lists(st.sampled_from((-1, 1)), min_size=len(ranks),
+                                max_size=len(ranks))))
+    if fault == "rank" and draw(st.booleans()):
+        spins = spins[:-1]
+    return (*tables, spins, ranks, *state_buffers, buffers["degree"], list(state.pool),
+            buffers["flags"])
+
+
+def _copied(args):
+    """``args`` with each buffer and list copied, so that two calls write
+    apart."""
+    return tuple(a[:] if isinstance(a, (array, bytearray, list)) else a for a in args)
+
+
+@needs_compiled
+@pytest.mark.parametrize("kernel", ["walk", "freeze", "merge", "tally"])
+@given(st.data())
+@settings(max_examples=50, deadline=None)
+def test_compiled_slice_kernels_refuse_or_match_the_oracle_on_malformed_input(kernel, data):
+    """Each compiled slice kernel, on a mutated table, ranks outside the
+    nodes or buffers of the wrong length, either refuses a table it checks
+    and writes nothing, or returns, writes and raises what the oracle does;
+    either way it leaves the flag array all zero."""
+    args = data.draw(_malformed_calls(kernel))
+    compiled_args, pure_args = _copied(args), _copied(args)
+    compiled = _outcome(getattr(kernels, kernel), *compiled_args)
+    if kernel != "tally":  # the tally takes no flags
+        assert not any(compiled_args[3 if kernel == "walk" else -1]), (kernel, compiled)
+    if isinstance(compiled, tuple) and isinstance(compiled[0], type) \
+            and compiled in _TABLE_REFUSALS:
+        assert compiled_args == args, kernel
+        return
+    assert _typed(compiled) == _typed(_outcome(getattr(_kernels_py, kernel), *pure_args))
+    assert compiled_args == pure_args, kernel
+
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_start_counts_every_true_literal(data):
@@ -869,6 +997,36 @@ def test_spin_cost_counts_repeated_variable_3_clauses():
         iterate(cnf, (), cnf, strategy="dfs", backend="tabu",
                 budget=5, cap=20, seed=trial, num_samples=1, collect_trace=False)
 
+
+def _renamed(cnf, variables):
+    """``cnf`` with its variables, ascending, renamed in order to the
+    ascending ``variables``."""
+    name = dict(zip(sorted(cnf.occurring_vars()), variables))
+    return make_cnf(max(variables), [tuple(name[lit] if lit > 0 else -name[-lit] for lit in c)
+                                     for c in cnf.clauses])
+
+
+@pytest.mark.parametrize("pure", [False, True], ids=["compiled", "pure"])
+def test_an_order_preserving_renumbering_decomposes_alike(monkeypatch, pure):
+    """A slice sees ranks, which ascend with the variables, and never a
+    variable number: renaming a 3-CNF's variables in order, to 1..k, spaced
+    out, across 2**63 or past 2**64, gives the same run on both backends,
+    with the slice kernels compiled or pure.  Every run solves, so its model
+    is checked against its own input."""
+    if pure:
+        for name in ("tally", "walk", "freeze", "merge"):
+            monkeypatch.setattr(decompose, name, getattr(_kernels_py, name))
+        for name in ("qubo", "ising", "scale"):
+            monkeypatch.setattr(kernels, name, getattr(_kernels_py, name))
+    base = random_3sat(12, 44, random.Random(7))
+    k = len(base.occurring_vars())
+    numberings = (range(1, k + 1), range(5, 5 + 7 * k, 7), range(2**63 - 5, 2**63 - 5 + k),
+                  range(2**64 + 1, 2**64 + 1 + k))
+    for backend in ("emulator", "tabu"):
+        runs = {iterate(cnf, (), cnf, strategy="dfs", backend=backend, budget=10, cap=60,
+                        seed=2, num_samples=1, collect_trace=True)
+                for cnf in (_renamed(base, variables) for variables in numberings)}
+        assert len(runs) == 1 and runs.pop().solved, backend
 
 def test_tabu_skips_chip_scaling(monkeypatch):
     """Tabu solves the unscaled model, so no slice is scaled for it."""
@@ -1011,7 +1169,7 @@ def test_iterate_raises_when_the_counts_drift_from_a_rescan(monkeypatch):
     """A merge that flips a value byte and leaves ``true_count`` as it was
     is caught by the closing rescan.  The formula never holds entirely, so
     the loop runs, and flipping variable 1 moves its count by one."""
-    def drifting_merge(state, spins, var_map):
+    def drifting_merge(state, spins, ranks):
         state.values[0] ^= 1
         return False
 

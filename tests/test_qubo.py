@@ -31,14 +31,14 @@ from isingsat.qubo import (
 from isingsat.solver import _kernels_py, kernels
 from isingsat.solver._kernels_py import _GADGETS
 
-from conftest import mixed_random_cnf
+from conftest import codes, mixed_random_cnf
 
 
 def _gadget_min(clause, x_vars):
     """Penalty of the one-clause formula, minimized over its ancilla if any."""
-    q = cnf_to_qubo([clause])
-    x = [x_vars[q.source_var_map[i]] for i in range(len(q.source_var_map))]
-    ancillas = q.num_vars - len(q.source_var_map)
+    q = cnf_to_qubo(codes([clause]))
+    x = [x_vars[q.ranks[i]] for i in range(len(q.ranks))]
+    ancillas = q.num_vars - len(q.ranks)
     return min(q.energy(x + list(w))
                for w in itertools.product((0, 1), repeat=ancillas))
 
@@ -63,7 +63,7 @@ def test_gadget_penalty_indicator(width):
 
 
 def test_gadget_width3_integer_coefficients():
-    q = cnf_to_qubo([(1, 2, 3)])  # ancilla at index 3
+    q = cnf_to_qubo(codes([(1, 2, 3)]))  # ancilla at index 3
     assert q.linear == {0: 1.0, 1: 1.0, 2: -1.0}
     assert q.quadratic == {(0, 1): 1.0, (0, 3): -2.0, (1, 3): -2.0, (2, 3): 1.0}
     assert q.offset == 1.0
@@ -73,9 +73,9 @@ def test_gadget_rejects_bad_widths():
     q = cnf_to_qubo([()])  # no gadget, only its constant penalty
     assert (q.num_vars, q.linear, q.quadratic, q.offset) == (0, {}, {}, 1.0)
     with pytest.raises(ValueError):
-        cnf_to_qubo([(1, 2, 3, 4)])
+        cnf_to_qubo(codes([(1, 2, 3, 4)]))
     with pytest.raises(ValueError, match="clause width 5 exceeds 3"):
-        cnf_to_qubo([(1,), (1, 2, 3, 4), (1, 2, 3, 4, 5), ()])
+        cnf_to_qubo(codes([(1,), (1, 2, 3, 4), (1, 2, 3, 4, 5), ()]))
 
 
 def _expand_gadgets(clauses):
@@ -107,8 +107,7 @@ def _expand_gadgets(clauses):
                 quadratic[key] = quadratic.get(key, 0) + c
             elif c:
                 linear[key[0]] = linear.get(key[0], 0) + c
-    return (len(occurring) + ancillas, linear, quadratic, offset,
-            dict(enumerate(occurring)))
+    return len(occurring) + ancillas, linear, quadratic, offset, occurring
 
 
 @st.composite
@@ -125,9 +124,9 @@ def _clause_lists(draw):
 @example([(2, 2, 3), (-2, 2, 3), (4, -4), (1,), (-1,), (), (2, 2, 3), (5, -3, -5)])
 @settings(max_examples=200, deadline=None)
 def test_cnf_to_qubo_matches_the_gadget_table_term_by_term(clauses):
-    q = cnf_to_qubo(clauses)
-    num_vars, linear, quadratic, offset, source = _expand_gadgets(clauses)
-    assert (q.num_vars, q.offset, q.source_var_map) == (num_vars, offset, source)
+    q = cnf_to_qubo(codes(clauses))
+    num_vars, linear, quadratic, offset, occurring = _expand_gadgets(clauses)
+    assert (q.num_vars, q.offset, q.ranks) == (num_vars, offset, occurring)
     assert q.linear.keys() == linear.keys() and q.quadratic.keys() == quadratic.keys()
     assert q.linear == linear and q.quadratic == quadratic
     values = [q.offset, *q.linear.values(), *q.quadratic.values()]
@@ -149,7 +148,7 @@ def test_qubo_minimum_counts_unsatisfied_clauses():
     cnfs += [make_cnf(cnf.num_vars, cnf.clauses + (extra,))
              for cnf, extra in zip(cnfs, _REPEATED_VAR_CLAUSES)]
     for cnf in cnfs:
-        q = cnf_to_qubo(cnf.clauses)
+        q = cnf_to_qubo(codes(cnf.clauses))
         assert all(0 <= i < j < q.num_vars for i, j in q.quadratic)
         # brute-force MaxSAT optimum over the occurring variables
         occ = cnf.occurring_vars()
@@ -162,26 +161,26 @@ def test_qubo_minimum_counts_unsatisfied_clauses():
 
 def test_qubo_index_layout():
     cnf = make_cnf(9, [(2, -5, 7), (5, 9)])
-    q = cnf_to_qubo(cnf.clauses)
+    q = cnf_to_qubo(codes(cnf.clauses))
     # occurring vars sorted first, then one ancilla per width-3 clause
-    assert q.source_var_map == {0: 2, 1: 5, 2: 7, 3: 9}
+    assert q.ranks == [2, 5, 7, 9]
     assert q.num_vars == 5
 
 
 def test_qubo_empty_clause_is_constant_penalty():
     cnf = make_cnf(2, [(1, 2), ()])
-    q = cnf_to_qubo(cnf.clauses)
+    q = cnf_to_qubo(codes(cnf.clauses))
     assert _qubo_min(q) == pytest.approx(1.0)
 
 
 def test_qubo_rejects_wide_clauses():
     with pytest.raises(ValueError):
-        cnf_to_qubo([(1, 2, 3, 4)])
+        cnf_to_qubo(codes([(1, 2, 3, 4)]))
 
 
 def test_qubo_imports_first_in_a_fresh_interpreter():
     # qubo calls the solver package's kernels, and that package imports qubo
-    code = "import isingsat.qubo as q; print(q.cnf_to_qubo([(1, -2)]).num_vars)"
+    code = "import isingsat.qubo as q; print(q.cnf_to_qubo([(2, 5)]).num_vars)"
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(isingsat.__file__))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
@@ -189,21 +188,22 @@ def test_qubo_imports_first_in_a_fresh_interpreter():
 
 
 def test_qubo_rejects_bad_literals():
-    """A literal 0 is not a variable and a non-int literal is not a
-    literal; the first bad one in clause order is named."""
-    with pytest.raises(ValueError, match="literal 0 is not allowed inside a clause"):
-        cnf_to_qubo([(0, 1)])
-    with pytest.raises(TypeError, match=r"literal 1\.5 is not an int"):
+    """A code is an int in 0 .. 2**31 - 1, what a C int holds; the first
+    bad one in clause order is named."""
+    for bad in (-1, 2**31):
+        with pytest.raises(ValueError, match=f"literal code {bad} is negative or beyond a C int"):
+            cnf_to_qubo([(0, 1), (2, bad)])
+    with pytest.raises(TypeError, match=r"literal code 1\.5 is not an int"):
         cnf_to_qubo([(1, 1.5)])
-    with pytest.raises(TypeError, match="literal '2' is not an int"):
-        cnf_to_qubo([(1, 2, 3, 4), (1, "2"), (0,)])  # before the width
+    with pytest.raises(TypeError, match="literal code '2' is not an int"):
+        cnf_to_qubo([(1, 2, 3, 4), (1, "2"), (-1,)])  # before the width
 
 
 def test_ising_matches_qubo_assignmentwise():
     rng = random.Random(5)
     for _ in range(20):
         cnf = mixed_random_cnf(rng.randint(2, 5), rng.randint(1, 6), rng)
-        q = cnf_to_qubo(cnf.clauses)
+        q = cnf_to_qubo(codes(cnf.clauses))
         m = qubo_to_ising(q)
         n = m.num_spins
         assert n == q.num_vars and len(m.h) == n
@@ -283,7 +283,7 @@ def test_slice_models_reach_the_kernels_as_the_dense_build(monkeypatch):
     rng = random.Random(21)
     scaled_models = 0
     for _ in range(60):
-        q = cnf_to_qubo(_slice_clauses(rng))
+        q = cnf_to_qubo(codes(_slice_clauses(rng)))
         n = q.num_vars
         naive = [0.0] * (n * n)
         for (i, k), b in q.quadratic.items():
@@ -310,8 +310,8 @@ def test_slice_models_reach_the_kernels_as_the_dense_build(monkeypatch):
 
 
 # The compiled model build against the pure one, exceptions included.
-# Variables above 256 are not cached ints, and those beyond 2**63 do not fit
-# a C long long; a draw's variables straddle 2**63 when its base is near it.
+# Codes above 256 are not cached ints, and a draw's codes reach 2**31 - 1,
+# the largest a C int holds, when its base is near 2**30.
 needs_compiled = pytest.mark.skipif(not kernels.COMPILED_KERNELS,
                                     reason="compiled kernels unavailable")
 
@@ -338,17 +338,17 @@ def _exact(value):
 
 @st.composite
 def _build_cases(draw):
-    """Clauses of widths 0-3 over six variables, either sign, at a base of
-    0, above 256, near 2**63 or beyond it, with ``(v, v, u)``,
+    """Clauses of widths 0-3 over six ranks, either sign, as literal codes,
+    the ranks from a base of 0, 300 or 2**30 - 7, so that the codes are
+    cached ints, are not, or reach 2**31 - 1, with ``(v, v, u)``,
     ``(v, -v, u)`` and empty clauses mixed in."""
-    base = draw(st.sampled_from((0, 300, 2**63 - 3, 2**64)))
-    var = st.integers(1, 6).map(base.__add__)
-    lit = var.flatmap(lambda v: st.sampled_from((v, -v)))
-    clauses = draw(st.lists(st.lists(lit, max_size=3).map(tuple), max_size=12))
-    v, u = draw(var), draw(var)
-    shapes = draw(st.lists(st.sampled_from([(v, v, u), (v, -v, -u), (-v, v, u), ()]),
-                           max_size=3))
-    return draw(st.permutations(clauses + shapes))
+    base = draw(st.sampled_from((0, 300, 2**30 - 7)))
+    rank = st.integers(1, 6).map(base.__add__)
+    code = rank.flatmap(lambda r: st.sampled_from((2 * r, 2 * r + 1)))
+    clauses = draw(st.lists(st.lists(code, max_size=3).map(tuple), max_size=12))
+    v, u = draw(rank), draw(rank)
+    shapes = [(2 * v, 2 * v, 2 * u), (2 * v, 2 * v + 1, 2 * u + 1), (2 * v + 1, 2 * v, 2 * u), ()]
+    return draw(st.permutations(clauses + draw(st.lists(st.sampled_from(shapes), max_size=3))))
 
 
 def _assert_builds_alike(clauses):
@@ -364,12 +364,40 @@ def _assert_builds_alike(clauses):
 
 @needs_compiled
 @given(_build_cases())
-@example([(301, 301, 302), (301, -301, 303), (), (-302, 303), (303,), (-301,)])
-@example([(2**63, -(2**63), 2**63 - 1), (-(2**63) + 1, 2**64)])
+@example(codes([(301, 301, 302), (301, -301, 303), (), (-302, 303), (303,), (-301,)]))
+@example([(2**31 - 1, 2**31 - 2, 0), (2**31 - 1,), (1, 2**31 - 4)])
 @settings(max_examples=300, deadline=None)
 def test_compiled_build_matches_the_pure_build(clauses):
     _assert_builds_alike(clauses)
 
+
+@st.composite
+def _malformed_builds(draw):
+    """A ``_build_cases`` clause list with one fault: a code that is
+    negative, beyond a C int or not an int, a clause wider than 3 or one
+    that is not a sequence."""
+    clauses = list(draw(_build_cases()))
+    fault = draw(st.sampled_from(("code", "code", "wide", "clause")))
+    at = draw(st.integers(0, len(clauses)))
+    if fault == "wide":
+        clauses.insert(at, tuple(draw(st.lists(st.integers(0, 12), min_size=4, max_size=5))))
+    elif fault == "clause":
+        clauses.insert(at, 7)
+    else:
+        bad = draw(st.sampled_from((-1, -(2**31), 2**31, 2**63, 2**64, 1.5, "3", None)))
+        clause = list(clauses.pop(at) if at < len(clauses) else ())
+        clause.insert(draw(st.integers(0, len(clause))), bad)
+        clauses.insert(at, tuple(clause))
+    return clauses
+
+
+@needs_compiled
+@given(_malformed_builds())
+@settings(max_examples=60, deadline=None)
+def test_compiled_build_refuses_malformed_codes_as_the_pure_build(clauses):
+    outcome = _outcome(kernels.qubo, clauses)
+    assert outcome[0] in (TypeError, ValueError), outcome
+    _assert_builds_alike(clauses)
 
 @needs_compiled
 def test_compiled_build_matches_every_gadget_row():
@@ -377,14 +405,15 @@ def test_compiled_build_matches_every_gadget_row():
     the first variable repeated, which pins the C table to ``_GADGETS``."""
     for signs in _GADGETS:
         for variables in ((4, 2, 7), (4, 4, 7)):
-            _assert_builds_alike([tuple(v if s else -v for v, s in zip(variables, signs))])
+            _assert_builds_alike(codes([tuple(v if s else -v
+                                              for v, s in zip(variables, signs))]))
 
 
 @needs_compiled
 def test_compiled_build_refuses_what_the_pure_build_refuses():
-    cases = [[(1, 2, 3, 4)], [(1,), (1, 2, 3, 4), (1, 2, 3, 4, 5), ()], [(0, 1)],
-             [(1, 1.5)], [(1, 2, 3, 4), (1, "2"), (0,)], [(2**70, 0)], [(1,), 7],
-             [(True, -2)]]  # a bool is an int
+    cases = [[(1, 2, 3, 4)], [(1,), (1, 2, 3, 4), (1, 2, 3, 4, 5), ()], [(0, -1)],
+             [(1, 2**31)], [(2**64, -(2**63))], [(1, 1.5)], [(1, 2, 3, 4), (1, "2"), (-1,)],
+             [(1,), 7], [(True, 2)]]  # a bool is an int
     for clauses in cases:
         _assert_builds_alike(clauses)
 
@@ -419,7 +448,7 @@ def test_compiled_ising_matches_the_pure_ising_bit_for_bit(fields):
 def _chain(n, base):
     """``n`` 3-clauses over consecutive variables from ``base + 1``: n + 2
     variables and n ancillas, 4n pair terms."""
-    return [(base + v, -(base + v + 1), base + v + 2) for v in range(1, n + 1)]
+    return codes([(base + v, -(base + v + 1), base + v + 2) for v in range(1, n + 1)])
 
 
 @needs_compiled

@@ -31,7 +31,7 @@ from isingsat.solver._kernels_py import anneal as py_anneal
 from isingsat.solver._kernels_py import mix_seed as py_mix_seed
 from isingsat.solver._kernels_py import tabu as py_tabu
 
-from conftest import random_3sat
+from conftest import codes, random_3sat
 
 
 def _random_model(n: int, rng: random.Random) -> IsingModel:
@@ -217,10 +217,10 @@ def test_sat_instance_decodes_to_model():
     from isingsat.cnf import evaluate
 
     cnf = random_3sat(8, 20, random.Random(42))
-    q = cnf_to_qubo(cnf.clauses)
+    q = cnf_to_qubo(codes(cnf.clauses))
     scaled, _ = scale_to_chip(qubo_to_ising(q))
     res = solve(scaled, backend="emulator", seed=3, num_samples=8, collect_trace=False)
-    assignment = {var: res.best_spins[idx] > 0 for idx, var in q.source_var_map.items()}
+    assignment = {var: res.best_spins[idx] > 0 for idx, var in enumerate(q.ranks)}
     assert evaluate(cnf, assignment)
 
 
@@ -292,7 +292,7 @@ def _tabu_cases() -> list[tuple]:
     that overflow a long long when added to the move.
     """
     rng = random.Random(43)
-    quarter = [qubo_to_ising(cnf_to_qubo(random_3sat(v, c, rng).clauses))
+    quarter = [qubo_to_ising(cnf_to_qubo(codes(random_3sat(v, c, rng).clauses)))
                for v, c in ((5, 8), (6, 12), (8, 16))]
     zeros = [IsingModel(n, {}, [0.0] * n, 0.0) for n in (6, 16)]
     signed = IsingModel(4, {(0, 1): 1.0, (2, 3): -0.5}, [-0.0, 0.25, -0.0, -0.0], 0.0)
@@ -356,7 +356,7 @@ def test_compiled_metropolis_shortcut_matches_pure():
 
     rng = random.Random(23)
     chip = [_random_model(45, rng) for _ in range(2)]
-    quarter = [qubo_to_ising(cnf_to_qubo(random_3sat(n, 4 * n, rng).clauses))
+    quarter = [qubo_to_ising(cnf_to_qubo(codes(random_3sat(n, 4 * n, rng).clauses)))
                for n in (14, 20)]
     floats = []
     for n in (9, 30):
@@ -452,7 +452,7 @@ def test_compiled_tabu_stops_a_cycling_search_on_a_huge_budget():
     # the result of the full budget, which the oracle reaches within 2000
     from isingsat.solver import _kernels as c_impl
 
-    m = qubo_to_ising(cnf_to_qubo(random_3sat(5, 8, random.Random(43)).clauses))
+    m = qubo_to_ising(cnf_to_qubo(codes(random_3sat(5, 8, random.Random(43)).clauses)))
     args = [m.num_spins, _dense(m), m.h, 10**12, TABU_TENURE, 9]
     spins, energy, _ = py_tabu(*args[:3], DEFAULT_TABU_MOVES, *args[4:])
     assert _in_child(c_impl.__file__, [args]) == repr(([(spins, energy, 10**12)], []))
@@ -547,7 +547,11 @@ def _compile(out, *flags: str) -> subprocess.CompletedProcess:
 
 @pytest.mark.skipif(shutil.which(_cc()) is None, reason="no C compiler on PATH")
 def test_kernel_source_compiles_without_warnings(tmp_path):
-    proc = _compile(tmp_path / "_kernels.so", "-Wall", "-Werror")
+    # -Wextra without its two warnings that the CPython API makes: the
+    # METH_* signatures take a self they do not use, and {0} initialises a
+    # struct's first field only
+    proc = _compile(tmp_path / "_kernels.so", "-Wall", "-Wextra", "-Wno-unused-parameter",
+                    "-Wno-missing-field-initializers", "-Werror")
     assert proc.returncode == 0, proc.stderr
 
 

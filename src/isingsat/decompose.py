@@ -35,8 +35,9 @@ exists while the loop runs.  An iteration then touches only the slice:
 * the walk selects ranks, and the repetition filter keys by rank;
 * freezing visits only the clauses of the selected ranks, in clause
   order, by a merge of their occurrence lists, and hands the kept clauses
-  to the QUBO as literal codes; every other unsatisfied clause freezes
-  empty, and only their count reaches the QUBO, as its offset;
+  to the QUBO as one table of literal codes; every other unsatisfied
+  clause freezes empty, and only their count reaches the QUBO, as its
+  offset;
 * a merge takes the QUBO's ranks back (``QuboModel.ranks``), moves the
   counts of only the clauses of the ranks it flips, and commits them only
   when it is accepted; the pool moves only for the clauses whose satisfied
@@ -61,24 +62,15 @@ import random
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, chain
 
 from .cnf import MEMO_ENTRIES, Cnf, count_satisfied, evaluate
 from .preprocess import ConditionRecord, reconstruct
 from .qubo import QuboModel, cnf_to_qubo, qubo_to_ising, scale_to_chip
 from .solver import solve
+from .solver._kernels_py import table_of
 from .solver.kernels import freeze, merge, tally, walk
 
 STRATEGIES = ("bfs", "dfs")
-
-
-def _table(rows: list[list[int]]) -> array:
-    """``rows`` flat in one ``array('i')`` ``t``: ``t[0]`` offsets, then the
-    items, so row ``i`` is ``t[t[i]:t[i + 1]]`` (``_kernels_py.row`` reads
-    it)."""
-    table = array("i", accumulate(map(len, rows), initial=len(rows) + 1))
-    table.fromlist(list(chain.from_iterable(rows)))
-    return table
 
 
 @dataclass(frozen=True)
@@ -88,7 +80,7 @@ class Vig:
     equal formula (:func:`build_vig`), so nothing may change it.
 
     ``nodes`` lists the variables the formula holds, ascending; ``r`` is
-    the rank of ``nodes[r]``.  Each table (:func:`_table`)
+    the rank of ``nodes[r]``.  Each table (``solver._kernels_py.table_of``)
     has a row per rank, or per clause, and holds ranks, not variables, so
     none is sized by a variable number.  Row ``r`` of ``bfs`` lists the
     neighbours of ``nodes[r]`` in ascending order, the order a breadth-first
@@ -151,8 +143,8 @@ def build_vig(cnf: Cnf) -> Vig:
     # descending degree, ties by descending rank (so variable): one int key
     order = [len(ns) * len(nodes) + u for u, ns in enumerate(nbrs)]
     dfs = [sorted(ns, key=order.__getitem__, reverse=True) for ns in bfs]
-    return Vig(nodes, _table(bfs), _table(dfs), _table(triangles), _table(occurrences),
-               _table(clauses))
+    return Vig(nodes, table_of(bfs), table_of(dfs), table_of(triangles),
+               table_of(occurrences), table_of(clauses))
 
 
 FILTER_WINDOW = 5
@@ -263,7 +255,7 @@ def freeze_and_extract(selected: set[int], state: GlobalState) -> Subproblem:
     one is dropped and an unsatisfied one freezes empty.  Those are counted,
     not walked (the unsatisfied clauses less the visited ones), and the
     count is added to the offset of the QUBO of the kept clauses, which go
-    to ``cnf_to_qubo`` as a plain list of literal codes: no formula is built
+    to ``cnf_to_qubo`` as one table of literal codes: no formula is built
     or validated per slice.  The spin cost adds the QUBO's ancillas.
     """
     if not selected:

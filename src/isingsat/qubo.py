@@ -10,13 +10,13 @@ n + m3 QUBO variables; 1- and 2-literal clauses need no ancilla.  Negated
 literals are handled by the substitution v -> 1 - v, never by extra
 variables.  The substituted coefficients are a constant table keyed by
 clause width and sign pattern (14 entries); building a QUBO only looks them
-up.  Both models keep their pair terms in maps keyed ``(i, k)``, ``i < k``,
-so no step costs n².
+up.  Both models keep their terms in flat arrays, a coefficient per index
+and per pair ``i < k`` of indices, so no step costs n².
 
 The table, both builds, :func:`cnf_to_qubo` and :func:`qubo_to_ising`, and
 the rule of :func:`scale_to_chip` run in :mod:`.solver.kernels`: compiled,
 or as the pure-Python oracle ``_kernels_py``, with identical fields, floats
-and key order.  Every QUBO coefficient is a small integer, which the Ising
+and pair order.  Every QUBO coefficient is a small integer, which the Ising
 step only halves and quarters, so neither build rounds; the chip scaling
 rounds in doubles, and both implementations round alike, zero signs
 included.
@@ -33,53 +33,54 @@ units are kept verbatim) price their unavoidable violations.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-from .cnf import Clause
-
-Pair = tuple[int, int]
 
 
 @dataclass
 class QuboModel:
     """Quadratic model over binary variables x in {0,1}.
 
-    energy(x) = offset + sum_i linear[i]*x_i + sum_{i<j} quadratic[i,j]*x_i*x_j
+    energy(x) = offset + sum_i linear[i]*x_i + sum_p quadratic[p]*x_i*x_k
 
-    ``quadratic`` keys are ordered pairs ``i < j``; :func:`cnf_to_qubo`
-    builds every model, with each field, in one step.  ``ranks[i]`` is the
-    rank of the variable QUBO index ``i`` encodes, for each ``i`` below
-    ``len(ranks)``; the ancillas follow.
+    Pair term ``p`` couples ``i = pairs[2 * p] < k = pairs[2 * p + 1]``,
+    each pair once.  :func:`cnf_to_qubo` builds every model, with each
+    field, in one step.  ``ranks[i]`` is the rank of the variable QUBO index
+    ``i`` encodes, for each ``i`` below ``len(ranks)``; the ancillas follow.
     """
 
     num_vars: int
-    linear: dict[int, float]
-    quadratic: dict[Pair, float]
+    linear: array
+    pairs: array
+    quadratic: array
     offset: float
     ranks: list[int]
 
     def energy(self, x: Sequence[int] | Mapping[int, int]) -> float:
-        return self.offset + sum(a * x[i] for i, a in self.linear.items()) + sum(
-            b * x[i] * x[j] for (i, j), b in self.quadratic.items())
+        p = self.pairs
+        return self.offset + sum(a * x[i] for i, a in enumerate(self.linear)) + sum(
+            b * x[i] * x[k] for i, k, b in zip(p[::2], p[1::2], self.quadratic))
 
 
 @dataclass
 class IsingModel:
-    """Pairwise spin model: H(s) = sum_{i<k} J_ik s_i s_k + sum_i h_i s_i + offset.
+    """Pairwise spin model: H(s) = sum_p J_p s_i s_k + sum_i h_i s_i + offset.
 
-    ``j`` maps each coupled pair ``(i, k)``, ``i < k``, to J_ik, as
-    :attr:`QuboModel.quadratic` does, and ``h`` holds the n fields.
+    ``pairs`` is the QUBO's (:attr:`QuboModel.pairs`), ``j[p]`` couples
+    pair ``p`` and ``h`` holds the n fields.
     """
 
     num_spins: int
-    j: dict[Pair, float]
+    pairs: array
+    j: array
     h: list[float]
     offset: float
 
     def energy(self, s: Sequence[int]) -> float:
+        p = self.pairs
         return self.offset + sum(a * x for a, x in zip(self.h, s)) + sum(
-            b * s[i] * s[k] for (i, k), b in self.j.items())
+            b * s[i] * s[k] for i, k, b in zip(p[::2], p[1::2], self.j))
 
 
 # Capacity and integer coefficient range of the emulated annealer board,
@@ -96,22 +97,23 @@ class DistortionReport:
     max_rel_error: float
 
 
-def cnf_to_qubo(clauses: Sequence[Clause]) -> QuboModel:
+def cnf_to_qubo(clauses: array) -> QuboModel:
     """Sum of clause gadgets over the ranks the clauses' literal codes hold.
 
+    ``clauses`` is the freeze's table of literal codes, a row per clause.
     QUBO indices are contiguous: the occurring ranks first (sorted, listed
     in ``ranks``), then one ancilla per width-3 clause in clause order.
     Minimum energy is 0 iff the clauses can all hold; every unsatisfiable
     clause at the optimum adds 1, and empty clauses add their +1 directly to
-    the offset.  A code that is not an int is a TypeError, a code that is
-    negative or beyond a C ``int``, or a clause wider than 3, a ValueError.
+    the offset.  A negative code, or a row outside the table, is an
+    IndexError, and a clause wider than 3 a ValueError.
     """
     return QuboModel(*kernels.qubo(clauses))
 
 
 def qubo_to_ising(q: QuboModel) -> IsingModel:
     """Exact change of variables x_i = (1 + s_i)/2; energies match assignment-wise."""
-    return IsingModel(*kernels.ising(q.num_vars, q.linear, q.quadratic, q.offset))
+    return IsingModel(*kernels.ising(q.num_vars, q.linear, q.pairs, q.quadratic, q.offset))
 
 
 def chip_misfit(v: float) -> str | None:
@@ -143,7 +145,7 @@ def scale_to_chip(m: IsingModel) -> tuple[IsingModel, DistortionReport]:
     if scaled is None:
         return m, DistortionReport(max_rel_error=0.0)
     j, h, offset, max_rel = scaled
-    return IsingModel(m.num_spins, j, h, offset), DistortionReport(max_rel_error=max_rel)
+    return IsingModel(m.num_spins, m.pairs, j, h, offset), DistortionReport(max_rel_error=max_rel)
 
 
 # Last: the solver package imports this module's chip constants and models,

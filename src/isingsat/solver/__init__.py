@@ -1,9 +1,9 @@
 """Ising ground-state search: :func:`solve` on one of two backends.
 
 Both backends take the same :class:`~isingsat.qubo.IsingModel`; a call lays
-its pairs out once as the kernels' dense, symmetric row-major n*n matrix,
-which is their API and the pure oracle's layout (the compiled kernel keeps
-only its nonzero entries, as per-spin neighbour lists):
+its pair and coupling arrays out once as the kernels' dense, symmetric
+row-major n*n matrix, which is their API and the pure oracle's layout (the
+compiled kernel keeps only its nonzero entries, as neighbour lists):
 
 * ``"emulator"`` — a simulated annealer standing in for the 45-spin
   all-to-all chip.  It refuses models that would not fit the device: more
@@ -75,9 +75,10 @@ def _check_chip(model: IsingModel) -> None:
     if n > SPIN_BUDGET:
         raise ValueError(
             f"model needs {n} spins but the chip has {SPIN_BUDGET}")
-    if not any(map(chip_misfit, {*model.j.values(), *model.h})):
+    if not any(map(chip_misfit, {*model.j, *model.h})):
         return  # one check per distinct value; a misfit is then named
-    couplings = ((f"coupling {pair}", v) for pair, v in sorted(model.j.items()))
+    p = model.pairs
+    couplings = ((f"coupling {(i, k)}", v) for i, k, v in sorted(zip(p[::2], p[1::2], model.j)))
     fields = ((f"field {i}", v) for i, v in enumerate(model.h))
     for name, v in chain(couplings, fields):
         if why := chip_misfit(v):
@@ -107,7 +108,8 @@ def solve(model: IsingModel, *, backend: str, seed: int, num_samples: int,
     if n == 0:
         return SolveResult((), ())
     jd = [0.0] * (n * n)
-    for (i, k), v in model.j.items():
+    ends = iter(model.pairs)  # zip takes i, then k, from it for each J
+    for i, k, v in zip(ends, ends, model.j):
         jd[i * n + k] = jd[k * n + i] = v
     if emulator:
         reads = [anneal(n, jd, model.h, SWEEPS, INITIAL_TEMP, FINAL_TEMP,

@@ -4,13 +4,15 @@
  * freeze, merge and tally, then qubo and ising, then scale, at the end,
  * each group with its own comment).  From the walk to the merge a slice
  * stays in ranks and literal codes, so no variable number reaches this
- * module.  The walk, the freeze and the merge read build_vig's flat int
- * tables, whose rows are numbered by node rank, read or write a repeat's
- * state in its flat per-rank arrays in place, and keep their per-rank marks
- * in the caller's flag array, which they clear before they return, on error
- * too, so no call does work or allocates memory in proportion to the
- * formula; the tally, once per repeat, makes that state from the clause
- * table.  The model build is exact: its coefficients are small integers
+ * module; from the freeze to the chip scaling it stays in flat arrays, the
+ * kept clauses a table of literal codes and the models' terms arrays of
+ * coefficients and index pairs.  The walk, the freeze and the merge read
+ * build_vig's flat int tables, whose rows are numbered by node rank, read or
+ * write a repeat's state in its flat per-rank arrays in place, and keep
+ * their per-rank marks in the caller's flag array, which they clear before
+ * they return, on error too, so no call does work or allocates memory in
+ * proportion to the formula; the tally, once per repeat, makes that state
+ * from the clause table.  The model build is exact: its coefficients are small integers
  * from the 14-row gadget table, which ising only halves and quarters, so it
  * rounds nothing and gives the oracle's floats bit for bit.  The chip
  * scaling rounds, in doubles, as the oracle rounds Python floats, and gives
@@ -479,8 +481,8 @@ static PyObject *tabu(PyObject *self, PyObject *args, PyObject *kwargs)
  * t[t[i + 1] - 1], holding ranks, clause indices or literal codes (2r for
  * node r, 2r + 1 for its negation).  The walk takes a start rank and returns
  * the selected ranks, the freeze takes those and returns the kept clauses
- * as tuples of literal codes, and the merge takes a slice's ranks, one per
- * spin.  The state they read and write is GlobalState's flat arrays: a
+ * as one such table of literal codes, and the merge takes a slice's ranks,
+ * one per spin.  The state they read and write is GlobalState's flat arrays: a
  * value byte per rank, an array('i') of true-literal counts per clause and
  * one of unsatisfied degrees per rank, and the pool, a list of ranks; the
  * tally makes the counts, the degrees and the pool from the value bytes.  A
@@ -572,29 +574,58 @@ static Py_ssize_t rank_in(PyObject *key, Py_ssize_t n, const char *msg)
     return r >= 0 && r < n ? r : outside(msg);
 }
 
-/* Opens `obj`, which must be an array('i') or another contiguous buffer of
- * C ints, writable if asked; -1 with an exception set. */
-static int ints_open(PyObject *obj, Py_buffer *view, int writable)
+/* Opens `obj`, which must be an array of typecode `code` or another
+ * contiguous buffer of its items: 'i' for C ints, 'd' for doubles.  Writable
+ * if asked; -1 with an exception set. */
+static int array_open(PyObject *obj, Py_buffer *view, char code, int writable)
 {
     int want = PyBUF_FORMAT | PyBUF_C_CONTIGUOUS | (writable ? PyBUF_WRITABLE : 0);
-    if (PyObject_GetBuffer(obj, view, want) < 0)
-        return -1;
-    if (view->itemsize != sizeof(int) || strcmp(view->format, "i") != 0) {
+    size_t size = code == 'i' ? sizeof(int) : sizeof(double);
+    if (PyObject_CheckBuffer(obj)) {
+        if (PyObject_GetBuffer(obj, view, want) < 0)
+            return -1;
+        if ((size_t)view->itemsize == size && view->format[0] == code && !view->format[1])
+            return 0;
         PyBuffer_Release(view);
-        PyErr_SetString(PyExc_TypeError, "an index table or a count array must be an array('i')");
-        return -1;
     }
-    return 0;
+    PyErr_SetString(PyExc_TypeError, code == 'i'
+                    ? "an index table or a count array must be an array('i')"
+                    : "a coefficient array must be an array('d')");
+    return -1;
 }
 
-/* The number of ints in an opened int buffer. */
-static Py_ssize_t ints_len(const Py_buffer *view) { return view->len / (Py_ssize_t)sizeof(int); }
+/* The number of items in a buffer opened by array_open. */
+static Py_ssize_t nitems(const Py_buffer *view) { return view->len / view->itemsize; }
+
+/* array('i', [0]) and array('d', [0]), which the module's init makes. */
+static PyObject *int_zero, *double_zero;
+
+/* A new array of typecode `code` ('i' or 'd') holding `count` zeros, as
+ * array(code, [0]) * count makes it, its buffer opened writable in `view`;
+ * NULL with an exception set. */
+static PyObject *new_array(char code, Py_ssize_t count, Py_buffer *view)
+{
+    PyObject *out = PySequence_Repeat(code == 'i' ? int_zero : double_zero, count);
+    if (out != NULL && array_open(out, view, code, 1) < 0)
+        Py_CLEAR(out);
+    return out;
+}
 
 /* The number of rows of an opened table; an empty one has none.  The
  * header is widened first, so a header of INT_MIN does not overflow. */
 static Py_ssize_t rows(const Py_buffer *table)
 {
     return table->len ? (Py_ssize_t)((const int *)table->buf)[0] - 1 : 0;
+}
+
+/* The number of rows of an opened table whose header is checked to lie in
+ * the table, before a caller allocates by it; -1 with IndexError set. */
+static Py_ssize_t checked_rows(const Py_buffer *table)
+{
+    const int *t = table->buf;
+    if (table->len && (t[0] < 1 || t[0] > nitems(table)))
+        return outside("a row is outside the index");
+    return rows(table);
 }
 
 /* Row i of the table as [*lo, *hi), each item checked to lie in
@@ -604,7 +635,7 @@ static int row(const Py_buffer *table, Py_ssize_t i, Py_ssize_t bound, const int
                const int **hi)
 {
     const int *t = table->buf;
-    Py_ssize_t len = ints_len(table);
+    Py_ssize_t len = nitems(table);
     if (len == 0 || i < 0 || i + 1 >= t[0] || t[0] > len || t[i] < 0 || t[i] > t[i + 1] ||
         t[i + 1] > len)
         return outside("a row is outside the index");
@@ -641,8 +672,8 @@ static PyObject *walk(PyObject *self, PyObject *args)
     Ranks active = {0}, parked = {0};
     PyObject *selected = PySet_New(NULL);
     Py_ssize_t r, n = flags.len, pend = 0, nsel = 0, ancillas = 0;
-    if (selected == NULL || ints_open(push_table, &pushes, 0) < 0 ||
-        ints_open(tri_table, &tris, 0) < 0 || marks_open(&m, &flags, rows(&pushes)) < 0)
+    if (selected == NULL || array_open(push_table, &pushes, 'i', 0) < 0 ||
+        array_open(tri_table, &tris, 'i', 0) < 0 || marks_open(&m, &flags, rows(&pushes)) < 0)
         goto fail;
     /* no cooldown ticks during a walk, so the cooling ranks are marked once;
        one outside the index is never reached */
@@ -713,12 +744,12 @@ static Py_ssize_t state_open(Marks *m, Py_buffer *flags, const Py_buffer *values
                              PyObject *clause_table, Py_buffer *cls, PyObject *occ_table,
                              Py_buffer *occ)
 {
-    if (ints_open(clause_table, cls, 0) < 0 || ints_open(occ_table, occ, 0) < 0 ||
-        ints_open(count_obj, counts, writable) < 0 || marks_open(m, flags, rows(occ)) < 0)
+    if (array_open(clause_table, cls, 'i', 0) < 0 || array_open(occ_table, occ, 'i', 0) < 0 ||
+        array_open(count_obj, counts, 'i', writable) < 0 || marks_open(m, flags, rows(occ)) < 0)
         return -1;
     if (values->len != flags->len)
         return refuse("the value array must hold one byte per node");
-    if (ints_len(counts) != rows(cls))
+    if (nitems(counts) != rows(cls))
         return refuse("true_count must hold one count per clause");
     return flags->len;
 }
@@ -800,8 +831,9 @@ done:
 /* freeze(clauses, occurrences, selected, values, true_count, flags): the
  * oracle's freeze.  The clauses of the selected ranks are visited in
  * ascending order, each once, by a merge of their ascending occurrence
- * rows; values and counts are read from their buffers, and a kept clause is
- * the tuple of its selected literal codes. */
+ * rows; values and counts are read from their buffers.  The kept clauses
+ * are listed first, so the table of their selected literal codes is
+ * allocated once, at its size. */
 static PyObject *freeze(PyObject *self, PyObject *args)
 {
     PyObject *clause_table, *occ_table, *selected, *count_obj;
@@ -809,13 +841,14 @@ static PyObject *freeze(PyObject *self, PyObject *args)
     if (!PyArg_ParseTuple(args, "OOOy*Ow*:freeze", &clause_table, &occ_table, &selected,
                           &values, &count_obj, &flags))
         return NULL;
-    Py_buffer cls = {0}, occ = {0}, counts = {0};
+    Py_buffer cls = {0}, occ = {0}, counts = {0}, table = {0};
     Marks m = {0};
-    PyObject *kept = PyList_New(0), *out = NULL, *it = NULL, *item;
+    PyObject *kept = NULL, *out = NULL, *it = NULL, *item;
     int64_t *visit = NULL;
-    Py_ssize_t r, n = flags.len, nvisit = 0, unsat = 0;
-    if (kept == NULL || state_open(&m, &flags, &values, count_obj, &counts, 0, clause_table,
-                                   &cls, occ_table, &occ) < 0 ||
+    const int *lo, *hi, *l;
+    Py_ssize_t r, n = flags.len, nvisit = 0, unsat = 0, nkept = 0, nkept_lits = 0;
+    if (state_open(&m, &flags, &values, count_obj, &counts, 0, clause_table, &cls, occ_table,
+                   &occ) < 0 ||
         (it = PyObject_GetIter(selected)) == NULL)
         goto done;
     while ((item = PyIter_Next(it)) != NULL) {
@@ -830,12 +863,12 @@ static PyObject *freeze(PyObject *self, PyObject *args)
         goto done;
     const unsigned char *vals = values.buf;
     const int *tc = counts.buf;
+    int64_t *keep = visit + nvisit;  /* the merge's scratch half */
     for (Py_ssize_t at = 0; at < nvisit; at++) {
         int ci = (int)visit[at];
         if (at > 0 && ci == visit[at - 1])
             continue;
         unsat += !tc[ci];
-        const int *lo, *hi, *l;
         if (row(&cls, ci, 2 * n, &lo, &hi) < 0)
             goto done;
         Py_ssize_t nlits = 0;
@@ -845,23 +878,21 @@ static PyObject *freeze(PyObject *self, PyObject *args)
             else if ((vals[*l >> 1] != 0) != (*l & 1))
                 break;  /* a true frozen literal satisfies the clause */
         }
-        if (l < hi)
-            continue;
-        PyObject *clause = PyTuple_New(nlits);
-        for (Py_ssize_t k = 0; clause != NULL && k < nlits; lo++) {
-            if (!(m.flags[*lo >> 1] & CHOSEN))
-                continue;
-            PyObject *code = PyLong_FromLong(*lo);
-            if (code == NULL)
-                Py_CLEAR(clause);
-            else
-                PyTuple_SET_ITEM(clause, k++, code);
+        if (l == hi) {
+            keep[nkept++] = ci;
+            nkept_lits += nlits;
         }
-        if (clause == NULL || PyList_Append(kept, clause) < 0) {
-            Py_XDECREF(clause);
-            goto done;
-        }
-        Py_DECREF(clause);
+    }
+    if ((kept = new_array('i', nkept + 1 + nkept_lits, &table)) == NULL)
+        goto done;
+    int *t = table.buf, w = (int)nkept + 1;
+    t[0] = w;
+    for (Py_ssize_t k = 0; k < nkept; k++) {
+        row(&cls, keep[k], 2 * n, &lo, &hi);  /* checked above */
+        for (l = lo; l < hi; l++)
+            if (m.flags[*l >> 1] & CHOSEN)
+                t[w++] = *l;
+        t[k + 1] = w;
     }
     out = Py_BuildValue("(On)", kept, unsat);
 done:
@@ -869,6 +900,7 @@ done:
     PyBuffer_Release(&cls);
     PyBuffer_Release(&occ);
     PyBuffer_Release(&counts);
+    PyBuffer_Release(&table);
     PyBuffer_Release(&values);
     PyBuffer_Release(&flags);
     Py_XDECREF(it);
@@ -957,9 +989,9 @@ static PyObject *merge(PyObject *self, PyObject *args)
     Py_ssize_t r, n = flags.len, nvisit = 0, gain = 0;
     if (state_open(&m, &flags, &values, count_obj, &counts, 1, clause_table, &cls, occ_table,
                    &occ) < 0 ||
-        ints_open(degree_obj, &degrees, 1) < 0)
+        array_open(degree_obj, &degrees, 'i', 1) < 0)
         goto done;
-    if (ints_len(&degrees) != n) {
+    if (nitems(&degrees) != n) {
         refuse("the degree array must hold one count per node");
         goto done;
     }
@@ -1038,22 +1070,6 @@ done:
     return out;
 }
 
-/* A new array('i') of `count` zeros, as array('i', [0]) * count makes it,
- * its buffer opened writable in `view`; NULL with an exception set. */
-static PyObject *zero_ints(Py_ssize_t count, Py_buffer *view)
-{
-    PyObject *module = PyImport_ImportModule("array"), *type = NULL, *one = NULL, *out = NULL;
-    if (module != NULL && (type = PyObject_GetAttrString(module, "array")) != NULL &&
-        (one = PyObject_CallFunction(type, "s[i]", "i", 0)) != NULL)
-        out = PySequence_Repeat(one, count);
-    Py_XDECREF(module);
-    Py_XDECREF(type);
-    Py_XDECREF(one);
-    if (out != NULL && ints_open(out, view, 1) < 0)
-        Py_CLEAR(out);
-    return out;
-}
-
 /* tally(clauses, values): the oracle's tally, a repeat's start.  Each
  * clause's true literals are counted from its literal codes, a repeated
  * literal once per occurrence, and an unsatisfied clause raises the degree
@@ -1067,21 +1083,16 @@ static PyObject *tally(PyObject *self, PyObject *args)
         return NULL;
     const unsigned char *vals = values.buf;
     Py_ssize_t n = values.len, nclauses, unsat = 0, npool = 0;
-    if (ints_open(clause_table, &cls, 0) < 0)
+    if (array_open(clause_table, &cls, 'i', 0) < 0)
         goto done;
     for (Py_ssize_t r = 0; r < n; r++)
         if (vals[r] > 1) {
             refuse("a value byte must be 0 or 1");
             goto done;
         }
-    const int *t = cls.buf;
-    if (cls.len && (t[0] < 1 || t[0] > ints_len(&cls))) {
-        outside("a row is outside the index");
-        goto done;
-    }
-    nclauses = rows(&cls);
-    if ((count_obj = zero_ints(nclauses, &counts)) == NULL ||
-        (degree_obj = zero_ints(n, &degrees)) == NULL)
+    if ((nclauses = checked_rows(&cls)) < 0 ||
+        (count_obj = new_array('i', nclauses, &counts)) == NULL ||
+        (degree_obj = new_array('i', n, &degrees)) == NULL)
         goto done;
     int *tc = counts.buf, *degree = degrees.buf;
     for (Py_ssize_t ci = 0; ci < nclauses; ci++) {
@@ -1126,19 +1137,20 @@ done:
 }
 
 /* ------------------------------------------------------------------ */
-/* The slice's model build, results equal to _kernels_py's qubo and ising,
- * dict entries made in the oracle's first-insertion order.  qubo takes the
- * freeze's literal codes, numbers the slice's spins by sorting the distinct
- * ranks they hold and returns those ranks, so no variable number reaches
- * the build.  Both are exact, so they round nothing the oracle does not:
- * every QUBO coefficient is a sum of the small integers in GADGETS, which a
- * double holds exactly, and ising divides each coefficient by 2 or 4 and
- * adds the quotients into h and the offset in the oracle's order, so it is
- * bit-identical to the oracle on any model, non-dyadic floats included
+/* The slice's model build, results equal to _kernels_py's qubo and ising.
+ * qubo takes the freeze's table of literal codes, numbers the slice's spins
+ * by sorting the distinct ranks they hold and returns those ranks, a linear
+ * coefficient per QUBO index and the pair terms as index pairs i < k, flat,
+ * in the oracle's first-touch order, beside their coefficients; ising hands
+ * that pair array on.  Both are exact, so they round nothing the oracle
+ * does not: every QUBO coefficient is a sum of the small integers in
+ * GADGETS, which a double holds exactly, and ising divides each by 2 or 4
+ * and adds the quotients into h and the offset in the oracle's order, so it
+ * is bit-identical to the oracle on any model, non-dyadic floats included
  * (nothing is fused under -ffp-contract=off).  The scratch is sized by the
- * clause list: a record per literal, a slot per rank and ancilla, and at
- * most 4 pair terms per clause in a hash table, never by the ranks' values
- * or by (ranks + ancillas)^2. */
+ * clause list and the pair terms: a record per literal, at most 4 pair terms
+ * per clause in a hash table and a field per spin, never by the ranks'
+ * values or by (ranks + ancillas)^2. */
 
 /* _kernels_py._GADGETS in its order: row [width][pattern], where bit
  * width - 1 - k of pattern is set when literal k is negative.  A row holds
@@ -1182,119 +1194,66 @@ static size_t table_size(Py_ssize_t count)
     return size;
 }
 
-/* The model being built: a linear term per slot, listed in `order` when
- * first touched, and the pair terms in first-touch order, found by an
- * open-addressing table of pair index + 1 (0 empty). */
+/* The pair terms being built, in first-touch order, found by an
+ * open-addressing table of term index + 1 (0 empty). */
 typedef struct {
-    double *lin;
-    unsigned char *seen;
-    Py_ssize_t *order, nlin;
     struct Term {
-        Py_ssize_t i, j;
+        int i, k;
         double b;
-    } *pairs;
-    Py_ssize_t npairs, *table;
+    } *terms;
+    Py_ssize_t count, *table;
     size_t mask;
-} Build;
+} Pairs;
 
-static void add_linear(Build *m, Py_ssize_t i, int c)
+/* Adds c to the pair term (i, k), i < k. */
+static void add_pair(Pairs *p, int i, int k, int c)
 {
-    if (!m->seen[i]) {
-        m->seen[i] = 1;
-        m->order[m->nlin++] = i;
-        m->lin[i] = 0.0;
-    }
-    m->lin[i] += c;
-}
-
-/* Adds c to the pair term (i, j), i < j. */
-static void add_pair(Build *m, Py_ssize_t i, Py_ssize_t j, int c)
-{
-    uint64_t x = ((uint64_t)i * 0x9E3779B97F4A7C15ULL) ^ (uint64_t)j;
-    for (size_t at = probe(x, m->mask);; at = (at + 1) & m->mask) {
-        Py_ssize_t k = m->table[at] - 1;
-        if (k < 0) {
-            k = m->npairs++;
-            m->table[at] = k + 1;
-            m->pairs[k] = (struct Term){i, j, 0.0};
-        } else if (m->pairs[k].i != i || m->pairs[k].j != j) {
+    uint64_t x = ((uint64_t)i * 0x9E3779B97F4A7C15ULL) ^ (uint64_t)k;
+    for (size_t at = probe(x, p->mask);; at = (at + 1) & p->mask) {
+        Py_ssize_t t = p->table[at] - 1;
+        if (t < 0) {
+            t = p->count++;
+            p->table[at] = t + 1;
+            p->terms[t] = (struct Term){i, k, 0.0};
+        } else if (p->terms[t].i != i || p->terms[t].k != k) {
             continue;
         }
-        m->pairs[k].b += c;
+        p->terms[t].b += c;
         return;
     }
 }
 
-/* Reads the literal codes of `clauses` into codes, *count of them in
- * clause order, and each clause's width; -1 with an exception set. */
-static int read_codes(PyObject *clauses, int **codes, Py_ssize_t *widths, Py_ssize_t *count)
-{
-    Py_ssize_t m = PyTuple_GET_SIZE(clauses), size = 0, widest = 0;
-    for (Py_ssize_t c = 0; c < m; c++) {
-        PyObject *clause = PySequence_Tuple(PyTuple_GET_ITEM(clauses, c));
-        if (clause == NULL)
-            return -1;
-        Py_ssize_t width = widths[c] = PyTuple_GET_SIZE(clause);
-        widest = Py_MAX(widest, width);
-        if (*count + width > size) {
-            size = Py_MAX(2 * (*count + width), 3 * m + 1);
-            int *more = PyMem_Realloc(*codes, (size_t)size * sizeof *more);
-            if (more == NULL) {
-                Py_DECREF(clause);
-                PyErr_NoMemory();
-                return -1;
-            }
-            *codes = more;
-        }
-        for (Py_ssize_t k = 0; k < width; k++) {
-            PyObject *code = PyTuple_GET_ITEM(clause, k);
-            int over = 0;
-            long v = 0;
-            if (!PyLong_Check(code))
-                PyErr_Format(PyExc_TypeError, "literal code %R is not an int", code);
-            else if ((v = PyLong_AsLongAndOverflow(code, &over)) < 0 || over || v > INT_MAX)
-                PyErr_Format(PyExc_ValueError, "literal code %R is negative or beyond a C int",
-                             code);
-            if (PyErr_Occurred()) {
-                Py_DECREF(clause);
-                return -1;
-            }
-            (*codes)[(*count)++] = (int)v;
-        }
-        Py_DECREF(clause);
-    }
-    if (widest <= 3)
-        return 0;
-    PyErr_Format(PyExc_ValueError, "clause width %zd exceeds 3; reduce the formula first", widest);
-    return -1;
-}
-
-/* Numbers the ranks of the n literal codes as the oracle's sorted `ranks`
- * does: slot[k] becomes the QUBO index of code k's rank and ranks[0 ..
- * return - 1] the distinct ranks, ascending.  Each literal is the key
+/* Numbers the ranks of the n literal codes in the m rows of the checked
+ * clause table as the oracle's sorted `ranks` does: slot[k] becomes the
+ * QUBO index of code k's rank, codes counted in clause order, and ranks[0
+ * .. return - 1] the distinct ranks, ascending.  Each literal is the key
  * rank << 32 | k, so sorting the keys puts equal ranks together, each
- * literal's position beside its rank.  -1 with MemoryError set; 2**32
- * literals would not fit in memory as Python objects anyway. */
-static Py_ssize_t number_ranks(const int *codes, Py_ssize_t n, Py_ssize_t *slot, int *ranks)
+ * literal's position beside its rank.  -1 with MemoryError set, also for
+ * 2**30 literals or more, which keeps every QUBO index, ancillas
+ * included, in an int. */
+static Py_ssize_t number_ranks(const Py_buffer *cls, Py_ssize_t m, Py_ssize_t n, int *slot,
+                               int *ranks)
 {
     int64_t *keys = PyMem_New(int64_t, 2 * (size_t)n + 1);
-    Py_ssize_t *bounds = PyMem_New(Py_ssize_t, (size_t)n + 2), nranks = -1;
-    if (keys == NULL || bounds == NULL || (uint64_t)n >> 32) {
+    Py_ssize_t *bounds = PyMem_New(Py_ssize_t, (size_t)n + 2), nranks = -1, k = 0;
+    const int *lo, *hi;
+    if (keys == NULL || bounds == NULL || (uint64_t)n >> 30) {
         PyErr_NoMemory();
         goto done;
     }
-    for (Py_ssize_t k = 0; k < n; k++) {
-        keys[k] = (int64_t)(codes[k] >> 1) << 32 | k;
-        bounds[k] = k;
-    }
+    for (Py_ssize_t c = 0; c < m; c++)
+        for (row(cls, c, (Py_ssize_t)INT_MAX + 1, &lo, &hi); lo < hi; lo++, k++) {
+            keys[k] = (int64_t)(*lo >> 1) << 32 | k;
+            bounds[k] = k;
+        }
     bounds[n] = n;
     const int64_t *sorted = merge_runs(keys, keys + n, bounds, n);
     nranks = 0;
-    for (Py_ssize_t k = 0; k < n; k++) {
+    for (k = 0; k < n; k++) {
         int r = (int)(sorted[k] >> 32);
         if (nranks == 0 || ranks[nranks - 1] != r)
             ranks[nranks++] = r;
-        slot[sorted[k] & 0xFFFFFFFF] = nranks - 1;
+        slot[sorted[k] & 0xFFFFFFFF] = (int)nranks - 1;
     }
 done:
     PyMem_Free(keys);
@@ -1302,94 +1261,62 @@ done:
     return nranks;
 }
 
-/* A new dict of the linear terms in first-touch order; NULL on error. */
-static PyObject *linear_dict(const Build *m)
-{
-    PyObject *out = PyDict_New();
-    for (Py_ssize_t k = 0; out != NULL && k < m->nlin; k++) {
-        Py_ssize_t i = m->order[k];
-        PyObject *key = PyLong_FromSsize_t(i), *value = PyFloat_FromDouble(m->lin[i]);
-        if (key == NULL || value == NULL || PyDict_SetItem(out, key, value) < 0)
-            Py_CLEAR(out);
-        Py_XDECREF(key);
-        Py_XDECREF(value);
-    }
-    return out;
-}
-
-/* A new dict of the pair terms, keyed (i, j), in first-touch order; NULL on
- * error. */
-static PyObject *pair_dict(const Build *m)
-{
-    PyObject *out = PyDict_New();
-    for (Py_ssize_t k = 0; out != NULL && k < m->npairs; k++) {
-        PyObject *key = PyTuple_New(2), *value = PyFloat_FromDouble(m->pairs[k].b);
-        if (key != NULL) {
-            PyTuple_SET_ITEM(key, 0, PyLong_FromSsize_t(m->pairs[k].i));
-            PyTuple_SET_ITEM(key, 1, PyLong_FromSsize_t(m->pairs[k].j));
-        }
-        if (key == NULL || !PyTuple_GET_ITEM(key, 0) || !PyTuple_GET_ITEM(key, 1) ||
-            value == NULL || PyDict_SetItem(out, key, value) < 0)
-            Py_CLEAR(out);
-        Py_XDECREF(key);
-        Py_XDECREF(value);
-    }
-    return out;
-}
-
-/* qubo(clauses): the oracle's qubo.  Every literal code is read and
- * checked first, in clause order; then the ranks are numbered, and each
- * clause adds its GADGETS row. */
+/* qubo(clauses): the oracle's qubo.  Every row of the clause table is read
+ * and checked first, in clause order; then the ranks are numbered, and
+ * each clause adds its GADGETS row to the linear array and the pair
+ * terms. */
 static PyObject *qubo(PyObject *self, PyObject *arg)
 {
-    PyObject *clauses = PySequence_Tuple(arg);  /* Python code cannot resize it */
-    if (clauses == NULL)
-        return NULL;
-    Py_ssize_t m = PyTuple_GET_SIZE(clauses), nlits = 0, nranks = 0, nanc = 0, npairs = 0;
-    int *codes = NULL, *ranks = NULL;
-    Py_ssize_t *widths = PyMem_New(Py_ssize_t, m + 1), *slot = NULL;
-    PyObject *linear = NULL, *quadratic = NULL, *rank_list = NULL, *out = NULL;
-    Build b = {0};
-    if (widths == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    if (read_codes(clauses, &codes, widths, &nlits) < 0)
+    Py_buffer cls = {0}, lin = {0}, pv = {0}, qv = {0};
+    Py_ssize_t m = 0, nlits = 0, widest = 0, nranks, nanc = 0;
+    int *slot = NULL, *ranks = NULL;
+    PyObject *linear = NULL, *pairs = NULL, *quadratic = NULL, *rank_list = NULL, *out = NULL;
+    Pairs b = {0};
+    const int *lo, *hi;
+    if (array_open(arg, &cls, 'i', 0) < 0 || (m = checked_rows(&cls)) < 0)
         goto done;
     for (Py_ssize_t c = 0; c < m; c++) {
-        nanc += widths[c] == 3;
-        npairs += NPAIRS[widths[c]];
+        if (row(&cls, c, (Py_ssize_t)INT_MAX + 1, &lo, &hi) < 0)
+            goto done;
+        nlits += hi - lo;
+        nanc += hi - lo == 3;
+        widest = Py_MAX(widest, hi - lo);
     }
-    slot = PyMem_New(Py_ssize_t, nlits + 1);
+    if (widest > 3) {
+        PyErr_Format(PyExc_ValueError, "clause width %zd exceeds 3; reduce the formula first",
+                     widest);
+        goto done;
+    }
+    slot = PyMem_New(int, nlits + 1);
     ranks = PyMem_New(int, nlits + 1);
-    if (slot == NULL || ranks == NULL) {
+    if (!slot || !ranks) {
         PyErr_NoMemory();
         goto done;
     }
-    if ((nranks = number_ranks(codes, nlits, slot, ranks)) < 0)
+    if ((nranks = number_ranks(&cls, m, nlits, slot, ranks)) < 0)
         goto done;
-    Py_ssize_t num_vars = nranks + nanc, next_ancilla = nranks, at = 0;
+    int num_vars = (int)(nranks + nanc), next_ancilla = (int)nranks, at = 0;
     long long offset = 0;
-    size_t cap = table_size(npairs);
-    b.lin = PyMem_New(double, num_vars + 1);
-    b.seen = PyMem_Calloc(num_vars + 1, 1);
-    b.order = PyMem_New(Py_ssize_t, num_vars + 1);
-    b.pairs = PyMem_New(struct Term, npairs + 1);
+    size_t cap = table_size(4 * m);  /* at most 4 pair terms a clause */
+    b.terms = PyMem_New(struct Term, 4 * m + 1);
     b.table = PyMem_Calloc(cap, sizeof *b.table);
     b.mask = cap - 1;
-    if (!b.lin || !b.seen || !b.order || !b.pairs || !b.table) {
+    if (!b.terms || !b.table) {
         PyErr_NoMemory();
         goto done;
     }
+    if ((linear = new_array('d', num_vars, &lin)) == NULL)
+        goto done;
+    double *l = lin.buf;  /* +0.0, adding integers: never -0.0 */
     for (Py_ssize_t c = 0; c < m; c++) {
-        Py_ssize_t width = widths[c], s[4];
-        int pattern = 0;
+        row(&cls, c, (Py_ssize_t)INT_MAX + 1, &lo, &hi);  /* checked above */
+        int width = (int)(hi - lo), s[4], pattern = 0;
         if (width == 0) {
             offset += 1;
             continue;
         }
-        for (Py_ssize_t k = 0; k < width; k++, at++) {
-            pattern = pattern << 1 | (codes[at] & 1);
+        for (int k = 0; k < width; k++, at++) {
+            pattern = pattern << 1 | (lo[k] & 1);
             s[k] = slot[at];
         }
         if (width == 3)
@@ -1397,141 +1324,117 @@ static PyObject *qubo(PyObject *self, PyObject *arg)
         const Gadget *g = &GADGETS[width][pattern];
         offset += g->constant;
         for (int k = 0; k < NSLOTS[width]; k++)
-            if (g->lin[k])
-                add_linear(&b, s[k], g->lin[k]);
+            l[s[k]] += g->lin[k];
         for (int k = 0; k < NPAIRS[width]; k++) {
-            Py_ssize_t i = s[PAIRS[width][k][0]], j = s[PAIRS[width][k][1]];
+            int i = s[PAIRS[width][k][0]], j = s[PAIRS[width][k][1]];
             if (!g->quad[k])
                 continue;
             if (i == j)  /* a repeated variable folds in as x*x = x */
-                add_linear(&b, i, g->quad[k]);
+                l[i] += g->quad[k];
             else
                 add_pair(&b, Py_MIN(i, j), Py_MAX(i, j), g->quad[k]);
         }
     }
-    if ((linear = linear_dict(&b)) == NULL || (quadratic = pair_dict(&b)) == NULL ||
+    if ((pairs = new_array('i', 2 * b.count, &pv)) == NULL ||
+        (quadratic = new_array('d', b.count, &qv)) == NULL ||
         (rank_list = PyList_New(nranks)) == NULL)
         goto done;
+    int *p = pv.buf;
+    double *q = qv.buf;
+    for (Py_ssize_t k = 0; k < b.count; k++) {
+        p[2 * k] = b.terms[k].i;
+        p[2 * k + 1] = b.terms[k].k;
+        q[k] = b.terms[k].b;
+    }
     for (Py_ssize_t i = 0; i < nranks; i++) {
         PyObject *r = PyLong_FromLong(ranks[i]);
         if (r == NULL)
             goto done;
         PyList_SET_ITEM(rank_list, i, r);
     }
-    out = Py_BuildValue("(nOOdO)", num_vars, linear, quadratic, (double)offset, rank_list);
+    out = Py_BuildValue("(iOOOdO)", num_vars, linear, pairs, quadratic, (double)offset,
+                        rank_list);
 done:
-    Py_DECREF(clauses);
+    PyBuffer_Release(&cls);
+    PyBuffer_Release(&lin);
+    PyBuffer_Release(&pv);
+    PyBuffer_Release(&qv);
     Py_XDECREF(linear);
+    Py_XDECREF(pairs);
     Py_XDECREF(quadratic);
     Py_XDECREF(rank_list);
-    PyMem_Free(codes);
-    PyMem_Free(widths);
     PyMem_Free(slot);
     PyMem_Free(ranks);
-    PyMem_Free(b.lin);
-    PyMem_Free(b.seen);
-    PyMem_Free(b.order);
-    PyMem_Free(b.pairs);
+    PyMem_Free(b.terms);
     PyMem_Free(b.table);
     return out;
 }
 
-/* The value of an int or float QUBO coefficient, which runs no Python code;
- * -1.0 with an exception set. */
-static double coefficient(PyObject *v)
-{
-    if (PyFloat_Check(v))
-        return PyFloat_AS_DOUBLE(v);
-    if (PyLong_Check(v))
-        return PyLong_AsDouble(v);
-    PyErr_Format(PyExc_TypeError, "a QUBO coefficient must be an int or a float, not %.100s",
-                 Py_TYPE(v)->tp_name);
-    return -1.0;
-}
-
-/* The spin the QUBO index `key` names among n; -1 with an exception set
- * unless it is an int in 0 .. n - 1. */
-static Py_ssize_t spin_of(PyObject *key, Py_ssize_t n)
-{
-    if (!PyLong_Check(key)) {
-        PyErr_SetString(PyExc_TypeError, "a QUBO index must be an int");
-        return -1;
-    }
-    Py_ssize_t i = PyLong_AsSsize_t(key);
-    if (i == -1 && PyErr_Occurred())
-        PyErr_Clear();  /* beyond Py_ssize_t: outside as well */
-    return i >= 0 && i < n ? i : outside("a QUBO index is outside the model");
-}
-
-/* ising(num_vars, linear, quadratic, offset): the oracle's ising, which
- * raises for an index or a coefficient the oracle would misread.  Reading an
- * int or a float runs no Python code; hashing a pair key into j may, so the
- * key is held meanwhile. */
+/* ising(num_vars, linear, pairs, quadratic, offset): the oracle's ising.
+ * The fields start at the halves of linear, which the offset takes in
+ * index order; then each pair's quarter goes to j, to both of its fields
+ * and to the offset, in pair order.  The pair array is returned as given,
+ * and the arrays are checked in the oracle's order. */
 static PyObject *ising(PyObject *self, PyObject *args)
 {
     Py_ssize_t n;
-    PyObject *linear, *quadratic, *offset, *key, *value;
-    if (!PyArg_ParseTuple(args, "nO!O!O:ising", &n, &PyDict_Type, &linear, &PyDict_Type,
-                          &quadratic, &offset))
+    PyObject *lin_obj, *pairs, *quad_obj, *j = NULL, *hs = NULL, *out = NULL;
+    Py_buffer lin = {0}, pv = {0}, qv = {0}, jv = {0};
+    double off, *h = NULL;
+    if (!PyArg_ParseTuple(args, "nOOOd:ising", &n, &lin_obj, &pairs, &quad_obj, &off))
         return NULL;
     if (n < 0) {
-        PyErr_SetString(PyExc_ValueError, "num_vars must be non-negative");
-        return NULL;
-    }
-    /* with no term the oracle returns the offset object as it came */
-    int terms = PyDict_GET_SIZE(linear) + PyDict_GET_SIZE(quadratic) > 0;
-    double off = terms ? coefficient(offset) : 0.0;
-    if (off == -1.0 && PyErr_Occurred())
-        return NULL;
-    double *h = PyMem_Calloc((size_t)n + 1, sizeof *h);  /* +0.0 from zero bits */
-    PyObject *j = PyDict_New(), *hs = NULL, *out = NULL;
-    if (h == NULL || j == NULL) {
-        if (h == NULL)
-            PyErr_NoMemory();
+        refuse("num_vars must be non-negative");
         goto done;
     }
-    Py_ssize_t pos = 0;
-    while (PyDict_Next(linear, &pos, &key, &value)) {
-        Py_ssize_t i = spin_of(key, n);
-        double a = i < 0 ? -1.0 : coefficient(value);
-        if (a == -1.0 && PyErr_Occurred())
-            goto done;
-        h[i] += a / 2.0;
-        off += a / 2.0;
-    }
-    pos = 0;
-    while (PyDict_Next(quadratic, &pos, &key, &value)) {
-        Py_ssize_t i = -1, k = -1;
-        if (!PyTuple_CheckExact(key) || PyTuple_GET_SIZE(key) != 2)
-            PyErr_SetString(PyExc_TypeError, "a QUBO pair must be a tuple (i, k)");
-        else if ((i = spin_of(PyTuple_GET_ITEM(key, 0), n)) >= 0)
-            k = spin_of(PyTuple_GET_ITEM(key, 1), n);
-        double b = k < 0 ? -1.0 : coefficient(value);
-        if (b == -1.0 && PyErr_Occurred())
-            goto done;
-        double quarter = b / 4.0;
-        PyObject *q = PyFloat_FromDouble(quarter);
-        Py_INCREF(key);
-        int failed = q == NULL || PyDict_SetItem(j, key, q) < 0;
-        Py_DECREF(key);
-        Py_XDECREF(q);
-        if (failed)
-            goto done;
-        h[i] += quarter;
-        h[k] += quarter;
-        off += quarter;
-    }
-    if ((hs = PyList_New(n)) == NULL)
+    if (array_open(lin_obj, &lin, 'd', 0) < 0 || array_open(pairs, &pv, 'i', 0) < 0 ||
+        array_open(quad_obj, &qv, 'd', 0) < 0)
         goto done;
+    Py_ssize_t npairs = nitems(&qv);
+    if (nitems(&lin) != n) {
+        refuse("linear must hold one coefficient per QUBO index");
+        goto done;
+    }
+    if (nitems(&pv) != 2 * npairs) {
+        refuse("pairs must hold two QUBO indices per quadratic coefficient");
+        goto done;
+    }
+    const int *p = pv.buf;
+    for (Py_ssize_t k = 0; k < 2 * npairs; k++)
+        if (p[k] < 0 || p[k] >= n) {
+            outside("a pair index is outside the model");
+            goto done;
+        }
+    if ((h = PyMem_New(double, (size_t)n + 1)) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if ((j = new_array('d', npairs, &jv)) == NULL || (hs = PyList_New(n)) == NULL)
+        goto done;
+    const double *a = lin.buf, *b = qv.buf;
+    double *quarter = jv.buf;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        h[i] = a[i] / 2.0;
+        off += h[i];
+    }
+    for (Py_ssize_t k = 0; k < npairs; k++) {
+        quarter[k] = b[k] / 4.0;
+        h[p[2 * k]] += quarter[k];
+        h[p[2 * k + 1]] += quarter[k];
+        off += quarter[k];
+    }
     for (Py_ssize_t i = 0; i < n; i++) {
         PyObject *v = PyFloat_FromDouble(h[i]);
         if (v == NULL)
             goto done;
         PyList_SET_ITEM(hs, i, v);
     }
-    out = terms ? Py_BuildValue("(nOOd)", n, j, hs, off)
-                : Py_BuildValue("(nOOO)", n, j, hs, offset);
+    out = Py_BuildValue("(nOOOd)", n, pairs, j, hs, off);
 done:
+    PyBuffer_Release(&lin);
+    PyBuffer_Release(&pv);
+    PyBuffer_Release(&qv);
+    PyBuffer_Release(&jv);
     PyMem_Free(h);
     Py_XDECREF(j);
     Py_XDECREF(hs);
@@ -1547,10 +1450,8 @@ done:
  * -0.0, so a zero is returned as +0.0.  The oracle runs the rule once per
  * distinct value and this once per coefficient, which gives the same
  * floats; the largest relative error is a maximum of non-negative floats,
- * which no order changes.  Every rounded value is an integer in
- * COEFF_MIN .. COEFF_MAX, so each is one shared float object.  The copies
- * of qubo.COEFF_MIN and COEFF_MAX below are checked against them by a
- * test. */
+ * which no order changes.  The copies of qubo.COEFF_MIN and COEFF_MAX
+ * below are checked against them by a test. */
 
 #define COEFF_MIN (-14)
 #define COEFF_MAX 14
@@ -1568,35 +1469,31 @@ static double fit(double x)
     return r == 0.0 ? 0.0 : r;
 }
 
-/* scale(j, h, offset): the oracle's scale.  The coefficients are read as
- * ints or floats, j's values first; None when the chip holds them all,
- * else (j, h, offset * scale, max_rel_error), j with j's key objects in
- * j's order. */
+/* scale(j, h, offset): the oracle's scale.  The couplings are read from
+ * j's buffer, then the fields from h; None when the chip holds them all,
+ * else (j, h, offset * scale, max_rel_error), j a new array('d') and h a
+ * new list. */
 static PyObject *scale(PyObject *self, PyObject *args)
 {
-    PyObject *j, *h, *offset, *key, *value, *fast = NULL, *js = NULL, *hs = NULL, *out = NULL;
-    PyObject *fits[COEFF_MAX - COEFF_MIN + 1] = {NULL};
-    if (!PyArg_ParseTuple(args, "O!OO:scale", &PyDict_Type, &j, &h, &offset))
+    PyObject *j_obj, *h, *fields = NULL, *js = NULL, *hs = NULL, *out = NULL;
+    Py_buffer jv = {0}, outv = {0};
+    double offset, *v = NULL, maxabs = 0.0, max_rel = 0.0;
+    if (!PyArg_ParseTuple(args, "OOd:scale", &j_obj, &h, &offset))
         return NULL;
-    if ((fast = PySequence_Fast(h, "the fields must be a sequence")) == NULL)
-        return NULL;
-    Py_ssize_t nj = PyDict_GET_SIZE(j), nh = PySequence_Fast_GET_SIZE(fast), k = 0, pos = 0;
-    double *v = PyMem_New(double, (size_t)(nj + nh) + 1), maxabs = 0.0, max_rel = 0.0;
+    /* a tuple of the fields, which a field's __float__ cannot resize */
+    if (array_open(j_obj, &jv, 'd', 0) < 0 || (fields = PySequence_Tuple(h)) == NULL)
+        goto done;
+    Py_ssize_t nj = nitems(&jv), nh = PyTuple_GET_SIZE(fields), k;
     int misfit = 0;
-    if (v == NULL) {
+    if ((v = PyMem_New(double, (size_t)(nj + nh) + 1)) == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    /* reading an int or a float runs no Python code, so j cannot change */
-    while (k < nj + nh) {
-        if (k < nj)
-            PyDict_Next(j, &pos, &key, &value);
-        else
-            value = PySequence_Fast_GET_ITEM(fast, k - nj);
-        if ((v[k] = coefficient(value)) == -1.0 && PyErr_Occurred())
-            goto done;
-        misfit |= misfits(v[k++]);
-    }
+    memcpy(v, jv.buf, (size_t)nj * sizeof *v);
+    if (load(fields, nh, v + nj) < 0)
+        goto done;
+    for (k = 0; k < nj + nh; k++)
+        misfit |= misfits(v[k]);
     if (!misfit) {
         out = Py_NewRef(Py_None);
         goto done;
@@ -1608,45 +1505,32 @@ static PyObject *scale(PyObject *self, PyObject *args)
         }
         maxabs = fabs(v[k]) > maxabs ? fabs(v[k]) : maxabs;
     }
-    double s = COEFF_MAX / maxabs, off = coefficient(offset);
+    double s = COEFF_MAX / maxabs;
     if (isinf(s)) {
         refuse("the coefficients are too small to scale");
         goto done;
     }
-    if (off == -1.0 && PyErr_Occurred())
-        goto done;
     for (k = 0; k < nj + nh; k++) {
         double x = v[k] * s, f = fit(x);
         if (x != 0.0 && fabs(f - x) / fabs(x) > max_rel)
             max_rel = fabs(f - x) / fabs(x);
-        PyObject **slot = &fits[(int)f - COEFF_MIN];
-        if (*slot == NULL && (*slot = PyFloat_FromDouble(f)) == NULL)
-            goto done;
         v[k] = f;
     }
-    if ((js = PyDict_New()) == NULL || (hs = PyList_New(nh)) == NULL)
+    if ((js = new_array('d', nj, &outv)) == NULL || (hs = PyList_New(nh)) == NULL)
         goto done;
-    /* a collection since the first pass may have run Python code */
-    for (k = 0, pos = 0; k < nj && PyDict_Next(j, &pos, &key, &value); k++) {
-        /* hashing a key may run Python code, so the key is held meanwhile */
-        Py_INCREF(key);
-        int failed = PyDict_SetItem(js, key, fits[(int)v[k] - COEFF_MIN]);
-        Py_DECREF(key);
-        if (failed)
+    memcpy(outv.buf, v, (size_t)nj * sizeof *v);
+    for (k = 0; k < nh; k++) {
+        PyObject *f = PyFloat_FromDouble(v[nj + k]);
+        if (f == NULL)
             goto done;
+        PyList_SET_ITEM(hs, k, f);
     }
-    if (k != nj || PyDict_GET_SIZE(j) != nj) {
-        PyErr_SetString(PyExc_RuntimeError, "the couplings changed size during scaling");
-        goto done;
-    }
-    for (Py_ssize_t i = 0; i < nh; i++)
-        PyList_SET_ITEM(hs, i, Py_NewRef(fits[(int)v[k++] - COEFF_MIN]));
-    out = Py_BuildValue("(OOdd)", js, hs, off * s, max_rel);
+    out = Py_BuildValue("(OOdd)", js, hs, offset * s, max_rel);
 done:
-    for (k = 0; k < COEFF_MAX - COEFF_MIN + 1; k++)
-        Py_XDECREF(fits[k]);
+    PyBuffer_Release(&jv);
+    PyBuffer_Release(&outv);
     PyMem_Free(v);
-    Py_DECREF(fast);
+    Py_XDECREF(fields);
     Py_XDECREF(js);
     Py_XDECREF(hs);
     return out;
@@ -1662,13 +1546,13 @@ static PyMethodDef methods[] = {
     {"walk", walk, METH_VARARGS,
      "The spin-budgeted walk from start; returns the selected set."},
     {"freeze", freeze, METH_VARARGS,
-     "The kept clauses of a slice as literal codes, and the visited unsatisfied count."},
+     "The kept clauses of a slice as a table of literal codes, and the visited unsatisfied count."},
     {"merge", merge, METH_VARARGS,
      "Merges a slice's spins into the incumbent unless it loses a clause; returns the gain."},
     {"qubo", qubo, METH_O,
-     "The QUBO of clauses of literal codes: (num_vars, linear, quadratic, offset, ranks)."},
+     "The QUBO of a table of literal codes: (num_vars, linear, pairs, quadratic, offset, ranks)."},
     {"ising", ising, METH_VARARGS,
-     "The Ising form of a QUBO's fields: (num_spins, j, h, offset)."},
+     "The Ising form of a QUBO's fields: (num_spins, pairs, j, h, offset)."},
     {"tally", tally, METH_VARARGS,
      "A repeat's start: (true_count, unsat, unsat_degree, pool) of the clauses under values."},
     {"scale", scale, METH_VARARGS,
@@ -1683,4 +1567,19 @@ static struct PyModuleDef module = {
     -1, methods,
 };
 
-PyMODINIT_FUNC PyInit__kernels(void) { return PyModule_Create(&module); }
+PyMODINIT_FUNC PyInit__kernels(void)
+{
+    if (int_zero == NULL) {
+        PyObject *arrays = PyImport_ImportModule("array");
+        if (arrays == NULL)
+            return NULL;
+        int_zero = PyObject_CallMethod(arrays, "array", "s[i]", "i", 0);
+        double_zero = int_zero ? PyObject_CallMethod(arrays, "array", "s[i]", "d", 0) : NULL;
+        Py_DECREF(arrays);
+        if (double_zero == NULL) {
+            Py_CLEAR(int_zero);
+            return NULL;
+        }
+    }
+    return PyModule_Create(&module);
+}

@@ -40,10 +40,11 @@ clause loop of its freeze and its merge, as ``decompose`` ran them in
 Python.  They do integer work only, on ranks and literal codes, and never
 see a variable number: the walk takes a start rank and returns the
 selected ranks, the freeze takes those and hands on the kept clauses as
-literal codes, and the merge takes the slice's ranks (``QuboModel.ranks``).
-The tables ``build_vig`` lays out (read by ``row``) have a row per rank or
-per clause; ``GlobalState``'s value bytes, unsatisfied degrees and pool are
-indexed by rank and its true-literal counts by clause.  The number of nodes
+a table of literal codes, and the merge takes the slice's ranks
+(``QuboModel.ranks``).  The tables ``table_of`` lays out (read by ``row``)
+have a row per rank or per clause; ``GlobalState``'s value bytes,
+unsatisfied degrees and pool are indexed by rank and its true-literal
+counts by clause.  The number of nodes
 is the number of rows of ``occurrences``, or of the walk's push table.  The
 C versions mark what they touch in the flag array; these keep their marks
 in sets and dicts.  Both return the same, write the same and raise the
@@ -69,29 +70,28 @@ they stand; the C version checks them too, the table's header before it
 allocates by it.
 
 ``qubo`` and ``ising`` are ``qubo.cnf_to_qubo`` and ``qubo.qubo_to_ising``
-as they ran in Python, returning the models' fields.  ``qubo`` takes the
-freeze's literal codes, numbers the slice's spins by the sorted distinct
-ranks and looks each clause up in the 14-row gadget table ``_GADGETS``, of
-which ``_kernels.c`` holds a copy; both make the dict entries in the same
-order and raise the same, with the same messages.  Its coefficients are
-small integers, which ``ising`` only halves and quarters, so neither rounds:
-the C versions add the floats in this order and match these bit for bit,
-on hand-built models with other floats too.  ``ising`` reads the QUBO as it stands; the C version
-takes ``linear`` and ``quadratic`` as dicts, and their coefficients and the
-offset as ints or floats (else a TypeError), and raises IndexError for an
-index outside ``0 .. num_vars - 1``, where this one would index the list
-``h`` with it.
+on flat arrays.  ``qubo`` takes the freeze's table of literal codes,
+numbers the slice's spins by the sorted distinct ranks and looks each
+clause up in the 14-row gadget table ``_GADGETS``, of which ``_kernels.c``
+holds a copy; ``ising`` hands its pair array on.  The coefficients are
+small integers, which ``ising`` only halves and quarters, so neither
+rounds: the C versions add the floats in this order and match these bit
+for bit, on hand-built models with other floats too.  Both raise the same,
+with the same messages, for a negative code, a clause wider than 3, arrays
+whose lengths do not match and a pair index outside the model.  These read
+the clause table as it stands, where the C ``qubo`` checks each row as
+``freeze`` does; the C versions take only buffers of C ints or doubles.
 
 ``scale`` is ``qubo.scale_to_chip``'s rule as it ran in Python, after its
-spin-budget check, on the model's fields.  It rounds: ``_round_away``
-rounds half away from zero through ``math.floor`` and ``math.ceil``, whose
-int results make every zero +0.0, and the C version rounds in doubles and
-turns a -0.0 into +0.0, so the two match bit for bit.  A coefficient that
-is not finite is a ValueError in both, checked before the scale is taken,
-and so is a model whose largest magnitude is too small for the scale to be
-finite: left to the rounding, either would raise a ValueError or, from an
-infinite scale, an OverflowError, by the order in which a set holds the
-values.
+spin-budget check, on the model's couplings, fields and offset.  It rounds:
+``_round_away`` rounds half away from zero through ``math.floor`` and
+``math.ceil``, whose int results make every zero +0.0, and the C version
+rounds in doubles and turns a -0.0 into +0.0, so the two match bit for
+bit.  A coefficient that is not finite is a ValueError in both, checked
+before the scale is taken, and so is a model whose largest magnitude is
+too small for the scale to be finite: left to the rounding, either would
+raise a ValueError or, from an infinite scale, an OverflowError, by the
+order in which a set holds the values.
 """
 from __future__ import annotations
 
@@ -105,7 +105,6 @@ from itertools import accumulate, chain
 from ..qubo import COEFF_MAX, COEFF_MIN, chip_misfit
 
 _MASK = (1 << 64) - 1
-_INT_MAX = (1 << 31) - 1  # the largest literal code, which a C int holds
 _STAR = 0x2545F4914F6CDD1D
 
 
@@ -233,8 +232,16 @@ def tabu(n: int, jd: list[float], h: list[float], max_moves: int,
     return best_spins, best, moves
 
 
+def table_of(rows):
+    """``rows`` flat in one ``array('i')`` ``t``: ``t[0]`` offsets, then the
+    items, so row ``i`` is ``t[t[i]:t[i + 1]]`` (:func:`row`)."""
+    table = array("i", accumulate(map(len, rows), initial=len(rows) + 1))
+    table.fromlist(list(chain.from_iterable(rows)))
+    return table
+
+
 def row(table, i):
-    """Row ``i`` of a flat table: ``table[0]`` offsets, then the items."""
+    """Row ``i`` of a flat table (:func:`table_of`)."""
     return table[table[i]:table[i + 1]]
 
 
@@ -321,7 +328,8 @@ def freeze(clauses, occurrences, selected, values, true_count, flags):
     ``GlobalState``'s; ``selected`` holds ranks.  Only the clauses of the
     selected ranks (their ``occurrences`` rows) are visited.  A true frozen
     literal drops its clause and a false one is removed; the selected
-    literals are kept as they stand, as literal codes.
+    literals are kept as they stand, as literal codes, in one table
+    (:func:`table_of`) with a row per kept clause.
     """
     n = _check_state(occurrences, flags, values, true_count, clauses)
     chosen: set[int] = set()
@@ -329,7 +337,7 @@ def freeze(clauses, occurrences, selected, values, true_count, flags):
         if not 0 <= r < n:
             raise IndexError("a selected rank is outside the nodes")
         chosen.add(r)
-    kept: list[tuple[int, ...]] = []
+    kept: list[list[int]] = []
     keep = kept.append
     unsat = 0
     for ci in sorted({ci for r in chosen for ci in row(occurrences, r)}):
@@ -343,8 +351,8 @@ def freeze(clauses, occurrences, selected, values, true_count, flags):
             elif bool(values[r]) != lit & 1:
                 break  # a true frozen literal satisfies the clause
         else:
-            keep(tuple(lits))
-    return kept, unsat
+            keep(lits)
+    return table_of(kept), unsat
 
 
 def merge(clauses, occurrences, spins, ranks, values, true_count, unsat_degree, pool,
@@ -474,92 +482,82 @@ _TERMS = {signs: (constant,
 
 
 def qubo(clauses):
-    """The QUBO of ``clauses``, tuples of literal codes (``2 * r`` for rank
-    ``r``, ``2 * r + 1`` for its negation): (num_vars, linear, quadratic,
-    offset, ranks), the fields of ``isingsat.qubo.QuboModel``.
+    """The QUBO of ``clauses``, a table of literal codes (``2 * r`` for
+    rank ``r``, ``2 * r + 1`` for its negation): (num_vars, linear, pairs,
+    quadratic, offset, ranks), the fields of ``isingsat.qubo.QuboModel``.
 
-    Every code is checked first, in clause order: one that is not an int is
-    a TypeError, and one that is negative or beyond a C ``int`` a
-    ValueError.  Then a clause wider than 3 is a ValueError.  The distinct
-    ranks, ascending, take QUBO indices 0 .. len(ranks) - 1, and ``ranks``
-    lists them; ``linear`` and ``quadratic`` hold their keys in the order
-    the clauses first touch them.
+    A negative code is an IndexError, then a clause wider than 3 a
+    ValueError.  The distinct ranks, ascending, take QUBO indices 0 ..
+    len(ranks) - 1, and ``ranks`` lists them; ``pairs`` lists the pair
+    terms in the order the clauses first touch them.
     """
-    for clause in clauses:
-        for code in clause:
-            if not isinstance(code, int):
-                raise TypeError(f"literal code {code!r} is not an int")
-            if not 0 <= code <= _INT_MAX:
-                raise ValueError(f"literal code {code!r} is negative or beyond a C int")
-    ranks = sorted({code >> 1 for code in chain.from_iterable(clauses)})
+    rows = [row(clauses, c) for c in range(_rows(clauses))]
+    lits = list(chain.from_iterable(rows))
+    if lits and min(lits) < 0:
+        raise IndexError("an item is outside the index")
+    widest = max(map(len, rows), default=0)
+    if widest > 3:
+        raise ValueError(f"clause width {widest} exceeds 3; reduce the formula first")
+    ranks = sorted({code >> 1 for code in lits})
     slot_of = {r: i for i, r in enumerate(ranks)}
-    linear: dict[int, float] = {}
-    quadratic: dict[tuple[int, int], float] = {}
-    lin_get, quad_get = linear.get, quadratic.get
-    offset = 0  # a sum of small integers, exact as an int
     next_ancilla = len(ranks)
-    for clause in clauses:
-        width = len(clause)
-        if width == 3:
-            a, b, c = clause
-            constant, lin, quad = _TERMS[not a & 1, not b & 1, not c & 1]
-            slots = slot_of[a >> 1], slot_of[b >> 1], slot_of[c >> 1], next_ancilla
-            next_ancilla += 1
-        elif width == 2:
-            a, b = clause
-            constant, lin, quad = _TERMS[not a & 1, not b & 1]
-            slots = slot_of[a >> 1], slot_of[b >> 1]
-        elif width == 1:  # the 1-literal rows of _GADGETS: 1 - x, or x if negated
-            a, = clause
-            i = slot_of[a >> 1]
-            if a & 1:
-                linear[i] = lin_get(i, 0.0) + 1
-            else:
-                offset += 1
-                linear[i] = lin_get(i, 0.0) - 1
-            continue
-        elif width == 0:
+    num_vars = next_ancilla + sum(len(clause) == 3 for clause in rows)
+    linear = array("d", [0.0]) * num_vars
+    pairs, quadratic = array("i"), array("d")
+    pair_at: dict[int, int] = {}  # i * num_vars + k -> the pair's position
+    offset = 0  # a sum of small integers, exact as an int
+    for clause in rows:
+        if not clause:
             offset += 1
             continue
-        else:
-            raise ValueError(f"clause width {max(map(len, clauses))} exceeds 3; "
-                             "reduce the formula first")
+        constant, lin, quad = _TERMS[tuple(not code & 1 for code in clause)]
+        slots = [slot_of[code >> 1] for code in clause]
+        if len(clause) == 3:
+            slots.append(next_ancilla)
+            next_ancilla += 1
         offset += constant
         for s, coeff in lin:
-            i = slots[s]
-            linear[i] = lin_get(i, 0.0) + coeff
+            linear[slots[s]] += coeff
         for s, t, coeff in quad:
-            i, j = slots[s], slots[t]
-            if i == j:  # a repeated variable folds in as x*x = x
-                linear[i] = lin_get(i, 0.0) + coeff
-            else:
-                key = (i, j) if i < j else (j, i)
-                quadratic[key] = quad_get(key, 0.0) + coeff
-    # the ranks' spins + ancillas
-    return next_ancilla, linear, quadratic, float(offset), ranks
+            i, k = sorted((slots[s], slots[t]))
+            if i == k:  # a repeated variable folds in as x*x = x
+                linear[i] += coeff
+                continue
+            at = pair_at.setdefault(i * num_vars + k, len(quadratic))
+            if at == len(quadratic):
+                pairs.extend((i, k))
+                quadratic.append(0.0)
+            quadratic[at] += coeff
+    return num_vars, linear, pairs, quadratic, float(offset), ranks
 
 
-def ising(num_vars, linear, quadratic, offset):
+def ising(num_vars, linear, pairs, quadratic, offset):
     """The exact change of variables x_i = (1 + s_i)/2 of a QUBO's fields:
-    (num_spins, j, h, offset), the fields of ``isingsat.qubo.IsingModel``.
+    (num_spins, pairs, j, h, offset), the fields of
+    ``isingsat.qubo.IsingModel``, ``pairs`` the array given.
 
-    ``j`` holds ``quadratic``'s key tuples, in its order.  A negative
-    ``num_vars`` is a ValueError.
+    A negative ``num_vars``, a coefficient per index missing or to spare,
+    or ``pairs`` without two indices per coefficient is a ValueError, and a
+    pair index outside the model an IndexError.
     """
+    offset = float(offset)
     if num_vars < 0:
         raise ValueError("num_vars must be non-negative")
-    j = {}
-    h = [0.0] * num_vars
-    for i, a in linear.items():
-        h[i] += a / 2.0
-        offset += a / 2.0
-    for key, b in quadratic.items():
-        i, k = key
-        j[key] = quarter = b / 4.0
+    if len(linear) != num_vars:
+        raise ValueError("linear must hold one coefficient per QUBO index")
+    if len(pairs) != 2 * len(quadratic):
+        raise ValueError("pairs must hold two QUBO indices per quadratic coefficient")
+    if pairs and not 0 <= min(pairs) <= max(pairs) < num_vars:
+        raise IndexError("a pair index is outside the model")
+    h = [a / 2.0 for a in linear]
+    for half in h:  # in index order; sum() compensates from Python 3.12 on
+        offset += half
+    j = array("d", [b / 4.0 for b in quadratic])
+    for i, k, quarter in zip(pairs[::2], pairs[1::2], j):
         h[i] += quarter
         h[k] += quarter
         offset += quarter
-    return num_vars, j, h, offset
+    return num_vars, pairs, j, h, offset
 
 
 def _round_away(v: float) -> int:
@@ -573,11 +571,12 @@ def scale(j, h, offset):
     Otherwise every coefficient (and the offset) is scaled so the largest
     magnitude lands on ``COEFF_MAX``, then J/h are rounded to integers (ties
     away from zero) and clamped, each rule once per distinct value.  Returns
-    (j, h, offset, max_rel_error): ``j`` holds ``j``'s key objects in its
-    order.  A coefficient that is not finite is a ValueError, and so are
-    coefficients too small for the scale to be finite.
+    (j, h, offset, max_rel_error), ``j`` an ``array('d')``.  A coefficient
+    that is not finite is a ValueError, and so are coefficients too small
+    for the scale to be finite.
     """
-    values = {*j.values(), *h}
+    offset = float(offset)
+    values = {*j, *h}
     if not any(map(chip_misfit, values)):
         return None
     if not all(map(math.isfinite, values)):
@@ -590,5 +589,5 @@ def scale(j, h, offset):
            for v in values}
     max_rel = max((abs(fit[v] - v * scale) / abs(v * scale)
                    for v in values if v * scale != 0.0), default=0.0)
-    return ({pair: fit[v] for pair, v in j.items()}, list(map(fit.__getitem__, h)),
+    return (array("d", map(fit.__getitem__, j)), list(map(fit.__getitem__, h)),
             offset * scale, max_rel)

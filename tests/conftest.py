@@ -2,15 +2,18 @@
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import bisect_left
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from isingsat import decompose, preprocess
 from isingsat.circuit import generate_instance, semiprime_catalog
 from isingsat.cnf import Cnf, brute_force_solutions, evaluate, make_cnf
 from isingsat.preprocess import MAX_LEVEL, known_values, reconstruct
+from isingsat.qubo import IsingModel
+from isingsat.solver._kernels_py import table_of
 
 # Every run draws the same examples and keeps no example database, so a
 # checkout's results do not depend on what earlier runs found.
@@ -52,14 +55,55 @@ def rank(nodes, v):
 
 
 def codes(clauses, nodes=None):
-    """``clauses`` of DIMACS literals as the slice kernels' literal codes:
-    ``2 * r`` for the variable of rank ``r`` in the ascending ``nodes``,
-    ``2 * r + 1`` for its negation.  Without ``nodes`` variable ``v`` has
-    rank ``v``, so a model's ``ranks`` are the variables themselves."""
+    """``clauses`` of DIMACS literals as the slice kernels' table of literal
+    codes (``table_of``): ``2 * r`` for the variable of rank ``r`` in the
+    ascending ``nodes``, ``2 * r + 1`` for its negation.  Without ``nodes``
+    variable ``v`` has rank ``v``, so a model's ``ranks`` are the variables
+    themselves."""
     def code(lit):
         r = abs(lit) if nodes is None else rank(nodes, abs(lit))
         return 2 * r + (lit < 0)
-    return [tuple(map(code, clause)) for clause in clauses]
+    return table_of([list(map(code, clause)) for clause in clauses])
+
+
+def ising_model(n, couplings, h, offset):
+    """The ``IsingModel`` of ``n`` spins with ``couplings``, a dict of J
+    keyed by index pairs ``(i, k)``, ``i < k``, in its order."""
+    pairs = array("i", [i for pair in couplings for i in pair])
+    return IsingModel(n, pairs, array("d", couplings.values()), h, offset)
+
+
+def pair_terms(pairs, values):
+    """A model's pair array and its coefficients as a dict keyed ``(i, k)``,
+    in pair order."""
+    return dict(zip(zip(pairs[::2], pairs[1::2]), values))
+
+
+def resized(draw, buffer):
+    """A copy of ``buffer`` an item short or long."""
+    out = buffer[:]
+    if draw(st.booleans()):
+        del out[-1:]
+    else:
+        out.append(0)
+    return out
+
+
+def mutated_table(draw, table, bound):
+    """A copy of the flat table ``table``, whose items lie below ``bound``,
+    with an offset or an item set to any value, often one just inside or
+    outside a bound, or cut short."""
+    out = array("i", table)
+    fault = draw(st.sampled_from(("offset", "item", "short")))
+    if fault == "short" and out:
+        del out[draw(st.integers(0, len(out) - 1)):]
+    elif out:
+        header = min(max(out[0], 1), len(out))
+        at = (draw(st.integers(0, header - 1)) if fault == "offset" or header == len(out)
+              else draw(st.integers(header, len(out) - 1)))
+        edges = (-1, bound - 1, bound, len(out), len(out) + 1, -(2**31), 2**31 - 1)
+        out[at] = draw(st.one_of(st.sampled_from(edges), st.integers(-2, len(out) + 2)))
+    return out
 
 
 def mixed_random_cnf(num_vars: int, num_clauses: int, rng: random.Random) -> Cnf:

@@ -33,9 +33,9 @@ from isingsat.decompose import (
 from isingsat.preprocess import ConditionRecord, run_ladder
 from isingsat.qubo import cnf_to_qubo
 from isingsat.solver import _kernels_py, kernels
-from isingsat.solver._kernels_py import row
+from isingsat.solver._kernels_py import row, table_of
 
-from conftest import codes, mixed_random_cnf, random_3sat, rank
+from conftest import codes, mixed_random_cnf, mutated_table, random_3sat, rank, resized
 
 
 def _gs(cnf, assignment):
@@ -557,7 +557,8 @@ def test_slices_count_emptied_clauses_instead_of_listing_them(monkeypatch):
                         lambda clauses: built.append(clauses) or cnf_to_qubo(clauses))
     iterate(cnf, (), cnf, **ONE_READ, budget=20, cap=5, seed=1,
             collect_trace=False)
-    assert len(built) == 5 and all(map(all, built))  # no () reaches the build
+    # no empty row reaches the build
+    assert len(built) == 5 and all(row(t, c) for t in built for c in range(t[0] - 1))
 
 
 def test_freeze_counts_ancillas_in_spin_cost():
@@ -812,17 +813,17 @@ def _tally_cases(draw):
     elif fault == "code":
         bad = draw(st.sampled_from((-1, 2 * n, 2 * n + 1, -(2**31))))
         rows.insert(draw(st.integers(0, len(rows))), [0, bad][-draw(st.integers(1, 2)):])
-    return decompose._table(rows), values
+    return table_of(rows), values
 
 
 @needs_compiled
 @given(_tally_cases())
-@example((decompose._table([[0, 0, 2], [0, 1, 3], [], [1], [2, 3]]), bytearray([0, 1])))
-@example((decompose._table([]), bytearray()))
+@example((table_of([[0, 0, 2], [0, 1, 3], [], [1], [2, 3]]), bytearray([0, 1])))
+@example((table_of([]), bytearray()))
 @example((array("i"), bytearray([1])))  # an empty table has no rows
-@example((decompose._table([[0, 5]]), bytearray([1, 0])))  # rank 2 of 2
-@example((decompose._table([[0, -1]]), bytearray([1, 0])))  # a negative code
-@example((decompose._table([[0, 3]]), bytearray([1, 2])))  # a byte of 2
+@example((table_of([[0, 5]]), bytearray([1, 0])))  # rank 2 of 2
+@example((table_of([[0, -1]]), bytearray([1, 0])))  # a negative code
+@example((table_of([[0, 3]]), bytearray([1, 2])))  # a byte of 2
 @settings(max_examples=300, deadline=None)
 def test_compiled_tally_matches_the_pure_tally(case):
     """The same counts, of the same types, or the same exception."""
@@ -840,33 +841,6 @@ def test_compiled_tally_matches_the_pure_tally(case):
 _TABLE_REFUSALS = {(IndexError, "a row is outside the index"),
                    (IndexError, "an item is outside the index"),
                    (ValueError, "an occurrence list is not ascending")}
-
-
-def _resized(draw, buffer):
-    """A copy of ``buffer`` an item short or long."""
-    out = buffer[:]
-    if draw(st.booleans()):
-        del out[-1:]
-    else:
-        out.append(0)
-    return out
-
-
-def _mutated(draw, table, bound):
-    """A copy of the flat table ``table``, whose items lie below ``bound``,
-    with an offset or an item set to any value, often one just inside or
-    outside a bound, or cut short."""
-    out = array("i", table)
-    fault = draw(st.sampled_from(("offset", "item", "short")))
-    if fault == "short" and out:
-        del out[draw(st.integers(0, len(out) - 1)):]
-    elif out:
-        header = min(max(out[0], 1), len(out))
-        at = (draw(st.integers(0, header - 1)) if fault == "offset" or header == len(out)
-              else draw(st.integers(header, len(out) - 1)))
-        edges = (-1, bound - 1, bound, len(out), len(out) + 1, -(2**31), 2**31 - 1)
-        out[at] = draw(st.one_of(st.sampled_from(edges), st.integers(-2, len(out) + 2)))
-    return out
 
 
 @st.composite
@@ -894,12 +868,12 @@ def _malformed_calls(draw, kernel):
     if fault == "table":
         which = draw(st.integers(0, len(tables) - 1))
         table, bound = tables[which]
-        tables[which] = _mutated(draw, table, bound), bound
+        tables[which] = mutated_table(draw, table, bound), bound
     tables = [table for table, _ in tables]
     buffers = {name: buffer[:] for name, buffer in buffers.items()}
     if fault == "buffer":
         name = draw(st.sampled_from(sorted(buffers)))
-        buffers[name] = _resized(draw, buffers[name])
+        buffers[name] = resized(draw, buffers[name])
     if draw(st.booleans()):
         # a bytearray's allocation holds a NUL past its end, so a sanitizer
         # misses a read one byte past it; an array('B') has none

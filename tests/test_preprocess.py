@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from isingsat import preprocess
 from isingsat.cnf import Cnf, brute_force_solutions, evaluate, make_cnf
 from isingsat.circuit import (IMPLICATION_FORM, ROW_ENCODING, gate_clauses,
-                              generate_instance)
+                              generate_instance, semiprime_catalog)
 from isingsat.harness import generate_backbone_instance
 from isingsat.preprocess import (
     _DETECT_ORDER,
@@ -37,8 +37,9 @@ from isingsat.preprocess import (
     subsume_clauses,
 )
 
-from conftest import (check_reconstruction, empty_formula_memos, fixed, pure,
-                      random_3sat, substituted)
+from conftest import (check_reconstruction, empty_formula_memos, fixed,
+                      mixed_random_cnf, pure, random_3sat, substituted)
+from dpll import dpll
 
 
 def _state(cnf: Cnf, guess: bool = False) -> PrepState:
@@ -594,6 +595,54 @@ def test_semiprime_ladder_full_reduction_and_reconstruction(catalog45):
         a = sum((1 << i) for i, v in enumerate(nl.input_bits_a) if full[v])
         b = sum((1 << i) for i, v in enumerate(nl.input_bits_b) if full[v])
         assert a * b == semiprime
+
+
+def test_dpll_decides_small_random_cnfs_as_brute_force_does():
+    """The DPLL oracle finds a model exactly when the exhaustive one does,
+    and each model it finds satisfies the formula; conflicting units and
+    empty clauses included."""
+    rng = random.Random(24)
+    decided = []
+    for i in range(300):
+        n = rng.randint(1, 8)
+        cnf = mixed_random_cnf(n, rng.randint(0, 5 * n), rng)
+        if i % 10 == 0:
+            cnf = make_cnf(n, cnf.clauses + rng.choice((((1,), (-1,)), ((),))))
+        model = dpll(cnf.clauses)
+        assert (model is not None) == bool(brute_force_solutions(cnf)), i
+        if model is not None:
+            assert evaluate(cnf, {v: model.get(v, False) for v in range(1, n + 1)}), i
+        decided.append(model is not None)
+    assert 50 <= sum(decided) <= 250  # both answers, often
+
+
+# The level-7 outcomes of the 8-11-bit catalog semiprimes, both guesses,
+# whose residual has no model, per width.  A change to a pass that changes
+# these counts names the change.
+DEAD_LEVEL7_OUTCOMES = {8: 1, 9: 5, 10: 5, 11: 21}
+
+
+def test_level7_outcomes_at_the_paper_sizes_lift_to_models_or_are_dead():
+    """At the paper's sizes (94-190 variables) only a DPLL decides the
+    residuals: each live one's model lifts through ``reconstruct`` to a
+    model of the input, one guess of every instance stays live, and the
+    dead outcomes are exactly the pinned ones."""
+    dead = dict.fromkeys(DEAD_LEVEL7_OUTCOMES, 0)
+    for bits in DEAD_LEVEL7_OUTCOMES:
+        for semiprime in semiprime_catalog(bits):
+            cnf, _netlist = generate_instance(bits, semiprime)
+            live = 0
+            for guess in (False, True):
+                res = preprocess._ladder(cnf, MAX_LEVEL, guess)
+                model = dpll(res.cnf.clauses)
+                if model is None:
+                    dead[bits] += 1
+                    continue
+                live += 1
+                full = reconstruct(res.condition, model, range(1, cnf.num_vars + 1))
+                assert evaluate(cnf, full), (bits, semiprime, guess)
+            assert live, (bits, semiprime)
+    assert dead == DEAD_LEVEL7_OUTCOMES
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from array import array
+from functools import partial
 
 import numpy as np
 import pytest
@@ -29,9 +31,9 @@ from isingsat.qubo import (
     scale_to_chip,
 )
 from isingsat.solver import _kernels_py, kernels
-from isingsat.solver._kernels_py import _GADGETS
+from isingsat.solver._kernels_py import _GADGETS, table_of
 
-from conftest import codes, mixed_random_cnf
+from conftest import codes, ising_model, mixed_random_cnf, mutated_table, pair_terms, resized
 
 
 def _gadget_min(clause, x_vars):
@@ -64,14 +66,16 @@ def test_gadget_penalty_indicator(width):
 
 def test_gadget_width3_integer_coefficients():
     q = cnf_to_qubo(codes([(1, 2, 3)]))  # ancilla at index 3
-    assert q.linear == {0: 1.0, 1: 1.0, 2: -1.0}
-    assert q.quadratic == {(0, 1): 1.0, (0, 3): -2.0, (1, 3): -2.0, (2, 3): 1.0}
+    assert q.linear == array("d", [1.0, 1.0, -1.0, 0.0])
+    assert q.pairs == array("i", [0, 1, 0, 3, 1, 3, 2, 3])  # in the gadget's order
+    assert q.quadratic == array("d", [1.0, -2.0, -2.0, 1.0])
     assert q.offset == 1.0
 
 
 def test_gadget_rejects_bad_widths():
-    q = cnf_to_qubo([()])  # no gadget, only its constant penalty
-    assert (q.num_vars, q.linear, q.quadratic, q.offset) == (0, {}, {}, 1.0)
+    q = cnf_to_qubo(codes([()]))  # no gadget, only its constant penalty
+    assert (q.num_vars, q.linear, q.pairs, q.quadratic, q.offset) == (
+        0, array("d"), array("i"), array("d"), 1.0)
     with pytest.raises(ValueError):
         cnf_to_qubo(codes([(1, 2, 3, 4)]))
     with pytest.raises(ValueError, match="clause width 5 exceeds 3"):
@@ -127,10 +131,10 @@ def test_cnf_to_qubo_matches_the_gadget_table_term_by_term(clauses):
     q = cnf_to_qubo(codes(clauses))
     num_vars, linear, quadratic, offset, occurring = _expand_gadgets(clauses)
     assert (q.num_vars, q.offset, q.ranks) == (num_vars, offset, occurring)
-    assert q.linear.keys() == linear.keys() and q.quadratic.keys() == quadratic.keys()
-    assert q.linear == linear and q.quadratic == quadratic
-    values = [q.offset, *q.linear.values(), *q.quadratic.values()]
-    assert all(type(v) is float for v in values)
+    assert list(q.linear) == [linear.get(i, 0) for i in range(num_vars)]
+    # the pairs in the order the clauses first touch them
+    assert list(pair_terms(q.pairs, q.quadratic).items()) == list(quadratic.items())
+    assert type(q.offset) is float and q.linear.typecode == q.quadratic.typecode == "d"
 
 
 def _qubo_min(q: QuboModel):
@@ -149,7 +153,7 @@ def test_qubo_minimum_counts_unsatisfied_clauses():
              for cnf, extra in zip(cnfs, _REPEATED_VAR_CLAUSES)]
     for cnf in cnfs:
         q = cnf_to_qubo(codes(cnf.clauses))
-        assert all(0 <= i < j < q.num_vars for i, j in q.quadratic)
+        assert all(0 <= i < j < q.num_vars for i, j in pair_terms(q.pairs, q.quadratic))
         # brute-force MaxSAT optimum over the occurring variables
         occ = cnf.occurring_vars()
         best_unsat = min(
@@ -180,7 +184,8 @@ def test_qubo_rejects_wide_clauses():
 
 def test_qubo_imports_first_in_a_fresh_interpreter():
     # qubo calls the solver package's kernels, and that package imports qubo
-    code = "import isingsat.qubo as q; print(q.cnf_to_qubo([(2, 5)]).num_vars)"
+    code = ("import array, isingsat.qubo as q; "
+            "print(q.cnf_to_qubo(array.array('i', [2, 4, 2, 5])).num_vars)")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(isingsat.__file__))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
@@ -188,15 +193,13 @@ def test_qubo_imports_first_in_a_fresh_interpreter():
 
 
 def test_qubo_rejects_bad_literals():
-    """A code is an int in 0 .. 2**31 - 1, what a C int holds; the first
-    bad one in clause order is named."""
-    for bad in (-1, 2**31):
-        with pytest.raises(ValueError, match=f"literal code {bad} is negative or beyond a C int"):
-            cnf_to_qubo([(0, 1), (2, bad)])
-    with pytest.raises(TypeError, match=r"literal code 1\.5 is not an int"):
-        cnf_to_qubo([(1, 1.5)])
-    with pytest.raises(TypeError, match="literal code '2' is not an int"):
-        cnf_to_qubo([(1, 2, 3, 4), (1, "2"), (-1,)])  # before the width
+    """A code is a C int of at least 0; a negative one is refused before a
+    clause's width is."""
+    for bad in (-1, -(2**31)):
+        with pytest.raises(IndexError, match="an item is outside the index"):
+            cnf_to_qubo(table_of([[0, 1], [2, bad]]))
+        with pytest.raises(IndexError, match="an item is outside the index"):
+            cnf_to_qubo(table_of([[1, 2, 3, 4], [1, bad]]))
 
 
 def test_ising_matches_qubo_assignmentwise():
@@ -207,30 +210,30 @@ def test_ising_matches_qubo_assignmentwise():
         m = qubo_to_ising(q)
         n = m.num_spins
         assert n == q.num_vars and len(m.h) == n
-        assert m.j.keys() == q.quadratic.keys()  # pairs (i, k), i < k
+        assert m.pairs is q.pairs and len(m.j) == len(q.quadratic)
         for bits in itertools.product((0, 1), repeat=q.num_vars):
             spins = tuple(2 * b - 1 for b in bits)
             assert m.energy(spins) == pytest.approx(q.energy(bits))
 
 
 def test_scale_passthrough_for_integral_models():
-    m = IsingModel(2, {(0, 1): 3.0}, [-2.0, 0.0], 1.5)
+    m = ising_model(2, {(0, 1): 3.0}, [-2.0, 0.0], 1.5)
     scaled, rep = scale_to_chip(m)
     assert scaled is m
     assert rep.max_rel_error == 0.0
 
 
 def test_scale_maps_largest_to_coeff_max():
-    m = IsingModel(2, {(0, 1): 28.0}, [7.0, -3.5], 0.0)
+    m = ising_model(2, {(0, 1): 28.0}, [7.0, -3.5], 0.0)
     scaled, rep = scale_to_chip(m)
-    assert scaled.j == {(0, 1): 14.0}
+    assert scaled.pairs is m.pairs and scaled.j == array("d", [14.0])
     assert scaled.h == [4.0, -2.0]
     assert rep.max_rel_error == pytest.approx(abs(4.0 - 3.5) / 3.5)
 
 
 def test_scale_preserves_ordering_when_exact():
     # coefficients already proportional to integers: ordering survives exactly
-    m = IsingModel(3, {(0, 1): 0.5, (1, 2): -0.25}, [0.25, 0.0, 0.0], 0.0)
+    m = ising_model(3, {(0, 1): 0.5, (1, 2): -0.25}, [0.25, 0.0, 0.0], 0.0)
     scaled, rep = scale_to_chip(m)
     assert rep.max_rel_error == 0.0
     spins_sets = list(itertools.product((-1, 1), repeat=3))
@@ -240,7 +243,7 @@ def test_scale_preserves_ordering_when_exact():
 
 
 def test_scale_budget_guard():
-    m = IsingModel(46, {}, [0.0] * 46, 0.0)
+    m = ising_model(46, {}, [0.0] * 46, 0.0)
     with pytest.raises(ValueError):
         scale_to_chip(m)
 
@@ -286,7 +289,7 @@ def test_slice_models_reach_the_kernels_as_the_dense_build(monkeypatch):
         q = cnf_to_qubo(codes(_slice_clauses(rng)))
         n = q.num_vars
         naive = [0.0] * (n * n)
-        for (i, k), b in q.quadratic.items():
+        for (i, k), b in pair_terms(q.pairs, q.quadratic).items():
             naive[i * n + k] = naive[k * n + i] = b / 4.0
         m = qubo_to_ising(q)
         if n:
@@ -303,7 +306,7 @@ def test_slice_models_reach_the_kernels_as_the_dense_build(monkeypatch):
         ref_rel = max((abs(_round_clamp(v * scale) - v * scale) / abs(v * scale)
                        for v in values if v * scale != 0.0), default=0.0)
         assert report.max_rel_error == ref_rel
-        assert scaled.j.keys() == m.j.keys() and scaled.offset == m.offset * scale
+        assert scaled.pairs is m.pairs and scaled.offset == m.offset * scale
         spins, jd, h = _kernel_inputs(monkeypatch, scaled, "emulator")
         assert (spins, _bits(jd), _bits(h)) == (n, _bits(ref_j), _bits(ref_h))
     assert scaled_models >= 30
@@ -315,6 +318,14 @@ def test_slice_models_reach_the_kernels_as_the_dense_build(monkeypatch):
 needs_compiled = pytest.mark.skipif(not kernels.COMPILED_KERNELS,
                                     reason="compiled kernels unavailable")
 
+# What the compiled model build, Ising form and chip scaling refuse where
+# the oracle reads its input as it stands: a table row they check, and a
+# buffer of another type than C ints or doubles
+_BUILD_REFUSALS = {(IndexError, "a row is outside the index"),
+                   (IndexError, "an item is outside the index"),
+                   (TypeError, "an index table or a count array must be an array('i')"),
+                   (TypeError, "a coefficient array must be an array('d')")}
+
 
 def _outcome(fn, *args):
     """What ``fn(*args)`` returns, or the type and message of what it raises."""
@@ -324,23 +335,28 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
+def _refused(outcome) -> bool:
+    return isinstance(outcome, tuple) and isinstance(outcome[0], type) \
+        and outcome in _BUILD_REFUSALS
+
+
 def _exact(value):
-    """``value`` with every float as its bytes and every dict as its item
-    list, so that == compares float bits, types and key order."""
+    """``value`` with every float and every array as its bytes, so that ==
+    compares float bits, zero signs, types and typecodes."""
     if isinstance(value, float):
         return _bits([value])
-    if isinstance(value, dict):
-        return [(_exact(k), _exact(v)) for k, v in value.items()]
+    if isinstance(value, array):
+        return array, value.typecode, value.tobytes()
     if isinstance(value, (tuple, list)):
         return type(value), [_exact(v) for v in value]
     return type(value), value
 
 
 @st.composite
-def _build_cases(draw):
-    """Clauses of widths 0-3 over six ranks, either sign, as literal codes,
-    the ranks from a base of 0, 300 or 2**30 - 7, so that the codes are
-    cached ints, are not, or reach 2**31 - 1, with ``(v, v, u)``,
+def _build_rows(draw):
+    """Clauses of widths 0-3 over six ranks, either sign, as rows of literal
+    codes, the ranks from a base of 0, 300 or 2**30 - 7, so that the codes
+    are cached ints, are not, or reach 2**31 - 1, with ``(v, v, u)``,
     ``(v, -v, u)`` and empty clauses mixed in."""
     base = draw(st.sampled_from((0, 300, 2**30 - 7)))
     rank = st.integers(1, 6).map(base.__add__)
@@ -353,19 +369,20 @@ def _build_cases(draw):
 
 def _assert_builds_alike(clauses):
     """The compiled and the pure qubo agree on ``clauses``, bit for bit and
-    in key order, and so do the compiled and the pure ising on its model."""
+    in pair order, and so do the compiled and the pure ising on its model,
+    which hands the pair array on."""
     model = _outcome(kernels.qubo, clauses)
     assert _exact(model) == _exact(_outcome(_kernels_py.qubo, clauses)), clauses
     if isinstance(model[0], int):
-        spins = kernels.ising(*model[:4])
-        assert _exact(spins) == _exact(_kernels_py.ising(*model[:4]))
-        assert all(a is b for a, b in zip(spins[1], model[2]))  # j reuses the pair keys
+        spins = kernels.ising(*model[:5])
+        assert _exact(spins) == _exact(_kernels_py.ising(*model[:5]))
+        assert spins[1] is model[2]
 
 
 @needs_compiled
-@given(_build_cases())
+@given(_build_rows().map(table_of))
 @example(codes([(301, 301, 302), (301, -301, 303), (), (-302, 303), (303,), (-301,)]))
-@example([(2**31 - 1, 2**31 - 2, 0), (2**31 - 1,), (1, 2**31 - 4)])
+@example(table_of([(2**31 - 1, 2**31 - 2, 0), (2**31 - 1,), (1, 2**31 - 4)]))
 @settings(max_examples=300, deadline=None)
 def test_compiled_build_matches_the_pure_build(clauses):
     _assert_builds_alike(clauses)
@@ -373,31 +390,40 @@ def test_compiled_build_matches_the_pure_build(clauses):
 
 @st.composite
 def _malformed_builds(draw):
-    """A ``_build_cases`` clause list with one fault: a code that is
-    negative, beyond a C int or not an int, a clause wider than 3 or one
-    that is not a sequence."""
-    clauses = list(draw(_build_cases()))
-    fault = draw(st.sampled_from(("code", "code", "wide", "clause")))
-    at = draw(st.integers(0, len(clauses)))
+    """A ``_build_rows`` clause table with one fault: a negative code, a
+    clause wider than 3, an offset or an item set to any value or the table
+    cut short, or its codes in a buffer of another type."""
+    rows = list(draw(_build_rows()))
+    fault = draw(st.sampled_from(("code", "wide", "table", "table", "type")))
+    at = draw(st.integers(0, len(rows)))
     if fault == "wide":
-        clauses.insert(at, tuple(draw(st.lists(st.integers(0, 12), min_size=4, max_size=5))))
-    elif fault == "clause":
-        clauses.insert(at, 7)
-    else:
-        bad = draw(st.sampled_from((-1, -(2**31), 2**31, 2**63, 2**64, 1.5, "3", None)))
-        clause = list(clauses.pop(at) if at < len(clauses) else ())
-        clause.insert(draw(st.integers(0, len(clause))), bad)
-        clauses.insert(at, tuple(clause))
-    return clauses
+        rows.insert(at, tuple(draw(st.lists(st.integers(0, 12), min_size=4, max_size=5))))
+    elif fault == "code":
+        clause = list(rows.pop(at) if at < len(rows) else ())
+        clause.insert(draw(st.integers(0, len(clause))),
+                      draw(st.sampled_from((-1, -2, -(2**31)))))
+        rows.insert(at, tuple(clause))
+    table = table_of(rows)
+    if fault == "table":
+        return mutated_table(draw, table, 2**31)
+    if fault == "type":
+        return draw(st.sampled_from((list, partial(array, "l"), partial(array, "d"))))(table)
+    return table
 
 
 @needs_compiled
 @given(_malformed_builds())
-@settings(max_examples=60, deadline=None)
+@example(array("i", [2, 9, 0]))  # the row ends past the table
+@example(table_of([[0, -1]]))
+@example([2, 3, 4])  # a list, not an array('i')
+@settings(max_examples=100, deadline=None)
 def test_compiled_build_refuses_malformed_codes_as_the_pure_build(clauses):
-    outcome = _outcome(kernels.qubo, clauses)
-    assert outcome[0] in (TypeError, ValueError), outcome
-    _assert_builds_alike(clauses)
+    """On a bad code, a mutated clause table or another buffer type, the
+    compiled qubo either refuses a row or a type it checks, or returns and
+    raises what the pure qubo does, bit for bit."""
+    if not _refused(_outcome(kernels.qubo, clauses)):
+        _assert_builds_alike(clauses)
+
 
 @needs_compiled
 def test_compiled_build_matches_every_gadget_row():
@@ -411,11 +437,12 @@ def test_compiled_build_matches_every_gadget_row():
 
 @needs_compiled
 def test_compiled_build_refuses_what_the_pure_build_refuses():
-    cases = [[(1, 2, 3, 4)], [(1,), (1, 2, 3, 4), (1, 2, 3, 4, 5), ()], [(0, -1)],
-             [(1, 2**31)], [(2**64, -(2**63))], [(1, 1.5)], [(1, 2, 3, 4), (1, "2"), (-1,)],
-             [(1,), 7], [(True, 2)]]  # a bool is an int
+    cases = [[(2, 4, 6, 8)], [(2,), (2, 4, 6, 8), (2, 4, 6, 8, 10), ()], [(0, -1)],
+             [(2, 4, 6, 8), (2, -(2**31)), (3,)]]  # the code before the width
     for clauses in cases:
-        _assert_builds_alike(clauses)
+        outcome = _outcome(kernels.qubo, table_of(clauses))
+        assert outcome[0] in (IndexError, ValueError), outcome
+        _assert_builds_alike(table_of(clauses))
 
 
 _COEFFICIENTS = st.one_of(st.integers(-20, 20),
@@ -426,23 +453,53 @@ _COEFFICIENTS = st.one_of(st.integers(-20, 20),
 @st.composite
 def _hand_models(draw):
     """A QUBO's fields built by hand: int and non-dyadic float coefficients
-    and offsets, in any key order."""
+    and offsets, pairs in any order, with one fault or none: an odd-length
+    pair array, a pair index outside the model, ``linear`` or
+    ``quadratic`` a value short or long, or an array of another type."""
     n = draw(st.integers(0, 6))
-    linear = draw(st.dictionaries(st.integers(0, n - 1), _COEFFICIENTS)) if n else {}
-    pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
-    quadratic = draw(st.dictionaries(st.sampled_from(pairs), _COEFFICIENTS)) if pairs else {}
-    return n, linear, quadratic, draw(_COEFFICIENTS)
+    linear = array("d", draw(st.lists(_COEFFICIENTS, min_size=n, max_size=n)))
+    every = [(i, k) for i in range(n) for k in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(every), unique=True)) if every else []
+    pairs = array("i", [i for pair in chosen for i in pair])
+    quadratic = array("d", draw(st.lists(_COEFFICIENTS, min_size=len(chosen),
+                                         max_size=len(chosen))))
+    fields = {"linear": linear, "pairs": pairs, "quadratic": quadratic}
+    fault = draw(st.sampled_from((None, None, "odd", "index", "resized", "type")))
+    if fault == "odd":
+        pairs.append(draw(st.integers(0, max(n - 1, 0))))
+    elif fault == "index" and pairs:
+        pairs[draw(st.integers(0, len(pairs) - 1))] = draw(
+            st.sampled_from((-1, n, n + 1, 2**31 - 1, -(2**31))))
+    elif fault == "resized":
+        name = draw(st.sampled_from(("linear", "quadratic")))
+        fields[name] = resized(draw, fields[name])
+    elif fault == "type":
+        name = draw(st.sampled_from(sorted(fields)))
+        other = partial(array, "l" if name == "pairs" else "f")
+        fields[name] = draw(st.sampled_from((list, other)))(fields[name])
+    return n, fields["linear"], fields["pairs"], fields["quadratic"], draw(_COEFFICIENTS)
 
 
 @needs_compiled
 @given(_hand_models())
-@example((2, {}, {}, 3))  # no term: the offset is returned as given
-@example((3, {2: 0.1, 0: 1 / 3}, {(1, 2): 0.1, (0, 1): -0.0}, 0.2))
+@example((0, array("d"), array("i"), array("d"), 3))  # the offset as a float
+@example((3, array("d", [1 / 3, 0.0, 0.1]), array("i", [1, 2, 0, 1]),
+          array("d", [0.1, -0.0]), 0.2))
+@example((2, array("d", [1.0, 0.0]), array("i", [0, 1, 1]), array("d", [1.0]), 0.0))
+@example((2, array("d", [1.0, 0.0]), array("i", [0, 2]), array("d", [1.0]), 0.0))
+@example((2, array("d", [1.0]), array("i", [0, 1]), array("d", [1.0]), 0.0))
+@example((2, array("d", [1.0, 0.0]), [0, 1], array("d", [1.0]), 0.0))
 @settings(max_examples=300, deadline=None)
 def test_compiled_ising_matches_the_pure_ising_bit_for_bit(fields):
-    spins = kernels.ising(*fields)
-    assert _exact(spins) == _exact(_kernels_py.ising(*fields))
-    assert all(a is b for a, b in zip(spins[1], fields[2]))
+    """On any QUBO's fields, hand-built or malformed, the compiled ising
+    either refuses another buffer type or returns and raises what the pure
+    one does, bit for bit, handing on the pair array it was given."""
+    spins = _outcome(kernels.ising, *fields)
+    if _refused(spins):
+        return
+    assert _exact(spins) == _exact(_outcome(_kernels_py.ising, *fields))
+    if not isinstance(spins[0], type):
+        assert spins[1] is fields[2]
 
 
 def _chain(n, base):
@@ -453,28 +510,38 @@ def _chain(n, base):
 
 @needs_compiled
 def test_compiled_build_allocates_by_the_clause_list():
-    """What the compiled build allocates beyond the model it returns grows
-    with the clause list, not with the variable numbers or with
-    (variables + ancillas)**2, which is 40x the clause count here."""
-    def scratch(clauses):
+    """What the compiled build, its Ising form and its chip scaling allocate
+    beyond what they return grows with the clause list and the pair terms,
+    not with the variable numbers or with (variables + ancillas)**2, which
+    is 40x the clause count here: no model step costs n**2."""
+    def scratch(fn, *args):
         tracemalloc.start()
         try:
             for _ in range(2):  # the second pass finds every cache warm
                 tracemalloc.reset_peak()
-                model = kernels.qubo(clauses)
+                out = fn(*args)
                 kept, peak = tracemalloc.get_traced_memory()
-                del model
+                del out
         finally:
             tracemalloc.stop()
         return peak - kept
 
-    small, large = scratch(_chain(100, 0)), scratch(_chain(1000, 0))
-    high = scratch(_chain(100, 10**6))
-    assert large <= 12 * small and high <= 1.1 * small, (small, large, high)
+    def steps(clauses):
+        """The scratch of each model step on ``clauses``; a step that
+        returns its input unchanged would measure nothing."""
+        q = kernels.qubo(clauses)
+        m = kernels.ising(*q[:5])
+        assert kernels.scale(*m[2:]) is not None  # quarter-integers scale
+        return scratch(kernels.qubo, clauses), scratch(kernels.ising, *q[:5]), \
+            scratch(kernels.scale, *m[2:])
+
+    small, large, high = steps(_chain(100, 0)), steps(_chain(1000, 0)), steps(_chain(100, 10**6))
+    assert all(big <= 12 * little for little, big in zip(small, large)), (small, large)
+    assert high[0] <= 1.1 * small[0], (small, high)
 
 
 # The compiled chip scaling against the pure one: float bits, zero signs,
-# key objects and their order, and exceptions.
+# types and exceptions.
 _SCALE_COEFFICIENTS = st.one_of(
     st.integers(-80, 80).map(lambda q: q / 4),  # quarter-integers
     st.integers(-20, 20).map(float),  # integral, some outside the chip's range
@@ -487,34 +554,41 @@ _SCALE_COEFFICIENTS = st.one_of(
 
 @st.composite
 def _scale_cases(draw):
-    """An Ising model's fields: n of 0, 1, 45 or 46 spins or a few, pairs
-    in any order, and an offset."""
+    """An Ising model's couplings, fields and offset: n of 0, 1, 45 or 46
+    spins or a few, up to 40 couplings, with one fault or none: the
+    couplings or the fields a value short or long, or the couplings in
+    another type than an array('d')."""
     n = draw(st.sampled_from((0, 1, 2, 3, 6, 45, 46)))
     h = draw(st.lists(_SCALE_COEFFICIENTS, min_size=n, max_size=n))
-    pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
-    keys = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=40)) if pairs else []
-    j = {key: draw(_SCALE_COEFFICIENTS) for key in keys}
+    count = draw(st.integers(0, min(40, n * (n - 1) // 2)))
+    j = array("d", draw(st.lists(_SCALE_COEFFICIENTS, min_size=count, max_size=count)))
+    fault = draw(st.sampled_from((None, None, None, "resized", "type")))
+    if fault == "resized":
+        j, h = (resized(draw, j), h) if draw(st.booleans()) else (j, resized(draw, h))
+    elif fault == "type":
+        j = draw(st.sampled_from((list, partial(array, "f"))))(j)
     return j, h, draw(_SCALE_COEFFICIENTS)
 
 
 @needs_compiled
 @given(_scale_cases())
-@example(({(0, 1): 28.0}, [7.0, -3.5], 1.0))
-@example(({(0, 1): 3.0}, [-2.0, 0.0], 1.5))  # every coefficient fits: None
-@example(({(0, 1): -0.3}, [28.0, -0.0], -0.0))  # ceil(-0.8) is -0.0 in C
-@example(({(0, 1): 5e-324}, [1e-320, 0.0], 0.0))  # no finite scale
-@example(({(0, 1): math.nan}, [0.5], 0.0))
-@example(({}, [math.inf, 0.5], 0.0))
-@example(({}, [], 0.0))
+@example((array("d", [28.0]), [7.0, -3.5], 1.0))
+@example((array("d", [3.0]), [-2.0, 0.0], 1.5))  # every coefficient fits: None
+@example((array("d", [-0.3]), [28.0, -0.0], -0.0))  # ceil(-0.8) is -0.0 in C
+@example((array("d", [5e-324]), [1e-320, 0.0], 0.0))  # no finite scale
+@example((array("d", [math.nan]), [0.5], 0.0))
+@example((array("d"), [math.inf, 0.5], 0.0))
+@example((array("d"), [], 0.0))
+@example(([28.0], [7.0], 0.0))  # a list, not an array('d')
 @settings(max_examples=200, deadline=None)
 def test_compiled_scale_matches_the_pure_scale_bit_for_bit(case):
     j, h, offset = case
     compiled = _outcome(kernels.scale, j, h, offset)
+    if _refused(compiled):
+        return
     assert _exact(compiled) == _exact(_outcome(_kernels_py.scale, j, h, offset))
     if compiled is not None and not isinstance(compiled[0], type):
-        assert all(a is b for a, b in zip(compiled[0], j))  # j's key objects, in order
-        assert all(v in range(COEFF_MIN, COEFF_MAX + 1) for v in (*compiled[0].values(),
-                                                                  *compiled[1]))
+        assert all(v in range(COEFF_MIN, COEFF_MAX + 1) for v in (*compiled[0], *compiled[1]))
 
 
 def test_every_scale_holds_qubo_chip_range():
@@ -522,17 +596,17 @@ def test_every_scale_holds_qubo_chip_range():
     each bound fits and the integer beyond it does not, and the largest
     magnitude lands on ``COEFF_MAX``."""
     for scale in (kernels.scale, _kernels_py.scale):
-        assert scale({}, [float(COEFF_MIN), float(COEFF_MAX)], 0.0) is None
+        assert scale(array("d"), [float(COEFF_MIN), float(COEFF_MAX)], 0.0) is None
         for v in (COEFF_MIN - 1, COEFF_MAX + 1):
-            _, h, _, _ = scale({(0, 1): 1.0}, [float(v), 0.0], 0.0)
+            _, h, _, _ = scale(array("d", [1.0]), [float(v), 0.0], 0.0)
             assert h[0] == math.copysign(COEFF_MAX, v), scale
 
 
-def _energies(states, j, h):
+def _energies(states, pairs, j, h):
     """Each state's energy without the offset; exact on the quarter-integer
     and integer models compared here."""
     upper = np.zeros((states.shape[1],) * 2)
-    for (i, k), b in j.items():
+    for (i, k), b in pair_terms(pairs, j).items():
         upper[i, k] = b
     return states @ np.asarray(h, dtype=float) + ((states @ upper) * states).sum(axis=1)
 
@@ -568,7 +642,8 @@ def test_chip_scaling_keeps_every_ground_state_of_small_slices(monkeypatch):
                 states = states_of[n]
                 scaled = kernels.scale(model.j, model.h, model.offset)
                 j, h = (model.j, model.h) if scaled is None else scaled[:2]
-                exact, chip = _energies(states, model.j, model.h), _energies(states, j, h)
+                exact = _energies(states, model.pairs, model.j, model.h)
+                chip = _energies(states, model.pairs, j, h)
                 others = chip[exact != exact.min()]
                 if others.size:
                     gap = min(gap, others.min() - chip.min())

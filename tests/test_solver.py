@@ -31,7 +31,7 @@ from isingsat.solver._kernels_py import anneal as py_anneal
 from isingsat.solver._kernels_py import mix_seed as py_mix_seed
 from isingsat.solver._kernels_py import tabu as py_tabu
 
-from conftest import codes, random_3sat
+from conftest import codes, ising_model, pair_terms, random_3sat
 
 
 def _random_model(n: int, rng: random.Random) -> IsingModel:
@@ -45,12 +45,12 @@ def _random_model(n: int, rng: random.Random) -> IsingModel:
                 j[i, k] = float(rng.randint(lo, hi))
         if rng.random() < 0.7:
             h[i] = float(rng.randint(lo, hi))
-    return IsingModel(n, j, h, 0.0)
+    return ising_model(n, j, h, 0.0)
 
 
 def _pair(coupling: float) -> IsingModel:
     """Two spins and one coupling between them."""
-    return IsingModel(2, {(0, 1): coupling}, [0.0, 0.0], 0.0)
+    return ising_model(2, {(0, 1): coupling}, [0.0, 0.0], 0.0)
 
 
 def _dense(m: IsingModel, zero: float = 0.0) -> list[float]:
@@ -58,7 +58,7 @@ def _dense(m: IsingModel, zero: float = 0.0) -> list[float]:
     J_ik at (i, k) and (k, i) and ``zero`` elsewhere."""
     n = m.num_spins
     jd = [zero] * (n * n)
-    for (i, k), b in m.j.items():
+    for (i, k), b in pair_terms(m.pairs, m.j).items():
         jd[i * n + k] = jd[k * n + i] = b
     return jd
 
@@ -71,14 +71,14 @@ def _exact_min(m: IsingModel) -> float:
     n = m.num_spins
     states = 1 - 2 * ((np.arange(2**n)[:, None] >> np.arange(n)) & 1)
     upper = np.zeros((n, n))
-    for (i, k), b in m.j.items():
+    for (i, k), b in pair_terms(m.pairs, m.j).items():
         upper[i, k] = b
     energies = m.offset + states @ np.array(m.h) + ((states @ upper) * states).sum(axis=1)
     return float(energies.min())
 
 
 def test_request_validation():
-    m = IsingModel(1, {}, [1.0], 0.0)
+    m = ising_model(1, {}, [1.0], 0.0)
     with pytest.raises(ValueError, match="num_samples"):
         solve(m, backend="emulator", seed=0, num_samples=0, collect_trace=False)
     with pytest.raises(ValueError, match="quantum"):
@@ -134,14 +134,14 @@ def test_emulator_trace_monotone():
 
 
 def test_empty_model_shortcut():
-    m = IsingModel(0, {}, [], 2.5)
+    m = ising_model(0, {}, [], 2.5)
     res = solve(m, backend="emulator", seed=0, num_samples=1, collect_trace=False)
     assert res.best_spins == () and res.trace == ()
     assert m.energy(res.best_spins) == 2.5
 
 
 def test_chip_guard_budget():
-    m = IsingModel(46, {}, [0.0] * 46, 0.0)
+    m = ising_model(46, {}, [0.0] * 46, 0.0)
     with pytest.raises(ValueError, match="46 spins"):
         solve(m, backend="emulator", seed=0, num_samples=1, collect_trace=False)
 
@@ -150,7 +150,7 @@ def test_chip_guard_non_integer_coefficients():
     # within 1e-9 of an integer is still not an integer the chip can hold
     for m, name in ((_pair(0.75), r"coupling \(0, 1\)"),
                     (_pair(1.0 + 1e-10), r"coupling \(0, 1\)"),
-                    (IsingModel(1, {}, [-3.0 - 1e-12], 0.0), "field 0")):
+                    (ising_model(1, {}, [-3.0 - 1e-12], 0.0), "field 0")):
         with pytest.raises(ValueError,
                            match=f"{name} = .* is not an integer; scale_to_chip"):
             solve(m, backend="emulator", seed=0, num_samples=1, collect_trace=False)
@@ -160,8 +160,8 @@ def test_chip_guard_range():
     # the message names the first misfit, couplings (i, k) before fields
     j = {(0, 1): 2.0, (1, 2): -15.0}
     for m, misfit in ((_pair(15.0), r"coupling \(0, 1\) = 15.0"),
-                      (IsingModel(3, j, [0.0, 0.0, 20.0], 0.0), r"coupling \(1, 2\) = -15.0"),
-                      (IsingModel(3, {}, [0.0, 0.0, 20.0], 0.0), "field 2 = 20.0")):
+                      (ising_model(3, j, [0.0, 0.0, 20.0], 0.0), r"coupling \(1, 2\) = -15.0"),
+                      (ising_model(3, {}, [0.0, 0.0, 20.0], 0.0), "field 2 = 20.0")):
         with pytest.raises(ValueError,
                            match=f"{misfit} outside programmable range"):
             solve(m, backend="emulator", seed=0, num_samples=1, collect_trace=False)
@@ -205,7 +205,7 @@ def test_solve_dispatch():
 
 
 def test_offset_carried_through():
-    m = IsingModel(1, {}, [2.0], 10.0)
+    m = ising_model(1, {}, [2.0], 10.0)
     res = solve(m, backend="emulator", seed=0, num_samples=1, collect_trace=True)
     assert res.best_spins == (-1,)
     assert res.trace[-1][2] == pytest.approx(8.0)  # spin -1 plus offset
@@ -271,7 +271,7 @@ def _tenths(seed: int) -> IsingModel:
     n = rng.randint(6, 12)
     j = {(i, k): rng.randint(-30, 30) / 10
          for i in range(n) for k in range(i + 1, n) if rng.random() < 0.5}
-    return IsingModel(n, j, [rng.randint(-20, 20) / 10 for _ in range(n)], 0.0)
+    return ising_model(n, j, [rng.randint(-20, 20) / 10 for _ in range(n)], 0.0)
 
 
 def _tabu_cases() -> list[tuple]:
@@ -294,8 +294,8 @@ def _tabu_cases() -> list[tuple]:
     rng = random.Random(43)
     quarter = [qubo_to_ising(cnf_to_qubo(codes(random_3sat(v, c, rng).clauses)))
                for v, c in ((5, 8), (6, 12), (8, 16))]
-    zeros = [IsingModel(n, {}, [0.0] * n, 0.0) for n in (6, 16)]
-    signed = IsingModel(4, {(0, 1): 1.0, (2, 3): -0.5}, [-0.0, 0.25, -0.0, -0.0], 0.0)
+    zeros = [ising_model(n, {}, [0.0] * n, 0.0) for n in (6, 16)]
+    signed = ising_model(4, {(0, 1): 1.0, (2, 3): -0.5}, [-0.0, 0.25, -0.0, -0.0], 0.0)
     cases = []
     for m in quarter + zeros + [signed, _tenths(3173)]:
         n = m.num_spins
@@ -305,9 +305,9 @@ def _tabu_cases() -> list[tuple]:
     for seed in (80, 148, 625, 3173):  # seeds on which each such exit shows
         m = _tenths(seed)
         cases.append((m.num_spins, _dense(m), m.h, DEFAULT_TABU_MOVES, 5, seed))
-    twins = IsingModel(5, {(0, 2): -2.0, (1, 2): 2.0, (0, 3): -2.0, (1, 3): 2.0,
-                           (0, 4): -1.0, (1, 4): 1.0, (2, 3): 2.0, (2, 4): -1.0},
-                       [0.0, 0.0, 0.0, 1.0, 0.0], 0.0)
+    twins = ising_model(5, {(0, 2): -2.0, (1, 2): 2.0, (0, 3): -2.0, (1, 3): 2.0,
+                            (0, 4): -1.0, (1, 4): 1.0, (2, 3): 2.0, (2, 4): -1.0},
+                        [0.0, 0.0, 0.0, 1.0, 0.0], 0.0)
     cases += [(5, _dense(twins), twins.h, 500, 2, seed) for seed in (1, 2, 5)]
     six = _tenths(80)
     cases += [(six.num_spins, _dense(six), six.h, 50, tenure, 7)
@@ -361,9 +361,9 @@ def test_compiled_metropolis_shortcut_matches_pure():
     floats = []
     for n in (9, 30):
         j = {(i, k): rng.uniform(-3.0, 3.0) for i in range(n) for k in range(i + 1, n)}
-        floats.append(IsingModel(n, j, [rng.uniform(-2.0, 2.0) for _ in range(n)], 0.0))
+        floats.append(ising_model(n, j, [rng.uniform(-2.0, 2.0) for _ in range(n)], 0.0))
     # spins 0 and 3 sit in no term, so every de of theirs is exactly 0
-    flat = IsingModel(4, {(1, 2): 1.0}, [0.0, 0.5, -0.5, 0.0], 0.0)
+    flat = ising_model(4, {(1, 2): 1.0}, [0.0, 0.5, -0.5, 0.0], 0.0)
     production = (SWEEPS, INITIAL_TEMP, FINAL_TEMP)
     cases = [(m, production) for m in chip + quarter]
     cases += [(m, (200, 6.0, 0.02)) for m in floats]
@@ -404,7 +404,7 @@ def _slice_shaped(rng: random.Random) -> list[tuple[int, list[float], list[float
     for n, pairs in models:
         for zero in (0.0, -0.0):
             h = [coeff() if rng.random() < 0.5 else zero for _ in range(n)]
-            out.append((n, _dense(IsingModel(n, pairs, h, 0.0), zero), h))
+            out.append((n, _dense(ising_model(n, pairs, h, 0.0), zero), h))
     return out
 
 

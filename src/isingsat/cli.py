@@ -138,6 +138,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
          ("the timings file of -o/--output", timings_path_for(runs)),
          ("--trace", args.trace)])
     if args.trace:
+        if not config.repeats:
+            raise ValueError("--trace dumps the anneal trace of the first "
+                             "repeat's first solver call, but the sweep runs "
+                             "no repeat (repeats is 0); drop --trace")
         # replays the first repeat up to its first solver call; every spec
         # is expanded first, so a bad one writes no trace
         instances = [pair for spec in config.instances

@@ -38,10 +38,10 @@ exists while the loop runs.  An iteration then touches only the slice:
   to the QUBO as one table of literal codes; every other unsatisfied
   clause freezes empty, and only their count reaches the QUBO, as its
   offset;
-* a merge takes the QUBO's ranks back (``QuboModel.ranks``), moves the
-  counts of only the clauses of the ranks it flips, and commits them only
-  when it is accepted; the pool moves only for the clauses whose satisfied
-  status flips.
+* a merge takes the QUBO's ``array('i')`` of ranks back
+  (``QuboModel.ranks``), moves the counts of only the clauses of the ranks
+  it flips, and commits them only when it is accepted; the pool, a list,
+  moves only for the clauses whose satisfied status flips.
 
 Variable numbers appear only in ``Vig.nodes`` and in the assignment
 ``iterate`` makes when its loop ends.  One full rescan then checks the
@@ -270,7 +270,7 @@ def freeze_and_extract(selected: set[int], state: GlobalState) -> Subproblem:
     return Subproblem(qubo, len(selected) + qubo.num_vars - len(qubo.ranks))
 
 
-def update_global(state: GlobalState, spins: tuple[int, ...], ranks: list[int]) -> bool:
+def update_global(state: GlobalState, spins: tuple[int, ...], ranks: array) -> bool:
     """Merge a slice's solution if the full satisfied count does not drop.
 
     ``spins[i]`` is the spin of rank ``ranks[i]`` (``QuboModel.ranks``); a

@@ -10,8 +10,8 @@ n + m3 QUBO variables; 1- and 2-literal clauses need no ancilla.  Negated
 literals are handled by the substitution v -> 1 - v, never by extra
 variables.  The substituted coefficients are a constant table keyed by
 clause width and sign pattern (14 entries); building a QUBO only looks them
-up.  Both models keep their terms in flat arrays, a coefficient per index
-and per pair ``i < k`` of indices, so no step costs n².
+up.  Each model field is a number or a flat array, ``array('i')`` ranks and
+index pairs ``i < k`` or ``array('d')`` coefficients, so no step costs n².
 
 The table, both builds, :func:`cnf_to_qubo` and :func:`qubo_to_ising`, and
 the rule of :func:`scale_to_chip` run in :mod:`.solver.kernels`: compiled,
@@ -45,9 +45,9 @@ class QuboModel:
     energy(x) = offset + sum_i linear[i]*x_i + sum_p quadratic[p]*x_i*x_k
 
     Pair term ``p`` couples ``i = pairs[2 * p] < k = pairs[2 * p + 1]``,
-    each pair once.  :func:`cnf_to_qubo` builds every model, with each
-    field, in one step.  ``ranks[i]`` is the rank of the variable QUBO index
-    ``i`` encodes, for each ``i`` below ``len(ranks)``; the ancillas follow.
+    each pair once; :func:`cnf_to_qubo` builds every field in one step.
+    ``ranks[i]`` is the rank of the variable QUBO index ``i`` encodes, for
+    each ``i`` below ``len(ranks)``; the ancillas follow.
     """
 
     num_vars: int
@@ -55,7 +55,7 @@ class QuboModel:
     pairs: array
     quadratic: array
     offset: float
-    ranks: list[int]
+    ranks: array
 
     def energy(self, x: Sequence[int] | Mapping[int, int]) -> float:
         p = self.pairs
@@ -67,14 +67,14 @@ class QuboModel:
 class IsingModel:
     """Pairwise spin model: H(s) = sum_p J_p s_i s_k + sum_i h_i s_i + offset.
 
-    ``pairs`` is the QUBO's (:attr:`QuboModel.pairs`), ``j[p]`` couples
-    pair ``p`` and ``h`` holds the n fields.
+    ``pairs`` is the QUBO's own object (:attr:`QuboModel.pairs`), ``j[p]``
+    couples pair ``p`` and ``h`` holds the n fields.
     """
 
     num_spins: int
     pairs: array
     j: array
-    h: list[float]
+    h: array
     offset: float
 
     def energy(self, s: Sequence[int]) -> float:

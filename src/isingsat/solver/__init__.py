@@ -1,8 +1,8 @@
 """Ising ground-state search: :func:`solve` on one of two backends.
 
 Both backends take the same :class:`~isingsat.qubo.IsingModel`; a call lays
-its pair and coupling arrays out once as the kernels' dense, symmetric
-row-major n*n matrix, which is their API and the pure oracle's layout (the
+it out once as the kernels' lists, its fields and a dense, symmetric
+row-major n*n coupling matrix: their API and the pure oracle's layout (the
 compiled kernel keeps only its nonzero entries, as neighbour lists):
 
 * ``"emulator"`` — a simulated annealer standing in for the 45-spin
@@ -30,12 +30,8 @@ oracle it is tested against bit for bit.  The two give identical results;
 the C kernel's Metropolis test calls ``exp`` only where two cheap bounds
 cannot decide it, and its tabu stops at a repeated state, where the oracle
 runs out the budget.  ``kernels.COMPILED_KERNELS`` says which one runs.
-The same module holds the decomposition's start tally, slice walk, freeze
-and merge, which ``isingsat.decompose`` imports from it, and the slice's
-QUBO and Ising build and chip scaling, which ``isingsat.qubo`` calls; this
-package imports ``qubo``'s chip constants and models, and so does the
-oracle, and ``qubo`` imports ``kernels`` last, so either may be imported
-first.
+This package and the oracle import ``qubo``'s chip constants and models,
+and ``qubo`` imports ``kernels`` last, so either may be imported first.
 """
 from __future__ import annotations
 
@@ -111,12 +107,13 @@ def solve(model: IsingModel, *, backend: str, seed: int, num_samples: int,
     ends = iter(model.pairs)  # zip takes i, then k, from it for each J
     for i, k, v in zip(ends, ends, model.j):
         jd[i * n + k] = jd[k * n + i] = v
+    h = model.h.tolist()
     if emulator:
-        reads = [anneal(n, jd, model.h, SWEEPS, INITIAL_TEMP, FINAL_TEMP,
+        reads = [anneal(n, jd, h, SWEEPS, INITIAL_TEMP, FINAL_TEMP,
                         mix_seed(seed, k), collect_trace)
                  for k in range(num_samples)]
     else:
-        reads = [tabu(n, jd, model.h, DEFAULT_TABU_MOVES, TABU_TENURE,
+        reads = [tabu(n, jd, h, DEFAULT_TABU_MOVES, TABU_TENURE,
                       mix_seed(seed, k))
                  for k in range(num_samples)]
     # a read is (spins, kernel energy, anneal trace rows or tabu move count)

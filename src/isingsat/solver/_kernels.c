@@ -1,22 +1,22 @@
 /* Compiled kernels: the solver's Metropolis annealing and tabu descent, the
  * decomposition's slice walk, freeze and merge and a repeat's start tally,
  * the slice's model build, qubo and ising, and its chip scaling (walk,
- * freeze, merge and tally, then qubo and ising, then scale, at the end,
- * each group with its own comment).  From the walk to the merge a slice
- * stays in ranks and literal codes, so no variable number reaches this
- * module; from the freeze to the chip scaling it stays in flat arrays, the
- * kept clauses a table of literal codes and the models' terms arrays of
- * coefficients and index pairs.  The walk, the freeze and the merge read
- * build_vig's flat int tables, whose rows are numbered by node rank, read or
- * write a repeat's state in its flat per-rank arrays in place, and keep
- * their per-rank marks in the caller's flag array, which they clear before
- * they return, on error too, so no call does work or allocates memory in
- * proportion to the formula; the tally, once per repeat, makes that state
- * from the clause table.  The model build is exact: its coefficients are small integers
- * from the 14-row gadget table, which ising only halves and quarters, so it
- * rounds nothing and gives the oracle's floats bit for bit.  The chip
- * scaling rounds, in doubles, as the oracle rounds Python floats, and gives
- * its floats bit for bit, zero signs included.
+ * freeze, merge and tally, then qubo and ising, then scale, at the end, each
+ * group with its own comment).  From the walk to the merge a slice stays in
+ * ranks and literal codes, so no variable number reaches this module; from
+ * the freeze to the merge it stays in flat arrays, the kept clauses a table
+ * of literal codes and every model field a number or an array of ranks, index
+ * pairs or doubles.  The walk, the freeze and the merge read build_vig's flat
+ * int tables, whose rows are numbered by node rank, read or write a repeat's
+ * state in its flat per-rank arrays in place, and keep their per-rank marks
+ * in the caller's flag array, which they clear before they return, on error
+ * too, so no call does work or allocates memory in proportion to the formula;
+ * the tally, once per repeat, makes that state from the clause table.  The
+ * model build is exact: its coefficients are small integers from the 14-row
+ * gadget table, which ising only halves and quarters, so it rounds nothing
+ * and gives the oracle's floats bit for bit.  The chip scaling rounds, in
+ * doubles, as the oracle rounds Python floats, and gives its floats bit for
+ * bit, zero signs included.
  *
  * The solver kernels give results bit-identical to the pure-Python oracle
  * _kernels_py: the same splitmix64 seeding and xorshift64* stream, the same
@@ -909,24 +909,6 @@ done:
     return out;
 }
 
-/* Whether spins[i] is above 0; -1 with an exception set unless it is an
- * integer. */
-static int spin_up(PyObject *spins, Py_ssize_t i)
-{
-    PyObject *key = PyLong_FromSsize_t(i), *spin = NULL, *v = NULL;
-    int over = 0;
-    long long x = 0;
-    if (key != NULL && (spin = PyObject_GetItem(spins, key)) != NULL &&
-        (v = PyNumber_Index(spin)) != NULL)
-        x = PyLong_AsLongLongAndOverflow(v, &over);
-    Py_XDECREF(key);
-    Py_XDECREF(spin);
-    if (v == NULL)
-        return -1;
-    Py_DECREF(v);
-    return over > 0 || (over == 0 && x > 0);
-}
-
 /* The position of rank r in the ascending list of ranks `pool`, as
  * bisect_left finds it; -1 with an exception set. */
 static Py_ssize_t pool_find(PyObject *pool, Py_ssize_t r)
@@ -964,27 +946,28 @@ static int degree_step(int *degree, PyObject *pool, Py_ssize_t r, int step)
     return done;
 }
 
-/* merge(clauses, occurrences, spins, ranks, values, true_count,
- * unsat_degree, pool, flags): the oracle's merge.  The slice's ranks are
- * marked SEEN, and FLIPS where their value changes, with TURNS_TRUE when it
- * becomes True.  The clauses of the flipped ranks are visited in ascending
- * order, each once, by a merge of their ascending occurrence rows, and each
- * one's change in true literals is counted over its flipped literals; the
- * changes are listed, and committed only when the gain is not negative.
- * Only a pool insertion that runs out of memory, or a pool that has lost a
- * rank it must hold, can stop a commit half way. */
+/* merge(clauses, occurrences, spins, ranks, values, true_count, unsat_degree,
+ * pool, flags): the oracle's merge.  The slice's ranks are read from their
+ * array('i') buffer and its spins from one tuple of them; each rank is marked
+ * SEEN, and FLIPS where its value changes, with TURNS_TRUE when it becomes
+ * True.  The clauses of the flipped ranks are visited in ascending order,
+ * each once, by a merge of their ascending occurrence rows, and each one's
+ * change in true literals is counted over its flipped literals; the changes
+ * are listed, and committed only when the gain is not negative.  Only a pool
+ * insertion that runs out of memory, or a pool that has lost a rank it must
+ * hold, can stop a commit half way. */
 static PyObject *merge(PyObject *self, PyObject *args)
 {
-    PyObject *clause_table, *occ_table, *spins, *rank_seq, *count_obj, *degree_obj, *pool;
+    PyObject *clause_table, *occ_table, *spin_seq, *rank_obj, *count_obj, *degree_obj, *pool;
     Py_buffer values, flags;
-    if (!PyArg_ParseTuple(args, "OOOOw*OOO!w*:merge", &clause_table, &occ_table, &spins,
-                          &rank_seq, &values, &count_obj, &degree_obj, &PyList_Type, &pool,
+    if (!PyArg_ParseTuple(args, "OOOOw*OOO!w*:merge", &clause_table, &occ_table, &spin_seq,
+                          &rank_obj, &values, &count_obj, &degree_obj, &PyList_Type, &pool,
                           &flags))
         return NULL;
-    Py_buffer cls = {0}, occ = {0}, counts = {0}, degrees = {0};
+    Py_buffer cls = {0}, occ = {0}, counts = {0}, degrees = {0}, rv = {0};
     Marks m = {0};
     Ranks flipped = {0}, changes = {0};  /* changes: clause, change: two items each */
-    PyObject *ranks = NULL, *out = NULL;
+    PyObject *spins = NULL, *out = NULL;
     int64_t *visit = NULL;
     Py_ssize_t r, n = flags.len, nvisit = 0, gain = 0;
     if (state_open(&m, &flags, &values, count_obj, &counts, 1, clause_table, &cls, occ_table,
@@ -995,22 +978,32 @@ static PyObject *merge(PyObject *self, PyObject *args)
         refuse("the degree array must hold one count per node");
         goto done;
     }
-    /* a copy, since reading a spin may run Python code that changes a list */
-    if ((ranks = PySequence_Tuple(rank_seq)) == NULL)
+    /* a copy of the spins, since reading one may run Python code that
+     * changes a list; the ranks' buffer is held, so no code resizes it */
+    if (array_open(rank_obj, &rv, 'i', 0) < 0 || (spins = PySequence_Tuple(spin_seq)) == NULL)
         goto done;
+    if (nitems(&rv) > PyTuple_GET_SIZE(spins)) {
+        outside("the slice has fewer spins than ranks");
+        goto done;
+    }
+    const int *rank = rv.buf;
     unsigned char *vals = values.buf;
     int *tc = counts.buf, *degree = degrees.buf;
-    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(ranks); i++) {
-        int up = -1;
-        r = rank_in(PyTuple_GET_ITEM(ranks, i), n, "a rank of the slice is outside the nodes");
-        if (r >= 0 && (m.flags[r] & SEEN))
-            refuse("the slice names a rank twice");
-        else if (r >= 0 && mark(&m, r, SEEN) == 0)
-            up = spin_up(spins, i);
-        if (up < 0)
+    for (Py_ssize_t i = 0; i < nitems(&rv); i++) {
+        if ((r = rank[i]) < 0 || r >= n) {
+            outside("a rank of the slice is outside the nodes");
             goto done;
-        if ((vals[r] != 0) != up) {
-            m.flags[r] |= FLIPS | (up ? TURNS_TRUE : 0);
+        }
+        if (m.flags[r] & SEEN) {
+            refuse("the slice names a rank twice");
+            goto done;
+        }
+        /* clipped, so a big spin keeps its sign */
+        Py_ssize_t spin = PyNumber_AsSsize_t(PyTuple_GET_ITEM(spins, i), NULL);
+        if ((spin == -1 && PyErr_Occurred()) || mark(&m, r, SEEN) < 0)
+            goto done;
+        if ((vals[r] != 0) != (spin > 0)) {
+            m.flags[r] |= FLIPS | (spin > 0 ? TURNS_TRUE : 0);
             if (ranks_push(&flipped, r) < 0)
                 goto done;
         }
@@ -1063,7 +1056,8 @@ done:
     PyBuffer_Release(&degrees);
     PyBuffer_Release(&values);
     PyBuffer_Release(&flags);
-    Py_XDECREF(ranks);
+    PyBuffer_Release(&rv);
+    Py_XDECREF(spins);
     PyMem_Free(flipped.items);
     PyMem_Free(changes.items);
     PyMem_Free(visit);
@@ -1142,15 +1136,16 @@ done:
  * by sorting the distinct ranks they hold and returns those ranks, a linear
  * coefficient per QUBO index and the pair terms as index pairs i < k, flat,
  * in the oracle's first-touch order, beside their coefficients; ising hands
- * that pair array on.  Both are exact, so they round nothing the oracle
- * does not: every QUBO coefficient is a sum of the small integers in
- * GADGETS, which a double holds exactly, and ising divides each by 2 or 4
- * and adds the quotients into h and the offset in the oracle's order, so it
- * is bit-identical to the oracle on any model, non-dyadic floats included
- * (nothing is fused under -ffp-contract=off).  The scratch is sized by the
- * clause list and the pair terms: a record per literal, at most 4 pair terms
- * per clause in a hash table and a field per spin, never by the ranks'
- * values or by (ranks + ancillas)^2. */
+ * that pair array on and returns the couplings and the fields.  Each is an
+ * array('i') or array('d') filled through its buffer, so no item is a Python
+ * object.  Both are exact, so they round nothing the oracle does not: every
+ * QUBO coefficient is a sum of the small integers in GADGETS, which a double
+ * holds exactly, and ising divides each by 2 or 4 and adds the quotients into
+ * h and the offset in the oracle's order, so it is bit-identical to the
+ * oracle on any model, non-dyadic floats included (nothing is fused under
+ * -ffp-contract=off).  The scratch is sized by the clause list and the pair
+ * terms: a record per literal and at most 4 pair terms per clause in a hash
+ * table, never by the ranks' values or by (ranks + ancillas)^2. */
 
 /* _kernels_py._GADGETS in its order: row [width][pattern], where bit
  * width - 1 - k of pattern is set when literal k is negative.  A row holds
@@ -1267,10 +1262,10 @@ done:
  * terms. */
 static PyObject *qubo(PyObject *self, PyObject *arg)
 {
-    Py_buffer cls = {0}, lin = {0}, pv = {0}, qv = {0};
+    Py_buffer cls = {0}, lin = {0}, pv = {0}, qv = {0}, rv = {0};
     Py_ssize_t m = 0, nlits = 0, widest = 0, nranks, nanc = 0;
     int *slot = NULL, *ranks = NULL;
-    PyObject *linear = NULL, *pairs = NULL, *quadratic = NULL, *rank_list = NULL, *out = NULL;
+    PyObject *linear = NULL, *pairs = NULL, *quadratic = NULL, *rank_array = NULL, *out = NULL;
     Pairs b = {0};
     const int *lo, *hi;
     if (array_open(arg, &cls, 'i', 0) < 0 || (m = checked_rows(&cls)) < 0)
@@ -1337,7 +1332,7 @@ static PyObject *qubo(PyObject *self, PyObject *arg)
     }
     if ((pairs = new_array('i', 2 * b.count, &pv)) == NULL ||
         (quadratic = new_array('d', b.count, &qv)) == NULL ||
-        (rank_list = PyList_New(nranks)) == NULL)
+        (rank_array = new_array('i', nranks, &rv)) == NULL)
         goto done;
     int *p = pv.buf;
     double *q = qv.buf;
@@ -1346,23 +1341,19 @@ static PyObject *qubo(PyObject *self, PyObject *arg)
         p[2 * k + 1] = b.terms[k].k;
         q[k] = b.terms[k].b;
     }
-    for (Py_ssize_t i = 0; i < nranks; i++) {
-        PyObject *r = PyLong_FromLong(ranks[i]);
-        if (r == NULL)
-            goto done;
-        PyList_SET_ITEM(rank_list, i, r);
-    }
+    memcpy(rv.buf, ranks, (size_t)nranks * sizeof *ranks);
     out = Py_BuildValue("(iOOOdO)", num_vars, linear, pairs, quadratic, (double)offset,
-                        rank_list);
+                        rank_array);
 done:
     PyBuffer_Release(&cls);
     PyBuffer_Release(&lin);
     PyBuffer_Release(&pv);
     PyBuffer_Release(&qv);
+    PyBuffer_Release(&rv);
     Py_XDECREF(linear);
     Py_XDECREF(pairs);
     Py_XDECREF(quadratic);
-    Py_XDECREF(rank_list);
+    Py_XDECREF(rank_array);
     PyMem_Free(slot);
     PyMem_Free(ranks);
     PyMem_Free(b.terms);
@@ -1373,14 +1364,14 @@ done:
 /* ising(num_vars, linear, pairs, quadratic, offset): the oracle's ising.
  * The fields start at the halves of linear, which the offset takes in
  * index order; then each pair's quarter goes to j, to both of its fields
- * and to the offset, in pair order.  The pair array is returned as given,
- * and the arrays are checked in the oracle's order. */
+ * and to the offset, in pair order, in new arrays('d').  The pair array is
+ * returned as given, and the arrays are checked in the oracle's order. */
 static PyObject *ising(PyObject *self, PyObject *args)
 {
     Py_ssize_t n;
     PyObject *lin_obj, *pairs, *quad_obj, *j = NULL, *hs = NULL, *out = NULL;
-    Py_buffer lin = {0}, pv = {0}, qv = {0}, jv = {0};
-    double off, *h = NULL;
+    Py_buffer lin = {0}, pv = {0}, qv = {0}, jv = {0}, hv = {0};
+    double off;
     if (!PyArg_ParseTuple(args, "nOOOd:ising", &n, &lin_obj, &pairs, &quad_obj, &off))
         return NULL;
     if (n < 0) {
@@ -1405,14 +1396,10 @@ static PyObject *ising(PyObject *self, PyObject *args)
             outside("a pair index is outside the model");
             goto done;
         }
-    if ((h = PyMem_New(double, (size_t)n + 1)) == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    if ((j = new_array('d', npairs, &jv)) == NULL || (hs = PyList_New(n)) == NULL)
+    if ((j = new_array('d', npairs, &jv)) == NULL || (hs = new_array('d', n, &hv)) == NULL)
         goto done;
     const double *a = lin.buf, *b = qv.buf;
-    double *quarter = jv.buf;
+    double *quarter = jv.buf, *h = hv.buf;
     for (Py_ssize_t i = 0; i < n; i++) {
         h[i] = a[i] / 2.0;
         off += h[i];
@@ -1423,19 +1410,13 @@ static PyObject *ising(PyObject *self, PyObject *args)
         h[p[2 * k + 1]] += quarter[k];
         off += quarter[k];
     }
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *v = PyFloat_FromDouble(h[i]);
-        if (v == NULL)
-            goto done;
-        PyList_SET_ITEM(hs, i, v);
-    }
     out = Py_BuildValue("(nOOOd)", n, pairs, j, hs, off);
 done:
     PyBuffer_Release(&lin);
     PyBuffer_Release(&pv);
     PyBuffer_Release(&qv);
     PyBuffer_Release(&jv);
-    PyMem_Free(h);
+    PyBuffer_Release(&hv);
     Py_XDECREF(j);
     Py_XDECREF(hs);
     return out;
@@ -1469,29 +1450,26 @@ static double fit(double x)
     return r == 0.0 ? 0.0 : r;
 }
 
-/* scale(j, h, offset): the oracle's scale.  The couplings are read from
- * j's buffer, then the fields from h; None when the chip holds them all,
- * else (j, h, offset * scale, max_rel_error), j a new array('d') and h a
- * new list. */
+/* scale(j, h, offset): the oracle's scale.  The couplings and the fields
+ * are read from their array('d') buffers; None when the chip holds them
+ * all, else (j, h, offset * scale, max_rel_error), j and h new arrays. */
 static PyObject *scale(PyObject *self, PyObject *args)
 {
-    PyObject *j_obj, *h, *fields = NULL, *js = NULL, *hs = NULL, *out = NULL;
-    Py_buffer jv = {0}, outv = {0};
+    PyObject *j_obj, *h_obj, *js = NULL, *hs = NULL, *out = NULL;
+    Py_buffer jv = {0}, hv = {0}, jout = {0}, hout = {0};
     double offset, *v = NULL, maxabs = 0.0, max_rel = 0.0;
-    if (!PyArg_ParseTuple(args, "OOd:scale", &j_obj, &h, &offset))
+    if (!PyArg_ParseTuple(args, "OOd:scale", &j_obj, &h_obj, &offset))
         return NULL;
-    /* a tuple of the fields, which a field's __float__ cannot resize */
-    if (array_open(j_obj, &jv, 'd', 0) < 0 || (fields = PySequence_Tuple(h)) == NULL)
+    if (array_open(j_obj, &jv, 'd', 0) < 0 || array_open(h_obj, &hv, 'd', 0) < 0)
         goto done;
-    Py_ssize_t nj = nitems(&jv), nh = PyTuple_GET_SIZE(fields), k;
+    Py_ssize_t nj = nitems(&jv), nh = nitems(&hv), k;
     int misfit = 0;
     if ((v = PyMem_New(double, (size_t)(nj + nh) + 1)) == NULL) {
         PyErr_NoMemory();
         goto done;
     }
     memcpy(v, jv.buf, (size_t)nj * sizeof *v);
-    if (load(fields, nh, v + nj) < 0)
-        goto done;
+    memcpy(v + nj, hv.buf, (size_t)nh * sizeof *v);
     for (k = 0; k < nj + nh; k++)
         misfit |= misfits(v[k]);
     if (!misfit) {
@@ -1516,21 +1494,17 @@ static PyObject *scale(PyObject *self, PyObject *args)
             max_rel = fabs(f - x) / fabs(x);
         v[k] = f;
     }
-    if ((js = new_array('d', nj, &outv)) == NULL || (hs = PyList_New(nh)) == NULL)
+    if ((js = new_array('d', nj, &jout)) == NULL || (hs = new_array('d', nh, &hout)) == NULL)
         goto done;
-    memcpy(outv.buf, v, (size_t)nj * sizeof *v);
-    for (k = 0; k < nh; k++) {
-        PyObject *f = PyFloat_FromDouble(v[nj + k]);
-        if (f == NULL)
-            goto done;
-        PyList_SET_ITEM(hs, k, f);
-    }
+    memcpy(jout.buf, v, (size_t)nj * sizeof *v);
+    memcpy(hout.buf, v + nj, (size_t)nh * sizeof *v);
     out = Py_BuildValue("(OOdd)", js, hs, offset * s, max_rel);
 done:
     PyBuffer_Release(&jv);
-    PyBuffer_Release(&outv);
+    PyBuffer_Release(&hv);
+    PyBuffer_Release(&jout);
+    PyBuffer_Release(&hout);
     PyMem_Free(v);
-    Py_XDECREF(fields);
     Py_XDECREF(js);
     Py_XDECREF(hs);
     return out;

@@ -37,28 +37,28 @@ integer temperature as a float.
 
 ``walk``, ``freeze`` and ``merge`` are the decomposition's slice walk, the
 clause loop of its freeze and its merge, as ``decompose`` ran them in
-Python.  They do integer work only, on ranks and literal codes, and never
-see a variable number: the walk takes a start rank and returns the
-selected ranks, the freeze takes those and hands on the kept clauses as
-a table of literal codes, and the merge takes the slice's ranks
-(``QuboModel.ranks``).  The tables ``table_of`` lays out (read by ``row``)
-have a row per rank or per clause; ``GlobalState``'s value bytes,
-unsatisfied degrees and pool are indexed by rank and its true-literal
-counts by clause.  The number of nodes
-is the number of rows of ``occurrences``, or of the walk's push table.  The
-C versions mark what they touch in the flag array; these keep their marks
-in sets and dicts.  Both return the same, write the same and raise the
-same, in the same order: a flag, value or degree array that does not hold
-one item per node, or a count array that does not hold one per clause, is
-a ValueError, and so is a slice that names a rank twice; a rank or a spin
-that is not an integer is a TypeError; a start, a selected rank or a rank
-of the slice outside ``0 .. n - 1`` an IndexError.  A cooling rank outside
+Python.  They do integer work only, on ranks and literal codes: the walk
+takes a start rank and returns the selected ranks, the freeze takes those
+and hands on the kept clauses as a table of literal codes, and the merge
+takes the slice's spins and ranks (``QuboModel.ranks``).  The tables
+``table_of`` lays out (read by ``row``) have a row per rank or per clause;
+``GlobalState``'s value bytes, unsatisfied degrees and pool are indexed by
+rank and its true-literal counts by clause.  The number of nodes is the
+number of rows of ``occurrences``, or of the walk's push table.  The C
+versions mark what they touch in the flag array; these keep their marks in
+sets and dicts.  Both return, write and raise the same, in the same order:
+a flag, value or degree array that does not hold one item per node, or a
+count array that does not hold one per clause, is a ValueError, and so is a
+slice that names a rank twice; a rank or a spin that is not an integer is a
+TypeError; fewer spins than ranks, or a start, a selected rank or a rank of
+the slice outside ``0 .. n - 1``, an IndexError.  A cooling rank outside
 the nodes is never reached, so it is skipped.  A merge raises before it
 writes anything.  These read the tables as they stand; the C versions check
 each row they read and raise IndexError for an offset or an item out of
-range, and the C freeze and merge, which merge the occurrence rows where
-these sort them, ValueError for a row that is not ascending.  A table the C
-versions accept they read as these do, even one ``build_vig`` would not make.
+range, the C freeze and merge, which merge the occurrence rows these sort,
+ValueError for one that is not ascending, and the C merge TypeError for
+ranks that are no ``array('i')``.  A table the C versions accept they read
+as these do, even one ``build_vig`` would not make.
 
 ``tally`` is ``decompose.GlobalState.start`` as it ran in Python: from
 the clause table and the value bytes it counts the true literals of every
@@ -374,6 +374,8 @@ def merge(clauses, occurrences, spins, ranks, values, true_count, unsat_degree, 
     n = _check_state(occurrences, flags, values, true_count, clauses)
     if len(unsat_degree) != n:
         raise ValueError("the degree array must hold one count per node")
+    if len(ranks) > len(spins := tuple(spins)):
+        raise IndexError("the slice has fewer spins than ranks")
     named: set[int] = set()
     flips: dict[int, bool] = {}  # rank -> its new value
     for i, r in enumerate(ranks):
@@ -498,7 +500,7 @@ def qubo(clauses):
     widest = max(map(len, rows), default=0)
     if widest > 3:
         raise ValueError(f"clause width {widest} exceeds 3; reduce the formula first")
-    ranks = sorted({code >> 1 for code in lits})
+    ranks = array("i", sorted({code >> 1 for code in lits}))
     slot_of = {r: i for i, r in enumerate(ranks)}
     next_ancilla = len(ranks)
     num_vars = next_ancilla + sum(len(clause) == 3 for clause in rows)
@@ -549,7 +551,7 @@ def ising(num_vars, linear, pairs, quadratic, offset):
         raise ValueError("pairs must hold two QUBO indices per quadratic coefficient")
     if pairs and not 0 <= min(pairs) <= max(pairs) < num_vars:
         raise IndexError("a pair index is outside the model")
-    h = [a / 2.0 for a in linear]
+    h = array("d", [a / 2.0 for a in linear])
     for half in h:  # in index order; sum() compensates from Python 3.12 on
         offset += half
     j = array("d", [b / 4.0 for b in quadratic])
@@ -589,5 +591,5 @@ def scale(j, h, offset):
            for v in values}
     max_rel = max((abs(fit[v] - v * scale) / abs(v * scale)
                    for v in values if v * scale != 0.0), default=0.0)
-    return (array("d", map(fit.__getitem__, j)), list(map(fit.__getitem__, h)),
+    return (array("d", map(fit.__getitem__, j)), array("d", map(fit.__getitem__, h)),
             offset * scale, max_rel)

@@ -1,17 +1,18 @@
 """Kernel selector: the C kernel, compiled on first import, else the pure oracle.
 
-Both hold the same ten functions: the solver's ``anneal`` and ``tabu`` and
-their seeding ``mix_seed``; the decomposition's slice ``walk``, ``freeze``
-and ``merge``, which read ``decompose.build_vig``'s rank tables and a flag
-array and read or write ``decompose.GlobalState``'s per-rank arrays in
-place, and ``tally``, which counts those arrays at a repeat's start; the
-slice's model build, ``qubo`` (the freeze's table of literal codes to the
-fields of ``qubo.QuboModel``, the slice's ranks among them) and ``ising``
-(those to the fields of ``qubo.IsingModel``); and ``scale``, the rule of
-``qubo.scale_to_chip``, as ``_kernels_py`` sets out.  A slice reaches them
-as ranks and literal codes only, so no kernel sees a variable number, and
-its models as flat arrays.  One build, one loader and one
-``COMPILED_KERNELS`` flag cover all ten.
+Both hold the same ten functions, as ``_kernels_py`` sets out: ``anneal``,
+``tabu`` and their seeding ``mix_seed``; the slice ``walk``, ``freeze`` and
+``merge``, which read ``decompose.build_vig``'s rank tables and read or
+write ``decompose.GlobalState``'s per-rank arrays in place, and ``tally``,
+which makes those arrays at a repeat's start; and the model build ``qubo``
+and ``ising`` and the chip scaling ``scale``.  A slice reaches them as ranks
+and literal codes only, so no kernel sees a variable number, and its models
+as flat arrays.  Python objects stay where Python uses them: the walk's
+``set`` of ranks, which the repetition filter tests membership in, and the
+filter's cooldown ``dict``; the pool ``list``, which ``iterate`` indexes and
+``merge`` inserts into; and ``anneal``'s and ``tabu``'s lists and tuples,
+since ``perfbench`` calls them and compares their results.  One build, one
+loader and one ``COMPILED_KERNELS`` flag cover all ten.
 
 ``_kernels.c`` is compiled the first time this module is imported, with the
 interpreter's C compiler and ``-O2 -shared -fPIC -ffp-contract=off``.  The

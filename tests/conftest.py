@@ -68,9 +68,10 @@ def codes(clauses, nodes=None):
 
 def ising_model(n, couplings, h, offset):
     """The ``IsingModel`` of ``n`` spins with ``couplings``, a dict of J
-    keyed by index pairs ``(i, k)``, ``i < k``, in its order."""
+    keyed by index pairs ``(i, k)``, ``i < k``, in its order, and the
+    fields ``h``."""
     pairs = array("i", [i for pair in couplings for i in pair])
-    return IsingModel(n, pairs, array("d", couplings.values()), h, offset)
+    return IsingModel(n, pairs, array("d", couplings.values()), array("d", h), offset)
 
 
 def pair_terms(pairs, values):

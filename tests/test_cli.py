@@ -378,6 +378,8 @@ def test_report_of_an_empty_file(tmp_path):
     ("trace of a sweep whose first backend is tabu", "drop --trace"),
     ("trace of a repeat the ladder solves", "makes no solver call); drop --trace"),
     ("trace into a missing directory", "No such file or directory"),
+    ("trace of no repeats", "runs no repeat (repeats is 0); drop --trace"),
+    ("trace of a sweep file of no repeats", "runs no repeat (repeats is 0); drop --trace"),
     ("clause wider than 3", "clause width 4 exceeds 3"),
     ("clause wider than 3 into a new runs directory", "clause width 4 exceeds 3"),
     ("sweep with a bad later spec", "bit_width must be between 4 and 16"),
@@ -410,6 +412,9 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, case, says):
                     "-1 2 -3 4 0\n")
     foreign = tmp_path / "foreign.jsonl"
     foreign.write_text('{"a": 1}\n')
+    no_repeats = tmp_path / "none.json"
+    no_repeats.write_text(json.dumps({"instances": ["semiprime:8:143"], "levels": [0],
+                                      "cap": 3, "repeats": 0}))
     tabu_sweep = tmp_path / "tabu.json"
     tabu_sweep.write_text(json.dumps({"instances": ["semiprime:4"], "repeats": 1,
                                       "backends": ["tabu", "emulator"]}))
@@ -453,6 +458,12 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, case, says):
         "trace into a missing directory": [
             "solve", "--instance", "semiprime:8:143", "--level", "0", "--cap", "2",
             *runs, "--trace", str(tmp_path / "nodir" / "t.csv")],
+        "trace of no repeats": [
+            "solve", "-i", "semiprime:8:143", "--level", "0", "--cap", "3", "--repeats", "0",
+            "-o", str(tmp_path / "runs.jsonl"), "--trace", str(tmp_path / "t.csv")],
+        "trace of a sweep file of no repeats": [
+            "solve", "--sweep", str(no_repeats), "-o", str(tmp_path / "runs.jsonl"),
+            "--trace", str(tmp_path / "t.csv")],
         "clause wider than 3": ["solve", "-i", str(wide), "--level", "0",
                                 "--cap", "50", *runs],
         "clause wider than 3 into a new runs directory": [

@@ -433,7 +433,7 @@ def test_compiled_freeze_needs_ascending_occurrence_lists():
 def test_compiled_merge_needs_ascending_occurrence_lists():
     # it merges the rows of the flipped ranks, as the freeze merges them
     flags = bytearray(2)
-    args = (*_UNSORTED, (-1,), [0], bytearray([1, 0]), array("i", [1, 1]),
+    args = (*_UNSORTED, (-1,), array("i", [0]), bytearray([1, 0]), array("i", [1, 1]),
             array("i", [0, 0]), [], flags)
     outcome = (ValueError, "an occurrence list is not ascending")
     assert _compiled_outcome("merge", flags, *args) == outcome
@@ -458,7 +458,8 @@ def test_compiled_kernels_check_every_row_they_read():
     for table, occ in ((array("i", [2, 4, 0, 9]), occurrences),  # literal 9 of 2 nodes
                        (clauses, array("i", [3, 4, 5, 1, 0]))):  # clause 1 of 1
         cases += [("freeze", (table, occ, {0}, values, counts, flags)),
-                  ("merge", (table, occ, (-1,), [0], values, counts, degree, pool, flags))]
+                  ("merge", (table, occ, (-1,), array("i", [0]), values, counts, degree, pool,
+                             flags))]
     for table in (array("i", [2, 9, 0, 3]), array("i", [9, 4, 0, 3]),  # past the end
                   array("i", [0, 4, 0, 3]), array("i", [2, 1, 0, 3])):  # before row 0
         cases += [("tally", (table, values))]
@@ -500,7 +501,7 @@ def test_compiled_slice_kernels_allocate_by_the_slice_not_the_formula():
                                     list(start.pool), vig, start.flags)
                 selected, walked = traced(select_bfs, vig, 30, 39, filt, state.flags)
                 kept, frozen = traced(kernels.freeze, *_freeze_args(state, selected))
-                ranks = sorted(selected)
+                ranks = array("i", sorted(selected))
                 spins = (1,) * len(ranks)  # all True: a flip of every third
                 gain, merged = traced(kernels.merge, *_merge_args(state, spins, ranks))
                 assert gain > 0
@@ -589,7 +590,7 @@ def _propose(state, proposal):
     """``proposal``, values of variables, as a slice's spins and its ranks."""
     variables = sorted(proposal)
     return (tuple(1 if proposal[v] else -1 for v in variables),
-            [rank(state.vig.nodes, v) for v in variables])
+            array("i", [rank(state.vig.nodes, v) for v in variables]))
 
 
 def test_update_global_accepts_plateau_and_better():
@@ -754,17 +755,23 @@ def test_compiled_merge_matches_the_pure_merge(case):
         _assert_state_matches_rescan(cnf, compiled)
 
 
+# The compiled merge reads a slice's ranks only from an array('i')
+_RANKS_TYPE = "an index table or a count array must be an array('i')"
+
+
 @needs_compiled
 def test_compiled_merge_refuses_what_the_pure_merge_refuses():
-    """A slice naming a rank outside the nodes, or one twice, a spin or a
-    rank that is not an integer, too few spins and an array of the wrong
-    length are refused alike, before anything is committed."""
+    """A slice naming a rank outside the nodes, or one twice, more ranks
+    than spins, a spin that is not an integer, spins that are no sequence
+    and an array of the wrong length are refused alike, before anything is
+    committed; ranks in another buffer than an array('i') are the compiled
+    merge's TypeError."""
     cnf = make_cnf(303, [(301, -302, 303), (-301, 302), (303,)])
     state = _gs(cnf, {301: True})
-    spins, ranks = (-1, 1), [0, 1]
-    refused = [dict(ranks=[0, 3]), dict(ranks=[-1, 0]), dict(ranks=[0, 2**64]),
-               dict(ranks=[0, 0]), dict(ranks=[0, 1.5]), dict(ranks=5),
-               dict(spins=(-1,)), dict(spins=(-1, 0.5)),
+    spins, ranks = (-1, 1), array("i", [0, 1])
+    refused = [*(dict(ranks=array("i", r)) for r in ([0, 3], [-1, 0], [0, 2**31 - 1],
+                                                     [-(2**31), 0], [0, 0], [0, 1, 2])),
+               dict(spins=(-1,)), dict(spins=(-1, 0.5)), dict(spins=5),
                dict(values=bytearray(2)), dict(values=bytearray(4)),
                dict(true_count=array("i", [0, 0])), dict(true_count=array("i", [0] * 4)),
                dict(unsat_degree=array("i", [0] * 2)), dict(flags=bytearray(4))]
@@ -775,6 +782,10 @@ def test_compiled_merge_refuses_what_the_pure_merge_refuses():
         assert outcome == _outcome(_kernels_py.merge, *args), replaced
         assert outcome[0] in (IndexError, ValueError, TypeError), replaced
         assert _state_fields(state) == before, replaced
+    for other in ([0, 1], (0, 1), array("l", [0, 1]), array("I", [0, 1]), 5):
+        outcome = _compiled_outcome("merge", state.flags, *_merge_args(state, spins, other))
+        assert outcome == (TypeError, _RANKS_TYPE), other
+        assert _state_fields(state) == before, other
     assert kernels.merge(*_merge_args(state, spins, ranks)) >= 0  # the slice itself merges
 
 
@@ -837,10 +848,12 @@ def test_compiled_tally_matches_the_pure_tally(case):
 
 # The refusals of a table the compiled kernels check row by row where the
 # oracle reads it as it stands (test_compiled_kernels_check_every_row_they_read,
-# test_compiled_freeze_needs_ascending_occurrence_lists)
+# test_compiled_freeze_needs_ascending_occurrence_lists), and of a merge's
+# ranks in another buffer than an array('i')
 _TABLE_REFUSALS = {(IndexError, "a row is outside the index"),
                    (IndexError, "an item is outside the index"),
-                   (ValueError, "an occurrence list is not ascending")}
+                   (ValueError, "an occurrence list is not ascending"),
+                   (TypeError, _RANKS_TYPE)}
 
 
 @st.composite
@@ -848,13 +861,15 @@ def _malformed_calls(draw, kernel):
     """The arguments of a call of the slice kernel ``kernel`` on a
     ``_formulas`` formula's index and a state of random values, with one
     fault or none: a table mutated, ranks that lie outside the nodes or
-    repeat and too few spins, or a buffer of the wrong length."""
+    repeat, a merge's ranks more than its spins or in another buffer than
+    an array('i'), or a buffer of the wrong length."""
     cnf = draw(_formulas(draw(st.sampled_from((0, 300)))))
     vig = build_vig(cnf)
     n = len(vig.nodes)
     state = _gs(cnf, {v: draw(st.booleans()) for v in vig.nodes})
     fault = draw(st.sampled_from((None, "table", "table", "table", "rank", "buffer")))
-    rank = st.integers(-2, n + 1) if fault == "rank" else st.integers(0, n - 1)
+    rank = (st.one_of(st.integers(-2, n + 1), st.sampled_from((-(2**31), 2**31 - 1)))
+            if fault == "rank" else st.integers(0, n - 1))
     if kernel == "walk":  # the tables, each with the bound of its items
         tables = [(vig.dfs if draw(st.booleans()) else vig.bfs, n), (vig.triangles, n)]
         buffers = {"flags": state.flags}
@@ -888,11 +903,13 @@ def _malformed_calls(draw, kernel):
     state_buffers = buffers["values"], buffers["counts"]
     if kernel == "freeze":
         return (*tables, draw(st.sets(rank, max_size=8)), *state_buffers, buffers["flags"])
-    ranks = draw(st.lists(rank, max_size=8, unique=fault != "rank"))
+    ranks = array("i", draw(st.lists(rank, max_size=8, unique=fault != "rank")))
     spins = tuple(draw(st.lists(st.sampled_from((-1, 1)), min_size=len(ranks),
                                 max_size=len(ranks))))
-    if fault == "rank" and draw(st.booleans()):
-        spins = spins[:-1]
+    if fault == "rank":
+        if draw(st.booleans()):
+            spins = spins[:-1]
+        ranks = draw(st.sampled_from((ranks, list(ranks), array("l", ranks))))
     return (*tables, spins, ranks, *state_buffers, buffers["degree"], list(state.pool),
             buffers["flags"])
 

@@ -130,7 +130,7 @@ def _clause_lists(draw):
 def test_cnf_to_qubo_matches_the_gadget_table_term_by_term(clauses):
     q = cnf_to_qubo(codes(clauses))
     num_vars, linear, quadratic, offset, occurring = _expand_gadgets(clauses)
-    assert (q.num_vars, q.offset, q.ranks) == (num_vars, offset, occurring)
+    assert (q.num_vars, q.offset, q.ranks.tolist()) == (num_vars, offset, occurring)
     assert list(q.linear) == [linear.get(i, 0) for i in range(num_vars)]
     # the pairs in the order the clauses first touch them
     assert list(pair_terms(q.pairs, q.quadratic).items()) == list(quadratic.items())
@@ -167,7 +167,7 @@ def test_qubo_index_layout():
     cnf = make_cnf(9, [(2, -5, 7), (5, 9)])
     q = cnf_to_qubo(codes(cnf.clauses))
     # occurring vars sorted first, then one ancilla per width-3 clause
-    assert q.ranks == [2, 5, 7, 9]
+    assert q.ranks == array("i", [2, 5, 7, 9])
     assert q.num_vars == 5
 
 
@@ -227,7 +227,7 @@ def test_scale_maps_largest_to_coeff_max():
     m = ising_model(2, {(0, 1): 28.0}, [7.0, -3.5], 0.0)
     scaled, rep = scale_to_chip(m)
     assert scaled.pairs is m.pairs and scaled.j == array("d", [14.0])
-    assert scaled.h == [4.0, -2.0]
+    assert scaled.h == array("d", [4.0, -2.0])
     assert rep.max_rel_error == pytest.approx(abs(4.0 - 3.5) / 3.5)
 
 
@@ -267,6 +267,7 @@ def _kernel_inputs(monkeypatch, m: IsingModel, backend: str):
     monkeypatch.setattr(solver, "anneal" if backend == "emulator" else "tabu", kernel)
     solver.solve(m, backend=backend, seed=1, num_samples=2, collect_trace=False)
     assert len(calls) == 2 and calls[0] == calls[1]
+    assert type(calls[0][1]) is type(calls[0][2]) is list  # the kernels take lists
     return calls[0]
 
 
@@ -294,7 +295,7 @@ def test_slice_models_reach_the_kernels_as_the_dense_build(monkeypatch):
         m = qubo_to_ising(q)
         if n:
             spins, jd, h = _kernel_inputs(monkeypatch, m, "tabu")
-            assert (spins, _bits(jd), h) == (n, _bits(naive), m.h)
+            assert (spins, _bits(jd), _bits(h)) == (n, _bits(naive), _bits(m.h))
         scaled, report = scale_to_chip(m)
         values = {*naive, *m.h}
         if all(float(v).is_integer() and COEFF_MIN <= v <= COEFF_MAX for v in values):
@@ -556,30 +557,32 @@ _SCALE_COEFFICIENTS = st.one_of(
 def _scale_cases(draw):
     """An Ising model's couplings, fields and offset: n of 0, 1, 45 or 46
     spins or a few, up to 40 couplings, with one fault or none: the
-    couplings or the fields a value short or long, or the couplings in
-    another type than an array('d')."""
+    couplings or the fields a value short or long, or either in another
+    type than an array('d')."""
     n = draw(st.sampled_from((0, 1, 2, 3, 6, 45, 46)))
-    h = draw(st.lists(_SCALE_COEFFICIENTS, min_size=n, max_size=n))
+    h = array("d", draw(st.lists(_SCALE_COEFFICIENTS, min_size=n, max_size=n)))
     count = draw(st.integers(0, min(40, n * (n - 1) // 2)))
     j = array("d", draw(st.lists(_SCALE_COEFFICIENTS, min_size=count, max_size=count)))
     fault = draw(st.sampled_from((None, None, None, "resized", "type")))
     if fault == "resized":
         j, h = (resized(draw, j), h) if draw(st.booleans()) else (j, resized(draw, h))
     elif fault == "type":
-        j = draw(st.sampled_from((list, partial(array, "f"))))(j)
+        other = draw(st.sampled_from((list, partial(array, "f"))))
+        j, h = (other(j), h) if draw(st.booleans()) else (j, other(h))
     return j, h, draw(_SCALE_COEFFICIENTS)
 
 
 @needs_compiled
 @given(_scale_cases())
-@example((array("d", [28.0]), [7.0, -3.5], 1.0))
-@example((array("d", [3.0]), [-2.0, 0.0], 1.5))  # every coefficient fits: None
-@example((array("d", [-0.3]), [28.0, -0.0], -0.0))  # ceil(-0.8) is -0.0 in C
-@example((array("d", [5e-324]), [1e-320, 0.0], 0.0))  # no finite scale
-@example((array("d", [math.nan]), [0.5], 0.0))
-@example((array("d"), [math.inf, 0.5], 0.0))
-@example((array("d"), [], 0.0))
-@example(([28.0], [7.0], 0.0))  # a list, not an array('d')
+@example((array("d", [28.0]), array("d", [7.0, -3.5]), 1.0))
+@example((array("d", [3.0]), array("d", [-2.0, 0.0]), 1.5))  # every coefficient fits: None
+@example((array("d", [-0.3]), array("d", [28.0, -0.0]), -0.0))  # ceil(-0.8) is -0.0 in C
+@example((array("d", [5e-324]), array("d", [1e-320, 0.0]), 0.0))  # no finite scale
+@example((array("d", [math.nan]), array("d", [0.5]), 0.0))
+@example((array("d"), array("d", [math.inf, 0.5]), 0.0))
+@example((array("d"), array("d"), 0.0))
+@example(([28.0], array("d", [7.0]), 0.0))  # a list, not an array('d')
+@example((array("d", [28.0]), [7.0], 0.0))
 @settings(max_examples=200, deadline=None)
 def test_compiled_scale_matches_the_pure_scale_bit_for_bit(case):
     j, h, offset = case
@@ -596,9 +599,9 @@ def test_every_scale_holds_qubo_chip_range():
     each bound fits and the integer beyond it does not, and the largest
     magnitude lands on ``COEFF_MAX``."""
     for scale in (kernels.scale, _kernels_py.scale):
-        assert scale(array("d"), [float(COEFF_MIN), float(COEFF_MAX)], 0.0) is None
+        assert scale(array("d"), array("d", [COEFF_MIN, COEFF_MAX]), 0.0) is None
         for v in (COEFF_MIN - 1, COEFF_MAX + 1):
-            _, h, _, _ = scale(array("d", [1.0]), [float(v), 0.0], 0.0)
+            _, h, _, _ = scale(array("d", [1.0]), array("d", [v, 0.0]), 0.0)
             assert h[0] == math.copysign(COEFF_MAX, v), scale
 
 
@@ -654,3 +657,95 @@ def test_chip_scaling_keeps_every_ground_state_of_small_slices(monkeypatch):
     assert not lost, "scaling loses a ground state: " + "; ".join(
         f"{spec} seed {seed}: smallest gap {gap:g} chip units"
         for (spec, seed), gap in lost.items())
+
+
+# The benchmark's workload cells: spec, level, strategy, backend, budget
+_WORKLOAD_CELLS = (("semiprime:10:551", 7, "dfs", "emulator", 45),
+                   ("semiprime:16:32881", 0, "dfs", "emulator", 20),
+                   ("backbone:100:429:50", 7, "bfs", "tabu", 45))
+_QUBO_FIELDS = {"num_vars": (int, None), "linear": (array, "d"), "pairs": (array, "i"),
+                "quadratic": (array, "d"), "offset": (float, None), "ranks": (array, "i")}
+_ISING_FIELDS = {"num_spins": (int, None), "pairs": (array, "i"), "j": (array, "d"),
+                 "h": (array, "d"), "offset": (float, None)}
+
+
+def _field_types(model):
+    return {name: (type(v), getattr(v, "typecode", None)) for name, v in vars(model).items()}
+
+
+@pytest.mark.parametrize("pure", [False, True], ids=["compiled", "pure"])
+def test_slice_models_are_flat_arrays_on_every_workload_cell(monkeypatch, pure):
+    """On the first slice of each benchmark cell, with the slice and model
+    kernels compiled or pure, every field of the QUBO, of its Ising form and
+    of the model the solver gets (scaled for the emulator) has its declared
+    type, and the Ising forms hold the QUBO's own ``pairs`` object."""
+    if pure:
+        for name in ("tally", "walk", "freeze", "merge"):
+            monkeypatch.setattr(decompose, name, getattr(_kernels_py, name))
+        for name in ("qubo", "ising", "scale"):
+            monkeypatch.setattr(kernels, name, getattr(_kernels_py, name))
+    steps = {}
+
+    def kept(name, step):
+        def run(*args):
+            steps[name] = out = step(*args)
+            return out
+        return run
+
+    def no_solve(model, **_):  # the spins do not matter here
+        steps["solve"] = model
+        return solver.SolveResult((1,) * model.num_spins, ())
+
+    for name in ("cnf_to_qubo", "qubo_to_ising"):
+        monkeypatch.setattr(decompose, name, kept(name, getattr(decompose, name)))
+    monkeypatch.setattr(decompose, "solve", no_solve)
+    for spec, level, strategy, backend, budget in _WORKLOAD_CELLS:
+        cnf = expand_instances(spec)[0][1]
+        res = run_ladder(cnf, level=level, seed=1)
+        steps.clear()
+        decompose.iterate(res.cnf, res.condition, cnf, strategy=strategy, backend=backend,
+                          budget=budget, cap=1, seed=1, num_samples=1, collect_trace=False)
+        q = steps["cnf_to_qubo"]
+        assert _field_types(q) == _QUBO_FIELDS, spec
+        for model in (steps["qubo_to_ising"], steps["solve"]):
+            assert _field_types(model) == _ISING_FIELDS, spec
+            assert model.pairs is q.pairs, spec
+
+
+@needs_compiled
+def test_emulator_spins_reach_tabus_best_on_the_exact_45_spin_slices(monkeypatch):
+    """45-spin slices cannot be enumerated, so each slice of the paper's
+    main cell (551 at level 7, DFS, budget 45, 10 reads, cap 6, seeds 1-10)
+    is checked another way: the emulator's best spins, found on the scaled
+    model, must reach on the exact model the best energy 10 tabu reads find
+    there.  A slice where rounding steers the chip away names its seed."""
+    slices = []
+    exact_of = decompose.qubo_to_ising
+    solve = decompose.solve
+
+    def exact(q):
+        slices.append([exact_of(q)])
+        return slices[-1][0]
+
+    def emulate(model, **kwargs):
+        result = solve(model, **kwargs)
+        slices[-1].append(result.best_spins)
+        return result
+
+    monkeypatch.setattr(decompose, "qubo_to_ising", exact)
+    monkeypatch.setattr(decompose, "solve", emulate)
+    cnf = expand_instances("semiprime:10:551")[0][1]
+    missed, spins_seen = [], set()
+    for seed in range(1, 11):
+        res = run_ladder(cnf, level=7, seed=seed)
+        decompose.iterate(res.cnf, res.condition, cnf, strategy="dfs", backend="emulator",
+                          budget=45, cap=6, seed=seed, num_samples=10, collect_trace=False)
+        for k, (model, spins) in enumerate(slices):
+            spins_seen.add(model.num_spins)
+            best = solve(model, backend="tabu", seed=1, num_samples=10, collect_trace=False)
+            chip, tabu = model.energy(spins), model.energy(best.best_spins)
+            if chip > tabu:
+                missed.append(f"seed {seed} slice {k}: {chip:g} against tabu's {tabu:g}")
+        slices.clear()
+    assert max(spins_seen) == 45, spins_seen
+    assert not missed, "the emulator misses tabu's best on the exact model: " + "; ".join(missed)

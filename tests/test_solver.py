@@ -53,14 +53,15 @@ def _pair(coupling: float) -> IsingModel:
     return ising_model(2, {(0, 1): coupling}, [0.0, 0.0], 0.0)
 
 
-def _dense(m: IsingModel, zero: float = 0.0) -> list[float]:
-    """The couplings as the kernels take them: a row-major n*n matrix with
-    J_ik at (i, k) and (k, i) and ``zero`` elsewhere."""
+def _lists(m: IsingModel, zero: float = 0.0) -> tuple[list[float], list[float]]:
+    """The couplings and fields as the kernels take them, as ``solve`` lays
+    them out: a row-major n*n matrix with J_ik at (i, k) and (k, i) and
+    ``zero`` elsewhere, and a list of the fields."""
     n = m.num_spins
     jd = [zero] * (n * n)
     for (i, k), b in pair_terms(m.pairs, m.j).items():
         jd[i * n + k] = jd[k * n + i] = b
-    return jd
+    return jd, m.h.tolist()
 
 
 def _exact_min(m: IsingModel) -> float:
@@ -113,7 +114,7 @@ def test_emulator_sample_count_and_best_pick():
     m = _random_model(8, random.Random(5))
     m.offset = 3.0
     res = solve(m, backend="emulator", seed=2, num_samples=6, collect_trace=True)
-    reads = [kernels.anneal(8, _dense(m), m.h, SWEEPS, INITIAL_TEMP, FINAL_TEMP,
+    reads = [kernels.anneal(8, *_lists(m), SWEEPS, INITIAL_TEMP, FINAL_TEMP,
                             kernels.mix_seed(2, k), True) for k in range(6)]
     energies = [energy for _, energy, _ in reads]
     assert [e + m.offset for e in energies] == [m.energy(s) for s, _, _ in reads]
@@ -193,12 +194,12 @@ def test_solve_dispatch():
     m = _pair(1.0)
     r1 = solve(m, backend="emulator", seed=3, num_samples=1, collect_trace=True)
     r2 = solve(m, backend="tabu", seed=3, num_samples=1, collect_trace=True)
-    spins, _, trace = kernels.anneal(2, _dense(m), m.h, SWEEPS, INITIAL_TEMP, FINAL_TEMP,
+    spins, _, trace = kernels.anneal(2, *_lists(m), SWEEPS, INITIAL_TEMP, FINAL_TEMP,
                                      kernels.mix_seed(3, 0), True)
     assert (r1.best_spins, r1.trace) == (
         tuple(spins), tuple((s, t, e + m.offset) for s, t, e in trace))
     assert r1.trace  # only the emulator traces
-    spins, _, _ = kernels.tabu(2, _dense(m), m.h, DEFAULT_TABU_MOVES, TABU_TENURE,
+    spins, _, _ = kernels.tabu(2, *_lists(m), DEFAULT_TABU_MOVES, TABU_TENURE,
                                kernels.mix_seed(3, 0))
     assert r2.best_spins == tuple(spins) and r2.trace == ()
     assert m.energy(r1.best_spins) == m.energy(r2.best_spins) == -1.0
@@ -239,7 +240,7 @@ def test_mix_seed_never_zero_and_distinct():
 def test_pure_anneal_energy_bookkeeping():
     rng = random.Random(31)
     m = _random_model(7, rng)
-    jd, h = _dense(m), m.h
+    jd, h = _lists(m)
     spins, best, trace = py_anneal(7, jd, h, 60, 10.0, 0.05, py_mix_seed(1, 0), False)
     check = sum(jd[i * 7 + j] * spins[i] * spins[j] for i in range(7) for j in range(i + 1, 7))
     check += sum(h[i] * spins[i] for i in range(7))
@@ -301,18 +302,18 @@ def _tabu_cases() -> list[tuple]:
         n = m.num_spins
         for moves, tenure in ((DEFAULT_TABU_MOVES, TABU_TENURE), (DEFAULT_TABU_MOVES, 0),
                               (300, -3), (300, n + 1), (0, TABU_TENURE), (1, TABU_TENURE)):
-            cases.append((n, _dense(m), m.h, moves, tenure, py_mix_seed(len(cases), 2)))
+            cases.append((n, *_lists(m), moves, tenure, py_mix_seed(len(cases), 2)))
     for seed in (80, 148, 625, 3173):  # seeds on which each such exit shows
         m = _tenths(seed)
-        cases.append((m.num_spins, _dense(m), m.h, DEFAULT_TABU_MOVES, 5, seed))
+        cases.append((m.num_spins, *_lists(m), DEFAULT_TABU_MOVES, 5, seed))
     twins = ising_model(5, {(0, 2): -2.0, (1, 2): 2.0, (0, 3): -2.0, (1, 3): 2.0,
                             (0, 4): -1.0, (1, 4): 1.0, (2, 3): 2.0, (2, 4): -1.0},
                         [0.0, 0.0, 0.0, 1.0, 0.0], 0.0)
-    cases += [(5, _dense(twins), twins.h, 500, 2, seed) for seed in (1, 2, 5)]
+    cases += [(5, *_lists(twins), 500, 2, seed) for seed in (1, 2, 5)]
     six = _tenths(80)
-    cases += [(six.num_spins, _dense(six), six.h, 50, tenure, 7)
+    cases += [(six.num_spins, *_lists(six), 50, tenure, 7)
               for tenure in (2**63 - 1, 2**63 - 2, -2**63)]
-    cases.append((6, _dense(zeros[0]), zeros[0].h, 2**63 - 1, 7, 3))
+    cases.append((6, *_lists(zeros[0]), 2**63 - 1, 7, 3))
     return cases
 
 
@@ -324,7 +325,7 @@ def test_compiled_matches_pure_bitwise():
     sizes = [rng.randint(2, 18) for _ in range(12)] + [45, 45, 45]
     for trial, n in enumerate(sizes):
         m = _random_model(n, rng)
-        jd, h = _dense(m), m.h
+        jd, h = _lists(m)
         seed = py_mix_seed(trial, 5)
         collect = trial % 2 == 0
         pa = py_anneal(n, jd, h, 80, 8.0, 0.1, seed, collect)
@@ -374,7 +375,7 @@ def test_compiled_metropolis_shortcut_matches_pure():
                   (m, (30, 1e6, 1e6))]  # x near 0: the accept bound decides
     cases.append((flat, production))
     for k, (m, (sweeps, t0, t1)) in enumerate(cases):
-        args = (m.num_spins, _dense(m), m.h, sweeps, t0, t1, py_mix_seed(k, 1), True)
+        args = (m.num_spins, *_lists(m), sweeps, t0, t1, py_mix_seed(k, 1), True)
         pa, ca = py_anneal(*args), c_impl.anneal(*args)
         assert list(pa[0]) == list(ca[0]), k
         assert pa[1] == ca[1], k
@@ -404,7 +405,7 @@ def _slice_shaped(rng: random.Random) -> list[tuple[int, list[float], list[float
     for n, pairs in models:
         for zero in (0.0, -0.0):
             h = [coeff() if rng.random() < 0.5 else zero for _ in range(n)]
-            out.append((n, _dense(ising_model(n, pairs, h, 0.0), zero), h))
+            out.append((n, *_lists(ising_model(n, pairs, h, 0.0), zero)))
     return out
 
 
@@ -453,7 +454,7 @@ def test_compiled_tabu_stops_a_cycling_search_on_a_huge_budget():
     from isingsat.solver import _kernels as c_impl
 
     m = qubo_to_ising(cnf_to_qubo(codes(random_3sat(5, 8, random.Random(43)).clauses)))
-    args = [m.num_spins, _dense(m), m.h, 10**12, TABU_TENURE, 9]
+    args = [m.num_spins, *_lists(m), 10**12, TABU_TENURE, 9]
     spins, energy, _ = py_tabu(*args[:3], DEFAULT_TABU_MOVES, *args[4:])
     assert _in_child(c_impl.__file__, [args]) == repr(([(spins, energy, 10**12)], []))
 

@@ -1,9 +1,12 @@
 """Ising ground-state search: :func:`solve` on one of two backends.
 
 Both backends take the same :class:`~isingsat.qubo.IsingModel`; a call lays
-it out once as the kernels' lists, its fields and a dense, symmetric
-row-major n*n coupling matrix: their API and the pure oracle's layout (the
-compiled kernel keeps only its nonzero entries, as neighbour lists):
+it out once for all its reads, the fields as a list and the couplings as
+``kernels.couplings`` builds them from the model's pairs: the compiled
+kernel's neighbour lists of the nonzero couplings, or the pure oracle's
+dense, symmetric row-major n*n matrix.  The kernels also take that matrix
+as a list, wherever it comes from.  A pair index outside the model, a spin
+paired with itself and a pair given twice are refused:
 
 * ``"emulator"`` — a simulated annealer standing in for the 45-spin
   all-to-all chip.  It refuses models that would not fit the device: more
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from ..qubo import SPIN_BUDGET, IsingModel, chip_misfit
-from .kernels import anneal, mix_seed, tabu
+from .kernels import anneal, couplings, mix_seed, scale, tabu
 
 # Geometric cooling from INITIAL_TEMP to FINAL_TEMP over SWEEPS sweeps, tuned
 # so 20-spin random instances hit their exact optimum in at least half the runs.
@@ -71,12 +74,15 @@ def _check_chip(model: IsingModel) -> None:
     if n > SPIN_BUDGET:
         raise ValueError(
             f"model needs {n} spins but the chip has {SPIN_BUDGET}")
-    if not any(map(chip_misfit, {*model.j, *model.h})):
-        return  # one check per distinct value; a misfit is then named
+    try:
+        if scale(model.j, model.h, model.offset) is None:
+            return  # the chip holds every coefficient; else a misfit is named
+    except ValueError:  # a coefficient that is not finite, or too small to scale
+        pass
     p = model.pairs
-    couplings = ((f"coupling {(i, k)}", v) for i, k, v in sorted(zip(p[::2], p[1::2], model.j)))
+    pair_terms = ((f"coupling {(i, k)}", v) for i, k, v in sorted(zip(p[::2], p[1::2], model.j)))
     fields = ((f"field {i}", v) for i, v in enumerate(model.h))
-    for name, v in chain(couplings, fields):
+    for name, v in chain(pair_terms, fields):
         if why := chip_misfit(v):
             raise ValueError(f"{name} = {v} {why}")
 
@@ -103,10 +109,7 @@ def solve(model: IsingModel, *, backend: str, seed: int, num_samples: int,
     n = model.num_spins
     if n == 0:
         return SolveResult((), ())
-    jd = [0.0] * (n * n)
-    ends = iter(model.pairs)  # zip takes i, then k, from it for each J
-    for i, k, v in zip(ends, ends, model.j):
-        jd[i * n + k] = jd[k * n + i] = v
+    jd = couplings(n, model.pairs, model.j)
     h = model.h.tolist()
     if emulator:
         reads = [anneal(n, jd, h, SWEEPS, INITIAL_TEMP, FINAL_TEMP,

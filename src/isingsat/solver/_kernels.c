@@ -1,12 +1,13 @@
 /* Compiled kernels: the solver's Metropolis annealing and tabu descent, the
  * decomposition's slice walk, freeze and merge and a repeat's start tally,
- * the slice's model build, qubo and ising, and its chip scaling (walk,
- * freeze, merge and tally, then qubo and ising, then scale, at the end, each
- * group with its own comment).  From the walk to the merge a slice stays in
- * ranks and literal codes, so no variable number reaches this module; from
- * the freeze to the merge it stays in flat arrays, the kept clauses a table
- * of literal codes and every model field a number or an array of ranks, index
- * pairs or doubles.  The walk, the freeze and the merge read build_vig's flat
+ * the slice's model build, qubo and ising, its chip scaling and the
+ * solver's couplings layout (walk, freeze, merge and tally, then qubo and
+ * ising, then scale, then couplings, at the end, each group with its own
+ * comment).  From the walk to the merge a slice stays in ranks and literal
+ * codes, so no variable number reaches this module; from the freeze to the
+ * merge it stays in flat arrays, the kept clauses a table of literal codes
+ * and every model field a number or an array of ranks, index pairs or
+ * doubles.  The walk, the freeze and the merge read build_vig's flat
  * int tables, whose rows are numbered by node rank, read or write a repeat's
  * state in its flat per-rank arrays in place, and keep their per-rank marks
  * in the caller's flag array, which they clear before they return, on error
@@ -26,16 +27,20 @@
  * stops once its search is back in a state it was in since its last
  * improvement, which fixes every later move, and returns what the full budget
  * would (see tabu).  Build with -ffp-contract=off so that no multiply-add is
- * fused.  The inputs are copied into C buffers and the interpreter lock is
- * released around the sweep and move loops.
+ * fused.  The fields, and a dense jd, are copied into C buffers and the
+ * interpreter lock is released around the sweep and move loops.
  *
- * The couplings arrive as a dense row-major n*n matrix jd, symmetric with a
- * zero diagonal, which is the oracle's layout.  chain_open reads it once and
- * keeps only its nonzero entries, as per-spin neighbour lists: spin i's links
- * are links[start[i]] .. links[start[i + 1] - 1], in ascending neighbour
- * order, each holding the neighbour q, J = jd[i*n + q] and 2*J.  A field is
- * summed over its row's links and a flip of spin i updates only the fields
- * of its links, so a flip costs the spin's degree rather than n.
+ * The couplings arrive as jd in one of two forms, and both give the same
+ * per-spin neighbour lists of the nonzero couplings: spin i's links are
+ * links[start[i]] .. links[start[i + 1] - 1], in ascending neighbour order,
+ * each holding the neighbour q, J_iq and 2*J_iq.  solve passes a couplings
+ * object, which couplings (at the end of this file) builds once per call
+ * from the model's pairs, and which chain_open reads in place on every read.
+ * The oracle's layout, a dense row-major n*n matrix, symmetric with a zero
+ * diagonal, is taken too: chain_open then reads all of it on every read and
+ * keeps its nonzero entries.  A field is summed over its row's links and a
+ * flip of spin i updates only the fields of its links, so a flip costs the
+ * spin's degree rather than n.
  *
  * Skipping the zero entries changes no result.  Each skipped term is
  * 0 * s or 2 * 0 * s, a zero, and the nonzero terms are added in the
@@ -47,7 +52,7 @@
  * +0.0, so the energies and trace rows are bit-identical too.  A caller can
  * meet a differing zero only by passing h_i = -0.0: that field stays -0.0
  * here where the oracle's +0.0 terms may turn it to +0.0, and this is never
- * returned.  Every zero entry of jd, +0.0 or -0.0, is dropped.
+ * returned.  Every zero coupling, +0.0 or -0.0, is dropped.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -63,12 +68,24 @@ typedef struct {
     int q;         /* the neighbour */
 } Link;
 
+/* A couplings object's neighbour lists, in one block: start (n + 1) lies
+ * past the links. */
+typedef struct {
+    int n;
+    const Py_ssize_t *start;
+    Link links[];
+} Couplings;
+
+#define COUPLINGS "isingsat.solver._kernels.couplings"
+
 typedef struct {
     int n;
     uint64_t state;
-    Py_ssize_t *start;   /* n + 1: spin i's links begin at links + start[i] */
-    Link *links;
-    double *h, *fields;  /* n, n */
+    const Py_ssize_t *start;  /* n + 1: spin i's links begin at links + start[i] */
+    const Link *links;        /* a couplings object's, or own_links */
+    Py_ssize_t *own_start;    /* the lists load_links reads from a dense jd */
+    Link *own_links;
+    double *h, *fields;       /* n, n */
     signed char *spins, *best_spins;
 } Chain;
 
@@ -102,12 +119,12 @@ static PyObject *mix_seed(PyObject *self, PyObject *args)
     return PyLong_FromUnsignedLongLong(z ? z : STAR);
 }
 
-/* The items of `seq`, which must number at least `count`, as a new reference
-   to a list or tuple; NULL with an exception set. */
+/* The items of `seq`, which must number `count`, as a new reference to a
+   list or tuple; NULL with an exception set. */
 static PyObject *items_of(PyObject *seq, Py_ssize_t count)
 {
     PyObject *fast = PySequence_Fast(seq, "couplings and fields must be sequences");
-    if (fast != NULL && PySequence_Fast_GET_SIZE(fast) < count) {
+    if (fast != NULL && PySequence_Fast_GET_SIZE(fast) != count) {
         PyErr_Format(PyExc_ValueError, "need %zd coefficients, got %zd", count,
                      PySequence_Fast_GET_SIZE(fast));
         Py_CLEAR(fast);
@@ -141,8 +158,9 @@ static int load(PyObject *seq, Py_ssize_t count, double *out)
     return 0;
 }
 
-/* Reads the dense row-major n*n jd in one pass into the neighbour lists,
-   keeping its nonzero entries; returns -1 with an exception set. */
+/* Reads the dense row-major n*n jd in one pass into the chain's own
+   neighbour lists, keeping its nonzero entries; returns -1 with an
+   exception set. */
 static int load_links(Chain *c, PyObject *jd)
 {
     int n = c->n;
@@ -151,12 +169,13 @@ static int load_links(Chain *c, PyObject *jd)
         return -1;
     PyObject **items = PySequence_Fast_ITEMS(fast);
     Py_ssize_t used = 0, size = 4 * (Py_ssize_t)n + 1;
-    if ((c->links = PyMem_New(Link, size)) == NULL) {
+    if ((c->own_start = PyMem_New(Py_ssize_t, (size_t)n + 1)) == NULL ||
+        (c->own_links = PyMem_New(Link, size)) == NULL) {
         PyErr_NoMemory();
         goto fail;
     }
     for (int i = 0; i < n; i++) {
-        c->start[i] = used;
+        c->own_start[i] = used;
         for (int q = 0; q < n; q++) {
             double v = as_double(items[(Py_ssize_t)i * n + q]);
             if (v == -1.0 && PyErr_Occurred())
@@ -165,17 +184,19 @@ static int load_links(Chain *c, PyObject *jd)
                 continue;
             if (used == size) {
                 size *= 2;
-                Link *grown = PyMem_Realloc(c->links, (size_t)size * sizeof *grown);
+                Link *grown = PyMem_Realloc(c->own_links, (size_t)size * sizeof *grown);
                 if (grown == NULL) {
                     PyErr_NoMemory();
                     goto fail;
                 }
-                c->links = grown;
+                c->own_links = grown;
             }
-            c->links[used++] = (Link){v, 2.0 * v, q};
+            c->own_links[used++] = (Link){v, 2.0 * v, q};
         }
     }
-    c->start[n] = used;
+    c->own_start[n] = used;
+    c->start = c->own_start;
+    c->links = c->own_links;
     Py_DECREF(fast);
     return 0;
 fail:
@@ -184,7 +205,8 @@ fail:
 }
 
 /* Allocates the chain's buffers (plus `extra` doubles at fields + n) and
-   reads the coefficients; returns -1 with an exception set. */
+   reads the coefficients: the links of a couplings object in place, or the
+   nonzero entries of a dense jd; returns -1 with an exception set. */
 static int chain_open(Chain *c, int n, PyObject *jd, PyObject *h, uint64_t seed,
                       Py_ssize_t extra)
 {
@@ -195,24 +217,32 @@ static int chain_open(Chain *c, int n, PyObject *jd, PyObject *h, uint64_t seed,
     }
     c->n = n;
     c->state = seed;
-    c->start = PyMem_New(Py_ssize_t, (size_t)n + 1);
     c->h = PyMem_New(double, 2 * (size_t)n + extra + 1);
     c->spins = PyMem_New(signed char, 2 * (size_t)n + 1);
-    if (c->start == NULL || c->h == NULL || c->spins == NULL) {
+    if (c->h == NULL || c->spins == NULL) {
         PyErr_NoMemory();
         return -1;
     }
     c->fields = c->h + n;
     c->best_spins = c->spins + n;
-    if (load_links(c, jd) < 0 || load(h, n, c->h) < 0)
+    if (PyCapsule_IsValid(jd, COUPLINGS)) {
+        const Couplings *cp = PyCapsule_GetPointer(jd, COUPLINGS);
+        if (cp->n != n) {
+            PyErr_Format(PyExc_ValueError, "the couplings hold %d spins, not %d", cp->n, n);
+            return -1;
+        }
+        c->start = cp->start;
+        c->links = cp->links;
+    } else if (load_links(c, jd) < 0) {
         return -1;
-    return 0;
+    }
+    return load(h, n, c->h);
 }
 
 static void chain_close(Chain *c)
 {
-    PyMem_Free(c->start);
-    PyMem_Free(c->links);
+    PyMem_Free(c->own_start);
+    PyMem_Free(c->own_links);
     PyMem_Free(c->h);
     PyMem_Free(c->spins);
 }
@@ -574,10 +604,12 @@ static Py_ssize_t rank_in(PyObject *key, Py_ssize_t n, const char *msg)
     return r >= 0 && r < n ? r : outside(msg);
 }
 
-/* Opens `obj`, which must be an array of typecode `code` or another
- * contiguous buffer of its items: 'i' for C ints, 'd' for doubles.  Writable
- * if asked; -1 with an exception set. */
-static int array_open(PyObject *obj, Py_buffer *view, char code, int writable)
+/* Opens `obj`, the argument `name`, which must be an array of typecode
+ * `code` or another contiguous buffer of its items: 'i' for C ints, 'd' for
+ * doubles.  Writable if asked; -1 with an exception set, a TypeError that
+ * names the argument for another type. */
+static int array_open(PyObject *obj, Py_buffer *view, char code, int writable,
+                      const char *name)
 {
     int want = PyBUF_FORMAT | PyBUF_C_CONTIGUOUS | (writable ? PyBUF_WRITABLE : 0);
     size_t size = code == 'i' ? sizeof(int) : sizeof(double);
@@ -588,9 +620,7 @@ static int array_open(PyObject *obj, Py_buffer *view, char code, int writable)
             return 0;
         PyBuffer_Release(view);
     }
-    PyErr_SetString(PyExc_TypeError, code == 'i'
-                    ? "an index table or a count array must be an array('i')"
-                    : "a coefficient array must be an array('d')");
+    PyErr_Format(PyExc_TypeError, "%s must be an array('%c')", name, code);
     return -1;
 }
 
@@ -606,7 +636,7 @@ static PyObject *int_zero, *double_zero;
 static PyObject *new_array(char code, Py_ssize_t count, Py_buffer *view)
 {
     PyObject *out = PySequence_Repeat(code == 'i' ? int_zero : double_zero, count);
-    if (out != NULL && array_open(out, view, code, 1) < 0)
+    if (out != NULL && array_open(out, view, code, 1, "the new array") < 0)
         Py_CLEAR(out);
     return out;
 }
@@ -672,8 +702,9 @@ static PyObject *walk(PyObject *self, PyObject *args)
     Ranks active = {0}, parked = {0};
     PyObject *selected = PySet_New(NULL);
     Py_ssize_t r, n = flags.len, pend = 0, nsel = 0, ancillas = 0;
-    if (selected == NULL || array_open(push_table, &pushes, 'i', 0) < 0 ||
-        array_open(tri_table, &tris, 'i', 0) < 0 || marks_open(&m, &flags, rows(&pushes)) < 0)
+    if (selected == NULL || array_open(push_table, &pushes, 'i', 0, "pushes") < 0 ||
+        array_open(tri_table, &tris, 'i', 0, "triangles") < 0 ||
+        marks_open(&m, &flags, rows(&pushes)) < 0)
         goto fail;
     /* no cooldown ticks during a walk, so the cooling ranks are marked once;
        one outside the index is never reached */
@@ -744,8 +775,10 @@ static Py_ssize_t state_open(Marks *m, Py_buffer *flags, const Py_buffer *values
                              PyObject *clause_table, Py_buffer *cls, PyObject *occ_table,
                              Py_buffer *occ)
 {
-    if (array_open(clause_table, cls, 'i', 0) < 0 || array_open(occ_table, occ, 'i', 0) < 0 ||
-        array_open(count_obj, counts, 'i', writable) < 0 || marks_open(m, flags, rows(occ)) < 0)
+    if (array_open(clause_table, cls, 'i', 0, "clauses") < 0 ||
+        array_open(occ_table, occ, 'i', 0, "occurrences") < 0 ||
+        array_open(count_obj, counts, 'i', writable, "true_count") < 0 ||
+        marks_open(m, flags, rows(occ)) < 0)
         return -1;
     if (values->len != flags->len)
         return refuse("the value array must hold one byte per node");
@@ -972,7 +1005,7 @@ static PyObject *merge(PyObject *self, PyObject *args)
     Py_ssize_t r, n = flags.len, nvisit = 0, gain = 0;
     if (state_open(&m, &flags, &values, count_obj, &counts, 1, clause_table, &cls, occ_table,
                    &occ) < 0 ||
-        array_open(degree_obj, &degrees, 'i', 1) < 0)
+        array_open(degree_obj, &degrees, 'i', 1, "unsat_degree") < 0)
         goto done;
     if (nitems(&degrees) != n) {
         refuse("the degree array must hold one count per node");
@@ -980,7 +1013,8 @@ static PyObject *merge(PyObject *self, PyObject *args)
     }
     /* a copy of the spins, since reading one may run Python code that
      * changes a list; the ranks' buffer is held, so no code resizes it */
-    if (array_open(rank_obj, &rv, 'i', 0) < 0 || (spins = PySequence_Tuple(spin_seq)) == NULL)
+    if (array_open(rank_obj, &rv, 'i', 0, "ranks") < 0 ||
+        (spins = PySequence_Tuple(spin_seq)) == NULL)
         goto done;
     if (nitems(&rv) > PyTuple_GET_SIZE(spins)) {
         outside("the slice has fewer spins than ranks");
@@ -1077,7 +1111,7 @@ static PyObject *tally(PyObject *self, PyObject *args)
         return NULL;
     const unsigned char *vals = values.buf;
     Py_ssize_t n = values.len, nclauses, unsat = 0, npool = 0;
-    if (array_open(clause_table, &cls, 'i', 0) < 0)
+    if (array_open(clause_table, &cls, 'i', 0, "clauses") < 0)
         goto done;
     for (Py_ssize_t r = 0; r < n; r++)
         if (vals[r] > 1) {
@@ -1268,7 +1302,7 @@ static PyObject *qubo(PyObject *self, PyObject *arg)
     PyObject *linear = NULL, *pairs = NULL, *quadratic = NULL, *rank_array = NULL, *out = NULL;
     Pairs b = {0};
     const int *lo, *hi;
-    if (array_open(arg, &cls, 'i', 0) < 0 || (m = checked_rows(&cls)) < 0)
+    if (array_open(arg, &cls, 'i', 0, "clauses") < 0 || (m = checked_rows(&cls)) < 0)
         goto done;
     for (Py_ssize_t c = 0; c < m; c++) {
         if (row(&cls, c, (Py_ssize_t)INT_MAX + 1, &lo, &hi) < 0)
@@ -1378,8 +1412,9 @@ static PyObject *ising(PyObject *self, PyObject *args)
         refuse("num_vars must be non-negative");
         goto done;
     }
-    if (array_open(lin_obj, &lin, 'd', 0) < 0 || array_open(pairs, &pv, 'i', 0) < 0 ||
-        array_open(quad_obj, &qv, 'd', 0) < 0)
+    if (array_open(lin_obj, &lin, 'd', 0, "linear") < 0 ||
+        array_open(pairs, &pv, 'i', 0, "pairs") < 0 ||
+        array_open(quad_obj, &qv, 'd', 0, "quadratic") < 0)
         goto done;
     Py_ssize_t npairs = nitems(&qv);
     if (nitems(&lin) != n) {
@@ -1460,7 +1495,7 @@ static PyObject *scale(PyObject *self, PyObject *args)
     double offset, *v = NULL, maxabs = 0.0, max_rel = 0.0;
     if (!PyArg_ParseTuple(args, "OOd:scale", &j_obj, &h_obj, &offset))
         return NULL;
-    if (array_open(j_obj, &jv, 'd', 0) < 0 || array_open(h_obj, &hv, 'd', 0) < 0)
+    if (array_open(j_obj, &jv, 'd', 0, "j") < 0 || array_open(h_obj, &hv, 'd', 0, "h") < 0)
         goto done;
     Py_ssize_t nj = nitems(&jv), nh = nitems(&hv), k;
     int misfit = 0;
@@ -1510,6 +1545,116 @@ done:
     return out;
 }
 
+/* ------------------------------------------------------------------ */
+/* The couplings object, which solve builds once per call for all its reads:
+ * the neighbour lists that chain_open would read from the dense jd of the
+ * same model, link for link.  A pair p couples pairs[2p] and pairs[2p + 1]
+ * by j[p], and is listed in the rows of both its spins.  Two counting
+ * sorts lay the rows out in O(n + pairs): the entries by neighbour, then
+ * stably by spin, so each row holds its neighbours in ascending order, the
+ * order in which load_links scans a row of jd, and every field is summed in
+ * the oracle's order.  A repeated pair then sits next to itself in its
+ * rows.  Zero couplings of either sign are dropped last, as load_links
+ * drops them. */
+
+static void couplings_free(PyObject *capsule)
+{
+    PyMem_Free(PyCapsule_GetPointer(capsule, COUPLINGS));
+}
+
+/* couplings(n, pairs, j): the oracle's couplings, as an opaque object that
+ * anneal and tabu read in place of jd.  Refused, in the oracle's order: a
+ * negative n, pairs without two spin indices per coupling, an index outside
+ * the model, a spin paired with itself, a pair listed twice (in either
+ * order). */
+static PyObject *couplings(PyObject *self, PyObject *args)
+{
+    int n;
+    PyObject *pairs_obj, *j_obj, *out = NULL;
+    Py_buffer pv = {0}, jv = {0};
+    Py_ssize_t *order = NULL;
+    Couplings *cp = NULL;
+    if (!PyArg_ParseTuple(args, "iOO:couplings", &n, &pairs_obj, &j_obj))
+        return NULL;
+    if (n < 0) {
+        refuse("n must be non-negative");
+        goto done;
+    }
+    if (array_open(pairs_obj, &pv, 'i', 0, "pairs") < 0 ||
+        array_open(j_obj, &jv, 'd', 0, "j") < 0)
+        goto done;
+    /* entry e is pair e / 2 seen from spin p[e], its neighbour p[e ^ 1] */
+    Py_ssize_t entries = nitems(&pv), e, k;
+    if (entries != 2 * nitems(&jv)) {
+        refuse("pairs must hold two spin indices per coupling");
+        goto done;
+    }
+    const int *p = pv.buf;
+    const double *j = jv.buf;
+    int self_paired = 0;
+    for (e = 0; e < entries; e++) {
+        if (p[e] < 0 || p[e] >= n) {
+            outside("a pair index is outside the model");
+            goto done;
+        }
+        self_paired |= p[e] == p[e ^ 1];
+    }
+    if (self_paired) {
+        refuse("a spin is paired with itself");
+        goto done;
+    }
+    if (entries > PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(Link) - n - 2 ||
+        (cp = PyMem_Malloc(sizeof *cp + (size_t)entries * sizeof(Link) +
+                           ((size_t)n + 1) * sizeof(Py_ssize_t))) == NULL ||
+        (order = PyMem_New(Py_ssize_t, (size_t)entries + n + 1)) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    Py_ssize_t *start = (Py_ssize_t *)(cp->links + entries), *at = order + entries;
+    memset(at, 0, ((size_t)n + 1) * sizeof *at);  /* by neighbour */
+    memset(start, 0, ((size_t)n + 1) * sizeof *start);  /* by spin */
+    for (e = 0; e < entries; e++) {
+        at[p[e ^ 1] + 1]++;
+        start[p[e] + 1]++;
+    }
+    for (int i = 0; i < n; i++) {
+        at[i + 1] += at[i];
+        start[i + 1] += start[i];
+    }
+    for (e = 0; e < entries; e++)
+        order[at[p[e ^ 1]]++] = e;
+    memcpy(at, start, ((size_t)n + 1) * sizeof *at);
+    for (k = 0; k < entries; k++) {
+        e = order[k];
+        cp->links[at[p[e]]++] = (Link){j[e >> 1], 2.0 * j[e >> 1], p[e ^ 1]};
+    }
+    Py_ssize_t used = 0;
+    for (int i = 0; i < n; i++) {
+        Py_ssize_t lo = start[i], hi = start[i + 1];
+        start[i] = used;
+        for (k = lo; k < hi; k++) {
+            const Link l = cp->links[k];
+            if (k > lo && l.q == cp->links[k - 1].q) {
+                refuse("a pair is repeated");
+                goto done;
+            }
+            if (l.j != 0.0)
+                cp->links[used++] = l;
+        }
+    }
+    start[n] = used;
+    cp->n = n;
+    cp->start = start;
+    if ((out = PyCapsule_New(cp, COUPLINGS, couplings_free)) != NULL)
+        cp = NULL;  /* the capsule frees it */
+done:
+    PyBuffer_Release(&pv);
+    PyBuffer_Release(&jv);
+    PyMem_Free(order);
+    PyMem_Free(cp);
+    return out;
+}
+
 static PyMethodDef methods[] = {
     {"mix_seed", mix_seed, METH_VARARGS,
      "splitmix64 of (seed, stream), never zero (xorshift state must be)."},
@@ -1517,6 +1662,8 @@ static PyMethodDef methods[] = {
      "Geometric-cooling Metropolis; returns (best_spins, best_energy, trace)."},
     {"tabu", (PyCFunction)(void (*)(void))tabu, METH_VARARGS | METH_KEYWORDS,
      "Best-admissible single-flip tabu search; returns (best_spins, best_energy, moves)."},
+    {"couplings", couplings, METH_VARARGS,
+     "The neighbour lists of n spins' pairs and couplings, which anneal and tabu take as jd."},
     {"walk", walk, METH_VARARGS,
      "The spin-budgeted walk from start; returns the selected set."},
     {"freeze", freeze, METH_VARARGS,
@@ -1537,7 +1684,8 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_kernels",
     "Compiled solver, slice and model-build kernels, results identical to _kernels_py; "
-    "jd must be symmetric.",
+    "anneal and tabu take the couplings as a couplings object or as a dense jd, "
+    "which must be symmetric.",
     -1, methods,
 };
 

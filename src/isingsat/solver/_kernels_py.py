@@ -17,23 +17,34 @@ kernel stay out of this oracle, which the tests hold them against:
   energy and remaining tabu moves, bit for bit), since the rest of the budget
   would only repeat that cycle, and reports the full budget's move count.
 
-The couplings arrive as a dense row-major n*n list ``jd``, symmetric with a
-zero diagonal.  That is the kernels' API and this oracle's layout, read as
-given: a flip of spin i reads row i where it means column i.
+``anneal`` and ``tabu`` take the couplings as ``jd`` in either of two
+forms: what ``couplings(n, pairs, j)`` returns for a model's pairs,
+which ``solver.solve`` builds once per call for all its reads, or a dense
+row-major n*n list, symmetric with a zero diagonal.  Here ``couplings``
+returns that dense list, this oracle's layout, read as given: a flip of
+spin i reads row i where it means column i.  The C ``couplings`` returns an
+opaque object holding the neighbour lists the C kernel would read from the
+same dense list, and the C kernel reads a dense list too.
 ``energy = 0.5 * s·(J s) + h·s`` is tracked incrementally through per-spin
 local fields ``f_i = h_i + sum_j J_ij s_j`` (a flip of spin i costs
 ``-2 s_i f_i`` and adds ``2 J_ij s_i`` to every field, zeros included).  The
-C kernel keeps only the nonzero entries of ``jd``, as neighbour lists, so a
-flip there costs the spin's degree; the terms it skips are zeros, and its
-header comment says why its results stay bit-identical to these.
+C kernel keeps only the nonzero couplings, as neighbour lists, so a flip
+there costs the spin's degree; the terms it skips are zeros, and its header
+comment says why its results stay bit-identical to these.
 
 Both reject the same arguments with the same exception types, checked in the
 C kernel's order: an argument that is not an integer where C parses one is a
 TypeError, one outside C's ``int`` (``n``, ``sweeps``) or ``long long``
 (``max_moves``, ``tenure``) an OverflowError; a temperature that is not
-positive and finite, a negative ``n``, or a ``jd`` or ``h`` shorter than
-n*n or n entries is a ValueError.  A seed is taken modulo 2**64, and an
-integer temperature as a float.
+positive and finite, a negative ``n``, or a ``jd`` or ``h`` of other than
+n*n or n entries is a ValueError, and so is, in the C kernel, a couplings
+object of another ``n``.  A seed is taken modulo 2**64, and an integer
+temperature as a float.  ``couplings`` raises the same, with the same
+messages, for a negative ``n``, ``pairs`` without two indices per coupling
+(ValueError), an index outside ``0 .. n - 1`` (IndexError), and then a spin
+paired with itself or a pair given twice, in either order (ValueError); the
+C version takes only an ``array('i')`` of pairs and an ``array('d')`` of
+couplings.
 
 ``walk``, ``freeze`` and ``merge`` are the decomposition's slice walk, the
 clause loop of its freeze and its merge, as ``decompose`` ran them in
@@ -142,7 +153,7 @@ def _init(n: int, jd: list[float], h: list[float], seed: int):
     if n < 0:
         raise ValueError("n must be non-negative")
     for coefficients, count in ((jd, n * n), (h, n)):
-        if len(coefficients) < count:
+        if len(coefficients) != count:
             raise ValueError(f"need {count} coefficients, got {len(coefficients)}")
     spins = [0] * n
     for i in range(n):
@@ -159,6 +170,28 @@ def _init(n: int, jd: list[float], h: list[float], seed: int):
     for i in range(n):
         cur += 0.5 * spins[i] * (fields[i] + h[i])
     return state, spins, fields, cur
+
+
+def couplings(n: int, pairs, j) -> list[float]:
+    """The couplings ``j[p]`` between spins ``pairs[2p]`` and
+    ``pairs[2p + 1]`` of ``n`` spins, as ``anneal`` and ``tabu`` take them:
+    a dense row-major n*n list, J_ik at (i, k) and (k, i), 0.0 elsewhere."""
+    n = _c_int(n, 32)
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if len(pairs) != 2 * len(j):
+        raise ValueError("pairs must hold two spin indices per coupling")
+    if pairs and not 0 <= min(pairs) <= max(pairs) < n:
+        raise IndexError("a pair index is outside the model")
+    ends = list(zip(pairs[::2], pairs[1::2]))
+    if any(i == k for i, k in ends):
+        raise ValueError("a spin is paired with itself")
+    if len({(min(i, k), max(i, k)) for i, k in ends}) < len(ends):
+        raise ValueError("a pair is repeated")
+    jd = [0.0] * (n * n)
+    for (i, k), v in zip(ends, j):
+        jd[i * n + k] = jd[k * n + i] = v
+    return jd
 
 
 def anneal(n: int, jd: list[float], h: list[float], sweeps: int,

@@ -1,18 +1,22 @@
 """Kernel selector: the C kernel, compiled on first import, else the pure oracle.
 
-Both hold the same ten functions, as ``_kernels_py`` sets out: ``anneal``,
-``tabu`` and their seeding ``mix_seed``; the slice ``walk``, ``freeze`` and
-``merge``, which read ``decompose.build_vig``'s rank tables and read or
-write ``decompose.GlobalState``'s per-rank arrays in place, and ``tally``,
-which makes those arrays at a repeat's start; and the model build ``qubo``
+Both hold the same eleven functions, as ``_kernels_py`` sets out: ``anneal``,
+``tabu``, their seeding ``mix_seed`` and ``couplings``, which lays a model's
+pairs out once for all the reads of a solver call, as a dense ``jd`` list in
+the oracle and as an opaque object of neighbour lists in the C module; the
+slice ``walk``, ``freeze`` and ``merge``, which read
+``decompose.build_vig``'s rank tables and read or write
+``decompose.GlobalState``'s per-rank arrays in place, and ``tally``, which
+makes those arrays at a repeat's start; and the model build ``qubo``
 and ``ising`` and the chip scaling ``scale``.  A slice reaches them as ranks
 and literal codes only, so no kernel sees a variable number, and its models
 as flat arrays.  Python objects stay where Python uses them: the walk's
 ``set`` of ranks, which the repetition filter tests membership in, and the
 filter's cooldown ``dict``; the pool ``list``, which ``iterate`` indexes and
 ``merge`` inserts into; and ``anneal``'s and ``tabu``'s lists and tuples,
-since ``perfbench`` calls them and compares their results.  One build, one
-loader and one ``COMPILED_KERNELS`` flag cover all ten.
+since ``perfbench`` calls them, with a dense ``jd``, and compares their
+results.  One build, one loader and one ``COMPILED_KERNELS`` flag cover all
+eleven.
 
 ``_kernels.c`` is compiled the first time this module is imported, with the
 interpreter's C compiler and ``-O2 -shared -fPIC -ffp-contract=off``.  The
@@ -125,6 +129,7 @@ COMPILED_KERNELS = _compiled is not None
 _impl = _compiled or _kernels_py
 
 mix_seed = _impl.mix_seed
+couplings = _impl.couplings
 anneal = _impl.anneal
 tabu = _impl.tabu
 walk = _impl.walk

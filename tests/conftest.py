@@ -74,6 +74,14 @@ def ising_model(n, couplings, h, offset):
     return IsingModel(n, pairs, array("d", couplings.values()), array("d", h), offset)
 
 
+def outcome_of(fn, *args):
+    """What ``fn(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the exception is the outcome compared
+        return type(exc), str(exc)
+
+
 def pair_terms(pairs, values):
     """A model's pair array and its coefficients as a dict keyed ``(i, k)``,
     in pair order."""
@@ -92,8 +100,8 @@ def resized(draw, buffer):
 
 def mutated_table(draw, table, bound):
     """A copy of the flat table ``table``, whose items lie below ``bound``,
-    with an offset or an item set to any value, often one just inside or
-    outside a bound, or cut short."""
+    with an offset or an item set to any value a C int holds, often one just
+    inside or outside a bound, or cut short."""
     out = array("i", table)
     fault = draw(st.sampled_from(("offset", "item", "short")))
     if fault == "short" and out:
@@ -102,7 +110,8 @@ def mutated_table(draw, table, bound):
         header = min(max(out[0], 1), len(out))
         at = (draw(st.integers(0, header - 1)) if fault == "offset" or header == len(out)
               else draw(st.integers(header, len(out) - 1)))
-        edges = (-1, bound - 1, bound, len(out), len(out) + 1, -(2**31), 2**31 - 1)
+        edges = [e for e in (-1, bound - 1, bound, len(out), len(out) + 1, -(2**31), 2**31 - 1)
+                 if -(2**31) <= e < 2**31]
         out[at] = draw(st.one_of(st.sampled_from(edges), st.integers(-2, len(out) + 2)))
     return out
 

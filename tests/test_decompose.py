@@ -35,7 +35,8 @@ from isingsat.qubo import cnf_to_qubo
 from isingsat.solver import _kernels_py, kernels
 from isingsat.solver._kernels_py import row, table_of
 
-from conftest import codes, mixed_random_cnf, mutated_table, random_3sat, rank, resized
+from conftest import (codes, mixed_random_cnf, mutated_table, outcome_of, random_3sat, rank,
+                      resized)
 
 
 def _gs(cnf, assignment):
@@ -288,18 +289,10 @@ needs_compiled = pytest.mark.skipif(not kernels.COMPILED_KERNELS,
                                     reason="compiled kernels unavailable")
 
 
-def _outcome(fn, *args):
-    """What ``fn(*args)`` returns, or the type and message of what it raises."""
-    try:
-        return fn(*args)
-    except Exception as exc:  # the exception is the outcome compared
-        return type(exc), str(exc)
-
-
 def _compiled_outcome(fn, flags, *args):
-    """``_outcome`` of the compiled ``fn``, checking that the call left the
+    """``outcome_of`` of the compiled ``fn``, checking that the call left the
     flag array ``flags`` all zero."""
-    outcome = _outcome(getattr(kernels, fn), *args)
+    outcome = outcome_of(getattr(kernels, fn), *args)
     assert not any(flags), (fn, outcome)
     return outcome
 
@@ -327,7 +320,7 @@ def test_compiled_walk_matches_the_pure_walk(case, outside):
         for pushes, depth_first in ((vig.bfs, False), (vig.dfs, True)):
             args = (pushes, vig.triangles, cooldown, flags, budget, start, depth_first)
             assert (_compiled_outcome("walk", flags, *args)
-                    == _outcome(_kernels_py.walk, *args)), (budget, depth_first)
+                    == outcome_of(_kernels_py.walk, *args)), (budget, depth_first)
 
 
 def _freeze_case(num_vars, clauses, selected, values):
@@ -369,7 +362,7 @@ def test_compiled_freeze_matches_the_pure_freeze(case):
     cnf, selected, state = case
     args = _freeze_args(state, selected)
     assert (_compiled_outcome("freeze", state.flags, *args)
-            == _outcome(_kernels_py.freeze, *args))
+            == outcome_of(_kernels_py.freeze, *args))
 
 
 def _merge_args(state, spins, ranks, **replaced):
@@ -394,7 +387,7 @@ def test_compiled_kernels_need_a_flag_byte_per_node():
         for fn, args in (("walk", walk_args), ("freeze", freeze_args),
                          ("merge", merge_args)):
             assert (_compiled_outcome(fn, flags, *args)
-                    == _outcome(getattr(_kernels_py, fn), *args) == outcome)
+                    == outcome_of(getattr(_kernels_py, fn), *args) == outcome)
 
 
 @needs_compiled
@@ -413,7 +406,7 @@ def test_compiled_kernels_need_a_value_per_node_and_a_count_per_clause():
         freeze_args = (clauses, occurrences, {0}, values_, true_count, flags)
         for fn, fn_args in (("freeze", freeze_args), ("merge", args)):
             assert (_compiled_outcome(fn, flags, *fn_args)
-                    == _outcome(getattr(_kernels_py, fn), *fn_args) == outcome), fn
+                    == outcome_of(getattr(_kernels_py, fn), *fn_args) == outcome), fn
 
 
 # (1,), (1, 2) over nodes [1, 2], with node 1's occurrence row (1, 0)
@@ -755,8 +748,9 @@ def test_compiled_merge_matches_the_pure_merge(case):
         _assert_state_matches_rescan(cnf, compiled)
 
 
-# The compiled merge reads a slice's ranks only from an array('i')
-_RANKS_TYPE = "an index table or a count array must be an array('i')"
+# The compiled merge reads a slice's ranks only from an array('i'), and its
+# refusal names the argument
+_RANKS_TYPE = "ranks must be an array('i')"
 
 
 @needs_compiled
@@ -779,7 +773,7 @@ def test_compiled_merge_refuses_what_the_pure_merge_refuses():
     for replaced in refused:
         args = _merge_args(state, **{"spins": spins, "ranks": ranks, **replaced})
         outcome = _compiled_outcome("merge", replaced.get("flags", state.flags), *args)
-        assert outcome == _outcome(_kernels_py.merge, *args), replaced
+        assert outcome == outcome_of(_kernels_py.merge, *args), replaced
         assert outcome[0] in (IndexError, ValueError, TypeError), replaced
         assert _state_fields(state) == before, replaced
     for other in ([0, 1], (0, 1), array("l", [0, 1]), array("I", [0, 1]), 5):
@@ -839,8 +833,8 @@ def _tally_cases(draw):
 def test_compiled_tally_matches_the_pure_tally(case):
     """The same counts, of the same types, or the same exception."""
     table, values = case
-    compiled = _outcome(kernels.tally, table, values)
-    assert _typed(compiled) == _typed(_outcome(_kernels_py.tally, table, values))
+    compiled = outcome_of(kernels.tally, table, values)
+    assert _typed(compiled) == _typed(outcome_of(_kernels_py.tally, table, values))
     if isinstance(compiled[0], type):
         assert compiled[0] in (IndexError, ValueError), compiled
 
@@ -931,14 +925,14 @@ def test_compiled_slice_kernels_refuse_or_match_the_oracle_on_malformed_input(ke
     either way it leaves the flag array all zero."""
     args = data.draw(_malformed_calls(kernel))
     compiled_args, pure_args = _copied(args), _copied(args)
-    compiled = _outcome(getattr(kernels, kernel), *compiled_args)
+    compiled = outcome_of(getattr(kernels, kernel), *compiled_args)
     if kernel != "tally":  # the tally takes no flags
         assert not any(compiled_args[3 if kernel == "walk" else -1]), (kernel, compiled)
     if isinstance(compiled, tuple) and isinstance(compiled[0], type) \
             and compiled in _TABLE_REFUSALS:
         assert compiled_args == args, kernel
         return
-    assert _typed(compiled) == _typed(_outcome(getattr(_kernels_py, kernel), *pure_args))
+    assert _typed(compiled) == _typed(outcome_of(getattr(_kernels_py, kernel), *pure_args))
     assert compiled_args == pure_args, kernel
 
 @given(st.data())

@@ -367,12 +367,14 @@ def test_run_repeat_records_are_pinned(spec, cell, settings, golden):
                     reason="compiled kernels unavailable")
 def test_a_tabu_repeat_records_alike_with_the_pure_oracle(monkeypatch):
     # the compiled tabu stops where its search repeats itself; the oracle
-    # spends every move of the budget, and the record must not tell them apart
+    # spends every move of the budget, and the record must not tell them apart.
+    # The oracle reads its own couplings layout, the dense list
     spec = "backbone:100:429:50"
     instance_id, cnf = expand_instances(spec)[0]
     config = SweepConfig(instances=[spec], cap=10, budget=45, num_samples=1)
     cell = dict(level=7, strategy="bfs", backend="tabu", seed=1)
     compiled = run_repeat(instance_id, cnf, config, **cell).to_json()
+    monkeypatch.setattr(solver, "couplings", solver.kernels._kernels_py.couplings)
     monkeypatch.setattr(solver, "tabu", solver.kernels._kernels_py.tabu)
     assert run_repeat(instance_id, cnf, config, **cell).to_json() == compiled
 

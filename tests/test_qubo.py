@@ -33,7 +33,8 @@ from isingsat.qubo import (
 from isingsat.solver import _kernels_py, kernels
 from isingsat.solver._kernels_py import _GADGETS, table_of
 
-from conftest import codes, ising_model, mixed_random_cnf, mutated_table, pair_terms, resized
+from conftest import (codes, ising_model, mixed_random_cnf, mutated_table, outcome_of, pair_terms,
+                      resized)
 
 
 def _gadget_min(clause, x_vars):
@@ -257,18 +258,27 @@ def _slice_clauses(rng: random.Random) -> list[tuple[int, ...]]:
 
 
 def _kernel_inputs(monkeypatch, m: IsingModel, backend: str):
-    """The (n, jd, h) that ``solve`` hands the kernel of ``backend``."""
-    calls = []
+    """The (n, pairs, j) that ``solve`` lays out with ``couplings``, once
+    per call, and the fields it hands the kernel of ``backend``, which gets
+    that one layout on every read."""
+    build, built, calls = solver.couplings, [], []
+
+    def couplings(*args):
+        built.append((args, build(*args)))
+        return built[-1][1]
 
     def kernel(n, jd, h, *rest):
         calls.append((n, jd, h))
         return [1] * n, 0.0, []
 
+    monkeypatch.setattr(solver, "couplings", couplings)
     monkeypatch.setattr(solver, "anneal" if backend == "emulator" else "tabu", kernel)
     solver.solve(m, backend=backend, seed=1, num_samples=2, collect_trace=False)
+    (args, layout), = built
     assert len(calls) == 2 and calls[0] == calls[1]
-    assert type(calls[0][1]) is type(calls[0][2]) is list  # the kernels take lists
-    return calls[0]
+    n, jd, h = calls[0]
+    assert n == args[0] and jd is layout and type(h) is list  # the fields as a list
+    return args, h
 
 
 def _bits(values) -> bytes:
@@ -281,9 +291,11 @@ def _round_clamp(x: float) -> float:
 
 
 def test_slice_models_reach_the_kernels_as_the_dense_build(monkeypatch):
-    """The kernels get, bit for bit, the row-major matrix a naive n*n build
-    from the QUBO gives (b/4 in both triangles, zero diagonal), and chip
-    scaling of the pair model matches a per-entry pass over that matrix."""
+    """``solve`` hands the kernels the couplings of the model's own pair and
+    coupling arrays, which the oracle lays out, bit for bit, as the
+    row-major matrix a naive n*n build from the QUBO gives (b/4 in both
+    triangles, zero diagonal), and chip scaling of the pair model matches a
+    per-entry pass over that matrix."""
     rng = random.Random(21)
     scaled_models = 0
     for _ in range(60):
@@ -293,9 +305,11 @@ def test_slice_models_reach_the_kernels_as_the_dense_build(monkeypatch):
         for (i, k), b in pair_terms(q.pairs, q.quadratic).items():
             naive[i * n + k] = naive[k * n + i] = b / 4.0
         m = qubo_to_ising(q)
+        assert _bits(_kernels_py.couplings(n, m.pairs, m.j)) == _bits(naive)
         if n:
-            spins, jd, h = _kernel_inputs(monkeypatch, m, "tabu")
-            assert (spins, _bits(jd), _bits(h)) == (n, _bits(naive), _bits(m.h))
+            (spins, pairs, j), h = _kernel_inputs(monkeypatch, m, "tabu")
+            assert spins == n and pairs is m.pairs and j is m.j
+            assert _bits(h) == _bits(m.h)
         scaled, report = scale_to_chip(m)
         values = {*naive, *m.h}
         if all(float(v).is_integer() and COEFF_MIN <= v <= COEFF_MAX for v in values):
@@ -308,8 +322,10 @@ def test_slice_models_reach_the_kernels_as_the_dense_build(monkeypatch):
                        for v in values if v * scale != 0.0), default=0.0)
         assert report.max_rel_error == ref_rel
         assert scaled.pairs is m.pairs and scaled.offset == m.offset * scale
-        spins, jd, h = _kernel_inputs(monkeypatch, scaled, "emulator")
-        assert (spins, _bits(jd), _bits(h)) == (n, _bits(ref_j), _bits(ref_h))
+        (spins, pairs, j), h = _kernel_inputs(monkeypatch, scaled, "emulator")
+        assert spins == n and pairs is scaled.pairs and j is scaled.j
+        assert (_bits(_kernels_py.couplings(n, pairs, j)), _bits(h)) == (_bits(ref_j),
+                                                                         _bits(ref_h))
     assert scaled_models >= 30
 
 
@@ -321,19 +337,12 @@ needs_compiled = pytest.mark.skipif(not kernels.COMPILED_KERNELS,
 
 # What the compiled model build, Ising form and chip scaling refuse where
 # the oracle reads its input as it stands: a table row they check, and a
-# buffer of another type than C ints or doubles
+# buffer of another type than C ints or doubles, named by its argument
 _BUILD_REFUSALS = {(IndexError, "a row is outside the index"),
                    (IndexError, "an item is outside the index"),
-                   (TypeError, "an index table or a count array must be an array('i')"),
-                   (TypeError, "a coefficient array must be an array('d')")}
-
-
-def _outcome(fn, *args):
-    """What ``fn(*args)`` returns, or the type and message of what it raises."""
-    try:
-        return fn(*args)
-    except Exception as exc:  # the exception is the outcome compared
-        return type(exc), str(exc)
+                   *((TypeError, f"{name} must be an array('{code}')")
+                     for name, code in (("clauses", "i"), ("linear", "d"), ("pairs", "i"),
+                                        ("quadratic", "d"), ("j", "d"), ("h", "d")))}
 
 
 def _refused(outcome) -> bool:
@@ -372,8 +381,8 @@ def _assert_builds_alike(clauses):
     """The compiled and the pure qubo agree on ``clauses``, bit for bit and
     in pair order, and so do the compiled and the pure ising on its model,
     which hands the pair array on."""
-    model = _outcome(kernels.qubo, clauses)
-    assert _exact(model) == _exact(_outcome(_kernels_py.qubo, clauses)), clauses
+    model = outcome_of(kernels.qubo, clauses)
+    assert _exact(model) == _exact(outcome_of(_kernels_py.qubo, clauses)), clauses
     if isinstance(model[0], int):
         spins = kernels.ising(*model[:5])
         assert _exact(spins) == _exact(_kernels_py.ising(*model[:5]))
@@ -422,7 +431,7 @@ def test_compiled_build_refuses_malformed_codes_as_the_pure_build(clauses):
     """On a bad code, a mutated clause table or another buffer type, the
     compiled qubo either refuses a row or a type it checks, or returns and
     raises what the pure qubo does, bit for bit."""
-    if not _refused(_outcome(kernels.qubo, clauses)):
+    if not _refused(outcome_of(kernels.qubo, clauses)):
         _assert_builds_alike(clauses)
 
 
@@ -441,7 +450,7 @@ def test_compiled_build_refuses_what_the_pure_build_refuses():
     cases = [[(2, 4, 6, 8)], [(2,), (2, 4, 6, 8), (2, 4, 6, 8, 10), ()], [(0, -1)],
              [(2, 4, 6, 8), (2, -(2**31)), (3,)]]  # the code before the width
     for clauses in cases:
-        outcome = _outcome(kernels.qubo, table_of(clauses))
+        outcome = outcome_of(kernels.qubo, table_of(clauses))
         assert outcome[0] in (IndexError, ValueError), outcome
         _assert_builds_alike(table_of(clauses))
 
@@ -495,10 +504,10 @@ def test_compiled_ising_matches_the_pure_ising_bit_for_bit(fields):
     """On any QUBO's fields, hand-built or malformed, the compiled ising
     either refuses another buffer type or returns and raises what the pure
     one does, bit for bit, handing on the pair array it was given."""
-    spins = _outcome(kernels.ising, *fields)
+    spins = outcome_of(kernels.ising, *fields)
     if _refused(spins):
         return
-    assert _exact(spins) == _exact(_outcome(_kernels_py.ising, *fields))
+    assert _exact(spins) == _exact(outcome_of(_kernels_py.ising, *fields))
     if not isinstance(spins[0], type):
         assert spins[1] is fields[2]
 
@@ -586,10 +595,10 @@ def _scale_cases(draw):
 @settings(max_examples=200, deadline=None)
 def test_compiled_scale_matches_the_pure_scale_bit_for_bit(case):
     j, h, offset = case
-    compiled = _outcome(kernels.scale, j, h, offset)
+    compiled = outcome_of(kernels.scale, j, h, offset)
     if _refused(compiled):
         return
-    assert _exact(compiled) == _exact(_outcome(_kernels_py.scale, j, h, offset))
+    assert _exact(compiled) == _exact(outcome_of(_kernels_py.scale, j, h, offset))
     if compiled is not None and not isinstance(compiled[0], type):
         assert all(v in range(COEFF_MIN, COEFF_MAX + 1) for v in (*compiled[0], *compiled[1]))
 

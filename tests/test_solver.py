@@ -12,6 +12,8 @@ import subprocess
 import sys
 import sysconfig
 
+from array import array
+
 import numpy as np
 import pytest
 
@@ -26,12 +28,13 @@ from isingsat.solver import (
     TABU_TENURE,
     solve,
 )
-from isingsat.solver import kernels
+from isingsat.solver import BACKENDS, kernels
 from isingsat.solver._kernels_py import anneal as py_anneal
+from isingsat.solver._kernels_py import couplings as py_couplings
 from isingsat.solver._kernels_py import mix_seed as py_mix_seed
 from isingsat.solver._kernels_py import tabu as py_tabu
 
-from conftest import codes, ising_model, pair_terms, random_3sat
+from conftest import codes, ising_model, outcome_of, pair_terms, random_3sat
 
 
 def _random_model(n: int, rng: random.Random) -> IsingModel:
@@ -212,6 +215,23 @@ def test_offset_carried_through():
     assert res.trace[-1][2] == pytest.approx(8.0)  # spin -1 plus offset
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_solve_refuses_malformed_pairs(backend):
+    # the model's energy sums a repeated pair and would read a spin paired
+    # with itself as a constant, where a couplings layout holds neither
+    cases = [(array("i", [0, 2]), [1.0], IndexError, "a pair index is outside the model"),
+             (array("i", [-1, 1]), [1.0], IndexError, "a pair index is outside the model"),
+             (array("i", [1, 1]), [1.0], ValueError, "a spin is paired with itself"),
+             (array("i", [0, 1, 0, 1]), [1.0, 2.0], ValueError, "a pair is repeated"),
+             (array("i", [0, 1, 1, 0]), [1.0, -1.0], ValueError, "a pair is repeated"),
+             (array("i", [0, 1, 1]), [1.0], ValueError, "two spin indices per coupling"),
+             (array("i", [0, 1]), [1.0, 2.0], ValueError, "two spin indices per coupling")]
+    for pairs, j, error, message in cases:
+        m = IsingModel(2, pairs, array("d", j), array("d", [0.0, 1.0]), 0.0)
+        with pytest.raises(error, match=message):
+            solve(m, backend=backend, seed=0, num_samples=2, collect_trace=False)
+
+
 def test_sat_instance_decodes_to_model():
     # the scaled chip problem distorts energies, so solution quality is
     # judged by decoding the spins back onto the CNF
@@ -382,11 +402,13 @@ def test_compiled_metropolis_shortcut_matches_pure():
         assert list(pa[2]) == list(ca[2]), k
 
 
-def _slice_shaped(rng: random.Random) -> list[tuple[int, list[float], list[float]]]:
-    """(n, jd, h) of models shaped like the slices the pipeline anneals:
-    about three neighbours a spin, spins in no coupling (empty rows), one
-    spin coupled to all others, and n of 1, 2 and 45, each with zeros of
-    either sign in jd and h; and one coupling so large that 2J is inf."""
+def _slice_models(rng: random.Random) -> list[tuple[IsingModel, float]]:
+    """Models shaped like the slices the pipeline anneals, each with the
+    ``zero`` that ``_lists`` fills its dense layout with: about three
+    neighbours a spin, spins in no coupling (empty rows), one spin coupled
+    to all others, and n of 1, 2 and 45, with zeros of either sign in the
+    couplings, in h and as the fill; and one coupling so large that 2J is
+    inf."""
     def coeff() -> float:
         return float(rng.choice([v for v in range(COEFF_MIN, COEFF_MAX + 1) if v]))
 
@@ -395,38 +417,104 @@ def _slice_shaped(rng: random.Random) -> list[tuple[int, list[float], list[float
         pairs = {}
         for _ in range(n * degree // 2):
             i, k = sorted(rng.sample(range(n), 2))
-            pairs[i, k] = coeff()
+            pairs[i, k] = coeff() if rng.random() < 0.9 else rng.choice((0.0, -0.0))
         models.append((n, pairs))
     hub = {(0, k): coeff() for k in range(1, 45)}
     models.append((45, {**hub, **{(k, k + 1): coeff() for k in range(1, 44, 7)}}))
     models.append((2, {}))
+    models.append((2, {(0, 1): -0.0}))
     models.append((3, {(0, 1): 1e308, (1, 2): 1.0}))  # 2J overflows, J does not
     out = []
     for n, pairs in models:
         for zero in (0.0, -0.0):
             h = [coeff() if rng.random() < 0.5 else zero for _ in range(n)]
-            out.append((n, *_lists(ising_model(n, pairs, h, 0.0), zero)))
+            out.append((ising_model(n, pairs, h, 0.0), zero))
     return out
+
+
+def _slice_shaped(rng: random.Random) -> list[tuple[int, list[float], list[float]]]:
+    """(n, jd, h) of the ``_slice_models``, in the dense layout."""
+    return [(m.num_spins, *_lists(m, zero)) for m, zero in _slice_models(rng)]
 
 
 @pytest.mark.skipif(not kernels.COMPILED_KERNELS, reason="compiled kernels unavailable")
 def test_neighbour_lists_match_the_dense_oracle_on_slice_shaped_models():
-    # the C kernel keeps only jd's nonzero entries; the oracle reads every one
+    # the C kernel keeps only the nonzero couplings, laid out from the
+    # model's pairs by its couplings or read from a dense jd; the oracle
+    # reads every entry of its couplings' dense layout or of a dense jd
     from isingsat.solver import _kernels as c_impl
 
     schedules = [(SWEEPS, INITIAL_TEMP, FINAL_TEMP), (1, INITIAL_TEMP, FINAL_TEMP),
                  (40, 5.0, 1e-300), (30, 5e-324, 5e-324), (30, 1e6, 1e6)]
-    for k, (n, jd, h) in enumerate(_slice_shaped(random.Random(29))):
+    for k, (m, zero) in enumerate(_slice_models(random.Random(29))):
+        n, (dense, h) = m.num_spins, _lists(m, zero)
+        oracle = py_couplings(n, m.pairs, m.j)
+        assert oracle == _lists(m)[0]
+        # the oracle over its couplings first: every other result must equal it
+        runs = [(py_anneal, py_tabu, oracle), (py_anneal, py_tabu, dense),
+                (c_impl.anneal, c_impl.tabu, c_impl.couplings(n, m.pairs, m.j)),
+                (c_impl.anneal, c_impl.tabu, dense)]
         for sweeps, t0, t1 in schedules:
-            args = (n, jd, h, sweeps, t0, t1, py_mix_seed(k, sweeps), True)
-            pa, ca = py_anneal(*args), c_impl.anneal(*args)
-            assert list(pa[0]) == list(ca[0]), (k, sweeps)
+            args = (sweeps, t0, t1, py_mix_seed(k, sweeps), True)
             # repr tells the zeros apart: not even their sign may differ
-            assert repr(pa[1:]) == repr(ca[1:]), (k, sweeps)
-        args = (n, jd, h, DEFAULT_TABU_MOVES, TABU_TENURE, py_mix_seed(k, 0))
-        pt, ct = py_tabu(*args), c_impl.tabu(*args)
-        assert list(pt[0]) == list(ct[0]), k
-        assert repr(pt[1:]) == repr(ct[1:]), k
+            want, *got = (repr(anneal(n, jd, h, *args)) for anneal, _, jd in runs)
+            assert got == [want] * 3, (k, sweeps)
+        args = (DEFAULT_TABU_MOVES, TABU_TENURE, py_mix_seed(k, 0))
+        want, *got = (repr(tabu(n, jd, h, *args)) for _, tabu, jd in runs)
+        assert got == [want] * 3, k
+
+
+@pytest.mark.skipif(not kernels.COMPILED_KERNELS, reason="compiled kernels unavailable")
+def test_both_kernels_refuse_malformed_couplings_alike():
+    """Bad pairs are refused by both couplings with the same exception and
+    message, a bad n with the same exception; the compiled one refuses
+    other typecodes, which the oracle reads as they stand.  A couplings
+    object of another n is refused by the kernels as the oracle refuses a
+    dense list of another length."""
+    from isingsat.solver import _kernels as c_impl
+
+    pairs, j = array("i", [0, 1, 1, 2]), array("d", [1.0, -2.0])
+    refused = [
+        (3, array("i", [0, 1, 1]), j),  # an odd-length pair array
+        (3, array("i", [0, 1]), j),  # a coupling more than pairs
+        (3, array("i", [0, 1, 1, 2, 0, 2]), j),  # a pair more than couplings
+        (3, array("i", [0, 1, 1, 3]), j), (3, array("i", [-1, 1, 1, 2]), j),
+        (0, array("i", [0, 1]), array("d", [1.0])), (-1, pairs, j),
+        (3, array("i", [0, 1, 2, 2]), j),  # a spin paired with itself
+        (3, array("i", [2, 2, 1, 3]), j),  # and an index outside: IndexError first
+        (3, array("i", [0, 1, 1, 0]), j),  # repeated, in either order
+        (3, array("i", [0, 2, 0, 2]), array("d", [0.0, -0.0])),  # zeros too
+        (3, array("i", [0, 0, 1, 0, 0, 1]), array("d", [1.0, 1.0, 1.0])),  # self first
+    ]
+    for args in refused:
+        outcome = outcome_of(c_impl.couplings, *args)
+        assert outcome == outcome_of(py_couplings, *args), args
+        assert outcome[0] in (IndexError, ValueError), args
+    for n, error in ((2.0, TypeError), ("3", TypeError), (2**31, OverflowError)):
+        for couplings in (c_impl.couplings, py_couplings):
+            with pytest.raises(error):
+                couplings(n, pairs, j)
+    for args in ((3, list(pairs), j), (3, array("l", pairs), j), (3, pairs, list(j)),
+                 (3, pairs, array("f", j))):
+        assert outcome_of(c_impl.couplings, *args) in {
+            (TypeError, "pairs must be an array('i')"), (TypeError, "j must be an array('d')")}
+        assert py_couplings(*args) == py_couplings(3, pairs, j)
+    h = [0.5, -0.5, 0.25]
+    for other in (2, 4):
+        layouts = ((c_impl.anneal, c_impl.tabu, c_impl.couplings(other, array("i", [0, 1]),
+                                                                  array("d", [1.0]))),
+                   (py_anneal, py_tabu, py_couplings(other, array("i", [0, 1]),
+                                                     array("d", [1.0]))))
+        for anneal, tabu, jd in layouts:
+            with pytest.raises(ValueError):
+                anneal(3, jd, h, 20, 5.0, 0.1, 7, False)
+            with pytest.raises(ValueError):
+                tabu(3, jd, h, 50, 3, 7)
+    # the right n reads alike
+    jd, cp = py_couplings(3, pairs, j), c_impl.couplings(3, pairs, j)
+    assert repr(c_impl.anneal(3, cp, h, 20, 5.0, 0.1, 7, True)) == \
+        repr(py_anneal(3, jd, h, 20, 5.0, 0.1, 7, True))
+    assert c_impl.tabu(3, cp, h, 50, 3, 7) == py_tabu(3, jd, h, 50, 3, 7)
 
 
 def _in_child(path: str, tabu_calls=(), anneal_calls=()) -> str:
@@ -482,13 +570,16 @@ def test_both_kernels_reject_the_same_arguments():
         ("tabu", bad(tabu, 3, 50.0), TypeError),
         ("anneal", bad(anneal, 0, 2.0), TypeError),
         ("anneal", bad(anneal, 6, 7.0), TypeError),
-        # a negative size, too few coefficients
+        # a negative size, too few or too many coefficients
         ("tabu", bad(tabu, 0, -1), ValueError),
         ("anneal", bad(anneal, 0, -1), ValueError),
         ("tabu", bad(tabu, 1, jd[:2]), ValueError),
         ("anneal", bad(anneal, 1, jd[:2]), ValueError),
         ("tabu", bad(tabu, 2, h[:1]), ValueError),
         ("anneal", bad(anneal, 2, h[:1]), ValueError),
+        ("tabu", bad(tabu, 1, jd + [0.0] * 5), ValueError),  # a jd of another n
+        ("anneal", bad(anneal, 1, jd + [0.0] * 5), ValueError),
+        ("anneal", bad(anneal, 2, h + [0.0]), ValueError),
         # a temperature that is not positive and finite
         *(("anneal", bad(anneal, k, t), ValueError)
           for k in (4, 5) for t in (0.0, -0.0, -1.0, math.inf, math.nan)),
